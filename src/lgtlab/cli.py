@@ -8,8 +8,9 @@ Usage:
 Scenarios: spectrum, potential, plaquette_convergence, effective_check,
 dynamics, verify, channels.
 
-Exit codes: 0 = success, 1 = invariant violation, 2 = config error,
-3 = numerical failure.  Result CSVs are byte-stable across repeated runs
+Exit codes: 0 = success, 1 = invariant violation, 2 = config error
+(including any ValueError the library raises on the config), 3 =
+numerical failure.  Result CSVs are byte-stable across repeated runs
 (fixed solver seeds, floats printed with 17 significant digits, LF line
 endings); the manifest additionally records the wall time.
 """
@@ -430,7 +431,9 @@ def run(cfg, outdir, tol=DEFAULT_TOL):
         results, checks = RUNNERS[scenario](cfg, writer, tol)
         status = 0 if all(c["pass"] for c in checks) else 1
         error = None
-    except ConfigError as exc:
+    except ValueError as exc:
+        # ConfigError, or a library ValueError the parsers cannot foresee
+        # (a term the lattice does not support, a mis-sized charge list)
         results, checks, status, error = {}, [], 2, str(exc)
     except solver.SolverError as exc:
         results, checks, status, error = {}, [], 3, str(exc)

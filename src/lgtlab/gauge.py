@@ -78,36 +78,26 @@ class GaussSector:
 # generators
 # ---------------------------------------------------------------------------
 
-def _charge_ops(space):
-    """Diagonal matter charge per vertex (staggered or naive), embedded."""
-    layout = space.layout
-    out = []
-    for v in range(space.lattice.vertex_count):
-        q = matter_mod.charge_operator(layout, v)
-        out.append(space.matter_op(q))
-    return out
+def matter_charge_row(space, vertex):
+    """Matter charge Q_n of every product state (staggered or naive),
+    read from the occupation bits: occupied modes at the vertex minus
+    matter.charge_shift."""
+    q = space.vertex_occupations(vertex).sum(axis=0, dtype=np.int8)
+    q -= matter_mod.charge_shift(space.layout, vertex)
+    return q
 
 
 def gauss_generators_u1(space):
-    """Hermitian generators div L - Q for U(1)-truncated or spin-gauge links."""
-    lat = space.lattice
-    flux = space.linkops["flux"]
-    charges = _charge_ops(space) if space.layout is not None else None
-    gens = []
-    for v in range(lat.vertex_count):
-        out_links, in_links = lat.links_at_vertex(v)
-        g = None
-        for l in out_links:
-            t = space.link_op(l, flux)
-            g = t if g is None else g + t
-        for l in in_links:
-            g = -space.link_op(l, flux) if g is None else g - space.link_op(l, flux)
-        if g is None:
-            g = sparse.csr_matrix((space.dim, space.dim), dtype=complex)
-        if charges is not None:
-            g = g - charges[v]
-        gens.append(g.tocsr())
-    return gens
+    """Hermitian generators div L - Q for U(1)-truncated or spin-gauge links,
+    diagonal with the rows of abelian_charge_table."""
+    return [space.diagonal_op(row) for row in abelian_charge_table(space)]
+
+
+def zn_generator_phases(space):
+    """exp(-i delta q) for q = 0 .. N-1: the Z_N generator eigenvalue of a
+    state whose charge-table entry is q modulo N."""
+    n = space.linkops.param
+    return np.exp(-1j * (2.0 * np.pi / n) * np.arange(n))
 
 
 def gauss_generators_zn(space):
@@ -115,24 +105,12 @@ def gauss_generators_zn(space):
 
     With staggered matter the vertex factor exp(i delta Q_n) is included so
     that the hopping psi^dag Q^dag psi stays invariant; eigenvalues are
-    exp(-i delta (div m - Q_n)).
+    exp(-i delta (div m - Q_n)), read from abelian_charge_table.
     """
-    lat = space.lattice
-    P = space.linkops["P"]
-    Pdag = space.linkops["Pdag"]
-    delta = 2.0 * np.pi / space.linkops.param
-    gens = []
-    for v in range(lat.vertex_count):
-        out_links, in_links = lat.links_at_vertex(v)
-        pairs = [(l, Pdag) for l in out_links] + [(l, P) for l in in_links]
-        g = space.link_ops_product(pairs)
-        if space.layout is not None:
-            q = matter_mod.charge_operator(space.layout, v)
-            qdiag = np.asarray(q.diagonal()).real
-            phase = np.exp(1j * delta * qdiag)
-            g = g @ space.matter_op(sparse.diags(phase))
-        gens.append(g.tocsr())
-    return gens
+    phases = zn_generator_phases(space)
+    n = space.linkops.param
+    return [space.diagonal_op(phases[row % n])
+            for row in abelian_charge_table(space)]
 
 
 def gauss_generators_su2(space, link_space):
@@ -164,28 +142,34 @@ def gauss_generators_su2(space, link_space):
 # sectors
 # ---------------------------------------------------------------------------
 
-def _diagonal_of(op):
-    return np.asarray(op.diagonal()).real
-
-
 def abelian_charge_table(space):
-    """Integer matrix (n_vertices x dim) of div(flux) - Q per basis state."""
+    """Integer matrix (n_vertices x dim) of div(flux) - Q per basis state.
+
+    Read from the space's label table and cached on the space; the dtype is
+    the narrowest signed integer that holds every entry.
+    """
+    return space.cached("abelian_charge_table",
+                        lambda: _build_charge_table(space))
+
+
+def _build_charge_table(space):
     lat = space.lattice
-    flux_vals = space.linkops.flux_values
-    dim = space.dim
-    table = np.zeros((lat.vertex_count, dim))
-    for v in range(lat.vertex_count):
-        out_links, in_links = lat.links_at_vertex(v)
-        d = np.zeros(dim)
+    flux = np.rint(space.linkops.flux_values).astype(int)
+    incident = [lat.links_at_vertex(v) for v in range(lat.vertex_count)]
+    degree = max((len(o) + len(i) for o, i in incident), default=0)
+    bound = degree * int(np.max(np.abs(flux))) + 2
+    dtype = np.min_scalar_type(-bound)
+    flux = flux.astype(dtype)
+    table = np.zeros((lat.vertex_count, space.dim), dtype=dtype)
+    for row, (out_links, in_links) in zip(table, incident):
         for l in out_links:
-            d += _diagonal_of(space.link_op(l, np.diag(flux_vals)))
+            row += flux[space.link_labels[l]]
         for l in in_links:
-            d -= _diagonal_of(space.link_op(l, np.diag(flux_vals)))
-        if space.layout is not None:
-            q = matter_mod.charge_operator(space.layout, v)
-            d -= _diagonal_of(space.matter_op(q))
-        table[v] = d
-    return np.rint(table).astype(int)
+            row -= flux[space.link_labels[l]]
+    if space.layout is not None:
+        for v, row in enumerate(table):
+            row -= matter_charge_row(space, v)
+    return table
 
 
 def sector_basis(space, charges, modular=False):
@@ -203,11 +187,9 @@ def sector_basis(space, charges, modular=False):
     target = np.array(charges)[:, None]
     if modular:
         n = space.linkops.param
-        ok = np.all((table - target) % n == 0, axis=0)
-    else:
-        ok = np.all(table == target, axis=0)
-    idx = np.nonzero(ok)[0]
-    return GaussSector(charges, space.dim, indices=np.sort(idx))
+        table, target = table % n, target % n
+    idx = np.nonzero(np.all(table == target, axis=0))[0]
+    return GaussSector(charges, space.dim, indices=idx)
 
 
 def su2_zero_charge_sector(space, generators, tol=1e-10):
@@ -238,11 +220,9 @@ def all_sector_dimensions(space, modular=False):
     table = abelian_charge_table(space)
     if modular:
         table = table % space.linkops.param
-    out = {}
-    for col in range(table.shape[1]):
-        key = tuple(int(x) for x in table[:, col])
-        out[key] = out.get(key, 0) + 1
-    return out
+    keys, counts = np.unique(table, axis=1, return_counts=True)
+    return {tuple(int(x) for x in key): int(c)
+            for key, c in zip(keys.T, counts)}
 
 
 # ---------------------------------------------------------------------------

@@ -62,6 +62,9 @@ class HamiltonianSpec:
             raise ValueError("g2 must be positive")
         if self.lam < 0:
             raise ValueError("penalty strength must be >= 0")
+        if self.model != SU2 and not float(self.truncation).is_integer():
+            raise ValueError(f"{self.model} truncation must be an integer, "
+                             f"got {self.truncation!r}")
         if self.matter is not None and self.matter not in (
                 matter_mod.STAGGERED, matter_mod.NAIVE2D,
                 matter_mod.SU2_FUNDAMENTAL):
@@ -169,22 +172,22 @@ def _zero(space):
 
 
 def h_electric(model):
+    """Diagonal in the flux basis for every family: the local term's
+    diagonal read per link from the label table, summed in link order."""
     spec, space = model.spec, model.space
-    h = _zero(space)
     if spec.model == ZN:
         P = space.linkops["P"]
         local = -(spec.lam_zn / 2.0) * (P + P.conj().T)
-        for l in range(space.n_links):
-            h = h + space.link_op(l, local)
-        return h.tocsr()
-    if spec.model == SU2:
+    elif spec.model == SU2:
         local = (spec.g2 / 2.0) * model.link_space.casimir
     else:
         flux = space.linkops["flux"]
         local = (spec.g2 / 2.0) * (flux @ flux)
-    for l in range(space.n_links):
-        h = h + space.link_op(l, local)
-    return h.tocsr()
+    values = np.diag(local).real
+    diag = np.zeros(space.dim)
+    for labels in space.link_labels:
+        diag += values[labels]
+    return space.diagonal_op(diag)
 
 
 def _plaquette_operator(model, plaq):
@@ -289,32 +292,33 @@ def _zero_matter(layout):
 
 
 def h_mass(model):
+    """Staggered m sum (-1)^n n_n or naive M sum (n_up - n_down), read from
+    the occupation bits."""
     spec, space = model.spec, model.space
     if spec.matter is None or spec.mass == 0.0:
         return _zero(space)
-    layout = space.layout
     lat = model.lattice
-    ferm = _zero_matter(layout)
-    if spec.matter == matter_mod.NAIVE2D:
-        for v in range(lat.vertex_count):
-            ferm = ferm + layout.number(v, 0) - layout.number(v, 1)
-    else:
-        for v in range(lat.vertex_count):
-            sign = staggered_sign(lat.vertices[v])
-            for s in range(layout.species_per_vertex):
-                ferm = ferm + sign * layout.number(v, s)
-    return (spec.mass * space.matter_op(ferm)).tocsr()
+    count = np.zeros(space.dim, dtype=np.int8)
+    for v in range(lat.vertex_count):
+        occ = space.vertex_occupations(v).astype(np.int8)
+        if spec.matter == matter_mod.NAIVE2D:
+            count += occ[0] - occ[1]
+        else:
+            count += staggered_sign(lat.vertices[v]) * occ.sum(axis=0,
+                                                               dtype=np.int8)
+    return space.diagonal_op(spec.mass * count)
 
 
 def h_penalty(model):
-    spec = model.spec
+    """lam sum_n G_n^2, read from the Abelian charge table."""
+    spec, space = model.spec, model.space
     if spec.model not in (KS_U1, SPIN_GAUGE):
         raise ValueError("penalty term implemented for Hermitian Abelian "
                          "generators only")
-    h = _zero(model.space)
-    for g in model.generators:
-        h = h + g @ g
-    return (spec.lam * h).tocsr()
+    diag = np.zeros(space.dim)
+    for row in gauge.abelian_charge_table(space):
+        diag += np.square(row, dtype=float)
+    return space.diagonal_op(spec.lam * diag)
 
 
 def h_microscopic_hopping(model):
@@ -348,11 +352,29 @@ def commutator_norm(h, g):
 
 
 def max_gauss_violation(model, h=None):
-    """max over vertices (and components) of ||[H, G_n]||_maxabs."""
+    """max over vertices (and components) of ||[H, G_n]||_maxabs.
+
+    For the Abelian families G_n is diagonal with eigenvalue g(q_n) read
+    from the charge table, so [H, G_n]_ij = H_ij (g_j - g_i) is evaluated
+    on H's stored entries, only where the two states' charges differ.
+    """
     h = model.hamiltonian() if h is None else h
+    if model.spec.model == SU2:
+        return max(commutator_norm(h, g)
+                   for triple in model.generators for g in triple)
+    coo = h.tocoo()
+    table = gauge.abelian_charge_table(model.space)
+    phases = None
+    if model.spec.model == ZN:
+        table = table % model.space.linkops.param
+        phases = gauge.zn_generator_phases(model.space)
     worst = 0.0
-    for gen in model.generators:
-        comps = gen if isinstance(gen, (list, tuple)) else [gen]
-        for g in comps:
-            worst = max(worst, commutator_norm(h, g))
+    for q in table:
+        differ = np.nonzero(q[coo.col] != q[coo.row])[0]
+        if len(differ):
+            qj, qi = q[coo.col[differ]], q[coo.row[differ]]
+            step = qj.astype(float) - qi if phases is None \
+                else phases[qj] - phases[qi]
+            worst = max(worst, float(np.max(np.abs(coo.data[differ]
+                                                   * step))))
     return worst

@@ -90,18 +90,29 @@ def fermion_ops(lat, scheme):
     return FermionLayout(scheme, lat, n_modes, _jordan_wigner(n_modes))
 
 
-def staggered_charge(layout, vertex):
-    """Q_n = psi^dag psi - (1 - (-1)^n)/2 on a staggered layout.
+def charge_shift(layout, vertex):
+    """The constant c in Q_n = (occupied modes at vertex n) - c.
 
-    Eigenvalues are {0, +1} on even vertices and {-1, 0} on odd ones:
-    an occupied even vertex carries a particle of charge +1, a vacant odd
-    vertex an antiparticle of charge -1.
+    Staggered: (1 - (-1)^n)/2, so Q_n has eigenvalues {0, +1} on even
+    vertices and {-1, 0} on odd ones (an occupied even vertex carries a
+    particle of charge +1, a vacant odd vertex an antiparticle of charge
+    -1).  Naive: 1, for Q_n = psi^dag psi - 1 of the two-component spinor.
     """
+    if layout.scheme == STAGGERED:
+        return 0 if staggered_sign(layout.lattice.vertices[vertex]) == 1 \
+            else 1
+    if layout.scheme == NAIVE2D:
+        return 1
+    raise ValueError("the two-color charge is not diagonal in the "
+                     "occupation basis")
+
+
+def staggered_charge(layout, vertex):
+    """Q_n = psi^dag psi - (1 - (-1)^n)/2 on a staggered layout."""
     if layout.scheme != STAGGERED:
         raise ValueError("staggered_charge needs the staggered scheme")
-    sign = staggered_sign(layout.lattice.vertices[vertex])
-    shift = 0.0 if sign == 1 else 1.0
     n = layout.number(vertex)
+    shift = float(charge_shift(layout, vertex))
     return (n - shift * sparse.identity(layout.dim, format="csr")).tocsr()
 
 
@@ -110,7 +121,8 @@ def naive_charge(layout, vertex):
     if layout.scheme != NAIVE2D:
         raise ValueError("naive_charge needs the naive2d scheme")
     n = layout.number(vertex, 0) + layout.number(vertex, 1)
-    return (n - sparse.identity(layout.dim, format="csr")).tocsr()
+    shift = float(charge_shift(layout, vertex))
+    return (n - shift * sparse.identity(layout.dim, format="csr")).tocsr()
 
 
 _SIGMA = {

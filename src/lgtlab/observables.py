@@ -15,35 +15,38 @@ import numpy as np
 from . import solver
 from .hamiltonian import KS_U1, SPIN_GAUGE, SU2, ZN, HamiltonianSpec, \
     build_model
-from .gauge import sector_basis
+from .gauge import matter_charge_row, sector_basis
 from .lattice import build_lattice
 from .matter import dirac_sea_state
 
 
 def flux_profile(model, state):
-    """Per-link flux expectation <flux_l> for a normalized full-space state.
+    """Per-link flux expectation <flux_l> for a normalized full-space state,
+    or one row per state for a (times, dim) stack of states.
 
     The readout is L (U(1)), L_z (spin-gauge), the clock label m (Z_N) or
-    the Casimir j(j+1) (SU(2)).
+    the Casimir j(j+1) (SU(2)); it is diagonal in every family and read per
+    link from the label table.
     """
-    space = model.space
-    state = np.asarray(state)
-    out = np.empty(space.n_links)
-    for l in range(space.n_links):
-        op = space.link_op(l, space.linkops["flux"])
-        out[l] = np.vdot(state, op @ state).real
-    return out
+    values = model.space.linkops.flux_values
+    return _diagonal_expectations(
+        state, [values[labels] for labels in model.space.link_labels])
 
 
 def charge_profile(model, state):
-    """Per-vertex dynamical charge expectation (staggered/naive layouts)."""
-    from . import matter as matter_mod
-    space = model.space
-    out = np.empty(model.lattice.vertex_count)
-    for v in range(model.lattice.vertex_count):
-        q = space.matter_op(matter_mod.charge_operator(space.layout, v))
-        out[v] = np.vdot(state, q @ state).real
-    return out
+    """Per-vertex dynamical charge expectation (staggered/naive layouts),
+    for one state or a (times, dim) stack of states."""
+    return _diagonal_expectations(
+        state, [matter_charge_row(model.space, v)
+                for v in range(model.lattice.vertex_count)])
+
+
+def _diagonal_expectations(state, diagonals):
+    """<psi| diag(d) |psi> for each diagonal d, as one vdot per pair."""
+    states = np.asarray(state)
+    out = np.array([[np.vdot(psi, d * psi).real for d in diagonals]
+                    for psi in np.atleast_2d(states)])
+    return out if states.ndim == 2 else out[0]
 
 
 def string_link_path(lat, origin, separation):
@@ -235,21 +238,12 @@ def flux_tube_breaking_scenario(spec, lat, separation, t_final, steps,
     psi0 = strong_coupling_ground(model, origin, separation)
     traj = solver.evolve(h, psi0, t_final, steps)
 
-    nt = len(traj.times)
-    flux = np.empty((nt, model.space.n_links))
-    charge = np.empty((nt, lat.vertex_count))
-    for i, psi in enumerate(traj.states):
-        flux[i] = flux_profile(model, psi)
-        charge[i] = charge_profile(model, psi)
-
+    flux = flux_profile(model, traj.states)
+    charge = charge_profile(model, traj.states)
     energy = traj.expectation(h).real
-    from . import matter as matter_mod
-    qtot_op = None
-    for v in range(lat.vertex_count):
-        q = model.space.matter_op(
-            matter_mod.charge_operator(model.space.layout, v))
-        qtot_op = q if qtot_op is None else qtot_op + q
-    total_charge = traj.expectation(qtot_op).real
+    qtot = sum(matter_charge_row(model.space, v)
+               for v in range(lat.vertex_count))
+    total_charge = _diagonal_expectations(traj.states, [qtot])[:, 0]
 
     gauss_drift = 0.0
     for g in model.generators:

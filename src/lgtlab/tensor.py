@@ -7,6 +7,19 @@ space (if present) last.  Product-basis indices therefore decompose as
     index = ((s_0 * d_1 + s_1) * d_2 + ...) * 2^modes + occupation_bits
 
 which is what the Gauss-sector enumeration relies on.
+
+Label table.  Every product state is also described by its integer labels,
+``ProductSpace.labels``: an array of shape (n_links + n_modes, dim) whose
+row l < n_links holds the flux index (local basis position, 0 ..
+link_dim - 1) of link l and whose row n_links + j holds the occupation bit
+of fermion mode j, for every product index in order.  It is decoded once
+from the mixed-radix index above, in the narrowest unsigned dtype that
+holds the largest label (uint8 for every local dimension up to 256), and
+cached on the space.  Every diagonal quantity is a vectorized read of it:
+the flux readout of ``observables.flux_profile``, the matter charges,
+Abelian Gauss eigenvalues and sector enumeration in ``gauge``, and the
+electric, mass and penalty terms in ``hamiltonian``.  Only off-diagonal
+operators (hopping, plaquettes, SU(2) generators) are embedded with kron.
 """
 
 from dataclasses import dataclass, field
@@ -22,6 +35,7 @@ class ProductSpace:
     layout: object = None            # FermionLayout or None
 
     _eye_cache: dict = field(default_factory=dict, repr=False)
+    _tables: dict = field(default_factory=dict, repr=False)
 
     @property
     def n_links(self):
@@ -36,8 +50,50 @@ class ProductSpace:
         return 1 if self.layout is None else self.layout.dim
 
     @property
+    def n_modes(self):
+        return 0 if self.layout is None else self.layout.n_modes
+
+    @property
     def dim(self):
         return self.link_dim ** self.n_links * self.matter_dim
+
+    @property
+    def labels(self):
+        """Per-state label table (links, then occupation bits); cached."""
+        return self.cached("labels", self._decode_labels)
+
+    @property
+    def link_labels(self):
+        return self.labels[:self.n_links]
+
+    def vertex_occupations(self, vertex):
+        """Occupation-bit rows (species, dim) of the modes at a vertex."""
+        if self.layout is None:
+            raise ValueError("space carries no matter")
+        return self.labels[[
+            self.n_links + self.layout.mode_index(vertex, s)
+            for s in range(self.layout.species_per_vertex)]]
+
+    def _decode_labels(self):
+        radices = [self.link_dim] * self.n_links + [2] * self.n_modes
+        dtype = np.min_scalar_type(max(radices, default=1) - 1)
+        table = np.empty((len(radices), self.dim), dtype=dtype)
+        left = 1
+        for row, radix in zip(table, radices):
+            row.reshape(left, radix, -1)[...] = \
+                np.arange(radix, dtype=dtype)[:, None]
+            left *= radix
+        return table
+
+    def cached(self, key, build):
+        """Per-space table `key`, built by `build()` on first use."""
+        if key not in self._tables:
+            self._tables[key] = build()
+        return self._tables[key]
+
+    def diagonal_op(self, values):
+        """Sparse operator with the given per-state diagonal."""
+        return sparse.diags(values, format="csr", dtype=complex)
 
     def identity(self):
         return sparse.identity(self.dim, format="csr", dtype=complex)

@@ -74,6 +74,37 @@ def test_empty_sector_is_numerical_failure(tmp_path):
     assert rc == 3
 
 
+@pytest.mark.parametrize("edit", [
+    lambda c: c.update(
+        lattice={"spatial_dim": 1, "sizes": [4]},
+        hamiltonian={"model": "ks_u1", "truncation": 1,
+                     "terms": ["magnetic"]},
+        params={"k": 2}),
+    lambda c: c["params"].update(charges=[0, 0, 0]),
+], ids=["magnetic_on_chain", "charges_wrong_length"])
+def test_library_value_error_is_config_error(tmp_path, edit):
+    bad = json.loads(json.dumps(BASE))
+    edit(bad)
+    cfg = write_cfg(tmp_path, bad)
+    rc = main(["spectrum", "--config", cfg, "--out", str(tmp_path / "out")])
+    assert rc == 2
+    m = read_manifest(tmp_path / "out")
+    assert m["exit_status"] == 2
+    assert m["error"]
+
+
+def test_fractional_truncation_rejected(tmp_path):
+    for model in ("ks_u1", "spin_gauge", "zn"):
+        bad = json.loads(json.dumps(BASE))
+        bad["hamiltonian"].update(model=model, truncation=1.7)
+        cfg = write_cfg(tmp_path, bad)
+        out = tmp_path / model
+        rc = main(["spectrum", "--config", cfg, "--out", str(out)])
+        assert rc == 2
+        m = read_manifest(out)
+        assert m["exit_status"] == 2 and "truncation" in m["error"]
+
+
 def test_scenario_subcommand_mismatch(tmp_path):
     cfg = write_cfg(tmp_path, BASE)
     rc = main(["potential", "--config", cfg, "--out", str(tmp_path / "out")])

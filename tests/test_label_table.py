@@ -1,0 +1,278 @@
+"""The label-table reads against the kron-embedded operators they replace.
+
+Every Abelian diagonal (label table, charge table and sectors, Gauss
+generators, flux and charge profiles, electric, mass and penalty terms, and
+the gauge-invariance check) is compared with a straightforward full-space
+construction from sparse kron embeddings, kept here as the oracle.
+"""
+
+import functools
+
+import numpy as np
+import pytest
+from scipy import sparse
+
+from lgtlab import matter as matter_mod
+from lgtlab.gauge import abelian_charge_table, all_sector_dimensions, \
+    gauss_generators_u1, gauss_generators_zn, sector_basis
+from lgtlab.hamiltonian import HamiltonianSpec, build_model, h_electric, \
+    h_mass, h_penalty, max_gauss_violation
+from lgtlab.lattice import build_lattice
+from lgtlab.matter import NAIVE2D, STAGGERED
+from lgtlab.observables import charge_profile, flux_profile
+
+TOL = 1e-14
+
+FAMILIES = [("ks_u1", 1), ("spin_gauge", 1), ("zn", 3)]
+LATTICES = {
+    "chain4": build_lattice(1, [4]),
+    "chain5": build_lattice(1, [5]),
+    "chain6": build_lattice(1, [6]),
+    "ring4": build_lattice(1, [4], "periodic"),
+    "plaq": build_lattice(2, [2, 2]),
+}
+
+
+def _cases():
+    cases = []
+    for model, trunc in FAMILIES:
+        for lat in LATTICES:
+            matters = [None, STAGGERED] + ([NAIVE2D] if lat == "plaq" else [])
+            cases += [(model, trunc, lat, m) for m in matters]
+    # wider flux windows: cutoff 2 and the even-N clock relabeling
+    cases += [("ks_u1", 2, "chain4", STAGGERED), ("zn", 4, "chain4", None),
+              ("zn", 4, "chain4", STAGGERED)]
+    return cases
+
+
+CASES = _cases()
+
+
+@functools.lru_cache(maxsize=None)
+def make_model(model, trunc, lat, matter):
+    # naive fermions hop only on U(1)-type links
+    eps = 0.0 if (model == "zn" and matter == NAIVE2D) else 0.45
+    spec = HamiltonianSpec(model=model, truncation=trunc, g2=1.3,
+                           eps=eps if matter else 0.0,
+                           mass=0.35 if matter else 0.0, lam=2.5,
+                           lam_zn=0.8, matter=matter)
+    return build_model(spec, LATTICES[lat])
+
+
+def case_id(case):
+    model, trunc, lat, matter = case
+    return f"{model}{trunc}-{lat}-{matter or 'pure'}"
+
+
+# ---------------------------------------------------------------------------
+# kron-embedded oracles
+# ---------------------------------------------------------------------------
+
+def kron_charge_ops(space):
+    return [space.matter_op(matter_mod.charge_operator(space.layout, v))
+            for v in range(space.lattice.vertex_count)]
+
+
+def kron_charge_table(space):
+    lat = space.lattice
+    fluxop = np.diag(space.linkops.flux_values)
+    charges = kron_charge_ops(space) if space.layout is not None else None
+    table = np.zeros((lat.vertex_count, space.dim))
+    for v in range(lat.vertex_count):
+        out_links, in_links = lat.links_at_vertex(v)
+        for l in out_links:
+            table[v] += space.link_op(l, fluxop).diagonal().real
+        for l in in_links:
+            table[v] -= space.link_op(l, fluxop).diagonal().real
+        if charges is not None:
+            table[v] -= charges[v].diagonal().real
+    return np.rint(table).astype(int)
+
+
+def kron_generators(model):
+    space, lat = model.space, model.lattice
+    charges = kron_charge_ops(space) if space.layout is not None else None
+    gens = []
+    for v in range(lat.vertex_count):
+        out_links, in_links = lat.links_at_vertex(v)
+        if model.spec.model == "zn":
+            delta = 2.0 * np.pi / space.linkops.param
+            g = space.link_ops_product(
+                [(l, space.linkops["Pdag"]) for l in out_links]
+                + [(l, space.linkops["P"]) for l in in_links])
+            if charges is not None:
+                g = g @ sparse.diags(np.exp(1j * delta
+                                            * charges[v].diagonal().real))
+        else:
+            flux = space.linkops["flux"]
+            g = sparse.csr_matrix((space.dim, space.dim), dtype=complex)
+            for l in out_links:
+                g = g + space.link_op(l, flux)
+            for l in in_links:
+                g = g - space.link_op(l, flux)
+            if charges is not None:
+                g = g - charges[v]
+        gens.append(g.tocsr())
+    return gens
+
+
+def kron_electric(model):
+    spec, space = model.spec, model.space
+    if spec.model == "zn":
+        P = space.linkops["P"]
+        local = -(spec.lam_zn / 2.0) * (P + P.conj().T)
+    else:
+        flux = space.linkops["flux"]
+        local = (spec.g2 / 2.0) * (flux @ flux)
+    h = sparse.csr_matrix((space.dim, space.dim), dtype=complex)
+    for l in range(space.n_links):
+        h = h + space.link_op(l, local)
+    return h
+
+
+def kron_mass(model):
+    spec, space = model.spec, model.space
+    layout, lat = space.layout, model.lattice
+    ferm = sparse.csr_matrix((layout.dim, layout.dim), dtype=complex)
+    for v in range(lat.vertex_count):
+        if spec.matter == NAIVE2D:
+            ferm = ferm + layout.number(v, 0) - layout.number(v, 1)
+        else:
+            sign = (-1) ** sum(lat.vertices[v])
+            for species in range(layout.species_per_vertex):
+                ferm = ferm + sign * layout.number(v, species)
+    return spec.mass * space.matter_op(ferm)
+
+
+def kron_gauss_violation(h, gens):
+    worst = 0.0
+    for g in gens:
+        c = h @ g - g @ h
+        if c.nnz:
+            worst = max(worst, float(np.max(np.abs(c.data))))
+    return worst
+
+
+def max_abs_diff(a, b):
+    d = abs(sparse.csr_matrix(a) - sparse.csr_matrix(b))
+    return 0.0 if d.nnz == 0 else float(d.max())
+
+
+def random_state(dim, seed):
+    rng = np.random.default_rng(seed)
+    psi = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    return psi / np.linalg.norm(psi)
+
+
+# ---------------------------------------------------------------------------
+# tables and sectors: exact equality
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("case", CASES, ids=case_id)
+def test_label_table_decodes_every_index(case):
+    space = make_model(*case).space
+    labels = space.labels
+    assert labels.shape == (space.n_links + space.n_modes, space.dim)
+    assert labels.dtype == np.uint8
+    for index in range(space.dim):
+        links, matter = space.decompose_index(index)
+        bits = matter_mod.occupation_bits(space.layout, matter) \
+            if space.layout is not None else ()
+        assert tuple(labels[:, index]) == tuple(links) + tuple(bits)
+
+
+@pytest.mark.parametrize("case", CASES, ids=case_id)
+def test_charge_table_and_sectors_match_kron(case):
+    model = make_model(*case)
+    space = model.space
+    modular = model.spec.model == "zn"
+    oracle = kron_charge_table(space)
+    table = abelian_charge_table(space)
+    assert table is abelian_charge_table(space)       # cached per space
+    assert np.array_equal(table, oracle)
+    assert table.dtype.itemsize == 1
+    if modular:
+        oracle = oracle % space.linkops.param
+    keys, counts = np.unique(oracle, axis=1, return_counts=True)
+    dims = all_sector_dimensions(space, modular=modular)
+    assert dims == {tuple(int(x) for x in k): int(c)
+                    for k, c in zip(keys.T, counts)}
+    for key in list(dims)[:3] + [tuple(keys[:, -1] + 1)]:
+        target = np.array(key)[:, None]
+        if modular:
+            target = target % space.linkops.param
+        want = np.nonzero(np.all(oracle == target, axis=0))[0]
+        got = sector_basis(space, key, modular=modular).indices
+        assert np.array_equal(got, want)
+
+
+# ---------------------------------------------------------------------------
+# operators and values: agreement to 1e-14
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("case", CASES, ids=case_id)
+def test_generators_match_kron(case):
+    model = make_model(*case)
+    build = gauss_generators_zn if model.spec.model == "zn" \
+        else gauss_generators_u1
+    for g, ref in zip(build(model.space), kron_generators(model)):
+        assert max_abs_diff(g, ref) < TOL
+
+
+@pytest.mark.parametrize("case", CASES, ids=case_id)
+def test_profiles_match_kron(case):
+    model = make_model(*case)
+    space = model.space
+    psi = random_state(space.dim, 5)
+    ref = [np.vdot(psi, space.link_op(l, space.linkops["flux"]) @ psi).real
+           for l in range(space.n_links)]
+    assert np.max(np.abs(flux_profile(model, psi) - ref)) < TOL
+    if space.layout is not None:
+        ref = [np.vdot(psi, q @ psi).real for q in kron_charge_ops(space)]
+        assert np.max(np.abs(charge_profile(model, psi) - ref)) < TOL
+
+
+@pytest.mark.parametrize("case", CASES, ids=case_id)
+def test_diagonal_terms_match_kron(case):
+    model = make_model(*case)
+    assert max_abs_diff(h_electric(model), kron_electric(model)) < TOL
+    if model.space.layout is not None:
+        assert max_abs_diff(h_mass(model), kron_mass(model)) < TOL
+    if model.spec.model != "zn":
+        ref = sum(g @ g for g in kron_generators(model))
+        assert max_abs_diff(h_penalty(model), model.spec.lam * ref) < TOL
+
+
+@pytest.mark.parametrize("case", CASES, ids=case_id)
+def test_gauss_check_matches_commutators(case):
+    model = make_model(*case)
+    space = model.space
+    gens = kron_generators(model)
+    h = model.hamiltonian()
+    assert abs(max_gauss_violation(model, h)
+               - kron_gauss_violation(h, gens)) < TOL
+    # a gauge-variant hop on link 0 must be seen with the same size
+    up = space.linkops["Q" if model.spec.model == "zn" else "U"]
+    hop = space.link_op(0, up)
+    bad = h + 0.7 * (hop + hop.conj().T)
+    value = max_gauss_violation(model, bad)
+    assert value > 0.1
+    assert abs(value - kron_gauss_violation(bad, gens)) < TOL
+
+
+def test_su2_diagonals_match_kron():
+    # the Casimir electric term, the two-color mass and the Casimir flux
+    # readout are diagonal in the |j m m'> x occupation basis too
+    model = build_model(HamiltonianSpec(model="su2", truncation=0.5, g2=1.3,
+                                        eps=0.4, mass=0.35,
+                                        matter="su2fundamental"),
+                        build_lattice(1, [3]))
+    space = model.space
+    local = (model.spec.g2 / 2.0) * model.link_space.casimir
+    ref = sum(space.link_op(l, local) for l in range(space.n_links))
+    assert max_abs_diff(h_electric(model), ref) < TOL
+    assert max_abs_diff(h_mass(model), kron_mass(model)) < TOL
+    psi = random_state(space.dim, 9)
+    ref = [np.vdot(psi, space.link_op(l, space.linkops["flux"]) @ psi).real
+           for l in range(space.n_links)]
+    assert np.max(np.abs(flux_profile(model, psi) - ref)) < TOL

@@ -247,3 +247,31 @@ def test_zn_convergence_monotone():
     rows, ref = zn_convergence_study([3, 5, 7], g2=1.0, cutoff_ref=6)
     gaps = [r[2] for r in rows]
     assert gaps[0] > gaps[1] > gaps[2]
+
+
+def test_flux_tube_embeddings_do_not_scale_with_steps(monkeypatch):
+    # diagonal observables are read from the label table: the number of
+    # kron embeddings is fixed by the Hamiltonian, not by the time steps
+    from lgtlab.tensor import ProductSpace
+    spec = HamiltonianSpec(model="ks_u1", truncation=1, g2=1.0, eps=0.5,
+                           mass=0.2, matter=STAGGERED)
+    counts = {}
+
+    def counting(name):
+        method = getattr(ProductSpace, name)
+
+        def wrapped(self, *args, **kwargs):
+            counts[name] = counts.get(name, 0) + 1
+            return method(self, *args, **kwargs)
+        monkeypatch.setattr(ProductSpace, name, wrapped)
+
+    counting("link_op")
+    counting("matter_op")
+    per_run = []
+    for steps in (4, 40):
+        counts.clear()
+        flux_tube_breaking_scenario(spec, build_lattice(1, [4]), 2, 1.0,
+                                    steps)
+        per_run.append(dict(counts))
+    assert per_run[0] == per_run[1]
+    assert per_run[0]["link_op"] > 0
