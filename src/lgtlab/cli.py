@@ -58,30 +58,86 @@ def _require_keys(d, allowed, required=(), where="config"):
         raise ConfigError(f"missing key(s) {sorted(missing)} in {where}")
 
 
+# ---------------------------------------------------------------------------
+# declarative parameter schema
+# ---------------------------------------------------------------------------
+
+REQUIRED = object()     # default of a key the config must give
+
+
+def _cast(kind, x, where):
+    """x as `kind` (int, float, bool, str, dict, or [kind] for a list of
+    them); ConfigError naming `where` if it is not of that kind."""
+    if isinstance(kind, list):
+        return [_cast(kind[0], v, f"{where}[{i}]")
+                for i, v in enumerate(_cast(list, x, where))]
+    number = isinstance(x, (int, float)) and not isinstance(x, bool)
+    if number and (kind is float or (kind is int and float(x).is_integer())):
+        return kind(x)
+    if kind in (bool, str, list, dict) and isinstance(x, kind):
+        return x
+    raise ConfigError(f"{where} must be {kind.__name__}, got {x!r}")
+
+
+# section -> {key: (kind, default)}; an absent or null key takes its
+# default.  Hamiltonian defaults of None defer to HamiltonianSpec.
+SCHEMA = {
+    "lattice": {"spatial_dim": (int, REQUIRED), "sizes": ([int], REQUIRED),
+                "boundary": (str, "open")},
+    "hamiltonian": dict(
+        model=(str, REQUIRED), matter=(str, None), terms=([str], None),
+        **dict.fromkeys(("truncation", "g2", "eps", "mass", "lam", "lam_zn",
+                         "eta"), (float, None))),
+    "spectrum": {"k": (int, 4), "charges": ([int], None),
+                 "export_sector": (bool, False)},
+    "potential": {"separations": ([int], REQUIRED), "origin": (int, 0)},
+    "plaquette_convergence": {"family": (str, "spin_gauge"),
+                              "g2_list": ([float], None),
+                              "ell_list": ([int], [1, 2, 3]),
+                              "n_list": ([int], [3, 5, 7, 9]),
+                              "cutoff_ref": (int, 8)},
+    "effective_check": {"lam": (float, 40.0), "eta": (float, 0.1),
+                        "ell": (int, 1), "g2": (float, 1.0), "k": (int, 3)},
+    "dynamics": {"separation": (int, REQUIRED), "t_final": (float, REQUIRED),
+                 "steps": (int, REQUIRED), "origin": (int, 0)},
+    "verify": {},
+    "channels": {"omega1": (float, 1.0), "omega2": (float, 2.2),
+                 "couplings": (dict, None)},
+}
+
+
+def parse_section(section, name, where):
+    """SCHEMA[name] applied to a config section: every key typed, absent or
+    null ones at their default; the section itself is left untouched."""
+    schema = SCHEMA[name]
+    _cast(dict, section, where)
+    _require_keys(section, schema, [key for key, (_, default)
+                                    in schema.items() if default is REQUIRED],
+                  where)
+    out = {}
+    for key, (kind, default) in schema.items():
+        value = section.get(key)
+        out[key] = default if value is None and default is not REQUIRED \
+            else _cast(kind, value, f"{where}.{key}")
+    return out
+
+
 def parse_lattice(cfg):
-    _require_keys(cfg, ("spatial_dim", "sizes", "boundary"),
-                  ("spatial_dim", "sizes"), "lattice")
-    dim = cfg["spatial_dim"]
-    if dim not in (1, 2):
-        raise ConfigError(f"lattice.spatial_dim must be 1 or 2, got {dim}")
+    p = parse_section(cfg, "lattice", "lattice")
     try:
-        return build_lattice(dim, cfg["sizes"], cfg.get("boundary", "open"))
+        return build_lattice(p["spatial_dim"], p["sizes"], p["boundary"])
     except ValueError as exc:
         raise ConfigError(f"lattice: {exc}") from exc
 
 
-_HKEYS = ("model", "truncation", "g2", "eps", "mass", "lam", "lam_zn",
-          "eta", "matter", "terms")
-
-
 def parse_hamiltonian(cfg):
-    _require_keys(cfg, _HKEYS, ("model",), "hamiltonian")
-    kwargs = dict(cfg)
-    if "terms" in kwargs and kwargs["terms"] is not None:
+    p = parse_section(cfg, "hamiltonian", "hamiltonian")
+    kwargs = {key: value for key, value in p.items() if value is not None}
+    if "terms" in kwargs:
         kwargs["terms"] = tuple(kwargs["terms"])
     try:
         return HamiltonianSpec(**kwargs).validate()
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"hamiltonian: {exc}") from exc
 
 
@@ -133,15 +189,12 @@ def _check(name, value, threshold, larger_is_bad=True):
 # scenarios
 # ---------------------------------------------------------------------------
 
-def run_spectrum(cfg, writer, tol):
-    params = cfg.get("params", {})
-    _require_keys(params, ("k", "charges", "export_sector"), (), "params")
+def run_spectrum(cfg, params, writer, tol):
     lat = parse_lattice(cfg.get("lattice", {}))
     spec = parse_hamiltonian(cfg.get("hamiltonian", {}))
     model = build_model(spec, lat)
     h = model.hamiltonian()
-    k = int(params.get("k", 4))
-    charges = params.get("charges")
+    charges = params["charges"]
     checks = [_check("gauge_invariance", max_gauss_violation(model, h), tol)]
     results = {"dim_full": model.space.dim}
     if charges is not None:
@@ -152,26 +205,21 @@ def run_spectrum(cfg, writer, tol):
         if sec.is_empty:
             raise solver.SolverError(f"empty Gauss sector {tuple(charges)}")
         results["sector_dim"] = sec.dim
-        if params.get("export_sector"):
+        if params["export_sector"]:
             results["sector_indices"] = [int(i) for i in sec.indices]
         h = solver.restrict(h, sec)
-    k = min(k, h.shape[0])
-    w, _ = solver.eigs(h, k)
+    w, _ = solver.eigs(h, min(params["k"], h.shape[0]))
     writer.csv("spectrum.csv", ["index", "energy"],
                [(i, w[i]) for i in range(len(w))])
     results["ground_energy"] = float(w[0])
     return results, checks
 
 
-def run_potential(cfg, writer, tol):
-    params = cfg.get("params", {})
-    _require_keys(params, ("separations", "origin"), ("separations",),
-                  "params")
+def run_potential(cfg, params, writer, tol):
     lat = parse_lattice(cfg.get("lattice", {}))
     spec = parse_hamiltonian(cfg.get("hamiltonian", {}))
     curve = observables.static_potential(
-        spec, lat, list(params["separations"]),
-        origin=int(params.get("origin", 0)))
+        spec, lat, params["separations"], origin=params["origin"])
     writer.csv("potential.csv", ["R", "E", "dim"],
                list(zip(curve.separations, curve.energies, curve.dimensions)))
     results = {"sigma": curve.sigma, "offset": curve.offset,
@@ -184,18 +232,15 @@ def run_potential(cfg, writer, tol):
     return results, checks
 
 
-def run_plaquette_convergence(cfg, writer, tol):
-    params = cfg.get("params", {})
-    _require_keys(params, ("family", "g2_list", "ell_list", "n_list",
-                           "cutoff_ref"), (), "params")
-    family = params.get("family", "spin_gauge")
-    cutoff_ref = int(params.get("cutoff_ref", 8))
+def run_plaquette_convergence(cfg, params, writer, tol):
+    family, cutoff_ref = params["family"], params["cutoff_ref"]
+    g2_list = params["g2_list"]
     checks = []
     if family == "spin_gauge":
-        g2_list = [float(x) for x in params.get("g2_list", [0.5, 1.0, 2.0])]
-        ell_list = [int(x) for x in params.get("ell_list", [1, 2, 3])]
+        if g2_list is None:
+            g2_list = [0.5, 1.0, 2.0]
         rows, refs = observables.plaquette_convergence_study(
-            g2_list, ell_list, cutoff_ref)
+            g2_list, params["ell_list"], cutoff_ref)
         writer.csv("convergence.csv", ["g2", "ell", "E", "gap_to_ref"], rows)
         results = {"reference": {str(k): v for k, v in refs.items()}}
         for g2 in g2_list:
@@ -204,9 +249,9 @@ def run_plaquette_convergence(cfg, writer, tol):
             checks.append(_check(f"monotone_convergence_g2_{g2}",
                                  0.0 if mono else 1.0, 0.5))
     elif family == "zn":
-        n_list = [int(x) for x in params.get("n_list", [3, 5, 7, 9])]
-        g2 = float(params.get("g2_list", [1.0])[0])
-        rows, ref = observables.zn_convergence_study(n_list, g2, cutoff_ref)
+        g2 = 1.0 if not g2_list else g2_list[0]
+        rows, ref = observables.zn_convergence_study(params["n_list"], g2,
+                                                     cutoff_ref)
         writer.csv("convergence.csv", ["N", "E_calibrated", "gap_to_ref"],
                    rows)
         results = {"reference": ref}
@@ -219,14 +264,9 @@ def run_plaquette_convergence(cfg, writer, tol):
     return results, checks
 
 
-def run_effective_check(cfg, writer, tol):
-    params = cfg.get("params", {})
-    _require_keys(params, ("lam", "eta", "ell", "g2", "k"), (), "params")
-    lam = float(params.get("lam", 40.0))
-    eta = float(params.get("eta", 0.1))
-    ell = int(params.get("ell", 1))
-    g2 = float(params.get("g2", 1.0))
-    k = int(params.get("k", 3))
+def run_effective_check(cfg, params, writer, tol):
+    lam, eta, ell, g2, k = (params[key]
+                            for key in ("lam", "eta", "ell", "g2", "k"))
     lat = build_lattice(2, [2, 2])
 
     rows = []
@@ -266,15 +306,12 @@ def run_effective_check(cfg, writer, tol):
     return results, checks
 
 
-def run_dynamics(cfg, writer, tol):
-    params = cfg.get("params", {})
-    _require_keys(params, ("separation", "t_final", "steps", "origin"),
-                  ("separation", "t_final", "steps"), "params")
+def run_dynamics(cfg, params, writer, tol):
     lat = parse_lattice(cfg.get("lattice", {}))
     spec = parse_hamiltonian(cfg.get("hamiltonian", {}))
     report, model, traj = observables.flux_tube_breaking_scenario(
-        spec, lat, int(params["separation"]), float(params["t_final"]),
-        int(params["steps"]), origin=int(params.get("origin", 0)))
+        spec, lat, params["separation"], params["t_final"], params["steps"],
+        origin=params["origin"])
 
     rows = []
     for i, t in enumerate(report.times):
@@ -303,17 +340,14 @@ def run_dynamics(cfg, writer, tol):
     return results, checks
 
 
-def run_channels(cfg, writer, tol):
-    params = cfg.get("params", {})
-    _require_keys(params, ("omega1", "omega2", "couplings"), (), "params")
-    omega1 = float(params.get("omega1", 1.0))
-    omega2 = float(params.get("omega2", 2.2))
-    couplings = params.get("couplings")
+def run_channels(cfg, params, writer, tol):
+    couplings = params["couplings"]
     if couplings is None:
         couplings = {f: 1.0 for f in atommap.total_f_channels()}
     else:
-        couplings = {float(k): float(v) for k, v in couplings.items()}
-    scheme = atommap.HyperfineLevelScheme(omega1, omega2)
+        couplings = {float(f): _cast(float, v, f"params.couplings.{f}")
+                     for f, v in couplings.items()}
+    scheme = atommap.HyperfineLevelScheme(params["omega1"], params["omega2"])
     rows = []
     for parity in ("even", "odd"):
         allowed = {(c["m_b_in"], c["m_f_in"], c["m_b_out"], c["m_f_out"])
@@ -353,7 +387,7 @@ def _verify_one(name, spec, lat, tol, checks):
     return model, h
 
 
-def run_verify(cfg, writer, tol):
+def run_verify(cfg, params, writer, tol):
     """Invariant suite for one configured model (or the built-in set)."""
     checks = []
     results = {}
@@ -428,7 +462,9 @@ def run(cfg, outdir, tol=DEFAULT_TOL):
     t0 = time.perf_counter()
     scenario = cfg["scenario"]
     try:
-        results, checks = RUNNERS[scenario](cfg, writer, tol)
+        tol = DEFAULT_TOL if tol is None else _cast(float, tol, "tolerance")
+        params = parse_section(cfg.get("params", {}), scenario, "params")
+        results, checks = RUNNERS[scenario](cfg, params, writer, tol)
         status = 0 if all(c["pass"] for c in checks) else 1
         error = None
     except ValueError as exc:

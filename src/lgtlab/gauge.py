@@ -69,10 +69,6 @@ class GaussSector:
             (data, (self.indices, np.arange(self.dim))),
             shape=(self.dim_full, self.dim), dtype=complex)
 
-    def projector(self):
-        B = self.basis_matrix()
-        return B @ B.conj().T
-
 
 # ---------------------------------------------------------------------------
 # generators
@@ -123,16 +119,16 @@ def gauss_generators_su2(space, link_space):
         for axis in "xyz":
             g = None
             for l in out_links:
-                t = space.link_op(l, link_space.L[axis])
+                t = space.embed([(l, link_space.L[axis])])
                 g = t if g is None else g + t
             for l in in_links:
-                t = space.link_op(l, link_space.R[axis])
+                t = space.embed([(l, link_space.R[axis])])
                 g = -t if g is None else g - t
             if g is None:
                 g = sparse.csr_matrix((space.dim, space.dim), dtype=complex)
             if space.layout is not None:
-                g = g - space.matter_op(
-                    matter_mod.su2_charge(space.layout, v, axis))
+                g = g - space.embed(
+                    matter=matter_mod.su2_charge(space.layout, v, axis))
             triple.append(g.tocsr())
         gens.append(triple)
     return gens

@@ -205,7 +205,7 @@ def _plaquette_operator(model, plaq):
             for b in ms:
                 for c in ms:
                     for d in ms:
-                        term = space.link_ops_product([
+                        term = space.embed([
                             (l1, U.entry(a, b)),
                             (l2, U.entry(b, c)),
                             (l3, Ud.entry(c, d)),
@@ -217,7 +217,7 @@ def _plaquette_operator(model, plaq):
         up, dn = space.linkops["Q"], space.linkops["Qdag"]
     else:
         up, dn = space.linkops["U"], space.linkops["Udag"]
-    return space.link_ops_product([(l1, up), (l2, up), (l3, dn), (l4, dn)])
+    return space.embed([(l1, up), (l2, up), (l3, dn), (l4, dn)])
 
 
 def h_magnetic(model):
@@ -241,54 +241,38 @@ def h_gauge_matter(model):
     spec, space = model.spec, model.space
     if spec.eps == 0.0 or spec.matter is None:
         return _zero(space)
+    hop = _zero(space)
+    for l, local, ferm in _hops(model):
+        hop = hop + space.embed([(l, local)], ferm)
+    return (hop + hop.conj().T).tocsr()
+
+
+def _hops(model):
+    """(link, eps-scaled local link matrix, fermion bilinear) for every
+    term of the gauge-matter hop psi^dag_a U_l psi_b on link l = (a, b):
+    one per link for staggered matter, the Dirac structure i sigma_k for
+    naive fermions, one per color pair for SU(2)."""
+    spec, space, lat = model.spec, model.space, model.lattice
     layout = space.layout
-    lat = model.lattice
-    h = _zero(space)
-
-    if spec.matter == matter_mod.NAIVE2D:
-        if spec.model not in (SPIN_GAUGE, KS_U1):
-            raise ValueError("naive fermions pair with U(1)-type links")
-        sigma = {1: matter_mod._SIGMA["x"], 2: matter_mod._SIGMA["y"]}
-        up = space.linkops["U"]
-        for l in range(lat.link_count):
-            a, b = lat.link_endpoints(l)
-            k = lat.links[l][1]
-            s = sigma[k]
-            ferm = _zero_matter(layout)
-            for i in range(2):
-                for j in range(2):
-                    if s[i, j] == 0:
-                        continue
-                    ferm = ferm + s[i, j] * (layout.cdag(a, i) @ layout.c(b, j))
-            term = 1j * spec.eps * space.link_op(l, up) @ space.matter_op(ferm)
-            h = h + term + term.conj().T
-        return h.tocsr()
-
-    if spec.model == SU2:
-        U = model.rotation
-        ms = (0.5, -0.5)
-        for l in range(lat.link_count):
-            a, b = lat.link_endpoints(l)
-            for i, m in enumerate(ms):
-                for j, mp in enumerate(ms):
-                    ferm = layout.cdag(a, i) @ layout.c(b, j)
-                    term = spec.eps * space.link_op(l, U.entry(m, mp)) \
-                        @ space.matter_op(ferm)
-                    h = h + term + term.conj().T
-        return h.tocsr()
-
-    # staggered single-species matter on Abelian links
-    up = space.linkops["Qdag"] if spec.model == ZN else space.linkops["U"]
+    naive = spec.matter == matter_mod.NAIVE2D
+    if naive and spec.model not in (SPIN_GAUGE, KS_U1):
+        raise ValueError("naive fermions pair with U(1)-type links")
     for l in range(lat.link_count):
         a, b = lat.link_endpoints(l)
-        ferm = layout.cdag(a) @ layout.c(b)
-        term = spec.eps * space.link_op(l, up) @ space.matter_op(ferm)
-        h = h + term + term.conj().T
-    return h.tocsr()
-
-
-def _zero_matter(layout):
-    return sparse.csr_matrix((layout.dim, layout.dim), dtype=complex)
+        if naive:
+            s = matter_mod._SIGMA["x" if lat.links[l][1] == 1 else "y"]
+            ferm = sum(s[i, j] * (layout.cdag(a, i) @ layout.c(b, j))
+                       for i in range(2) for j in range(2) if s[i, j] != 0)
+            yield l, 1j * spec.eps * space.linkops["U"], ferm
+        elif spec.model == SU2:
+            ms = (0.5, -0.5)
+            for i, m in enumerate(ms):
+                for j, mp in enumerate(ms):
+                    yield (l, spec.eps * model.rotation.entry(m, mp),
+                           layout.cdag(a, i) @ layout.c(b, j))
+        else:
+            up = space.linkops["Qdag" if spec.model == ZN else "U"]
+            yield l, spec.eps * up, layout.cdag(a) @ layout.c(b)
 
 
 def h_mass(model):
@@ -338,7 +322,7 @@ def h_microscopic_hopping(model):
     up, dn = space.linkops["U"], space.linkops["Udag"]
     h = _zero(space)
     for (a, b, _v) in diagonal_link_pairs(model.lattice):
-        term = spec.eta * space.link_ops_product([(a, up), (b, dn)])
+        term = spec.eta * space.embed([(a, up), (b, dn)])
         h = h + term + term.conj().T
     return h.tocsr()
 

@@ -107,24 +107,6 @@ def charge_shift(layout, vertex):
                      "occupation basis")
 
 
-def staggered_charge(layout, vertex):
-    """Q_n = psi^dag psi - (1 - (-1)^n)/2 on a staggered layout."""
-    if layout.scheme != STAGGERED:
-        raise ValueError("staggered_charge needs the staggered scheme")
-    n = layout.number(vertex)
-    shift = float(charge_shift(layout, vertex))
-    return (n - shift * sparse.identity(layout.dim, format="csr")).tocsr()
-
-
-def naive_charge(layout, vertex):
-    """Q_n = psi^dag psi - 1 for the two-component naive spinor."""
-    if layout.scheme != NAIVE2D:
-        raise ValueError("naive_charge needs the naive2d scheme")
-    n = layout.number(vertex, 0) + layout.number(vertex, 1)
-    shift = float(charge_shift(layout, vertex))
-    return (n - shift * sparse.identity(layout.dim, format="csr")).tocsr()
-
-
 _SIGMA = {
     "x": np.array([[0, 1], [1, 0]], dtype=complex),
     "y": np.array([[0, -1j], [1j, 0]], dtype=complex),
@@ -152,12 +134,14 @@ def su2_charge(layout, vertex, axis):
 
 
 def charge_operator(layout, vertex, axis=None):
-    """Model-appropriate charge operator for a vertex."""
-    if layout.scheme == STAGGERED:
-        return staggered_charge(layout, vertex)
-    if layout.scheme == NAIVE2D:
-        return naive_charge(layout, vertex)
-    return su2_charge(layout, vertex, axis)
+    """Charge operator of a vertex: the occupied modes at the vertex minus
+    charge_shift (staggered, naive), or the color charge Q^axis (SU(2))."""
+    if layout.scheme == SU2_FUNDAMENTAL:
+        return su2_charge(layout, vertex, axis)
+    n = sum(layout.number(vertex, s)
+            for s in range(layout.species_per_vertex))
+    shift = float(charge_shift(layout, vertex))
+    return (n - shift * sparse.identity(layout.dim, format="csr")).tocsr()
 
 
 def dirac_sea_state(layout):

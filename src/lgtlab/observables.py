@@ -114,10 +114,10 @@ def _su2_chain(space, U, links, m, mp):
     """Matrix of (U_{l1} U_{l2} ... U_{lR})_{m mp} with index contraction."""
     ms = (0.5, -0.5)
     if len(links) == 1:
-        return space.link_op(links[0], U.entry(m, mp))
+        return space.embed([(links[0], U.entry(m, mp))])
     total = None
     for mid in ms:
-        head = space.link_op(links[0], U.entry(m, mid))
+        head = space.embed([(links[0], U.entry(m, mid))])
         tail = _su2_chain(space, U, links[1:], mid, mp)
         term = head @ tail
         total = term if total is None else total + term

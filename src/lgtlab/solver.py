@@ -21,14 +21,6 @@ class SolverError(RuntimeError):
     """Numerical failure (non-convergence, singular resolvent, ...)."""
 
 
-def assert_hermitian(op, tol=1e-12):
-    d = op - op.conj().T
-    err = 0.0 if d.nnz == 0 else float(np.max(np.abs(d.data)))
-    if err > tol:
-        raise ValueError(f"operator is not Hermitian: deviation {err:.3e}")
-    return op
-
-
 def restrict(op, sector):
     """B^dag A B with B the sector isometry.
 
@@ -61,6 +53,8 @@ def eigs(op, k=1, tol=0.0):
         op = np.asarray(op)
         dim = op.shape[0]
         dense = True
+    if k < 1:
+        raise ValueError(f"asked for {k} eigenpairs; need at least 1")
     if k > dim:
         raise ValueError(f"asked for {k} eigenpairs of a dim-{dim} operator")
 

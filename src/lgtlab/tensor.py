@@ -18,8 +18,12 @@ holds the largest label (uint8 for every local dimension up to 256), and
 cached on the space.  Every diagonal quantity is a vectorized read of it:
 the flux readout of ``observables.flux_profile``, the matter charges,
 Abelian Gauss eigenvalues and sector enumeration in ``gauge``, and the
-electric, mass and penalty terms in ``hamiltonian``.  Only off-diagonal
-operators (hopping, plaquettes, SU(2) generators) are embedded with kron.
+electric, mass and penalty terms in ``hamiltonian``.
+
+Off-diagonal operators (hopping, plaquettes, SU(2) generators and string
+operators) have one kron path, ``ProductSpace.embed``: a product of local
+link matrices times an optional matter operator, built in a single pass in
+which each run of untouched factors is one cached identity.
 """
 
 from dataclasses import dataclass, field
@@ -95,53 +99,42 @@ class ProductSpace:
         """Sparse operator with the given per-state diagonal."""
         return sparse.diags(values, format="csr", dtype=complex)
 
-    def identity(self):
-        return sparse.identity(self.dim, format="csr", dtype=complex)
-
     def _eye(self, d):
         if d not in self._eye_cache:
             self._eye_cache[d] = sparse.identity(d, format="csr", dtype=complex)
         return self._eye_cache[d]
 
-    def link_op(self, link_idx, mat):
-        """Embed a local link matrix at position link_idx."""
-        left = self.link_dim ** link_idx
-        right = self.link_dim ** (self.n_links - link_idx - 1) * self.matter_dim
-        out = sparse.csr_matrix(mat, dtype=complex)
-        if left > 1:
-            out = sparse.kron(self._eye(left), out, format="csr")
-        if right > 1:
-            out = sparse.kron(out, self._eye(right), format="csr")
-        return out
+    def embed(self, factors=(), matter=None):
+        """Embed a product of local operators in the full space.
 
-    def link_ops_product(self, pairs):
-        """Product of local matrices on distinct links, one embedding pass.
-
-        pairs: iterable of (link_idx, local matrix).  Falls back to the
-        identity when pairs is empty.
+        factors: iterable of (link_idx, local matrix); matrices on the same
+        link multiply in the order given.  matter: operator on the
+        occupation space, the identity when None.  One kron pass: each run
+        of untouched factors is a single cached identity.
         """
-        mats = {}
-        for idx, m in pairs:
-            mats[idx] = m if idx not in mats else mats[idx] @ m
-        out = None
-        for idx in range(self.n_links):
-            f = sparse.csr_matrix(mats[idx], dtype=complex) if idx in mats \
-                else self._eye(self.link_dim)
-            out = f if out is None else sparse.kron(out, f, format="csr")
-        if out is None:
-            out = self._eye(1)
-        if self.matter_dim > 1:
-            out = sparse.kron(out, self._eye(self.matter_dim), format="csr")
-        return out
-
-    def matter_op(self, mat):
-        """Embed an operator acting on the matter factor."""
-        if self.layout is None:
+        if matter is not None and self.layout is None:
             raise ValueError("space carries no matter")
-        links = self.link_dim ** self.n_links
-        out = sparse.csr_matrix(mat, dtype=complex)
-        if links > 1:
-            out = sparse.kron(self._eye(links), out, format="csr")
+        local = {}
+        for idx, m in factors:
+            local[idx] = m if idx not in local else local[idx] @ m
+        parts, run = [], 1
+        for idx in range(self.n_links):
+            if idx not in local:
+                run *= self.link_dim
+                continue
+            if run > 1:
+                parts.append(self._eye(run))
+            parts.append(sparse.csr_matrix(local[idx], dtype=complex))
+            run = 1
+        if matter is None:
+            run *= self.matter_dim
+        if run > 1 or not parts:
+            parts.append(self._eye(run))
+        if matter is not None:
+            parts.append(sparse.csr_matrix(matter, dtype=complex))
+        out = parts[0]
+        for f in parts[1:]:
+            out = sparse.kron(out, f, format="csr")
         return out
 
     def product_state_index(self, link_values, matter_index=0):

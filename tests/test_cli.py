@@ -93,6 +93,49 @@ def test_library_value_error_is_config_error(tmp_path, edit):
     assert m["error"]
 
 
+CHAIN = {"spatial_dim": 1, "sizes": [4]}
+CHAIN_MATTER = {"model": "ks_u1", "truncation": 1, "eps": 0.5,
+                "matter": "staggered"}
+MALFORMED = {
+    "spectrum_k_list": dict(BASE, params={"k": [1]}),
+    "potential_separations_int": {
+        "scenario": "potential", "lattice": CHAIN,
+        "hamiltonian": CHAIN_MATTER, "params": {"separations": 3}},
+    "dynamics_t_final_list": {
+        "scenario": "dynamics", "lattice": CHAIN,
+        "hamiltonian": CHAIN_MATTER,
+        "params": {"separation": 2, "t_final": [1.0], "steps": 2}},
+    "channels_couplings_list": {
+        "scenario": "channels", "params": {"couplings": [1, 2]}},
+    "plaquette_convergence_n_list_int": {
+        "scenario": "plaquette_convergence",
+        "params": {"family": "zn", "n_list": 3}},
+    "tolerance_string": dict(BASE, tolerance="x"),
+    "lattice_sizes_string": dict(
+        BASE, lattice={"spatial_dim": 1, "sizes": "4"}, params={"k": 2}),
+}
+
+
+@pytest.mark.parametrize("name", MALFORMED)
+def test_param_of_wrong_type_is_config_error(tmp_path, name):
+    cfg = MALFORMED[name]
+    path = write_cfg(tmp_path, cfg)
+    out = tmp_path / "out"
+    rc = main([cfg["scenario"], "--config", path, "--out", str(out)])
+    assert rc == 2
+    m = read_manifest(out)
+    assert m["exit_status"] == 2 and m["error"]
+    assert m["config"] == json.loads(json.dumps(cfg))   # no defaults added
+
+
+def test_spectrum_k_zero_is_config_error(tmp_path):
+    cfg = write_cfg(tmp_path, dict(BASE, params={"k": 0}))
+    rc = main(["spectrum", "--config", cfg, "--out", str(tmp_path / "out")])
+    assert rc == 2
+    m = read_manifest(tmp_path / "out")
+    assert m["exit_status"] == 2 and "eigenpairs" in m["error"]
+
+
 def test_fractional_truncation_rejected(tmp_path):
     for model in ("ks_u1", "spin_gauge", "zn"):
         bad = json.loads(json.dumps(BASE))

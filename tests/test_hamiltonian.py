@@ -158,7 +158,7 @@ def test_gauge_matter_pair_creation_respects_gauss():
     for g in model.generators:
         assert np.linalg.norm((g @ out)) < 1e-12
     # flux on the link was raised by the hop
-    flux = space.link_op(0, space.linkops["flux"])
+    flux = space.embed([(0, space.linkops["flux"])])
     amp = np.vdot(out, flux @ out) / np.vdot(out, out)
     assert amp == pytest.approx(1.0)
 
@@ -280,7 +280,7 @@ def test_total_fermion_number_conserved():
     layout = model.space.layout
     ntot = None
     for v in range(CHAIN4.vertex_count):
-        n = model.space.matter_op(layout.number(v))
+        n = model.space.embed(matter=layout.number(v))
         ntot = n if ntot is None else ntot + n
     assert np.max(np.abs((h @ ntot - ntot @ h).toarray())) < 1e-12
 

@@ -69,7 +69,7 @@ def case_id(case):
 # ---------------------------------------------------------------------------
 
 def kron_charge_ops(space):
-    return [space.matter_op(matter_mod.charge_operator(space.layout, v))
+    return [space.embed(matter=matter_mod.charge_operator(space.layout, v))
             for v in range(space.lattice.vertex_count)]
 
 
@@ -81,9 +81,9 @@ def kron_charge_table(space):
     for v in range(lat.vertex_count):
         out_links, in_links = lat.links_at_vertex(v)
         for l in out_links:
-            table[v] += space.link_op(l, fluxop).diagonal().real
+            table[v] += space.embed([(l, fluxop)]).diagonal().real
         for l in in_links:
-            table[v] -= space.link_op(l, fluxop).diagonal().real
+            table[v] -= space.embed([(l, fluxop)]).diagonal().real
         if charges is not None:
             table[v] -= charges[v].diagonal().real
     return np.rint(table).astype(int)
@@ -97,7 +97,7 @@ def kron_generators(model):
         out_links, in_links = lat.links_at_vertex(v)
         if model.spec.model == "zn":
             delta = 2.0 * np.pi / space.linkops.param
-            g = space.link_ops_product(
+            g = space.embed(
                 [(l, space.linkops["Pdag"]) for l in out_links]
                 + [(l, space.linkops["P"]) for l in in_links])
             if charges is not None:
@@ -107,9 +107,9 @@ def kron_generators(model):
             flux = space.linkops["flux"]
             g = sparse.csr_matrix((space.dim, space.dim), dtype=complex)
             for l in out_links:
-                g = g + space.link_op(l, flux)
+                g = g + space.embed([(l, flux)])
             for l in in_links:
-                g = g - space.link_op(l, flux)
+                g = g - space.embed([(l, flux)])
             if charges is not None:
                 g = g - charges[v]
         gens.append(g.tocsr())
@@ -126,7 +126,7 @@ def kron_electric(model):
         local = (spec.g2 / 2.0) * (flux @ flux)
     h = sparse.csr_matrix((space.dim, space.dim), dtype=complex)
     for l in range(space.n_links):
-        h = h + space.link_op(l, local)
+        h = h + space.embed([(l, local)])
     return h
 
 
@@ -141,7 +141,7 @@ def kron_mass(model):
             sign = (-1) ** sum(lat.vertices[v])
             for species in range(layout.species_per_vertex):
                 ferm = ferm + sign * layout.number(v, species)
-    return spec.mass * space.matter_op(ferm)
+    return spec.mass * space.embed(matter=ferm)
 
 
 def kron_gauss_violation(h, gens):
@@ -224,7 +224,8 @@ def test_profiles_match_kron(case):
     model = make_model(*case)
     space = model.space
     psi = random_state(space.dim, 5)
-    ref = [np.vdot(psi, space.link_op(l, space.linkops["flux"]) @ psi).real
+    flux = space.linkops["flux"]
+    ref = [np.vdot(psi, space.embed([(l, flux)]) @ psi).real
            for l in range(space.n_links)]
     assert np.max(np.abs(flux_profile(model, psi) - ref)) < TOL
     if space.layout is not None:
@@ -253,7 +254,7 @@ def test_gauss_check_matches_commutators(case):
                - kron_gauss_violation(h, gens)) < TOL
     # a gauge-variant hop on link 0 must be seen with the same size
     up = space.linkops["Q" if model.spec.model == "zn" else "U"]
-    hop = space.link_op(0, up)
+    hop = space.embed([(0, up)])
     bad = h + 0.7 * (hop + hop.conj().T)
     value = max_gauss_violation(model, bad)
     assert value > 0.1
@@ -269,10 +270,11 @@ def test_su2_diagonals_match_kron():
                         build_lattice(1, [3]))
     space = model.space
     local = (model.spec.g2 / 2.0) * model.link_space.casimir
-    ref = sum(space.link_op(l, local) for l in range(space.n_links))
+    ref = sum(space.embed([(l, local)]) for l in range(space.n_links))
     assert max_abs_diff(h_electric(model), ref) < TOL
     assert max_abs_diff(h_mass(model), kron_mass(model)) < TOL
     psi = random_state(space.dim, 9)
-    ref = [np.vdot(psi, space.link_op(l, space.linkops["flux"]) @ psi).real
+    flux = space.linkops["flux"]
+    ref = [np.vdot(psi, space.embed([(l, flux)]) @ psi).real
            for l in range(space.n_links)]
     assert np.max(np.abs(flux_profile(model, psi) - ref)) < TOL

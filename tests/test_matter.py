@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from lgtlab.lattice import build_lattice
-from lgtlab.matter import NAIVE2D, STAGGERED, SU2_FUNDAMENTAL, dirac_sea_state, \
-    fermion_ops, naive_charge, occupation_bits, staggered_charge, su2_charge
+from lgtlab.matter import NAIVE2D, STAGGERED, SU2_FUNDAMENTAL, \
+    charge_operator, dirac_sea_state, fermion_ops, occupation_bits, su2_charge
 
 
 def anticomm(a, b):
@@ -53,8 +53,8 @@ def test_jw_string_sign_distant_hop():
 def test_staggered_charge_spectrum():
     lat = build_lattice(1, [2])
     lay = fermion_ops(lat, STAGGERED)
-    even = staggered_charge(lay, 0).toarray()
-    odd = staggered_charge(lay, 1).toarray()
+    even = charge_operator(lay, 0).toarray()
+    odd = charge_operator(lay, 1).toarray()
     assert set(np.round(np.diag(even).real).astype(int)) == {0, 1}
     assert set(np.round(np.diag(odd).real).astype(int)) == {-1, 0}
     # occupied even vertex -> +1; occupied odd -> 0; vacant odd -> -1
@@ -89,8 +89,8 @@ def test_su2_charge_algebra_and_singlets():
 def test_charges_commute_between_vertices():
     lat = build_lattice(1, [3])
     lay = fermion_ops(lat, STAGGERED)
-    q0 = staggered_charge(lay, 0)
-    q2 = staggered_charge(lay, 2)
+    q0 = charge_operator(lay, 0)
+    q2 = charge_operator(lay, 2)
     assert np.allclose((q0 @ q2 - q2 @ q0).toarray(), 0.0)
 
 
@@ -101,7 +101,7 @@ def test_dirac_sea():
     assert occupation_bits(lay, idx) == (0, 1, 0, 1)
     v = np.zeros(lay.dim); v[idx] = 1.0
     for n in range(4):
-        q = staggered_charge(lay, n)
+        q = charge_operator(lay, n)
         assert np.vdot(v, q @ v) == pytest.approx(0.0)
 
     lay2 = fermion_ops(lat, SU2_FUNDAMENTAL)
@@ -117,7 +117,7 @@ def test_dirac_sea():
 def test_naive_charge():
     lat = build_lattice(2, [2, 2])
     lay = fermion_ops(lat, NAIVE2D)
-    q = naive_charge(lay, 0).toarray()
+    q = charge_operator(lay, 0).toarray()
     assert set(np.round(np.diag(q).real).astype(int)) == {-1, 0, 1}
 
 

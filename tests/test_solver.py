@@ -89,6 +89,14 @@ def test_eigs_k_too_large():
         eigs(sparse.identity(2, format="csr"), 3)
 
 
+@pytest.mark.parametrize("k", [0, -1])
+def test_eigs_k_below_one(k):
+    with pytest.raises(ValueError):
+        eigs(sparse.identity(2, format="csr"), k)
+    with pytest.raises(ValueError):
+        eigs(np.eye(2), k)
+
+
 def test_eigs_invariant_under_basis_permutation():
     model = build_model(
         HamiltonianSpec(model="ks_u1", truncation=1, g2=0.7), PLAQ)
@@ -216,12 +224,12 @@ def test_effective_hermitian_and_respects_symmetry():
     model = build_model(spec, lat)
     pen = h_penalty(model)
     layout = model.space.layout
-    hop = model.space.matter_op(layout.cdag(0) @ layout.c(1))
+    hop = model.space.embed(matter=layout.cdag(0) @ layout.c(1))
     vop = hop + hop.conj().T
     sec = sector_basis(model.space, [0, 0])
     rep = effective_second_order(pen, vop, sec)
     assert np.max(np.abs(rep.h_eff - rep.h_eff.conj().T)) < 1e-12
-    ntot = model.space.matter_op(layout.number(0) + layout.number(1))
+    ntot = model.space.embed(matter=layout.number(0) + layout.number(1))
     nr = restrict(ntot, sec).toarray()
     comm = rep.h_eff @ nr - nr @ rep.h_eff
     assert np.max(np.abs(comm)) < 1e-12
