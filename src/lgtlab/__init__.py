@@ -1,8 +1,8 @@
 """lgtlab: exact-diagonalization laboratory for Hamiltonian lattice gauge
 theories (truncated U(1), spin-gauge, Z_N, truncated SU(2)) and the
-cold-atom operator constructions behind them."""
+cold-atom operator constructions behind them.
+
+The package itself imports nothing, so the `lgtlab` command
+(`lgtlab.__main__`) can set the BLAS thread count before numpy loads."""
 
 __version__ = "0.1.0"
-
-from .hamiltonian import HamiltonianSpec, build_model         # noqa: F401
-from .lattice import build_lattice                            # noqa: F401

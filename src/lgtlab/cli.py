@@ -12,7 +12,9 @@ Exit codes: 0 = success, 1 = invariant violation, 2 = config error
 (including any ValueError the library raises on the config), 3 =
 numerical failure.  Result CSVs are byte-stable across repeated runs
 (fixed solver seeds, floats printed with 17 significant digits, LF line
-endings); the manifest additionally records the wall time.
+endings); the manifest additionally records, under `timing`, the wall
+time and the process's thread count.  The `lgtlab` command enters through
+`lgtlab.__main__`, which applies `--threads` before numpy loads.
 """
 
 import argparse
@@ -25,8 +27,7 @@ import numpy as np
 import scipy
 
 from . import __version__, atommap, gauge, observables, solver
-from .hamiltonian import HamiltonianSpec, build_model, max_gauss_violation, \
-    h_electric, h_magnetic, h_microscopic_hopping, h_penalty
+from .hamiltonian import HamiltonianSpec, build_model, max_gauss_violation
 from .lattice import build_lattice
 from .matter import STAGGERED, NAIVE2D, SU2_FUNDAMENTAL
 
@@ -34,6 +35,7 @@ SCENARIOS = ("spectrum", "potential", "plaquette_convergence",
              "effective_check", "dynamics", "verify", "channels")
 
 DEFAULT_TOL = 1e-10
+TASKS = "/proc/self/task"          # one entry per thread of this process
 
 
 class ConfigError(ValueError):
@@ -200,8 +202,7 @@ def run_spectrum(cfg, params, writer, tol):
     if charges is not None:
         if spec.model == "su2":
             raise ConfigError("charged spectrum sectors are Abelian-only")
-        sec = gauge.sector_basis(model.space, charges,
-                                 modular=(spec.model == "zn"))
+        sec = gauge.sector_basis(model.space, charges)
         if sec.is_empty:
             raise solver.SolverError(f"empty Gauss sector {tuple(charges)}")
         results["sector_dim"] = sec.dim
@@ -276,10 +277,10 @@ def run_effective_check(cfg, params, writer, tol):
         spec = HamiltonianSpec(model="spin_gauge", truncation=ell, g2=g2,
                                lam=lam_s, eta=eta)
         model = build_model(spec, lat)
-        pen = h_penalty(model)
-        V = h_microscopic_hopping(model)
-        He = h_electric(model)
-        pattern = -(2.0 * g2) * h_magnetic(model)
+        pen = model.hamiltonian(("penalty",))
+        V = model.hamiltonian(("hopping",))
+        He = model.hamiltonian(("electric",))
+        pattern = -(2.0 * g2) * model.hamiltonian(("magnetic",))
         sec = gauge.sector_basis(model.space, [0] * 4)
         rep = solver.effective_second_order(pen, V, sec, rest=He,
                                             pattern=pattern)
@@ -482,7 +483,9 @@ def run(cfg, outdir, tol=DEFAULT_TOL):
         "files": writer.files,
         "error": error,
         "exit_status": status,
-        "timing": {"wall_seconds": time.perf_counter() - t0},
+        "timing": {"wall_seconds": time.perf_counter() - t0,
+                   "threads": len(os.listdir(TASKS))
+                   if os.path.isdir(TASKS) else None},
     }
     path = writer.manifest(manifest)
     return status, path
@@ -498,21 +501,15 @@ def main(argv=None):
         p.add_argument("--config", help="JSON run configuration")
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--threads", type=int, default=None,
-                       help="worker threads (falls back to LGTLAB_THREADS)")
+                       help="BLAS worker threads (falls back to "
+                            "LGTLAB_THREADS); applied by the lgtlab command "
+                            "before numpy loads")
         p.add_argument("--tolerance", type=float, default=None,
                        help="override the default invariant tolerance")
         if name == "verify":
             p.add_argument("--all", action="store_true",
                            help="run the full built-in invariant suite")
     args = parser.parse_args(argv)
-
-    threads = args.threads
-    if threads is None and os.environ.get("LGTLAB_THREADS"):
-        threads = int(os.environ["LGTLAB_THREADS"])
-    if threads is not None:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS"):
-            os.environ[var] = str(threads)
 
     try:
         if args.scenario == "verify" and getattr(args, "all", False):
@@ -538,6 +535,3 @@ def main(argv=None):
     print(f"manifest: {manifest} (exit {status})")
     return status
 
-
-if __name__ == "__main__":
-    sys.exit(main())

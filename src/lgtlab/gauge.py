@@ -22,7 +22,7 @@ import numpy as np
 from scipy import sparse
 from scipy.linalg import expm
 
-from . import matter as matter_mod
+from . import linkalg, matter as matter_mod
 from .lattice import staggered_sign
 
 _DENSE_LIMIT = 6000
@@ -168,12 +168,13 @@ def _build_charge_table(space):
     return table
 
 
-def sector_basis(space, charges, modular=False):
+def sector_basis(space, charges):
     """Enumerate the Abelian Gauss sector with the given static charges.
 
-    charges: one integer per vertex (for Z_N interpreted modulo N, labeling
-    the eigenvalue exp(-i delta q)).  Returns a GaussSector whose basis is a
-    sorted list of product-state indices; empty sectors are valid results.
+    charges: one integer per vertex (on Z_N links interpreted modulo N,
+    labeling the eigenvalue exp(-i delta q)).  Returns a GaussSector whose
+    basis is a sorted list of product-state indices; empty sectors are
+    valid results.
     """
     lat = space.lattice
     charges = tuple(int(q) for q in charges)
@@ -181,7 +182,7 @@ def sector_basis(space, charges, modular=False):
         raise ValueError("one charge per vertex required")
     table = abelian_charge_table(space)
     target = np.array(charges)[:, None]
-    if modular:
+    if space.linkops.model == linkalg.ZN:
         n = space.linkops.param
         table, target = table % n, target % n
     idx = np.nonzero(np.all(table == target, axis=0))[0]
@@ -211,10 +212,11 @@ def su2_zero_charge_sector(space, generators, tol=1e-10):
     return GaussSector((0,) * len(generators), dim, basis=v[:, cols])
 
 
-def all_sector_dimensions(space, modular=False):
-    """Map {charge tuple -> dimension} over every occupied Abelian sector."""
+def all_sector_dimensions(space):
+    """Map {charge tuple -> dimension} over every occupied Abelian sector
+    (charges modulo N on Z_N links)."""
     table = abelian_charge_table(space)
-    if modular:
+    if space.linkops.model == linkalg.ZN:
         table = table % space.linkops.param
     keys, counts = np.unique(table, axis=1, return_counts=True)
     return {tuple(int(x) for x in key): int(c)

@@ -1,32 +1,47 @@
 """Assembly of the lattice gauge Hamiltonians as sparse operators.
 
-Terms (all assembled as T + T^dag so Hermiticity is structural):
+Every Hamiltonian is written as
+
+    H = D + T + T^dag
+
+with D diagonal in the product basis and T the off-diagonal part, so
+Hermiticity is structural.  ``Model.hamiltonian`` is the only place terms
+are summed: each diagonal term returns one value per product state, read
+from the space's label table, and each off-diagonal term yields the pieces
+of T, embedded once through ``ProductSpace.embed``.
+
+D (diagonal terms):
 
 * electric:  (g^2/2) sum_links L^2 (U(1)), L_z^2 (spin-gauge), Casimir
              (SU(2)); for Z_N the clock form -(lambda_zn/2) sum (P + P^dag).
-* magnetic:  -(1/2g^2) sum_plaq (U1 U2 U3^dag U4^dag + h.c.) with the
-             spin-gauge normalization 1/(ell^2 (ell+1)^2) and the Z_N form
-             -(1/2) sum (Q1 Q2 Q3^dag Q4^dag + h.c.).
-* gauge-matter: eps sum_links psi^dag_n U psi_{n+k} + h.c. with the model's
-             link operator; the naive-fermion variant carries the Dirac
-             structure i psi^dag sigma_k psi.
 * mass:      staggered m sum (-1)^n psi^dag psi or naive M sum psi^dag
              sigma_z psi.
 * penalty:   lambda sum_n G_n^2 (Abelian generators).
+
+T (off-diagonal terms; H carries each with its Hermitian conjugate):
+
+* magnetic:  -(1/2g^2) sum_plaq U1 U2 U3^dag U4^dag with the spin-gauge
+             normalization 1/(ell^2 (ell+1)^2), the Z_N form
+             -(1/2) sum Q1 Q2 Q3^dag Q4^dag and the SU(2) trace over the
+             2x2 representation indices.
+* gauge-matter: eps sum_links psi^dag_n U psi_{n+k} with the model's link
+             operator; the naive-fermion variant carries the Dirac
+             structure i psi^dag sigma_k psi.
 * microscopic hopping: the gauge-variant single-atom move between
-             perpendicular neighboring links, eta sum (U_a U_b^dag + h.c.),
-             which seeds the second-order plaquette construction.
+             perpendicular neighboring links, eta sum U_a U_b^dag, which
+             seeds the second-order plaquette construction.
 
 Static charges never appear as operators; they only label Gauss sectors.
 """
 
 from dataclasses import dataclass, field, replace
+from itertools import product
 
 import numpy as np
 from scipy import sparse
 
 from . import gauge, linkalg, matter as matter_mod, su2rep
-from .lattice import staggered_sign
+from .lattice import diagonal_link_pairs, staggered_sign
 from .tensor import ProductSpace
 
 KS_U1 = "ks_u1"
@@ -75,9 +90,8 @@ class HamiltonianSpec:
         if self.model != SU2 and self.matter == matter_mod.SU2_FUNDAMENTAL:
             raise ValueError("two-color matter needs SU(2) links")
         if self.terms is not None:
-            unknown = set(self.terms) - {"electric", "magnetic",
-                                         "gauge_matter", "mass", "penalty",
-                                         "hopping"}
+            unknown = set(self.terms) - DIAGONAL_TERMS.keys() \
+                - OFF_DIAGONAL_TERMS.keys()
             if unknown:
                 raise ValueError(f"unknown terms {sorted(unknown)}")
         return self
@@ -117,29 +131,23 @@ class Model:
         return tuple(terms)
 
     def hamiltonian(self, terms=None):
-        terms = self.effective_terms(terms)
-        h = sparse.csr_matrix((self.space.dim, self.space.dim), dtype=complex)
-        builders = {
-            "electric": h_electric,
-            "magnetic": h_magnetic,
-            "gauge_matter": h_gauge_matter,
-            "mass": h_mass,
-            "penalty": h_penalty,
-            "hopping": h_microscopic_hopping,
-        }
-        for t in terms:
-            h = h + builders[t](self)
-        return h.tocsr()
+        """H = D + T + T^dag for `terms` (see effective_terms): D sums the
+        diagonal terms' per-state values, T the off-diagonal terms'
+        embedded pieces.  The only place terms are summed."""
+        space = self.space
+        diag = np.zeros(space.dim)
+        off = sparse.csr_matrix((space.dim, space.dim), dtype=complex)
+        for t in self.effective_terms(terms):
+            if t in DIAGONAL_TERMS:
+                diag += DIAGONAL_TERMS[t](self)
+            else:
+                for piece in OFF_DIAGONAL_TERMS[t](self):
+                    off = off + piece
+        return (off + off.conj().T + space.diagonal_op(diag)).tocsr()
 
 
-def link_operator_set(spec):
-    if spec.model == KS_U1:
-        return linkalg.u1_ops(int(spec.truncation))
-    if spec.model == SPIN_GAUGE:
-        return linkalg.spin_gauge_ops(int(spec.truncation))
-    if spec.model == ZN:
-        return linkalg.zn_ops(int(spec.truncation))
-    raise ValueError("SU(2) uses su2rep.su2_link_space, not a LinkOperatorSet")
+ABELIAN_LINK_OPS = {KS_U1: linkalg.u1_ops, SPIN_GAUGE: linkalg.spin_gauge_ops,
+                    ZN: linkalg.zn_ops}
 
 
 def build_model(spec, lat):
@@ -148,32 +156,25 @@ def build_model(spec, lat):
     layout = None
     if spec.matter is not None:
         layout = matter_mod.fermion_ops(lat, spec.matter)
-
-    if spec.model == SU2:
-        lsp = su2rep.su2_link_space(spec.truncation)
-        rot = su2rep.truncated_rotation_matrix(lsp, 0.5)
-        ops = {"flux": lsp.casimir}
-        linkops = linkalg.LinkOperatorSet("su2_truncated", lsp.local_dim,
-                                          spec.truncation, ops)
-        space = ProductSpace(lat, linkops, layout)
-        return Model(spec, lat, space, link_space=lsp, rotation=rot)
-
-    linkops = link_operator_set(spec)
-    space = ProductSpace(lat, linkops, layout)
-    return Model(spec, lat, space)
+    if spec.model != SU2:
+        linkops = ABELIAN_LINK_OPS[spec.model](int(spec.truncation))
+        return Model(spec, lat, ProductSpace(lat, linkops, layout))
+    lsp = su2rep.su2_link_space(spec.truncation)
+    rot = su2rep.truncated_rotation_matrix(lsp, 0.5)
+    linkops = linkalg.LinkOperatorSet("su2_truncated", lsp.local_dim,
+                                      spec.truncation, {"flux": lsp.casimir})
+    return Model(spec, lat, ProductSpace(lat, linkops, layout),
+                 link_space=lsp, rotation=rot)
 
 
 # ---------------------------------------------------------------------------
-# individual terms
+# diagonal terms: one value per product state, read from the label table
 # ---------------------------------------------------------------------------
 
-def _zero(space):
-    return sparse.csr_matrix((space.dim, space.dim), dtype=complex)
-
-
-def h_electric(model):
-    """Diagonal in the flux basis for every family: the local term's
-    diagonal read per link from the label table, summed in link order."""
+def _electric(model):
+    """The local electric term's diagonal read per link from the label
+    table, summed in link order (every family is diagonal in its flux
+    basis)."""
     spec, space = model.spec, model.space
     if spec.model == ZN:
         P = space.linkops["P"]
@@ -187,72 +188,72 @@ def h_electric(model):
     diag = np.zeros(space.dim)
     for labels in space.link_labels:
         diag += values[labels]
-    return space.diagonal_op(diag)
+    return diag
 
 
-def _plaquette_operator(model, plaq):
-    """U1 U2 U3^dag U4^dag (or the model's analog) for one plaquette."""
-    space = model.space
-    spec = model.spec
-    l1, l2, l3, l4 = plaq.links
+def _mass(model):
+    """Staggered m sum (-1)^n n_n or naive M sum (n_up - n_down), read from
+    the occupation bits; 0 without matter or mass."""
+    spec, space = model.spec, model.space
+    if spec.matter is None or spec.mass == 0.0:
+        return 0.0
+    lat = model.lattice
+    count = np.zeros(space.dim, dtype=np.int8)
+    for v in range(lat.vertex_count):
+        occ = space.vertex_occupations(v).astype(np.int8)
+        if spec.matter == matter_mod.NAIVE2D:
+            count += occ[0] - occ[1]
+        else:
+            count += staggered_sign(lat.vertices[v]) * occ.sum(axis=0,
+                                                               dtype=np.int8)
+    return spec.mass * count
+
+
+def _penalty(model):
+    """lam sum_n G_n^2, read from the Abelian charge table."""
+    spec, space = model.spec, model.space
+    if spec.model not in (KS_U1, SPIN_GAUGE):
+        raise ValueError("penalty term implemented for Hermitian Abelian "
+                         "generators only")
+    diag = np.zeros(space.dim)
+    for row in gauge.abelian_charge_table(space):
+        diag += np.square(row, dtype=float)
+    return spec.lam * diag
+
+
+# ---------------------------------------------------------------------------
+# off-diagonal terms: the embedded pieces of T (H carries T + T^dag)
+# ---------------------------------------------------------------------------
+
+def _magnetic(model):
+    """coeff U1 U2 U3^dag U4^dag (or the model's analog) per plaquette; for
+    SU(2) one piece per choice of the four 2x2 representation indices,
+    whose sum is the trace."""
+    spec, space = model.spec, model.space
+    # the spin-gauge U is already L_+/sqrt(ell(ell+1)), so the printed
+    # 1/(2 g^2 ell^2 (ell+1)^2) normalization is carried by the product
+    coeff = -0.5 if spec.model == ZN else -1.0 / (2.0 * spec.g2)
     if spec.model == SU2:
-        # trace over the 2x2 representation indices of operator entries
-        U = model.rotation
-        Ud = U.dagger()
-        ms = (0.5, -0.5)
-        out = _zero(space)
-        for a in ms:
-            for b in ms:
-                for c in ms:
-                    for d in ms:
-                        term = space.embed([
-                            (l1, U.entry(a, b)),
-                            (l2, U.entry(b, c)),
-                            (l3, Ud.entry(c, d)),
-                            (l4, Ud.entry(d, a)),
-                        ])
-                        out = out + term
-        return out
-    if spec.model == ZN:
-        up, dn = space.linkops["Q"], space.linkops["Qdag"]
+        U, Ud = model.rotation, model.rotation.dagger()
+        loops = [(U.entry(a, b), U.entry(b, c), Ud.entry(c, d),
+                  Ud.entry(d, a))
+                 for a, b, c, d in product((0.5, -0.5), repeat=4)]
     else:
-        up, dn = space.linkops["U"], space.linkops["Udag"]
-    return space.embed([(l1, up), (l2, up), (l3, dn), (l4, dn)])
-
-
-def h_magnetic(model):
-    spec, space = model.spec, model.space
-    if model.lattice.spatial_dim == 1:
-        raise ValueError("magnetic term undefined on a 1d chain")
-    if spec.model == ZN:
-        coeff = -0.5
-    else:
-        # the spin-gauge U is already L_+/sqrt(ell(ell+1)), so the printed
-        # 1/(2 g^2 ell^2 (ell+1)^2) normalization is carried by the product
-        coeff = -1.0 / (2.0 * spec.g2)
-    h = _zero(space)
+        up, dn = ("Q", "Qdag") if spec.model == ZN else ("U", "Udag")
+        loops = [[space.linkops[k] for k in (up, up, dn, dn)]]
     for plaq in model.lattice.plaquettes:
-        op = _plaquette_operator(model, plaq)
-        h = h + coeff * (op + op.conj().T)
-    return h.tocsr()
+        for mats in loops:
+            yield coeff * space.embed(zip(plaq.links, mats))
 
 
-def h_gauge_matter(model):
-    spec, space = model.spec, model.space
-    if spec.eps == 0.0 or spec.matter is None:
-        return _zero(space)
-    hop = _zero(space)
-    for l, local, ferm in _hops(model):
-        hop = hop + space.embed([(l, local)], ferm)
-    return (hop + hop.conj().T).tocsr()
-
-
-def _hops(model):
-    """(link, eps-scaled local link matrix, fermion bilinear) for every
-    term of the gauge-matter hop psi^dag_a U_l psi_b on link l = (a, b):
-    one per link for staggered matter, the Dirac structure i sigma_k for
-    naive fermions, one per color pair for SU(2)."""
+def _gauge_matter(model):
+    """The gauge-matter hop psi^dag_a U_l psi_b on every link l = (a, b),
+    eps folded into the local link matrix: one piece per link for
+    staggered matter, the Dirac structure i sigma_k for naive fermions,
+    one per color pair for SU(2)."""
     spec, space, lat = model.spec, model.space, model.lattice
+    if spec.eps == 0.0 or spec.matter is None:
+        return
     layout = space.layout
     naive = spec.matter == matter_mod.NAIVE2D
     if naive and spec.model not in (SPIN_GAUGE, KS_U1):
@@ -263,76 +264,41 @@ def _hops(model):
             s = matter_mod._SIGMA["x" if lat.links[l][1] == 1 else "y"]
             ferm = sum(s[i, j] * (layout.cdag(a, i) @ layout.c(b, j))
                        for i in range(2) for j in range(2) if s[i, j] != 0)
-            yield l, 1j * spec.eps * space.linkops["U"], ferm
+            yield space.embed([(l, 1j * spec.eps * space.linkops["U"])],
+                              ferm)
         elif spec.model == SU2:
-            ms = (0.5, -0.5)
-            for i, m in enumerate(ms):
-                for j, mp in enumerate(ms):
-                    yield (l, spec.eps * model.rotation.entry(m, mp),
-                           layout.cdag(a, i) @ layout.c(b, j))
+            for (i, m), (j, mp) in product(enumerate((0.5, -0.5)),
+                                           repeat=2):
+                yield space.embed(
+                    [(l, spec.eps * model.rotation.entry(m, mp))],
+                    layout.cdag(a, i) @ layout.c(b, j))
         else:
             up = space.linkops["Qdag" if spec.model == ZN else "U"]
-            yield l, spec.eps * up, layout.cdag(a) @ layout.c(b)
+            yield space.embed([(l, spec.eps * up)],
+                              layout.cdag(a) @ layout.c(b))
 
 
-def h_mass(model):
-    """Staggered m sum (-1)^n n_n or naive M sum (n_up - n_down), read from
-    the occupation bits."""
-    spec, space = model.spec, model.space
-    if spec.matter is None or spec.mass == 0.0:
-        return _zero(space)
-    lat = model.lattice
-    count = np.zeros(space.dim, dtype=np.int8)
-    for v in range(lat.vertex_count):
-        occ = space.vertex_occupations(v).astype(np.int8)
-        if spec.matter == matter_mod.NAIVE2D:
-            count += occ[0] - occ[1]
-        else:
-            count += staggered_sign(lat.vertices[v]) * occ.sum(axis=0,
-                                                               dtype=np.int8)
-    return space.diagonal_op(spec.mass * count)
-
-
-def h_penalty(model):
-    """lam sum_n G_n^2, read from the Abelian charge table."""
-    spec, space = model.spec, model.space
-    if spec.model not in (KS_U1, SPIN_GAUGE):
-        raise ValueError("penalty term implemented for Hermitian Abelian "
-                         "generators only")
-    diag = np.zeros(space.dim)
-    for row in gauge.abelian_charge_table(space):
-        diag += np.square(row, dtype=float)
-    return space.diagonal_op(spec.lam * diag)
-
-
-def h_microscopic_hopping(model):
+def _hopping(model):
     """Gauge-variant single-atom hopping between perpendicular links.
 
-    eta sum over perpendicular link pairs of (U_a U_b^dag + h.c.).  Each
-    hop shifts the flux on exactly one link up and one down, violating the
-    divergence law at the two far endpoints; pairs of hops close plaquettes
-    at second order in perturbation theory.
+    eta U_a U_b^dag per perpendicular link pair.  Each hop shifts the flux
+    on exactly one link up and one down, violating the divergence law at
+    the two far endpoints; pairs of hops close plaquettes at second order
+    in perturbation theory.
     """
-    from .lattice import diagonal_link_pairs
     spec, space = model.spec, model.space
     if spec.model not in (KS_U1, SPIN_GAUGE):
         raise ValueError("microscopic hopping defined for U(1)-type links")
     if model.lattice.spatial_dim != 2:
         raise ValueError("diagonal hopping needs a 2d lattice")
     up, dn = space.linkops["U"], space.linkops["Udag"]
-    h = _zero(space)
     for (a, b, _v) in diagonal_link_pairs(model.lattice):
-        term = spec.eta * space.embed([(a, up), (b, dn)])
-        h = h + term + term.conj().T
-    return h.tocsr()
+        yield spec.eta * space.embed([(a, up), (b, dn)])
 
 
-def commutator_norm(h, g):
-    """max-abs entry of [H, G] for sparse operators."""
-    c = h @ g - g @ h
-    if c.nnz == 0:
-        return 0.0
-    return float(np.max(np.abs(c.data)))
+DIAGONAL_TERMS = {"electric": _electric, "mass": _mass, "penalty": _penalty}
+OFF_DIAGONAL_TERMS = {"magnetic": _magnetic, "gauge_matter": _gauge_matter,
+                      "hopping": _hopping}
 
 
 def max_gauss_violation(model, h=None):
@@ -344,7 +310,7 @@ def max_gauss_violation(model, h=None):
     """
     h = model.hamiltonian() if h is None else h
     if model.spec.model == SU2:
-        return max(commutator_norm(h, g)
+        return max(float(abs(h @ g - g @ h).max())
                    for triple in model.generators for g in triple)
     coo = h.tocoo()
     table = gauge.abelian_charge_table(model.space)

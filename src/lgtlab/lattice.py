@@ -67,13 +67,6 @@ class Lattice:
         except KeyError:
             raise ValueError(f"no link at {coords} in direction {k}") from None
 
-    def has_link(self, coords, k):
-        try:
-            self.link_index(coords, k)
-            return True
-        except ValueError:
-            return False
-
     def link_endpoints(self, link_idx):
         """(origin vertex index, target vertex index) of a link."""
         v, k = self.links[link_idx]

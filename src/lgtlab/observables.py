@@ -172,7 +172,7 @@ def static_potential(spec, lat, separations, origin=0, fit_window=None):
             energies.append(float(np.vdot(psi, h @ psi).real))
             dims.append(1)
             continue
-        sec = sector_basis(model.space, charges, modular=(spec.model == ZN))
+        sec = sector_basis(model.space, charges)
         if sec.is_empty:
             raise solver.SolverError(
                 f"empty Gauss sector for separation {R}")
@@ -259,8 +259,7 @@ def single_plaquette_ground(spec):
     lat = build_lattice(2, [2, 2])
     model = build_model(spec, lat)
     h = model.hamiltonian()
-    sec = sector_basis(model.space, [0] * 4,
-                       modular=(spec.model == ZN))
+    sec = sector_basis(model.space, [0] * 4)
     hr = solver.restrict(h, sec)
     return float(solver.ground_energy(hr)), sec.dim
 

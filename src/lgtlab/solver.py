@@ -174,19 +174,17 @@ def effective_second_order(h0, v, sector, rest=None, pattern=None,
     in_sector = np.zeros(len(diag), dtype=bool)
     in_sector[idx] = True
     W = W.tocoo()
-    min_gap = np.inf
-    data = np.empty_like(W.data)
-    for n, (row, val) in enumerate(zip(W.row, W.data)):
-        if in_sector[row]:
-            data[n] = 0.0                   # P v P piece, excluded from Q
-            continue
-        g = gaps[row]
-        if abs(g) < gap_tol:
-            raise SolverError(
-                f"singular resolvent: off-sector state {row} is degenerate "
-                f"with the sector (gap {g:.3e})")
-        min_gap = min(min_gap, abs(g))
-        data[n] = val / g
+    off = ~in_sector[W.row]                 # P v P entries are not in Q
+    g = gaps[W.row]
+    singular = off & (np.abs(g) < gap_tol)
+    if singular.any():
+        n = np.argmax(singular)
+        raise SolverError(
+            f"singular resolvent: off-sector state {W.row[n]} is degenerate "
+            f"with the sector (gap {g[n]:.3e})")
+    min_gap = np.min(np.abs(g[off]), initial=np.inf)
+    data = np.zeros_like(W.data)
+    data[off] = W.data[off] / g[off]
     RW = sparse.coo_matrix((data, (W.row, W.col)), shape=W.shape).tocsc()
     second = np.asarray((W.tocsc().conj().T @ RW).todense())
     second = (second + second.conj().T) / 2.0

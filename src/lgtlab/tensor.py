@@ -18,12 +18,13 @@ holds the largest label (uint8 for every local dimension up to 256), and
 cached on the space.  Every diagonal quantity is a vectorized read of it:
 the flux readout of ``observables.flux_profile``, the matter charges,
 Abelian Gauss eigenvalues and sector enumeration in ``gauge``, and the
-electric, mass and penalty terms in ``hamiltonian``.
+diagonal part D (electric, mass, penalty) of ``Model.hamiltonian``.
 
-Off-diagonal operators (hopping, plaquettes, SU(2) generators and string
-operators) have one kron path, ``ProductSpace.embed``: a product of local
-link matrices times an optional matter operator, built in a single pass in
-which each run of untouched factors is one cached identity.
+Off-diagonal operators (the hopping and plaquette pieces of the
+Hamiltonian's T, SU(2) generators and string operators) have one kron
+path, ``ProductSpace.embed``: a product of local link matrices times an
+optional matter operator, built in a single pass in which each run of
+untouched factors is one cached identity.
 """
 
 from dataclasses import dataclass, field

@@ -16,8 +16,8 @@ import pytest
 from lgtlab import atommap, su2rep
 from lgtlab.cli import run as cli_run
 from lgtlab.gauge import sector_basis
-from lgtlab.hamiltonian import HamiltonianSpec, build_model, h_electric, \
-    h_magnetic, h_microscopic_hopping, h_penalty, max_gauss_violation
+from lgtlab.hamiltonian import HamiltonianSpec, build_model, \
+    max_gauss_violation
 from lgtlab.lattice import build_lattice
 from lgtlab.observables import flux_tube_breaking_scenario, \
     plaquette_convergence_study, zn_convergence_study, static_potential
@@ -135,10 +135,10 @@ def _effective_run(lam, eta=0.1, ell=1, g2=1.0, k=3):
     spec = HamiltonianSpec(model="spin_gauge", truncation=ell, g2=g2,
                            lam=lam, eta=eta)
     model = build_model(spec, PLAQ)
-    pen = h_penalty(model)
-    vop = h_microscopic_hopping(model)
-    he = h_electric(model)
-    pattern = -(2.0 * g2) * h_magnetic(model)
+    pen = model.hamiltonian(("penalty",))
+    vop = model.hamiltonian(("hopping",))
+    he = model.hamiltonian(("electric",))
+    pattern = -(2.0 * g2) * model.hamiltonian(("magnetic",))
     sec = sector_basis(model.space, [0, 0, 0, 0])
     rep = effective_second_order(pen, vop, sec, rest=he, pattern=pattern)
     kk = min(k, sec.dim)

@@ -97,12 +97,12 @@ def test_m_and_gauss_generators_commute_on_link():
     # the hyperfine-conservation claim: the hopping built from M commutes
     # with all SU(2) Gauss generators on a two-vertex chain
     from lgtlab.hamiltonian import HamiltonianSpec, build_model, \
-        h_gauge_matter, max_gauss_violation
+        max_gauss_violation
     from lgtlab.lattice import build_lattice
     model = build_model(
         HamiltonianSpec(model="su2", truncation=0.5, eps=0.7,
                         matter="su2fundamental"), build_lattice(1, [2]))
-    hgm = h_gauge_matter(model)
+    hgm = model.hamiltonian(("gauge_matter",))
     assert max_gauss_violation(model, hgm) < 1e-10
 
 

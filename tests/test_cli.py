@@ -1,9 +1,12 @@
 import filecmp
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import lgtlab
 from lgtlab.cli import ConfigError, load_config, main, run
 
 BASE = {
@@ -195,6 +198,46 @@ def test_verify_single_config(tmp_path):
     names = [c["name"] for c in m["checks"]]
     assert any("gauge_invariance" in n for n in names)
     assert all(c["pass"] for c in m["checks"])
+
+
+def test_failed_invariant_exits_1(tmp_path):
+    # the gauge-invariance violation of a pure-gauge chain is exactly 0,
+    # and 0 < 0 fails at tolerance 0
+    cfg = {
+        "scenario": "verify",
+        "lattice": {"spatial_dim": 1, "sizes": [3]},
+        "hamiltonian": {"model": "ks_u1", "truncation": 1},
+        "tolerance": 0,
+    }
+    path = write_cfg(tmp_path, cfg)
+    rc = main(["verify", "--config", path, "--out", str(tmp_path / "out")])
+    assert rc == 1
+    m = read_manifest(tmp_path / "out")
+    assert m["exit_status"] == 1
+    assert m["error"] is None
+    failed = [c for c in m["checks"] if not c["pass"]]
+    assert [c["name"] for c in failed] == ["gauge_invariance[ks_u1]"]
+    assert failed[0]["value"] == 0.0
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                    reason="thread count is read from /proc")
+def test_threads_flag_takes_effect(tmp_path):
+    # the BLAS pool size is fixed when numpy loads, so only a fresh
+    # process started through the lgtlab command can show the flag working
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                        "MKL_NUM_THREADS", "LGTLAB_THREADS")}
+    src = os.path.dirname(os.path.dirname(os.path.abspath(lgtlab.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, "-m", "lgtlab", "verify", "--all", "--threads", "1",
+         "--out", str(out)], env=env, capture_output=True, text=True,
+        timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert read_manifest(out)["timing"]["threads"] == 1
 
 
 def test_channels_csv(tmp_path):

@@ -94,7 +94,7 @@ def test_sector_single_plaquette_loop_states():
 def test_sector_zn_single_link():
     lat = build_lattice(1, [2])
     sp = ProductSpace(lat, linkalg.zn_ops(3))
-    sec = sector_basis(sp, [1, -1], modular=True)
+    sec = sector_basis(sp, [1, -1])
     assert sec.dim == 1
 
 

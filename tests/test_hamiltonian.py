@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from lgtlab.gauge import sector_basis
-from lgtlab.hamiltonian import HamiltonianSpec, build_model, h_electric, \
-    h_gauge_matter, h_magnetic, h_mass, h_microscopic_hopping, h_penalty, \
+from lgtlab.hamiltonian import HamiltonianSpec, build_model, \
     max_gauss_violation
 from lgtlab.lattice import build_lattice
 from lgtlab.matter import NAIVE2D, STAGGERED, SU2_FUNDAMENTAL, dirac_sea_state
@@ -27,7 +26,7 @@ def vacuum_state(model, link_value_index=None):
 def test_electric_vacuum_and_single_flux():
     model = build_model(HamiltonianSpec(model="ks_u1", truncation=2, g2=2.0),
                         build_lattice(1, [2]))
-    he = h_electric(model)
+    he = model.hamiltonian(("electric",))
     vac = vacuum_state(model)
     assert np.vdot(vac, he @ vac) == pytest.approx(0.0)
     two = model.space.basis_vector(model.space.product_state_index([4]))
@@ -37,7 +36,7 @@ def test_electric_vacuum_and_single_flux():
 def test_electric_su2_fundamental_string_value():
     model = build_model(HamiltonianSpec(model="su2", truncation=0.5, g2=2.0),
                         build_lattice(1, [2]))
-    he = h_electric(model)
+    he = model.hamiltonian(("electric",))
     lsp = model.link_space
     v = model.space.basis_vector(
         model.space.product_state_index([lsp.state_index(0.5, 0.5, -0.5)]))
@@ -47,7 +46,7 @@ def test_electric_su2_fundamental_string_value():
 def test_electric_zn_vacuum_offset():
     model = build_model(HamiltonianSpec(model="zn", truncation=3,
                                         lam_zn=1.3), CHAIN4)
-    he = h_electric(model)
+    he = model.hamiltonian(("electric",))
     vac = vacuum_state(model)
     assert np.vdot(vac, he @ vac) == pytest.approx(-1.3 * 3)
 
@@ -70,7 +69,7 @@ def test_magnetic_element_between_loop_states():
     g2 = 1.7
     model = build_model(HamiltonianSpec(model="ks_u1", truncation=1, g2=g2),
                         PLAQ)
-    hb = h_magnetic(model)
+    hb = model.hamiltonian(("magnetic",))
     space = model.space
     zero = space.basis_vector(
         space.product_state_index(loop_state_values(model, 0)))
@@ -87,7 +86,7 @@ def test_magnetic_element_between_loop_states():
 ])
 def test_magnetic_commutes_with_gauss(spec):
     model = build_model(spec, PLAQ)
-    hb = h_magnetic(model)
+    hb = model.hamiltonian(("magnetic",))
     assert max_gauss_violation(model, hb) < 1e-10
 
 
@@ -106,7 +105,7 @@ def test_spin_gauge_magnetic_approaches_ks():
     g2 = 1.0
     ref = build_model(HamiltonianSpec(model="ks_u1", truncation=2, g2=g2),
                       PLAQ)
-    hb_ref = h_magnetic(ref)
+    hb_ref = ref.hamiltonian(("magnetic",))
     one_ref = ref.space.basis_vector(
         ref.space.product_state_index(loop_state_values(ref, 1)))
     two_ref = ref.space.basis_vector(
@@ -118,7 +117,7 @@ def test_spin_gauge_magnetic_approaches_ks():
     for ell in (2, 3, 5, 8):
         model = build_model(
             HamiltonianSpec(model="spin_gauge", truncation=ell, g2=g2), PLAQ)
-        hb = h_magnetic(model)
+        hb = model.hamiltonian(("magnetic",))
         one = model.space.basis_vector(
             model.space.product_state_index(loop_state_values(model, 1)))
         two = model.space.basis_vector(
@@ -141,14 +140,14 @@ def test_gauge_matter_zero_when_disabled():
     model = build_model(
         HamiltonianSpec(model="ks_u1", truncation=1, eps=0.0,
                         matter=STAGGERED), CHAIN4)
-    assert h_gauge_matter(model).nnz == 0
+    assert model.hamiltonian(("gauge_matter",)).nnz == 0
 
 
 def test_gauge_matter_pair_creation_respects_gauss():
     model = build_model(
         HamiltonianSpec(model="ks_u1", truncation=1, eps=0.8,
                         matter=STAGGERED), build_lattice(1, [2]))
-    hgm = h_gauge_matter(model)
+    hgm = model.hamiltonian(("gauge_matter",))
     space = model.space
     sea = space.basis_vector(
         space.product_state_index([1], dirac_sea_state(space.layout)))
@@ -177,7 +176,8 @@ def test_gauge_matter_pair_creation_respects_gauss():
 ])
 def test_gauge_matter_commutes_with_gauss(spec, lat):
     model = build_model(spec, lat)
-    assert max_gauss_violation(model, h_gauge_matter(model)) < 1e-10
+    hgm = model.hamiltonian(("gauge_matter",))
+    assert max_gauss_violation(model, hgm) < 1e-10
 
 
 def test_su2_needs_two_colors():
@@ -195,7 +195,7 @@ def test_mass_dirac_sea_energy():
     model = build_model(
         HamiltonianSpec(model="ks_u1", truncation=1, mass=m,
                         matter=STAGGERED), CHAIN4)
-    hm = h_mass(model)
+    hm = model.hamiltonian(("mass",))
     space = model.space
     sea = space.basis_vector(
         space.product_state_index([1, 1, 1], dirac_sea_state(space.layout)))
@@ -213,7 +213,7 @@ def test_mass_ground_state_is_dirac_sea():
     model = build_model(
         HamiltonianSpec(model="ks_u1", truncation=1, mass=1.0,
                         matter=STAGGERED), CHAIN4)
-    hm = h_mass(model).toarray()
+    hm = model.hamiltonian(("mass",)).toarray()
     diag = np.diag(hm).real
     sea_idx = model.space.product_state_index(
         [1, 1, 1], dirac_sea_state(model.space.layout))
@@ -229,7 +229,7 @@ def test_penalty_kernel_and_single_link_violation():
     model = build_model(
         HamiltonianSpec(model="ks_u1", truncation=1, lam=lam),
         build_lattice(1, [2]))
-    hp = h_penalty(model)
+    hp = model.hamiltonian(("penalty",))
     space = model.space
     sec = sector_basis(space, [0, 0])
     B = sec.basis_matrix()
@@ -245,7 +245,7 @@ def test_penalty_kernel_and_single_link_violation():
 def test_microscopic_hopping_properties():
     model = build_model(
         HamiltonianSpec(model="spin_gauge", truncation=1, eta=0.4), PLAQ)
-    v = h_microscopic_hopping(model)
+    v = model.hamiltonian(("hopping",))
     # gauge-variant: violates at least one vertex generator
     assert max_gauss_violation(model, v) > 1e-3
     # kills the all-top truncation-edge state
@@ -291,3 +291,38 @@ def test_naive_charge_model_gauge_invariant():
     model = build_model(spec, PLAQ)
     h = model.hamiltonian()
     assert max_gauss_violation(model, h) < 1e-10
+
+
+@pytest.mark.parametrize("spec,lat", [
+    (HamiltonianSpec(model="ks_u1", truncation=1, g2=0.9), PLAQ),
+    (HamiltonianSpec(model="ks_u1", truncation=1, g2=1.1, lam=3.0, eta=0.2,
+                     terms=("electric", "magnetic", "penalty", "hopping")),
+     PLAQ),
+    (HamiltonianSpec(model="ks_u1", truncation=1, g2=0.9, eps=0.4,
+                     mass=0.2, matter=STAGGERED), CHAIN4),
+    (HamiltonianSpec(model="ks_u1", truncation=1, g2=0.9, eps=0.3,
+                     mass=0.5, matter=NAIVE2D), PLAQ),
+    (HamiltonianSpec(model="spin_gauge", truncation=2, g2=1.3), PLAQ),
+    (HamiltonianSpec(model="spin_gauge", truncation=1, g2=0.8, eps=-0.5,
+                     mass=0.3, matter=STAGGERED), CHAIN4),
+    (HamiltonianSpec(model="spin_gauge", truncation=1, g2=1.0, eps=-0.4,
+                     mass=-0.2, matter=NAIVE2D), PLAQ),
+    (HamiltonianSpec(model="zn", truncation=3, lam_zn=1.3), PLAQ),
+    (HamiltonianSpec(model="zn", truncation=3, eps=0.5, mass=0.3,
+                     matter=STAGGERED), CHAIN4),
+    (HamiltonianSpec(model="su2", truncation=0.5, g2=0.9), PLAQ),
+    (HamiltonianSpec(model="su2", truncation=0.5, g2=1.3, eps=-0.5,
+                     mass=-0.3, matter=SU2_FUNDAMENTAL), CHAIN4),
+], ids=["u1-plaquette", "u1-penalty-hopping", "u1-staggered", "u1-naive",
+        "spin_gauge-plaquette", "spin_gauge-staggered", "spin_gauge-naive",
+        "zn-plaquette", "zn-staggered", "su2-plaquette", "su2-two_color"])
+def test_assembled_equals_sum_of_terms_and_is_hermitian(spec, lat):
+    model = build_model(spec, lat)
+    h = model.hamiltonian()
+    total = None
+    for t in model.effective_terms():
+        term = model.hamiltonian((t,))
+        total = term if total is None else total + term
+    assert h.shape == total.shape
+    assert (h != total).nnz == 0
+    assert (h != h.conj().T).nnz == 0

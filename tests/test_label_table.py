@@ -15,8 +15,8 @@ from scipy import sparse
 from lgtlab import matter as matter_mod
 from lgtlab.gauge import abelian_charge_table, all_sector_dimensions, \
     gauss_generators_u1, gauss_generators_zn, sector_basis
-from lgtlab.hamiltonian import HamiltonianSpec, build_model, h_electric, \
-    h_mass, h_penalty, max_gauss_violation
+from lgtlab.hamiltonian import HamiltonianSpec, build_model, \
+    max_gauss_violation
 from lgtlab.lattice import build_lattice
 from lgtlab.matter import NAIVE2D, STAGGERED
 from lgtlab.observables import charge_profile, flux_profile
@@ -194,7 +194,7 @@ def test_charge_table_and_sectors_match_kron(case):
     if modular:
         oracle = oracle % space.linkops.param
     keys, counts = np.unique(oracle, axis=1, return_counts=True)
-    dims = all_sector_dimensions(space, modular=modular)
+    dims = all_sector_dimensions(space)
     assert dims == {tuple(int(x) for x in k): int(c)
                     for k, c in zip(keys.T, counts)}
     for key in list(dims)[:3] + [tuple(keys[:, -1] + 1)]:
@@ -202,7 +202,7 @@ def test_charge_table_and_sectors_match_kron(case):
         if modular:
             target = target % space.linkops.param
         want = np.nonzero(np.all(oracle == target, axis=0))[0]
-        got = sector_basis(space, key, modular=modular).indices
+        got = sector_basis(space, key).indices
         assert np.array_equal(got, want)
 
 
@@ -236,12 +236,15 @@ def test_profiles_match_kron(case):
 @pytest.mark.parametrize("case", CASES, ids=case_id)
 def test_diagonal_terms_match_kron(case):
     model = make_model(*case)
-    assert max_abs_diff(h_electric(model), kron_electric(model)) < TOL
+    assert max_abs_diff(model.hamiltonian(("electric",)),
+                        kron_electric(model)) < TOL
     if model.space.layout is not None:
-        assert max_abs_diff(h_mass(model), kron_mass(model)) < TOL
+        assert max_abs_diff(model.hamiltonian(("mass",)),
+                            kron_mass(model)) < TOL
     if model.spec.model != "zn":
         ref = sum(g @ g for g in kron_generators(model))
-        assert max_abs_diff(h_penalty(model), model.spec.lam * ref) < TOL
+        assert max_abs_diff(model.hamiltonian(("penalty",)),
+                            model.spec.lam * ref) < TOL
 
 
 @pytest.mark.parametrize("case", CASES, ids=case_id)
@@ -271,8 +274,8 @@ def test_su2_diagonals_match_kron():
     space = model.space
     local = (model.spec.g2 / 2.0) * model.link_space.casimir
     ref = sum(space.embed([(l, local)]) for l in range(space.n_links))
-    assert max_abs_diff(h_electric(model), ref) < TOL
-    assert max_abs_diff(h_mass(model), kron_mass(model)) < TOL
+    assert max_abs_diff(model.hamiltonian(("electric",)), ref) < TOL
+    assert max_abs_diff(model.hamiltonian(("mass",)), kron_mass(model)) < TOL
     psi = random_state(space.dim, 9)
     flux = space.linkops["flux"]
     ref = [np.vdot(psi, space.embed([(l, flux)]) @ psi).real

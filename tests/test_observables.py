@@ -66,8 +66,7 @@ def test_su2_string_flux_profile_reads_casimir():
 ])
 def test_strong_coupling_string_energy(spec, c2):
     model = build_model(spec, CHAIN6)
-    from lgtlab.hamiltonian import h_electric
-    he = h_electric(model)
+    he = model.hamiltonian(("electric",))
     for r in (0, 2, 3):
         psi = strong_coupling_ground(model, 0, r)
         e = np.vdot(psi, he @ psi).real

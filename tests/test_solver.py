@@ -3,8 +3,7 @@ import pytest
 from scipy import sparse
 
 from lgtlab.gauge import GaussSector, sector_basis
-from lgtlab.hamiltonian import HamiltonianSpec, build_model, h_electric, \
-    h_magnetic, h_microscopic_hopping, h_penalty
+from lgtlab.hamiltonian import HamiltonianSpec, build_model
 from lgtlab.lattice import build_lattice
 from lgtlab.matter import STAGGERED
 from lgtlab.solver import SolverError, effective_second_order, eigs, evolve, \
@@ -183,10 +182,10 @@ def _effective_setup(lam, eta=0.1, ell=1, g2=1.0):
     spec = HamiltonianSpec(model="spin_gauge", truncation=ell, g2=g2,
                            lam=lam, eta=eta)
     model = build_model(spec, PLAQ)
-    pen = h_penalty(model)
-    vop = h_microscopic_hopping(model)
-    he = h_electric(model)
-    pattern = -(2.0 * g2) * h_magnetic(model)
+    pen = model.hamiltonian(("penalty",))
+    vop = model.hamiltonian(("hopping",))
+    he = model.hamiltonian(("electric",))
+    pattern = -(2.0 * g2) * model.hamiltonian(("magnetic",))
     sec = sector_basis(model.space, [0, 0, 0, 0])
     rep = effective_second_order(pen, vop, sec, rest=he, pattern=pattern)
     return model, pen, vop, he, sec, rep
@@ -222,7 +221,7 @@ def test_effective_hermitian_and_respects_symmetry():
     spec = HamiltonianSpec(model="ks_u1", truncation=1, lam=10.0,
                            matter=STAGGERED)
     model = build_model(spec, lat)
-    pen = h_penalty(model)
+    pen = model.hamiltonian(("penalty",))
     layout = model.space.layout
     hop = model.space.embed(matter=layout.cdag(0) @ layout.c(1))
     vop = hop + hop.conj().T
