@@ -13,13 +13,16 @@ Exit codes: 0 = success, 1 = invariant violation, 2 = config error
 numerical failure.  Result CSVs are byte-stable across repeated runs
 (fixed solver seeds, floats printed with 17 significant digits, LF line
 endings); the manifest additionally records, under `timing`, the wall
-time and the process's thread count.  The `lgtlab` command enters through
-`lgtlab.__main__`, which applies `--threads` before numpy loads.
+time, the process's thread count, the largest full-space dimension whose
+Hamiltonian was assembled, the dimension of every eigensolve and
+evolution, and the peak resident set size.  The `lgtlab` command enters
+through `lgtlab.__main__`, which applies `--threads` before numpy loads.
 """
 
 import argparse
 import json
 import os
+import resource
 import sys
 import time
 
@@ -462,18 +465,22 @@ def run(cfg, outdir, tol=DEFAULT_TOL):
     writer = Writer(outdir)
     t0 = time.perf_counter()
     scenario = cfg["scenario"]
-    try:
-        tol = DEFAULT_TOL if tol is None else _cast(float, tol, "tolerance")
-        params = parse_section(cfg.get("params", {}), scenario, "params")
-        results, checks = RUNNERS[scenario](cfg, params, writer, tol)
-        status = 0 if all(c["pass"] for c in checks) else 1
-        error = None
-    except ValueError as exc:
-        # ConfigError, or a library ValueError the parsers cannot foresee
-        # (a term the lattice does not support, a mis-sized charge list)
-        results, checks, status, error = {}, [], 2, str(exc)
-    except solver.SolverError as exc:
-        results, checks, status, error = {}, [], 3, str(exc)
+    with solver.run_log() as log:
+        try:
+            tol = DEFAULT_TOL if tol is None \
+                else _cast(float, tol, "tolerance")
+            params = parse_section(cfg.get("params", {}), scenario, "params")
+            results, checks = RUNNERS[scenario](cfg, params, writer, tol)
+            status = 0 if all(c["pass"] for c in checks) else 1
+            error = None
+        except ValueError as exc:
+            # ConfigError, or a library ValueError the parsers cannot
+            # foresee (a term the lattice does not support, a mis-sized
+            # charge list)
+            results, checks, status, error = {}, [], 2, str(exc)
+        except solver.SolverError as exc:
+            # numerical failure, or a full space too large for memory
+            results, checks, status, error = {}, [], 3, str(exc)
     manifest = {
         "config": cfg,
         "versions": {"lgtlab": __version__, "numpy": np.__version__,
@@ -485,7 +492,12 @@ def run(cfg, outdir, tol=DEFAULT_TOL):
         "exit_status": status,
         "timing": {"wall_seconds": time.perf_counter() - t0,
                    "threads": len(os.listdir(TASKS))
-                   if os.path.isdir(TASKS) else None},
+                   if os.path.isdir(TASKS) else None,
+                   "dim_full": log.dim_full,
+                   "solve_dims": log.solve_dims,
+                   "evolve_dims": log.evolve_dims,
+                   "peak_rss_mb": resource.getrusage(
+                       resource.RUSAGE_SELF).ru_maxrss / 1024},
     }
     path = writer.manifest(manifest)
     return status, path

@@ -1,8 +1,10 @@
 """Gauss-law generators, gauge sectors, and gauge transformations.
 
 For the Abelian families the generators are diagonal in the product basis
-(flux eigenbasis x occupation basis), so sectors are enumerated exactly by
-scanning eigenvalues; no linear algebra is involved.  For SU(2) the three
+(flux eigenbasis x occupation basis), so a sector is a set of product
+states, enumerated exactly and directly from the charge each tensor factor
+adds (``sector_basis``, no full-space table); no linear algebra is
+involved.  For SU(2) the three
 generators per vertex do not commute and the zero-charge sector is obtained
 as the joint numerical kernel.
 
@@ -74,11 +76,11 @@ class GaussSector:
 # generators
 # ---------------------------------------------------------------------------
 
-def matter_charge_row(space, vertex):
-    """Matter charge Q_n of every product state (staggered or naive),
-    read from the occupation bits: occupied modes at the vertex minus
-    matter.charge_shift."""
-    q = space.vertex_occupations(vertex).sum(axis=0, dtype=np.int8)
+def matter_charge_row(space, vertex, labels=None):
+    """Matter charge Q_n of every state of a label table (the full space
+    when None), staggered or naive, read from the occupation bits: occupied
+    modes at the vertex minus matter.charge_shift."""
+    q = space.vertex_occupations(vertex, labels).sum(axis=0, dtype=np.int8)
     q -= matter_mod.charge_shift(space.layout, vertex)
     return q
 
@@ -139,33 +141,59 @@ def gauss_generators_su2(space, link_space):
 # ---------------------------------------------------------------------------
 
 def abelian_charge_table(space):
-    """Integer matrix (n_vertices x dim) of div(flux) - Q per basis state.
-
-    Read from the space's label table and cached on the space; the dtype is
-    the narrowest signed integer that holds every entry.
-    """
+    """Integer matrix (n_vertices x dim) of div(flux) - Q per basis state:
+    charge_rows of the full-space label table, cached on the space."""
     return space.cached("abelian_charge_table",
-                        lambda: _build_charge_table(space))
+                        lambda: charge_rows(space, space.labels))
 
 
-def _build_charge_table(space):
-    lat = space.lattice
-    flux = np.rint(space.linkops.flux_values).astype(int)
-    incident = [lat.links_at_vertex(v) for v in range(lat.vertex_count)]
-    degree = max((len(o) + len(i) for o, i in incident), default=0)
-    bound = degree * int(np.max(np.abs(flux))) + 2
-    dtype = np.min_scalar_type(-bound)
-    flux = flux.astype(dtype)
-    table = np.zeros((lat.vertex_count, space.dim), dtype=dtype)
-    for row, (out_links, in_links) in zip(table, incident):
-        for l in out_links:
-            row += flux[space.link_labels[l]]
-        for l in in_links:
-            row -= flux[space.link_labels[l]]
-    if space.layout is not None:
-        for v, row in enumerate(table):
-            row -= matter_charge_row(space, v)
+def charge_rows(space, labels):
+    """div(flux) - Q of every state of a label table, one row per vertex,
+    in the narrowest signed integer that holds every entry: the base
+    charges plus what each tensor factor's label adds."""
+    base, effects = _charge_effects(space)
+    lo = base + sum(e.min(axis=0) for e in effects)
+    hi = base + sum(e.max(axis=0) for e in effects)
+    dtype = np.min_scalar_type(-int(max(-lo.min(), hi.max(), 0)) - 1)
+    table = np.repeat(base.astype(dtype)[:, None], labels.shape[1], axis=1)
+    for effect, row in zip(effects, labels):
+        for v in np.flatnonzero(effect.any(axis=0)):
+            table[v] += effect[:, v].astype(dtype)[row]
     return table
+
+
+def _charge_effects(space):
+    """The Gauss law factor by factor: the charges div(flux) - Q of the
+    state with every label 0 except the fluxes (the matter charge shifts),
+    and per tensor factor in the mixed-radix order a (radix, n_vertices)
+    matrix of what each of its labels adds at every vertex."""
+    lat = space.lattice
+    flux = np.rint(space.linkops.flux_values).astype(np.int64)
+    base = np.zeros(lat.vertex_count, dtype=np.int64)
+    effects = []
+    for l in range(space.n_links):
+        a, b = lat.link_endpoints(l)
+        effect = np.zeros((space.link_dim, lat.vertex_count), dtype=np.int64)
+        effect[:, a] += flux
+        effect[:, b] -= flux
+        effects.append(effect)
+    if space.layout is not None:
+        base[:] = [matter_mod.charge_shift(space.layout, v)
+                   for v in range(lat.vertex_count)]
+        for j in range(space.n_modes):
+            effect = np.zeros((2, lat.vertex_count), dtype=np.int64)
+            effect[1, j // space.layout.species_per_vertex] = -1
+            effects.append(effect)
+    return base, effects
+
+
+def sector_labels(space, sector=None):
+    """Label table of a sector's states, or of the full space when None."""
+    if sector is None:
+        return space.labels
+    if sector.indices is None:
+        raise ValueError("sector labels need an enumeration sector")
+    return space.decode(sector.indices)
 
 
 def sector_basis(space, charges):
@@ -175,18 +203,51 @@ def sector_basis(space, charges):
     labeling the eigenvalue exp(-i delta q)).  Returns a GaussSector whose
     basis is a sorted list of product-state indices; empty sectors are
     valid results.
+
+    The sector is built without the full space: partial states are extended
+    one tensor factor at a time in the mixed-radix order (links, then
+    occupation modes), each carrying its vertices' partial charges, and a
+    partial state is dropped as soon as some vertex can no longer reach its
+    target with the factors still unset.  Each factor moves a vertex's
+    charge within an integer interval, so what the unset factors can still
+    add is the interval [lo, hi] of the sums of their extremes; on Z_N
+    links only the residue modulo N has to be reachable.
     """
     lat = space.lattice
     charges = tuple(int(q) for q in charges)
     if len(charges) != lat.vertex_count:
         raise ValueError("one charge per vertex required")
-    table = abelian_charge_table(space)
-    target = np.array(charges)[:, None]
-    if space.linkops.model == linkalg.ZN:
-        n = space.linkops.param
-        table, target = table % n, target % n
-    idx = np.nonzero(np.all(table == target, axis=0))[0]
-    return GaussSector(charges, space.dim, indices=idx)
+    if space.linkops.model not in (linkalg.U1_TRUNCATED, linkalg.SPIN_GAUGE,
+                                   linkalg.ZN):
+        raise ValueError("sector enumeration needs Abelian links")
+    base, effects = _charge_effects(space)
+    # lo[f], hi[f]: extremes of what the factors after f can still add
+    lo = np.zeros((len(effects) + 1, lat.vertex_count), dtype=np.int64)
+    hi = lo.copy()
+    for f in range(len(effects) - 1, -1, -1):
+        lo[f] = lo[f + 1] + effects[f].min(axis=0)
+        hi[f] = hi[f + 1] + effects[f].max(axis=0)
+    modulus = space.linkops.param if space.linkops.model == linkalg.ZN \
+        else None
+    target = np.array(charges, dtype=np.int64)
+
+    def reachable(charge, f):
+        need = target - charge - lo[f]
+        span = hi[f] - lo[f]
+        if modulus is not None:
+            need = need % modulus
+        return np.all((need >= 0) & (need <= span), axis=1)
+
+    charge = base[None, :]
+    keep = reachable(charge, 0)
+    indices, charge = np.zeros(1, dtype=np.int64)[keep], charge[keep]
+    for f, effect in enumerate(effects):
+        radix = len(effect)
+        indices = (indices[:, None] * radix + np.arange(radix)).ravel()
+        charge = (charge[:, None, :] + effect).reshape(-1, lat.vertex_count)
+        keep = reachable(charge, f + 1)
+        indices, charge = indices[keep], charge[keep]
+    return GaussSector(charges, space.dim, indices=indices)
 
 
 def su2_zero_charge_sector(space, generators, tol=1e-10):

@@ -6,9 +6,24 @@ Every Hamiltonian is written as
 
 with D diagonal in the product basis and T the off-diagonal part, so
 Hermiticity is structural.  ``Model.hamiltonian`` is the only place terms
-are summed: each diagonal term returns one value per product state, read
-from the space's label table, and each off-diagonal term yields the pieces
-of T, embedded once through ``ProductSpace.embed``.
+are summed: each diagonal term returns one value per state of a label
+table, and each off-diagonal term yields the pieces of T once, as a
+coefficient, local link matrices and an optional matter operator.  The
+pieces are realized in one of two ways, chosen by whether a Gauss sector
+is passed:
+
+* full space (``model.hamiltonian()``): D reads the full label table and
+  each piece is embedded through ``ProductSpace.embed``; the pieces are
+  summed in one COO pass.
+* sector (``model.hamiltonian(sector=sec)`` with an enumeration sector
+  from ``gauge.sector_basis``): D reads the labels decoded for the
+  sector's indices only, and each piece is applied to the sector's states
+  as label shifts (``ProductSpace.shift``), its targets located among the
+  sector's sorted indices with ``np.searchsorted``.  The result is the
+  sector-dimension block, equal to ``solver.restrict`` of the full H, at a
+  cost that scales with the sector dimension.  A piece that sends nonzero
+  amplitude out of the sector (the gauge-variant hopping) raises
+  ValueError; no amplitude is dropped.
 
 D (diagonal terms):
 
@@ -40,7 +55,7 @@ from itertools import product
 import numpy as np
 from scipy import sparse
 
-from . import gauge, linkalg, matter as matter_mod, su2rep
+from . import gauge, linkalg, matter as matter_mod, solver, su2rep
 from .lattice import diagonal_link_pairs, staggered_sign
 from .tensor import ProductSpace
 
@@ -130,20 +145,57 @@ class Model:
             raise ValueError("magnetic term toggled on for a 1d chain")
         return tuple(terms)
 
-    def hamiltonian(self, terms=None):
+    def hamiltonian(self, terms=None, sector=None):
         """H = D + T + T^dag for `terms` (see effective_terms): D sums the
-        diagonal terms' per-state values, T the off-diagonal terms'
-        embedded pieces.  The only place terms are summed."""
+        diagonal terms' per-state values, T the off-diagonal terms' pieces.
+        The only place terms are summed.
+
+        Without a sector, H acts on the full space and each piece is
+        embedded.  With an enumeration sector (gauge.sector_basis), H is the
+        sector-dimension block: D is read from the sector's labels and each
+        piece is applied to the sector's states as label shifts; a piece
+        that leaves the sector raises ValueError.
+        """
         space = self.space
-        diag = np.zeros(space.dim)
-        off = sparse.csr_matrix((space.dim, space.dim), dtype=complex)
+        solver.log_dim_full(space.dim)
+        labels = gauge.sector_labels(space, sector)
+        diag = np.zeros(labels.shape[1])
+        pieces = []
         for t in self.effective_terms(terms):
             if t in DIAGONAL_TERMS:
-                diag += DIAGONAL_TERMS[t](self)
+                diag += DIAGONAL_TERMS[t](self, labels)
             else:
-                for piece in OFF_DIAGONAL_TERMS[t](self):
-                    off = off + piece
+                pieces += [(t, piece) for piece in OFF_DIAGONAL_TERMS[t](self)]
+        off = _sum_pieces(space, sector, pieces, len(diag))
         return (off + off.conj().T + space.diagonal_op(diag)).tocsr()
+
+
+def _sum_pieces(space, sector, pieces, n):
+    """T = the sum of the (term, (coeff, factors, matter)) pieces as one
+    n x n CSR, in one COO pass: embedded on the full space (sector None),
+    applied as label shifts on the sector's states otherwise."""
+    rows, cols = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)]
+    data = [np.zeros(0, dtype=complex)]
+    for t, (coeff, factors, matter) in pieces:
+        if sector is None:
+            piece = (coeff * space.embed(factors, matter)).tocoo()
+            rows.append(piece.row)
+            cols.append(piece.col)
+            data.append(piece.data)
+            continue
+        source, target, value = space.shift(sector.indices, factors, matter)
+        row = np.searchsorted(sector.indices, target)
+        inside = row < n
+        inside[inside] = sector.indices[row[inside]] == target[inside]
+        if np.any(value[~inside] != 0):
+            raise ValueError(
+                f"{t} term leaves the Gauss sector {sector.charges}")
+        rows.append(row[inside])
+        cols.append(source[inside])
+        data.append(coeff * value[inside])
+    return sparse.coo_matrix(
+        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(n, n)).tocsr()
 
 
 ABELIAN_LINK_OPS = {KS_U1: linkalg.u1_ops, SPIN_GAUGE: linkalg.spin_gauge_ops,
@@ -168,13 +220,12 @@ def build_model(spec, lat):
 
 
 # ---------------------------------------------------------------------------
-# diagonal terms: one value per product state, read from the label table
+# diagonal terms: one value per state of a label table
 # ---------------------------------------------------------------------------
 
-def _electric(model):
-    """The local electric term's diagonal read per link from the label
-    table, summed in link order (every family is diagonal in its flux
-    basis)."""
+def _electric(model, labels):
+    """The local electric term's diagonal read per link from the labels,
+    summed in link order (every family is diagonal in its flux basis)."""
     spec, space = model.spec, model.space
     if spec.model == ZN:
         P = space.linkops["P"]
@@ -185,22 +236,22 @@ def _electric(model):
         flux = space.linkops["flux"]
         local = (spec.g2 / 2.0) * (flux @ flux)
     values = np.diag(local).real
-    diag = np.zeros(space.dim)
-    for labels in space.link_labels:
-        diag += values[labels]
+    diag = np.zeros(labels.shape[1])
+    for row in labels[:space.n_links]:
+        diag += values[row]
     return diag
 
 
-def _mass(model):
+def _mass(model, labels):
     """Staggered m sum (-1)^n n_n or naive M sum (n_up - n_down), read from
     the occupation bits; 0 without matter or mass."""
     spec, space = model.spec, model.space
     if spec.matter is None or spec.mass == 0.0:
         return 0.0
     lat = model.lattice
-    count = np.zeros(space.dim, dtype=np.int8)
+    count = np.zeros(labels.shape[1], dtype=np.int8)
     for v in range(lat.vertex_count):
-        occ = space.vertex_occupations(v).astype(np.int8)
+        occ = space.vertex_occupations(v, labels).astype(np.int8)
         if spec.matter == matter_mod.NAIVE2D:
             count += occ[0] - occ[1]
         else:
@@ -209,20 +260,21 @@ def _mass(model):
     return spec.mass * count
 
 
-def _penalty(model):
-    """lam sum_n G_n^2, read from the Abelian charge table."""
+def _penalty(model, labels):
+    """lam sum_n G_n^2, read from the Abelian charge rows."""
     spec, space = model.spec, model.space
     if spec.model not in (KS_U1, SPIN_GAUGE):
         raise ValueError("penalty term implemented for Hermitian Abelian "
                          "generators only")
-    diag = np.zeros(space.dim)
-    for row in gauge.abelian_charge_table(space):
+    diag = np.zeros(labels.shape[1])
+    for row in gauge.charge_rows(space, labels):
         diag += np.square(row, dtype=float)
     return spec.lam * diag
 
 
 # ---------------------------------------------------------------------------
-# off-diagonal terms: the embedded pieces of T (H carries T + T^dag)
+# off-diagonal terms: the pieces of T (H carries T + T^dag), each yielded
+# once as (coeff, [(link, local matrix), ...], matter operator or None)
 # ---------------------------------------------------------------------------
 
 def _magnetic(model):
@@ -243,14 +295,14 @@ def _magnetic(model):
         loops = [[space.linkops[k] for k in (up, up, dn, dn)]]
     for plaq in model.lattice.plaquettes:
         for mats in loops:
-            yield coeff * space.embed(zip(plaq.links, mats))
+            yield coeff, list(zip(plaq.links, mats)), None
 
 
 def _gauge_matter(model):
-    """The gauge-matter hop psi^dag_a U_l psi_b on every link l = (a, b),
-    eps folded into the local link matrix: one piece per link for
-    staggered matter, the Dirac structure i sigma_k for naive fermions,
-    one per color pair for SU(2)."""
+    """The gauge-matter hop eps psi^dag_a U_l psi_b on every link
+    l = (a, b): one piece per link for staggered matter, the Dirac
+    structure i sigma_k for naive fermions, one per color pair for
+    SU(2)."""
     spec, space, lat = model.spec, model.space, model.lattice
     if spec.eps == 0.0 or spec.matter is None:
         return
@@ -264,18 +316,15 @@ def _gauge_matter(model):
             s = matter_mod._SIGMA["x" if lat.links[l][1] == 1 else "y"]
             ferm = sum(s[i, j] * (layout.cdag(a, i) @ layout.c(b, j))
                        for i in range(2) for j in range(2) if s[i, j] != 0)
-            yield space.embed([(l, 1j * spec.eps * space.linkops["U"])],
-                              ferm)
+            yield spec.eps, [(l, 1j * space.linkops["U"])], ferm
         elif spec.model == SU2:
             for (i, m), (j, mp) in product(enumerate((0.5, -0.5)),
                                            repeat=2):
-                yield space.embed(
-                    [(l, spec.eps * model.rotation.entry(m, mp))],
-                    layout.cdag(a, i) @ layout.c(b, j))
+                yield (spec.eps, [(l, model.rotation.entry(m, mp))],
+                       layout.cdag(a, i) @ layout.c(b, j))
         else:
             up = space.linkops["Qdag" if spec.model == ZN else "U"]
-            yield space.embed([(l, spec.eps * up)],
-                              layout.cdag(a) @ layout.c(b))
+            yield spec.eps, [(l, up)], layout.cdag(a) @ layout.c(b)
 
 
 def _hopping(model):
@@ -293,7 +342,7 @@ def _hopping(model):
         raise ValueError("diagonal hopping needs a 2d lattice")
     up, dn = space.linkops["U"], space.linkops["Udag"]
     for (a, b, _v) in diagonal_link_pairs(model.lattice):
-        yield spec.eta * space.embed([(a, up), (b, dn)])
+        yield spec.eta, [(a, up), (b, dn)], None
 
 
 DIAGONAL_TERMS = {"electric": _electric, "mass": _mass, "penalty": _penalty}

@@ -15,29 +15,35 @@ import numpy as np
 from . import solver
 from .hamiltonian import KS_U1, SPIN_GAUGE, SU2, ZN, HamiltonianSpec, \
     build_model
-from .gauge import matter_charge_row, sector_basis
+from .gauge import charge_rows, matter_charge_row, sector_basis, \
+    sector_labels, zn_generator_phases
 from .lattice import build_lattice
 from .matter import dirac_sea_state
 
 
-def flux_profile(model, state):
-    """Per-link flux expectation <flux_l> for a normalized full-space state,
-    or one row per state for a (times, dim) stack of states.
+def flux_profile(model, state, sector=None):
+    """Per-link flux expectation <flux_l> for a normalized state, or one
+    row per state for a (times, dim) stack of states; the amplitudes are on
+    the sector's states when a sector is given, else on the full space.
 
     The readout is L (U(1)), L_z (spin-gauge), the clock label m (Z_N) or
     the Casimir j(j+1) (SU(2)); it is diagonal in every family and read per
     link from the label table.
     """
-    values = model.space.linkops.flux_values
+    space = model.space
+    values = space.linkops.flux_values
+    labels = sector_labels(space, sector)
     return _diagonal_expectations(
-        state, [values[labels] for labels in model.space.link_labels])
+        state, [values[row] for row in labels[:space.n_links]])
 
 
-def charge_profile(model, state):
+def charge_profile(model, state, sector=None):
     """Per-vertex dynamical charge expectation (staggered/naive layouts),
-    for one state or a (times, dim) stack of states."""
+    for one state or a (times, dim) stack of states, on the sector's
+    states when a sector is given."""
+    labels = sector_labels(model.space, sector)
     return _diagonal_expectations(
-        state, [matter_charge_row(model.space, v)
+        state, [matter_charge_row(model.space, v, labels)
                 for v in range(model.lattice.vertex_count)])
 
 
@@ -96,18 +102,23 @@ def strong_coupling_ground(model, origin, separation):
             raise ValueError("string state vanished (truncation too small)")
         return out / n
 
+    return space.basis_vector(string_state_index(model, origin, separation))
+
+
+def string_state_index(model, origin, separation):
+    """Product-state index of the Abelian string: flux 1 on the links of
+    the straight path origin -> origin + R x-hat, 0 elsewhere, matter in
+    the Dirac sea when present."""
+    space = model.space
+    links = string_link_path(model.lattice, origin, separation)
     if model.spec.model == SPIN_GAUGE and model.spec.truncation < 1:
         raise ValueError("spin-gauge string needs ell >= charge magnitude")
-    link_vals = []
     top = space.linkops.flux_values.tolist()
-    for l in range(space.n_links):
-        flux = 1.0 if l in links else 0.0
-        link_vals.append(top.index(flux))
+    link_vals = [top.index(1.0 if l in links else 0.0)
+                 for l in range(space.n_links)]
     matter_idx = dirac_sea_state(space.layout) if space.layout is not None \
         else 0
-    psi = np.zeros(space.dim, dtype=complex)
-    psi[space.product_state_index(link_vals, matter_idx)] = 1.0
-    return psi
+    return space.product_state_index(link_vals, matter_idx)
 
 
 def _su2_chain(space, U, links, m, mp):
@@ -152,12 +163,14 @@ def static_potential(spec, lat, separations, origin=0, fit_window=None):
     """Ground energy per static-charge separation, with a linear fit.
 
     U(1)-family sectors are diagonalized exactly in the (+1 at origin,
-    -1 at origin+R) charge sector; the SU(2) potential is evaluated on the
-    explicit strong-coupling string state (zero-charge sector machinery
-    does not label non-Abelian external charges).  Empty sectors raise.
+    -1 at origin+R) charge sector, each with its Hamiltonian assembled in
+    the sector; the SU(2) potential is evaluated on the explicit
+    strong-coupling string state with the full-space Hamiltonian
+    (zero-charge sector machinery does not label non-Abelian external
+    charges).  Empty sectors raise.
     """
     model = build_model(spec, lat)
-    h = model.hamiltonian()
+    h = model.hamiltonian() if spec.model == SU2 else None
     energies, dims = [], []
     for R in separations:
         if R == 0:
@@ -176,7 +189,7 @@ def static_potential(spec, lat, separations, origin=0, fit_window=None):
         if sec.is_empty:
             raise solver.SolverError(
                 f"empty Gauss sector for separation {R}")
-        hr = solver.restrict(h, sec)
+        hr = model.hamiltonian(sector=sec)
         energies.append(float(solver.ground_energy(hr)))
         dims.append(sec.dim)
     curve = StaticPotentialCurve(list(separations), energies, dims)
@@ -225,31 +238,42 @@ def flux_tube_breaking_scenario(spec, lat, separation, t_final, steps,
                                 origin=0):
     """Evolve the strong-coupling string and track its decay observables.
 
-    Requires a 1d chain with dynamical staggered matter.  Conservation of
-    the norm, energy, total charge and every Gauss generator expectation is
-    reported (they are exact up to solver tolerance).
+    Requires a 1d chain with Abelian links and dynamical staggered matter.
+    The string is one product state, so it evolves in its own Gauss sector
+    (charges decoded from its labels) with the sector Hamiltonian; the
+    returned trajectory's states are amplitudes on that sector's states.
+    Conservation of the norm, energy, total charge and every Gauss
+    generator expectation is reported (they are exact up to solver
+    tolerance); the diagonal observables are read from the sector labels.
     """
     if lat.spatial_dim != 1:
         raise ValueError("flux-tube scenario runs on 1d chains")
     if spec.matter is None:
         raise ValueError("flux-tube breaking needs dynamical matter")
+    if spec.model == SU2:
+        raise ValueError("flux-tube scenario runs on Abelian links")
     model = build_model(spec, lat)
-    h = model.hamiltonian()
-    psi0 = strong_coupling_ground(model, origin, separation)
+    space = model.space
+    start = string_state_index(model, origin, separation)
+    sec = sector_basis(space, charge_rows(space, space.decode([start]))[:, 0])
+    h = model.hamiltonian(sector=sec)
+    psi0 = np.zeros(sec.dim, dtype=complex)
+    psi0[np.searchsorted(sec.indices, start)] = 1.0
     traj = solver.evolve(h, psi0, t_final, steps)
 
-    flux = flux_profile(model, traj.states)
-    charge = charge_profile(model, traj.states)
+    labels = sector_labels(space, sec)
+    flux = flux_profile(model, traj.states, sec)
+    charge = charge_profile(model, traj.states, sec)
     energy = traj.expectation(h).real
-    qtot = sum(matter_charge_row(model.space, v)
+    qtot = sum(matter_charge_row(space, v, labels)
                for v in range(lat.vertex_count))
     total_charge = _diagonal_expectations(traj.states, [qtot])[:, 0]
 
-    gauss_drift = 0.0
-    for g in model.generators:
-        vals = traj.expectation(g)
-        gauss_drift = max(gauss_drift,
-                          float(np.max(np.abs(vals - vals[0]))))
+    gauss = charge_rows(space, labels)
+    if spec.model == ZN:
+        gauss = zn_generator_phases(space)[gauss % space.linkops.param]
+    vals = (np.abs(traj.states) ** 2) @ gauss.T     # <G_n>(t), diagonal G_n
+    gauss_drift = float(np.max(np.abs(vals - vals[0])))
     return DynamicsReport(traj.times, flux, charge, traj.norms(),
                           energy, total_charge, gauss_drift), model, traj
 
@@ -258,9 +282,8 @@ def single_plaquette_ground(spec):
     """Zero-charge ground energy of the single 2x2-plaquette system."""
     lat = build_lattice(2, [2, 2])
     model = build_model(spec, lat)
-    h = model.hamiltonian()
     sec = sector_basis(model.space, [0] * 4)
-    hr = solver.restrict(h, sec)
+    hr = model.hamiltonian(sector=sec)
     return float(solver.ground_energy(hr)), sec.dim
 
 

@@ -7,6 +7,8 @@ the normalized all-ones vector and small problems fall back to dense
 diagonalization, so repeated runs give identical output.
 """
 
+import contextlib
+import contextvars
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,7 +20,46 @@ DENSE_LIMIT = 2000
 
 
 class SolverError(RuntimeError):
-    """Numerical failure (non-convergence, singular resolvent, ...)."""
+    """Numerical or resource failure (non-convergence, singular resolvent,
+    a full space too large for memory, ...)."""
+
+
+@dataclass
+class RunLog:
+    """Problem sizes of one run, for its manifest: the largest full-space
+    dimension whose Hamiltonian was assembled, and the dimension of every
+    eigensolve and evolution, in call order."""
+
+    dim_full: int = None
+    solve_dims: list = field(default_factory=list)
+    evolve_dims: list = field(default_factory=list)
+
+
+_RUN_LOG = contextvars.ContextVar("run_log", default=None)
+
+
+@contextlib.contextmanager
+def run_log():
+    """Collect a RunLog of the assemblies, solves and evolutions inside."""
+    log = RunLog()
+    token = _RUN_LOG.set(log)
+    try:
+        yield log
+    finally:
+        _RUN_LOG.reset(token)
+
+
+def log_dim_full(dim):
+    """Note a full-space dimension in the active RunLog, if any."""
+    log = _RUN_LOG.get()
+    if log is not None:
+        log.dim_full = max(dim, log.dim_full or 0)
+
+
+def _log(name, dim):
+    log = _RUN_LOG.get()
+    if log is not None:
+        getattr(log, name).append(dim)
 
 
 def restrict(op, sector):
@@ -42,9 +83,11 @@ def restrict(op, sector):
 def eigs(op, k=1, tol=0.0):
     """k lowest eigenpairs of a Hermitian operator, ascending.
 
-    Dense diagonalization below DENSE_LIMIT, otherwise Lanczos with the
-    fixed all-ones start vector.  Residuals ||A v - w v|| are checked to
-    1e-9; non-convergence raises SolverError with the iteration report.
+    Dense diagonalization below DENSE_LIMIT (of the real part when the
+    imaginary part is exactly zero, and only for the k lowest pairs),
+    otherwise Lanczos with the fixed all-ones start vector.  Residuals
+    ||A v - w v|| are checked to 1e-9; non-convergence raises SolverError
+    with the iteration report.
     """
     if sparse.issparse(op):
         dim = op.shape[0]
@@ -57,11 +100,13 @@ def eigs(op, k=1, tol=0.0):
         raise ValueError(f"asked for {k} eigenpairs; need at least 1")
     if k > dim:
         raise ValueError(f"asked for {k} eigenpairs of a dim-{dim} operator")
+    _log("solve_dims", dim)
 
     if dense:
         mat = op.toarray() if sparse.issparse(op) else op
-        w, v = eigh(mat)
-        w, v = w[:k], v[:, :k]
+        if np.iscomplexobj(mat) and not mat.imag.any():
+            mat = mat.real
+        w, v = eigh(mat, subset_by_index=[0, k - 1])
     else:
         v0 = np.ones(dim) / np.sqrt(dim)
         try:
@@ -111,6 +156,7 @@ def evolve(op, state, t, steps):
         raise ValueError("initial state must be normalized")
     if steps < 1:
         raise ValueError("steps must be >= 1")
+    _log("evolve_dims", op.shape[0])
     A = (-1j) * op.tocsc()
     states = expm_multiply(A, state, start=0.0, stop=float(t),
                            num=steps + 1, endpoint=True)

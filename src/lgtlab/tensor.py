@@ -8,29 +8,70 @@ space (if present) last.  Product-basis indices therefore decompose as
 
 which is what the Gauss-sector enumeration relies on.
 
-Label table.  Every product state is also described by its integer labels,
-``ProductSpace.labels``: an array of shape (n_links + n_modes, dim) whose
-row l < n_links holds the flux index (local basis position, 0 ..
-link_dim - 1) of link l and whose row n_links + j holds the occupation bit
-of fermion mode j, for every product index in order.  It is decoded once
-from the mixed-radix index above, in the narrowest unsigned dtype that
-holds the largest label (uint8 for every local dimension up to 256), and
-cached on the space.  Every diagonal quantity is a vectorized read of it:
+Label table.  Every product state is also described by its integer labels:
+a column of one flux index (local basis position, 0 .. link_dim - 1) per
+link followed by one occupation bit per fermion mode.
+``ProductSpace.decode(indices)`` is the one decoder from mixed-radix
+indices to such columns, in the narrowest unsigned dtype that holds the
+largest label (uint8 for every local dimension up to 256).  The full-space
+table ``ProductSpace.labels`` is the decode of every index, cached on the
+space.  Every diagonal quantity is a vectorized read of a label table:
 the flux readout of ``observables.flux_profile``, the matter charges,
-Abelian Gauss eigenvalues and sector enumeration in ``gauge``, and the
-diagonal part D (electric, mass, penalty) of ``Model.hamiltonian``.
+Abelian Gauss eigenvalues and charge table in ``gauge``, and the diagonal
+part D (electric, mass, penalty) of ``Model.hamiltonian``.
 
 Off-diagonal operators (the hopping and plaquette pieces of the
-Hamiltonian's T, SU(2) generators and string operators) have one kron
-path, ``ProductSpace.embed``: a product of local link matrices times an
-optional matter operator, built in a single pass in which each run of
-untouched factors is one cached identity.
+Hamiltonian's T, SU(2) generators and string operators) are products of
+local link matrices times an optional matter operator, with two
+realizations:
+
+* full space: ``ProductSpace.embed``, the one kron path, built in a single
+  pass in which each run of untouched factors is one cached identity;
+* Gauss sector: ``ProductSpace.shift``, which applies the same product to a
+  list of product states as label shifts.  Each nonzero of a local
+  matrix's column maps a source label to a target label, so the target
+  index is the source index plus (target - source) times the factor's
+  stride.  ``Model.hamiltonian(sector=...)`` locates the targets among the
+  sector's sorted indices, so its cost scales with the sector dimension.
+
+Memory guard.  Before the first full-space table or embedding of a space,
+``ProductSpace.require_memory`` compares FULL_SPACE_BYTES_PER_STATE times
+the dimension with the memory the process may use (the lesser of the
+host's MemAvailable and the address-space limit) and raises
+``SolverError`` when it does not fit, so an oversized run exits 3 instead
+of being killed mid-allocation.
 """
 
 from dataclasses import dataclass, field
 
+import os
+import resource
+
 import numpy as np
 from scipy import sparse
+
+from .solver import SolverError
+
+# peak bytes per state of a full-space run: full-space `spectrum` runs
+# peaked at 540-560 bytes per state (chains of 6-8 with staggered matter,
+# the 2x2 torus and the open 3x3 lattice), most of it Lanczos vectors
+FULL_SPACE_BYTES_PER_STATE = 600
+MEMINFO = "/proc/meminfo"
+
+
+def usable_memory():
+    """Bytes this process may still allocate: the lesser of the host's
+    MemAvailable and the address-space limit (either may be unknown)."""
+    limits = []
+    soft, _hard = resource.getrlimit(resource.RLIMIT_AS)
+    if soft != resource.RLIM_INFINITY:
+        limits.append(soft)
+    if os.path.exists(MEMINFO):
+        with open(MEMINFO, encoding="ascii") as fh:
+            for line in fh:
+                if line.startswith("MemAvailable:"):
+                    limits.append(int(line.split()[1]) * 1024)
+    return min(limits, default=float("inf"))
 
 
 @dataclass
@@ -64,31 +105,51 @@ class ProductSpace:
 
     @property
     def labels(self):
-        """Per-state label table (links, then occupation bits); cached."""
-        return self.cached("labels", self._decode_labels)
+        """Label table of the full space (the decode of every index);
+        cached, after the memory guard."""
+        def build():
+            self.require_memory()
+            return self.decode(np.arange(
+                self.dim, dtype=np.min_scalar_type(self.dim - 1)))
+        return self.cached("labels", build)
 
-    @property
-    def link_labels(self):
-        return self.labels[:self.n_links]
-
-    def vertex_occupations(self, vertex):
-        """Occupation-bit rows (species, dim) of the modes at a vertex."""
-        if self.layout is None:
-            raise ValueError("space carries no matter")
-        return self.labels[[
-            self.n_links + self.layout.mode_index(vertex, s)
-            for s in range(self.layout.species_per_vertex)]]
-
-    def _decode_labels(self):
+    def decode(self, indices):
+        """Label table (one row per link, then per fermion mode; one column
+        per index) of the given product-state indices."""
         radices = [self.link_dim] * self.n_links + [2] * self.n_modes
         dtype = np.min_scalar_type(max(radices, default=1) - 1)
-        table = np.empty((len(radices), self.dim), dtype=dtype)
-        left = 1
-        for row, radix in zip(table, radices):
-            row.reshape(left, radix, -1)[...] = \
-                np.arange(radix, dtype=dtype)[:, None]
-            left *= radix
+        # the narrowest unsigned index type: 32-bit division is several
+        # times faster than 64-bit on the full table
+        rest = np.asarray(indices, dtype=np.min_scalar_type(self.dim - 1))
+        table = np.empty((len(radices), len(rest)), dtype=dtype)
+        for row, radix in zip(table[::-1], radices[::-1]):
+            quotient = rest // radix
+            row[...] = rest - quotient * radix
+            rest = quotient
         return table
+
+    def vertex_occupations(self, vertex, labels=None):
+        """Occupation-bit rows (species, states) of the modes at a vertex,
+        read from `labels` (the full-space table when None)."""
+        if self.layout is None:
+            raise ValueError("space carries no matter")
+        labels = self.labels if labels is None else labels
+        return labels[[self.n_links + self.layout.mode_index(vertex, s)
+                       for s in range(self.layout.species_per_vertex)]]
+
+    def require_memory(self):
+        """Raise SolverError when the full space does not fit in the memory
+        this process may use; checked once per space."""
+        def check():
+            need = self.dim * FULL_SPACE_BYTES_PER_STATE
+            have = usable_memory()
+            if need > have:
+                raise SolverError(
+                    f"full space of {self.dim} states needs about "
+                    f"{need / 2**20:.0f} MiB, more than the "
+                    f"{have / 2**20:.0f} MiB this process may use")
+            return need
+        self.cached("memory_checked", check)
 
     def cached(self, key, build):
         """Per-space table `key`, built by `build()` on first use."""
@@ -113,11 +174,8 @@ class ProductSpace:
         occupation space, the identity when None.  One kron pass: each run
         of untouched factors is a single cached identity.
         """
-        if matter is not None and self.layout is None:
-            raise ValueError("space carries no matter")
-        local = {}
-        for idx, m in factors:
-            local[idx] = m if idx not in local else local[idx] @ m
+        local = self._local(factors, matter)
+        self.require_memory()
         parts, run = [], 1
         for idx in range(self.n_links):
             if idx not in local:
@@ -137,6 +195,43 @@ class ProductSpace:
         for f in parts[1:]:
             out = sparse.kron(out, f, format="csr")
         return out
+
+    def shift(self, indices, factors=(), matter=None):
+        """Apply the product that embed(factors, matter) builds to the
+        product states `indices` as label shifts.
+
+        Returns (source position in `indices`, target index, value), one
+        entry per nonzero of the product's columns; no full-space object is
+        built.
+        """
+        local = self._local(factors, matter)
+        slots = [(self.matter_dim * self.link_dim ** (self.n_links - 1 - l),
+                  self.link_dim, m) for l, m in local.items()]
+        if matter is not None:
+            slots.append((1, self.matter_dim, matter))
+        target = np.array(indices, dtype=np.int64)
+        source = np.arange(len(target))
+        value = np.ones(len(target), dtype=complex)
+        for stride, radix, op in slots:
+            col = sparse.csc_matrix(op, dtype=complex)
+            label = target // stride % radix
+            start = col.indptr[label]
+            count = col.indptr[label + 1] - start
+            pick = np.repeat(np.arange(len(label)), count)
+            nz = np.arange(len(pick)) - np.repeat(np.cumsum(count) - count,
+                                                  count) + start[pick]
+            source, value = source[pick], value[pick] * col.data[nz]
+            target = target[pick] + (col.indices[nz] - label[pick]) * stride
+        return source, target, value
+
+    def _local(self, factors, matter):
+        """{link: product of its local matrices, in the order given}."""
+        if matter is not None and self.layout is None:
+            raise ValueError("space carries no matter")
+        local = {}
+        for idx, m in factors:
+            local[idx] = m if idx not in local else local[idx] @ m
+        return local
 
     def product_state_index(self, link_values, matter_index=0):
         """Full-space index of |link_values> x |matter_index>."""

@@ -305,3 +305,64 @@ def test_load_config_requires_scenario(tmp_path):
     path.write_text(json.dumps({"lattice": {}}))
     with pytest.raises(ConfigError):
         load_config(str(path))
+
+
+def test_potential_chain_10_runs_in_sectors(tmp_path, monkeypatch):
+    # 20,155,392 product states: the run must never build the full-space
+    # label table or embed an operator
+    from lgtlab.tensor import ProductSpace
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("full-space object built")
+    monkeypatch.setattr(ProductSpace, "labels", property(refuse))
+    monkeypatch.setattr(ProductSpace, "embed", refuse)
+    cfg = {
+        "scenario": "potential",
+        "lattice": {"spatial_dim": 1, "sizes": [10]},
+        "hamiltonian": {"model": "ks_u1", "truncation": 1, "g2": 1.1,
+                        "eps": 0.5, "mass": 0.3, "matter": "staggered"},
+        "params": {"separations": [0, 1, 2, 3, 4]},
+    }
+    status, _ = run(cfg, str(tmp_path / "out"))
+    assert status == 0
+    m = read_manifest(tmp_path / "out")
+    assert m["error"] is None
+    rows = (tmp_path / "out" / "potential.csv").read_text().splitlines()[1:]
+    dims = [int(row.split(",")[2]) for row in rows]
+    assert m["timing"]["dim_full"] == 3 ** 9 * 2 ** 10
+    assert m["timing"]["solve_dims"] == dims
+    assert m["timing"]["evolve_dims"] == []
+    assert m["timing"]["peak_rss_mb"] > 0
+
+
+def test_oversized_full_space_exits_3_before_allocating(tmp_path):
+    # 3^13 * 2^14 states cannot fit anywhere: the memory guard raises
+    # before the label table or any embedding is built
+    cfg = {
+        "scenario": "spectrum",
+        "lattice": {"spatial_dim": 1, "sizes": [14]},
+        "hamiltonian": {"model": "ks_u1", "truncation": 1, "eps": 0.5,
+                        "matter": "staggered"},
+    }
+    status, _ = run(cfg, str(tmp_path / "out"))
+    assert status == 3
+    m = read_manifest(tmp_path / "out")
+    assert m["exit_status"] == 3
+    assert "MiB" in m["error"]
+    assert m["timing"]["dim_full"] == 3 ** 13 * 2 ** 14
+
+
+def test_dynamics_timing_records_the_sector_evolution(tmp_path):
+    cfg = {
+        "scenario": "dynamics",
+        "lattice": {"spatial_dim": 1, "sizes": [6]},
+        "hamiltonian": {"model": "ks_u1", "truncation": 1, "g2": 1.0,
+                        "eps": 0.8, "mass": 0.1, "matter": "staggered"},
+        "params": {"separation": 3, "t_final": 1.0, "steps": 5},
+    }
+    status, _ = run(cfg, str(tmp_path / "out"))
+    assert status == 0
+    timing = read_manifest(tmp_path / "out")["timing"]
+    assert timing["dim_full"] == 3 ** 5 * 2 ** 6
+    assert timing["evolve_dims"] == [7]       # the string's Gauss sector
+    assert timing["solve_dims"] == []

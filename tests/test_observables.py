@@ -249,24 +249,30 @@ def test_zn_convergence_monotone():
 
 
 def test_flux_tube_embeddings_do_not_scale_with_steps(monkeypatch):
-    # diagonal observables are read from the label table: the number of
-    # kron embeddings is fixed by the Hamiltonian, not by the time steps
+    # the string evolves in its Gauss sector: the Hamiltonian's pieces are
+    # applied to the sector's states as label shifts, a number fixed by the
+    # Hamiltonian, not by the time steps, and nothing is kron-embedded
     from lgtlab.tensor import ProductSpace
     spec = HamiltonianSpec(model="ks_u1", truncation=1, g2=1.0, eps=0.5,
                            mass=0.2, matter=STAGGERED)
-    embed = ProductSpace.embed
-    calls = []
+    calls = {"shift": 0, "embed": 0}
 
-    def counting(self, *args, **kwargs):
-        calls.append(1)
-        return embed(self, *args, **kwargs)
-    monkeypatch.setattr(ProductSpace, "embed", counting)
+    def counting(name):
+        method = getattr(ProductSpace, name)
+
+        def counted(self, *args, **kwargs):
+            calls[name] += 1
+            return method(self, *args, **kwargs)
+        return counted
+    for name in calls:
+        monkeypatch.setattr(ProductSpace, name, counting(name))
 
     per_run = []
     for steps in (4, 40):
-        calls.clear()
+        calls.update(shift=0, embed=0)
         flux_tube_breaking_scenario(spec, build_lattice(1, [4]), 2, 1.0,
                                     steps)
-        per_run.append(len(calls))
+        per_run.append(calls["shift"])
+        assert calls["embed"] == 0
     assert per_run[0] == per_run[1]
     assert per_run[0] > 0

@@ -1,0 +1,168 @@
+"""Sector-first Abelian runs against their full-space oracles.
+
+The direct Gauss-sector enumeration is checked against the scan of the
+full-space charge table it replaced, the in-sector Hamiltonian against the
+restriction of the full-space one, and the in-sector flux-tube evolution
+against full-space evolution of the same string state.
+"""
+
+import numpy as np
+import pytest
+from scipy.sparse.linalg import expm_multiply
+
+from lgtlab.gauge import abelian_charge_table, all_sector_dimensions, \
+    sector_basis
+from lgtlab.hamiltonian import HamiltonianSpec, build_model
+from lgtlab.lattice import build_lattice
+from lgtlab.observables import flux_profile, flux_tube_breaking_scenario, \
+    strong_coupling_ground
+from lgtlab.solver import restrict
+
+
+def chain(n, boundary="open"):
+    return build_lattice(1, [n], boundary)
+
+
+def lattice_2d(*sizes):
+    return build_lattice(2, list(sizes))
+
+
+def scan_sector(space, charges):
+    """The full-space scan sector_basis used to do: every product index
+    whose charge-table column equals the charges (modulo N on Z_N)."""
+    table = abelian_charge_table(space)
+    target = np.array(charges)[:, None]
+    if space.linkops.model == "zn":
+        n = space.linkops.param
+        table, target = table % n, target % n
+    return np.nonzero(np.all(table == target, axis=0))[0]
+
+
+# (model, truncation, matter, lattice)
+ENUMERATION_CASES = [
+    ("ks_u1", 1, None, chain(2)),
+    ("ks_u1", 1, None, chain(3)),
+    ("ks_u1", 1, None, chain(5)),
+    ("ks_u1", 1, None, chain(6)),
+    ("ks_u1", 1, None, chain(7)),
+    ("ks_u1", 1, None, chain(8)),
+    ("ks_u1", 1, "staggered", chain(2)),
+    ("ks_u1", 1, "staggered", chain(5)),
+    ("ks_u1", 2, "staggered", chain(4)),
+    ("ks_u1", 1, "staggered", chain(4, "periodic")),
+    ("ks_u1", 1, None, lattice_2d(2, 2)),
+    ("ks_u1", 1, None, lattice_2d(3, 2)),
+    ("ks_u1", 2, None, lattice_2d(2, 2)),
+    ("ks_u1", 1, "naive2d", lattice_2d(2, 2)),
+    ("spin_gauge", 1, "staggered", chain(4)),
+    ("spin_gauge", 2, None, lattice_2d(2, 2)),
+    ("spin_gauge", 1, "naive2d", lattice_2d(2, 2)),
+    ("zn", 3, "staggered", chain(5)),
+    ("zn", 4, "staggered", chain(4, "periodic")),
+    ("zn", 3, None, lattice_2d(3, 2)),
+    ("zn", 4, None, lattice_2d(2, 2)),
+]
+
+
+def case_id(case):
+    model, trunc, matter, lat = case
+    sizes = "x".join(map(str, lat.sizes))
+    return f"{model}-{trunc}-{matter or 'pure'}-{lat.boundary}{sizes}"
+
+
+@pytest.mark.parametrize("case", ENUMERATION_CASES, ids=case_id)
+def test_direct_enumeration_matches_scan(case):
+    model, trunc, matter, lat = case
+    space = build_model(HamiltonianSpec(model=model, truncation=trunc,
+                                        matter=matter), lat).space
+    dims = all_sector_dimensions(space)
+    assert sum(dims.values()) == space.dim
+    for charges, dim in dims.items():
+        sec = sector_basis(space, charges)
+        assert sec.dim == dim
+        assert np.array_equal(sec.indices, scan_sector(space, charges))
+    # unreachable charges give the (equally scanned) empty sector
+    far = (space.n_links + space.n_modes + 9,) + (0,) * (lat.vertex_count - 1)
+    sec = sector_basis(space, far)
+    assert np.array_equal(sec.indices, scan_sector(space, far))
+    if model != "zn":
+        assert sec.is_empty
+
+
+def test_sector_basis_rejects_su2():
+    space = build_model(HamiltonianSpec(model="su2", truncation=0.5),
+                        chain(3)).space
+    with pytest.raises(ValueError):
+        sector_basis(space, [0, 0, 0])
+
+
+# (spec, lattice, terms beyond the default ones)
+HAMILTONIAN_CASES = [
+    (HamiltonianSpec(model="ks_u1", truncation=1, g2=1.3, eps=0.5, mass=0.3,
+                     matter="staggered"), chain(6), ()),
+    (HamiltonianSpec(model="ks_u1", truncation=2, g2=0.8, eps=-0.4,
+                     mass=-0.2, matter="staggered"), chain(4, "periodic"), ()),
+    (HamiltonianSpec(model="ks_u1", truncation=2, g2=1.1),
+     build_lattice(2, [2, 2], "periodic"), ()),
+    (HamiltonianSpec(model="ks_u1", truncation=1, g2=0.9, eps=0.4, mass=0.2,
+                     matter="naive2d"), lattice_2d(2, 2), ()),
+    (HamiltonianSpec(model="spin_gauge", truncation=2, g2=0.7, lam=3.0),
+     lattice_2d(3, 2), ("penalty",)),
+    (HamiltonianSpec(model="spin_gauge", truncation=1, g2=1.2, eps=0.6,
+                     mass=0.1, matter="staggered"), chain(5), ()),
+    (HamiltonianSpec(model="zn", truncation=3, lam_zn=0.8), lattice_2d(3, 2),
+     ()),
+    (HamiltonianSpec(model="zn", truncation=4, eps=0.5, mass=0.3,
+                     matter="staggered"), chain(4), ()),
+]
+
+
+def largest_sectors(space, count=3):
+    dims = all_sector_dimensions(space)
+    return sorted(dims, key=lambda key: (-dims[key], key))[:count]
+
+
+@pytest.mark.parametrize("case", HAMILTONIAN_CASES,
+                         ids=lambda c: f"{c[0].model}-{c[0].matter}-"
+                                       f"{'x'.join(map(str, c[1].sizes))}")
+def test_sector_hamiltonian_equals_restricted_full(case):
+    spec, lat, extra = case
+    model = build_model(spec, lat)
+    terms = model.effective_terms() + extra
+    sectors = [sector_basis(model.space, charges)
+               for charges in largest_sectors(model.space)]
+    for part in [(t,) for t in terms] + [terms]:
+        h = model.hamiltonian(part)
+        for sec in sectors:
+            own = model.hamiltonian(part, sector=sec)
+            assert own.shape == (sec.dim, sec.dim)
+            diff = own.toarray() - restrict(h, sec).toarray()
+            assert np.max(np.abs(diff), initial=0.0) <= 1e-14
+
+
+def test_hopping_raises_on_a_sector():
+    spec = HamiltonianSpec(model="spin_gauge", truncation=1, eta=0.1)
+    model = build_model(spec, lattice_2d(2, 2))
+    sec = sector_basis(model.space, [0] * 4)
+    with pytest.raises(ValueError, match="hopping"):
+        model.hamiltonian(("hopping",), sector=sec)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_sector_dynamics_matches_full_space(n):
+    spec = HamiltonianSpec(model="ks_u1", truncation=1, g2=1.1, eps=0.7,
+                           mass=0.2, matter="staggered")
+    lat = chain(n)
+    report, model, traj = flux_tube_breaking_scenario(spec, lat, 2, 1.5, 6)
+    h = model.hamiltonian()
+    psi0 = strong_coupling_ground(model, 0, 2)
+    states = expm_multiply(-1j * h.tocsc(), psi0, start=0.0, stop=1.5,
+                           num=7, endpoint=True)
+    charges = [0] * lat.vertex_count
+    charges[0], charges[2] = 1, -1
+    sec = sector_basis(model.space, charges)
+    assert traj.states.shape == (7, sec.dim)
+    inside = states[:, sec.indices]
+    assert np.max(np.abs(inside - traj.states)) <= 1e-12
+    assert np.max(np.abs(np.linalg.norm(inside, axis=1) - 1.0)) <= 1e-12
+    assert np.max(np.abs(flux_profile(model, states) - report.flux)) <= 1e-12

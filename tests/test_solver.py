@@ -83,6 +83,23 @@ def test_eigs_plaquette_sector_vs_dense_oracle():
     assert abs(w[0] - dense[0]) < 1e-6
 
 
+@pytest.mark.parametrize("imag", [0.0, 0.3])
+def test_eigs_dense_lowest_pairs_real_and_complex(imag):
+    # an exactly real complex matrix is diagonalized as real; a genuinely
+    # complex one stays complex; both give the k lowest pairs of the full
+    # spectrum with residuals below 1e-12
+    rng = np.random.default_rng(5)
+    a = rng.standard_normal((40, 40)) + 1j * imag * rng.standard_normal(
+        (40, 40))
+    a = sparse.csr_matrix(a + a.conj().T)
+    w, v = eigs(a, 4)
+    assert np.allclose(w, np.linalg.eigvalsh(a.toarray())[:4], atol=1e-12)
+    assert v.shape == (40, 4)
+    assert np.iscomplexobj(v) == (imag != 0.0)
+    for i in range(4):
+        assert np.linalg.norm(a @ v[:, i] - w[i] * v[:, i]) < 1e-12
+
+
 def test_eigs_k_too_large():
     with pytest.raises(ValueError):
         eigs(sparse.identity(2, format="csr"), 3)
