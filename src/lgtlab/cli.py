@@ -14,8 +14,9 @@ numerical failure.  Result CSVs are byte-stable across repeated runs
 (fixed solver seeds, floats printed with 17 significant digits, LF line
 endings); the manifest additionally records, under `timing`, the wall
 time, the process's thread count, the largest full-space dimension whose
-Hamiltonian was assembled, the dimension of every eigensolve and
-evolution, and the peak resident set size.  The `lgtlab` command enters
+Hamiltonian was assembled, the dimension and path (dense or Lanczos) of
+every eigensolve, the worst relative eigenpair residual, the dimension of
+every evolution, and the peak resident set size.  The `lgtlab` command enters
 through `lgtlab.__main__`, which applies `--threads` before numpy loads.
 """
 
@@ -30,7 +31,8 @@ import numpy as np
 import scipy
 
 from . import __version__, atommap, gauge, observables, solver
-from .hamiltonian import HamiltonianSpec, build_model, max_gauss_violation
+from .hamiltonian import HamiltonianSpec, SectorLeak, build_model, \
+    max_gauss_violation
 from .lattice import build_lattice
 from .matter import STAGGERED, NAIVE2D, SU2_FUNDAMENTAL
 
@@ -195,14 +197,19 @@ def _check(name, value, threshold, larger_is_bad=True):
 # ---------------------------------------------------------------------------
 
 def run_spectrum(cfg, params, writer, tol):
+    """Lowest levels of H; with `charges`, of its block in that Gauss
+    sector, built in the sector.  gauge_invariance is then the largest
+    amplitude H sends out of the sector, and no spectrum is written when
+    it fails; without charges it is max_gauss_violation of the full H."""
     lat = parse_lattice(cfg.get("lattice", {}))
     spec = parse_hamiltonian(cfg.get("hamiltonian", {}))
     model = build_model(spec, lat)
-    h = model.hamiltonian()
     charges = params["charges"]
-    checks = [_check("gauge_invariance", max_gauss_violation(model, h), tol)]
     results = {"dim_full": model.space.dim}
-    if charges is not None:
+    if charges is None:
+        h = model.hamiltonian()
+        leak = max_gauss_violation(model, h)
+    else:
         if spec.model == "su2":
             raise ConfigError("charged spectrum sectors are Abelian-only")
         sec = gauge.sector_basis(model.space, charges)
@@ -211,7 +218,13 @@ def run_spectrum(cfg, params, writer, tol):
         results["sector_dim"] = sec.dim
         if params["export_sector"]:
             results["sector_indices"] = [int(i) for i in sec.indices]
-        h = solver.restrict(h, sec)
+        try:
+            h, leak = model.hamiltonian(sector=sec), 0.0
+        except SectorLeak as exc:
+            h, leak = exc.block, exc.amplitude
+    checks = [_check("gauge_invariance", leak, tol)]
+    if charges is not None and not checks[0]["pass"]:
+        return results, checks
     w, _ = solver.eigs(h, min(params["k"], h.shape[0]))
     writer.csv("spectrum.csv", ["index", "energy"],
                [(i, w[i]) for i in range(len(w))])
@@ -495,6 +508,8 @@ def run(cfg, outdir, tol=DEFAULT_TOL):
                    if os.path.isdir(TASKS) else None,
                    "dim_full": log.dim_full,
                    "solve_dims": log.solve_dims,
+                   "solve_paths": log.solve_paths,
+                   "worst_relative_residual": log.worst_relative_residual,
                    "evolve_dims": log.evolve_dims,
                    "peak_rss_mb": resource.getrusage(
                        resource.RUSAGE_SELF).ru_maxrss / 1024},

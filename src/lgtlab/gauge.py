@@ -26,6 +26,7 @@ from scipy.linalg import expm
 
 from . import linkalg, matter as matter_mod
 from .lattice import staggered_sign
+from .solver import SolverError
 
 _DENSE_LIMIT = 6000
 
@@ -212,6 +213,9 @@ def sector_basis(space, charges):
     charge within an integer interval, so what the unset factors can still
     add is the interval [lo, hi] of the sums of their extremes; on Z_N
     links only the residue modulo N has to be reachable.
+
+    The indices are int64: a space with more product states than that
+    holds raises SolverError before anything is enumerated.
     """
     lat = space.lattice
     charges = tuple(int(q) for q in charges)
@@ -220,6 +224,10 @@ def sector_basis(space, charges):
     if space.linkops.model not in (linkalg.U1_TRUNCATED, linkalg.SPIN_GAUGE,
                                    linkalg.ZN):
         raise ValueError("sector enumeration needs Abelian links")
+    if space.dim - 1 > np.iinfo(np.int64).max:
+        raise SolverError(
+            f"product space of {space.dim} states exceeds the int64 index "
+            f"range of the sector enumeration")
     base, effects = _charge_effects(space)
     # lo[f], hi[f]: extremes of what the factors after f can still add
     lo = np.zeros((len(effects) + 1, lat.vertex_count), dtype=np.int64)

@@ -21,9 +21,10 @@ is passed:
   as label shifts (``ProductSpace.shift``), its targets located among the
   sector's sorted indices with ``np.searchsorted``.  The result is the
   sector-dimension block, equal to ``solver.restrict`` of the full H, at a
-  cost that scales with the sector dimension.  A piece that sends nonzero
-  amplitude out of the sector (the gauge-variant hopping) raises
-  ValueError; no amplitude is dropped.
+  cost that scales with the sector dimension.  When pieces send nonzero
+  amplitude out of the sector (the gauge-variant hopping), SectorLeak, a
+  ValueError, is raised after all pieces are applied; it carries the
+  largest such amplitude and the block.
 
 D (diagonal terms):
 
@@ -153,8 +154,8 @@ class Model:
         Without a sector, H acts on the full space and each piece is
         embedded.  With an enumeration sector (gauge.sector_basis), H is the
         sector-dimension block: D is read from the sector's labels and each
-        piece is applied to the sector's states as label shifts; a piece
-        that leaves the sector raises ValueError.
+        piece is applied to the sector's states as label shifts; pieces
+        that leave the sector raise SectorLeak.
         """
         space = self.space
         solver.log_dim_full(space.dim)
@@ -166,16 +167,35 @@ class Model:
                 diag += DIAGONAL_TERMS[t](self, labels)
             else:
                 pieces += [(t, piece) for piece in OFF_DIAGONAL_TERMS[t](self)]
-        off = _sum_pieces(space, sector, pieces, len(diag))
-        return (off + off.conj().T + space.diagonal_op(diag)).tocsr()
+        off, (leak, term) = _sum_pieces(space, sector, pieces, len(diag))
+        h = (off + off.conj().T + space.diagonal_op(diag)).tocsr()
+        if leak:
+            raise SectorLeak(
+                f"{term} term leaves the Gauss sector {sector.charges} "
+                f"(amplitude {leak:.3e})", leak, h)
+        return h
+
+
+class SectorLeak(ValueError):
+    """Pieces of T send nonzero amplitude out of a Gauss sector: H is not
+    block diagonal there.  `amplitude` is the largest such amplitude,
+    `block` the sector block of H all the same."""
+
+    def __init__(self, message, amplitude, block):
+        super().__init__(message)
+        self.amplitude = amplitude
+        self.block = block
 
 
 def _sum_pieces(space, sector, pieces, n):
     """T = the sum of the (term, (coeff, factors, matter)) pieces as one
     n x n CSR, in one COO pass: embedded on the full space (sector None),
-    applied as label shifts on the sector's states otherwise."""
+    applied as label shifts on the sector's states otherwise.  Also
+    returns (the largest amplitude a piece sends out of the sector, the
+    term of that piece); (0.0, None) without a leak."""
     rows, cols = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)]
     data = [np.zeros(0, dtype=complex)]
+    leak = (0.0, None)
     for t, (coeff, factors, matter) in pieces:
         if sector is None:
             piece = (coeff * space.embed(factors, matter)).tocoo()
@@ -187,15 +207,17 @@ def _sum_pieces(space, sector, pieces, n):
         row = np.searchsorted(sector.indices, target)
         inside = row < n
         inside[inside] = sector.indices[row[inside]] == target[inside]
-        if np.any(value[~inside] != 0):
-            raise ValueError(
-                f"{t} term leaves the Gauss sector {sector.charges}")
+        amplitude = float(np.max(np.abs(coeff * value[~inside]),
+                                 initial=0.0))
+        if amplitude > leak[0]:
+            leak = (amplitude, t)
         rows.append(row[inside])
         cols.append(source[inside])
         data.append(coeff * value[inside])
-    return sparse.coo_matrix(
+    off = sparse.coo_matrix(
         (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
         shape=(n, n)).tocsr()
+    return off, leak
 
 
 ABELIAN_LINK_OPS = {KS_U1: linkalg.u1_ops, SPIN_GAUGE: linkalg.spin_gauge_ops,

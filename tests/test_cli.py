@@ -4,10 +4,15 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+import scipy.linalg
 
 import lgtlab
+from lgtlab import cli
 from lgtlab.cli import ConfigError, load_config, main, run
+from lgtlab.gauge import sector_basis
+from lgtlab.solver import restrict
 
 BASE = {
     "scenario": "spectrum",
@@ -331,6 +336,8 @@ def test_potential_chain_10_runs_in_sectors(tmp_path, monkeypatch):
     dims = [int(row.split(",")[2]) for row in rows]
     assert m["timing"]["dim_full"] == 3 ** 9 * 2 ** 10
     assert m["timing"]["solve_dims"] == dims
+    assert m["timing"]["solve_paths"] == ["dense"] * len(dims)
+    assert 0.0 <= m["timing"]["worst_relative_residual"] <= 1e-9
     assert m["timing"]["evolve_dims"] == []
     assert m["timing"]["peak_rss_mb"] > 0
 
@@ -366,3 +373,82 @@ def test_dynamics_timing_records_the_sector_evolution(tmp_path):
     assert timing["dim_full"] == 3 ** 5 * 2 ** 6
     assert timing["evolve_dims"] == [7]       # the string's Gauss sector
     assert timing["solve_dims"] == []
+
+
+TORUS = {"spatial_dim": 2, "sizes": [2, 2], "boundary": "periodic"}
+CHARGED_SPECTRA = {
+    # the bench's spectrum_torus at seed 0: 1,333 of 390,625 states
+    "torus_cutoff2": (TORUS, {"model": "ks_u1", "truncation": 2,
+                              "g2": 1.094928}, 1333),
+    "torus_cutoff1": (TORUS, {"model": "ks_u1", "truncation": 1,
+                              "g2": 0.8}, 115),
+    "open_2x2": (BASE["lattice"], BASE["hamiltonian"], 3),
+}
+
+
+@pytest.mark.parametrize("name", CHARGED_SPECTRA)
+def test_charged_spectrum_never_builds_the_full_space(tmp_path, monkeypatch,
+                                                      name):
+    lattice, hamiltonian, sector_dim = CHARGED_SPECTRA[name]
+    cfg = {"scenario": "spectrum", "lattice": lattice,
+           "hamiltonian": hamiltonian,
+           "params": {"k": 4, "charges": [0, 0, 0, 0]}}
+    # the full-space oracle, built before the full-space paths are barred
+    model = cli.build_model(cli.parse_hamiltonian(hamiltonian),
+                            cli.parse_lattice(lattice))
+    h = restrict(model.hamiltonian(), sector_basis(model.space, [0] * 4))
+    oracle = scipy.linalg.eigh(h.toarray(), eigvals_only=True)[:4]
+
+    from lgtlab.tensor import ProductSpace
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("full-space object built")
+    monkeypatch.setattr(ProductSpace, "labels", property(refuse))
+    monkeypatch.setattr(ProductSpace, "embed", refuse)
+    monkeypatch.setattr(cli, "max_gauss_violation", refuse)
+    status, _ = run(cfg, str(tmp_path / "out"))
+    m = read_manifest(tmp_path / "out")
+    assert status == 0, m["error"]
+    assert m["timing"]["solve_dims"] == [sector_dim]
+    assert m["timing"]["solve_paths"] == [
+        "lanczos" if sector_dim > cli.solver.DENSE_LIMIT else "dense"]
+    assert m["results"]["sector_dim"] == sector_dim
+    assert m["checks"] == [{"name": "gauge_invariance", "value": 0.0,
+                            "threshold": 1e-10, "pass": True}]
+    rows = (tmp_path / "out" / "spectrum.csv").read_text().splitlines()[1:]
+    energies = np.array([float(row.split(",")[1]) for row in rows])
+    assert energies.shape == oracle.shape
+    assert np.max(np.abs(energies - oracle)) <= 1e-10
+
+
+def test_gauge_variant_charged_spectrum_fails_its_check(tmp_path):
+    # the microscopic hopping moves flux between perpendicular links and
+    # leaves every Gauss sector: the check carries the amplitude it sends
+    # out (eta), and no spectrum is written
+    cfg = json.loads(json.dumps(BASE))
+    cfg["hamiltonian"].update(terms=["electric", "magnetic", "hopping"],
+                              eta=0.1)
+    status, _ = run(cfg, str(tmp_path / "out"))
+    assert status == 1
+    m = read_manifest(tmp_path / "out")
+    assert m["exit_status"] == 1 and m["error"] is None
+    [check] = m["checks"]
+    assert check["name"] == "gauge_invariance" and not check["pass"]
+    assert check["value"] > check["threshold"]
+    assert check["value"] == pytest.approx(0.1)
+    assert m["files"] == []
+    assert not (tmp_path / "out" / "spectrum.csv").exists()
+
+
+def test_charged_spectrum_beyond_int64_exits_3_before_enumerating(tmp_path):
+    # the open 5x5 at cutoff 1 has 3^40 > 2^63 product states
+    cfg = json.loads(json.dumps(BASE))
+    cfg["lattice"]["sizes"] = [5, 5]
+    cfg["hamiltonian"]["g2"] = 1.0
+    cfg["params"]["charges"] = [0] * 25
+    status, _ = run(cfg, str(tmp_path / "out"))
+    assert status == 3
+    m = read_manifest(tmp_path / "out")
+    assert m["exit_status"] == 3
+    assert str(3 ** 40) in m["error"]
+    assert m["timing"]["dim_full"] is None     # no Hamiltonian assembled

@@ -12,11 +12,11 @@ from scipy.sparse.linalg import expm_multiply
 
 from lgtlab.gauge import abelian_charge_table, all_sector_dimensions, \
     sector_basis
-from lgtlab.hamiltonian import HamiltonianSpec, build_model
+from lgtlab.hamiltonian import HamiltonianSpec, SectorLeak, build_model
 from lgtlab.lattice import build_lattice
 from lgtlab.observables import flux_profile, flux_tube_breaking_scenario, \
     strong_coupling_ground
-from lgtlab.solver import restrict
+from lgtlab.solver import SolverError, restrict
 
 
 def chain(n, boundary="open"):
@@ -146,6 +146,36 @@ def test_hopping_raises_on_a_sector():
     sec = sector_basis(model.space, [0] * 4)
     with pytest.raises(ValueError, match="hopping"):
         model.hamiltonian(("hopping",), sector=sec)
+
+
+def test_sector_leak_carries_the_out_of_sector_amplitude_and_block():
+    spec = HamiltonianSpec(model="ks_u1", truncation=1, eta=0.1,
+                           terms=("electric", "magnetic", "hopping"))
+    model = build_model(spec, lattice_2d(2, 2))
+    sec = sector_basis(model.space, [0] * 4)
+    h = model.hamiltonian()
+    with pytest.raises(SectorLeak) as leak:
+        model.hamiltonian(sector=sec)
+    # oracle: the largest entry of the full H from a sector state to a
+    # state outside the sector
+    outside = np.ones(model.space.dim, dtype=bool)
+    outside[sec.indices] = False
+    columns = h[:, sec.indices].toarray()
+    assert leak.value.amplitude == pytest.approx(
+        np.max(np.abs(columns[outside])), abs=1e-15)
+    assert leak.value.amplitude == pytest.approx(0.1, abs=1e-15)
+    diff = leak.value.block.toarray() - restrict(h, sec).toarray()
+    assert np.max(np.abs(diff)) <= 1e-14
+
+
+def test_sector_basis_refuses_a_space_beyond_int64():
+    # 3^40 product states on the open 5x5 at cutoff 1: int64 indices
+    # would wrap, so the enumeration must not start
+    model = build_model(HamiltonianSpec(model="ks_u1", truncation=1),
+                        lattice_2d(5, 5))
+    assert model.space.dim == 3 ** 40 > np.iinfo(np.int64).max
+    with pytest.raises(SolverError, match=str(3 ** 40)):
+        sector_basis(model.space, [0] * 25)
 
 
 @pytest.mark.parametrize("n", [4, 5, 6])

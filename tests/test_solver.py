@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy import sparse
 
+from lgtlab import solver
 from lgtlab.gauge import GaussSector, sector_basis
 from lgtlab.hamiltonian import HamiltonianSpec, build_model
 from lgtlab.lattice import build_lattice
 from lgtlab.matter import STAGGERED
 from lgtlab.solver import SolverError, effective_second_order, eigs, evolve, \
-    ground_energy, restrict
+    ground_energy, restrict, run_log
 
 PLAQ = build_lattice(2, [2, 2])
 
@@ -98,6 +100,55 @@ def test_eigs_dense_lowest_pairs_real_and_complex(imag):
     assert np.iscomplexobj(v) == (imag != 0.0)
     for i in range(4):
         assert np.linalg.norm(a @ v[:, i] - w[i] * v[:, i]) < 1e-12
+
+
+TORUS = build_lattice(2, [2, 2], "periodic")
+CHAIN_MATTER = HamiltonianSpec(model="ks_u1", truncation=1, g2=1.1, eps=0.5,
+                               mass=0.3, matter=STAGGERED)
+LANCZOS_CASES = {
+    f"torus-cutoff{cutoff}-g2_{g2}": (
+        HamiltonianSpec(model="ks_u1", truncation=cutoff, g2=g2), TORUS)
+    for cutoff in (1, 2) for g2 in (0.5, 1.094928, 2.0)
+}
+LANCZOS_CASES.update({
+    f"open{nx}x{ny}": (HamiltonianSpec(model="ks_u1", truncation=1, g2=1.1),
+                       build_lattice(2, [nx, ny]))
+    for nx, ny in ((3, 3), (4, 3))
+})
+LANCZOS_CASES["chain8-staggered"] = (CHAIN_MATTER, build_lattice(1, [8]))
+# the Dirac hop i sigma_k makes this sector H genuinely complex
+LANCZOS_CASES["naive2d-2x2"] = (
+    HamiltonianSpec(model="spin_gauge", truncation=1, eps=0.4, mass=0.2,
+                    matter="naive2d"), PLAQ)
+
+
+@pytest.mark.parametrize("name", LANCZOS_CASES)
+def test_lanczos_matches_dense_on_sector_hamiltonians(monkeypatch, name):
+    # Lanczos wherever ARPACK can run it; the torus sectors have levels
+    # outside the lattice-symmetric subspace, which an all-ones start
+    # vector never reaches
+    monkeypatch.setattr(solver, "DENSE_LIMIT", 0)
+    spec, lat = LANCZOS_CASES[name]
+    model = build_model(spec, lat)
+    h = model.hamiltonian(
+        sector=sector_basis(model.space, [0] * lat.vertex_count))
+    with run_log() as log:
+        w, _ = eigs(h, 4)
+    assert log.solve_paths == ["lanczos"]
+    dense = scipy.linalg.eigh(h.toarray(), eigvals_only=True)[:4]
+    assert np.max(np.abs(w - dense)) <= 1e-10
+
+
+def test_eigs_logs_path_and_worst_residual(monkeypatch):
+    monkeypatch.setattr(solver, "DENSE_LIMIT", 4)
+    diag = sparse.diags(np.arange(8.0)).tocsr()
+    with run_log() as log:
+        eigs(diag[:4, :4], 1)           # at the limit: dense
+        eigs(diag, 7)                   # k >= dim - 1: dense all the same
+        eigs(diag, 2)                   # Lanczos
+    assert log.solve_dims == [4, 8, 8]
+    assert log.solve_paths == ["dense", "dense", "lanczos"]
+    assert 0.0 <= log.worst_relative_residual <= 1e-9
 
 
 def test_eigs_k_too_large():
