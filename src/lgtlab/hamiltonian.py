@@ -21,10 +21,12 @@ is passed:
   as label shifts (``ProductSpace.shift``), its targets located among the
   sector's sorted indices with ``np.searchsorted``.  The result is the
   sector-dimension block, equal to ``solver.restrict`` of the full H, at a
-  cost that scales with the sector dimension.  When pieces send nonzero
-  amplitude out of the sector (the gauge-variant hopping), SectorLeak, a
-  ValueError, is raised after all pieces are applied; it carries the
-  largest such amplitude and the block.
+  cost that scales with the sector dimension.  A piece's adjoint is
+  applied as well where the piece keeps no sector state in the sector.
+  When T or T^dag sends nonzero amplitude out of the sector (the
+  gauge-variant hopping), SectorLeak, a ValueError, is raised after all
+  pieces are applied; it carries the largest such amplitude and the
+  block.
 
 D (diagonal terms):
 
@@ -154,11 +156,12 @@ class Model:
         Without a sector, H acts on the full space and each piece is
         embedded.  With an enumeration sector (gauge.sector_basis), H is the
         sector-dimension block: D is read from the sector's labels and each
-        piece is applied to the sector's states as label shifts; pieces
-        that leave the sector raise SectorLeak.
+        piece (and, where T^dag might leave the sector, its adjoint) is
+        applied to the sector's states as label shifts; amplitude sent out
+        of the sector raises SectorLeak.
         """
         space = self.space
-        solver.log_dim_full(space.dim)
+        solver.log_max("dim_full", space.dim)
         labels = gauge.sector_labels(space, sector)
         diag = np.zeros(labels.shape[1])
         pieces = []
@@ -177,9 +180,9 @@ class Model:
 
 
 class SectorLeak(ValueError):
-    """Pieces of T send nonzero amplitude out of a Gauss sector: H is not
-    block diagonal there.  `amplitude` is the largest such amplitude,
-    `block` the sector block of H all the same."""
+    """T or T^dag sends nonzero amplitude out of a Gauss sector: H is not
+    block diagonal there.  `amplitude` is the largest amplitude a piece
+    of T or T^dag sends out, `block` the sector block of H all the same."""
 
     def __init__(self, message, amplitude, block):
         super().__init__(message)
@@ -190,34 +193,54 @@ class SectorLeak(ValueError):
 def _sum_pieces(space, sector, pieces, n):
     """T = the sum of the (term, (coeff, factors, matter)) pieces as one
     n x n CSR, in one COO pass: embedded on the full space (sector None),
-    applied as label shifts on the sector's states otherwise.  Also
-    returns (the largest amplitude a piece sends out of the sector, the
-    term of that piece); (0.0, None) without a leak."""
+    applied as label shifts on the sector's states otherwise.
+
+    On a sector, T^dag can leave the sector where T does not, so a piece's
+    adjoint is applied too, unless the piece keeps some sector state in the
+    sector: every piece moves the Gauss charges by one fixed amount (flux
+    shifts and at most one fermion move), which is then 0 for the piece and
+    its adjoint alike.  Also returns (the largest amplitude a piece of T
+    or T^dag sends out of the sector, the term of that piece); (0.0, None)
+    without a leak."""
     rows, cols = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)]
     data = [np.zeros(0, dtype=complex)]
     leak = (0.0, None)
-    for t, (coeff, factors, matter) in pieces:
+    for t, piece in pieces:
+        coeff, factors, matter = piece
         if sector is None:
             piece = (coeff * space.embed(factors, matter)).tocoo()
             rows.append(piece.row)
             cols.append(piece.col)
             data.append(piece.data)
             continue
-        source, target, value = space.shift(sector.indices, factors, matter)
-        row = np.searchsorted(sector.indices, target)
-        inside = row < n
-        inside[inside] = sector.indices[row[inside]] == target[inside]
-        amplitude = float(np.max(np.abs(coeff * value[~inside]),
-                                 initial=0.0))
-        if amplitude > leak[0]:
-            leak = (amplitude, t)
-        rows.append(row[inside])
-        cols.append(source[inside])
-        data.append(coeff * value[inside])
+        for adjoint, (c, f, m) in enumerate(_directions(piece)):
+            source, target, value = space.shift(sector.indices, f, m)
+            row = np.searchsorted(sector.indices, target)
+            inside = row < n
+            inside[inside] = sector.indices[row[inside]] == target[inside]
+            if not adjoint:
+                rows.append(row[inside])
+                cols.append(source[inside])
+                data.append(c * value[inside])
+            amplitude = float(np.max(np.abs(c * value[~inside]),
+                                     initial=0.0))
+            if amplitude > leak[0]:
+                leak = (amplitude, t)
+            if inside.any():
+                break
     off = sparse.coo_matrix(
         (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
         shape=(n, n)).tocsr()
     return off, leak
+
+
+def _directions(piece):
+    """The piece, then (coeff, factors, matter) of its Hermitian conjugate:
+    the matrices on each link daggered in reverse order."""
+    yield piece
+    coeff, factors, matter = piece
+    yield (np.conj(coeff), [(l, m.conj().T) for l, m in reversed(factors)],
+           None if matter is None else matter.conj().T)
 
 
 ABELIAN_LINK_OPS = {KS_U1: linkalg.u1_ops, SPIN_GAUGE: linkalg.spin_gauge_ops,

@@ -421,13 +421,18 @@ def test_charged_spectrum_never_builds_the_full_space(tmp_path, monkeypatch,
     assert np.max(np.abs(energies - oracle)) <= 1e-10
 
 
-def test_gauge_variant_charged_spectrum_fails_its_check(tmp_path):
+# in the one-state sector with horizontal links at +1 and vertical links at
+# 0, every hop U_a U_b^dag annihilates the state and only the adjoint hops
+# leave the sector
+@pytest.mark.parametrize("charges", [[0, 0, 0, 0], [1, 1, -1, -1]])
+def test_gauge_variant_charged_spectrum_fails_its_check(tmp_path, charges):
     # the microscopic hopping moves flux between perpendicular links and
     # leaves every Gauss sector: the check carries the amplitude it sends
     # out (eta), and no spectrum is written
     cfg = json.loads(json.dumps(BASE))
     cfg["hamiltonian"].update(terms=["electric", "magnetic", "hopping"],
                               eta=0.1)
+    cfg["params"]["charges"] = charges
     status, _ = run(cfg, str(tmp_path / "out"))
     assert status == 1
     m = read_manifest(tmp_path / "out")

@@ -148,11 +148,15 @@ def test_hopping_raises_on_a_sector():
         model.hamiltonian(("hopping",), sector=sec)
 
 
-def test_sector_leak_carries_the_out_of_sector_amplitude_and_block():
+# the one state of the second sector has horizontal links at +1 and
+# vertical ones at 0: every hop U_a U_b^dag annihilates it, and only the
+# adjoint hops leave the sector
+@pytest.mark.parametrize("charges", [[0, 0, 0, 0], [1, 1, -1, -1]])
+def test_sector_leak_carries_the_out_of_sector_amplitude_and_block(charges):
     spec = HamiltonianSpec(model="ks_u1", truncation=1, eta=0.1,
                            terms=("electric", "magnetic", "hopping"))
     model = build_model(spec, lattice_2d(2, 2))
-    sec = sector_basis(model.space, [0] * 4)
+    sec = sector_basis(model.space, charges)
     h = model.hamiltonian()
     with pytest.raises(SectorLeak) as leak:
         model.hamiltonian(sector=sec)

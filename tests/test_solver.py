@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -105,21 +107,42 @@ def test_eigs_dense_lowest_pairs_real_and_complex(imag):
 TORUS = build_lattice(2, [2, 2], "periodic")
 CHAIN_MATTER = HamiltonianSpec(model="ks_u1", truncation=1, g2=1.1, eps=0.5,
                                mass=0.3, matter=STAGGERED)
+def neutral_sector_h(spec, lat):
+    model = build_model(spec, lat)
+    return model.hamiltonian(
+        sector=sector_basis(model.space, [0] * lat.vertex_count))
+
+
+def effective_check_h(lam):
+    # He + penalty + hopping as the effective_check scenario sums them at
+    # ell = 2 (625 states): stiff, with a low cluster split by ~eta^2/lam
+    model = build_model(HamiltonianSpec(model="spin_gauge", truncation=2,
+                                        g2=1.0, lam=lam, eta=0.1), PLAQ)
+    return sum(model.hamiltonian((t,))
+               for t in ("electric", "penalty", "hopping"))
+
+
 LANCZOS_CASES = {
-    f"torus-cutoff{cutoff}-g2_{g2}": (
+    f"torus-cutoff{cutoff}-g2_{g2}": partial(
+        neutral_sector_h,
         HamiltonianSpec(model="ks_u1", truncation=cutoff, g2=g2), TORUS)
     for cutoff in (1, 2) for g2 in (0.5, 1.094928, 2.0)
 }
 LANCZOS_CASES.update({
-    f"open{nx}x{ny}": (HamiltonianSpec(model="ks_u1", truncation=1, g2=1.1),
-                       build_lattice(2, [nx, ny]))
+    f"open{nx}x{ny}": partial(
+        neutral_sector_h, HamiltonianSpec(model="ks_u1", truncation=1, g2=1.1),
+        build_lattice(2, [nx, ny]))
     for nx, ny in ((3, 3), (4, 3))
 })
-LANCZOS_CASES["chain8-staggered"] = (CHAIN_MATTER, build_lattice(1, [8]))
+LANCZOS_CASES["chain8-staggered"] = partial(
+    neutral_sector_h, CHAIN_MATTER, build_lattice(1, [8]))
 # the Dirac hop i sigma_k makes this sector H genuinely complex
-LANCZOS_CASES["naive2d-2x2"] = (
+LANCZOS_CASES["naive2d-2x2"] = partial(
+    neutral_sector_h,
     HamiltonianSpec(model="spin_gauge", truncation=1, eps=0.4, mass=0.2,
                     matter="naive2d"), PLAQ)
+LANCZOS_CASES.update({f"effective-check-ell2-lam{lam:g}":
+                      partial(effective_check_h, lam) for lam in (40.0, 160.0)})
 
 
 @pytest.mark.parametrize("name", LANCZOS_CASES)
@@ -128,15 +151,50 @@ def test_lanczos_matches_dense_on_sector_hamiltonians(monkeypatch, name):
     # outside the lattice-symmetric subspace, which an all-ones start
     # vector never reaches
     monkeypatch.setattr(solver, "DENSE_LIMIT", 0)
-    spec, lat = LANCZOS_CASES[name]
-    model = build_model(spec, lat)
-    h = model.hamiltonian(
-        sector=sector_basis(model.space, [0] * lat.vertex_count))
+    h = LANCZOS_CASES[name]()
     with run_log() as log:
         w, _ = eigs(h, 4)
     assert log.solve_paths == ["lanczos"]
     dense = scipy.linalg.eigh(h.toarray(), eigvals_only=True)[:4]
     assert np.max(np.abs(w - dense)) <= 1e-10
+
+
+def tridiagonal(n, seed):
+    rng = np.random.default_rng(seed)
+    off = sparse.diags(np.ones(n - 1), 1)
+    return sparse.diags(rng.uniform(0, 10, n)) + off + off.T
+
+
+def test_lanczos_finds_every_copy_of_degenerate_levels(monkeypatch):
+    # every level three times over, the blocks hidden by a permutation
+    monkeypatch.setattr(solver, "DENSE_LIMIT", 0)
+    h = sparse.kron(sparse.identity(3), tridiagonal(200, 3)).tocsr()
+    perm = np.random.default_rng(4).permutation(h.shape[0])
+    h = h[perm][:, perm]
+    w, _ = eigs(h, 4)
+    dense = scipy.linalg.eigh(h.toarray(), eigvals_only=True)[:4]
+    assert dense[0] == pytest.approx(dense[2], abs=1e-12)
+    assert np.max(np.abs(w - dense)) <= 1e-10
+
+
+def test_lanczos_missed_level_raises(monkeypatch):
+    # the main solve starts with no weight on the second block, so its
+    # Krylov space never reaches that block's lower levels while every
+    # residual stays small; the missed-level check must catch it
+    monkeypatch.setattr(solver, "DENSE_LIMIT", 0)
+    h = sparse.block_diag(
+        [tridiagonal(100, 3), tridiagonal(100, 5) - 5.0 * sparse.identity(100)],
+        format="csr")
+    start = solver._start_vector
+
+    def blind(dim, seed):
+        v = start(dim, seed)
+        if seed == 0:
+            v[100:] = 0.0
+        return v
+    monkeypatch.setattr(solver, "_start_vector", blind)
+    with pytest.raises(SolverError, match="missed a level"):
+        eigs(h, 4)
 
 
 def test_eigs_logs_path_and_worst_residual(monkeypatch):
