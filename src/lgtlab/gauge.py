@@ -130,8 +130,9 @@ def gauss_generators_su2(space, link_space):
             if g is None:
                 g = sparse.csr_matrix((space.dim, space.dim), dtype=complex)
             if space.layout is not None:
-                g = g - space.embed(
-                    matter=matter_mod.su2_charge(space.layout, v, axis))
+                for coeff, factors in matter_mod.su2_charge(space.layout, v,
+                                                            axis):
+                    g = g - coeff * space.embed(factors)
             triple.append(g.tocsr())
         gens.append(triple)
     return gens

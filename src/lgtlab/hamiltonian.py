@@ -8,9 +8,9 @@ with D diagonal in the product basis and T the off-diagonal part, so
 Hermiticity is structural.  ``Model.hamiltonian`` is the only place terms
 are summed: each diagonal term returns one value per state of a label
 table, and each off-diagonal term yields the pieces of T once, as a
-coefficient, local link matrices and an optional matter operator.  The
-pieces are realized in one of two ways, chosen by whether a Gauss sector
-is passed:
+coefficient and local matrices on tensor factors (links and fermion
+modes).  The pieces are realized in one of two ways, chosen by whether a
+Gauss sector is passed:
 
 * full space (``model.hamiltonian()``): D reads the full label table and
   each piece is embedded through ``ProductSpace.embed``; the pieces are
@@ -191,7 +191,7 @@ class SectorLeak(ValueError):
 
 
 def _sum_pieces(space, sector, pieces, n):
-    """T = the sum of the (term, (coeff, factors, matter)) pieces as one
+    """T = the sum of the (term, (coeff, factors)) pieces as one
     n x n CSR, in one COO pass: embedded on the full space (sector None),
     applied as label shifts on the sector's states otherwise.
 
@@ -206,15 +206,15 @@ def _sum_pieces(space, sector, pieces, n):
     data = [np.zeros(0, dtype=complex)]
     leak = (0.0, None)
     for t, piece in pieces:
-        coeff, factors, matter = piece
+        coeff, factors = piece
         if sector is None:
-            piece = (coeff * space.embed(factors, matter)).tocoo()
+            piece = (coeff * space.embed(factors)).tocoo()
             rows.append(piece.row)
             cols.append(piece.col)
             data.append(piece.data)
             continue
-        for adjoint, (c, f, m) in enumerate(_directions(piece)):
-            source, target, value = space.shift(sector.indices, f, m)
+        for adjoint, (c, f) in enumerate(_directions(piece)):
+            source, target, value = space.shift(sector.indices, f)
             row = np.searchsorted(sector.indices, target)
             inside = row < n
             inside[inside] = sector.indices[row[inside]] == target[inside]
@@ -235,12 +235,11 @@ def _sum_pieces(space, sector, pieces, n):
 
 
 def _directions(piece):
-    """The piece, then (coeff, factors, matter) of its Hermitian conjugate:
-    the matrices on each link daggered in reverse order."""
+    """The piece, then (coeff, factors) of its Hermitian conjugate: the
+    matrices on each factor daggered in reverse order."""
     yield piece
-    coeff, factors, matter = piece
-    yield (np.conj(coeff), [(l, m.conj().T) for l, m in reversed(factors)],
-           None if matter is None else matter.conj().T)
+    coeff, factors = piece
+    yield np.conj(coeff), [(f, m.conj().T) for f, m in reversed(factors)]
 
 
 ABELIAN_LINK_OPS = {KS_U1: linkalg.u1_ops, SPIN_GAUGE: linkalg.spin_gauge_ops,
@@ -319,7 +318,7 @@ def _penalty(model, labels):
 
 # ---------------------------------------------------------------------------
 # off-diagonal terms: the pieces of T (H carries T + T^dag), each yielded
-# once as (coeff, [(link, local matrix), ...], matter operator or None)
+# once as (coeff, [(factor, local matrix), ...]) over links and modes
 # ---------------------------------------------------------------------------
 
 def _magnetic(model):
@@ -340,14 +339,14 @@ def _magnetic(model):
         loops = [[space.linkops[k] for k in (up, up, dn, dn)]]
     for plaq in model.lattice.plaquettes:
         for mats in loops:
-            yield coeff, list(zip(plaq.links, mats)), None
+            yield coeff, list(zip(plaq.links, mats))
 
 
 def _gauge_matter(model):
     """The gauge-matter hop eps psi^dag_a U_l psi_b on every link
-    l = (a, b): one piece per link for staggered matter, the Dirac
-    structure i sigma_k for naive fermions, one per color pair for
-    SU(2)."""
+    l = (a, b): one piece per link for staggered matter, one per nonzero
+    entry of the Dirac structure i sigma_k for naive fermions, one per
+    color pair for SU(2)."""
     spec, space, lat = model.spec, model.space, model.lattice
     if spec.eps == 0.0 or spec.matter is None:
         return
@@ -359,17 +358,22 @@ def _gauge_matter(model):
         a, b = lat.link_endpoints(l)
         if naive:
             s = matter_mod._SIGMA["x" if lat.links[l][1] == 1 else "y"]
-            ferm = sum(s[i, j] * (layout.cdag(a, i) @ layout.c(b, j))
-                       for i in range(2) for j in range(2) if s[i, j] != 0)
-            yield spec.eps, [(l, 1j * space.linkops["U"])], ferm
+            for i, j in product(range(2), repeat=2):
+                if s[i, j] != 0:
+                    yield (spec.eps * s[i, j],
+                           [(l, 1j * space.linkops["U"])]
+                           + matter_mod.hop(layout.factor(a, i),
+                                            layout.factor(b, j)))
         elif spec.model == SU2:
             for (i, m), (j, mp) in product(enumerate((0.5, -0.5)),
                                            repeat=2):
-                yield (spec.eps, [(l, model.rotation.entry(m, mp))],
-                       layout.cdag(a, i) @ layout.c(b, j))
+                yield (spec.eps, [(l, model.rotation.entry(m, mp))]
+                       + matter_mod.hop(layout.factor(a, i),
+                                        layout.factor(b, j)))
         else:
             up = space.linkops["Qdag" if spec.model == ZN else "U"]
-            yield spec.eps, [(l, up)], layout.cdag(a) @ layout.c(b)
+            yield spec.eps, [(l, up)] + matter_mod.hop(layout.factor(a),
+                                                       layout.factor(b))
 
 
 def _hopping(model):
@@ -387,7 +391,7 @@ def _hopping(model):
         raise ValueError("diagonal hopping needs a 2d lattice")
     up, dn = space.linkops["U"], space.linkops["Udag"]
     for (a, b, _v) in diagonal_link_pairs(model.lattice):
-        yield spec.eta, [(a, up), (b, dn)], None
+        yield spec.eta, [(a, up), (b, dn)]
 
 
 DIAGONAL_TERMS = {"electric": _electric, "mass": _mass, "penalty": _penalty}

@@ -2,9 +2,11 @@
 
 Modes are ordered by (vertex index, species index) following the lattice's
 lexicographic vertex order; the Jordan-Wigner string runs along this single
-global order.  All creation/annihilation matrices act on the 2^modes
-occupation space (bit 0 = mode 0 = most significant position in the tensor
-product), and satisfy the canonical anticommutation relations exactly.
+global order.  Each mode is a 2-state tensor factor of the product space
+(|0> empty, |1> occupied), placed after the lattice's links in mode order,
+so a fermion bilinear c^dag_a c_b is a list of 2x2 local matrices on mode
+factors (``hop``), applied by ``ProductSpace.embed`` and
+``ProductSpace.shift`` like any link operator; no 2^modes matrix is built.
 
 Layouts:
 
@@ -14,10 +16,9 @@ Layouts:
 * su2fundamental: two color components per vertex coupled to SU(2) links.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from .lattice import staggered_sign
 
@@ -27,10 +28,9 @@ SU2_FUNDAMENTAL = "su2fundamental"
 
 _SPECIES = {STAGGERED: 1, NAIVE2D: 2, SU2_FUNDAMENTAL: 2}
 
-MAX_MODES = 16
-
 _PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
 _LOWER = np.array([[0.0, 1.0], [0.0, 0.0]])   # c|1> = |0>
+_RAISE = _LOWER.T
 
 
 @dataclass
@@ -38,56 +38,36 @@ class FermionLayout:
     scheme: str
     lattice: object
     n_modes: int
-    annihilators: list = field(repr=False)     # sparse matrices, mode order
 
     @property
     def species_per_vertex(self):
         return _SPECIES[self.scheme]
 
-    @property
-    def dim(self):
-        return 2 ** self.n_modes
-
     def mode_index(self, vertex, species=0):
         return vertex * self.species_per_vertex + species
 
-    def c(self, vertex, species=0):
-        return self.annihilators[self.mode_index(vertex, species)]
-
-    def cdag(self, vertex, species=0):
-        return self.c(vertex, species).conj().T.tocsr()
-
-    def number(self, vertex, species=0):
-        c = self.c(vertex, species)
-        return (c.conj().T @ c).tocsr()
+    def factor(self, vertex, species=0):
+        """Tensor-factor position of a mode: after the lattice's links."""
+        return self.lattice.link_count + self.mode_index(vertex, species)
 
 
-def _jordan_wigner(n_modes):
-    """Annihilation matrices c_j = Z x ... x Z x lower x 1 x ... x 1."""
-    eye = sparse.identity(2, format="csr")
-    z = sparse.csr_matrix(_PAULI_Z)
-    low = sparse.csr_matrix(_LOWER)
-    ops = []
-    for j in range(n_modes):
-        factors = [z] * j + [low] + [eye] * (n_modes - j - 1)
-        m = factors[0]
-        for f in factors[1:]:
-            m = sparse.kron(m, f, format="csr")
-        ops.append(m.astype(complex))
-    return ops
+def hop(a, b):
+    """c^dag_a c_b as (factor, 2x2 matrix) pairs, for the mode factors a
+    and b: raising on a, Pauli Z on every mode strictly between them (the
+    Jordan-Wigner string), lowering on b; the number operator when a == b.
+    """
+    lo, hi = sorted((a, b))
+    return ([(a, _RAISE)] + [(k, _PAULI_Z) for k in range(lo + 1, hi)]
+            + [(b, _LOWER)])
 
 
 def fermion_ops(lat, scheme):
-    """Jordan-Wigner fermion layout for a lattice and species scheme."""
+    """Fermion layout for a lattice and species scheme."""
     if scheme not in _SPECIES:
         raise ValueError(f"unknown matter scheme {scheme!r}")
     if scheme == NAIVE2D and lat.spatial_dim != 2:
         raise ValueError("naive2d matter requires a 2d lattice")
-    n_modes = lat.vertex_count * _SPECIES[scheme]
-    if n_modes > MAX_MODES:
-        raise ValueError(
-            f"{n_modes} fermionic modes exceed the configured limit {MAX_MODES}")
-    return FermionLayout(scheme, lat, n_modes, _jordan_wigner(n_modes))
+    return FermionLayout(scheme, lat, lat.vertex_count * _SPECIES[scheme])
 
 
 def charge_shift(layout, vertex):
@@ -115,7 +95,8 @@ _SIGMA = {
 
 
 def su2_charge(layout, vertex, axis):
-    """Color charge Q^a = (1/2) psi^dag sigma^a psi at a vertex.
+    """Color charge Q^a = (1/2) psi^dag sigma^a psi at a vertex, as a list
+    of (coeff, factors) terms of c^dag_i c_j.
 
     The two species are the color components (index 0 = up).  Empty and
     doubly occupied vertices are charge singlets.
@@ -123,25 +104,9 @@ def su2_charge(layout, vertex, axis):
     if layout.scheme != SU2_FUNDAMENTAL:
         raise ValueError("su2_charge needs the su2fundamental scheme")
     s = _SIGMA[axis]
-    out = None
-    for i in range(2):
-        for j in range(2):
-            if s[i, j] == 0:
-                continue
-            term = 0.5 * s[i, j] * (layout.cdag(vertex, i) @ layout.c(vertex, j))
-            out = term if out is None else out + term
-    return out.tocsr()
-
-
-def charge_operator(layout, vertex, axis=None):
-    """Charge operator of a vertex: the occupied modes at the vertex minus
-    charge_shift (staggered, naive), or the color charge Q^axis (SU(2))."""
-    if layout.scheme == SU2_FUNDAMENTAL:
-        return su2_charge(layout, vertex, axis)
-    n = sum(layout.number(vertex, s)
-            for s in range(layout.species_per_vertex))
-    shift = float(charge_shift(layout, vertex))
-    return (n - shift * sparse.identity(layout.dim, format="csr")).tocsr()
+    return [(0.5 * s[i, j], hop(layout.factor(vertex, i),
+                                layout.factor(vertex, j)))
+            for i in range(2) for j in range(2) if s[i, j] != 0]
 
 
 def dirac_sea_state(layout):
@@ -157,9 +122,3 @@ def dirac_sea_state(layout):
         for s in range(layout.species_per_vertex):
             bits = (bits << 1) | (1 if occupied else 0)
     return bits
-
-
-def occupation_bits(layout, basis_index):
-    """Occupation tuple (mode order) of a computational basis index."""
-    return tuple((basis_index >> (layout.n_modes - 1 - j)) & 1
-                 for j in range(layout.n_modes))

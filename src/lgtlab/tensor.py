@@ -1,8 +1,9 @@
 """Tensor-product assembly of per-link operators and fermionic matter.
 
-The full Hilbert space is (link_0 x link_1 x ... x link_{L-1}) x matter,
-with link 0 the most significant tensor factor and the matter occupation
-space (if present) last.  Product-basis indices therefore decompose as
+The full Hilbert space is one list of tensor factors: link_0 x link_1 x
+... x link_{L-1}, then one 2-state factor per fermion mode (factor
+L + j is mode j), with link 0 the most significant.  Product-basis indices
+therefore decompose as
 
     index = ((s_0 * d_1 + s_1) * d_2 + ...) * 2^modes + occupation_bits
 
@@ -22,11 +23,13 @@ part D (electric, mass, penalty) of ``Model.hamiltonian``.
 
 Off-diagonal operators (the hopping and plaquette pieces of the
 Hamiltonian's T, SU(2) generators and string operators) are products of
-local link matrices times an optional matter operator, with two
-realizations:
+local matrices on tensor factors, links and fermion modes alike (a
+fermion hop carries its Jordan-Wigner string as Pauli Z factors, see
+``matter.hop``), with two realizations:
 
-* full space: ``ProductSpace.embed``, the one kron path, built in a single
-  pass in which each run of untouched factors is one cached identity;
+* full space: ``ProductSpace.embed``, the one Kronecker-product path,
+  built in COO form in a single pass in which each run of untouched
+  factors is one identity block;
 * Gauss sector: ``ProductSpace.shift``, which applies the same product to a
   list of product states as label shifts.  Each nonzero of a local
   matrix's column maps a source label to a target label, so the target
@@ -44,6 +47,7 @@ of being killed mid-allocation.
 
 from dataclasses import dataclass, field
 
+import math
 import os
 import resource
 
@@ -80,7 +84,6 @@ class ProductSpace:
     linkops: object                  # LinkOperatorSet shared by all links
     layout: object = None            # FermionLayout or None
 
-    _eye_cache: dict = field(default_factory=dict, repr=False)
     _tables: dict = field(default_factory=dict, repr=False)
 
     @property
@@ -93,7 +96,7 @@ class ProductSpace:
 
     @property
     def matter_dim(self):
-        return 1 if self.layout is None else self.layout.dim
+        return 2 ** self.n_modes
 
     @property
     def n_modes(self):
@@ -102,6 +105,11 @@ class ProductSpace:
     @property
     def dim(self):
         return self.link_dim ** self.n_links * self.matter_dim
+
+    @property
+    def radices(self):
+        """Local dimension of every tensor factor, links then modes."""
+        return [self.link_dim] * self.n_links + [2] * self.n_modes
 
     @property
     def labels(self):
@@ -116,7 +124,7 @@ class ProductSpace:
     def decode(self, indices):
         """Label table (one row per link, then per fermion mode; one column
         per index) of the given product-state indices."""
-        radices = [self.link_dim] * self.n_links + [2] * self.n_modes
+        radices = self.radices
         dtype = np.min_scalar_type(max(radices, default=1) - 1)
         # the narrowest unsigned index type: 32-bit division is several
         # times faster than 64-bit on the full table
@@ -134,7 +142,7 @@ class ProductSpace:
         if self.layout is None:
             raise ValueError("space carries no matter")
         labels = self.labels if labels is None else labels
-        return labels[[self.n_links + self.layout.mode_index(vertex, s)
+        return labels[[self.layout.factor(vertex, s)
                        for s in range(self.layout.species_per_vertex)]]
 
     def require_memory(self):
@@ -161,75 +169,68 @@ class ProductSpace:
         """Sparse operator with the given per-state diagonal."""
         return sparse.diags(values, format="csr", dtype=complex)
 
-    def _eye(self, d):
-        if d not in self._eye_cache:
-            self._eye_cache[d] = sparse.identity(d, format="csr", dtype=complex)
-        return self._eye_cache[d]
-
-    def embed(self, factors=(), matter=None):
+    def embed(self, factors=()):
         """Embed a product of local operators in the full space.
 
-        factors: iterable of (link_idx, local matrix); matrices on the same
-        link multiply in the order given.  matter: operator on the
-        occupation space, the identity when None.  One kron pass: each run
-        of untouched factors is a single cached identity.
+        factors: iterable of (factor index, local matrix); matrices on the
+        same factor multiply in the order given.  The Kronecker product is
+        formed in COO form in one pass over the factors, each run of
+        untouched factors one identity block.
         """
-        local = self._local(factors, matter)
+        local = self._local(factors)
         self.require_memory()
-        parts, run = [], 1
-        for idx in range(self.n_links):
-            if idx not in local:
-                run *= self.link_dim
-                continue
-            if run > 1:
-                parts.append(self._eye(run))
-            parts.append(sparse.csr_matrix(local[idx], dtype=complex))
-            run = 1
-        if matter is None:
-            run *= self.matter_dim
-        if run > 1 or not parts:
-            parts.append(self._eye(run))
-        if matter is not None:
-            parts.append(sparse.csr_matrix(matter, dtype=complex))
-        out = parts[0]
-        for f in parts[1:]:
-            out = sparse.kron(out, f, format="csr")
-        return out
+        blocks, run = [], 1
+        for idx, radix in enumerate(self.radices):
+            if idx in local:
+                blocks += [(run, None), (radix, local[idx])]
+                run = 1
+            else:
+                run *= radix
+        rows = cols = np.zeros(1, dtype=np.int64)
+        data = np.ones(1, dtype=complex)
+        for size, op in blocks + [(run, None)]:
+            if op is None:
+                r = c = np.arange(size)
+                data = np.repeat(data, size)
+            else:
+                op = np.asarray(op, dtype=complex)
+                r, c = np.nonzero(op)
+                data = (data[:, None] * op[r, c]).ravel()
+            rows = (rows[:, None] * size + r).ravel()
+            cols = (cols[:, None] * size + c).ravel()
+        return sparse.csr_matrix((data, (rows, cols)),
+                                 shape=(self.dim, self.dim))
 
-    def shift(self, indices, factors=(), matter=None):
-        """Apply the product that embed(factors, matter) builds to the
-        product states `indices` as label shifts.
+    def shift(self, indices, factors=()):
+        """Apply the product that embed(factors) builds to the product
+        states `indices` as label shifts.
 
         Returns (source position in `indices`, target index, value), one
         entry per nonzero of the product's columns; no full-space object is
         built.
         """
-        local = self._local(factors, matter)
-        slots = [(self.matter_dim * self.link_dim ** (self.n_links - 1 - l),
-                  self.link_dim, m) for l, m in local.items()]
-        if matter is not None:
-            slots.append((1, self.matter_dim, matter))
+        radices = self.radices
         target = np.array(indices, dtype=np.int64)
         source = np.arange(len(target))
         value = np.ones(len(target), dtype=complex)
-        for stride, radix, op in slots:
-            col = sparse.csc_matrix(op, dtype=complex)
+        for idx, op in self._local(factors).items():
+            stride, radix = math.prod(radices[idx + 1:]), radices[idx]
             label = target // stride % radix
-            start = col.indptr[label]
-            count = col.indptr[label + 1] - start
-            pick = np.repeat(np.arange(len(label)), count)
-            nz = np.arange(len(pick)) - np.repeat(np.cumsum(count) - count,
-                                                  count) + start[pick]
-            source, value = source[pick], value[pick] * col.data[nz]
-            target = target[pick] + (col.indices[nz] - label[pick]) * stride
+            # each state's column of the small dense matrix, one row per
+            # state: its nonzeros come out per state, target label ascending
+            column = np.asarray(op, dtype=complex)[:, label].T
+            pick, row = np.nonzero(column)
+            source, value = source[pick], value[pick] * column[pick, row]
+            target = target[pick] + (row - label[pick]) * stride
         return source, target, value
 
-    def _local(self, factors, matter):
-        """{link: product of its local matrices, in the order given}."""
-        if matter is not None and self.layout is None:
-            raise ValueError("space carries no matter")
-        local = {}
+    def _local(self, factors):
+        """{factor: product of its local matrices, in the order given}."""
+        local, count = {}, self.n_links + self.n_modes
         for idx, m in factors:
+            if not 0 <= idx < count:
+                raise ValueError(f"factor {idx} outside the space's {count} "
+                                 f"tensor factors")
             local[idx] = m if idx not in local else local[idx] @ m
         return local
 

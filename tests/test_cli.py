@@ -312,9 +312,9 @@ def test_load_config_requires_scenario(tmp_path):
         load_config(str(path))
 
 
-def test_potential_chain_10_runs_in_sectors(tmp_path, monkeypatch):
-    # 20,155,392 product states: the run must never build the full-space
-    # label table or embed an operator
+def potential_runs_in_sectors(tmp_path, monkeypatch, n, separations):
+    """Run `potential` on the staggered chain of n with every full-space
+    path barred, and check its manifest against the CSV."""
     from lgtlab.tensor import ProductSpace
 
     def refuse(*args, **kwargs):
@@ -323,10 +323,10 @@ def test_potential_chain_10_runs_in_sectors(tmp_path, monkeypatch):
     monkeypatch.setattr(ProductSpace, "embed", refuse)
     cfg = {
         "scenario": "potential",
-        "lattice": {"spatial_dim": 1, "sizes": [10]},
+        "lattice": {"spatial_dim": 1, "sizes": [n]},
         "hamiltonian": {"model": "ks_u1", "truncation": 1, "g2": 1.1,
                         "eps": 0.5, "mass": 0.3, "matter": "staggered"},
-        "params": {"separations": [0, 1, 2, 3, 4]},
+        "params": {"separations": separations},
     }
     status, _ = run(cfg, str(tmp_path / "out"))
     assert status == 0
@@ -334,29 +334,47 @@ def test_potential_chain_10_runs_in_sectors(tmp_path, monkeypatch):
     assert m["error"] is None
     rows = (tmp_path / "out" / "potential.csv").read_text().splitlines()[1:]
     dims = [int(row.split(",")[2]) for row in rows]
-    assert m["timing"]["dim_full"] == 3 ** 9 * 2 ** 10
+    assert m["timing"]["dim_full"] == 3 ** (n - 1) * 2 ** n
     assert m["timing"]["solve_dims"] == dims
-    assert m["timing"]["solve_paths"] == ["dense"] * len(dims)
     assert 0.0 <= m["timing"]["worst_relative_residual"] <= 1e-9
     assert m["timing"]["evolve_dims"] == []
     assert m["timing"]["peak_rss_mb"] > 0
+    return dims, m["timing"]["solve_paths"]
+
+
+def test_potential_chain_10_runs_in_sectors(tmp_path, monkeypatch):
+    # 20,155,392 product states: the run must never build the full-space
+    # label table or embed an operator
+    dims, paths = potential_runs_in_sectors(tmp_path, monkeypatch, 10,
+                                            [0, 1, 2, 3, 4])
+    assert paths == ["dense"] * len(dims)
+
+
+def test_potential_chain_18_runs_beyond_16_modes(tmp_path, monkeypatch):
+    # 18 fermion modes, 3^17 * 2^18 product states: the modes are tensor
+    # factors like the links, so no cap on their number applies
+    dims, paths = potential_runs_in_sectors(tmp_path, monkeypatch, 18,
+                                            [1, 2])
+    assert dims == [12087, 12087]
+    assert paths == ["lanczos"] * 2
 
 
 def test_oversized_full_space_exits_3_before_allocating(tmp_path):
-    # 3^13 * 2^14 states cannot fit anywhere: the memory guard raises
-    # before the label table or any embedding is built
-    cfg = {
-        "scenario": "spectrum",
-        "lattice": {"spatial_dim": 1, "sizes": [14]},
-        "hamiltonian": {"model": "ks_u1", "truncation": 1, "eps": 0.5,
-                        "matter": "staggered"},
-    }
-    status, _ = run(cfg, str(tmp_path / "out"))
-    assert status == 3
-    m = read_manifest(tmp_path / "out")
-    assert m["exit_status"] == 3
-    assert "MiB" in m["error"]
-    assert m["timing"]["dim_full"] == 3 ** 13 * 2 ** 14
+    # 3^13 * 2^14 and 3^17 * 2^18 states cannot fit anywhere: the memory
+    # guard raises before the label table or any embedding is built
+    for n in (14, 18):
+        cfg = {
+            "scenario": "spectrum",
+            "lattice": {"spatial_dim": 1, "sizes": [n]},
+            "hamiltonian": {"model": "ks_u1", "truncation": 1, "eps": 0.5,
+                            "matter": "staggered"},
+        }
+        status, _ = run(cfg, str(tmp_path / f"out{n}"))
+        assert status == 3
+        m = read_manifest(tmp_path / f"out{n}")
+        assert m["exit_status"] == 3
+        assert "MiB" in m["error"]
+        assert m["timing"]["dim_full"] == 3 ** (n - 1) * 2 ** n
 
 
 def test_dynamics_timing_records_the_sector_evolution(tmp_path):
@@ -456,4 +474,21 @@ def test_charged_spectrum_beyond_int64_exits_3_before_enumerating(tmp_path):
     m = read_manifest(tmp_path / "out")
     assert m["exit_status"] == 3
     assert str(3 ** 40) in m["error"]
+    assert m["timing"]["dim_full"] is None     # no Hamiltonian assembled
+
+
+def test_potential_beyond_int64_exits_3_before_enumerating(tmp_path):
+    # the staggered chain of 25 has 3^24 * 2^25 > 2^63 product states
+    cfg = {
+        "scenario": "potential",
+        "lattice": {"spatial_dim": 1, "sizes": [25]},
+        "hamiltonian": {"model": "ks_u1", "truncation": 1, "eps": 0.5,
+                        "matter": "staggered"},
+        "params": {"separations": [0, 1]},
+    }
+    status, _ = run(cfg, str(tmp_path / "out"))
+    assert status == 3
+    m = read_manifest(tmp_path / "out")
+    assert m["exit_status"] == 3
+    assert str(3 ** 24 * 2 ** 25) in m["error"]
     assert m["timing"]["dim_full"] is None     # no Hamiltonian assembled

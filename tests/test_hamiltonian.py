@@ -5,7 +5,8 @@ from lgtlab.gauge import sector_basis
 from lgtlab.hamiltonian import HamiltonianSpec, build_model, \
     max_gauss_violation
 from lgtlab.lattice import build_lattice
-from lgtlab.matter import NAIVE2D, STAGGERED, SU2_FUNDAMENTAL, dirac_sea_state
+from lgtlab.matter import NAIVE2D, STAGGERED, SU2_FUNDAMENTAL, \
+    dirac_sea_state, hop
 
 CHAIN4 = build_lattice(1, [4])
 PLAQ = build_lattice(2, [2, 2])
@@ -280,7 +281,8 @@ def test_total_fermion_number_conserved():
     layout = model.space.layout
     ntot = None
     for v in range(CHAIN4.vertex_count):
-        n = model.space.embed(matter=layout.number(v))
+        f = layout.factor(v)
+        n = model.space.embed(hop(f, f))
         ntot = n if ntot is None else ntot + n
     assert np.max(np.abs((h @ ntot - ntot @ h).toarray())) < 1e-12
 

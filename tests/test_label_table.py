@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from lgtlab import matter as matter_mod
+from jw_oracle import JordanWigner, charge_operator, embed_matter, \
+    mass_diagonal, occupation_bits
 from lgtlab.gauge import abelian_charge_table, all_sector_dimensions, \
     gauss_generators_u1, gauss_generators_zn, sector_basis
 from lgtlab.hamiltonian import HamiltonianSpec, build_model, \
@@ -69,7 +70,8 @@ def case_id(case):
 # ---------------------------------------------------------------------------
 
 def kron_charge_ops(space):
-    return [space.embed(matter=matter_mod.charge_operator(space.layout, v))
+    jw = JordanWigner(space.layout)
+    return [embed_matter(space, charge_operator(jw, v))
             for v in range(space.lattice.vertex_count)]
 
 
@@ -131,17 +133,7 @@ def kron_electric(model):
 
 
 def kron_mass(model):
-    spec, space = model.spec, model.space
-    layout, lat = space.layout, model.lattice
-    ferm = sparse.csr_matrix((layout.dim, layout.dim), dtype=complex)
-    for v in range(lat.vertex_count):
-        if spec.matter == NAIVE2D:
-            ferm = ferm + layout.number(v, 0) - layout.number(v, 1)
-        else:
-            sign = (-1) ** sum(lat.vertices[v])
-            for species in range(layout.species_per_vertex):
-                ferm = ferm + sign * layout.number(v, species)
-    return spec.mass * space.embed(matter=ferm)
+    return model.space.diagonal_op(mass_diagonal(model))
 
 
 def kron_gauss_violation(h, gens):
@@ -176,7 +168,7 @@ def test_label_table_decodes_every_index(case):
     assert labels.dtype == np.uint8
     for index in range(space.dim):
         links, matter = space.decompose_index(index)
-        bits = matter_mod.occupation_bits(space.layout, matter) \
+        bits = occupation_bits(space.layout, matter) \
             if space.layout is not None else ()
         assert tuple(labels[:, index]) == tuple(links) + tuple(bits)
 

@@ -9,7 +9,7 @@ from lgtlab import solver
 from lgtlab.gauge import GaussSector, sector_basis
 from lgtlab.hamiltonian import HamiltonianSpec, build_model
 from lgtlab.lattice import build_lattice
-from lgtlab.matter import STAGGERED
+from lgtlab.matter import STAGGERED, hop
 from lgtlab.solver import SolverError, effective_second_order, eigs, evolve, \
     ground_energy, restrict, run_log
 
@@ -348,13 +348,14 @@ def test_effective_hermitian_and_respects_symmetry():
                            matter=STAGGERED)
     model = build_model(spec, lat)
     pen = model.hamiltonian(("penalty",))
-    layout = model.space.layout
-    hop = model.space.embed(matter=layout.cdag(0) @ layout.c(1))
-    vop = hop + hop.conj().T
+    space, layout = model.space, model.space.layout
+    hop01 = space.embed(hop(layout.factor(0), layout.factor(1)))
+    vop = hop01 + hop01.conj().T
     sec = sector_basis(model.space, [0, 0])
     rep = effective_second_order(pen, vop, sec)
     assert np.max(np.abs(rep.h_eff - rep.h_eff.conj().T)) < 1e-12
-    ntot = model.space.embed(matter=layout.number(0) + layout.number(1))
+    ntot = sum(space.embed(hop(layout.factor(v), layout.factor(v)))
+               for v in range(2))
     nr = restrict(ntot, sec).toarray()
     comm = rep.h_eff @ nr - nr @ rep.h_eff
     assert np.max(np.abs(comm)) < 1e-12

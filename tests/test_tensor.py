@@ -1,30 +1,45 @@
-"""ProductSpace.embed against an explicit dense kron chain."""
+"""ProductSpace.embed against an explicit dense kron chain, and
+ProductSpace.shift against embed."""
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from lgtlab.hamiltonian import HamiltonianSpec, build_model
 from lgtlab.lattice import build_lattice
+from lgtlab.matter import hop
 
 SPACES = {
     "chain3_staggered": (HamiltonianSpec(matter="staggered"), (1, [3])),
     "plaquette_2x2": (HamiltonianSpec(), (2, [2, 2])),
 }
 
-# link positions of each case's factors, reduced modulo the link count (on
-# the two-link chain the four-factor case visits each link twice)
+# tensor-factor positions of each case's random factors: links reduced
+# modulo the link count (on the two-link chain the four-factor case visits
+# each link twice), fermion modes after the links
 CASES = {
-    "first": lambda n: [0],
-    "middle": lambda n: [n // 2],
-    "last": lambda n: [n - 1],
-    "two_links": lambda n: [0, n - 1],
-    "four_links": lambda n: [l % n for l in range(4)],
-    "same_link_twice": lambda n: [n // 2, n // 2],
-    "matter_only": lambda n: [],
-    "link_and_matter": lambda n: [n - 1],
+    "first": lambda s: [0],
+    "middle": lambda s: [s.n_links // 2],
+    "last": lambda s: [s.n_links - 1],
+    "two_links": lambda s: [0, s.n_links - 1],
+    "four_links": lambda s: [l % s.n_links for l in range(4)],
+    "same_link_twice": lambda s: [s.n_links // 2, s.n_links // 2],
+    "matter_only": lambda s: [s.n_links, s.n_links + s.n_modes - 1],
+    "link_and_matter": lambda s: [s.n_links - 1, s.n_links + 1],
+    "mode_factor": lambda s: [s.n_links + 1],
+    "same_mode_twice": lambda s: [s.n_links + 1, s.n_links + 1],
 }
-WITH_MATTER = ("matter_only", "link_and_matter")
-RUNS = [(where, case) for where in SPACES for case in CASES
+# fermion hops with their fixed 2x2 factors: across the middle mode the
+# Jordan-Wigner string is a Pauli Z factor
+HOPS = {
+    "z_string": lambda s: hop(s.n_links, s.n_links + 2),
+    "z_string_reversed": lambda s: hop(s.n_links + 2, s.n_links),
+    "link_and_z_string": lambda s: [(0, s.linkops["U"])]
+    + hop(s.n_links, s.n_links + 2),
+}
+WITH_MATTER = ("matter_only", "link_and_matter", "mode_factor",
+               "same_mode_twice", *HOPS)
+RUNS = [(where, case) for where in SPACES for case in [*CASES, *HOPS]
         if case not in WITH_MATTER or SPACES[where][0].matter]
 
 
@@ -34,33 +49,40 @@ def random_matrix(rng, d):
     return m
 
 
-def dense_kron_chain(space, factors, matter):
-    mats = [None] * space.n_links
-    for l, m in factors:
-        mats[l] = m if mats[l] is None else mats[l] @ m
+def case_factors(space, case, rng):
+    if case in HOPS:
+        return HOPS[case](space)
+    return [(f, random_matrix(rng, space.radices[f]))
+            for f in CASES[case](space)]
+
+
+def dense_kron_chain(space, factors):
+    mats = [None] * len(space.radices)
+    for f, m in factors:
+        mats[f] = m if mats[f] is None else mats[f] @ m
     out = np.ones((1, 1), dtype=complex)
-    for m in mats:
-        out = np.kron(out, np.eye(space.link_dim) if m is None else m)
-    return np.kron(out, np.eye(space.matter_dim) if matter is None
-                   else matter)
+    for d, m in zip(space.radices, mats):
+        out = np.kron(out, np.eye(d) if m is None else m)
+    return out
 
 
 @pytest.mark.parametrize("where,case", RUNS)
 def test_embed_equals_dense_kron_chain(where, case):
     spec, (dim, sizes) = SPACES[where]
     space = build_model(spec, build_lattice(dim, sizes)).space
-    rng = np.random.default_rng(7)
-    factors = [(l, random_matrix(rng, space.link_dim))
-               for l in CASES[case](space.n_links)]
-    matter = random_matrix(rng, space.matter_dim) \
-        if case in WITH_MATTER else None
-    out = space.embed(factors, matter)
+    factors = case_factors(space, case, np.random.default_rng(7))
+    out = space.embed(factors)
     assert out.shape == (space.dim, space.dim)
-    assert np.array_equal(out.toarray(),
-                          dense_kron_chain(space, factors, matter))
+    assert np.array_equal(out.toarray(), dense_kron_chain(space, factors))
+    # the same product applied to every product state as label shifts
+    source, target, value = space.shift(np.arange(space.dim), factors)
+    shifted = sparse.coo_matrix((value, (target, source)), shape=out.shape)
+    assert np.array_equal(shifted.toarray(), out.toarray())
 
 
 def test_embed_matter_on_space_without_matter_raises():
     space = build_model(HamiltonianSpec(), build_lattice(2, [2, 2])).space
     with pytest.raises(ValueError):
-        space.embed((), np.eye(2))
+        space.embed([(space.n_links, np.eye(2))])
+    with pytest.raises(ValueError):
+        space.shift([0], [(space.n_links, np.eye(2))])
