@@ -511,6 +511,7 @@ def run(cfg, outdir, tol=DEFAULT_TOL):
                    "solve_paths": log.solve_paths,
                    "worst_relative_residual": log.worst_relative_residual,
                    "evolve_dims": log.evolve_dims,
+                   "evolve_paths": log.evolve_paths,
                    "peak_rss_mb": resource.getrusage(
                        resource.RUSAGE_SELF).ru_maxrss / 1024},
     }

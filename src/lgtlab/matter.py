@@ -110,15 +110,11 @@ def su2_charge(layout, vertex, axis):
 
 
 def dirac_sea_state(layout):
-    """Index of the no-particle reference state: odd vertices fully
-    occupied, even vertices empty.  Every staggered / SU(2) charge
-    vanishes on it."""
+    """Occupation labels, in mode order, of the no-particle reference
+    state: odd vertices fully occupied, even vertices empty.  Every
+    staggered / SU(2) charge vanishes on it."""
     if layout.scheme == NAIVE2D:
         raise ValueError("naive fermions have no staggered Dirac-sea state")
-    lat = layout.lattice
-    bits = 0
-    for v, coords in enumerate(lat.vertices):
-        occupied = staggered_sign(coords) == -1
-        for s in range(layout.species_per_vertex):
-            bits = (bits << 1) | (1 if occupied else 0)
-    return bits
+    return [int(staggered_sign(coords) == -1)
+            for coords in layout.lattice.vertices
+            for _ in range(layout.species_per_vertex)]

@@ -48,10 +48,10 @@ def charge_profile(model, state, sector=None):
 
 
 def _diagonal_expectations(state, diagonals):
-    """<psi| diag(d) |psi> for each diagonal d, as one vdot per pair."""
+    """<psi| diag(d) |psi> for each diagonal d: the states' probabilities
+    times the stacked diagonals, in one product."""
     states = np.asarray(state)
-    out = np.array([[np.vdot(psi, d * psi).real for d in diagonals]
-                    for psi in np.atleast_2d(states)])
+    out = (np.abs(np.atleast_2d(states)) ** 2) @ np.array(diagonals).T
     return out if states.ndim == 2 else out[0]
 
 
@@ -83,10 +83,9 @@ def strong_coupling_ground(model, origin, separation):
     space = model.space
     links = string_link_path(lat, origin, separation)
     if model.spec.model == SU2:
-        vac_links = [model.link_space.state_index(0, 0, 0)] * space.n_links
-        matter_idx = 0
-        psi = np.zeros(space.dim, dtype=complex)
-        psi[space.product_state_index(vac_links, matter_idx)] = 1.0
+        vacuum = [model.link_space.state_index(0, 0, 0)] * space.n_links \
+            + [0] * space.n_modes
+        psi = space.basis_vector(space.encode(vacuum))
         U = model.rotation
         ms = (0.5, -0.5)
         if separation == 0:
@@ -116,9 +115,9 @@ def string_state_index(model, origin, separation):
     top = space.linkops.flux_values.tolist()
     link_vals = [top.index(1.0 if l in links else 0.0)
                  for l in range(space.n_links)]
-    matter_idx = dirac_sea_state(space.layout) if space.layout is not None \
-        else 0
-    return space.product_state_index(link_vals, matter_idx)
+    matter = dirac_sea_state(space.layout) if space.layout is not None \
+        else []
+    return space.encode(link_vals + matter)
 
 
 def _su2_chain(space, U, links, m, mp):

@@ -2,6 +2,12 @@
 real-time evolution, and second-order effective Hamiltonians from
 energy-penalty constraints.
 
+One size rule serves the eigensolver and the evolution: an operator of at
+most DENSE_LIMIT states (or given as a dense array) is densified, on its
+real part when the imaginary part is exactly 0, and diagonalized with
+LAPACK; a larger sparse one is left sparse, for Lanczos (`eigs`) or the
+action of the matrix exponential (`evolve`).
+
 Everything is deterministic: the iterative eigensolver starts from a
 fixed-seed random vector and small problems fall back to dense
 diagonalization, so repeated runs give identical output.  The start is
@@ -20,9 +26,12 @@ from scipy.linalg import eigh
 from scipy.sparse.linalg import (ArpackNoConvergence, LinearOperator, eigsh,
                                   expm_multiply)
 
-# the dense/Lanczos crossover for k = 4 on sector Hamiltonians, 1 BLAS
-# thread, Lanczos timed with its missed-level check: dense eigh 8.5 ms vs
-# Lanczos 13.7 ms at 352 states, 29 vs 17 ms at 573 states
+# the dense/sparse crossover on sector Hamiltonians (staggered chain of
+# 12), 1 BLAS thread.  eigs, k = 4, Lanczos timed with its missed-level
+# check: dense eigh 8.5 ms vs Lanczos 13.7 ms at 352 states, 29 vs 17 ms
+# at 573 states.  evolve, 81 samples to t = 2, best of 5: dense 24.5 ms vs
+# expm_multiply 52.3 ms at 352 states, 32.5 vs 51.7 ms at 400, 90.8 vs
+# 69.9 ms at 573
 DENSE_LIMIT = 400
 
 
@@ -35,13 +44,15 @@ class SolverError(RuntimeError):
 class RunLog:
     """Problem sizes of one run, for its manifest: the largest full-space
     dimension whose Hamiltonian was assembled, the dimension and path
-    ("dense" or "lanczos") of every eigensolve and the dimension of every
-    evolution, in call order, and the worst relative eigenpair residual."""
+    ("dense" or "lanczos") of every eigensolve and the dimension and path
+    ("dense" or "expm") of every evolution, in call order, and the worst
+    relative eigenpair residual."""
 
     dim_full: int = None
     solve_dims: list = field(default_factory=list)
     solve_paths: list = field(default_factory=list)
     evolve_dims: list = field(default_factory=list)
+    evolve_paths: list = field(default_factory=list)
     worst_relative_residual: float = None
 
 
@@ -94,23 +105,19 @@ def eigs(op, k=1, tol=0.0):
     """k lowest eigenpairs of a Hermitian operator, ascending.
 
     Dense diagonalization (of the k lowest pairs only) for dense input, up
-    to DENSE_LIMIT states, and whenever k >= dim - 1, which ARPACK cannot
-    do; otherwise Lanczos from a fixed-seed random start vector, which
-    overlaps every eigenvector (the all-ones vector is symmetric under the
-    lattice symmetries and misses the levels outside the symmetric
-    subspace).  Either path works on the real part when the imaginary part
-    is exactly zero.  Residuals ||A v - w v|| are checked to 1e-9 relative
-    to max(1, |w|), and a Lanczos result is checked for a missed level
-    (_check_no_missed_level); non-convergence raises SolverError with the
-    iteration report.
+    to DENSE_LIMIT states (_fits_dense), and whenever k >= dim - 1, which
+    ARPACK cannot do; otherwise Lanczos from a fixed-seed random start
+    vector, which overlaps every eigenvector (the all-ones vector is
+    symmetric under the lattice symmetries and misses the levels outside
+    the symmetric subspace).  Either path works on the real part when the
+    imaginary part is exactly zero (_solver_matrix).  Residuals
+    ||A v - w v|| are checked to 1e-9 relative to max(1, |w|), and a
+    Lanczos result is checked for a missed level (_check_no_missed_level);
+    non-convergence raises SolverError with the iteration report.
     """
-    if sparse.issparse(op):
-        op = op.tocsr()
-        values = op.data
-    else:
-        op = values = np.asarray(op)
+    op = op.tocsr() if sparse.issparse(op) else np.asarray(op)
     dim = op.shape[0]
-    dense = not sparse.issparse(op) or dim <= DENSE_LIMIT or k >= dim - 1
+    dense = _fits_dense(op) or k >= dim - 1
     if k < 1:
         raise ValueError(f"asked for {k} eigenpairs; need at least 1")
     if k > dim:
@@ -118,9 +125,7 @@ def eigs(op, k=1, tol=0.0):
     _log("solve_dims", dim)
     _log("solve_paths", "dense" if dense else "lanczos")
 
-    mat = op.toarray() if dense and sparse.issparse(op) else op
-    if np.iscomplexobj(values) and not values.imag.any():
-        mat = mat.real
+    mat = _solver_matrix(op, dense)
     if dense:
         w, v = eigh(mat, subset_by_index=[0, k - 1])
     else:
@@ -136,6 +141,22 @@ def eigs(op, k=1, tol=0.0):
     if not dense:
         _check_no_missed_level(mat, w, v, tol)
     return w, v
+
+
+def _fits_dense(op):
+    """The size rule: dense input, or at most DENSE_LIMIT states."""
+    return not sparse.issparse(op) or op.shape[0] <= DENSE_LIMIT
+
+
+def _solver_matrix(op, dense):
+    """The matrix a solver works on: op densified when `dense`, on its real
+    part when the imaginary part is exactly 0 (a real eigh of the 1,333-state
+    torus sector took half the time of the complex one)."""
+    values = op.data if sparse.issparse(op) else op
+    mat = op.toarray() if dense and sparse.issparse(op) else op
+    if np.iscomplexobj(values) and not values.imag.any():
+        mat = mat.real
+    return mat
 
 
 def _start_vector(dim, seed):
@@ -189,16 +210,22 @@ class Trajectory:
         return np.linalg.norm(self.states, axis=1)
 
     def expectation(self, op):
-        out = np.empty(len(self.times), dtype=complex)
-        for i, psi in enumerate(self.states):
-            out[i] = np.vdot(psi, op @ psi)
-        return out
+        """<psi(t)| op |psi(t)> at every time: one product of op with all
+        the states, summed row by row against their conjugates."""
+        return np.sum(self.states.conj() * (op @ self.states.T).T, axis=1)
 
 
 def evolve(op, state, t, steps):
-    """Unitary evolution exp(-i H s)|psi> sampled at `steps`+1 times in
-    [0, t], via the sparse action of the matrix exponential (scaled
-    truncated-Taylor applications, no explicit dense exponential).
+    """Unitary evolution exp(-i H s)|psi> sampled at `steps`+1 equally
+    spaced times in [0, t].
+
+    For dense input and up to DENSE_LIMIT states (_fits_dense, the rule
+    of `eigs`), H = V diag(w) V^dag is diagonalized once, on its real part
+    when the imaginary part is exactly 0, and every sampled state is formed
+    in one product, (exp(-i outer(times, w)) * (V^dag psi)) @ V^T.  A
+    larger sparse H keeps the sparse action of the matrix exponential
+    (expm_multiply: scaled truncated-Taylor applications), which needs
+    about twenty matvecs per sample however small H is.
 
     Norm drift beyond 1e-9 raises SolverError (the step-convergence flag).
     """
@@ -208,11 +235,17 @@ def evolve(op, state, t, steps):
         raise ValueError("initial state must be normalized")
     if steps < 1:
         raise ValueError("steps must be >= 1")
+    dense = _fits_dense(op)
     _log("evolve_dims", op.shape[0])
-    A = (-1j) * op.tocsc()
-    states = expm_multiply(A, state, start=0.0, stop=float(t),
-                           num=steps + 1, endpoint=True)
+    _log("evolve_paths", "dense" if dense else "expm")
     times = np.linspace(0.0, float(t), steps + 1)
+    if dense:
+        w, v = eigh(_solver_matrix(op, True))
+        states = (np.exp(-1j * np.outer(times, w)) * (v.conj().T @ state)) \
+            @ v.T
+    else:
+        states = expm_multiply((-1j) * op.tocsc(), state, start=0.0,
+                               stop=float(t), num=steps + 1, endpoint=True)
     traj = Trajectory(times, np.asarray(states))
     drift = np.max(np.abs(traj.norms() - 1.0))
     if drift > 1e-9:

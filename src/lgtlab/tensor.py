@@ -14,9 +14,11 @@ a column of one flux index (local basis position, 0 .. link_dim - 1) per
 link followed by one occupation bit per fermion mode.
 ``ProductSpace.decode(indices)`` is the one decoder from mixed-radix
 indices to such columns, in the narrowest unsigned dtype that holds the
-largest label (uint8 for every local dimension up to 256).  The full-space
-table ``ProductSpace.labels`` is the decode of every index, cached on the
-space.  Every diagonal quantity is a vectorized read of a label table:
+largest label (uint8 for every local dimension up to 256), and
+``ProductSpace.encode(labels)``, its inverse, is the one encoder (the
+string states are built through it).  The full-space table
+``ProductSpace.labels`` is the decode of every index, cached on the space.
+Every diagonal quantity is a vectorized read of a label table:
 the flux readout of ``observables.flux_profile``, the matter charges,
 Abelian Gauss eigenvalues and charge table in ``gauge``, and the diagonal
 part D (electric, mass, penalty) of ``Model.hamiltonian``.
@@ -95,16 +97,12 @@ class ProductSpace:
         return self.linkops.local_dim
 
     @property
-    def matter_dim(self):
-        return 2 ** self.n_modes
-
-    @property
     def n_modes(self):
         return 0 if self.layout is None else self.layout.n_modes
 
     @property
     def dim(self):
-        return self.link_dim ** self.n_links * self.matter_dim
+        return math.prod(self.radices)
 
     @property
     def radices(self):
@@ -135,6 +133,19 @@ class ProductSpace:
             row[...] = rest - quotient * radix
             rest = quotient
         return table
+
+    def encode(self, labels):
+        """Product-state index of one label column (one label per link,
+        then per fermion mode), the inverse of decode; a Python int, which
+        never wraps."""
+        radices = self.radices
+        if len(labels) != len(radices):
+            raise ValueError(f"{len(labels)} labels for the space's "
+                             f"{len(radices)} tensor factors")
+        index = 0
+        for label, radix in zip(labels, radices):
+            index = index * radix + int(label)
+        return index
 
     def vertex_occupations(self, vertex, labels=None):
         """Occupation-bit rows (species, states) of the modes at a vertex,
@@ -233,23 +244,6 @@ class ProductSpace:
                                  f"tensor factors")
             local[idx] = m if idx not in local else local[idx] @ m
         return local
-
-    def product_state_index(self, link_values, matter_index=0):
-        """Full-space index of |link_values> x |matter_index>."""
-        idx = 0
-        for s in link_values:
-            idx = idx * self.link_dim + int(s)
-        return idx * self.matter_dim + int(matter_index)
-
-    def decompose_index(self, index):
-        """Inverse of product_state_index: (link tuple, matter index)."""
-        matter = index % self.matter_dim
-        rest = index // self.matter_dim
-        vals = []
-        for _ in range(self.n_links):
-            vals.append(rest % self.link_dim)
-            rest //= self.link_dim
-        return tuple(reversed(vals)), matter
 
     def basis_vector(self, index):
         v = np.zeros(self.dim, dtype=complex)

@@ -390,6 +390,7 @@ def test_dynamics_timing_records_the_sector_evolution(tmp_path):
     timing = read_manifest(tmp_path / "out")["timing"]
     assert timing["dim_full"] == 3 ** 5 * 2 ** 6
     assert timing["evolve_dims"] == [7]       # the string's Gauss sector
+    assert timing["evolve_paths"] == ["dense"]
     assert timing["solve_dims"] == []
 
 

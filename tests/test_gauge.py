@@ -30,7 +30,7 @@ def test_flux_line_interior_divergence_free():
     sp = u1_space([4])
     gens = gauss_generators_u1(sp)
     # |m=1> on all three links
-    idx = sp.product_state_index([2, 2, 2])
+    idx = sp.encode([2, 2, 2])
     v = np.zeros(sp.dim); v[idx] = 1.0
     for n in (1, 2):                          # interior vertices
         assert np.allclose(gens[n] @ v, 0.0)
@@ -42,7 +42,7 @@ def test_dirac_sea_zero_charge():
     from lgtlab.matter import dirac_sea_state
     sp = u1_space([4], matter=True)
     gens = gauss_generators_u1(sp)
-    idx = sp.product_state_index([1, 1, 1], dirac_sea_state(sp.layout))
+    idx = sp.encode([1, 1, 1] + dirac_sea_state(sp.layout))
     v = np.zeros(sp.dim); v[idx] = 1.0
     for g in gens:
         assert np.allclose(g @ v, 0.0)
@@ -71,7 +71,7 @@ def test_zn_vacuum_eigenvalue_one():
     lat = build_lattice(1, [3])
     sp = ProductSpace(lat, linkalg.zn_ops(3))
     gens = gauss_generators_zn(sp)
-    idx = sp.product_state_index([1, 1])      # both links at m = 0
+    idx = sp.encode([1, 1])                   # both links at m = 0
     v = np.zeros(sp.dim); v[idx] = 1.0
     for g in gens:
         assert np.vdot(v, g @ v) == pytest.approx(1.0)
@@ -81,7 +81,7 @@ def test_sector_single_link_forced_flux():
     sp = u1_space([2])
     sec = sector_basis(sp, [1, -1])
     assert sec.dim == 1
-    link_vals, _ = sp.decompose_index(int(sec.indices[0]))
+    link_vals = tuple(sp.decode(sec.indices[:1])[:, 0])
     assert link_vals == (2,)                  # the |m=1> state
 
 
@@ -139,7 +139,7 @@ def test_su2_zero_sector_and_vacuum():
     assert sec.dim >= 1
     # the all-singlet product state is in the sector
     vac = np.zeros(sp.dim)
-    vac[sp.product_state_index([lsp.state_index(0, 0, 0)] * 2)] = 1.0
+    vac[sp.encode([lsp.state_index(0, 0, 0)] * 2)] = 1.0
     B = sec.basis
     overlap = np.linalg.norm(B.conj().T @ vac)
     assert overlap == pytest.approx(1.0)

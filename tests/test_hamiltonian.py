@@ -17,7 +17,7 @@ def vacuum_state(model, link_value_index=None):
     if link_value_index is None:
         link_value_index = (space.link_dim - 1) // 2
     vals = [link_value_index] * space.n_links
-    return space.basis_vector(space.product_state_index(vals))
+    return space.basis_vector(space.encode(vals))
 
 
 # ---------------------------------------------------------------------------
@@ -30,7 +30,7 @@ def test_electric_vacuum_and_single_flux():
     he = model.hamiltonian(("electric",))
     vac = vacuum_state(model)
     assert np.vdot(vac, he @ vac) == pytest.approx(0.0)
-    two = model.space.basis_vector(model.space.product_state_index([4]))
+    two = model.space.basis_vector(model.space.encode([4]))
     assert np.vdot(two, he @ two) == pytest.approx(4.0)   # (g2/2) m^2 = 4
 
 
@@ -40,7 +40,7 @@ def test_electric_su2_fundamental_string_value():
     he = model.hamiltonian(("electric",))
     lsp = model.link_space
     v = model.space.basis_vector(
-        model.space.product_state_index([lsp.state_index(0.5, 0.5, -0.5)]))
+        model.space.encode([lsp.state_index(0.5, 0.5, -0.5)]))
     assert np.vdot(v, he @ v) == pytest.approx(0.75)      # (g2/2) j(j+1)
 
 
@@ -73,9 +73,9 @@ def test_magnetic_element_between_loop_states():
     hb = model.hamiltonian(("magnetic",))
     space = model.space
     zero = space.basis_vector(
-        space.product_state_index(loop_state_values(model, 0)))
+        space.encode(loop_state_values(model, 0)))
     loop = space.basis_vector(
-        space.product_state_index(loop_state_values(model, 1)))
+        space.encode(loop_state_values(model, 1)))
     assert np.vdot(loop, hb @ zero) == pytest.approx(-1 / (2 * g2))
 
 
@@ -108,9 +108,9 @@ def test_spin_gauge_magnetic_approaches_ks():
                       PLAQ)
     hb_ref = ref.hamiltonian(("magnetic",))
     one_ref = ref.space.basis_vector(
-        ref.space.product_state_index(loop_state_values(ref, 1)))
+        ref.space.encode(loop_state_values(ref, 1)))
     two_ref = ref.space.basis_vector(
-        ref.space.product_state_index(loop_state_values(ref, 2)))
+        ref.space.encode(loop_state_values(ref, 2)))
     target = np.vdot(two_ref, hb_ref @ one_ref)
     assert target == pytest.approx(-1 / (2 * g2))
 
@@ -120,9 +120,9 @@ def test_spin_gauge_magnetic_approaches_ks():
             HamiltonianSpec(model="spin_gauge", truncation=ell, g2=g2), PLAQ)
         hb = model.hamiltonian(("magnetic",))
         one = model.space.basis_vector(
-            model.space.product_state_index(loop_state_values(model, 1)))
+            model.space.encode(loop_state_values(model, 1)))
         two = model.space.basis_vector(
-            model.space.product_state_index(loop_state_values(model, 2)))
+            model.space.encode(loop_state_values(model, 2)))
         val = np.vdot(two, hb @ one)
         expect = target * (1 - 2 / (ell * (ell + 1))) ** 2
         assert val == pytest.approx(expect, abs=1e-12)
@@ -151,7 +151,7 @@ def test_gauge_matter_pair_creation_respects_gauss():
     hgm = model.hamiltonian(("gauge_matter",))
     space = model.space
     sea = space.basis_vector(
-        space.product_state_index([1], dirac_sea_state(space.layout)))
+        space.encode([1] + dirac_sea_state(space.layout)))
     out = hgm @ sea
     assert np.linalg.norm(out) > 0
     # the image stays inside the zero-charge sector
@@ -199,13 +199,13 @@ def test_mass_dirac_sea_energy():
     hm = model.hamiltonian(("mass",))
     space = model.space
     sea = space.basis_vector(
-        space.product_state_index([1, 1, 1], dirac_sea_state(space.layout)))
+        space.encode([1, 1, 1] + dirac_sea_state(space.layout)))
     assert np.vdot(sea, hm @ sea) == pytest.approx(-2 * m)
-    empty = space.basis_vector(space.product_state_index([1, 1, 1], 0))
+    empty = space.basis_vector(space.encode([1, 1, 1] + [0, 0, 0, 0]))
     assert np.vdot(empty, hm @ empty) == pytest.approx(0.0)
     # particle + antiparticle on top of the sea costs 2m
     pair = space.basis_vector(
-        space.product_state_index([2, 1, 1], 0b1001))
+        space.encode([2, 1, 1] + [1, 0, 0, 1]))
     d_e = np.vdot(pair, hm @ pair) - np.vdot(sea, hm @ sea)
     assert d_e == pytest.approx(2 * m)
 
@@ -216,8 +216,8 @@ def test_mass_ground_state_is_dirac_sea():
                         matter=STAGGERED), CHAIN4)
     hm = model.hamiltonian(("mass",)).toarray()
     diag = np.diag(hm).real
-    sea_idx = model.space.product_state_index(
-        [1, 1, 1], dirac_sea_state(model.space.layout))
+    sea_idx = model.space.encode(
+        [1, 1, 1] + dirac_sea_state(model.space.layout))
     assert diag[sea_idx] == pytest.approx(diag.min())
 
 
@@ -235,7 +235,7 @@ def test_penalty_kernel_and_single_link_violation():
     sec = sector_basis(space, [0, 0])
     B = sec.basis_matrix()
     assert np.max(np.abs(hp @ B)) < 1e-14            # kernel = zero sector
-    one = space.basis_vector(space.product_state_index([2]))
+    one = space.basis_vector(space.encode([2]))
     assert np.vdot(one, hp @ one) == pytest.approx(2 * lam)
     for g in model.generators:
         assert np.max(np.abs((hp @ g - g @ hp).toarray())) < 1e-12
@@ -251,7 +251,7 @@ def test_microscopic_hopping_properties():
     assert max_gauss_violation(model, v) > 1e-3
     # kills the all-top truncation-edge state
     top = model.space.basis_vector(
-        model.space.product_state_index([2, 2, 2, 2]))
+        model.space.encode([2, 2, 2, 2]))
     assert np.linalg.norm(v @ top) < 1e-14
     # P0 V P0 = 0 on the zero-charge sector
     sec = sector_basis(model.space, [0, 0, 0, 0])

@@ -7,6 +7,7 @@ construction from sparse kron embeddings, kept here as the oracle.
 """
 
 import functools
+import itertools
 
 import numpy as np
 import pytest
@@ -166,8 +167,12 @@ def test_label_table_decodes_every_index(case):
     labels = space.labels
     assert labels.shape == (space.n_links + space.n_modes, space.dim)
     assert labels.dtype == np.uint8
-    for index in range(space.dim):
-        links, matter = space.decompose_index(index)
+    # every (links, occupation index) in mixed-radix order: link 0 the
+    # most significant, the matter last
+    columns = itertools.product(
+        itertools.product(range(space.link_dim), repeat=space.n_links),
+        range(2 ** space.n_modes))
+    for index, (links, matter) in enumerate(columns):
         bits = occupation_bits(space.layout, matter) \
             if space.layout is not None else ()
         assert tuple(labels[:, index]) == tuple(links) + tuple(bits)

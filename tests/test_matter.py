@@ -31,9 +31,15 @@ def occupation_matrix(space, terms):
     """The 2^modes matrix of sum coeff * (product of the factors) for
     factors on modes only: the block of its embedding with every link at
     label 0."""
-    n = space.matter_dim
+    n = 2 ** space.n_modes
     return sum(coeff * space.embed(factors)[:n, :n]
                for coeff, factors in terms).toarray()
+
+
+def occupation_index(space, occupations):
+    """Occupation-space index of per-mode occupation labels: the full-space
+    index with every link at label 0."""
+    return space.encode([0] * space.n_links + list(occupations))
 
 
 def test_canonical_anticommutation():
@@ -101,7 +107,7 @@ def test_staggered_charge_spectrum():
 def test_su2_charge_algebra_and_singlets():
     lat = build_lattice(1, [2])
     space = matter_space(lat, SU2_FUNDAMENTAL)
-    dim = space.matter_dim
+    dim = 2 ** space.n_modes
     q = {a: occupation_matrix(space, su2_charge(space.layout, 0, a))
          for a in "xyz"}
     eps = {("x", "y"): "z", ("y", "z"): "x", ("z", "x"): "y"}
@@ -131,8 +137,9 @@ def test_charges_commute_between_vertices():
 
 def test_dirac_sea():
     lat = build_lattice(1, [4])
-    lay = JordanWigner(fermion_ops(lat, STAGGERED))
-    idx = dirac_sea_state(lay.layout)
+    space = matter_space(lat, STAGGERED)
+    lay = JordanWigner(space.layout)
+    idx = occupation_index(space, dirac_sea_state(lay.layout))
     assert occupation_bits(lay.layout, idx) == (0, 1, 0, 1)
     v = np.zeros(lay.dim); v[idx] = 1.0
     for n in range(4):
@@ -141,10 +148,10 @@ def test_dirac_sea():
 
     space2 = matter_space(lat, SU2_FUNDAMENTAL)
     lay2 = space2.layout
-    idx2 = dirac_sea_state(lay2)
+    idx2 = occupation_index(space2, dirac_sea_state(lay2))
     bits = occupation_bits(lay2, idx2)
     assert sum(bits) == 2 * 2                # two odd vertices, two colors
-    v2 = np.zeros(space2.matter_dim); v2[idx2] = 1.0
+    v2 = np.zeros(2 ** space2.n_modes); v2[idx2] = 1.0
     for n in range(4):
         for a in "xyz":
             q = occupation_matrix(space2, su2_charge(lay2, n, a))

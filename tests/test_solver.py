@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 from scipy import sparse
+from scipy.sparse.linalg import expm_multiply
 
 from lgtlab import solver
 from lgtlab.gauge import GaussSector, sector_basis
@@ -281,6 +282,78 @@ def test_evolve_requires_normalized_state():
     h = sparse.identity(2, format="csr", dtype=complex)
     with pytest.raises(ValueError):
         evolve(h, np.array([2.0, 0.0]), 1.0, 2)
+
+
+def test_evolve_semigroup_property_expm_path(monkeypatch):
+    monkeypatch.setattr(solver, "DENSE_LIMIT", 0)
+    model = build_model(
+        HamiltonianSpec(model="ks_u1", truncation=1, g2=1.0, eps=0.5,
+                        mass=0.3, matter=STAGGERED), build_lattice(1, [2]))
+    h = model.hamiltonian()
+    psi = np.zeros(model.space.dim, dtype=complex)
+    psi[0] = 1.0
+    with run_log() as log:
+        full = evolve(h, psi, 1.0, 2)
+        half = evolve(h, psi, 0.5, 1)
+        again = evolve(h, half.states[-1], 0.5, 1)
+    assert log.evolve_paths == ["expm"] * 3
+    assert np.allclose(full.states[-1], again.states[-1], atol=1e-9)
+
+
+def string_sector_h(n):
+    """Sector H of the flux string between vertices 0 and n/2 of a
+    staggered chain of n: 7, 25, 66 and 241 states for n = 6 .. 12."""
+    charges = [0] * n
+    charges[0], charges[n // 2] = 1, -1
+    model = build_model(CHAIN_MATTER, build_lattice(1, [n]))
+    return model.hamiltonian(sector=sector_basis(model.space, charges))
+
+
+def random_state(dim, seed):
+    rng = np.random.default_rng(seed)
+    psi = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    return psi / np.linalg.norm(psi)
+
+
+def complex_hermitian(n, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    a[rng.random((n, n)) < 0.7] = 0.0
+    return sparse.csr_matrix(a + a.conj().T)
+
+
+def degenerate(n, seed):
+    # every level three times over, the blocks hidden by a permutation
+    h = sparse.kron(sparse.identity(3), tridiagonal(n, seed)).tocsr()
+    perm = np.random.default_rng(seed + 1).permutation(h.shape[0])
+    return h[perm][:, perm]
+
+
+DENSE_EVOLVE_CASES = {f"string-chain{n}": partial(string_sector_h, n)
+                      for n in (6, 8, 10, 12)}
+DENSE_EVOLVE_CASES["complex-hermitian-40"] = partial(complex_hermitian, 40, 2)
+DENSE_EVOLVE_CASES["degenerate-3x30"] = partial(degenerate, 30, 6)
+
+
+@pytest.mark.parametrize("name", DENSE_EVOLVE_CASES)
+def test_dense_evolve_matches_expm_multiply(name):
+    h = DENSE_EVOLVE_CASES[name]()
+    psi = random_state(h.shape[0], 9)
+    with run_log() as log:
+        traj = evolve(h, psi, 2.0, 40)
+    assert log.evolve_paths == ["dense"]
+    ref = expm_multiply(-1j * h.tocsc(), psi, start=0.0, stop=2.0, num=41,
+                        endpoint=True)
+    assert np.max(np.abs(traj.states - ref)) <= 1e-12
+    assert np.array_equal(traj.times, np.linspace(0.0, 2.0, 41))
+
+
+def test_evolve_path_switches_above_dense_limit():
+    with run_log() as log:
+        for dim in (solver.DENSE_LIMIT, solver.DENSE_LIMIT + 1):
+            evolve(tridiagonal(dim, 1).tocsr(), random_state(dim, 3), 0.5, 2)
+    assert log.evolve_dims == [solver.DENSE_LIMIT, solver.DENSE_LIMIT + 1]
+    assert log.evolve_paths == ["dense", "expm"]
 
 
 # ---------------------------------------------------------------------------

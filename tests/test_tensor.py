@@ -86,3 +86,24 @@ def test_embed_matter_on_space_without_matter_raises():
         space.embed([(space.n_links, np.eye(2))])
     with pytest.raises(ValueError):
         space.shift([0], [(space.n_links, np.eye(2))])
+
+
+ENCODE_SPACES = {
+    "chain3_staggered": (HamiltonianSpec(matter="staggered"), (1, [3])),
+    "plaquette_naive2d": (HamiltonianSpec(matter="naive2d"), (2, [2, 2])),
+    "su2_chain3_two_color": (
+        HamiltonianSpec(model="su2", truncation=0.5, matter="su2fundamental"),
+        (1, [3])),
+}
+
+
+@pytest.mark.parametrize("where", ENCODE_SPACES)
+def test_encode_inverts_decode_on_every_index(where):
+    spec, (dim, sizes) = ENCODE_SPACES[where]
+    space = build_model(spec, build_lattice(dim, sizes)).space
+    assert space.n_modes > 0
+    labels = space.decode(np.arange(space.dim))
+    for i in range(space.dim):
+        assert space.encode(labels[:, i]) == i
+    with pytest.raises(ValueError):
+        space.encode(labels[:-1, 0])
