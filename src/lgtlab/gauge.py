@@ -15,7 +15,10 @@ Conventions:
                     matter), unitary with eigenvalues exp(-i delta m).
 * SU(2):            G^a_n = sum_out L^a - sum_in R^a - Q^a_n; the three
                     components close the left-type algebra
-                    [G^i, G^j] = -i eps_ijk G^k at each vertex.
+                    [G^i, G^j] = -i eps_ijk G^k at each vertex.  G^z is
+                    diagonal and read from the label table; x and y come
+                    through the raising operator G^+ = G^x + i G^y and
+                    G^- = (G^+)^dag (``su2_gauss_law``).
 """
 
 from dataclasses import dataclass, field
@@ -112,29 +115,45 @@ def gauss_generators_zn(space):
             for row in abelian_charge_table(space)]
 
 
+def su2_gauss_law(space, link_space, vertex):
+    """The SU(2) Gauss law G^a = sum_out L^a - sum_in R^a - Q^a at a vertex
+    in two parts: the G^z eigenvalue of every state and the raising
+    operator G^+ = G^x + i G^y.
+
+    L^z, R^z and Q^z = (n_up - n_down)/2 are diagonal in the |j m m'> x
+    occupation basis, so the z row is read from the label table.  G^+ sums
+    one embedded term per out link (L^x + i L^y), per in link
+    (-(R^x + i R^y)) and, with matter, -c^dag_up c_down in one COO pass.
+    """
+    out_links, in_links = space.lattice.links_at_vertex(vertex)
+    labels = space.labels
+    L, R = link_space.L, link_space.R
+    z = np.zeros(space.dim)
+    for l in out_links:
+        z += np.diag(L["z"]).real[labels[l]]
+    for l in in_links:
+        z -= np.diag(R["z"]).real[labels[l]]
+    pieces = [(1.0, [(l, L["x"] + 1j * L["y"])]) for l in out_links] \
+        + [(-1.0, [(l, R["x"] + 1j * R["y"])]) for l in in_links]
+    if space.layout is not None:
+        up, down = space.vertex_occupations(vertex, labels)
+        z -= (up.astype(float) - down) / 2
+        pieces.append((-1.0, matter_mod.hop(space.layout.factor(vertex, 0),
+                                            space.layout.factor(vertex, 1))))
+    return z, space.embed_sum(pieces)
+
+
 def gauss_generators_su2(space, link_space):
-    """Three generators per vertex: sum_out L^a - sum_in R^a - Q^a."""
-    lat = space.lattice
+    """Three generators per vertex, G^x, G^y, G^z, derived from
+    su2_gauss_law: G^x = (G^+ + G^-)/2, G^y = (G^+ - G^-)/2i and G^z the
+    diagonal z row, with G^- = (G^+)^dag."""
     gens = []
-    for v in range(lat.vertex_count):
-        out_links, in_links = lat.links_at_vertex(v)
-        triple = []
-        for axis in "xyz":
-            g = None
-            for l in out_links:
-                t = space.embed([(l, link_space.L[axis])])
-                g = t if g is None else g + t
-            for l in in_links:
-                t = space.embed([(l, link_space.R[axis])])
-                g = -t if g is None else g - t
-            if g is None:
-                g = sparse.csr_matrix((space.dim, space.dim), dtype=complex)
-            if space.layout is not None:
-                for coeff, factors in matter_mod.su2_charge(space.layout, v,
-                                                            axis):
-                    g = g - coeff * space.embed(factors)
-            triple.append(g.tocsr())
-        gens.append(triple)
+    for v in range(space.lattice.vertex_count):
+        z, raising = su2_gauss_law(space, link_space, v)
+        lowering = raising.conj().T
+        gens.append([((raising + lowering) / 2).tocsr(),
+                     ((raising - lowering) / 2j).tocsr(),
+                     space.diagonal_op(z)])
     return gens
 
 

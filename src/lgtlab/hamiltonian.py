@@ -202,17 +202,12 @@ def _sum_pieces(space, sector, pieces, n):
     its adjoint alike.  Also returns (the largest amplitude a piece of T
     or T^dag sends out of the sector, the term of that piece); (0.0, None)
     without a leak."""
+    if sector is None:
+        return space.embed_sum(piece for _, piece in pieces), (0.0, None)
     rows, cols = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)]
     data = [np.zeros(0, dtype=complex)]
     leak = (0.0, None)
     for t, piece in pieces:
-        coeff, factors = piece
-        if sector is None:
-            piece = (coeff * space.embed(factors)).tocoo()
-            rows.append(piece.row)
-            cols.append(piece.col)
-            data.append(piece.data)
-            continue
         for adjoint, (c, f) in enumerate(_directions(piece)):
             source, target, value = space.shift(sector.indices, f)
             row = np.searchsorted(sector.indices, target)
@@ -402,27 +397,48 @@ OFF_DIAGONAL_TERMS = {"magnetic": _magnetic, "gauge_matter": _gauge_matter,
 def max_gauss_violation(model, h=None):
     """max over vertices (and components) of ||[H, G_n]||_maxabs.
 
-    For the Abelian families G_n is diagonal with eigenvalue g(q_n) read
-    from the charge table, so [H, G_n]_ij = H_ij (g_j - g_i) is evaluated
-    on H's stored entries, only where the two states' charges differ.
+    A diagonal generator with eigenvalue g per state has
+    [H, G]_ij = H_ij (g_j - g_i), evaluated on H's stored entries
+    (_diagonal_violation): for the Abelian families g is read from the
+    charge table, for SU(2) it is the G^z row of gauge.su2_gauss_law.  The
+    SU(2) x and y components come from K+- = [H, G^+-] with
+    G^- = (G^+)^dag: [H, G^x] = (K+ + K-)/2 and [H, G^y] = (K+ - K-)/2i,
+    exact for any H.  H and G^+ are taken real when their imaginary parts
+    are exactly 0, by the rule of the eigensolvers.
     """
     h = model.hamiltonian() if h is None else h
     if model.spec.model == SU2:
-        return max(float(abs(h @ g - g @ h).max())
-                   for triple in model.generators for g in triple)
+        h = solver._solver_matrix(h, dense=False)
+        coo, worst = h.tocoo(), 0.0
+        for v in range(model.lattice.vertex_count):
+            z, raising = gauge.su2_gauss_law(model.space, model.link_space, v)
+            raising = solver._solver_matrix(raising, dense=False)
+            lowering = raising.conj().T.tocsr()
+            k_up = h @ raising - raising @ h
+            k_down = h @ lowering - lowering @ h
+            worst = max(worst, _diagonal_violation(coo, [z]),
+                        float(abs(k_up + k_down).max()) / 2,
+                        float(abs(k_up - k_down).max()) / 2)
+        return worst
     coo = h.tocoo()
     table = gauge.abelian_charge_table(model.space)
-    phases = None
-    if model.spec.model == ZN:
-        table = table % model.space.linkops.param
-        phases = gauge.zn_generator_phases(model.space)
+    if model.spec.model != ZN:
+        return _diagonal_violation(coo, table)
+    return _diagonal_violation(coo, table % model.space.linkops.param,
+                               gauge.zn_generator_phases(model.space))
+
+
+def _diagonal_violation(coo, rows, values=None):
+    """max over the rows g of |H_ij (g_j - g_i)| on H's stored COO entries,
+    only where the two states' g differ: [H, G] of the diagonal generators
+    with eigenvalue g per state, or values[g] when `values` is given."""
     worst = 0.0
-    for q in table:
-        differ = np.nonzero(q[coo.col] != q[coo.row])[0]
+    for g in rows:
+        differ = np.nonzero(g[coo.col] != g[coo.row])[0]
         if len(differ):
-            qj, qi = q[coo.col[differ]], q[coo.row[differ]]
-            step = qj.astype(float) - qi if phases is None \
-                else phases[qj] - phases[qi]
+            gj, gi = g[coo.col[differ]], g[coo.row[differ]]
+            step = gj.astype(float) - gi if values is None \
+                else values[gj] - values[gi]
             worst = max(worst, float(np.max(np.abs(coo.data[differ]
                                                    * step))))
     return worst

@@ -94,21 +94,6 @@ _SIGMA = {
 }
 
 
-def su2_charge(layout, vertex, axis):
-    """Color charge Q^a = (1/2) psi^dag sigma^a psi at a vertex, as a list
-    of (coeff, factors) terms of c^dag_i c_j.
-
-    The two species are the color components (index 0 = up).  Empty and
-    doubly occupied vertices are charge singlets.
-    """
-    if layout.scheme != SU2_FUNDAMENTAL:
-        raise ValueError("su2_charge needs the su2fundamental scheme")
-    s = _SIGMA[axis]
-    return [(0.5 * s[i, j], hop(layout.factor(vertex, i),
-                                layout.factor(vertex, j)))
-            for i in range(2) for j in range(2) if s[i, j] != 0]
-
-
 def dirac_sea_state(layout):
     """Occupation labels, in mode order, of the no-particle reference
     state: odd vertices fully occupied, even vertices empty.  Every

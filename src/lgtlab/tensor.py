@@ -24,14 +24,15 @@ Abelian Gauss eigenvalues and charge table in ``gauge``, and the diagonal
 part D (electric, mass, penalty) of ``Model.hamiltonian``.
 
 Off-diagonal operators (the hopping and plaquette pieces of the
-Hamiltonian's T, SU(2) generators and string operators) are products of
-local matrices on tensor factors, links and fermion modes alike (a
-fermion hop carries its Jordan-Wigner string as Pauli Z factors, see
-``matter.hop``), with two realizations:
+Hamiltonian's T, SU(2) Gauss raising operators and string operators) are
+products of local matrices on tensor factors, links and fermion modes
+alike (a fermion hop carries its Jordan-Wigner string as Pauli Z factors,
+see ``matter.hop``), with two realizations:
 
 * full space: ``ProductSpace.embed``, the one Kronecker-product path,
   built in COO form in a single pass in which each run of untouched
-  factors is one identity block;
+  factors is one identity block (``ProductSpace.embed_sum`` sums such
+  products in one COO pass);
 * Gauss sector: ``ProductSpace.shift``, which applies the same product to a
   list of product states as label shifts.  Each nonzero of a local
   matrix's column maps a source label to a target label, so the target
@@ -211,6 +212,21 @@ class ProductSpace:
             cols = (cols[:, None] * size + c).ravel()
         return sparse.csr_matrix((data, (rows, cols)),
                                  shape=(self.dim, self.dim))
+
+    def embed_sum(self, pieces):
+        """sum of coeff * embed(factors) over (coeff, factors) pieces as one
+        CSR, the embedded pieces summed in one COO pass."""
+        rows, cols = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)]
+        data = [np.zeros(0, dtype=complex)]
+        for coeff, factors in pieces:
+            piece = (coeff * self.embed(factors)).tocoo()
+            rows.append(piece.row)
+            cols.append(piece.col)
+            data.append(piece.data)
+        return sparse.coo_matrix(
+            (np.concatenate(data), (np.concatenate(rows),
+                                    np.concatenate(cols))),
+            shape=(self.dim, self.dim)).tocsr()
 
     def shift(self, indices, factors=()):
         """Apply the product that embed(factors) builds to the product

@@ -493,3 +493,24 @@ def test_potential_beyond_int64_exits_3_before_enumerating(tmp_path):
     assert m["exit_status"] == 3
     assert str(3 ** 24 * 2 ** 25) in m["error"]
     assert m["timing"]["dim_full"] is None     # no Hamiltonian assembled
+
+
+def test_uncharged_su2_spectrum_checks_gauss_law_like_the_oracle(tmp_path):
+    # without charges the full H is checked by max_gauss_violation, whose
+    # SU(2) branch reads G^z from labels and x, y through G^+-
+    import su2_oracle
+    lattice = {"spatial_dim": 1, "sizes": [3]}
+    hamiltonian = {"model": "su2", "truncation": 0.5, "eps": 0.4,
+                   "mass": 0.2, "matter": "su2fundamental"}
+    cfg = {"scenario": "spectrum", "lattice": lattice,
+           "hamiltonian": hamiltonian}
+    status, _ = run(cfg, str(tmp_path / "out"))
+    m = read_manifest(tmp_path / "out")
+    assert status == 0, m["error"]
+    model = cli.build_model(cli.parse_hamiltonian(hamiltonian),
+                            cli.parse_lattice(lattice))
+    oracle = su2_oracle.max_gauss_violation(
+        su2_oracle.gauss_generators_su2(model.space, model.link_space),
+        model.hamiltonian())
+    assert [c["name"] for c in m["checks"]] == ["gauge_invariance"]
+    assert m["checks"][0]["value"] == oracle

@@ -12,7 +12,8 @@ from jw_oracle import JordanWigner, charge_operator, occupation_bits
 from lgtlab.hamiltonian import HamiltonianSpec, build_model
 from lgtlab.lattice import build_lattice
 from lgtlab.matter import NAIVE2D, STAGGERED, SU2_FUNDAMENTAL, \
-    dirac_sea_state, fermion_ops, hop, su2_charge
+    dirac_sea_state, fermion_ops, hop
+from su2_oracle import su2_charge
 from test_label_table import CASES, case_id, make_model
 from test_sector import HAMILTONIAN_CASES
 

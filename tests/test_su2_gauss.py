@@ -1,0 +1,115 @@
+"""The SU(2) Gauss law from label rows and raising operators, checked
+against the per-axis generators and commutators of ``su2_oracle``."""
+
+from functools import lru_cache
+
+import pytest
+
+import su2_oracle
+from lgtlab import gauge, matter as matter_mod
+from lgtlab.gauge import gauss_generators_su2
+from lgtlab.hamiltonian import HamiltonianSpec, build_model, \
+    max_gauss_violation
+from lgtlab.lattice import build_lattice
+from lgtlab.tensor import ProductSpace
+
+MATTER = dict(model="su2", eps=0.4, mass=0.2,
+              matter=matter_mod.SU2_FUNDAMENTAL)
+
+# name -> (spec, lattice arguments)
+MODELS = {
+    "chain2_jhalf_matter": (HamiltonianSpec(truncation=0.5, **MATTER),
+                           (1, [2])),
+    "chain3_jhalf_matter": (HamiltonianSpec(truncation=0.5, **MATTER),
+                           (1, [3])),
+    "chain4_jhalf_matter": (HamiltonianSpec(truncation=0.5, **MATTER),
+                           (1, [4])),
+    "chain3_j1_matter": (HamiltonianSpec(truncation=1, **MATTER), (1, [3])),
+    "plaquette_jhalf": (HamiltonianSpec(model="su2", truncation=0.5, g2=1.0),
+                       (2, [2, 2])),
+    "plaquette_j1": (HamiltonianSpec(model="su2", truncation=1, g2=1.0),
+                     (2, [2, 2])),
+}
+
+# gauge-variant perturbations P, added to H as eps (P + P^dag): a left or
+# right generator on link 0, or the color bilinear c^dag_up c_down at
+# vertex 0.  Each single generator violates two components of the Gauss law
+# by the same amount or the z one by less; L^x + L^y violates the z
+# component most, so that a check which misses it fails
+LINK_PERTURBATIONS = [side + axis for side in "LR" for axis in "xyz"] \
+    + ["Lxy"]
+EPSILONS = (1e-3, 0.37)
+
+
+@lru_cache(maxsize=None)
+def oracle_model(name):
+    """(model, H, per-axis generators) of a named model, built once."""
+    spec, (dim, sizes) = MODELS[name]
+    model = build_model(spec, build_lattice(dim, sizes))
+    return (model, model.hamiltonian(),
+            su2_oracle.gauss_generators_su2(model.space, model.link_space))
+
+
+def perturbation(model, name):
+    space = model.space
+    if name == "matter":
+        return space.embed(matter_mod.hop(space.layout.factor(0, 0),
+                                          space.layout.factor(0, 1)))
+    ops = model.link_space.L if name[0] == "L" else model.link_space.R
+    return space.embed([(0, sum(ops[axis] for axis in name[1:]))])
+
+
+def cases():
+    for name, (spec, _) in MODELS.items():
+        yield pytest.param(name, None, 0.0, id=f"{name}-clean")
+        perturbations = LINK_PERTURBATIONS + (
+            ["matter"] if spec.matter is not None else [])
+        for p in perturbations:
+            for eps in EPSILONS:
+                yield pytest.param(name, p, eps, id=f"{name}-{p}-{eps}")
+
+
+@pytest.mark.parametrize("name", MODELS)
+def test_generators_match_per_axis_oracle(name):
+    model, _, reference = oracle_model(name)
+    derived = gauss_generators_su2(model.space, model.link_space)
+    assert len(derived) == len(reference) == model.lattice.vertex_count
+    for triple, ref_triple in zip(derived, reference):
+        for g, ref in zip(triple, ref_triple):
+            assert abs(g - ref).max() <= 1e-15
+
+
+@pytest.mark.parametrize("name, perturbed, eps", cases())
+def test_max_gauss_violation_matches_per_axis_oracle(name, perturbed, eps):
+    model, h, reference = oracle_model(name)
+    if perturbed is not None:
+        p = perturbation(model, perturbed)
+        h = (h + eps * (p + p.conj().T)).tocsr()
+    expected = su2_oracle.max_gauss_violation(reference, h)
+    assert abs(max_gauss_violation(model, h) - expected) <= 1e-15
+    if perturbed is not None:
+        assert expected >= eps / 4      # the perturbation is gauge variant
+    else:
+        assert expected < 1e-12
+
+
+def test_su2_check_builds_no_generators(monkeypatch):
+    # the verify --all chain of 4: one G^+ per vertex, whose terms are the
+    # only embeddings (6 link ends and 4 color bilinears), and no per-axis
+    # generator
+    model = build_model(HamiltonianSpec(truncation=0.5, **MATTER),
+                        build_lattice(1, [4]))
+    h = model.hamiltonian()
+    calls = {"embed": 0}
+    embed = ProductSpace.embed
+
+    def counted(self, *args, **kwargs):
+        calls["embed"] += 1
+        return embed(self, *args, **kwargs)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("per-axis generators built")
+    monkeypatch.setattr(ProductSpace, "embed", counted)
+    monkeypatch.setattr(gauge, "gauss_generators_su2", refuse)
+    assert max_gauss_violation(model, h) == 0.0
+    assert calls["embed"] <= 10
