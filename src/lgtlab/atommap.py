@@ -195,6 +195,7 @@ def build_m_and_verify(mapping="even", space=None, rotation=None):
     """
     if space is None:
         space = su2rep.su2_link_space(0.5)
+    if rotation is None:
         rotation = su2rep.truncated_rotation_matrix(space, 0.5)
     levels = _level_map(mapping)
     S = np.zeros((5, 5), dtype=complex)   # link basis <- boson basis

@@ -30,7 +30,7 @@ import time
 import numpy as np
 import scipy
 
-from . import __version__, atommap, gauge, observables, solver
+from . import __version__, atommap, gauge, observables, solver, su2rep
 from .hamiltonian import HamiltonianSpec, SectorLeak, build_model, \
     max_gauss_violation
 from .lattice import build_lattice
@@ -414,10 +414,11 @@ def run_verify(cfg, params, writer, tol):
     return run_verify_all(tol, checks, results)
 
 
-def run_verify_all(tol, checks, results):
+def verify_suite():
+    """(name, spec, lattice) of the six models that verify --all checks."""
     chain = build_lattice(1, [4])
     plaq = build_lattice(2, [2, 2])
-    suite = [
+    return [
         ("u1_chain_matter", HamiltonianSpec(
             model="ks_u1", truncation=1, eps=0.5, mass=0.3,
             matter=STAGGERED), chain),
@@ -432,17 +433,18 @@ def run_verify_all(tol, checks, results):
             model="su2", truncation=0.5, eps=0.4, mass=0.2,
             matter=SU2_FUNDAMENTAL), chain),
     ]
-    for name, spec, lat in suite:
+
+
+def run_verify_all(tol, checks, results):
+    for name, spec, lat in verify_suite():
         model, h = _verify_one(name, spec, lat, tol, checks)
-        if spec.model == "ks_u1" and lat is plaq:
+        if name == "u1_plaquette":
             dims = gauge.all_sector_dimensions(model.space)
             total = sum(dims.values())
             checks.append(_check("sector_dimensions_sum[u1_plaquette]",
                                  abs(total - model.space.dim), 0.5))
     # truncated-SU(2) trace identity with a measured defect scalar
-    import lgtlab.su2rep as su2rep
-    sp = su2rep.su2_link_space(0.5)
-    rot = su2rep.truncated_rotation_matrix(sp, 0.5)
+    rot = su2rep.truncated_rotation_matrix(su2rep.su2_link_space(0.5), 0.5)
     f, residual = rot.measured_defect()
     results["trace_identity_defect_f"] = f
     checks.append(_check("trace_identity_residual", residual, 1e-12))

@@ -173,12 +173,12 @@ def charge_rows(space, labels):
     in the narrowest signed integer that holds every entry: the base
     charges plus what each tensor factor's label adds."""
     base, effects = _charge_effects(space)
-    lo = base + sum(e.min(axis=0) for e in effects)
-    hi = base + sum(e.max(axis=0) for e in effects)
+    lo = base + sum(e.min(axis=0) for _, e in effects)
+    hi = base + sum(e.max(axis=0) for _, e in effects)
     dtype = np.min_scalar_type(-int(max(-lo.min(), hi.max(), 0)) - 1)
     table = np.repeat(base.astype(dtype)[:, None], labels.shape[1], axis=1)
-    for effect, row in zip(effects, labels):
-        for v in np.flatnonzero(effect.any(axis=0)):
+    for (vertices, effect), row in zip(effects, labels):
+        for v in vertices:
             table[v] += effect[:, v].astype(dtype)[row]
     return table
 
@@ -186,8 +186,9 @@ def charge_rows(space, labels):
 def _charge_effects(space):
     """The Gauss law factor by factor: the charges div(flux) - Q of the
     state with every label 0 except the fluxes (the matter charge shifts),
-    and per tensor factor in the mixed-radix order a (radix, n_vertices)
-    matrix of what each of its labels adds at every vertex."""
+    and per tensor factor in the mixed-radix order the vertices it touches
+    and a (radix, n_vertices) matrix of what each of its labels adds at
+    every vertex (0 at the others)."""
     lat = space.lattice
     flux = np.rint(space.linkops.flux_values).astype(np.int64)
     base = np.zeros(lat.vertex_count, dtype=np.int64)
@@ -197,14 +198,15 @@ def _charge_effects(space):
         effect = np.zeros((space.link_dim, lat.vertex_count), dtype=np.int64)
         effect[:, a] += flux
         effect[:, b] -= flux
-        effects.append(effect)
+        effects.append(([a, b], effect))
     if space.layout is not None:
         base[:] = [matter_mod.charge_shift(space.layout, v)
                    for v in range(lat.vertex_count)]
         for j in range(space.n_modes):
+            v = j // space.layout.species_per_vertex
             effect = np.zeros((2, lat.vertex_count), dtype=np.int64)
-            effect[1, j // space.layout.species_per_vertex] = -1
-            effects.append(effect)
+            effect[1, v] = -1
+            effects.append(([v], effect))
     return base, effects
 
 
@@ -249,31 +251,37 @@ def sector_basis(space, charges):
             f"product space of {space.dim} states exceeds the int64 index "
             f"range of the sector enumeration")
     base, effects = _charge_effects(space)
-    # lo[f], hi[f]: extremes of what the factors after f can still add
+    # lo[f], hi[f]: extremes of what the factors after f can still add; a
+    # vertex with charge c can still reach its target when
+    # 0 <= target - lo[f] - c <= hi[f] - lo[f] (modulo N on Z_N links)
     lo = np.zeros((len(effects) + 1, lat.vertex_count), dtype=np.int64)
     hi = lo.copy()
     for f in range(len(effects) - 1, -1, -1):
-        lo[f] = lo[f + 1] + effects[f].min(axis=0)
-        hi[f] = hi[f + 1] + effects[f].max(axis=0)
+        lo[f] = lo[f + 1] + effects[f][1].min(axis=0)
+        hi[f] = hi[f + 1] + effects[f][1].max(axis=0)
+    shift, span = np.array(charges, dtype=np.int64) - lo, hi - lo
     modulus = space.linkops.param if space.linkops.model == linkalg.ZN \
         else None
-    target = np.array(charges, dtype=np.int64)
 
-    def reachable(charge, f):
-        need = target - charge - lo[f]
-        span = hi[f] - lo[f]
-        if modulus is not None:
-            need = need % modulus
-        return np.all((need >= 0) & (need <= span), axis=1)
+    def reachable(charge, f, vertices):
+        keep = True
+        for v in vertices:
+            need = shift[f, v] - charge[:, v]
+            if modulus is not None:
+                need %= modulus
+            keep = keep & (need >= 0) & (need <= span[f, v])
+        return keep
 
     charge = base[None, :]
-    keep = reachable(charge, 0)
+    keep = reachable(charge, 0, range(lat.vertex_count))
     indices, charge = np.zeros(1, dtype=np.int64)[keep], charge[keep]
-    for f, effect in enumerate(effects):
+    for f, (vertices, effect) in enumerate(effects):
         radix = len(effect)
         indices = (indices[:, None] * radix + np.arange(radix)).ravel()
         charge = (charge[:, None, :] + effect).reshape(-1, lat.vertex_count)
-        keep = reachable(charge, f + 1)
+        # factor f moves the charge, and lo and hi, only at its own
+        # vertices; every other vertex stays reachable
+        keep = reachable(charge, f + 1, vertices)
         indices, charge = indices[keep], charge[keep]
     return GaussSector(charges, space.dim, indices=indices)
 

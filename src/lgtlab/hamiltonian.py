@@ -13,8 +13,8 @@ modes).  The pieces are realized in one of two ways, chosen by whether a
 Gauss sector is passed:
 
 * full space (``model.hamiltonian()``): D reads the full label table and
-  each piece is embedded through ``ProductSpace.embed``; the pieces are
-  summed in one COO pass.
+  the pieces are embedded and summed in one COO pass
+  (``ProductSpace.embed_sum``).
 * sector (``model.hamiltonian(sector=sec)`` with an enumeration sector
   from ``gauge.sector_basis``): D reads the labels decoded for the
   sector's indices only, and each piece is applied to the sector's states
@@ -402,9 +402,12 @@ def max_gauss_violation(model, h=None):
     (_diagonal_violation): for the Abelian families g is read from the
     charge table, for SU(2) it is the G^z row of gauge.su2_gauss_law.  The
     SU(2) x and y components come from K+- = [H, G^+-] with
-    G^- = (G^+)^dag: [H, G^x] = (K+ + K-)/2 and [H, G^y] = (K+ - K-)/2i,
-    exact for any H.  H and G^+ are taken real when their imaginary parts
-    are exactly 0, by the rule of the eigensolvers.
+    G^- = (G^+)^dag: [H, G^x] = (K+ + K-)/2 and [H, G^y] = (K+ - K-)/2i.
+    Only K+ = HG^+ - G^+H is formed; K- = -(K+)^dag holds because H is
+    Hermitian, and it is exact only for an H that is Hermitian bit for bit,
+    as Model.hamiltonian() is by construction (T + T^dag + D).  H and G^+
+    are taken real when their imaginary parts are exactly 0, by the rule of
+    the eigensolvers.
     """
     h = model.hamiltonian() if h is None else h
     if model.spec.model == SU2:
@@ -413,9 +416,8 @@ def max_gauss_violation(model, h=None):
         for v in range(model.lattice.vertex_count):
             z, raising = gauge.su2_gauss_law(model.space, model.link_space, v)
             raising = solver._solver_matrix(raising, dense=False)
-            lowering = raising.conj().T.tocsr()
             k_up = h @ raising - raising @ h
-            k_down = h @ lowering - lowering @ h
+            k_down = -k_up.conj().T
             worst = max(worst, _diagonal_violation(coo, [z]),
                         float(abs(k_up + k_down).max()) / 2,
                         float(abs(k_up - k_down).max()) / 2)

@@ -12,6 +12,10 @@ Contents:
   [L_i, L_j] = -i eps_ijk L_k and [R_i, R_j] = +i eps_ijk R_k.
 * The gauge-covariant (but non-unitary) rotation-matrix operators built by
   Clebsch-Gordan sums over representation pairs (J, K), truncated at J_max.
+
+  The link space is built once per J_max and each rotation matrix once per
+  (J_max, j); callers share them, so every array they hold is read-only
+  and an attempt to write one raises ValueError.
 * Two-mode Schwinger-boson and four-mode prepotential realizations of the
   same algebras on Fock spaces, used as independent cross-checks and as the
   operator content of the atomic constructions.
@@ -146,6 +150,7 @@ class SU2LinkSpace:
     R: dict = field(repr=False)
     projectors: dict = field(repr=False)  # j -> P_j
     casimir: np.ndarray = field(repr=False)
+    rotations: dict = field(default_factory=dict, repr=False)  # j -> U^j
 
     @property
     def local_dim(self):
@@ -155,10 +160,26 @@ class SU2LinkSpace:
         return self.index[(j, m, mp)]
 
 
+_LINK_SPACES = {}
+
+
 def su2_link_space(j_max):
-    """Build the |j m m'> space with its left/right generator matrices."""
+    """The |j m m'> space with its left/right generator matrices, built on
+    the first call for a J_max and shared after; its arrays are
+    read-only."""
     if j_max < 0 or not _is_half_integer(j_max):
         raise ValueError("j_max must be a non-negative half-integer")
+    if j_max not in _LINK_SPACES:
+        _LINK_SPACES[j_max] = _build_link_space(j_max)
+    return _LINK_SPACES[j_max]
+
+
+def _read_only(arrays):
+    for a in arrays:
+        a.flags.writeable = False
+
+
+def _build_link_space(j_max):
     basis = []
     for j in _j_values(j_max):
         for m in _half_range(j):
@@ -194,6 +215,7 @@ def su2_link_space(j_max):
     L["m"] = L["x"] + 1j * L["y"]
     R["p"] = R["x"] + 1j * R["y"]
     R["m"] = R["x"] - 1j * R["y"]
+    _read_only([*L.values(), *R.values(), *projectors.values(), casimir])
     return SU2LinkSpace(j_max, basis, index, L, R, projectors, casimir)
 
 
@@ -243,8 +265,10 @@ class TruncatedRotationMatrix:
         return f, residual
 
 
-def truncated_rotation_matrix(space, j, cg_table=None):
-    """Construct U^j on `space` from the Clebsch-Gordan series.
+def truncated_rotation_matrix(space, j):
+    """U^j on `space` from the Clebsch-Gordan series, built on the first
+    call for a (space, j) and kept on the space after; its entries are
+    read-only.
 
     U^j_{mm'} = sum_{J <= J_max} sum_{K=|J-j|..J+j, K <= J_max}
                 sqrt((2J+1)/(2K+1)) u^j_{mm'}(J,K)
@@ -253,10 +277,15 @@ def truncated_rotation_matrix(space, j, cg_table=None):
     """
     if j > space.j_max + 1e-12:
         raise ValueError("representation label j exceeds J_max")
+    if j not in space.rotations:
+        space.rotations[j] = _build_rotation_matrix(space, j)
+    return space.rotations[j]
+
+
+def _build_rotation_matrix(space, j):
     dim = space.local_dim
     d = round(2 * j) + 1
     ms = list(reversed(_half_range(j)))   # m = j ... -j
-    coeff = cg_table if cg_table is not None else cg
 
     entries = [[np.zeros((dim, dim), dtype=complex) for _ in range(d)]
                for _ in range(d)]
@@ -272,19 +301,20 @@ def truncated_rotation_matrix(space, j, cg_table=None):
                         N = M + m
                         if abs(N) > K:
                             continue
-                        cl = coeff(J, M, j, m, K, N)
+                        cl = cg(J, M, j, m, K, N)
                         if cl == 0.0:
                             continue
                         for Mp in _half_range(J):
                             Np = Mp + mp
                             if abs(Np) > K:
                                 continue
-                            cr = coeff(J, Mp, j, mp, K, Np)
+                            cr = cg(J, Mp, j, mp, K, Np)
                             if cr == 0.0:
                                 continue
                             row = space.state_index(K, N, Np)
                             col = space.state_index(J, M, Mp)
                             mat[row, col] += pref * cl * cr
+    _read_only(e for row in entries for e in row)
     return TruncatedRotationMatrix(j, space, entries)
 
 

@@ -29,10 +29,11 @@ products of local matrices on tensor factors, links and fermion modes
 alike (a fermion hop carries its Jordan-Wigner string as Pauli Z factors,
 see ``matter.hop``), with two realizations:
 
-* full space: ``ProductSpace.embed``, the one Kronecker-product path,
-  built in COO form in a single pass in which each run of untouched
-  factors is one identity block (``ProductSpace.embed_sum`` sums such
-  products in one COO pass);
+* full space: ``ProductSpace.embed_coo``, the one Kronecker-product path,
+  which yields a product's COO triples in a single pass in which each run
+  of untouched factors is one identity block.  ``ProductSpace.embed``
+  turns one product into a CSR; ``ProductSpace.embed_sum`` collects the
+  scaled triples of many products and converts them to CSR once;
 * Gauss sector: ``ProductSpace.shift``, which applies the same product to a
   list of product states as label shifts.  Each nonzero of a local
   matrix's column maps a source label to a target label, so the target
@@ -182,12 +183,20 @@ class ProductSpace:
         return sparse.diags(values, format="csr", dtype=complex)
 
     def embed(self, factors=()):
-        """Embed a product of local operators in the full space.
+        """Embed a product of local operators in the full space as a CSR
+        (the triples of embed_coo)."""
+        rows, cols, data = self.embed_coo(factors)
+        return sparse.csr_matrix((data, (rows, cols)),
+                                 shape=(self.dim, self.dim))
+
+    def embed_coo(self, factors=()):
+        """COO triples (rows, cols, data) of a product of local operators
+        embedded in the full space, each (row, col) once.
 
         factors: iterable of (factor index, local matrix); matrices on the
         same factor multiply in the order given.  The Kronecker product is
-        formed in COO form in one pass over the factors, each run of
-        untouched factors one identity block.
+        formed in one pass over the factors, each run of untouched factors
+        one identity block.
         """
         local = self._local(factors)
         self.require_memory()
@@ -210,19 +219,19 @@ class ProductSpace:
                 data = (data[:, None] * op[r, c]).ravel()
             rows = (rows[:, None] * size + r).ravel()
             cols = (cols[:, None] * size + c).ravel()
-        return sparse.csr_matrix((data, (rows, cols)),
-                                 shape=(self.dim, self.dim))
+        return rows, cols, data
 
     def embed_sum(self, pieces):
         """sum of coeff * embed(factors) over (coeff, factors) pieces as one
-        CSR, the embedded pieces summed in one COO pass."""
+        CSR: each piece's embed_coo triples, scaled by its coefficient, are
+        collected and converted to CSR once."""
         rows, cols = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)]
         data = [np.zeros(0, dtype=complex)]
         for coeff, factors in pieces:
-            piece = (coeff * self.embed(factors)).tocoo()
-            rows.append(piece.row)
-            cols.append(piece.col)
-            data.append(piece.data)
+            r, c, d = self.embed_coo(factors)
+            rows.append(r)
+            cols.append(c)
+            data.append(d * coeff)
         return sparse.coo_matrix(
             (np.concatenate(data), (np.concatenate(rows),
                                     np.concatenate(cols))),

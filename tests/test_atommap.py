@@ -93,6 +93,14 @@ def test_m_equals_truncated_rotation(mapping):
     assert dev < 1e-12
 
 
+@pytest.mark.parametrize("mapping", ["even", "odd"])
+def test_m_equals_truncated_rotation_on_a_given_space(mapping):
+    # a link space without a rotation matrix: the rotation is built for it
+    from lgtlab.su2rep import su2_link_space
+    _, dev = build_m_and_verify(mapping, su2_link_space(0.5))
+    assert dev < 1e-12
+
+
 def test_m_and_gauss_generators_commute_on_link():
     # the hyperfine-conservation claim: the hopping built from M commutes
     # with all SU(2) Gauss generators on a two-vertex chain

@@ -190,6 +190,14 @@ def test_verify_all_passes(tmp_path):
     assert m["results"]["trace_identity_defect_f"] == pytest.approx(1.5)
 
 
+@pytest.mark.parametrize("spec, lat", [pytest.param(s, l, id=n)
+                                       for n, s, l in cli.verify_suite()])
+def test_verify_models_are_hermitian_bit_for_bit(spec, lat):
+    # the precondition of max_gauss_violation's K- = -(K+)^dag
+    h = cli.build_model(spec, lat).hamiltonian()
+    assert (h != h.conj().T).nnz == 0
+
+
 def test_verify_single_config(tmp_path):
     cfg = {
         "scenario": "verify",

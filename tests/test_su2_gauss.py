@@ -79,6 +79,13 @@ def test_generators_match_per_axis_oracle(name):
             assert abs(g - ref).max() <= 1e-15
 
 
+@pytest.mark.parametrize("name", MODELS)
+def test_hamiltonian_is_hermitian_bit_for_bit(name):
+    # the precondition of max_gauss_violation's K- = -(K+)^dag
+    _, h, _ = oracle_model(name)
+    assert (h != h.conj().T).nnz == 0
+
+
 @pytest.mark.parametrize("name, perturbed, eps", cases())
 def test_max_gauss_violation_matches_per_axis_oracle(name, perturbed, eps):
     model, h, reference = oracle_model(name)
@@ -95,21 +102,21 @@ def test_max_gauss_violation_matches_per_axis_oracle(name, perturbed, eps):
 
 def test_su2_check_builds_no_generators(monkeypatch):
     # the verify --all chain of 4: one G^+ per vertex, whose terms are the
-    # only embeddings (6 link ends and 4 color bilinears), and no per-axis
-    # generator
+    # only embeddings (6 link ends and 4 color bilinears, each one pass of
+    # embed_coo), and no per-axis generator
     model = build_model(HamiltonianSpec(truncation=0.5, **MATTER),
                         build_lattice(1, [4]))
     h = model.hamiltonian()
-    calls = {"embed": 0}
-    embed = ProductSpace.embed
+    calls = {"embed_coo": 0}
+    embed_coo = ProductSpace.embed_coo
 
     def counted(self, *args, **kwargs):
-        calls["embed"] += 1
-        return embed(self, *args, **kwargs)
+        calls["embed_coo"] += 1
+        return embed_coo(self, *args, **kwargs)
 
     def refuse(*args, **kwargs):
         raise AssertionError("per-axis generators built")
-    monkeypatch.setattr(ProductSpace, "embed", counted)
+    monkeypatch.setattr(ProductSpace, "embed_coo", counted)
     monkeypatch.setattr(gauge, "gauss_generators_su2", refuse)
     assert max_gauss_violation(model, h) == 0.0
-    assert calls["embed"] <= 10
+    assert 0 < calls["embed_coo"] <= 10

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
 
+from lgtlab import cli, su2rep
+from lgtlab.hamiltonian import HamiltonianSpec, build_model
+from lgtlab.lattice import build_lattice
 from lgtlab.linkalg import spin_gauge_ops
 from lgtlab.su2rep import boson_annihilators, build_cg_table, cg, \
     fixed_ell_subspace, prepotential_decomposition, schwinger_u1, \
@@ -301,3 +304,45 @@ def test_prepotential_algebras_and_number_balance():
         for j in range(2):
             U = pp["U"][i][j]
             assert np.allclose(D @ U - U @ D, 0.0, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# one shared, read-only link space per J_max and rotation per (J_max, j)
+# ---------------------------------------------------------------------------
+
+def test_verify_all_builds_one_rotation_matrix(monkeypatch):
+    # 16 cg calls build U^{1/2} at J_max = 1/2 once; the SU(2) model, the
+    # trace identity and both M-matrix checks share it
+    monkeypatch.setattr(su2rep, "_LINK_SPACES", {})
+    calls = {"cg": 0}
+    cg_ = su2rep.cg
+
+    def counted(*args):
+        calls["cg"] += 1
+        return cg_(*args)
+    monkeypatch.setattr(su2rep, "cg", counted)
+    checks = []
+    cli.run_verify_all(cli.DEFAULT_TOL, checks, {})
+    assert all(c["pass"] for c in checks)
+    assert calls["cg"] == 16
+
+
+def test_cached_arrays_refuse_writes():
+    sp = su2_link_space(0.5)
+    U = truncated_rotation_matrix(sp, 0.5)
+    for array in (U.entry(0.5, -0.5), sp.L["x"], sp.R["p"], sp.casimir,
+                  sp.projectors[0.5]):
+        with pytest.raises(ValueError):
+            array[0, 0] = 1.0
+
+
+def test_su2_models_share_one_rotation_matrix():
+    a = build_model(HamiltonianSpec(model="su2", truncation=1),
+                    build_lattice(1, [3]))
+    b = build_model(HamiltonianSpec(model="su2", truncation=1.0, g2=2.0),
+                    build_lattice(2, [2, 2]))
+    assert a.link_space is b.link_space
+    assert a.rotation is b.rotation
+    assert a.rotation is not build_model(
+        HamiltonianSpec(model="su2", truncation=0.5),
+        build_lattice(1, [3])).rotation

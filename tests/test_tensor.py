@@ -80,6 +80,22 @@ def test_embed_equals_dense_kron_chain(where, case):
     assert np.array_equal(shifted.toarray(), out.toarray())
 
 
+@pytest.mark.parametrize("where,case", RUNS)
+def test_embed_sum_equals_scaled_embeds(where, case):
+    # two draws of the case's factors (the same draw for the fixed hops),
+    # so every entry is summed from both pieces
+    spec, (dim, sizes) = SPACES[where]
+    space = build_model(spec, build_lattice(dim, sizes)).space
+    rng = np.random.default_rng(11)
+    pieces = [(0.3 - 0.7j, case_factors(space, case, rng)),
+              (1.9, case_factors(space, case, rng))]
+    got = space.embed_sum(pieces)
+    want = sum((c * space.embed(f) for c, f in pieces[1:]),
+               pieces[0][0] * space.embed(pieces[0][1])).tocsr()
+    for attr in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(got, attr), getattr(want, attr))
+
+
 def test_embed_matter_on_space_without_matter_raises():
     space = build_model(HamiltonianSpec(), build_lattice(2, [2, 2])).space
     with pytest.raises(ValueError):
