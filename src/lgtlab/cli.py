@@ -14,7 +14,8 @@ numerical failure.  Result CSVs are byte-stable across repeated runs
 (fixed solver seeds, floats printed with 17 significant digits, LF line
 endings); the manifest additionally records, under `timing`, the wall
 time, the process's thread count, the largest full-space dimension whose
-Hamiltonian was assembled, the dimension and path (dense or Lanczos) of
+Hamiltonian was assembled, the number of states of every Hamiltonian
+assembly, the dimension and path (dense or Lanczos) of
 every eigensolve, the worst relative eigenpair residual, the dimension of
 every evolution, and the peak resident set size.  The `lgtlab` command enters
 through `lgtlab.__main__`, which applies `--threads` before numpy loads.
@@ -507,6 +508,7 @@ def run(cfg, outdir, tol=DEFAULT_TOL):
                    "threads": len(os.listdir(TASKS))
                    if os.path.isdir(TASKS) else None,
                    "dim_full": log.dim_full,
+                   "assembly_dims": log.assembly_dims,
                    "solve_dims": log.solve_dims,
                    "solve_paths": log.solve_paths,
                    "worst_relative_residual": log.worst_relative_residual,

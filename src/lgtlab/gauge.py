@@ -39,13 +39,17 @@ class GaussSector:
     """A static-charge sector with an explicit basis.
 
     Either `indices` (product-basis positions, Abelian enumeration) or
-    `basis` (orthonormal columns, non-Abelian kernel) is set.
+    `basis` (orthonormal columns, non-Abelian kernel) is set.  A merge of
+    several enumeration sectors (merge_sectors) also sets `blocks`, the
+    source sector of every state, and its `charges` are the source
+    sectors' charges; H is block diagonal on it, one block per source.
     """
 
     charges: tuple
     dim_full: int
     indices: np.ndarray = None
     basis: np.ndarray = field(default=None, repr=False)
+    blocks: np.ndarray = field(default=None, repr=False)
 
     @property
     def dim(self):
@@ -56,6 +60,15 @@ class GaussSector:
     @property
     def is_empty(self):
         return self.dim == 0
+
+    def diagonal_blocks(self, op):
+        """The diagonal blocks of an operator on the sector's states, one
+        per source sector in merge order: [op] itself when not merged."""
+        if self.blocks is None:
+            return [op]
+        positions = [np.flatnonzero(self.blocks == b)
+                     for b in range(len(self.charges))]
+        return [op[pos][:, pos] for pos in positions]
 
     def basis_matrix(self):
         """Isometry from the sector onto the full space (dense columns)."""
@@ -210,6 +223,27 @@ def _charge_effects(space):
     return base, effects
 
 
+def _enumeration_plan(space):
+    """The Gauss law as sector_basis reads it, built once per space: the
+    base charges; per tensor factor its vertices, its radix and what each
+    of its labels adds at each of those vertices; and lo[f], hi[f], the
+    extremes of what the factors from f on can still add per vertex.  The
+    charges and columns are int16, the partial charges' type, unless the
+    base plus every factor's largest contribution does not fit it; then
+    they are int64."""
+    base, effects = _charge_effects(space)
+    lo = np.zeros((len(effects) + 1, len(base)), dtype=np.int64)
+    hi = lo.copy()
+    for f in range(len(effects) - 1, -1, -1):
+        lo[f] = lo[f + 1] + effects[f][1].min(axis=0)
+        hi[f] = hi[f + 1] + effects[f][1].max(axis=0)
+    bound = np.abs(base).max() + sum(np.abs(e).max() for _, e in effects)
+    dtype = np.int16 if bound <= np.iinfo(np.int16).max else np.int64
+    factors = [(vertices, len(e), e[:, vertices].T.astype(dtype))
+               for vertices, e in effects]
+    return base.astype(dtype), factors, lo, hi
+
+
 def sector_labels(space, sector=None):
     """Label table of a sector's states, or of the full space when None."""
     if sector is None:
@@ -250,15 +284,11 @@ def sector_basis(space, charges):
         raise SolverError(
             f"product space of {space.dim} states exceeds the int64 index "
             f"range of the sector enumeration")
-    base, effects = _charge_effects(space)
-    # lo[f], hi[f]: extremes of what the factors after f can still add; a
-    # vertex with charge c can still reach its target when
-    # 0 <= target - lo[f] - c <= hi[f] - lo[f] (modulo N on Z_N links)
-    lo = np.zeros((len(effects) + 1, lat.vertex_count), dtype=np.int64)
-    hi = lo.copy()
-    for f in range(len(effects) - 1, -1, -1):
-        lo[f] = lo[f + 1] + effects[f][1].min(axis=0)
-        hi[f] = hi[f + 1] + effects[f][1].max(axis=0)
+    base, factors, lo, hi = space.cached(
+        "enumeration_plan", lambda: _enumeration_plan(space))
+    # a vertex with charge c can still reach its target after the first f
+    # factors when 0 <= target - lo[f] - c <= hi[f] - lo[f] (modulo N on
+    # Z_N links)
     shift, span = np.array(charges, dtype=np.int64) - lo, hi - lo
     modulus = space.linkops.param if space.linkops.model == linkalg.ZN \
         else None
@@ -275,15 +305,37 @@ def sector_basis(space, charges):
     charge = base[None, :]
     keep = reachable(charge, 0, range(lat.vertex_count))
     indices, charge = np.zeros(1, dtype=np.int64)[keep], charge[keep]
-    for f, (vertices, effect) in enumerate(effects):
-        radix = len(effect)
+    for f, (vertices, radix, columns) in enumerate(factors):
         indices = (indices[:, None] * radix + np.arange(radix)).ravel()
-        charge = (charge[:, None, :] + effect).reshape(-1, lat.vertex_count)
+        charge = charge.repeat(radix, axis=0)
         # factor f moves the charge, and lo and hi, only at its own
-        # vertices; every other vertex stays reachable
+        # vertices: those columns are updated in place and re-checked,
+        # every other vertex stays reachable
+        per_label = charge.reshape(-1, radix, lat.vertex_count)
+        for v, column in zip(vertices, columns):
+            per_label[:, :, v] += column
         keep = reachable(charge, f + 1, vertices)
         indices, charge = indices[keep], charge[keep]
     return GaussSector(charges, space.dim, indices=indices)
+
+
+def merge_sectors(sectors):
+    """One enumeration sector holding the states of several, in sorted
+    index order, with `blocks` giving each state's source sector (the
+    position in `sectors`); a single sector is returned as it is.
+
+    The sectors must have distinct charges, so no state is in two; H
+    assembled on the merge is then block diagonal, and each of its
+    diagonal_blocks is bitwise the H of that sector alone.
+    """
+    if len(sectors) == 1:
+        return sectors[0]
+    indices = np.concatenate([s.indices for s in sectors])
+    order = np.argsort(indices)
+    blocks = np.repeat(np.arange(len(sectors)), [s.dim for s in sectors])
+    return GaussSector(tuple(s.charges for s in sectors),
+                       sectors[0].dim_full, indices=indices[order],
+                       blocks=blocks[order])
 
 
 def su2_zero_charge_sector(space, generators, tol=1e-10):

@@ -158,7 +158,12 @@ class Model:
         sector-dimension block: D is read from the sector's labels and each
         piece (and, where T^dag might leave the sector, its adjoint) is
         applied to the sector's states as label shifts; amplitude sent out
-        of the sector raises SectorLeak.
+        of the sector raises SectorLeak.  On a merge of several sectors
+        (gauge.merge_sectors) H is block diagonal, each of its
+        diagonal_blocks bitwise the H of that sector alone, and amplitude
+        from one merged sector into another is a leak too.  Every call
+        logs the number of states it assembles as a RunLog assembly_dims
+        entry.
         """
         space = self.space
         solver.log_max("dim_full", space.dim)
@@ -170,6 +175,7 @@ class Model:
                 diag += DIAGONAL_TERMS[t](self, labels)
             else:
                 pieces += [(t, piece) for piece in OFF_DIAGONAL_TERMS[t](self)]
+        solver.log_append("assembly_dims", len(diag))
         off, (leak, term) = _sum_pieces(space, sector, pieces, len(diag))
         h = (off + off.conj().T + space.diagonal_op(diag)).tocsr()
         if leak:
@@ -195,13 +201,17 @@ def _sum_pieces(space, sector, pieces, n):
     n x n CSR, in one COO pass: embedded on the full space (sector None),
     applied as label shifts on the sector's states otherwise.
 
-    On a sector, T^dag can leave the sector where T does not, so a piece's
-    adjoint is applied too, unless the piece keeps some sector state in the
-    sector: every piece moves the Gauss charges by one fixed amount (flux
-    shifts and at most one fermion move), which is then 0 for the piece and
-    its adjoint alike.  Also returns (the largest amplitude a piece of T
-    or T^dag sends out of the sector, the term of that piece); (0.0, None)
-    without a leak."""
+    On a sector, a target is inside only if it is one of the sector's
+    states and, on a merge of sectors (gauge.merge_sectors), in the same
+    source sector as the state it came from: amplitude between two merged
+    sectors is a leak like any other, so T stays block diagonal.  T^dag
+    can leave the sector where T does not, so a piece's adjoint is applied
+    too, unless the piece keeps some sector state in the sector: every
+    piece moves the Gauss charges by one fixed amount (flux shifts and at
+    most one fermion move), which is then 0 for the piece and its adjoint
+    alike.  Also returns (the largest amplitude a piece of T or T^dag
+    sends out of the sector, the term of that piece); (0.0, None) without
+    a leak."""
     if sector is None:
         return space.embed_sum(piece for _, piece in pieces), (0.0, None)
     rows, cols = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)]
@@ -213,6 +223,9 @@ def _sum_pieces(space, sector, pieces, n):
             row = np.searchsorted(sector.indices, target)
             inside = row < n
             inside[inside] = sector.indices[row[inside]] == target[inside]
+            if sector.blocks is not None:
+                inside[inside] = (sector.blocks[row[inside]]
+                                  == sector.blocks[source[inside]])
             if not adjoint:
                 rows.append(row[inside])
                 cols.append(source[inside])

@@ -15,8 +15,8 @@ import numpy as np
 from . import solver
 from .hamiltonian import KS_U1, SPIN_GAUGE, SU2, ZN, HamiltonianSpec, \
     build_model
-from .gauge import charge_rows, matter_charge_row, sector_basis, \
-    sector_labels, zn_generator_phases
+from .gauge import charge_rows, matter_charge_row, merge_sectors, \
+    sector_basis, sector_labels, zn_generator_phases
 from .lattice import build_lattice
 from .matter import dirac_sea_state
 
@@ -162,35 +162,28 @@ def static_potential(spec, lat, separations, origin=0, fit_window=None):
     """Ground energy per static-charge separation, with a linear fit.
 
     U(1)-family sectors are diagonalized exactly in the (+1 at origin,
-    -1 at origin+R) charge sector, each with its Hamiltonian assembled in
-    the sector; the SU(2) potential is evaluated on the explicit
-    strong-coupling string state with the full-space Hamiltonian
-    (zero-charge sector machinery does not label non-Abelian external
-    charges).  Empty sectors raise.
+    -1 at origin+R) charge sector, each enumerated once however often its
+    separation is listed.  Sectors small enough to be solved densely are
+    assembled together: consecutive ones are merged
+    (gauge.merge_sectors) while their states number at most
+    solver.DENSE_LIMIT, H is assembled once on each merge and every
+    sector's ground energy is that of its diagonal block, bitwise the H
+    the sector alone gives.  A larger sector is merged with none, so it is
+    assembled alone, one at a time.  The SU(2) potential is evaluated on
+    the explicit strong-coupling string state with the full-space
+    Hamiltonian (zero-charge sector machinery does not label non-Abelian
+    external charges).  Empty sectors raise.
     """
     model = build_model(spec, lat)
-    h = model.hamiltonian() if spec.model == SU2 else None
-    energies, dims = [], []
-    for R in separations:
-        if R == 0:
-            charges = [0] * lat.vertex_count
-        else:
-            charges = [0] * lat.vertex_count
-            charges[origin] = 1
-            end = lat.vertex_index(_shift_x(lat, origin, R))
-            charges[end] = -1
-        if spec.model == SU2:
+    if spec.model == SU2:
+        h = model.hamiltonian()
+        energies = []
+        for R in separations:
             psi = strong_coupling_ground(model, origin, R)
             energies.append(float(np.vdot(psi, h @ psi).real))
-            dims.append(1)
-            continue
-        sec = sector_basis(model.space, charges)
-        if sec.is_empty:
-            raise solver.SolverError(
-                f"empty Gauss sector for separation {R}")
-        hr = model.hamiltonian(sector=sec)
-        energies.append(float(solver.ground_energy(hr)))
-        dims.append(sec.dim)
+        dims = [1] * len(separations)
+    else:
+        energies, dims = _sector_ground_energies(model, separations, origin)
     curve = StaticPotentialCurve(list(separations), energies, dims)
     if fit_window is None:
         # drop R = 0 and the largest separation (boundary contamination)
@@ -200,6 +193,40 @@ def static_potential(spec, lat, separations, origin=0, fit_window=None):
     else:
         curve.fit(*fit_window)
     return curve
+
+
+def _sector_ground_energies(model, separations, origin):
+    """(ground energies, sector dimensions) per separation, each sector
+    enumerated once and assembled in a merge of consecutive sectors of at
+    most solver.DENSE_LIMIT states in all."""
+    lat = model.lattice
+    sectors, keys = {}, []
+    for R in separations:
+        charges = [0] * lat.vertex_count
+        if R != 0:
+            charges[origin] = 1
+            charges[lat.vertex_index(_shift_x(lat, origin, R))] = -1
+        keys.append(tuple(charges))
+        if keys[-1] not in sectors:
+            sec = sector_basis(model.space, keys[-1])
+            if sec.is_empty:
+                raise solver.SolverError(
+                    f"empty Gauss sector for separation {R}")
+            sectors[keys[-1]] = sec
+    groups = []
+    for sec in sectors.values():
+        if groups and sum(s.dim for s in groups[-1]) + sec.dim \
+                <= solver.DENSE_LIMIT:
+            groups[-1].append(sec)
+        else:
+            groups.append([sec])
+    ground = {}
+    for group in groups:
+        merged = merge_sectors(group)
+        blocks = merged.diagonal_blocks(model.hamiltonian(sector=merged))
+        for sec, h in zip(group, blocks):
+            ground[sec.charges] = float(solver.ground_energy(h))
+    return [ground[key] for key in keys], [sectors[key].dim for key in keys]
 
 
 def _shift_x(lat, vertex, R):

@@ -43,12 +43,14 @@ class SolverError(RuntimeError):
 @dataclass
 class RunLog:
     """Problem sizes of one run, for its manifest: the largest full-space
-    dimension whose Hamiltonian was assembled, the dimension and path
+    dimension whose Hamiltonian was assembled, the number of states of
+    every Hamiltonian assembly (Model.hamiltonian), the dimension and path
     ("dense" or "lanczos") of every eigensolve and the dimension and path
     ("dense" or "expm") of every evolution, in call order, and the worst
     relative eigenpair residual."""
 
     dim_full: int = None
+    assembly_dims: list = field(default_factory=list)
     solve_dims: list = field(default_factory=list)
     solve_paths: list = field(default_factory=list)
     evolve_dims: list = field(default_factory=list)
@@ -70,7 +72,8 @@ def run_log():
         _RUN_LOG.reset(token)
 
 
-def _log(name, value):
+def log_append(name, value):
+    """Append `value` to a RunLog list of the active RunLog, if any."""
     log = _RUN_LOG.get()
     if log is not None:
         getattr(log, name).append(value)
@@ -122,8 +125,8 @@ def eigs(op, k=1, tol=0.0):
         raise ValueError(f"asked for {k} eigenpairs; need at least 1")
     if k > dim:
         raise ValueError(f"asked for {k} eigenpairs of a dim-{dim} operator")
-    _log("solve_dims", dim)
-    _log("solve_paths", "dense" if dense else "lanczos")
+    log_append("solve_dims", dim)
+    log_append("solve_paths", "dense" if dense else "lanczos")
 
     mat = _solver_matrix(op, dense)
     if dense:
@@ -236,8 +239,8 @@ def evolve(op, state, t, steps):
     if steps < 1:
         raise ValueError("steps must be >= 1")
     dense = _fits_dense(op)
-    _log("evolve_dims", op.shape[0])
-    _log("evolve_paths", "dense" if dense else "expm")
+    log_append("evolve_dims", op.shape[0])
+    log_append("evolve_paths", "dense" if dense else "expm")
     times = np.linspace(0.0, float(t), steps + 1)
     if dense:
         w, v = eigh(_solver_matrix(op, True))

@@ -367,6 +367,78 @@ def test_potential_chain_18_runs_beyond_16_modes(tmp_path, monkeypatch):
     assert paths == ["lanczos"] * 2
 
 
+def potential_rows(tmp_path, separations, name):
+    cfg = {
+        "scenario": "potential",
+        "lattice": {"spatial_dim": 1, "sizes": [8]},
+        "hamiltonian": {"model": "ks_u1", "truncation": 1, "g2": 1.1,
+                        "eps": 0.5, "mass": 0.3, "matter": "staggered"},
+        "params": {"separations": separations},
+    }
+    status, _ = run(cfg, str(tmp_path / name))
+    assert status == 0
+    rows = (tmp_path / name / "potential.csv").read_text().splitlines()[1:]
+    return rows, read_manifest(tmp_path / name)
+
+
+def test_potential_chain_assembles_once(tmp_path, monkeypatch):
+    # the six small sectors of the chain of 8 (195 states in all) are
+    # merged and assembled in one Model.hamiltonian call
+    from lgtlab.hamiltonian import Model
+    calls = []
+    assemble = Model.hamiltonian
+    monkeypatch.setattr(Model, "hamiltonian", lambda self, *args, **kw: (
+        calls.append(kw.get("sector")), assemble(self, *args, **kw))[1])
+    rows, m = potential_rows(tmp_path, [0, 1, 2, 3, 4, 5], "out")
+    assert len(calls) == 1
+    assert m["timing"]["assembly_dims"] == [195]
+    assert m["timing"]["solve_dims"] == [61, 33, 33, 24, 25, 19]
+    assert [int(row.split(",")[2]) for row in rows] == m["timing"][
+        "solve_dims"]
+
+
+def test_potential_repeated_separations_match_single_ones(tmp_path,
+                                                          monkeypatch):
+    from lgtlab import observables
+    enumerated = []
+    enumerate_sector = observables.sector_basis
+    monkeypatch.setattr(observables, "sector_basis", lambda space, q: (
+        enumerated.append(tuple(q)), enumerate_sector(space, q))[1])
+    repeated, m = potential_rows(tmp_path, [1, 1, 2], "repeated")
+    assert len(enumerated) == 2
+    assert m["timing"]["assembly_dims"] == [66]
+    single, _ = potential_rows(tmp_path, [1, 2], "single")
+    reversed_, _ = potential_rows(tmp_path, [2, 1], "reversed")
+    assert repeated == [single[0], single[0], single[1]]
+    assert single == reversed_[::-1]
+
+
+def test_potential_without_merging_gives_the_same_blocks(tmp_path,
+                                                         monkeypatch):
+    # with DENSE_LIMIT at 0 every sector is assembled alone (and solved by
+    # Lanczos): the same blocks reach the solver, bitwise
+    from lgtlab import solver
+    blocks = []
+    solve = solver.ground_energy
+    monkeypatch.setattr(solver, "ground_energy", lambda h: (
+        blocks.append(h.toarray()), solve(h))[1])
+    merged, m = potential_rows(tmp_path, [0, 1, 2, 3, 4, 5], "merged")
+    merged_blocks, blocks[:] = list(blocks), []
+    monkeypatch.setattr(solver, "DENSE_LIMIT", 0)
+    alone, m0 = potential_rows(tmp_path, [0, 1, 2, 3, 4, 5], "alone")
+    assert m["timing"]["assembly_dims"] == [195]
+    assert m0["timing"]["assembly_dims"] == [61, 33, 33, 24, 25, 19]
+    assert m0["timing"]["solve_paths"] == ["lanczos"] * 6
+    assert len(blocks) == len(merged_blocks) == 6
+    for a, b in zip(blocks, merged_blocks):
+        assert a.tobytes() == b.tobytes()
+    for a, b in zip(alone, merged):
+        r_a, e_a, dim_a = a.split(",")
+        r_b, e_b, dim_b = b.split(",")
+        assert (r_a, dim_a) == (r_b, dim_b)
+        assert float(e_a) == pytest.approx(float(e_b), abs=1e-10)
+
+
 def test_oversized_full_space_exits_3_before_allocating(tmp_path):
     # 3^13 * 2^14 and 3^17 * 2^18 states cannot fit anywhere: the memory
     # guard raises before the label table or any embedding is built

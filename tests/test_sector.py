@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 from scipy.sparse.linalg import expm_multiply
 
-from lgtlab.gauge import abelian_charge_table, all_sector_dimensions, \
-    sector_basis
+from lgtlab.gauge import GaussSector, abelian_charge_table, \
+    all_sector_dimensions, merge_sectors, sector_basis
 from lgtlab.hamiltonian import HamiltonianSpec, SectorLeak, build_model
 from lgtlab.lattice import build_lattice
 from lgtlab.observables import flux_profile, flux_tube_breaking_scenario, \
@@ -89,6 +89,21 @@ def test_direct_enumeration_matches_scan(case):
         assert sec.is_empty
 
 
+def test_sector_basis_charges_beyond_int16():
+    # a link algebra whose flux values (+-40,000) no longer fit the int16
+    # partial charges: the enumeration must not wrap them
+    from lgtlab.linkalg import LinkOperatorSet
+    from lgtlab.tensor import ProductSpace
+    flux = np.diag([-40000.0, 0.0, 40000.0])
+    linkops = LinkOperatorSet("u1_truncated", 3, 1, {"flux": flux})
+    space = ProductSpace(chain(3), linkops)
+    for charges in all_sector_dimensions(space):
+        assert max(map(abs, charges)) <= 80000
+        assert np.array_equal(sector_basis(space, charges).indices,
+                              scan_sector(space, charges))
+    assert sector_basis(space, (40000, 0, -40000)).dim == 1
+
+
 def test_sector_basis_rejects_su2():
     space = build_model(HamiltonianSpec(model="su2", truncation=0.5),
                         chain(3)).space
@@ -138,6 +153,67 @@ def test_sector_hamiltonian_equals_restricted_full(case):
             assert own.shape == (sec.dim, sec.dim)
             diff = own.toarray() - restrict(h, sec).toarray()
             assert np.max(np.abs(diff), initial=0.0) <= 1e-14
+
+
+def csr_parts(m):
+    m = m.tocsr()
+    m.sort_indices()
+    return m.indptr.tobytes(), m.indices.tobytes(), m.data.tobytes()
+
+
+@pytest.mark.parametrize("case", HAMILTONIAN_CASES,
+                         ids=lambda c: f"{c[0].model}-{c[0].matter}-"
+                                       f"{'x'.join(map(str, c[1].sizes))}")
+def test_merged_sector_blocks_equal_each_sector_alone(case):
+    spec, lat, extra = case
+    model = build_model(spec, lat)
+    terms = model.effective_terms() + extra
+    sectors = [sector_basis(model.space, charges)
+               for charges in largest_sectors(model.space)]
+    assert len(sectors) == 3
+    merged = merge_sectors(sectors)
+    assert np.all(np.diff(merged.indices) > 0)
+    for b, sec in enumerate(sectors):
+        assert np.array_equal(merged.indices[merged.blocks == b],
+                              sec.indices)
+    h = model.hamiltonian(terms, sector=merged)
+    blocks = merged.diagonal_blocks(h)
+    # nothing off the diagonal blocks
+    assert h.nnz == sum(block.nnz for block in blocks)
+    for sec, block in zip(sectors, blocks):
+        assert csr_parts(block) == csr_parts(
+            model.hamiltonian(terms, sector=sec))
+
+
+def test_merge_of_one_sector_is_the_sector():
+    model = build_model(HamiltonianSpec(model="ks_u1", truncation=1),
+                        lattice_2d(2, 2))
+    sec = sector_basis(model.space, [0] * 4)
+    assert merge_sectors([sec]) is sec
+    h = model.hamiltonian(sector=sec)
+    assert sec.blocks is None and sec.diagonal_blocks(h)[0] is h
+
+
+def test_hopping_between_merged_sectors_is_a_leak():
+    # merging every sector gives back the full space, so no hop lands
+    # outside the merge: only the blocks show that it leaves its sector
+    spec = HamiltonianSpec(model="spin_gauge", truncation=1, eta=0.1)
+    model = build_model(spec, lattice_2d(2, 2))
+    merged = merge_sectors([sector_basis(model.space, charges)
+                            for charges in all_sector_dimensions(
+                                model.space)])
+    assert np.array_equal(merged.indices, np.arange(model.space.dim))
+    with pytest.raises(SectorLeak, match="hopping") as leak:
+        model.hamiltonian(("hopping",), sector=merged)
+    assert leak.value.amplitude == pytest.approx(0.1, abs=1e-15)
+    unmerged = GaussSector((), model.space.dim, indices=merged.indices)
+    full = model.hamiltonian(("hopping",))
+    assert csr_parts(model.hamiltonian(("hopping",), sector=unmerged)) \
+        == csr_parts(full)
+    # the gauge-invariant terms stay in their sectors
+    invariant = ("electric", "magnetic")
+    assert np.max(np.abs((model.hamiltonian(invariant, sector=merged)
+                          - model.hamiltonian(invariant)).toarray())) == 0.0
 
 
 def test_hopping_raises_on_a_sector():
