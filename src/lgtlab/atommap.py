@@ -124,20 +124,6 @@ def enumerate_channels(scheme, parity="even"):
     return [c for c in channels if c["allowed"]]
 
 
-def diagonal_channels(scheme, parity="even"):
-    """On-site channels (fermion keeps its vertex and level, boson level
-    unchanged): always energy- and m_F-conserving."""
-    scheme.validate()
-    levels = M_F_EVEN if parity == "even" else M_F_ODD
-    out = []
-    for m_b in (-2, -1, 0, 1, 2):
-        for f in levels.values():
-            out.append({"m_b_in": m_b, "m_f_in": f,
-                        "m_b_out": m_b, "m_f_out": f,
-                        "energy_gap": 0.0, "allowed": True})
-    return out
-
-
 # ---------------------------------------------------------------------------
 # the M matrix and its identification with the truncated rotation matrix
 # ---------------------------------------------------------------------------
@@ -217,47 +203,6 @@ def build_m_and_verify(mapping="even", space=None, rotation=None):
     return mapped, dev
 
 
-def fit_scattering_couplings(parity="even"):
-    """Least-squares C_F fit of the scattering amplitudes to the M-matrix
-    channel targets.
-
-    The inverse question: which total-F couplings make V_S reproduce the
-    link-matrix amplitudes on the energy-allowed channels?  Returns the
-    best-fit couplings, the residual and the channel table used; the
-    residual is reported, feasibility is not asserted.
-    """
-    fs = total_f_channels()
-    # target amplitudes: entries of M on its eight processes
-    e = _single_atom_bilinears()
-    M = m_matrix()
-    species = M_F_EVEN if parity == "even" else M_F_ODD
-    src = M_F_ODD if parity == "even" else M_F_EVEN
-    rows = []
-    targets = []
-    for i in range(2):
-        for j in range(2):
-            mat = M[i][j] if parity == "even" else M[j][i].conj().T
-            for mo in range(-2, 3):
-                for mi in range(-2, 3):
-                    amp = mat[mo + 2, mi + 2]
-                    if abs(amp) < 1e-14:
-                        continue
-                    m_f_out = species[i]
-                    m_f_in = src[j]
-                    row = [cg(F_BOSON, mo, F_FERMION, m_f_out, F,
-                              mi + m_f_in)
-                           * cg(F_BOSON, mi, F_FERMION, m_f_in, F,
-                                mi + m_f_in)
-                           for F in fs]
-                    rows.append(row)
-                    targets.append(amp)
-    A = np.array(rows, dtype=complex)
-    b = np.array(targets, dtype=complex)
-    c, *_ = np.linalg.lstsq(A, b, rcond=None)
-    residual = float(np.linalg.norm(A @ c - b))
-    return dict(zip(fs, c)), residual, len(targets)
-
-
 # ---------------------------------------------------------------------------
 # F=1 spinor projectors
 # ---------------------------------------------------------------------------
@@ -321,8 +266,3 @@ def schwinger_interaction_check(n_max):
     return {"deviation": deviation, "comm_total_number": comm_n,
             "comm_ellhat": comm_ell}
 
-
-def selection_rule_satisfied(m_a, m_b, m_c, m_d):
-    """The hyperfine bookkeeping for the interaction c^dag a^dag b d:
-    m_F(a) + m_F(c) = m_F(b) + m_F(d)."""
-    return abs((m_a + m_c) - (m_b + m_d)) < 1e-12

@@ -1,12 +1,12 @@
-"""Gauss-law generators, gauge sectors, and gauge transformations.
+"""Gauss-law charges and gauge sectors, read from the label table.
 
 For the Abelian families the generators are diagonal in the product basis
 (flux eigenbasis x occupation basis), so a sector is a set of product
 states, enumerated exactly and directly from the charge each tensor factor
 adds (``sector_basis``, no full-space table); no linear algebra is
-involved.  For SU(2) the three
-generators per vertex do not commute and the zero-charge sector is obtained
-as the joint numerical kernel.
+involved.  For SU(2) the three generators per vertex do not commute; the
+Gauss law is checked as a commutator, from the G^z row of the label table
+and one raising operator per vertex (``su2_gauss_law``).
 
 Conventions:
 
@@ -24,38 +24,28 @@ Conventions:
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
-from scipy.linalg import expm
 
 from . import linkalg, matter as matter_mod
-from .lattice import staggered_sign
 from .solver import SolverError
-
-_DENSE_LIMIT = 6000
 
 
 @dataclass
 class GaussSector:
-    """A static-charge sector with an explicit basis.
-
-    Either `indices` (product-basis positions, Abelian enumeration) or
-    `basis` (orthonormal columns, non-Abelian kernel) is set.  A merge of
-    several enumeration sectors (merge_sectors) also sets `blocks`, the
-    source sector of every state, and its `charges` are the source
-    sectors' charges; H is block diagonal on it, one block per source.
+    """A static-charge sector: the sorted product-basis `indices` of its
+    states.  A merge of several sectors (merge_sectors) also sets
+    `blocks`, the source sector of every state, and its `charges` are the
+    source sectors' charges; H is block diagonal on it, one block per
+    source.
     """
 
     charges: tuple
     dim_full: int
-    indices: np.ndarray = None
-    basis: np.ndarray = field(default=None, repr=False)
+    indices: np.ndarray
     blocks: np.ndarray = field(default=None, repr=False)
 
     @property
     def dim(self):
-        if self.indices is not None:
-            return len(self.indices)
-        return 0 if self.basis is None else self.basis.shape[1]
+        return len(self.indices)
 
     @property
     def is_empty(self):
@@ -70,27 +60,9 @@ class GaussSector:
                      for b in range(len(self.charges))]
         return [op[pos][:, pos] for pos in positions]
 
-    def basis_matrix(self):
-        """Isometry from the sector onto the full space (dense columns)."""
-        if self.basis is not None:
-            return self.basis
-        B = np.zeros((self.dim_full, self.dim), dtype=complex)
-        for col, idx in enumerate(self.indices):
-            B[idx, col] = 1.0
-        return B
-
-    def selection(self):
-        """Sparse selection isometry (only for enumeration sectors)."""
-        if self.indices is None:
-            raise ValueError("sector has no product-basis index list")
-        data = np.ones(self.dim)
-        return sparse.csr_matrix(
-            (data, (self.indices, np.arange(self.dim))),
-            shape=(self.dim_full, self.dim), dtype=complex)
-
 
 # ---------------------------------------------------------------------------
-# generators
+# the Gauss law per state
 # ---------------------------------------------------------------------------
 
 def matter_charge_row(space, vertex, labels=None):
@@ -102,30 +74,11 @@ def matter_charge_row(space, vertex, labels=None):
     return q
 
 
-def gauss_generators_u1(space):
-    """Hermitian generators div L - Q for U(1)-truncated or spin-gauge links,
-    diagonal with the rows of abelian_charge_table."""
-    return [space.diagonal_op(row) for row in abelian_charge_table(space)]
-
-
 def zn_generator_phases(space):
     """exp(-i delta q) for q = 0 .. N-1: the Z_N generator eigenvalue of a
     state whose charge-table entry is q modulo N."""
     n = space.linkops.param
     return np.exp(-1j * (2.0 * np.pi / n) * np.arange(n))
-
-
-def gauss_generators_zn(space):
-    """Unitary Z_N generators prod P^dag (outgoing) prod P (incoming).
-
-    With staggered matter the vertex factor exp(i delta Q_n) is included so
-    that the hopping psi^dag Q^dag psi stays invariant; eigenvalues are
-    exp(-i delta (div m - Q_n)), read from abelian_charge_table.
-    """
-    phases = zn_generator_phases(space)
-    n = space.linkops.param
-    return [space.diagonal_op(phases[row % n])
-            for row in abelian_charge_table(space)]
 
 
 def su2_gauss_law(space, link_space, vertex):
@@ -154,20 +107,6 @@ def su2_gauss_law(space, link_space, vertex):
         pieces.append((-1.0, matter_mod.hop(space.layout.factor(vertex, 0),
                                             space.layout.factor(vertex, 1))))
     return z, space.embed_sum(pieces)
-
-
-def gauss_generators_su2(space, link_space):
-    """Three generators per vertex, G^x, G^y, G^z, derived from
-    su2_gauss_law: G^x = (G^+ + G^-)/2, G^y = (G^+ - G^-)/2i and G^z the
-    diagonal z row, with G^- = (G^+)^dag."""
-    gens = []
-    for v in range(space.lattice.vertex_count):
-        z, raising = su2_gauss_law(space, link_space, v)
-        lowering = raising.conj().T
-        gens.append([((raising + lowering) / 2).tocsr(),
-                     ((raising - lowering) / 2j).tocsr(),
-                     space.diagonal_op(z)])
-    return gens
 
 
 # ---------------------------------------------------------------------------
@@ -248,8 +187,6 @@ def sector_labels(space, sector=None):
     """Label table of a sector's states, or of the full space when None."""
     if sector is None:
         return space.labels
-    if sector.indices is None:
-        raise ValueError("sector labels need an enumeration sector")
     return space.decode(sector.indices)
 
 
@@ -257,9 +194,8 @@ def sector_basis(space, charges):
     """Enumerate the Abelian Gauss sector with the given static charges.
 
     charges: one integer per vertex (on Z_N links interpreted modulo N,
-    labeling the eigenvalue exp(-i delta q)).  Returns a GaussSector whose
-    basis is a sorted list of product-state indices; empty sectors are
-    valid results.
+    labeling the eigenvalue exp(-i delta q)).  Returns a GaussSector of
+    the sorted product-state indices; empty sectors are valid results.
 
     The sector is built without the full space: partial states are extended
     one tensor factor at a time in the mixed-radix order (links, then
@@ -320,7 +256,7 @@ def sector_basis(space, charges):
 
 
 def merge_sectors(sectors):
-    """One enumeration sector holding the states of several, in sorted
+    """One sector holding the states of several, in sorted
     index order, with `blocks` giving each state's source sector (the
     position in `sectors`); a single sector is returned as it is.
 
@@ -338,29 +274,6 @@ def merge_sectors(sectors):
                        blocks=blocks[order])
 
 
-def su2_zero_charge_sector(space, generators, tol=1e-10):
-    """Orthonormal basis of the joint kernel of all G^a_n (zero charge).
-
-    Built from the positive semidefinite sum of squares; eigenvectors with
-    eigenvalue below tol span the sector.
-    """
-    dim = space.dim
-    if dim > _DENSE_LIMIT:
-        raise ValueError(
-            f"dense kernel computation refused for dimension {dim}")
-    acc = np.zeros((dim, dim), dtype=complex)
-    for triple in generators:
-        for g in triple:
-            gd = g.toarray()
-            acc += gd.conj().T @ gd
-    w, v = np.linalg.eigh(acc)
-    cols = np.nonzero(w < tol)[0]
-    if len(cols) == 0:
-        return GaussSector((0,) * len(generators), dim, basis=None,
-                           indices=np.array([], dtype=int))
-    return GaussSector((0,) * len(generators), dim, basis=v[:, cols])
-
-
 def all_sector_dimensions(space):
     """Map {charge tuple -> dimension} over every occupied Abelian sector
     (charges modulo N on Z_N links)."""
@@ -371,55 +284,3 @@ def all_sector_dimensions(space):
     return {tuple(int(x) for x in key): int(c)
             for key, c in zip(keys.T, counts)}
 
-
-# ---------------------------------------------------------------------------
-# gauge transformations
-# ---------------------------------------------------------------------------
-
-def gauge_transformation_unitary(space, generators, angles):
-    """Theta = prod_n exp(i sum_a angle^a_n G^a_n) for Hermitian generators.
-
-    angles: sequence over vertices; each entry is a float (Abelian) or a
-    3-sequence (SU(2)).  Conjugation with Theta leaves gauge-invariant
-    operators intact.
-    """
-    dim = space.dim
-    if dim > _DENSE_LIMIT:
-        raise ValueError(f"dense exponential refused for dimension {dim}")
-    theta = np.eye(dim, dtype=complex)
-    for v, a in enumerate(angles):
-        gen = generators[v]
-        if isinstance(gen, (list, tuple)):
-            h = sum(float(ai) * gi.toarray() for ai, gi in zip(a, gen))
-        else:
-            h = float(a) * gen.toarray()
-        theta = expm(1j * h) @ theta
-    return theta
-
-
-def zn_gauge_transformation(space, generators, powers):
-    """Theta = prod_n G_n^{k_n} for the unitary Z_N generators."""
-    out = sparse.identity(space.dim, format="csr", dtype=complex)
-    for v, k in enumerate(powers):
-        g = generators[v]
-        for _ in range(int(k) % space.linkops.param):
-            out = out @ g
-    return out.tocsr()
-
-
-def canonical_sign_transform(lat, link_values):
-    """Flip per-link field samples by (-1)^(x+y) of the link's origin vertex.
-
-    Maps sum-Gauss-law data into divergence form; applying it twice is the
-    identity.
-    """
-    if lat.spatial_dim != 2:
-        raise ValueError("sign transform is defined on 2d lattices")
-    vals = np.asarray(link_values, dtype=float)
-    if vals.shape[0] != lat.link_count:
-        raise ValueError("one value per link required")
-    out = vals.copy()
-    for l in range(lat.link_count):
-        v, _k = lat.links[l]
-        out[l] *= staggered_sign(lat.vertices[v])
-    return out

@@ -15,8 +15,8 @@ Gauss sector is passed:
 * full space (``model.hamiltonian()``): D reads the full label table and
   the pieces are embedded and summed in one COO pass
   (``ProductSpace.embed_sum``).
-* sector (``model.hamiltonian(sector=sec)`` with an enumeration sector
-  from ``gauge.sector_basis``): D reads the labels decoded for the
+* sector (``model.hamiltonian(sector=sec)`` with a sector from
+  ``gauge.sector_basis``): D reads the labels decoded for the
   sector's indices only, and each piece is applied to the sector's states
   as label shifts (``ProductSpace.shift``), its targets located among the
   sector's sorted indices with ``np.searchsorted``.  The result is the
@@ -52,7 +52,7 @@ T (off-diagonal terms; H carries each with its Hermitian conjugate):
 Static charges never appear as operators; they only label Gauss sectors.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from itertools import product
 
 import numpy as np
@@ -124,20 +124,6 @@ class Model:
     space: ProductSpace
     link_space: object = None      # SU2LinkSpace for the non-Abelian model
     rotation: object = None        # TruncatedRotationMatrix (j = 1/2)
-    _generators: object = field(default=None, repr=False)
-
-    @property
-    def generators(self):
-        """Gauss generators; a flat list (Abelian) or triples (SU(2))."""
-        if self._generators is None:
-            if self.spec.model == ZN:
-                self._generators = gauge.gauss_generators_zn(self.space)
-            elif self.spec.model == SU2:
-                self._generators = gauge.gauss_generators_su2(
-                    self.space, self.link_space)
-            else:
-                self._generators = gauge.gauss_generators_u1(self.space)
-        return self._generators
 
     def effective_terms(self, terms=None):
         terms = self.spec.terms if terms is None else terms
@@ -154,7 +140,7 @@ class Model:
         The only place terms are summed.
 
         Without a sector, H acts on the full space and each piece is
-        embedded.  With an enumeration sector (gauge.sector_basis), H is the
+        embedded.  With a sector (gauge.sector_basis), H is the
         sector-dimension block: D is read from the sector's labels and each
         piece (and, where T^dag might leave the sector, its adjoint) is
         applied to the sector's states as label shifts; amplitude sent out

@@ -87,21 +87,13 @@ def log_max(name, value):
 
 
 def restrict(op, sector):
-    """B^dag A B with B the sector isometry.
-
-    Exact (an index selection) for enumeration sectors; a dense projection
-    for kernel-based sectors.  Returns a sparse matrix in the first case
-    and a dense array in the second.
-    """
+    """B^dag A B with B the sector isometry: the rows and columns of the
+    sector's indices, sparse for sparse input."""
     if sector.dim_full != op.shape[0]:
         raise ValueError("operator and sector dimensions differ")
-    if sector.indices is not None:
-        if sparse.issparse(op):
-            csr = op.tocsr()
-            return csr[sector.indices, :][:, sector.indices]
-        return np.asarray(op)[np.ix_(sector.indices, sector.indices)]
-    B = sector.basis
-    return B.conj().T @ (op @ B)
+    if sparse.issparse(op):
+        return op.tocsr()[sector.indices, :][:, sector.indices]
+    return np.asarray(op)[np.ix_(sector.indices, sector.indices)]
 
 
 def eigs(op, k=1, tol=0.0):
@@ -274,9 +266,11 @@ def effective_second_order(h0, v, sector, rest=None, pattern=None,
                            gap_tol=1e-9):
     """Degenerate second-order perturbation theory on a penalty sector.
 
-    h0 must be diagonal in the product basis (true for the Abelian penalty
-    lambda sum G^2) and constant on the sector; v is the perturbation with
-    P v P = 0 there.  Returns
+    The sector is a set of product states (gauge.sector_basis), so P v is
+    the columns of v at the sector's indices.  h0 must be diagonal in the
+    product basis (true for the Abelian penalty lambda sum G^2) and
+    constant on the sector; v is the perturbation with P v P = 0 there.
+    Returns
 
         H_eff = P rest P + P v Q (E0 - h0)^{-1} Q v P
 
@@ -286,8 +280,6 @@ def effective_second_order(h0, v, sector, rest=None, pattern=None,
     the pattern inside H_eff's second-order part, and pattern_remainder is
     the norm of what is left after subtracting it.
     """
-    if sector.indices is None:
-        raise ValueError("effective construction needs an enumeration sector")
     diag = np.asarray(h0.diagonal()).real
     off = h0 - sparse.diags(h0.diagonal())
     if off.nnz and np.max(np.abs(off.data)) > 1e-12:
@@ -299,8 +291,7 @@ def effective_second_order(h0, v, sector, rest=None, pattern=None,
     if len(e0_vals) and np.max(np.abs(e0_vals - e0)) > 1e-10:
         raise ValueError("sector is not degenerate under the penalty part")
 
-    B = sector.selection()
-    W = (v @ B).tocsc()                     # columns: v|sector basis state>
+    W = v.tocsc()[:, idx]                   # columns: v|sector state>
     pvp = W[idx, :]
     pvp_norm = 0.0 if pvp.nnz == 0 else float(np.max(np.abs(pvp.data)))
 

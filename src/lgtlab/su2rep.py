@@ -79,18 +79,6 @@ def cg(j1, m1, j2, m2, J, M):
     return val
 
 
-@dataclass(frozen=True)
-class CGTable:
-    """All CG coefficients with j1, j2, J <= j_cap, keyed by
-    (j1, m1, j2, m2, J, M)."""
-
-    j_cap: float
-    table: dict = field(repr=False)
-
-    def __call__(self, j1, m1, j2, m2, J, M):
-        return self.table.get((j1, m1, j2, m2, J, M), 0.0)
-
-
 def _half_range(j):
     """m values -j ... j in steps of one."""
     n = round(2 * j) + 1
@@ -99,24 +87,6 @@ def _half_range(j):
 
 def _j_values(j_cap):
     return [q / 2.0 for q in range(round(2 * j_cap) + 1)]
-
-
-def build_cg_table(j_cap):
-    table = {}
-    for j1 in _j_values(j_cap):
-        for j2 in _j_values(j_cap):
-            for J in _j_values(j_cap):
-                if not _check_triangle(j1, j2, J):
-                    continue
-                for m1 in _half_range(j1):
-                    for m2 in _half_range(j2):
-                        M = m1 + m2
-                        if abs(M) > J:
-                            continue
-                        c = cg(j1, m1, j2, m2, J, M)
-                        if c != 0.0:
-                            table[(j1, m1, j2, m2, J, M)] = c
-    return CGTable(j_cap, table)
 
 
 def spin_matrices(j):
@@ -362,22 +332,6 @@ def schwinger_u1(n_max):
         "ellhat": (na + nb) / 2.0,
         "ntot": na + nb,
     }
-
-
-def fixed_ell_subspace(n_max, ell):
-    """Isometry (columns) from the spin-ell multiplet, ordered by increasing
-    L_z, into the two-mode Fock space with a^dag a + b^dag b = 2*ell."""
-    d = n_max + 1
-    if 2 * ell > n_max:
-        raise ValueError("n_max too small for requested ell")
-    cols = []
-    for m in range(-ell, ell + 1):
-        na = ell + m
-        nb = ell - m
-        v = np.zeros(d * d)
-        v[na * d + nb] = 1.0
-        cols.append(v)
-    return np.array(cols).T
 
 
 def prepotential_decomposition(n_max):

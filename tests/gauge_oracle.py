@@ -1,0 +1,127 @@
+"""Gauss generators as full-space matrices, the gauge transformations they
+generate, the SU(2) zero-charge sector as their joint numerical kernel and
+the checkerboard sign map: the oracle the label-row Gauss law of
+``lgtlab.gauge`` and the sector machinery are checked against.
+
+lgtlab itself never builds a generator matrix: its sectors are enumerated
+from the charge rows of the label table and its Gauss check reads [H, G]
+from the same rows.
+"""
+
+import numpy as np
+from scipy import sparse
+from scipy.linalg import expm
+
+import su2_oracle
+from lgtlab.gauge import abelian_charge_table, zn_generator_phases
+from lgtlab.hamiltonian import SU2, ZN
+from lgtlab.lattice import staggered_sign
+
+_DENSE_LIMIT = 6000
+
+
+def gauss_generators_u1(space):
+    """Hermitian generators div L - Q for U(1)-truncated or spin-gauge links,
+    diagonal with the rows of abelian_charge_table."""
+    return [space.diagonal_op(row) for row in abelian_charge_table(space)]
+
+
+def gauss_generators_zn(space):
+    """Unitary Z_N generators prod P^dag (outgoing) prod P (incoming).
+
+    With staggered matter the vertex factor exp(i delta Q_n) is included so
+    that the hopping psi^dag Q^dag psi stays invariant; eigenvalues are
+    exp(-i delta (div m - Q_n)), read from abelian_charge_table.
+    """
+    phases = zn_generator_phases(space)
+    n = space.linkops.param
+    return [space.diagonal_op(phases[row % n])
+            for row in abelian_charge_table(space)]
+
+
+def generators(model):
+    """A model's Gauss generators: a flat list (Abelian) or G^x, G^y, G^z
+    triples (SU(2))."""
+    if model.spec.model == ZN:
+        return gauss_generators_zn(model.space)
+    if model.spec.model == SU2:
+        return su2_oracle.derived_generators_su2(model.space,
+                                                 model.link_space)
+    return gauss_generators_u1(model.space)
+
+
+def basis_matrix(sector):
+    """Isometry from a sector onto the full space (dense columns)."""
+    B = np.zeros((sector.dim_full, sector.dim), dtype=complex)
+    for col, idx in enumerate(sector.indices):
+        B[idx, col] = 1.0
+    return B
+
+
+def su2_zero_charge_sector(space, generators, tol=1e-10):
+    """Orthonormal basis (columns) of the joint kernel of all G^a_n (zero
+    charge).
+
+    Built from the positive semidefinite sum of squares; eigenvectors with
+    eigenvalue below tol span the sector.
+    """
+    dim = space.dim
+    if dim > _DENSE_LIMIT:
+        raise ValueError(
+            f"dense kernel computation refused for dimension {dim}")
+    acc = np.zeros((dim, dim), dtype=complex)
+    for triple in generators:
+        for g in triple:
+            gd = g.toarray()
+            acc += gd.conj().T @ gd
+    w, v = np.linalg.eigh(acc)
+    return v[:, w < tol]
+
+
+def gauge_transformation_unitary(space, generators, angles):
+    """Theta = prod_n exp(i sum_a angle^a_n G^a_n) for Hermitian generators.
+
+    angles: sequence over vertices; each entry is a float (Abelian) or a
+    3-sequence (SU(2)).  Conjugation with Theta leaves gauge-invariant
+    operators intact.
+    """
+    dim = space.dim
+    if dim > _DENSE_LIMIT:
+        raise ValueError(f"dense exponential refused for dimension {dim}")
+    theta = np.eye(dim, dtype=complex)
+    for v, a in enumerate(angles):
+        gen = generators[v]
+        if isinstance(gen, (list, tuple)):
+            h = sum(float(ai) * gi.toarray() for ai, gi in zip(a, gen))
+        else:
+            h = float(a) * gen.toarray()
+        theta = expm(1j * h) @ theta
+    return theta
+
+
+def zn_gauge_transformation(space, generators, powers):
+    """Theta = prod_n G_n^{k_n} for the unitary Z_N generators."""
+    out = sparse.identity(space.dim, format="csr", dtype=complex)
+    for v, k in enumerate(powers):
+        g = generators[v]
+        for _ in range(int(k) % space.linkops.param):
+            out = out @ g
+    return out.tocsr()
+
+
+def canonical_sign_transform(lat, link_values):
+    """Flip per-link field samples by (-1)^(x+y) of the link's origin vertex.
+
+    Maps sum-Gauss-law data into divergence form; applying it twice is the
+    identity.
+    """
+    if lat.spatial_dim != 2:
+        raise ValueError("sign transform is defined on 2d lattices")
+    vals = np.asarray(link_values, dtype=float)
+    if vals.shape[0] != lat.link_count:
+        raise ValueError("one value per link required")
+    out = vals.copy()
+    for l in range(lat.link_count):
+        v, _k = lat.links[l]
+        out[l] *= staggered_sign(lat.vertices[v])
+    return out

@@ -4,12 +4,20 @@ raising-operator form of ``lgtlab.gauge.su2_gauss_law`` and the check
 
 Each of the three components G^a = sum_out L^a - sum_in R^a - Q^a of a
 vertex is summed from full-space embeddings, and the Gauss check forms
-h @ g - g @ h for every one of them.
+h @ g - g @ h for every one of them.  Also the representation tables that
+``lgtlab.su2rep`` is checked with: a precomputed Clebsch-Gordan table and
+the fixed-spin subspace of the two-mode Schwinger-boson Fock space.
 """
 
+from dataclasses import dataclass, field
+
+import numpy as np
 from scipy import sparse
 
 from lgtlab import matter as matter_mod
+from lgtlab.gauge import su2_gauss_law
+from lgtlab.su2rep import _check_triangle, _half_range, _j_values, cg
+
 
 def su2_charge(layout, vertex, axis):
     """Color charge Q^a = (1/2) psi^dag sigma^a psi at a vertex, as a list
@@ -55,3 +63,63 @@ def max_gauss_violation(generators, h):
     """max |h @ g - g @ h| over every vertex and component."""
     return max(float(abs(h @ g - g @ h).max())
                for triple in generators for g in triple)
+
+
+def derived_generators_su2(space, link_space):
+    """Three generators per vertex, G^x, G^y, G^z, derived from
+    su2_gauss_law: G^x = (G^+ + G^-)/2, G^y = (G^+ - G^-)/2i and G^z the
+    diagonal z row, with G^- = (G^+)^dag."""
+    gens = []
+    for v in range(space.lattice.vertex_count):
+        z, raising = su2_gauss_law(space, link_space, v)
+        lowering = raising.conj().T
+        gens.append([((raising + lowering) / 2).tocsr(),
+                     ((raising - lowering) / 2j).tocsr(),
+                     space.diagonal_op(z)])
+    return gens
+
+
+@dataclass(frozen=True)
+class CGTable:
+    """All CG coefficients with j1, j2, J <= j_cap, keyed by
+    (j1, m1, j2, m2, J, M)."""
+
+    j_cap: float
+    table: dict = field(repr=False)
+
+    def __call__(self, j1, m1, j2, m2, J, M):
+        return self.table.get((j1, m1, j2, m2, J, M), 0.0)
+
+
+def build_cg_table(j_cap):
+    table = {}
+    for j1 in _j_values(j_cap):
+        for j2 in _j_values(j_cap):
+            for J in _j_values(j_cap):
+                if not _check_triangle(j1, j2, J):
+                    continue
+                for m1 in _half_range(j1):
+                    for m2 in _half_range(j2):
+                        M = m1 + m2
+                        if abs(M) > J:
+                            continue
+                        c = cg(j1, m1, j2, m2, J, M)
+                        if c != 0.0:
+                            table[(j1, m1, j2, m2, J, M)] = c
+    return CGTable(j_cap, table)
+
+
+def fixed_ell_subspace(n_max, ell):
+    """Isometry (columns) from the spin-ell multiplet, ordered by increasing
+    L_z, into the two-mode Fock space with a^dag a + b^dag b = 2*ell."""
+    d = n_max + 1
+    if 2 * ell > n_max:
+        raise ValueError("n_max too small for requested ell")
+    cols = []
+    for m in range(-ell, ell + 1):
+        na = ell + m
+        nb = ell - m
+        v = np.zeros(d * d)
+        v[na * d + nb] = 1.0
+        cols.append(v)
+    return np.array(cols).T

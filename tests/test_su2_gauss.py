@@ -5,9 +5,9 @@ from functools import lru_cache
 
 import pytest
 
+import gauge_oracle
 import su2_oracle
-from lgtlab import gauge, matter as matter_mod
-from lgtlab.gauge import gauss_generators_su2
+from lgtlab import matter as matter_mod
 from lgtlab.hamiltonian import HamiltonianSpec, build_model, \
     max_gauss_violation
 from lgtlab.lattice import build_lattice
@@ -72,7 +72,7 @@ def cases():
 @pytest.mark.parametrize("name", MODELS)
 def test_generators_match_per_axis_oracle(name):
     model, _, reference = oracle_model(name)
-    derived = gauss_generators_su2(model.space, model.link_space)
+    derived = su2_oracle.derived_generators_su2(model.space, model.link_space)
     assert len(derived) == len(reference) == model.lattice.vertex_count
     for triple, ref_triple in zip(derived, reference):
         for g, ref in zip(triple, ref_triple):
@@ -117,6 +117,9 @@ def test_su2_check_builds_no_generators(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("per-axis generators built")
     monkeypatch.setattr(ProductSpace, "embed_coo", counted)
-    monkeypatch.setattr(gauge, "gauss_generators_su2", refuse)
+    for oracle, name in ((su2_oracle, "gauss_generators_su2"),
+                         (su2_oracle, "derived_generators_su2"),
+                         (gauge_oracle, "generators")):
+        monkeypatch.setattr(oracle, name, refuse)
     assert max_gauss_violation(model, h) == 0.0
     assert 0 < calls["embed_coo"] <= 10

@@ -5,9 +5,9 @@ from lgtlab import cli, su2rep
 from lgtlab.hamiltonian import HamiltonianSpec, build_model
 from lgtlab.lattice import build_lattice
 from lgtlab.linkalg import spin_gauge_ops
-from lgtlab.su2rep import boson_annihilators, build_cg_table, cg, \
-    fixed_ell_subspace, prepotential_decomposition, schwinger_u1, \
-    spin_matrices, su2_link_space, truncated_rotation_matrix
+from lgtlab.su2rep import boson_annihilators, cg, prepotential_decomposition, \
+    schwinger_u1, spin_matrices, su2_link_space, truncated_rotation_matrix
+from su2_oracle import build_cg_table, fixed_ell_subspace
 
 EPS = {("x", "y"): "z", ("y", "z"): "x", ("z", "x"): "y"}
 
