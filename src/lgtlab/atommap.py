@@ -67,9 +67,9 @@ class HyperfineLevelScheme:
         return scale if m_f == 0.5 else -scale
 
 
-def scattering_matrix_element(m_b_out, m_f_out, m_b_in, m_f_in, couplings,
-                              f_boson=F_BOSON, f_fermion=F_FERMION):
-    """<F_b m_b_out, F_f m_f_out| V_S |F_b m_b_in, F_f m_f_in>.
+def scattering_matrix_element(m_b_out, m_f_out, m_b_in, m_f_in, couplings):
+    """<F_b m_b_out, F_f m_f_out| V_S |F_b m_b_in, F_f m_f_in> with
+    F_b = F_BOSON and F_f = F_FERMION.
 
     couplings: map {F_total: C_F} over the allowed channels
     |F_b - F_f| <= F <= F_b + F_f.  Elements violating total-m_F
@@ -80,14 +80,16 @@ def scattering_matrix_element(m_b_out, m_f_out, m_b_in, m_f_in, couplings,
     M = m_b_in + m_f_in
     total = 0.0
     for F, C in couplings.items():
-        total += C * cg(f_boson, m_b_out, f_fermion, m_f_out, F, M) \
-            * cg(f_boson, m_b_in, f_fermion, m_f_in, F, M)
+        total += C * cg(F_BOSON, m_b_out, F_FERMION, m_f_out, F, M) \
+            * cg(F_BOSON, m_b_in, F_FERMION, m_f_in, F, M)
     return total
 
 
-def total_f_channels(f_boson=F_BOSON, f_fermion=F_FERMION):
-    lo = abs(f_boson - f_fermion)
-    return [lo + i for i in range(round(f_boson + f_fermion - lo) + 1)]
+def total_f_channels():
+    """The total-F channels |F_b - F_f| .. F_b + F_f of the boson-fermion
+    pair."""
+    lo = abs(F_BOSON - F_FERMION)
+    return [lo + i for i in range(round(F_BOSON + F_FERMION - lo) + 1)]
 
 
 def enumerate_channels(scheme, parity="even"):

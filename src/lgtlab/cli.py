@@ -22,6 +22,7 @@ through `lgtlab.__main__`, which applies `--threads` before numpy loads.
 """
 
 import argparse
+import dataclasses
 import json
 import os
 import resource
@@ -32,8 +33,8 @@ import numpy as np
 import scipy
 
 from . import __version__, atommap, gauge, observables, solver, su2rep
-from .hamiltonian import HamiltonianSpec, SectorLeak, build_model, \
-    max_gauss_violation
+from .hamiltonian import KS_U1, SPIN_GAUGE, SU2, ZN, HamiltonianSpec, \
+    SectorLeak, build_model, max_gauss_violation
 from .lattice import build_lattice
 from .matter import STAGGERED, NAIVE2D, SU2_FUNDAMENTAL
 
@@ -210,8 +211,6 @@ def run_spectrum(cfg, params, writer, tol):
         h = model.hamiltonian()
         leak = max_gauss_violation(model, h)
     else:
-        if spec.model == "su2":
-            raise ConfigError("charged spectrum sectors are Abelian-only")
         sec = gauge.sector_basis(model.space, charges)
         if sec.is_empty:
             raise solver.SolverError(f"empty Gauss sector {tuple(charges)}")
@@ -242,7 +241,7 @@ def run_potential(cfg, params, writer, tol):
                "fit_residual": curve.residual}
     checks = []
     if spec.terms == ("electric",):
-        c2 = 0.75 if spec.model == "su2" else 1.0
+        c2 = 0.75 if spec.model == SU2 else 1.0
         checks.append(_check("string_tension_electric_only",
                              abs(curve.sigma - spec.g2 / 2.0 * c2), tol))
     return results, checks
@@ -282,31 +281,31 @@ def run_plaquette_convergence(cfg, params, writer, tol):
 
 
 def run_effective_check(cfg, params, writer, tol):
+    """The second-order plaquette of the penalty construction at lambda,
+    2 lambda and 4 lambda.  Only the penalty term depends on lambda, and
+    linearly, so the model and its four terms are assembled once and the
+    penalty is scaled: by powers of two, exactly."""
     lam, eta, ell, g2, k = (params[key]
                             for key in ("lam", "eta", "ell", "g2", "k"))
-    lat = build_lattice(2, [2, 2])
-
+    spec = HamiltonianSpec(model=SPIN_GAUGE, truncation=ell, g2=g2, lam=lam,
+                           eta=eta)
+    model = build_model(spec, build_lattice(2, [2, 2]))
+    penalty = model.hamiltonian(("penalty",))
+    V = model.hamiltonian(("hopping",))
+    He = model.hamiltonian(("electric",))
+    pattern = -(2.0 * g2) * model.hamiltonian(("magnetic",))
+    sec = gauge.sector_basis(model.space, [0] * 4)
+    kk = min(k, sec.dim)
     rows = []
-    reports = {}
     for scale in (1.0, 2.0, 4.0):
-        lam_s = lam * scale
-        spec = HamiltonianSpec(model="spin_gauge", truncation=ell, g2=g2,
-                               lam=lam_s, eta=eta)
-        model = build_model(spec, lat)
-        pen = model.hamiltonian(("penalty",))
-        V = model.hamiltonian(("hopping",))
-        He = model.hamiltonian(("electric",))
-        pattern = -(2.0 * g2) * model.hamiltonian(("magnetic",))
-        sec = gauge.sector_basis(model.space, [0] * 4)
+        pen = scale * penalty
         rep = solver.effective_second_order(pen, V, sec, rest=He,
                                             pattern=pattern)
-        kk = min(k, sec.dim)
         w_eff, _ = solver.eigs(rep.h_eff, kk)
         w_exact, _ = solver.eigs(He + pen + V, kk)
         mismatch = float(np.max(np.abs(w_eff - w_exact[:kk])))
-        rows.append((lam_s, rep.pattern_coefficient.real, mismatch,
+        rows.append((lam * scale, rep.pattern_coefficient.real, mismatch,
                      rep.pattern_remainder))
-        reports[scale] = rep
     writer.csv("effective.csv",
                ["lambda", "plaquette_coefficient", "low_spectrum_mismatch",
                 "non_plaquette_remainder"], list(zip(*rows)))
@@ -404,12 +403,14 @@ def _verify_one(name, spec, lat, tol, checks):
 
 
 def run_verify(cfg, params, writer, tol):
-    """Invariant suite for one configured model (or the built-in set)."""
+    """Invariant suite for one configured model, given by both the
+    lattice and hamiltonian sections, or the built-in set when the config
+    has neither."""
     checks = []
     results = {}
-    if cfg.get("lattice") and cfg.get("hamiltonian"):
-        lat = parse_lattice(cfg["lattice"])
-        spec = parse_hamiltonian(cfg["hamiltonian"])
+    if "lattice" in cfg or "hamiltonian" in cfg:
+        lat = parse_lattice(cfg.get("lattice", {}))
+        spec = parse_hamiltonian(cfg.get("hamiltonian", {}))
         _verify_one(spec.model, spec, lat, tol, checks)
         return results, checks
     return run_verify_all(tol, checks, results)
@@ -421,17 +422,17 @@ def verify_suite():
     plaq = build_lattice(2, [2, 2])
     return [
         ("u1_chain_matter", HamiltonianSpec(
-            model="ks_u1", truncation=1, eps=0.5, mass=0.3,
+            model=KS_U1, truncation=1, eps=0.5, mass=0.3,
             matter=STAGGERED), chain),
-        ("u1_plaquette", HamiltonianSpec(model="ks_u1", truncation=1), plaq),
+        ("u1_plaquette", HamiltonianSpec(model=KS_U1, truncation=1), plaq),
         ("spin_gauge_plaquette", HamiltonianSpec(
-            model="spin_gauge", truncation=2), plaq),
+            model=SPIN_GAUGE, truncation=2), plaq),
         ("spin_gauge_naive", HamiltonianSpec(
-            model="spin_gauge", truncation=1, eps=0.4, mass=0.2,
+            model=SPIN_GAUGE, truncation=1, eps=0.4, mass=0.2,
             matter=NAIVE2D), plaq),
-        ("zn_plaquette", HamiltonianSpec(model="zn", truncation=3), plaq),
+        ("zn_plaquette", HamiltonianSpec(model=ZN, truncation=3), plaq),
         ("su2_chain_matter", HamiltonianSpec(
-            model="su2", truncation=0.5, eps=0.4, mass=0.2,
+            model=SU2, truncation=0.5, eps=0.4, mass=0.2,
             matter=SU2_FUNDAMENTAL), chain),
     ]
 
@@ -504,18 +505,12 @@ def run(cfg, outdir, tol=DEFAULT_TOL):
         "files": writer.files,
         "error": error,
         "exit_status": status,
-        "timing": {"wall_seconds": time.perf_counter() - t0,
-                   "threads": len(os.listdir(TASKS))
-                   if os.path.isdir(TASKS) else None,
-                   "dim_full": log.dim_full,
-                   "assembly_dims": log.assembly_dims,
-                   "solve_dims": log.solve_dims,
-                   "solve_paths": log.solve_paths,
-                   "worst_relative_residual": log.worst_relative_residual,
-                   "evolve_dims": log.evolve_dims,
-                   "evolve_paths": log.evolve_paths,
-                   "peak_rss_mb": resource.getrusage(
-                       resource.RUSAGE_SELF).ru_maxrss / 1024},
+        "timing": dict(dataclasses.asdict(log),
+                       wall_seconds=time.perf_counter() - t0,
+                       threads=len(os.listdir(TASKS))
+                       if os.path.isdir(TASKS) else None,
+                       peak_rss_mb=resource.getrusage(
+                           resource.RUSAGE_SELF).ru_maxrss / 1024),
     }
     path = writer.manifest(manifest)
     return status, path

@@ -81,6 +81,23 @@ def zn_generator_phases(space):
     return np.exp(-1j * (2.0 * np.pi / n) * np.arange(n))
 
 
+def generator_eigenvalues(space, table):
+    """The Gauss generator's eigenvalue per state, one row of a charge
+    table (charge_rows) at a time: the charge itself on U(1)-type links,
+    exp(-i delta q) of its residue q modulo N on Z_N links."""
+    modulus = _zn_modulus(space)
+    if modulus is None:
+        return iter(table)
+    phases = zn_generator_phases(space)
+    return (phases[row % modulus] for row in table)
+
+
+def _zn_modulus(space):
+    """N on Z_N links, where charges count modulo N; None otherwise."""
+    return space.linkops.param if space.linkops.model == linkalg.ZN \
+        else None
+
+
 def su2_gauss_law(space, link_space, vertex):
     """The SU(2) Gauss law G^a = sum_out L^a - sum_in R^a - Q^a at a vertex
     in two parts: the G^z eigenvalue of every state and the raising
@@ -123,64 +140,51 @@ def abelian_charge_table(space):
 def charge_rows(space, labels):
     """div(flux) - Q of every state of a label table, one row per vertex,
     in the narrowest signed integer that holds every entry: the base
-    charges plus what each tensor factor's label adds."""
-    base, effects = _charge_effects(space)
-    lo = base + sum(e.min(axis=0) for _, e in effects)
-    hi = base + sum(e.max(axis=0) for _, e in effects)
+    charges plus what each tensor factor's label adds (_gauss_plan)."""
+    base, factors, lo, hi = _gauss_plan(space)
+    lo, hi = base + lo[0], base + hi[0]
     dtype = np.min_scalar_type(-int(max(-lo.min(), hi.max(), 0)) - 1)
     table = np.repeat(base.astype(dtype)[:, None], labels.shape[1], axis=1)
-    for (vertices, effect), row in zip(effects, labels):
-        for v in vertices:
-            table[v] += effect[:, v].astype(dtype)[row]
+    for (vertices, columns), row in zip(factors, labels):
+        for v, column in zip(vertices, columns):
+            table[v] += column.astype(dtype)[row]
     return table
 
 
-def _charge_effects(space):
-    """The Gauss law factor by factor: the charges div(flux) - Q of the
-    state with every label 0 except the fluxes (the matter charge shifts),
-    and per tensor factor in the mixed-radix order the vertices it touches
-    and a (radix, n_vertices) matrix of what each of its labels adds at
-    every vertex (0 at the others)."""
-    lat = space.lattice
-    flux = np.rint(space.linkops.flux_values).astype(np.int64)
-    base = np.zeros(lat.vertex_count, dtype=np.int64)
-    effects = []
-    for l in range(space.n_links):
-        a, b = lat.link_endpoints(l)
-        effect = np.zeros((space.link_dim, lat.vertex_count), dtype=np.int64)
-        effect[:, a] += flux
-        effect[:, b] -= flux
-        effects.append(([a, b], effect))
-    if space.layout is not None:
-        base[:] = [matter_mod.charge_shift(space.layout, v)
-                   for v in range(lat.vertex_count)]
-        for j in range(space.n_modes):
-            v = j // space.layout.species_per_vertex
-            effect = np.zeros((2, lat.vertex_count), dtype=np.int64)
-            effect[1, v] = -1
-            effects.append(([v], effect))
-    return base, effects
-
-
-def _enumeration_plan(space):
-    """The Gauss law as sector_basis reads it, built once per space: the
-    base charges; per tensor factor its vertices, its radix and what each
-    of its labels adds at each of those vertices; and lo[f], hi[f], the
-    extremes of what the factors from f on can still add per vertex.  The
-    charges and columns are int16, the partial charges' type, unless the
-    base plus every factor's largest contribution does not fit it; then
+def _gauss_plan(space):
+    """The Abelian Gauss law factor by factor, built once per space: the
+    charges div(flux) - Q of the state with every label 0 except the
+    fluxes (the matter charge shifts); per tensor factor in the mixed-radix
+    order its vertices and a (vertices, radix) array of what each of its
+    labels adds at each of them; and lo[f], hi[f], the extremes of what
+    the factors from f on can still add per vertex.  The charges and
+    columns are int16, the partial charges' type in sector_basis, unless
+    the base plus every factor's largest contribution does not fit it; then
     they are int64."""
-    base, effects = _charge_effects(space)
-    lo = np.zeros((len(effects) + 1, len(base)), dtype=np.int64)
-    hi = lo.copy()
-    for f in range(len(effects) - 1, -1, -1):
-        lo[f] = lo[f + 1] + effects[f][1].min(axis=0)
-        hi[f] = hi[f + 1] + effects[f][1].max(axis=0)
-    bound = np.abs(base).max() + sum(np.abs(e).max() for _, e in effects)
-    dtype = np.int16 if bound <= np.iinfo(np.int16).max else np.int64
-    factors = [(vertices, len(e), e[:, vertices].T.astype(dtype))
-               for vertices, e in effects]
-    return base.astype(dtype), factors, lo, hi
+    def build():
+        lat = space.lattice
+        flux = np.rint(space.linkops.flux_values).astype(np.int64)
+        base = np.zeros(lat.vertex_count, dtype=np.int64)
+        effects = [(list(lat.link_endpoints(l)), np.stack([flux, -flux]))
+                   for l in range(space.n_links)]
+        if space.layout is not None:
+            base[:] = [matter_mod.charge_shift(space.layout, v)
+                       for v in range(lat.vertex_count)]
+            effects += [([j // space.layout.species_per_vertex],
+                         np.array([[0, -1]])) for j in range(space.n_modes)]
+        lo = np.zeros((len(effects) + 1, len(base)), dtype=np.int64)
+        hi = lo.copy()
+        for f in range(len(effects) - 1, -1, -1):
+            vertices, columns = effects[f]
+            lo[f], hi[f] = lo[f + 1], hi[f + 1]
+            lo[f, vertices] += columns.min(axis=1)
+            hi[f, vertices] += columns.max(axis=1)
+        bound = np.abs(base).max() + sum(np.abs(c).max() for _, c in effects)
+        dtype = np.int16 if bound <= np.iinfo(np.int16).max else np.int64
+        factors = [(vertices, columns.astype(dtype))
+                   for vertices, columns in effects]
+        return base.astype(dtype), factors, lo, hi
+    return space.cached("gauss_plan", build)
 
 
 def sector_labels(space, sector=None):
@@ -220,14 +224,12 @@ def sector_basis(space, charges):
         raise SolverError(
             f"product space of {space.dim} states exceeds the int64 index "
             f"range of the sector enumeration")
-    base, factors, lo, hi = space.cached(
-        "enumeration_plan", lambda: _enumeration_plan(space))
+    base, factors, lo, hi = _gauss_plan(space)
     # a vertex with charge c can still reach its target after the first f
     # factors when 0 <= target - lo[f] - c <= hi[f] - lo[f] (modulo N on
     # Z_N links)
     shift, span = np.array(charges, dtype=np.int64) - lo, hi - lo
-    modulus = space.linkops.param if space.linkops.model == linkalg.ZN \
-        else None
+    modulus = _zn_modulus(space)
 
     def reachable(charge, f, vertices):
         keep = True
@@ -241,7 +243,8 @@ def sector_basis(space, charges):
     charge = base[None, :]
     keep = reachable(charge, 0, range(lat.vertex_count))
     indices, charge = np.zeros(1, dtype=np.int64)[keep], charge[keep]
-    for f, (vertices, radix, columns) in enumerate(factors):
+    for f, (vertices, columns) in enumerate(factors):
+        radix = columns.shape[1]
         indices = (indices[:, None] * radix + np.arange(radix)).ravel()
         charge = charge.repeat(radix, axis=0)
         # factor f moves the charge, and lo and hi, only at its own
@@ -277,9 +280,9 @@ def merge_sectors(sectors):
 def all_sector_dimensions(space):
     """Map {charge tuple -> dimension} over every occupied Abelian sector
     (charges modulo N on Z_N links)."""
-    table = abelian_charge_table(space)
-    if space.linkops.model == linkalg.ZN:
-        table = table % space.linkops.param
+    table, modulus = abelian_charge_table(space), _zn_modulus(space)
+    if modulus is not None:
+        table = table % modulus
     keys, counts = np.unique(table, axis=1, return_counts=True)
     return {tuple(int(x) for x in key): int(c)
             for key, c in zip(keys.T, counts)}

@@ -399,9 +399,10 @@ def max_gauss_violation(model, h=None):
     A diagonal generator with eigenvalue g per state has
     [H, G]_ij = H_ij (g_j - g_i), evaluated on H's stored entries
     (_diagonal_violation): for the Abelian families g is read from the
-    charge table, for SU(2) it is the G^z row of gauge.su2_gauss_law.  The
-    SU(2) x and y components come from K+- = [H, G^+-] with
-    G^- = (G^+)^dag: [H, G^x] = (K+ + K-)/2 and [H, G^y] = (K+ - K-)/2i.
+    charge table (gauge.generator_eigenvalues), for SU(2) it is the G^z row
+    of gauge.su2_gauss_law.  The SU(2) x and y components come from
+    K+- = [H, G^+-] with G^- = (G^+)^dag: [H, G^x] = (K+ + K-)/2 and
+    [H, G^y] = (K+ - K-)/2i.
     Only K+ = HG^+ - G^+H is formed; K- = -(K+)^dag holds because H is
     Hermitian, and it is exact only for an H that is Hermitian bit for bit,
     as Model.hamiltonian() is by construction (T + T^dag + D).  H and G^+
@@ -421,25 +422,21 @@ def max_gauss_violation(model, h=None):
                         float(abs(k_up + k_down).max()) / 2,
                         float(abs(k_up - k_down).max()) / 2)
         return worst
-    coo = h.tocoo()
     table = gauge.abelian_charge_table(model.space)
-    if model.spec.model != ZN:
-        return _diagonal_violation(coo, table)
-    return _diagonal_violation(coo, table % model.space.linkops.param,
-                               gauge.zn_generator_phases(model.space))
+    return _diagonal_violation(
+        h.tocoo(), gauge.generator_eigenvalues(model.space, table))
 
 
-def _diagonal_violation(coo, rows, values=None):
+def _diagonal_violation(coo, rows):
     """max over the rows g of |H_ij (g_j - g_i)| on H's stored COO entries,
     only where the two states' g differ: [H, G] of the diagonal generators
-    with eigenvalue g per state, or values[g] when `values` is given."""
+    with eigenvalue g per state."""
     worst = 0.0
     for g in rows:
         differ = np.nonzero(g[coo.col] != g[coo.row])[0]
         if len(differ):
-            gj, gi = g[coo.col[differ]], g[coo.row[differ]]
-            step = gj.astype(float) - gi if values is None \
-                else values[gj] - values[gi]
+            step = np.subtract(g[coo.col[differ]], g[coo.row[differ]],
+                               dtype=np.result_type(g, float))
             worst = max(worst, float(np.max(np.abs(coo.data[differ]
                                                    * step))))
     return worst

@@ -15,8 +15,8 @@ import numpy as np
 from . import solver
 from .hamiltonian import KS_U1, SPIN_GAUGE, SU2, ZN, HamiltonianSpec, \
     build_model
-from .gauge import charge_rows, matter_charge_row, merge_sectors, \
-    sector_basis, sector_labels, zn_generator_phases
+from .gauge import charge_rows, generator_eigenvalues, matter_charge_row, \
+    merge_sectors, sector_basis, sector_labels
 from .lattice import build_lattice
 from .matter import dirac_sea_state
 
@@ -56,16 +56,19 @@ def _diagonal_expectations(state, diagonals):
 
 
 def string_link_path(lat, origin, separation):
-    """Link indices of the straight axis-1 path origin -> origin + R."""
+    """Link indices of the straight axis-1 path origin -> origin + R.  On a
+    periodic axis of L vertices R must stay below L: a longer path would
+    wind around the ring and revisit links, and at R = L its far end would
+    be the origin."""
     if separation < 0:
         raise ValueError("separation must be >= 0")
-    coords = list(lat.vertices[origin])
-    links = []
+    if lat.boundary == "periodic" and separation >= lat.sizes[0]:
+        raise ValueError(f"separation {separation} winds around the "
+                         f"periodic axis of {lat.sizes[0]} vertices")
+    links, vertex = [], origin
     for _ in range(separation):
-        links.append(lat.link_index(tuple(coords), 1))
-        coords[0] += 1
-        if lat.boundary == "periodic":
-            coords[0] %= lat.sizes[0]
+        links.append(lat.link_index(lat.vertices[vertex], 1))
+        vertex = lat.link_endpoints(links[-1])[1]
     return links
 
 
@@ -86,16 +89,9 @@ def strong_coupling_ground(model, origin, separation):
         vacuum = [model.link_space.state_index(0, 0, 0)] * space.n_links \
             + [0] * space.n_modes
         psi = space.basis_vector(space.encode(vacuum))
-        U = model.rotation
-        ms = (0.5, -0.5)
         if separation == 0:
             return psi
-        # (U_1 U_2 ... U_R)_{m m'} summed over the open indices m, m'
-        out = np.zeros_like(psi)
-        for m in ms:
-            for mp in ms:
-                chains = _su2_chain(space, U, links, m, mp)
-                out += chains @ psi
+        out = _su2_string(space, model.rotation, links, psi)
         n = np.linalg.norm(out)
         if n == 0:
             raise ValueError("string state vanished (truncation too small)")
@@ -120,18 +116,16 @@ def string_state_index(model, origin, separation):
     return space.encode(link_vals + matter)
 
 
-def _su2_chain(space, U, links, m, mp):
-    """Matrix of (U_{l1} U_{l2} ... U_{lR})_{m mp} with index contraction."""
+def _su2_string(space, U, links, psi):
+    """sum over m, mp of (U_l1 U_l2 ... U_lR)_{m mp} psi, contracted right
+    to left on vectors: one per open left index, four single-link
+    applications per link."""
     ms = (0.5, -0.5)
-    if len(links) == 1:
-        return space.embed([(links[0], U.entry(m, mp))])
-    total = None
-    for mid in ms:
-        head = space.embed([(links[0], U.entry(m, mid))])
-        tail = _su2_chain(space, U, links[1:], mid, mp)
-        term = head @ tail
-        total = term if total is None else total + term
-    return total
+    vectors = [psi] * 2
+    for l in reversed(links):
+        vectors = [sum(space.embed([(l, U.entry(m, mid))]) @ v
+                       for mid, v in zip(ms, vectors)) for m in ms]
+    return vectors[0] + vectors[1]
 
 
 @dataclass
@@ -203,9 +197,10 @@ def _sector_ground_energies(model, separations, origin):
     sectors, keys = {}, []
     for R in separations:
         charges = [0] * lat.vertex_count
-        if R != 0:
+        links = string_link_path(lat, origin, R)
+        if links:
             charges[origin] = 1
-            charges[lat.vertex_index(_shift_x(lat, origin, R))] = -1
+            charges[lat.link_endpoints(links[-1])[1]] = -1
         keys.append(tuple(charges))
         if keys[-1] not in sectors:
             sec = sector_basis(model.space, keys[-1])
@@ -227,14 +222,6 @@ def _sector_ground_energies(model, separations, origin):
         for sec, h in zip(group, blocks):
             ground[sec.charges] = float(solver.ground_energy(h))
     return [ground[key] for key in keys], [sectors[key].dim for key in keys]
-
-
-def _shift_x(lat, vertex, R):
-    coords = list(lat.vertices[vertex])
-    coords[0] += R
-    if lat.boundary == "periodic":
-        coords[0] %= lat.sizes[0]
-    return tuple(coords)
 
 
 @dataclass
@@ -295,10 +282,9 @@ def flux_tube_breaking_scenario(spec, lat, separation, t_final, steps,
                for v in range(lat.vertex_count))
     total_charge = _diagonal_expectations(traj.states, [qtot])[:, 0]
 
-    gauss = charge_rows(space, labels)
-    if spec.model == ZN:
-        gauss = zn_generator_phases(space)[gauss % space.linkops.param]
-    vals = (np.abs(traj.states) ** 2) @ gauss.T     # <G_n>(t), diagonal G_n
+    # <G_n>(t) of the diagonal generators G_n
+    vals = _diagonal_expectations(traj.states, list(generator_eigenvalues(
+        space, charge_rows(space, labels))))
     gauss_drift = float(np.max(np.abs(vals - vals[0])))
     return DynamicsReport(traj.times, flux, charge, traj.norms(),
                           energy, total_charge, gauss_drift), model, traj

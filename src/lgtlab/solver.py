@@ -96,7 +96,7 @@ def restrict(op, sector):
     return np.asarray(op)[np.ix_(sector.indices, sector.indices)]
 
 
-def eigs(op, k=1, tol=0.0):
+def eigs(op, k=1):
     """k lowest eigenpairs of a Hermitian operator, ascending.
 
     Dense diagonalization (of the k lowest pairs only) for dense input, up
@@ -124,7 +124,7 @@ def eigs(op, k=1, tol=0.0):
     if dense:
         w, v = eigh(mat, subset_by_index=[0, k - 1])
     else:
-        w, v = _lanczos(mat, k, 0, tol)
+        w, v = _lanczos(mat, k, 0)
 
     residuals = np.linalg.norm(op @ v - v * w, axis=0)
     relative = residuals / np.maximum(1.0, np.abs(w))
@@ -134,7 +134,7 @@ def eigs(op, k=1, tol=0.0):
         raise SolverError(
             f"eigenpair {bad[0]} residual {residuals[bad[0]]:.3e} too large")
     if not dense:
-        _check_no_missed_level(mat, w, v, tol)
+        _check_no_missed_level(mat, w, v)
     return w, v
 
 
@@ -158,18 +158,18 @@ def _start_vector(dim, seed):
     return np.random.default_rng(seed).standard_normal(dim)
 
 
-def _lanczos(op, k, seed, tol):
-    """k lowest eigenpairs by ARPACK Lanczos from a seeded start, ascending."""
+def _lanczos(op, k, seed):
+    """k lowest eigenpairs by ARPACK Lanczos from a seeded start, ascending,
+    converged to machine precision (eigsh's default tol = 0)."""
     try:
-        w, v = eigsh(op, k=k, which="SA", v0=_start_vector(op.shape[0], seed),
-                     tol=tol)
+        w, v = eigsh(op, k=k, which="SA", v0=_start_vector(op.shape[0], seed))
     except ArpackNoConvergence as exc:
         raise SolverError(f"eigensolver failed to converge: {exc}") from exc
     order = np.argsort(w)
     return w[order], v[:, order]
 
 
-def _check_no_missed_level(op, w, v, tol):
+def _check_no_missed_level(op, w, v):
     """Raise SolverError if op has a level below w[-1] that the k found
     pairs (w, v) miss.
 
@@ -185,7 +185,7 @@ def _check_no_missed_level(op, w, v, tol):
     def deflated(x):
         return op @ x + v @ (lift * (v.conj().T @ x))
     rest = LinearOperator(op.shape, matvec=deflated, dtype=op.dtype)
-    low = _lanczos(rest, 1, 1, tol)[0][0]
+    low = _lanczos(rest, 1, 1)[0][0]
     if low < w[-1] - 1e-9 * max(1.0, abs(w[-1])):
         raise SolverError(
             f"Lanczos missed a level: {low:.12g} lies below the highest of "
@@ -262,8 +262,7 @@ class EffectiveHamiltonianReport:
     pattern_remainder: float = None
 
 
-def effective_second_order(h0, v, sector, rest=None, pattern=None,
-                           gap_tol=1e-9):
+def effective_second_order(h0, v, sector, rest=None, pattern=None):
     """Degenerate second-order perturbation theory on a penalty sector.
 
     The sector is a set of product states (gauge.sector_basis), so P v is
@@ -278,7 +277,8 @@ def effective_second_order(h0, v, sector, rest=None, pattern=None,
     requests the Frobenius projection of the second-order block onto the
     restriction of that operator: the returned coefficient is the weight of
     the pattern inside H_eff's second-order part, and pattern_remainder is
-    the norm of what is left after subtracting it.
+    the norm of what is left after subtracting it.  An off-sector state
+    within 1e-9 of E0 makes the resolvent singular and raises SolverError.
     """
     diag = np.asarray(h0.diagonal()).real
     off = h0 - sparse.diags(h0.diagonal())
@@ -301,7 +301,7 @@ def effective_second_order(h0, v, sector, rest=None, pattern=None,
     W = W.tocoo()
     off = ~in_sector[W.row]                 # P v P entries are not in Q
     g = gaps[W.row]
-    singular = off & (np.abs(g) < gap_tol)
+    singular = off & (np.abs(g) < 1e-9)
     if singular.any():
         n = np.argmax(singular)
         raise SolverError(

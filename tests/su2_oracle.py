@@ -6,7 +6,10 @@ Each of the three components G^a = sum_out L^a - sum_in R^a - Q^a of a
 vertex is summed from full-space embeddings, and the Gauss check forms
 h @ g - g @ h for every one of them.  Also the representation tables that
 ``lgtlab.su2rep`` is checked with: a precomputed Clebsch-Gordan table and
-the fixed-spin subspace of the two-mode Schwinger-boson Fock space.
+the fixed-spin subspace of the two-mode Schwinger-boson Fock space, and
+the strong-coupling string state formed by the recursion over full-space
+products that ``lgtlab.observables.strong_coupling_ground`` replaces by a
+contraction on the vacuum vector.
 """
 
 from dataclasses import dataclass, field
@@ -123,3 +126,34 @@ def fixed_ell_subspace(n_max, ell):
         v[na * d + nb] = 1.0
         cols.append(v)
     return np.array(cols).T
+
+
+def su2_chain(space, U, links, m, mp):
+    """Matrix of (U_{l1} U_{l2} ... U_{lR})_{m mp} with index contraction."""
+    ms = (0.5, -0.5)
+    if len(links) == 1:
+        return space.embed([(links[0], U.entry(m, mp))])
+    total = None
+    for mid in ms:
+        head = space.embed([(links[0], U.entry(m, mid))])
+        tail = su2_chain(space, U, links[1:], mid, mp)
+        term = head @ tail
+        total = term if total is None else total + term
+    return total
+
+
+def su2_string_state(model, links):
+    """(U_1 U_2 ... U_R)_{m m'} |vacuum> summed over m, m' and normalized:
+    the SU(2) string along `links`, the vacuum itself when there are
+    none."""
+    space = model.space
+    vacuum = [model.link_space.state_index(0, 0, 0)] * space.n_links \
+        + [0] * space.n_modes
+    psi = space.basis_vector(space.encode(vacuum))
+    if not links:
+        return psi
+    out = np.zeros_like(psi)
+    for m in (0.5, -0.5):
+        for mp in (0.5, -0.5):
+            out += su2_chain(space, model.rotation, links, m, mp) @ psi
+    return out / np.linalg.norm(out)

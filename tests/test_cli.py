@@ -313,6 +313,54 @@ def test_effective_check_scenario(tmp_path):
     assert m["results"]["mismatch_shrink_lam_4lam"] >= 8.0
 
 
+def test_effective_check_assembles_each_term_once(tmp_path, monkeypatch):
+    # only the penalty depends on lambda: penalty, hopping, electric and
+    # magnetic are assembled once for all three lambdas
+    from lgtlab.hamiltonian import Model
+    calls = []
+    hamiltonian = Model.hamiltonian
+
+    def counted(self, terms=None, sector=None):
+        calls.append(terms)
+        return hamiltonian(self, terms, sector)
+    monkeypatch.setattr(Model, "hamiltonian", counted)
+    path = write_cfg(tmp_path, {"scenario": "effective_check"})
+    rc = main(["effective_check", "--config", path,
+               "--out", str(tmp_path / "out")])
+    assert rc == 0
+    assert sorted(calls) == [("electric",), ("hopping",), ("magnetic",),
+                             ("penalty",)]
+    rows = (tmp_path / "out" / "effective.csv").read_text().splitlines()
+    assert [r.split(",")[0] for r in rows[1:]] == ["40", "80", "160"]
+
+
+def test_potential_separation_wrapping_a_ring_is_config_error(tmp_path):
+    # R = 6 on a ring of 6 would put the -1 charge on the +1 at the origin
+    cfg = {"scenario": "potential",
+           "lattice": {"spatial_dim": 1, "sizes": [6],
+                       "boundary": "periodic"},
+           "hamiltonian": CHAIN_MATTER, "params": {"separations": [1, 2, 6]}}
+    path = write_cfg(tmp_path, cfg)
+    rc = main(["potential", "--config", path, "--out", str(tmp_path / "out")])
+    assert rc == 2
+    m = read_manifest(tmp_path / "out")
+    assert "winds around" in m["error"]
+    assert m["files"] == []
+
+
+@pytest.mark.parametrize("missing", ["lattice", "hamiltonian"])
+def test_verify_with_one_model_section_is_config_error(tmp_path, missing):
+    cfg = {"scenario": "verify",
+           "lattice": {"spatial_dim": 1, "sizes": [3]},
+           "hamiltonian": {"model": "ks_u1", "truncation": 1}}
+    del cfg[missing]
+    path = write_cfg(tmp_path, cfg)
+    rc = main(["verify", "--config", path, "--out", str(tmp_path / "out")])
+    assert rc == 2
+    m = read_manifest(tmp_path / "out")
+    assert m["checks"] == [] and missing in m["error"]
+
+
 def test_load_config_requires_scenario(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"lattice": {}}))

@@ -16,8 +16,9 @@ from scipy import sparse
 from gauge_oracle import gauss_generators_u1, gauss_generators_zn
 from jw_oracle import JordanWigner, charge_operator, embed_matter, \
     mass_diagonal, occupation_bits
+from lgtlab import lattice, matter
 from lgtlab.gauge import abelian_charge_table, all_sector_dimensions, \
-    sector_basis
+    charge_rows, sector_basis
 from lgtlab.hamiltonian import HamiltonianSpec, build_model, \
     max_gauss_violation
 from lgtlab.lattice import build_lattice
@@ -202,6 +203,24 @@ def test_charge_table_and_sectors_match_kron(case):
         want = np.nonzero(np.all(oracle == target, axis=0))[0]
         got = sector_basis(space, key).indices
         assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("case", CASES, ids=case_id)
+def test_charge_rows_read_one_gauss_law_per_space(case, monkeypatch):
+    # the Gauss law is built once per space: a second charge_rows call
+    # neither walks the links nor reads a matter charge shift again
+    model = build_model(make_model(*case).spec, LATTICES[case[2]])
+    space = model.space
+    indices = np.arange(0, space.dim, 7)
+    first = charge_rows(space, space.decode(indices))
+    assert np.array_equal(first, kron_charge_table(space)[:, indices])
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("Gauss-law table rebuilt")
+    monkeypatch.setattr(lattice.Lattice, "link_endpoints", refuse)
+    monkeypatch.setattr(matter, "charge_shift", refuse)
+    again = charge_rows(space, space.decode(indices))
+    assert np.array_equal(again, first) and again.dtype == first.dtype
 
 
 # ---------------------------------------------------------------------------

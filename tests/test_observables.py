@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import su2_oracle
 from gauge_oracle import basis_matrix, gauge_transformation_unitary, \
     generators
 from lgtlab.gauge import sector_basis
@@ -278,3 +279,49 @@ def test_flux_tube_embeddings_do_not_scale_with_steps(monkeypatch):
         assert calls["embed"] == 0
     assert per_run[0] == per_run[1]
     assert per_run[0] > 0
+
+
+@pytest.mark.parametrize("j_max", [0.5, 1.0])
+def test_su2_string_matches_the_recursive_oracle(j_max):
+    model = build_model(HamiltonianSpec(model="su2", truncation=j_max),
+                        build_lattice(1, [5]))
+    for R in range(5):
+        expected = su2_oracle.su2_string_state(
+            model, string_link_path(model.lattice, 0, R))
+        psi = strong_coupling_ground(model, 0, R)
+        assert np.max(np.abs(psi - expected)) <= 1e-14
+
+
+def test_su2_string_embeds_four_link_operators_per_link(monkeypatch):
+    # (U_1 ... U_R)_{mm'} |vacuum> is contracted on vectors: 4 R single-link
+    # embeddings, each applied to a vector and never multiplied with
+    # another full-space matrix
+    from lgtlab.tensor import ProductSpace
+    model = build_model(HamiltonianSpec(model="su2", truncation=0.5),
+                        build_lattice(1, [5]))
+    calls = {"embed": 0}
+    embed = ProductSpace.embed
+
+    class VectorsOnly:
+        def __init__(self, op):
+            self.op = op
+
+        def __matmul__(self, other):
+            assert isinstance(other, np.ndarray) and other.ndim == 1, \
+                "full-space matrix product formed"
+            return self.op @ other
+
+    def counted(self, *args, **kwargs):
+        calls["embed"] += 1
+        return VectorsOnly(embed(self, *args, **kwargs))
+    monkeypatch.setattr(ProductSpace, "embed", counted)
+    strong_coupling_ground(model, 0, 4)
+    assert calls["embed"] == 16
+
+
+@pytest.mark.parametrize("separation", [6, 7, 12])
+def test_string_path_does_not_wind_around_a_ring(separation):
+    ring = build_lattice(1, [6], "periodic")
+    assert string_link_path(ring, 2, 5) == [2, 3, 4, 5, 0]
+    with pytest.raises(ValueError, match="winds around"):
+        string_link_path(ring, 2, separation)
