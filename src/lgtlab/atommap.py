@@ -19,6 +19,7 @@ stand in for local gauge invariance:
 """
 
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
@@ -97,33 +98,45 @@ def enumerate_channels(scheme, parity="even"):
     the static level energy, for fermion hopping onto the given parity
     vertex (incoming fermion lives on the opposite parity).
 
-    Returns a list of dicts with the channel data and a flag telling
-    whether it is a diagonal (no level change) channel.
+    Returns a list of dicts with the channel data, its level-energy gap
+    and the `allowed` flag (True on every listed channel).
     """
+    return [c for c in _transitions(scheme, parity) if c["allowed"]]
+
+
+def channel_table(scheme, couplings):
+    """Every (m_b, m_f) -> (m_b', m_f') transition, hops onto even vertices
+    first, as (m_b, m_f, m_b', m_f', amplitude, allowed): its S-wave
+    amplitude under `couplings` (scattering_matrix_element) and whether
+    enumerate_channels lists it."""
+    return [(c["m_b_in"], c["m_f_in"], c["m_b_out"], c["m_f_out"],
+             complex(scattering_matrix_element(
+                 c["m_b_out"], c["m_f_out"], c["m_b_in"], c["m_f_in"],
+                 couplings)), c["allowed"])
+            for parity in ("even", "odd")
+            for c in _transitions(scheme, parity)]
+
+
+def _transitions(scheme, parity):
+    """Every (m_b, m_f) -> (m_b', m_f') transition of a hop onto the given
+    parity vertex, in loop order, as a dict with its level-energy gap and
+    whether it is allowed: total m_F and the static level energy are both
+    conserved."""
     scheme.validate()
-    m_bosons = [-2, -1, 0, 1, 2]
     src = M_F_ODD if parity == "even" else M_F_EVEN
     dst = M_F_EVEN if parity == "even" else M_F_ODD
     src_parity = "odd" if parity == "even" else "even"
-    channels = []
-    for m_b_in in m_bosons:
-        for f_in in src.values():
-            e_in = scheme.boson_energy(m_b_in) + \
-                scheme.fermion_energy(f_in, src_parity)
-            for m_b_out in m_bosons:
-                for f_out in dst.values():
-                    if abs((m_b_out + f_out) - (m_b_in + f_in)) > 1e-12:
-                        continue
-                    e_out = scheme.boson_energy(m_b_out) + \
-                        scheme.fermion_energy(f_out, parity)
-                    allowed = abs(e_out - e_in) < 1e-9
-                    channels.append({
-                        "m_b_in": m_b_in, "m_f_in": f_in,
-                        "m_b_out": m_b_out, "m_f_out": f_out,
-                        "energy_gap": e_out - e_in,
-                        "allowed": allowed,
-                    })
-    return [c for c in channels if c["allowed"]]
+    for m_b_in, f_in, m_b_out, f_out in product(
+            range(-2, 3), src.values(), range(-2, 3), dst.values()):
+        e_in = scheme.boson_energy(m_b_in) + \
+            scheme.fermion_energy(f_in, src_parity)
+        e_out = scheme.boson_energy(m_b_out) + \
+            scheme.fermion_energy(f_out, parity)
+        yield {"m_b_in": m_b_in, "m_f_in": f_in,
+               "m_b_out": m_b_out, "m_f_out": f_out,
+               "energy_gap": e_out - e_in,
+               "allowed": abs((m_b_out + f_out) - (m_b_in + f_in)) <= 1e-12
+               and abs(e_out - e_in) < 1e-9}
 
 
 # ---------------------------------------------------------------------------

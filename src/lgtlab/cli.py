@@ -363,22 +363,8 @@ def run_channels(cfg, params, writer, tol):
         couplings = {float(f): _cast(float, v, f"params.couplings.{f}")
                      for f, v in couplings.items()}
     scheme = atommap.HyperfineLevelScheme(params["omega1"], params["omega2"])
-    rows = []
-    for parity in ("even", "odd"):
-        allowed = {(c["m_b_in"], c["m_f_in"], c["m_b_out"], c["m_f_out"])
-                   for c in atommap.enumerate_channels(scheme, parity)}
-        src = atommap.M_F_ODD if parity == "even" else atommap.M_F_EVEN
-        dst = atommap.M_F_EVEN if parity == "even" else atommap.M_F_ODD
-        for m_b in range(-2, 3):
-            for m_f in src.values():
-                for m_b_p in range(-2, 3):
-                    for m_f_p in dst.values():
-                        amp = atommap.scattering_matrix_element(
-                            m_b_p, m_f_p, m_b, m_f, couplings)
-                        key = (m_b, m_f, m_b_p, m_f_p)
-                        rows.append((m_b, m_f, m_b_p, m_f_p,
-                                     complex(amp).real, complex(amp).imag,
-                                     1 if key in allowed else 0))
+    rows = [(*key, amp.real, amp.imag, int(allowed)) for *key, amp, allowed
+            in atommap.channel_table(scheme, couplings)]
     writer.csv("channels.csv",
                ["m_b", "m_f", "m_b_prime", "m_f_prime", "amplitude_re",
                 "amplitude_im", "allowed_by_homega"], list(zip(*rows)))

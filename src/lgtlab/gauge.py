@@ -32,15 +32,17 @@ from .solver import SolverError
 @dataclass
 class GaussSector:
     """A static-charge sector: the sorted product-basis `indices` of its
-    states.  A merge of several sectors (merge_sectors) also sets
-    `blocks`, the source sector of every state, and its `charges` are the
-    source sectors' charges; H is block diagonal on it, one block per
-    source.
+    states and their `labels` (ProductSpace.decode of the indices), which
+    every diagonal read and label shift on the sector uses.  A merge of
+    several sectors (merge_sectors) also sets `blocks`, the source sector
+    of every state, and its `charges` are the source sectors' charges; H is
+    block diagonal on it, one block per source.
     """
 
     charges: tuple
     dim_full: int
     indices: np.ndarray
+    labels: np.ndarray = field(default=None, repr=False)
     blocks: np.ndarray = field(default=None, repr=False)
 
     @property
@@ -65,10 +67,10 @@ class GaussSector:
 # the Gauss law per state
 # ---------------------------------------------------------------------------
 
-def matter_charge_row(space, vertex, labels=None):
-    """Matter charge Q_n of every state of a label table (the full space
-    when None), staggered or naive, read from the occupation bits: occupied
-    modes at the vertex minus matter.charge_shift."""
+def matter_charge_row(space, vertex, labels):
+    """Matter charge Q_n of every state of a label table, staggered or
+    naive, read from the occupation bits: occupied modes at the vertex
+    minus matter.charge_shift."""
     q = space.vertex_occupations(vertex, labels).sum(axis=0, dtype=np.int8)
     q -= matter_mod.charge_shift(space.layout, vertex)
     return q
@@ -123,7 +125,7 @@ def su2_gauss_law(space, link_space, vertex):
         z -= (up.astype(float) - down) / 2
         pieces.append((-1.0, matter_mod.hop(space.layout.factor(vertex, 0),
                                             space.layout.factor(vertex, 1))))
-    return z, space.embed_sum(pieces)
+    return z, space.embed(pieces)
 
 
 # ---------------------------------------------------------------------------
@@ -187,13 +189,6 @@ def _gauss_plan(space):
     return space.cached("gauss_plan", build)
 
 
-def sector_labels(space, sector=None):
-    """Label table of a sector's states, or of the full space when None."""
-    if sector is None:
-        return space.labels
-    return space.decode(sector.indices)
-
-
 def sector_basis(space, charges):
     """Enumerate the Abelian Gauss sector with the given static charges.
 
@@ -208,7 +203,8 @@ def sector_basis(space, charges):
     target with the factors still unset.  Each factor moves a vertex's
     charge within an integer interval, so what the unset factors can still
     add is the interval [lo, hi] of the sums of their extremes; on Z_N
-    links only the residue modulo N has to be reachable.
+    links only the residue modulo N has to be reachable.  The kept states
+    are decoded once, into the sector's label table.
 
     The indices are int64: a space with more product states than that
     holds raises SolverError before anything is enumerated.
@@ -255,13 +251,15 @@ def sector_basis(space, charges):
             per_label[:, :, v] += column
         keep = reachable(charge, f + 1, vertices)
         indices, charge = indices[keep], charge[keep]
-    return GaussSector(charges, space.dim, indices=indices)
+    return GaussSector(charges, space.dim, indices=indices,
+                       labels=space.decode(indices))
 
 
 def merge_sectors(sectors):
     """One sector holding the states of several, in sorted
-    index order, with `blocks` giving each state's source sector (the
-    position in `sectors`); a single sector is returned as it is.
+    index order, their label columns taken along, with `blocks` giving each
+    state's source sector (the position in `sectors`); a single sector is
+    returned as it is.
 
     The sectors must have distinct charges, so no state is in two; H
     assembled on the merge is then block diagonal, and each of its
@@ -272,9 +270,10 @@ def merge_sectors(sectors):
     indices = np.concatenate([s.indices for s in sectors])
     order = np.argsort(indices)
     blocks = np.repeat(np.arange(len(sectors)), [s.dim for s in sectors])
+    labels = np.concatenate([s.labels for s in sectors], axis=1)
     return GaussSector(tuple(s.charges for s in sectors),
                        sectors[0].dim_full, indices=indices[order],
-                       blocks=blocks[order])
+                       labels=labels[:, order], blocks=blocks[order])
 
 
 def all_sector_dimensions(space):

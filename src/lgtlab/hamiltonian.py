@@ -14,19 +14,19 @@ Gauss sector is passed:
 
 * full space (``model.hamiltonian()``): D reads the full label table and
   the pieces are embedded and summed in one COO pass
-  (``ProductSpace.embed_sum``).
+  (``ProductSpace.embed``).
 * sector (``model.hamiltonian(sector=sec)`` with a sector from
-  ``gauge.sector_basis``): D reads the labels decoded for the
-  sector's indices only, and each piece is applied to the sector's states
-  as label shifts (``ProductSpace.shift``), its targets located among the
-  sector's sorted indices with ``np.searchsorted``.  The result is the
-  sector-dimension block, equal to ``solver.restrict`` of the full H, at a
-  cost that scales with the sector dimension.  A piece's adjoint is
-  applied as well where the piece keeps no sector state in the sector.
-  When T or T^dag sends nonzero amplitude out of the sector (the
-  gauge-variant hopping), SectorLeak, a ValueError, is raised after all
-  pieces are applied; it carries the largest such amplitude and the
-  block.
+  ``gauge.sector_basis``): D reads the sector's own label table, and each
+  piece is applied to the sector's states as label shifts
+  (``ProductSpace.shift``, which reads the source labels from that same
+  table), its targets located among the sector's sorted indices with
+  ``np.searchsorted``.  The result is the sector-dimension block, equal to
+  ``solver.restrict`` of the full H, at a cost that scales with the sector
+  dimension.  A piece's adjoint is applied as well where the piece keeps
+  no sector state in the sector.  When T or T^dag sends nonzero amplitude
+  out of the sector (the gauge-variant hopping), SectorLeak, a ValueError,
+  is raised after all pieces are applied; it carries the largest such
+  amplitude and the block.
 
 D (diagonal terms):
 
@@ -153,7 +153,7 @@ class Model:
         """
         space = self.space
         solver.log_max("dim_full", space.dim)
-        labels = gauge.sector_labels(space, sector)
+        labels = space.labels if sector is None else sector.labels
         diag = np.zeros(labels.shape[1])
         pieces = []
         for t in self.effective_terms(terms):
@@ -162,7 +162,7 @@ class Model:
             else:
                 pieces += [(t, piece) for piece in OFF_DIAGONAL_TERMS[t](self)]
         solver.log_append("assembly_dims", len(diag))
-        off, (leak, term) = _sum_pieces(space, sector, pieces, len(diag))
+        off, (leak, term) = _sum_pieces(space, sector, pieces)
         h = (off + off.conj().T + space.diagonal_op(diag)).tocsr()
         if leak:
             raise SectorLeak(
@@ -182,10 +182,10 @@ class SectorLeak(ValueError):
         self.block = block
 
 
-def _sum_pieces(space, sector, pieces, n):
-    """T = the sum of the (term, (coeff, factors)) pieces as one
-    n x n CSR, in one COO pass: embedded on the full space (sector None),
-    applied as label shifts on the sector's states otherwise.
+def _sum_pieces(space, sector, pieces):
+    """T = the sum of the (term, (coeff, factors)) pieces as one CSR, in
+    one COO pass: embedded on the full space (sector None), applied as
+    label shifts on the sector's states otherwise.
 
     On a sector, a target is inside only if it is one of the sector's
     states and, on a merge of sectors (gauge.merge_sectors), in the same
@@ -199,13 +199,15 @@ def _sum_pieces(space, sector, pieces, n):
     sends out of the sector, the term of that piece); (0.0, None) without
     a leak."""
     if sector is None:
-        return space.embed_sum(piece for _, piece in pieces), (0.0, None)
+        return space.embed(piece for _, piece in pieces), (0.0, None)
+    n = sector.dim
     rows, cols = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)]
     data = [np.zeros(0, dtype=complex)]
     leak = (0.0, None)
     for t, piece in pieces:
         for adjoint, (c, f) in enumerate(_directions(piece)):
-            source, target, value = space.shift(sector.indices, f)
+            source, target, value = space.shift(sector.indices,
+                                                sector.labels, f)
             row = np.searchsorted(sector.indices, target)
             inside = row < n
             inside[inside] = sector.indices[row[inside]] == target[inside]
@@ -393,8 +395,9 @@ OFF_DIAGONAL_TERMS = {"magnetic": _magnetic, "gauge_matter": _gauge_matter,
                       "hopping": _hopping}
 
 
-def max_gauss_violation(model, h=None):
-    """max over vertices (and components) of ||[H, G_n]||_maxabs.
+def max_gauss_violation(model, h):
+    """max over vertices (and components) of ||[H, G_n]||_maxabs for a
+    full-space H `h` of the model.
 
     A diagonal generator with eigenvalue g per state has
     [H, G]_ij = H_ij (g_j - g_i), evaluated on H's stored entries
@@ -409,7 +412,6 @@ def max_gauss_violation(model, h=None):
     are taken real when their imaginary parts are exactly 0, by the rule of
     the eigensolvers.
     """
-    h = model.hamiltonian() if h is None else h
     if model.spec.model == SU2:
         h = solver._solver_matrix(h, dense=False)
         coo, worst = h.tocoo(), 0.0

@@ -5,8 +5,11 @@ lexicographic vertex order; the Jordan-Wigner string runs along this single
 global order.  Each mode is a 2-state tensor factor of the product space
 (|0> empty, |1> occupied), placed after the lattice's links in mode order,
 so a fermion bilinear c^dag_a c_b is a list of 2x2 local matrices on mode
-factors (``hop``), applied by ``ProductSpace.embed`` and
+factors (``hop``), embedded by ``ProductSpace.embed`` as one
+(coefficient, factors) piece or applied to a sector's states by
 ``ProductSpace.shift`` like any link operator; no 2^modes matrix is built.
+Occupations and charges are read from the occupation-bit rows of a label
+table that the caller passes in (``ProductSpace.vertex_occupations``).
 
 Layouts:
 

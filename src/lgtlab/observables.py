@@ -16,15 +16,16 @@ from . import solver
 from .hamiltonian import KS_U1, SPIN_GAUGE, SU2, ZN, HamiltonianSpec, \
     build_model
 from .gauge import charge_rows, generator_eigenvalues, matter_charge_row, \
-    merge_sectors, sector_basis, sector_labels
+    merge_sectors, sector_basis
 from .lattice import build_lattice
 from .matter import dirac_sea_state
 
 
-def flux_profile(model, state, sector=None):
+def flux_profile(model, state, labels):
     """Per-link flux expectation <flux_l> for a normalized state, or one
-    row per state for a (times, dim) stack of states; the amplitudes are on
-    the sector's states when a sector is given, else on the full space.
+    row per state for a (times, dim) stack of states, whose amplitudes are
+    on the states of the label table `labels` (a sector's labels, or
+    space.labels for the full space).
 
     The readout is L (U(1)), L_z (spin-gauge), the clock label m (Z_N) or
     the Casimir j(j+1) (SU(2)); it is diagonal in every family and read per
@@ -32,16 +33,14 @@ def flux_profile(model, state, sector=None):
     """
     space = model.space
     values = space.linkops.flux_values
-    labels = sector_labels(space, sector)
     return _diagonal_expectations(
         state, [values[row] for row in labels[:space.n_links]])
 
 
-def charge_profile(model, state, sector=None):
+def charge_profile(model, state, labels):
     """Per-vertex dynamical charge expectation (staggered/naive layouts),
-    for one state or a (times, dim) stack of states, on the sector's
-    states when a sector is given."""
-    labels = sector_labels(model.space, sector)
+    for one state or a (times, dim) stack of states, whose amplitudes are
+    on the states of the label table `labels`."""
     return _diagonal_expectations(
         state, [matter_charge_row(model.space, v, labels)
                 for v in range(model.lattice.vertex_count)])
@@ -56,10 +55,13 @@ def _diagonal_expectations(state, diagonals):
 
 
 def string_link_path(lat, origin, separation):
-    """Link indices of the straight axis-1 path origin -> origin + R.  On a
-    periodic axis of L vertices R must stay below L: a longer path would
-    wind around the ring and revisit links, and at R = L its far end would
-    be the origin."""
+    """Link indices of the straight axis-1 path origin -> origin + R, from
+    a vertex index 0 .. n_vertices - 1.  On a periodic axis of L vertices R
+    must stay below L: a longer path would wind around the ring and revisit
+    links, and at R = L its far end would be the origin."""
+    if not 0 <= origin < lat.vertex_count:
+        raise ValueError(f"origin {origin} is not a vertex index "
+                         f"0 .. {lat.vertex_count - 1}")
     if separation < 0:
         raise ValueError("separation must be >= 0")
     if lat.boundary == "periodic" and separation >= lat.sizes[0]:
@@ -123,7 +125,7 @@ def _su2_string(space, U, links, psi):
     ms = (0.5, -0.5)
     vectors = [psi] * 2
     for l in reversed(links):
-        vectors = [sum(space.embed([(l, U.entry(m, mid))]) @ v
+        vectors = [sum(space.embed([(1.0, [(l, U.entry(m, mid))])]) @ v
                        for mid, v in zip(ms, vectors)) for m in ms]
     return vectors[0] + vectors[1]
 
@@ -152,8 +154,10 @@ class StaticPotentialCurve:
         return self
 
 
-def static_potential(spec, lat, separations, origin=0, fit_window=None):
-    """Ground energy per static-charge separation, with a linear fit.
+def static_potential(spec, lat, separations, origin=0):
+    """Ground energy per static-charge separation, with a linear fit that
+    drops R = 0 and, beyond two remaining points, the largest separation
+    (boundary contamination).
 
     U(1)-family sectors are diagonalized exactly in the (+1 at origin,
     -1 at origin+R) charge sector, each enumerated once however often its
@@ -178,15 +182,10 @@ def static_potential(spec, lat, separations, origin=0, fit_window=None):
         dims = [1] * len(separations)
     else:
         energies, dims = _sector_ground_energies(model, separations, origin)
-    curve = StaticPotentialCurve(list(separations), energies, dims)
-    if fit_window is None:
-        # drop R = 0 and the largest separation (boundary contamination)
-        skip_first = 1 if separations and separations[0] == 0 else 0
-        skip_last = 1 if len(separations) - skip_first > 2 else 0
-        curve.fit(skip_first, skip_last)
-    else:
-        curve.fit(*fit_window)
-    return curve
+    skip_first = 1 if separations and separations[0] == 0 else 0
+    skip_last = 1 if len(separations) - skip_first > 2 else 0
+    return StaticPotentialCurve(list(separations), energies,
+                                dims).fit(skip_first, skip_last)
 
 
 def _sector_ground_energies(model, separations, origin):
@@ -257,7 +256,8 @@ def flux_tube_breaking_scenario(spec, lat, separation, t_final, steps,
     returned trajectory's states are amplitudes on that sector's states.
     Conservation of the norm, energy, total charge and every Gauss
     generator expectation is reported (they are exact up to solver
-    tolerance); the diagonal observables are read from the sector labels.
+    tolerance); the diagonal observables are all read from the sector's
+    one label table.
     """
     if lat.spatial_dim != 1:
         raise ValueError("flux-tube scenario runs on 1d chains")
@@ -274,9 +274,9 @@ def flux_tube_breaking_scenario(spec, lat, separation, t_final, steps,
     psi0[np.searchsorted(sec.indices, start)] = 1.0
     traj = solver.evolve(h, psi0, t_final, steps)
 
-    labels = sector_labels(space, sec)
-    flux = flux_profile(model, traj.states, sec)
-    charge = charge_profile(model, traj.states, sec)
+    labels = sec.labels
+    flux = flux_profile(model, traj.states, labels)
+    charge = charge_profile(model, traj.states, labels)
     energy = traj.expectation(h).real
     qtot = sum(matter_charge_row(space, v, labels)
                for v in range(lat.vertex_count))

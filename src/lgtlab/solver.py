@@ -253,11 +253,7 @@ class EffectiveHamiltonianReport:
     """Second-order effective Hamiltonian on a protected sector."""
 
     h_eff: np.ndarray
-    e0: float
-    first_order: np.ndarray = field(repr=False, default=None)
-    second_order: np.ndarray = field(repr=False, default=None)
     pvp_norm: float = 0.0
-    leakage_min_gap: float = 0.0
     pattern_coefficient: complex = None
     pattern_remainder: float = None
 
@@ -273,12 +269,13 @@ def effective_second_order(h0, v, sector, rest=None, pattern=None):
 
         H_eff = P rest P + P v Q (E0 - h0)^{-1} Q v P
 
-    restricted to the sector.  `pattern` (an operator on the full space)
-    requests the Frobenius projection of the second-order block onto the
-    restriction of that operator: the returned coefficient is the weight of
-    the pattern inside H_eff's second-order part, and pattern_remainder is
-    the norm of what is left after subtracting it.  An off-sector state
-    within 1e-9 of E0 makes the resolvent singular and raises SolverError.
+    restricted to the sector; `rest` and `pattern` are sparse operators on
+    the full space.  `pattern` requests the Frobenius projection of the
+    second-order block onto the restriction of that operator: the returned
+    coefficient is the weight of the pattern inside H_eff's second-order
+    part, and pattern_remainder is the norm of what is left after
+    subtracting it.  An off-sector state within 1e-9 of E0 makes the
+    resolvent singular and raises SolverError.
     """
     diag = np.asarray(h0.diagonal()).real
     off = h0 - sparse.diags(h0.diagonal())
@@ -307,26 +304,19 @@ def effective_second_order(h0, v, sector, rest=None, pattern=None):
         raise SolverError(
             f"singular resolvent: off-sector state {W.row[n]} is degenerate "
             f"with the sector (gap {g[n]:.3e})")
-    min_gap = np.min(np.abs(g[off]), initial=np.inf)
     data = np.zeros_like(W.data)
     data[off] = W.data[off] / g[off]
     RW = sparse.coo_matrix((data, (W.row, W.col)), shape=W.shape).tocsc()
     second = np.asarray((W.tocsc().conj().T @ RW).todense())
     second = (second + second.conj().T) / 2.0
 
-    first = None
-    h_eff = second.copy()
+    h_eff = second
     if rest is not None:
-        first = np.asarray(restrict(rest, sector).todense()) \
-            if sparse.issparse(rest) else restrict(rest, sector)
-        first = np.asarray(first)
-        h_eff = h_eff + first
+        h_eff = second + restrict(rest, sector).toarray()
 
-    coeff = None
-    remainder = None
+    coeff = remainder = None
     if pattern is not None:
-        pat = restrict(pattern, sector)
-        pat = np.asarray(pat.todense()) if sparse.issparse(pat) else pat
+        pat = restrict(pattern, sector).toarray()
         denom = np.vdot(pat, pat).real
         if denom > 0:
             coeff = complex(np.vdot(pat, second) / denom)
@@ -336,7 +326,5 @@ def effective_second_order(h0, v, sector, rest=None, pattern=None):
             remainder = float(np.linalg.norm(second))
 
     return EffectiveHamiltonianReport(
-        h_eff=h_eff, e0=e0, first_order=first, second_order=second,
-        pvp_norm=pvp_norm,
-        leakage_min_gap=float(min_gap if np.isfinite(min_gap) else 0.0),
-        pattern_coefficient=coeff, pattern_remainder=remainder)
+        h_eff=h_eff, pvp_norm=pvp_norm, pattern_coefficient=coeff,
+        pattern_remainder=remainder)

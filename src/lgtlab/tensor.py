@@ -17,11 +17,14 @@ indices to such columns, in the narrowest unsigned dtype that holds the
 largest label (uint8 for every local dimension up to 256), and
 ``ProductSpace.encode(labels)``, its inverse, is the one encoder (the
 string states are built through it).  The full-space table
-``ProductSpace.labels`` is the decode of every index, cached on the space.
-Every diagonal quantity is a vectorized read of a label table:
-the flux readout of ``observables.flux_profile``, the matter charges,
-Abelian Gauss eigenvalues and charge table in ``gauge``, and the diagonal
-part D (electric, mass, penalty) of ``Model.hamiltonian``.
+``ProductSpace.labels`` is the decode of every index, cached on the space,
+and a Gauss sector carries the decode of its own states
+(``gauge.GaussSector.labels``).  Every diagonal quantity is a vectorized
+read of the label table it is given, never of a default one: the flux and
+charge readouts of ``observables.flux_profile`` and ``charge_profile``,
+``vertex_occupations``, the matter charges, Abelian Gauss eigenvalues and
+charge table in ``gauge``, and the diagonal part D (electric, mass,
+penalty) of ``Model.hamiltonian``.
 
 Off-diagonal operators (the hopping and plaquette pieces of the
 Hamiltonian's T, SU(2) Gauss raising operators and string operators) are
@@ -29,17 +32,22 @@ products of local matrices on tensor factors, links and fermion modes
 alike (a fermion hop carries its Jordan-Wigner string as Pauli Z factors,
 see ``matter.hop``), with two realizations:
 
-* full space: ``ProductSpace.embed_coo``, the one Kronecker-product path,
-  which yields a product's COO triples in a single pass in which each run
-  of untouched factors is one identity block.  ``ProductSpace.embed``
-  turns one product into a CSR; ``ProductSpace.embed_sum`` collects the
-  scaled triples of many products and converts them to CSR once;
-* Gauss sector: ``ProductSpace.shift``, which applies the same product to a
-  list of product states as label shifts.  Each nonzero of a local
-  matrix's column maps a source label to a target label, so the target
-  index is the source index plus (target - source) times the factor's
-  stride.  ``Model.hamiltonian(sector=...)`` locates the targets among the
-  sector's sorted indices, so its cost scales with the sector dimension.
+* full space: ``ProductSpace.embed(pieces)``, the one embedding, sums
+  coeff x product over (coeff, factors) pieces as one CSR from one COO
+  pass.  Each product's triples come from one Kronecker pass over the
+  factors, in which each run of untouched factors is one identity block.
+* Gauss sector: ``ProductSpace.shift(indices, labels, factors)``, which
+  applies the same product to a list of product states as label shifts.
+  Each nonzero of a local matrix's column maps a source label, read from
+  the states' label table, to a target label, so the target index is the
+  source index plus (target - source) times the factor's stride; a
+  product touches each factor once and no label carries, so no index is
+  divided.  ``Model.hamiltonian(sector=...)`` locates the targets among
+  the sector's sorted indices, so its cost scales with the sector
+  dimension.
+
+Kronecker embeddings and label shifts stay separate paths: each is the
+faster one on its own inputs (the whole space, or a sector's states).
 
 Memory guard.  Before the first full-space table or embedding of a space,
 ``ProductSpace.require_memory`` compares FULL_SPACE_BYTES_PER_STATE times
@@ -149,12 +157,11 @@ class ProductSpace:
             index = index * radix + int(label)
         return index
 
-    def vertex_occupations(self, vertex, labels=None):
+    def vertex_occupations(self, vertex, labels):
         """Occupation-bit rows (species, states) of the modes at a vertex,
-        read from `labels` (the full-space table when None)."""
+        read from the label table `labels`."""
         if self.layout is None:
             raise ValueError("space carries no matter")
-        labels = self.labels if labels is None else labels
         return labels[[self.layout.factor(vertex, s)
                        for s in range(self.layout.species_per_vertex)]]
 
@@ -182,22 +189,32 @@ class ProductSpace:
         """Sparse operator with the given per-state diagonal."""
         return sparse.diags(values, format="csr", dtype=complex)
 
-    def embed(self, factors=()):
-        """Embed a product of local operators in the full space as a CSR
-        (the triples of embed_coo)."""
-        rows, cols, data = self.embed_coo(factors)
-        return sparse.csr_matrix((data, (rows, cols)),
-                                 shape=(self.dim, self.dim))
-
-    def embed_coo(self, factors=()):
-        """COO triples (rows, cols, data) of a product of local operators
-        embedded in the full space, each (row, col) once.
+    def embed(self, pieces):
+        """sum of coeff * product over (coeff, factors) pieces, embedded in
+        the full space as one CSR: each product's Kronecker triples
+        (_kron), scaled by its coefficient, are collected and converted to
+        CSR once.
 
         factors: iterable of (factor index, local matrix); matrices on the
-        same factor multiply in the order given.  The Kronecker product is
-        formed in one pass over the factors, each run of untouched factors
-        one identity block.
+        same factor multiply in the order given.
         """
+        rows, cols = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)]
+        data = [np.zeros(0, dtype=complex)]
+        for coeff, factors in pieces:
+            r, c, d = self._kron(factors)
+            rows.append(r)
+            cols.append(c)
+            data.append(d * coeff)
+        return sparse.coo_matrix(
+            (np.concatenate(data), (np.concatenate(rows),
+                                    np.concatenate(cols))),
+            shape=(self.dim, self.dim)).tocsr()
+
+    def _kron(self, factors):
+        """COO triples (rows, cols, data) of one product of local operators
+        embedded in the full space, each (row, col) once: the Kronecker
+        product formed in one pass over the factors, each run of untouched
+        factors one identity block."""
         local = self._local(factors)
         self.require_memory()
         blocks, run = [], 1
@@ -221,37 +238,23 @@ class ProductSpace:
             cols = (cols[:, None] * size + c).ravel()
         return rows, cols, data
 
-    def embed_sum(self, pieces):
-        """sum of coeff * embed(factors) over (coeff, factors) pieces as one
-        CSR: each piece's embed_coo triples, scaled by its coefficient, are
-        collected and converted to CSR once."""
-        rows, cols = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)]
-        data = [np.zeros(0, dtype=complex)]
-        for coeff, factors in pieces:
-            r, c, d = self.embed_coo(factors)
-            rows.append(r)
-            cols.append(c)
-            data.append(d * coeff)
-        return sparse.coo_matrix(
-            (np.concatenate(data), (np.concatenate(rows),
-                                    np.concatenate(cols))),
-            shape=(self.dim, self.dim)).tocsr()
-
-    def shift(self, indices, factors=()):
-        """Apply the product that embed(factors) builds to the product
-        states `indices` as label shifts.
+    def shift(self, indices, labels, factors):
+        """Apply the product of local matrices `factors` (one piece's
+        factors in embed) to the product states `indices`, whose label
+        table is `labels`, as label shifts.
 
         Returns (source position in `indices`, target index, value), one
         entry per nonzero of the product's columns; no full-space object is
-        built.
+        built.  A product touches each factor once and no label carries
+        into the next factor, so a state's label on a factor is its source
+        label there, read from `labels`.
         """
         radices = self.radices
         target = np.array(indices, dtype=np.int64)
         source = np.arange(len(target))
         value = np.ones(len(target), dtype=complex)
         for idx, op in self._local(factors).items():
-            stride, radix = math.prod(radices[idx + 1:]), radices[idx]
-            label = target // stride % radix
+            stride, label = math.prod(radices[idx + 1:]), labels[idx][source]
             # each state's column of the small dense matrix, one row per
             # state: its nonzeros come out per state, target label ascending
             column = np.asarray(op, dtype=complex)[:, label].T

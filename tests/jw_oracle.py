@@ -82,7 +82,7 @@ def embed_matter(space, op, factors=()):
     """The product of the link factors times the occupation-space
     operator `op`, on the full space."""
     links = ProductSpace(space.lattice, space.linkops)
-    return sparse.kron(links.embed(factors), op, format="csr")
+    return sparse.kron(links.embed([(1.0, factors)]), op, format="csr")
 
 
 def gauge_matter_pieces(model):
@@ -147,7 +147,7 @@ def hamiltonian(model):
                 data.append(piece.data)
         else:
             for coeff, factors in OFF_DIAGONAL_TERMS[t](model):
-                piece = (coeff * space.embed(factors)).tocoo()
+                piece = (coeff * space.embed([(1.0, factors)])).tocoo()
                 rows.append(piece.row)
                 cols.append(piece.col)
                 data.append(piece.data)

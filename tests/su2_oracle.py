@@ -47,16 +47,16 @@ def gauss_generators_su2(space, link_space):
         for axis in "xyz":
             g = None
             for l in out_links:
-                t = space.embed([(l, link_space.L[axis])])
+                t = space.embed([(1.0, [(l, link_space.L[axis])])])
                 g = t if g is None else g + t
             for l in in_links:
-                t = space.embed([(l, link_space.R[axis])])
+                t = space.embed([(1.0, [(l, link_space.R[axis])])])
                 g = -t if g is None else g - t
             if g is None:
                 g = sparse.csr_matrix((space.dim, space.dim), dtype=complex)
             if space.layout is not None:
                 for coeff, factors in su2_charge(space.layout, v, axis):
-                    g = g - coeff * space.embed(factors)
+                    g = g - coeff * space.embed([(1.0, factors)])
             triple.append(g.tocsr())
         gens.append(triple)
     return gens
@@ -132,10 +132,10 @@ def su2_chain(space, U, links, m, mp):
     """Matrix of (U_{l1} U_{l2} ... U_{lR})_{m mp} with index contraction."""
     ms = (0.5, -0.5)
     if len(links) == 1:
-        return space.embed([(links[0], U.entry(m, mp))])
+        return space.embed([(1.0, [(links[0], U.entry(m, mp))])])
     total = None
     for mid in ms:
-        head = space.embed([(links[0], U.entry(m, mid))])
+        head = space.embed([(1.0, [(links[0], U.entry(m, mid))])])
         tail = su2_chain(space, U, links[1:], mid, mp)
         term = head @ tail
         total = term if total is None else total + term

@@ -54,7 +54,7 @@ def test_criterion_1_gauge_invariance_suite():
                                eps=0.6 if matter else 0.0,
                                mass=0.4 if matter else 0.0, matter=matter)
         model = build_model(spec, lat)
-        v = max_gauss_violation(model)
+        v = max_gauss_violation(model, model.hamiltonian())
         worst = max(worst, v)
     report(1, worst < 1e-10,
            f"gauge invariance over {len(cases)} model/lattice/matter "

@@ -348,6 +348,36 @@ def test_potential_separation_wrapping_a_ring_is_config_error(tmp_path):
     assert m["files"] == []
 
 
+def test_potential_origin_beyond_the_chain_is_config_error(tmp_path):
+    # vertex 10 of a chain of 6 used to die with an IndexError traceback
+    cfg = {"scenario": "potential",
+           "lattice": {"spatial_dim": 1, "sizes": [6]},
+           "hamiltonian": CHAIN_MATTER,
+           "params": {"separations": [0, 1, 2], "origin": 10}}
+    path = write_cfg(tmp_path, cfg)
+    rc = main(["potential", "--config", path, "--out", str(tmp_path / "out")])
+    assert rc == 2
+    m = read_manifest(tmp_path / "out")
+    assert "origin 10" in m["error"]
+    assert m["files"] == []
+
+
+def test_dynamics_negative_origin_is_config_error(tmp_path):
+    # origin -1 used to start the string at the last vertex of the ring
+    cfg = {"scenario": "dynamics",
+           "lattice": {"spatial_dim": 1, "sizes": [6],
+                       "boundary": "periodic"},
+           "hamiltonian": dict(CHAIN_MATTER, mass=0.3),
+           "params": {"separation": 2, "t_final": 1.0, "steps": 4,
+                      "origin": -1}}
+    path = write_cfg(tmp_path, cfg)
+    rc = main(["dynamics", "--config", path, "--out", str(tmp_path / "out")])
+    assert rc == 2
+    m = read_manifest(tmp_path / "out")
+    assert "origin -1" in m["error"]
+    assert m["files"] == []
+
+
 @pytest.mark.parametrize("missing", ["lattice", "hamiltonian"])
 def test_verify_with_one_model_section_is_config_error(tmp_path, missing):
     cfg = {"scenario": "verify",
@@ -520,6 +550,29 @@ def test_dynamics_timing_records_the_sector_evolution(tmp_path):
     assert timing["evolve_dims"] == [7]       # the string's Gauss sector
     assert timing["evolve_paths"] == ["dense"]
     assert timing["solve_dims"] == []
+
+
+def test_dynamics_decodes_its_sector_once(tmp_path, monkeypatch):
+    # the string state is decoded for its charges, and the sector once:
+    # the Hamiltonian and every profile read that one label table
+    from lgtlab.tensor import ProductSpace
+    decoded = []
+    decode = ProductSpace.decode
+
+    def counted(self, indices):
+        decoded.append(len(indices))
+        return decode(self, indices)
+    monkeypatch.setattr(ProductSpace, "decode", counted)
+    cfg = {
+        "scenario": "dynamics",
+        "lattice": {"spatial_dim": 1, "sizes": [6]},
+        "hamiltonian": {"model": "ks_u1", "truncation": 1, "g2": 1.0,
+                        "eps": 0.8, "mass": 0.1, "matter": "staggered"},
+        "params": {"separation": 3, "t_final": 1.0, "steps": 5},
+    }
+    status, _ = run(cfg, str(tmp_path / "out"))
+    assert status == 0
+    assert decoded == [1, 7]
 
 
 TORUS = {"spatial_dim": 2, "sizes": [2, 2], "boundary": "periodic"}

@@ -22,7 +22,7 @@ def u1_space(sizes, cutoff=1, dim=1, matter=False, boundary="open"):
 def test_single_link_generators():
     sp = u1_space([2])
     gens = gauss_generators_u1(sp)
-    L = sp.embed([(0, sp.linkops["L"])]).toarray()
+    L = sp.embed([(1.0, [(0, sp.linkops["L"])])]).toarray()
     assert np.allclose(gens[0].toarray(), L)      # G_left = L
     assert np.allclose(gens[1].toarray(), -L)     # G_right = -L
 
@@ -53,7 +53,7 @@ def test_zn_single_link_generators():
     lat = build_lattice(1, [2])
     sp = ProductSpace(lat, linkalg.zn_ops(3))
     gens = gauss_generators_zn(sp)
-    P = sp.embed([(0, sp.linkops["P"])]).toarray()
+    P = sp.embed([(1.0, [(0, sp.linkops["P"])])]).toarray()
     assert np.allclose(gens[0].toarray(), P.conj().T)
     assert np.allclose(gens[1].toarray(), P)
 

@@ -159,7 +159,7 @@ def test_gauge_matter_pair_creation_respects_gauss():
     for g in generators(model):
         assert np.linalg.norm((g @ out)) < 1e-12
     # flux on the link was raised by the hop
-    flux = space.embed([(0, space.linkops["flux"])])
+    flux = space.embed([(1.0, [(0, space.linkops["flux"])])])
     amp = np.vdot(out, flux @ out) / np.vdot(out, out)
     assert amp == pytest.approx(1.0)
 
@@ -283,7 +283,7 @@ def test_total_fermion_number_conserved():
     ntot = None
     for v in range(CHAIN4.vertex_count):
         f = layout.factor(v)
-        n = model.space.embed(hop(f, f))
+        n = model.space.embed([(1.0, hop(f, f))])
         ntot = n if ntot is None else ntot + n
     assert np.max(np.abs((h @ ntot - ntot @ h).toarray())) < 1e-12
 

@@ -86,9 +86,9 @@ def kron_charge_table(space):
     for v in range(lat.vertex_count):
         out_links, in_links = lat.links_at_vertex(v)
         for l in out_links:
-            table[v] += space.embed([(l, fluxop)]).diagonal().real
+            table[v] += space.embed([(1.0, [(l, fluxop)])]).diagonal().real
         for l in in_links:
-            table[v] -= space.embed([(l, fluxop)]).diagonal().real
+            table[v] -= space.embed([(1.0, [(l, fluxop)])]).diagonal().real
         if charges is not None:
             table[v] -= charges[v].diagonal().real
     return np.rint(table).astype(int)
@@ -102,9 +102,9 @@ def kron_generators(model):
         out_links, in_links = lat.links_at_vertex(v)
         if model.spec.model == "zn":
             delta = 2.0 * np.pi / space.linkops.param
-            g = space.embed(
-                [(l, space.linkops["Pdag"]) for l in out_links]
-                + [(l, space.linkops["P"]) for l in in_links])
+            g = space.embed([(1.0, [(l, space.linkops["Pdag"])
+                                    for l in out_links]
+                              + [(l, space.linkops["P"]) for l in in_links])])
             if charges is not None:
                 g = g @ sparse.diags(np.exp(1j * delta
                                             * charges[v].diagonal().real))
@@ -112,9 +112,9 @@ def kron_generators(model):
             flux = space.linkops["flux"]
             g = sparse.csr_matrix((space.dim, space.dim), dtype=complex)
             for l in out_links:
-                g = g + space.embed([(l, flux)])
+                g = g + space.embed([(1.0, [(l, flux)])])
             for l in in_links:
-                g = g - space.embed([(l, flux)])
+                g = g - space.embed([(1.0, [(l, flux)])])
             if charges is not None:
                 g = g - charges[v]
         gens.append(g.tocsr())
@@ -131,7 +131,7 @@ def kron_electric(model):
         local = (spec.g2 / 2.0) * (flux @ flux)
     h = sparse.csr_matrix((space.dim, space.dim), dtype=complex)
     for l in range(space.n_links):
-        h = h + space.embed([(l, local)])
+        h = h + space.embed([(1.0, [(l, local)])])
     return h
 
 
@@ -242,12 +242,13 @@ def test_profiles_match_kron(case):
     space = model.space
     psi = random_state(space.dim, 5)
     flux = space.linkops["flux"]
-    ref = [np.vdot(psi, space.embed([(l, flux)]) @ psi).real
+    ref = [np.vdot(psi, space.embed([(1.0, [(l, flux)])]) @ psi).real
            for l in range(space.n_links)]
-    assert np.max(np.abs(flux_profile(model, psi) - ref)) < TOL
+    assert np.max(np.abs(flux_profile(model, psi, space.labels) - ref)) < TOL
     if space.layout is not None:
         ref = [np.vdot(psi, q @ psi).real for q in kron_charge_ops(space)]
-        assert np.max(np.abs(charge_profile(model, psi) - ref)) < TOL
+        assert np.max(np.abs(charge_profile(model, psi, space.labels)
+                             - ref)) < TOL
 
 
 @pytest.mark.parametrize("case", CASES, ids=case_id)
@@ -274,7 +275,7 @@ def test_gauss_check_matches_commutators(case):
                - kron_gauss_violation(h, gens)) < TOL
     # a gauge-variant hop on link 0 must be seen with the same size
     up = space.linkops["Q" if model.spec.model == "zn" else "U"]
-    hop = space.embed([(0, up)])
+    hop = space.embed([(1.0, [(0, up)])])
     bad = h + 0.7 * (hop + hop.conj().T)
     value = max_gauss_violation(model, bad)
     assert value > 0.1
@@ -290,11 +291,12 @@ def test_su2_diagonals_match_kron():
                         build_lattice(1, [3]))
     space = model.space
     local = (model.spec.g2 / 2.0) * model.link_space.casimir
-    ref = sum(space.embed([(l, local)]) for l in range(space.n_links))
+    ref = sum(space.embed([(1.0, [(l, local)])])
+              for l in range(space.n_links))
     assert max_abs_diff(model.hamiltonian(("electric",)), ref) < TOL
     assert max_abs_diff(model.hamiltonian(("mass",)), kron_mass(model)) < TOL
     psi = random_state(space.dim, 9)
     flux = space.linkops["flux"]
-    ref = [np.vdot(psi, space.embed([(l, flux)]) @ psi).real
+    ref = [np.vdot(psi, space.embed([(1.0, [(l, flux)])]) @ psi).real
            for l in range(space.n_links)]
-    assert np.max(np.abs(flux_profile(model, psi) - ref)) < TOL
+    assert np.max(np.abs(flux_profile(model, psi, space.labels) - ref)) < TOL

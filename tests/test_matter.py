@@ -33,7 +33,7 @@ def occupation_matrix(space, terms):
     factors on modes only: the block of its embedding with every link at
     label 0."""
     n = 2 ** space.n_modes
-    return sum(coeff * space.embed(factors)[:n, :n]
+    return sum(coeff * space.embed([(1.0, factors)])[:n, :n]
                for coeff, factors in terms).toarray()
 
 
@@ -182,7 +182,8 @@ def test_hop_factors_equal_jordan_wigner_bilinears():
     space = matter_space(build_lattice(1, [5]), STAGGERED)
     jw = JordanWigner(space.layout)
     for a, b in product(range(5), repeat=2):
-        got = space.embed(hop(space.layout.factor(a), space.layout.factor(b)))
+        got = space.embed([(1.0, hop(space.layout.factor(a),
+                                     space.layout.factor(b)))])
         want = jw_oracle.embed_matter(space, jw.cdag(a) @ jw.c(b))
         assert (got != want).nnz == 0
 

@@ -24,7 +24,7 @@ def test_flux_profile_of_string_and_vacuum():
     model = build_model(HamiltonianSpec(model="ks_u1", truncation=1, g2=2.0),
                         CHAIN6)
     psi = strong_coupling_ground(model, 0, 3)
-    profile = flux_profile(model, psi)
+    profile = flux_profile(model, psi, model.space.labels)
     on_string = string_link_path(CHAIN6, 0, 3)
     for l in range(CHAIN6.link_count):
         assert profile[l] == pytest.approx(1.0 if l in on_string else 0.0)
@@ -32,7 +32,7 @@ def test_flux_profile_of_string_and_vacuum():
     assert profile.sum() == pytest.approx(3.0)
 
     vac = strong_coupling_ground(model, 0, 0)
-    assert np.allclose(flux_profile(model, vac), 0.0)
+    assert np.allclose(flux_profile(model, vac, model.space.labels), 0.0)
 
 
 def test_flux_profile_gauge_invariant():
@@ -47,8 +47,8 @@ def test_flux_profile_gauge_invariant():
     rng = np.random.default_rng(2)
     theta = gauge_transformation_unitary(
         model.space, generators(model), rng.uniform(-2, 2, size=3))
-    p0 = flux_profile(model, psi)
-    p1 = flux_profile(model, theta @ psi)
+    p0 = flux_profile(model, psi, model.space.labels)
+    p1 = flux_profile(model, theta @ psi, model.space.labels)
     assert np.allclose(p0, p1, atol=1e-12)
 
 
@@ -56,7 +56,7 @@ def test_su2_string_flux_profile_reads_casimir():
     model = build_model(HamiltonianSpec(model="su2", truncation=0.5, g2=1.0),
                         CHAIN6)
     psi = strong_coupling_ground(model, 0, 2)
-    profile = flux_profile(model, psi)
+    profile = flux_profile(model, psi, model.space.labels)
     on_string = string_link_path(CHAIN6, 0, 2)
     for l in range(CHAIN6.link_count):
         expect = 0.75 if l in on_string else 0.0     # j(j+1) at j = 1/2
@@ -150,8 +150,7 @@ def test_static_potential_empty_sector_raises():
     spec = HamiltonianSpec(model="ks_u1", truncation=0,
                            g2=1.0).with_terms("electric")
     with pytest.raises(SolverError):
-        static_potential(spec, build_lattice(1, [3]), [0, 1],
-                         fit_window=(0, 0))
+        static_potential(spec, build_lattice(1, [3]), [0, 1])
 
 
 # ---------------------------------------------------------------------------

@@ -206,7 +206,8 @@ def test_hopping_between_merged_sectors_is_a_leak():
     with pytest.raises(SectorLeak, match="hopping") as leak:
         model.hamiltonian(("hopping",), sector=merged)
     assert leak.value.amplitude == pytest.approx(0.1, abs=1e-15)
-    unmerged = GaussSector((), model.space.dim, indices=merged.indices)
+    unmerged = GaussSector((), model.space.dim, indices=merged.indices,
+                           labels=merged.labels)
     full = model.hamiltonian(("hopping",))
     assert csr_parts(model.hamiltonian(("hopping",), sector=unmerged)) \
         == csr_parts(full)
@@ -275,4 +276,5 @@ def test_sector_dynamics_matches_full_space(n):
     inside = states[:, sec.indices]
     assert np.max(np.abs(inside - traj.states)) <= 1e-12
     assert np.max(np.abs(np.linalg.norm(inside, axis=1) - 1.0)) <= 1e-12
-    assert np.max(np.abs(flux_profile(model, states) - report.flux)) <= 1e-12
+    assert np.max(np.abs(flux_profile(model, states, model.space.labels)
+                          - report.flux)) <= 1e-12

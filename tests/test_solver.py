@@ -423,12 +423,12 @@ def test_effective_hermitian_and_respects_symmetry():
     model = build_model(spec, lat)
     pen = model.hamiltonian(("penalty",))
     space, layout = model.space, model.space.layout
-    hop01 = space.embed(hop(layout.factor(0), layout.factor(1)))
+    hop01 = space.embed([(1.0, hop(layout.factor(0), layout.factor(1)))])
     vop = hop01 + hop01.conj().T
     sec = sector_basis(model.space, [0, 0])
     rep = effective_second_order(pen, vop, sec)
     assert np.max(np.abs(rep.h_eff - rep.h_eff.conj().T)) < 1e-12
-    ntot = sum(space.embed(hop(layout.factor(v), layout.factor(v)))
+    ntot = sum(space.embed([(1.0, hop(layout.factor(v), layout.factor(v)))])
                for v in range(2))
     nr = restrict(ntot, sec).toarray()
     comm = rep.h_eff @ nr - nr @ rep.h_eff

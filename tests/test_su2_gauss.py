@@ -53,10 +53,10 @@ def oracle_model(name):
 def perturbation(model, name):
     space = model.space
     if name == "matter":
-        return space.embed(matter_mod.hop(space.layout.factor(0, 0),
-                                          space.layout.factor(0, 1)))
+        return space.embed([(1.0, matter_mod.hop(
+            space.layout.factor(0, 0), space.layout.factor(0, 1)))])
     ops = model.link_space.L if name[0] == "L" else model.link_space.R
-    return space.embed([(0, sum(ops[axis] for axis in name[1:]))])
+    return space.embed([(1.0, [(0, sum(ops[axis] for axis in name[1:]))])])
 
 
 def cases():
@@ -103,23 +103,23 @@ def test_max_gauss_violation_matches_per_axis_oracle(name, perturbed, eps):
 def test_su2_check_builds_no_generators(monkeypatch):
     # the verify --all chain of 4: one G^+ per vertex, whose terms are the
     # only embeddings (6 link ends and 4 color bilinears, each one pass of
-    # embed_coo), and no per-axis generator
+    # _kron), and no per-axis generator
     model = build_model(HamiltonianSpec(truncation=0.5, **MATTER),
                         build_lattice(1, [4]))
     h = model.hamiltonian()
-    calls = {"embed_coo": 0}
-    embed_coo = ProductSpace.embed_coo
+    calls = {"_kron": 0}
+    _kron = ProductSpace._kron
 
     def counted(self, *args, **kwargs):
-        calls["embed_coo"] += 1
-        return embed_coo(self, *args, **kwargs)
+        calls["_kron"] += 1
+        return _kron(self, *args, **kwargs)
 
     def refuse(*args, **kwargs):
         raise AssertionError("per-axis generators built")
-    monkeypatch.setattr(ProductSpace, "embed_coo", counted)
+    monkeypatch.setattr(ProductSpace, "_kron", counted)
     for oracle, name in ((su2_oracle, "gauss_generators_su2"),
                          (su2_oracle, "derived_generators_su2"),
                          (gauge_oracle, "generators")):
         monkeypatch.setattr(oracle, name, refuse)
     assert max_gauss_violation(model, h) == 0.0
-    assert 0 < calls["embed_coo"] <= 10
+    assert 0 < calls["_kron"] <= 10

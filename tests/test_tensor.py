@@ -71,11 +71,12 @@ def test_embed_equals_dense_kron_chain(where, case):
     spec, (dim, sizes) = SPACES[where]
     space = build_model(spec, build_lattice(dim, sizes)).space
     factors = case_factors(space, case, np.random.default_rng(7))
-    out = space.embed(factors)
+    out = space.embed([(1.0, factors)])
     assert out.shape == (space.dim, space.dim)
     assert np.array_equal(out.toarray(), dense_kron_chain(space, factors))
     # the same product applied to every product state as label shifts
-    source, target, value = space.shift(np.arange(space.dim), factors)
+    source, target, value = space.shift(np.arange(space.dim),
+                                          space.labels, factors)
     shifted = sparse.coo_matrix((value, (target, source)), shape=out.shape)
     assert np.array_equal(shifted.toarray(), out.toarray())
 
@@ -89,9 +90,9 @@ def test_embed_sum_equals_scaled_embeds(where, case):
     rng = np.random.default_rng(11)
     pieces = [(0.3 - 0.7j, case_factors(space, case, rng)),
               (1.9, case_factors(space, case, rng))]
-    got = space.embed_sum(pieces)
-    want = sum((c * space.embed(f) for c, f in pieces[1:]),
-               pieces[0][0] * space.embed(pieces[0][1])).tocsr()
+    got = space.embed(pieces)
+    want = sum((c * space.embed([(1.0, f)]) for c, f in pieces[1:]),
+               pieces[0][0] * space.embed([(1.0, pieces[0][1])])).tocsr()
     for attr in ("data", "indices", "indptr"):
         assert np.array_equal(getattr(got, attr), getattr(want, attr))
 
@@ -99,9 +100,9 @@ def test_embed_sum_equals_scaled_embeds(where, case):
 def test_embed_matter_on_space_without_matter_raises():
     space = build_model(HamiltonianSpec(), build_lattice(2, [2, 2])).space
     with pytest.raises(ValueError):
-        space.embed([(space.n_links, np.eye(2))])
+        space.embed([(1.0, [(space.n_links, np.eye(2))])])
     with pytest.raises(ValueError):
-        space.shift([0], [(space.n_links, np.eye(2))])
+        space.shift([0], space.decode([0]), [(space.n_links, np.eye(2))])
 
 
 ENCODE_SPACES = {
