@@ -2,7 +2,8 @@
 
 BLAS fixes its thread count when numpy loads it, so `--threads N` (else
 LGTLAB_THREADS) goes into the environment here, before the runner
-`lgtlab.cli` and with it numpy are imported.
+`lgtlab.cli` and with it numpy are imported.  A count that is not a
+positive integer exits 2 here, before anything is run.
 """
 
 import argparse
@@ -18,8 +19,15 @@ def main(argv=None):
         threads = flag.parse_known_args(argv)[0].threads
     except argparse.ArgumentError:
         threads = None                  # the runner's parser reports it
-    threads = threads or os.environ.get("LGTLAB_THREADS")
-    if threads:
+    source = "--threads"
+    if threads is None:
+        threads = os.environ.get("LGTLAB_THREADS") or None
+        source = "LGTLAB_THREADS"
+    if threads is not None:
+        if not str(threads).isdigit() or int(threads) < 1:
+            print(f"error: {source} must be a positive integer, got "
+                  f"{threads!r}", file=sys.stderr)
+            return 2
         for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                     "MKL_NUM_THREADS"):
             os.environ[var] = str(threads)

@@ -287,6 +287,10 @@ def run_effective_check(cfg, params, writer, tol):
     penalty is scaled: by powers of two, exactly."""
     lam, eta, ell, g2, k = (params[key]
                             for key in ("lam", "eta", "ell", "g2", "k"))
+    for key in ("lam", "eta"):
+        # lam = 0 leaves no penalty gap, eta = 0 no plaquette to compare
+        if params[key] == 0.0:
+            raise ConfigError(f"params.{key} must be nonzero")
     spec = HamiltonianSpec(model=SPIN_GAUGE, truncation=ell, g2=g2, lam=lam,
                            eta=eta)
     model = build_model(spec, build_lattice(2, [2, 2]))
@@ -470,6 +474,9 @@ def run(cfg, outdir, tol=DEFAULT_TOL):
         try:
             tol = DEFAULT_TOL if tol is None \
                 else _cast(float, tol, "tolerance")
+            if not 0.0 < tol < np.inf:
+                raise ConfigError(f"tolerance must be finite and positive, "
+                                  f"got {tol!r}")
             params = parse_section(cfg.get("params", {}), scenario, "params")
             results, checks = RUNNERS[scenario](cfg, params, writer, tol)
             status = 0 if all(c["pass"] for c in checks) else 1

@@ -107,19 +107,20 @@ def su2_gauss_law(space, link_space, vertex):
 
     L^z, R^z and Q^z = (n_up - n_down)/2 are diagonal in the |j m m'> x
     occupation basis, so the z row is read from the label table.  G^+ sums
-    one embedded term per out link (L^x + i L^y), per in link
-    (-(R^x + i R^y)) and, with matter, -c^dag_up c_down in one COO pass.
+    one embedded term per out link (L^x + i L^y, the ladder L["m"]), per in
+    link (-(R^x + i R^y), the ladder -R["p"]) and, with matter,
+    -c^dag_up c_down in one COO pass; all of them are real, so G^+ is.
     """
     out_links, in_links = space.lattice.links_at_vertex(vertex)
     labels = space.labels
     L, R = link_space.L, link_space.R
     z = np.zeros(space.dim)
     for l in out_links:
-        z += np.diag(L["z"]).real[labels[l]]
+        z += np.diag(L["z"])[labels[l]]
     for l in in_links:
-        z -= np.diag(R["z"]).real[labels[l]]
-    pieces = [(1.0, [(l, L["x"] + 1j * L["y"])]) for l in out_links] \
-        + [(-1.0, [(l, R["x"] + 1j * R["y"])]) for l in in_links]
+        z -= np.diag(R["z"])[labels[l]]
+    pieces = [(1.0, [(l, L["m"])]) for l in out_links] \
+        + [(-1.0, [(l, R["p"])]) for l in in_links]
     if space.layout is not None:
         up, down = space.vertex_occupations(vertex, labels)
         z -= (up.astype(float) - down) / 2

@@ -202,7 +202,7 @@ def _sum_pieces(space, sector, pieces):
         return space.embed(piece for _, piece in pieces), (0.0, None)
     n = sector.dim
     rows, cols = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)]
-    data = [np.zeros(0, dtype=complex)]
+    data = [np.zeros(0)]
     leak = (0.0, None)
     for t, piece in pieces:
         for adjoint, (c, f) in enumerate(_directions(piece)):
@@ -409,15 +409,13 @@ def max_gauss_violation(model, h):
     Only K+ = HG^+ - G^+H is formed; K- = -(K+)^dag holds because H is
     Hermitian, and it is exact only for an H that is Hermitian bit for bit,
     as Model.hamiltonian() is by construction (T + T^dag + D).  H and G^+
-    are taken real when their imaginary parts are exactly 0, by the rule of
-    the eigensolvers.
+    are used in the dtype they were assembled in (float64: both are real
+    for SU(2)).
     """
     if model.spec.model == SU2:
-        h = solver._solver_matrix(h, dense=False)
         coo, worst = h.tocoo(), 0.0
         for v in range(model.lattice.vertex_count):
             z, raising = gauge.su2_gauss_law(model.space, model.link_space, v)
-            raising = solver._solver_matrix(raising, dense=False)
             k_up = h @ raising - raising @ h
             k_down = -k_up.conj().T
             worst = max(worst, _diagonal_violation(coo, [z]),

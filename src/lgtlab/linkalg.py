@@ -11,7 +11,8 @@ Three families are provided, all in the electric-flux eigenbasis
   P_dag Q P = exp(i 2 pi / N) Q.
 
 Dimensions stay tiny (<= ~20); sparsity is handled only at the
-tensor-product level.
+tensor-product level.  Every matrix is real and stored float64 except the
+Z_N phases P and P_dag (the dtype rule of tensor.py).
 """
 
 from dataclasses import dataclass, field
@@ -28,7 +29,7 @@ class LinkOperatorSet:
     model: str
     local_dim: int
     param: int                      # cutoff, ell or N
-    ops: dict = field(repr=False)   # name -> complex ndarray
+    ops: dict = field(repr=False)   # name -> ndarray, float64 when real
 
     def __getitem__(self, name):
         return self.ops[name]
@@ -36,7 +37,7 @@ class LinkOperatorSet:
     @property
     def flux_values(self):
         """Diagonal of the flux readout observable, in basis order."""
-        return np.diag(self.ops["flux"]).real.copy()
+        return np.diag(self.ops["flux"]).copy()
 
 
 def u1_ops(cutoff):
@@ -50,11 +51,11 @@ def u1_ops(cutoff):
         raise ValueError("cutoff must be >= 0")
     d = 2 * cutoff + 1
     m = np.arange(-cutoff, cutoff + 1, dtype=float)
-    L = np.diag(m).astype(complex)
-    U = np.zeros((d, d), dtype=complex)
+    L = np.diag(m)
+    U = np.zeros((d, d))
     for i in range(d - 1):
         U[i + 1, i] = 1.0
-    ops = {"L": L, "U": U, "Udag": U.conj().T, "flux": L}
+    ops = {"L": L, "U": U, "Udag": U.T, "flux": L}
     return LinkOperatorSet(U1_TRUNCATED, d, cutoff, ops)
 
 
@@ -69,12 +70,12 @@ def spin_gauge_ops(ell):
         raise ValueError("ell must be >= 1")
     d = 2 * ell + 1
     m = np.arange(-ell, ell + 1, dtype=float)
-    Lz = np.diag(m).astype(complex)
-    Lp = np.zeros((d, d), dtype=complex)
+    Lz = np.diag(m)
+    Lp = np.zeros((d, d))
     for i in range(d - 1):
         # <m+1| L_+ |m> = sqrt(ell(ell+1) - m(m+1))
         Lp[i + 1, i] = np.sqrt(ell * (ell + 1) - m[i] * (m[i] + 1))
-    Lm = Lp.conj().T
+    Lm = Lp.T
     norm = 1.0 / np.sqrt(ell * (ell + 1))
     ops = {
         "Lz": Lz,
@@ -104,7 +105,7 @@ def zn_ops(n):
     else:
         m = np.arange(d, dtype=float) - d / 2.0
     P = np.diag(np.exp(1j * delta * m))
-    Q = np.zeros((d, d), dtype=complex)
+    Q = np.zeros((d, d))
     for i in range(d):
         # Q|m> = |m-1>, wrapping the bottom state to the top
         Q[(i - 1) % d, i] = 1.0
@@ -112,7 +113,7 @@ def zn_ops(n):
         "P": P,
         "Pdag": P.conj().T,
         "Q": Q,
-        "Qdag": Q.conj().T,
-        "flux": np.diag(m).astype(complex),
+        "Qdag": Q.T,
+        "flux": np.diag(m),
     }
     return LinkOperatorSet(ZN, d, n, ops)

@@ -91,9 +91,9 @@ def charge_shift(layout, vertex):
 
 
 _SIGMA = {
-    "x": np.array([[0, 1], [1, 0]], dtype=complex),
-    "y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "z": np.array([[1, 0], [0, -1]], dtype=complex),
+    "x": np.array([[0.0, 1.0], [1.0, 0.0]]),
+    "y": np.array([[0, -1j], [1j, 0]]),
+    "z": np.array([[1.0, 0.0], [0.0, -1.0]]),
 }
 
 

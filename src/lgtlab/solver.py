@@ -3,10 +3,11 @@ real-time evolution, and second-order effective Hamiltonians from
 energy-penalty constraints.
 
 One size rule serves the eigensolver and the evolution: an operator of at
-most DENSE_LIMIT states (or given as a dense array) is densified, on its
-real part when the imaginary part is exactly 0, and diagonalized with
-LAPACK; a larger sparse one is left sparse, for Lanczos (`eigs`) or the
-action of the matrix exponential (`evolve`).
+most DENSE_LIMIT states (or given as a dense array) is densified and
+diagonalized with LAPACK; a larger sparse one is left sparse, for Lanczos
+(`eigs`) or the action of the matrix exponential (`evolve`).  Both work in
+the operator's own dtype, which its assembly chose (tensor.py): a real H
+gives real eigenvectors, and nothing here converts it.
 
 Everything is deterministic: the iterative eigensolver starts from a
 fixed-seed random vector and small problems fall back to dense
@@ -104,8 +105,8 @@ def eigs(op, k=1):
     ARPACK cannot do; otherwise Lanczos from a fixed-seed random start
     vector, which overlaps every eigenvector (the all-ones vector is
     symmetric under the lattice symmetries and misses the levels outside
-    the symmetric subspace).  Either path works on the real part when the
-    imaginary part is exactly zero (_solver_matrix).  Residuals
+    the symmetric subspace).  Either path works in op's dtype, so a real op
+    gives real eigenvectors.  Residuals
     ||A v - w v|| are checked to 1e-9 relative to max(1, |w|), and a
     Lanczos result is checked for a missed level (_check_no_missed_level);
     non-convergence raises SolverError with the iteration report.
@@ -120,11 +121,10 @@ def eigs(op, k=1):
     log_append("solve_dims", dim)
     log_append("solve_paths", "dense" if dense else "lanczos")
 
-    mat = _solver_matrix(op, dense)
     if dense:
-        w, v = eigh(mat, subset_by_index=[0, k - 1])
+        w, v = eigh(_dense(op), subset_by_index=[0, k - 1])
     else:
-        w, v = _lanczos(mat, k, 0)
+        w, v = _lanczos(op, k, 0)
 
     residuals = np.linalg.norm(op @ v - v * w, axis=0)
     relative = residuals / np.maximum(1.0, np.abs(w))
@@ -134,7 +134,7 @@ def eigs(op, k=1):
         raise SolverError(
             f"eigenpair {bad[0]} residual {residuals[bad[0]]:.3e} too large")
     if not dense:
-        _check_no_missed_level(mat, w, v)
+        _check_no_missed_level(op, w, v)
     return w, v
 
 
@@ -143,15 +143,8 @@ def _fits_dense(op):
     return not sparse.issparse(op) or op.shape[0] <= DENSE_LIMIT
 
 
-def _solver_matrix(op, dense):
-    """The matrix a solver works on: op densified when `dense`, on its real
-    part when the imaginary part is exactly 0 (a real eigh of the 1,333-state
-    torus sector took half the time of the complex one)."""
-    values = op.data if sparse.issparse(op) else op
-    mat = op.toarray() if dense and sparse.issparse(op) else op
-    if np.iscomplexobj(values) and not values.imag.any():
-        mat = mat.real
-    return mat
+def _dense(op):
+    return op.toarray() if sparse.issparse(op) else op
 
 
 def _start_vector(dim, seed):
@@ -215,8 +208,8 @@ def evolve(op, state, t, steps):
     spaced times in [0, t].
 
     For dense input and up to DENSE_LIMIT states (_fits_dense, the rule
-    of `eigs`), H = V diag(w) V^dag is diagonalized once, on its real part
-    when the imaginary part is exactly 0, and every sampled state is formed
+    of `eigs`), H = V diag(w) V^dag is diagonalized once, in H's dtype, and
+    every sampled state is formed
     in one product, (exp(-i outer(times, w)) * (V^dag psi)) @ V^T.  A
     larger sparse H keeps the sparse action of the matrix exponential
     (expm_multiply: scaled truncated-Taylor applications), which needs
@@ -235,7 +228,7 @@ def evolve(op, state, t, steps):
     log_append("evolve_paths", "dense" if dense else "expm")
     times = np.linspace(0.0, float(t), steps + 1)
     if dense:
-        w, v = eigh(_solver_matrix(op, True))
+        w, v = eigh(_dense(op))
         states = (np.exp(-1j * np.outer(times, w)) * (v.conj().T @ state)) \
             @ v.T
     else:

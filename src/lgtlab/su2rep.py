@@ -26,6 +26,7 @@ from fractions import Fraction
 from math import factorial, sqrt
 
 import numpy as np
+from scipy.linalg import block_diag
 
 
 def _is_half_integer(x):
@@ -93,12 +94,12 @@ def spin_matrices(j):
     """Standard spin-j matrices (T_z, T_plus, T_minus, T_x, T_y) on the
     basis |j, m> with m increasing."""
     d = round(2 * j) + 1
-    m = np.array(_half_range(j))
-    Tz = np.diag(m).astype(complex)
-    Tp = np.zeros((d, d), dtype=complex)
+    m = np.array(_half_range(j), dtype=float)
+    Tz = np.diag(m)
+    Tp = np.zeros((d, d))
     for i in range(d - 1):
         Tp[i + 1, i] = sqrt(j * (j + 1) - m[i] * (m[i] + 1))
-    Tm = Tp.conj().T
+    Tm = Tp.T
     Tx = (Tp + Tm) / 2.0
     Ty = (Tp - Tm) / 2.0j
     return Tz, Tp, Tm, Tx, Ty
@@ -156,35 +157,22 @@ def _build_link_space(j_max):
             for mp in _half_range(j):
                 basis.append((j, m, mp))
     index = {b: i for i, b in enumerate(basis)}
-    dim = len(basis)
+    js = np.array([j for j, _, _ in basis])
 
-    L = {k: np.zeros((dim, dim), dtype=complex) for k in "xyz"}
-    R = {k: np.zeros((dim, dim), dtype=complex) for k in "xyz"}
-    projectors = {}
-    casimir = np.zeros((dim, dim), dtype=complex)
-
-    offset = 0
-    for j in _j_values(j_max):
-        d = round(2 * j) + 1
-        Tz, Tp, Tm, Tx, Ty = spin_matrices(j)
-        eye = np.eye(d)
-        block = slice(offset, offset + d * d)
-        # left generators act on m with transposed representation matrices,
-        # right generators act on m' untransposed
-        for key, T in (("x", Tx), ("y", Ty), ("z", Tz)):
-            L[key][block, block] = np.kron(T.T, eye)
-            R[key][block, block] = np.kron(eye, T)
-        P = np.zeros((dim, dim), dtype=complex)
-        P[block, block] = np.eye(d * d)
-        projectors[j] = P
-        casimir += j * (j + 1) * P
-        offset += d * d
-
-    # ladders: L_+- = L_x -+ i L_y raise/lower m, R_+- = R_x +- i R_y act on m'
-    L["p"] = L["x"] - 1j * L["y"]
-    L["m"] = L["x"] + 1j * L["y"]
-    R["p"] = R["x"] + 1j * R["y"]
-    R["m"] = R["x"] - 1j * R["y"]
+    # one block per j, the spin-j matrices by axis: left generators act on
+    # m with transposed representation matrices, right generators on m'
+    # untransposed, so the left ladders L_+- = L_x -+ i L_y hold T_-+^T and
+    # the right ladders R_+- = R_x +- i R_y hold T_+-
+    blocks = [(dict(zip("zpmxy", spin_matrices(j))), np.eye(round(2 * j) + 1))
+              for j in _j_values(j_max)]
+    flip = {"p": "m", "m": "p"}
+    L = {k: block_diag(*(np.kron(T[flip.get(k, k)].T, eye)
+                         for T, eye in blocks)) for k in "xyzpm"}
+    R = {k: block_diag(*(np.kron(eye, T[k]) for T, eye in blocks))
+         for k in "xyzpm"}
+    projectors = {j: np.diag((js == j).astype(float))
+                  for j in _j_values(j_max)}
+    casimir = np.diag(js * (js + 1))
     _read_only([*L.values(), *R.values(), *projectors.values(), casimir])
     return SU2LinkSpace(j_max, basis, index, L, R, projectors, casimir)
 
@@ -213,14 +201,7 @@ class TruncatedRotationMatrix:
 
     def trace_udag_u(self):
         """Matrix of tr(U^dag U) = sum_{mm'} U_{mm'}^dag U_{mm'}."""
-        dim = self.space.local_dim
-        out = np.zeros((dim, dim), dtype=complex)
-        d = round(2 * self.j) + 1
-        for a in range(d):
-            for b in range(d):
-                e = self.entries[a][b]
-                out += e.conj().T @ e
-        return out
+        return sum(e.conj().T @ e for row in self.entries for e in row)
 
     def measured_defect(self):
         """Scalar f and residual of tr(U^dag U) = (2j+1) - f P_{J_max}.
@@ -257,7 +238,7 @@ def _build_rotation_matrix(space, j):
     d = round(2 * j) + 1
     ms = list(reversed(_half_range(j)))   # m = j ... -j
 
-    entries = [[np.zeros((dim, dim), dtype=complex) for _ in range(d)]
+    entries = [[np.zeros((dim, dim)) for _ in range(d)]
                for _ in range(d)]
     for a, m in enumerate(ms):
         for b, mp in enumerate(ms):

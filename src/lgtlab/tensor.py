@@ -49,6 +49,18 @@ see ``matter.hop``), with two realizations:
 Kronecker embeddings and label shifts stay separate paths: each is the
 faster one on its own inputs (the whole space, or a sector's states).
 
+Dtype.  An operator's dtype is decided once, where its entries are
+written: every local matrix is stored float64 when it is real, and
+``embed``, ``_kron``, ``shift`` and ``diagonal_op`` force no dtype, so a
+product or sum is complex only when one of its local matrices or
+coefficients is.  Every Hamiltonian here is therefore float64 (truncated
+U(1), spin-gauge, Z_N and SU(2), whose local factors and couplings are all
+real in the flux-and-occupation basis) except one with the naive-fermion
+hop, whose Dirac structure i sigma_k makes it complex128.  Nothing
+downstream (the eigensolvers, the evolution, the Gauss-law check) reads
+an imaginary part to pick a dtype or converts one.  Only state vectors
+(``basis_vector``) are complex from the start.
+
 Memory guard.  Before the first full-space table or embedding of a space,
 ``ProductSpace.require_memory`` compares FULL_SPACE_BYTES_PER_STATE times
 the dimension with the memory the process may use (the lesser of the
@@ -186,8 +198,10 @@ class ProductSpace:
         return self._tables[key]
 
     def diagonal_op(self, values):
-        """Sparse operator with the given per-state diagonal."""
-        return sparse.diags(values, format="csr", dtype=complex)
+        """Sparse operator with the given per-state diagonal, float64 for
+        real values."""
+        return sparse.diags(values, format="csr",
+                            dtype=np.result_type(values, float))
 
     def embed(self, pieces):
         """sum of coeff * product over (coeff, factors) pieces, embedded in
@@ -199,7 +213,7 @@ class ProductSpace:
         same factor multiply in the order given.
         """
         rows, cols = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)]
-        data = [np.zeros(0, dtype=complex)]
+        data = [np.zeros(0)]
         for coeff, factors in pieces:
             r, c, d = self._kron(factors)
             rows.append(r)
@@ -225,13 +239,12 @@ class ProductSpace:
             else:
                 run *= radix
         rows = cols = np.zeros(1, dtype=np.int64)
-        data = np.ones(1, dtype=complex)
+        data = np.ones(1)
         for size, op in blocks + [(run, None)]:
             if op is None:
                 r = c = np.arange(size)
                 data = np.repeat(data, size)
             else:
-                op = np.asarray(op, dtype=complex)
                 r, c = np.nonzero(op)
                 data = (data[:, None] * op[r, c]).ravel()
             rows = (rows[:, None] * size + r).ravel()
@@ -252,12 +265,12 @@ class ProductSpace:
         radices = self.radices
         target = np.array(indices, dtype=np.int64)
         source = np.arange(len(target))
-        value = np.ones(len(target), dtype=complex)
+        value = np.ones(len(target))
         for idx, op in self._local(factors).items():
             stride, label = math.prod(radices[idx + 1:]), labels[idx][source]
             # each state's column of the small dense matrix, one row per
             # state: its nonzeros come out per state, target label ascending
-            column = np.asarray(op, dtype=complex)[:, label].T
+            column = np.asarray(op)[:, label].T
             pick, row = np.nonzero(column)
             source, value = source[pick], value[pick] * column[pick, row]
             target = target[pick] + (row - label[pick]) * stride

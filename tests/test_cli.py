@@ -214,13 +214,14 @@ def test_verify_single_config(tmp_path):
 
 
 def test_failed_invariant_exits_1(tmp_path):
-    # the gauge-invariance violation of a pure-gauge chain is exactly 0,
-    # and 0 < 0 fails at tolerance 0
+    # the gauge-variant diagonal hopping breaks the Gauss law: each hop
+    # moves a vertex charge by 2, so [H, G] reaches 2 eta = 0.5, far above
+    # the default tolerance, while H stays Hermitian
     cfg = {
         "scenario": "verify",
-        "lattice": {"spatial_dim": 1, "sizes": [3]},
-        "hamiltonian": {"model": "ks_u1", "truncation": 1},
-        "tolerance": 0,
+        "lattice": {"spatial_dim": 2, "sizes": [2, 2]},
+        "hamiltonian": {"model": "ks_u1", "truncation": 1, "eta": 0.25,
+                        "terms": ["electric", "hopping"]},
     }
     path = write_cfg(tmp_path, cfg)
     rc = main(["verify", "--config", path, "--out", str(tmp_path / "out")])
@@ -230,7 +231,59 @@ def test_failed_invariant_exits_1(tmp_path):
     assert m["error"] is None
     failed = [c for c in m["checks"] if not c["pass"]]
     assert [c["name"] for c in failed] == ["gauge_invariance[ks_u1]"]
-    assert failed[0]["value"] == 0.0
+    assert failed[0]["value"] == 0.5
+
+
+@pytest.mark.parametrize("via", ["flag", "key"])
+@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")],
+                         ids=str)
+def test_tolerance_not_finite_positive_is_config_error(tmp_path, tol, via):
+    # at the parent 0, -1 and nan failed 6 of verify --all's 18 checks
+    # (exit 1) and inf passed every tolerance-gated check
+    if via == "flag":
+        argv = ["verify", "--all", "--tolerance", str(tol)]
+    else:
+        argv = ["spectrum", "--config",
+                write_cfg(tmp_path, dict(BASE, tolerance=tol))]
+    out = tmp_path / "out"
+    rc = main(argv + ["--out", str(out)])
+    assert rc == 2
+    m = read_manifest(out)
+    assert m["exit_status"] == 2 and "tolerance" in m["error"]
+    assert m["checks"] == []
+
+
+def lgtlab_env(**extra):
+    """The environment of a fresh `python -m lgtlab` process: no thread
+    settings of its own, lgtlab importable from this source tree."""
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                        "MKL_NUM_THREADS", "LGTLAB_THREADS")}
+    src = os.path.dirname(os.path.dirname(os.path.abspath(lgtlab.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    return dict(env, **extra)
+
+
+@pytest.mark.parametrize("flag, env", [
+    (["--threads", "0"], {}),
+    (["--threads", "-2"], {}),
+    ([], {"LGTLAB_THREADS": "abc"}),
+    ([], {"LGTLAB_THREADS": "0"}),
+    ([], {"LGTLAB_THREADS": "-2"}),
+], ids=["flag-0", "flag-minus-2", "env-abc", "env-0", "env-minus-2"])
+def test_thread_count_not_positive_integer_exits_2(tmp_path, flag, env):
+    # refused before the runner (and numpy's BLAS pool) is loaded; at the
+    # parent each of these ran with the default pool and exited 0
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, "-m", "lgtlab", "verify", "--all", *flag, "--out",
+         str(out)], env=lgtlab_env(**env), capture_output=True, text=True,
+        timeout=300)
+    assert proc.returncode == 2
+    assert "must be a positive integer" in proc.stderr
+    assert proc.stdout == ""
+    assert not out.exists()
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
@@ -238,16 +291,10 @@ def test_failed_invariant_exits_1(tmp_path):
 def test_threads_flag_takes_effect(tmp_path):
     # the BLAS pool size is fixed when numpy loads, so only a fresh
     # process started through the lgtlab command can show the flag working
-    env = {k: v for k, v in os.environ.items()
-           if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                        "MKL_NUM_THREADS", "LGTLAB_THREADS")}
-    src = os.path.dirname(os.path.dirname(os.path.abspath(lgtlab.__file__)))
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
     out = tmp_path / "out"
     proc = subprocess.run(
         [sys.executable, "-m", "lgtlab", "verify", "--all", "--threads", "1",
-         "--out", str(out)], env=env, capture_output=True, text=True,
+         "--out", str(out)], env=lgtlab_env(), capture_output=True, text=True,
         timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert read_manifest(out)["timing"]["threads"] == 1
@@ -311,6 +358,19 @@ def test_effective_check_scenario(tmp_path):
     assert m["results"]["coefficient_ratio_lam_2lam"] == pytest.approx(
         2.0, rel=1e-3)
     assert m["results"]["mismatch_shrink_lam_4lam"] >= 8.0
+
+
+@pytest.mark.parametrize("key", ["lam", "eta"])
+def test_effective_check_zero_lam_or_eta_is_config_error(tmp_path, key):
+    # at the parent eta = 0 died on a ZeroDivisionError (exit 1, no
+    # manifest) and lam = 0 exited 3 on a singular resolvent
+    path = write_cfg(tmp_path, {"scenario": "effective_check",
+                                "params": {key: 0.0}})
+    out = tmp_path / "out"
+    rc = main(["effective_check", "--config", path, "--out", str(out)])
+    assert rc == 2
+    m = read_manifest(out)
+    assert m["exit_status"] == 2 and f"params.{key}" in m["error"]
 
 
 def test_effective_check_assembles_each_term_once(tmp_path, monkeypatch):

@@ -101,3 +101,12 @@ def test_zn_phases_converge_to_u1():
 def test_zn_rejects_tiny():
     with pytest.raises(ValueError):
         zn_ops(1)
+
+
+def test_real_link_operators_are_float64():
+    # every link operator is real in the flux basis except Z_N's clock
+    # phases P and P^dag
+    for ops in (u1_ops(2), spin_gauge_ops(2), zn_ops(3), zn_ops(4)):
+        for name, mat in ops.ops.items():
+            want = np.complex128 if name in ("P", "Pdag") else np.float64
+            assert mat.dtype == want, (ops.model, name)

@@ -155,6 +155,49 @@ def test_sector_hamiltonian_equals_restricted_full(case):
             assert np.max(np.abs(diff), initial=0.0) <= 1e-14
 
 
+def expected_dtype(spec):
+    # every family is real in the flux-and-occupation basis except the
+    # naive-fermion hop, whose Dirac structure i sigma_k is complex
+    naive_hop = spec.matter == "naive2d" and spec.eps != 0.0
+    return np.complex128 if naive_hop else np.float64
+
+
+DTYPE_CASES = [
+    (HamiltonianSpec(model=model, truncation=trunc, matter=matter,
+                     **(dict(g2=1.1, eps=0.5, mass=0.3) if matter else {})),
+     lat, ()) for model, trunc, matter, lat in ENUMERATION_CASES
+] + HAMILTONIAN_CASES
+
+
+@pytest.mark.parametrize("case", DTYPE_CASES,
+                         ids=lambda c: f"{c[0].model}-{c[0].truncation}-"
+                                       f"{c[0].matter}-{c[1].boundary}"
+                                       f"{'x'.join(map(str, c[1].sizes))}-"
+                                       f"{'+'.join(c[2]) or 'default'}")
+def test_hamiltonian_dtype_is_the_model_s_own(case):
+    # assembled in float64 or complex128 from the start, on the full space
+    # and on every sector: on their merge, whose diagonal blocks are the
+    # sector Hamiltonians bitwise
+    spec, lat, extra = case
+    model = build_model(spec, lat)
+    terms = model.effective_terms() + extra
+    want = expected_dtype(spec)
+    assert model.hamiltonian(terms).dtype == want
+    every = merge_sectors([sector_basis(model.space, charges)
+                           for charges in all_sector_dimensions(model.space)])
+    assert every.dim == model.space.dim
+    assert model.hamiltonian(terms, sector=every).dtype == want
+
+
+def test_su2_hamiltonians_are_float64():
+    for spec, lat in [
+            (HamiltonianSpec(model="su2", truncation=0.5, eps=0.4, mass=0.2,
+                             matter="su2fundamental"), chain(3)),
+            (HamiltonianSpec(model="su2", truncation=0.5), lattice_2d(2, 2)),
+            (HamiltonianSpec(model="su2", truncation=1), chain(3))]:
+        assert build_model(spec, lat).hamiltonian().dtype == np.float64
+
+
 def csr_parts(m):
     m = m.tocsr()
     m.sort_indices()

@@ -91,12 +91,13 @@ def test_eigs_plaquette_sector_vs_dense_oracle():
 
 @pytest.mark.parametrize("imag", [0.0, 0.3])
 def test_eigs_dense_lowest_pairs_real_and_complex(imag):
-    # an exactly real complex matrix is diagonalized as real; a genuinely
-    # complex one stays complex; both give the k lowest pairs of the full
-    # spectrum with residuals below 1e-12
+    # a real (float64) matrix is diagonalized as real, a complex one stays
+    # complex: eigs keeps the dtype it is given; both give the k lowest
+    # pairs of the full spectrum with residuals below 1e-12
     rng = np.random.default_rng(5)
-    a = rng.standard_normal((40, 40)) + 1j * imag * rng.standard_normal(
-        (40, 40))
+    a = rng.standard_normal((40, 40))
+    if imag:
+        a = a + 1j * imag * rng.standard_normal((40, 40))
     a = sparse.csr_matrix(a + a.conj().T)
     w, v = eigs(a, 4)
     assert np.allclose(w, np.linalg.eigvalsh(a.toarray())[:4], atol=1e-12)

@@ -125,6 +125,26 @@ def test_link_space_algebras(j_max):
             assert np.allclose(comm, 0.0, atol=1e-13)
 
 
+@pytest.mark.parametrize("j_max", [0.5, 1, 1.5])
+def test_link_space_ladders_are_real_and_equal_their_x_y_sums(j_max):
+    # L_+- = L_x -+ i L_y and R_+- = R_x +- i R_y, built straight from
+    # T_-+^T and T_+- as float64; only the y generators are complex
+    sp = su2_link_space(j_max)
+    for ops, sign in ((sp.L, -1), (sp.R, 1)):
+        for key, s in (("p", sign), ("m", -sign)):
+            assert ops[key].dtype == np.float64
+            assert np.array_equal(ops[key], ops["x"] + s * 1j * ops["y"])
+        assert ops["x"].dtype == ops["z"].dtype == np.float64
+        assert ops["y"].dtype == np.complex128
+    assert sp.casimir.dtype == np.float64
+    assert all(p.dtype == np.float64 for p in sp.projectors.values())
+    rot = truncated_rotation_matrix(sp, 0.5)
+    assert all(e.dtype == np.float64 for row in rot.entries for e in row)
+    Tz, Tp, Tm, Tx, Ty = spin_matrices(j_max)
+    assert [T.dtype for T in (Tz, Tp, Tm, Tx, Ty)] == [np.float64] * 4 \
+        + [np.complex128]
+
+
 def test_casimir_and_trace_equality():
     sp = su2_link_space(1)
     L2 = sum(sp.L[k] @ sp.L[k] for k in "xyz")
