@@ -6,11 +6,15 @@ Usage:
     lgtlab verify --all [--out DIR]
 
 Scenarios: spectrum, potential, plaquette_convergence, effective_check,
-dynamics, verify, channels.
+dynamics, verify, channels.  spectrum, potential and dynamics need the
+model sections `lattice` and `hamiltonian`; verify takes both (one model)
+or neither (the built-in suite); the other three take neither.
 
 Exit codes: 0 = success, 1 = invariant violation, 2 = config error
 (including any ValueError the library raises on the config), 3 =
-numerical failure.  Result CSVs are byte-stable across repeated runs
+numerical failure.  Every config error writes a manifest with the error,
+except a missing `--config` or config file, which only prints to stderr.
+Result CSVs are byte-stable across repeated runs
 (fixed solver seeds, floats printed with 17 significant digits, LF line
 endings); the manifest additionally records, under `timing`, the wall
 time, the process's thread count, the largest full-space dimension whose
@@ -38,9 +42,6 @@ from .hamiltonian import KS_U1, SPIN_GAUGE, SU2, ZN, HamiltonianSpec, \
 from .lattice import build_lattice
 from .matter import STAGGERED, NAIVE2D, SU2_FUNDAMENTAL
 
-SCENARIOS = ("spectrum", "potential", "plaquette_convergence",
-             "effective_check", "dynamics", "verify", "channels")
-
 DEFAULT_TOL = 1e-10
 TASKS = "/proc/self/task"          # one entry per thread of this process
 
@@ -49,30 +50,36 @@ class ConfigError(ValueError):
     pass
 
 
-def _require_keys(d, allowed, required=(), where="config"):
-    unknown = set(d) - set(allowed)
-    if unknown:
-        raise ConfigError(
-            f"unknown key(s) {sorted(unknown)} in {where}; "
-            f"allowed: {sorted(allowed)}")
-    missing = set(required) - set(d)
-    if missing:
-        raise ConfigError(f"missing key(s) {sorted(missing)} in {where}")
-
-
 # ---------------------------------------------------------------------------
-# declarative parameter schema
+# declarative config schema
 # ---------------------------------------------------------------------------
+
+# scenario -> the model sections, lattice and hamiltonian, it takes: both,
+# neither, or (verify, whose built-in suite needs none) both or neither
+MODEL_SECTIONS = {
+    "spectrum": ("both",), "potential": ("both",),
+    "plaquette_convergence": ("neither",), "effective_check": ("neither",),
+    "dynamics": ("both",), "verify": ("both", "neither"),
+    "channels": ("neither",)}
+SCENARIOS = tuple(MODEL_SECTIONS)
 
 REQUIRED = object()     # default of a key the config must give
 
 
 def _cast(kind, x, where):
-    """x as `kind` (int, float, bool, str, dict, or [kind] for a list of
-    them); ConfigError naming `where` if it is not of that kind."""
+    """x as `kind`: int, float, bool, str or dict, [kind] for a nonempty
+    list of them (returned as a tuple), or a tuple of the values x may
+    take; ConfigError naming `where` if it is not."""
+    if isinstance(kind, tuple):
+        if x in kind:
+            return x
+        raise ConfigError(f"{where} must be one of {list(kind)}, got {x!r}")
     if isinstance(kind, list):
-        return [_cast(kind[0], v, f"{where}[{i}]")
-                for i, v in enumerate(_cast(list, x, where))]
+        items = _cast(list, x, where)
+        if not items:
+            raise ConfigError(f"{where} must not be empty")
+        return tuple(_cast(kind[0], v, f"{where}[{i}]")
+                     for i, v in enumerate(items))
     number = isinstance(x, (int, float)) and not isinstance(x, bool)
     if number and (kind is float or (kind is int and float(x).is_integer())):
         return kind(x)
@@ -82,8 +89,12 @@ def _cast(kind, x, where):
 
 
 # section -> {key: (kind, default)}; an absent or null key takes its
-# default.  Hamiltonian defaults of None defer to HamiltonianSpec.
+# default.  "config" is the top level, the scenarios' sections are the
+# params.  Hamiltonian defaults of None defer to HamiltonianSpec.
 SCHEMA = {
+    "config": {"scenario": (SCENARIOS, REQUIRED), "params": (dict, {}),
+               "tolerance": (float, DEFAULT_TOL), "lattice": (dict, None),
+               "hamiltonian": (dict, None)},
     "lattice": {"spatial_dim": (int, REQUIRED), "sizes": ([int], REQUIRED),
                 "boundary": (str, "open")},
     "hamiltonian": dict(
@@ -93,10 +104,10 @@ SCHEMA = {
     "spectrum": {"k": (int, 4), "charges": ([int], None),
                  "export_sector": (bool, False)},
     "potential": {"separations": ([int], REQUIRED), "origin": (int, 0)},
-    "plaquette_convergence": {"family": (str, "spin_gauge"),
+    "plaquette_convergence": {"family": (("spin_gauge", "zn"), "spin_gauge"),
                               "g2_list": ([float], None),
-                              "ell_list": ([int], [1, 2, 3]),
-                              "n_list": ([int], [3, 5, 7, 9]),
+                              "ell_list": ([int], (1, 2, 3)),
+                              "n_list": ([int], (3, 5, 7, 9)),
                               "cutoff_ref": (int, 8)},
     "effective_check": {"lam": (float, 40.0), "eta": (float, 0.1),
                         "ell": (int, 1), "g2": (float, 1.0), "k": (int, 3)},
@@ -113,47 +124,43 @@ def parse_section(section, name, where):
     null ones at their default; the section itself is left untouched."""
     schema = SCHEMA[name]
     _cast(dict, section, where)
-    _require_keys(section, schema, [key for key, (_, default)
-                                    in schema.items() if default is REQUIRED],
-                  where)
-    out = {}
-    for key, (kind, default) in schema.items():
-        value = section.get(key)
-        out[key] = default if value is None and default is not REQUIRED \
-            else _cast(kind, value, f"{where}.{key}")
-    return out
+    unknown = set(section) - set(schema)
+    if unknown:
+        raise ConfigError(f"unknown key(s) {sorted(unknown)} in {where}; "
+                          f"allowed: {sorted(schema)}")
+    missing = [key for key, (_, default) in schema.items()
+               if default is REQUIRED and section.get(key) is None]
+    if missing:
+        raise ConfigError(f"missing key(s) {missing} in {where}")
+    return {key: default if section.get(key) is None
+            else _cast(kind, section[key], f"{where}.{key}")
+            for key, (kind, default) in schema.items()}
 
 
 def parse_lattice(cfg):
-    p = parse_section(cfg, "lattice", "lattice")
-    try:
-        return build_lattice(p["spatial_dim"], p["sizes"], p["boundary"])
-    except ValueError as exc:
-        raise ConfigError(f"lattice: {exc}") from exc
+    return build_lattice(**parse_section(cfg, "lattice", "lattice"))
 
 
 def parse_hamiltonian(cfg):
     p = parse_section(cfg, "hamiltonian", "hamiltonian")
-    kwargs = {key: value for key, value in p.items() if value is not None}
-    if "terms" in kwargs:
-        kwargs["terms"] = tuple(kwargs["terms"])
-    try:
-        return HamiltonianSpec(**kwargs).validate()
-    except ValueError as exc:
-        raise ConfigError(f"hamiltonian: {exc}") from exc
+    return HamiltonianSpec(**{key: value for key, value in p.items()
+                              if value is not None}).validate()
+
+
+def _read_json(path):
+    """The JSON value in file `path`: ConfigError if it is not JSON,
+    OSError if the file cannot be read."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"config is not valid JSON: {exc}") from exc
 
 
 def load_config(path):
-    with open(path, encoding="utf-8") as fh:
-        try:
-            cfg = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    _require_keys(cfg, ("scenario", "lattice", "hamiltonian", "params",
-                        "tolerance"), ("scenario",), "config")
-    if cfg["scenario"] not in SCENARIOS:
-        raise ConfigError(
-            f"unknown scenario {cfg['scenario']!r}; pick from {SCENARIOS}")
+    """The config in file `path`, its top level checked against SCHEMA."""
+    cfg = _read_json(path)
+    parse_section(cfg, "config", "config")
     return cfg
 
 
@@ -197,13 +204,11 @@ def _check(name, value, threshold, larger_is_bad=True):
 # scenarios
 # ---------------------------------------------------------------------------
 
-def run_spectrum(cfg, params, writer, tol):
+def run_spectrum(lat, spec, params, writer, tol):
     """Lowest levels of H; with `charges`, of its block in that Gauss
     sector, built in the sector.  gauge_invariance is then the largest
     amplitude H sends out of the sector, and no spectrum is written when
     it fails; without charges it is max_gauss_violation of the full H."""
-    lat = parse_lattice(cfg.get("lattice", {}))
-    spec = parse_hamiltonian(cfg.get("hamiltonian", {}))
     model = build_model(spec, lat)
     charges = params["charges"]
     results = {"dim_full": model.space.dim}
@@ -230,9 +235,7 @@ def run_spectrum(cfg, params, writer, tol):
     return results, checks
 
 
-def run_potential(cfg, params, writer, tol):
-    lat = parse_lattice(cfg.get("lattice", {}))
-    spec = parse_hamiltonian(cfg.get("hamiltonian", {}))
+def run_potential(lat, spec, params, writer, tol):
     curve = observables.static_potential(
         spec, lat, params["separations"], origin=params["origin"])
     writer.csv("potential.csv", ["R", "E", "dim"],
@@ -247,7 +250,7 @@ def run_potential(cfg, params, writer, tol):
     return results, checks
 
 
-def run_plaquette_convergence(cfg, params, writer, tol):
+def run_plaquette_convergence(lat, spec, params, writer, tol):
     family, cutoff_ref = params["family"], params["cutoff_ref"]
     g2_list = params["g2_list"]
     checks = []
@@ -264,7 +267,7 @@ def run_plaquette_convergence(cfg, params, writer, tol):
             mono = all(gaps[i] > gaps[i + 1] for i in range(len(gaps) - 1))
             checks.append(_check(f"monotone_convergence_g2_{g2}",
                                  0.0 if mono else 1.0, 0.5))
-    elif family == "zn":
+    else:
         g2 = 1.0 if not g2_list else g2_list[0]
         rows, ref = observables.zn_convergence_study(params["n_list"], g2,
                                                      cutoff_ref)
@@ -275,12 +278,10 @@ def run_plaquette_convergence(cfg, params, writer, tol):
         mono = all(gaps[i] > gaps[i + 1] for i in range(len(gaps) - 1))
         checks.append(_check("monotone_convergence_zn",
                              0.0 if mono else 1.0, 0.5))
-    else:
-        raise ConfigError(f"unknown convergence family {family!r}")
     return results, checks
 
 
-def run_effective_check(cfg, params, writer, tol):
+def run_effective_check(lat, spec, params, writer, tol):
     """The second-order plaquette of the penalty construction at lambda,
     2 lambda and 4 lambda.  Only the penalty term depends on lambda, and
     linearly, so the model and its four terms are assembled once and the
@@ -326,9 +327,7 @@ def run_effective_check(cfg, params, writer, tol):
     return results, checks
 
 
-def run_dynamics(cfg, params, writer, tol):
-    lat = parse_lattice(cfg.get("lattice", {}))
-    spec = parse_hamiltonian(cfg.get("hamiltonian", {}))
+def run_dynamics(lat, spec, params, writer, tol):
     report, model, traj = observables.flux_tube_breaking_scenario(
         spec, lat, params["separation"], params["t_final"], params["steps"],
         origin=params["origin"])
@@ -359,7 +358,7 @@ def run_dynamics(cfg, params, writer, tol):
     return results, checks
 
 
-def run_channels(cfg, params, writer, tol):
+def run_channels(lat, spec, params, writer, tol):
     couplings = params["couplings"]
     if couplings is None:
         couplings = {f: 1.0 for f in atommap.total_f_channels()}
@@ -392,18 +391,14 @@ def _verify_one(name, spec, lat, tol, checks):
     return model, h
 
 
-def run_verify(cfg, params, writer, tol):
-    """Invariant suite for one configured model, given by both the
-    lattice and hamiltonian sections, or the built-in set when the config
-    has neither."""
+def run_verify(lat, spec, params, writer, tol):
+    """Invariant suite for the configured model, or the built-in set when
+    the config has no model sections."""
     checks = []
-    results = {}
-    if "lattice" in cfg or "hamiltonian" in cfg:
-        lat = parse_lattice(cfg.get("lattice", {}))
-        spec = parse_hamiltonian(cfg.get("hamiltonian", {}))
-        _verify_one(spec.model, spec, lat, tol, checks)
-        return results, checks
-    return run_verify_all(tol, checks, results)
+    if spec is None:
+        return run_verify_all(tol, checks, {})
+    _verify_one(spec.model, spec, lat, tol, checks)
+    return {}, checks
 
 
 def verify_suite():
@@ -465,20 +460,51 @@ RUNNERS = {
 }
 
 
-def run(cfg, outdir, tol=DEFAULT_TOL):
-    """Execute a parsed config; returns (exit_code, manifest_path)."""
+def run(cfg, outdir, tol=None):
+    """Execute a config as load_config reads it and write its manifest;
+    returns (exit_code, manifest_path).  A `tol` that is not None overrides
+    the config's tolerance."""
+    return _record(cfg, outdir,
+                   lambda writer: _execute(cfg, tol, None, writer))
+
+
+def _execute(cfg, tol, subcommand, writer):
+    """Check the whole config against SCHEMA and MODEL_SECTIONS (and, from
+    the command line, against the subcommand), resolve the tolerance (tol,
+    else the config's, else DEFAULT_TOL) and run the scenario; returns
+    (results, checks)."""
+    top = parse_section(cfg, "config", "config")
+    scenario = top["scenario"]
+    if subcommand not in (None, scenario):
+        raise ConfigError(
+            f"config names scenario {scenario!r} but the {subcommand!r} "
+            f"subcommand was invoked")
+    tol = top["tolerance"] if tol is None else _cast(float, tol, "tolerance")
+    if not 0.0 < tol < np.inf:
+        raise ConfigError(f"tolerance must be finite and positive, "
+                          f"got {tol!r}")
+    given = [key for key in ("lattice", "hamiltonian") if top[key] is not None]
+    takes = MODEL_SECTIONS[scenario]
+    if {0: "neither", 2: "both"}.get(len(given)) not in takes:
+        raise ConfigError(
+            f"{scenario} takes {' or '.join(takes)} of the lattice and "
+            f"hamiltonian sections, got {given}")
+    lat = parse_lattice(top["lattice"]) if given else None
+    spec = parse_hamiltonian(top["hamiltonian"]) if given else None
+    params = parse_section(top["params"], scenario, "params")
+    return RUNNERS[scenario](lat, spec, params, writer, tol)
+
+
+def _record(cfg, outdir, work):
+    """Call work(writer) for a run's (results, checks) and write the
+    manifest, `cfg` as its config; returns (exit_code, manifest_path).
+    Every config error, and any ValueError the library raises on the
+    config, exits 2; a SolverError exits 3."""
     writer = Writer(outdir)
     t0 = time.perf_counter()
-    scenario = cfg["scenario"]
     with solver.run_log() as log:
         try:
-            tol = DEFAULT_TOL if tol is None \
-                else _cast(float, tol, "tolerance")
-            if not 0.0 < tol < np.inf:
-                raise ConfigError(f"tolerance must be finite and positive, "
-                                  f"got {tol!r}")
-            params = parse_section(cfg.get("params", {}), scenario, "params")
-            results, checks = RUNNERS[scenario](cfg, params, writer, tol)
+            results, checks = work(writer)
             status = 0 if all(c["pass"] for c in checks) else 1
             error = None
         except ValueError as exc:
@@ -505,8 +531,7 @@ def run(cfg, outdir, tol=DEFAULT_TOL):
                        peak_rss_mb=resource.getrusage(
                            resource.RUSAGE_SELF).ru_maxrss / 1024),
     }
-    path = writer.manifest(manifest)
-    return status, path
+    return status, writer.manifest(manifest)
 
 
 def main(argv=None):
@@ -523,33 +548,31 @@ def main(argv=None):
                             "LGTLAB_THREADS); applied by the lgtlab command "
                             "before numpy loads")
         p.add_argument("--tolerance", type=float, default=None,
-                       help="override the default invariant tolerance")
+                       help="override the config's invariant tolerance")
         if name == "verify":
             p.add_argument("--all", action="store_true",
                            help="run the full built-in invariant suite")
     args = parser.parse_args(argv)
 
-    try:
-        if args.scenario == "verify" and getattr(args, "all", False):
-            cfg = {"scenario": "verify"}
-        else:
-            if not args.config:
-                print("error: --config is required", file=sys.stderr)
-                return 2
-            cfg = load_config(args.config)
-            if cfg["scenario"] != args.scenario:
-                raise ConfigError(
-                    f"config names scenario {cfg['scenario']!r} but the "
-                    f"{args.scenario!r} subcommand was invoked")
-    except (ConfigError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    fault = None
+    if args.scenario == "verify" and args.all:
+        cfg = {"scenario": "verify"}
+    elif not args.config:
+        print("error: --config is required", file=sys.stderr)
         return 2
+    else:
+        try:
+            cfg = _read_json(args.config)
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        except ConfigError as exc:
+            cfg, fault = None, exc
 
-    outdir = args.out or "lgtlab_out"
-    tol = args.tolerance
-    if tol is None:
-        tol = cfg.get("tolerance", DEFAULT_TOL)
-    status, manifest = run(cfg, outdir, tol)
+    def work(writer):
+        if fault is not None:
+            raise fault
+        return _execute(cfg, args.tolerance, args.scenario, writer)
+    status, manifest = _record(cfg, args.out or "lgtlab_out", work)
     print(f"manifest: {manifest} (exit {status})")
     return status
-

@@ -142,15 +142,13 @@ def abelian_charge_table(space):
 
 def charge_rows(space, labels):
     """div(flux) - Q of every state of a label table, one row per vertex,
-    in the narrowest signed integer that holds every entry: the base
-    charges plus what each tensor factor's label adds (_gauss_plan)."""
-    base, factors, lo, hi = _gauss_plan(space)
-    lo, hi = base + lo[0], base + hi[0]
-    dtype = np.min_scalar_type(-int(max(-lo.min(), hi.max(), 0)) - 1)
-    table = np.repeat(base.astype(dtype)[:, None], labels.shape[1], axis=1)
+    in the plan's integer type: the base charges plus what each tensor
+    factor's label adds (_gauss_plan)."""
+    base, factors, _, _ = _gauss_plan(space)
+    table = np.repeat(base[:, None], labels.shape[1], axis=1)
     for (vertices, columns), row in zip(factors, labels):
         for v, column in zip(vertices, columns):
-            table[v] += column.astype(dtype)[row]
+            table[v] += column[row]
     return table
 
 
@@ -161,9 +159,9 @@ def _gauss_plan(space):
     order its vertices and a (vertices, radix) array of what each of its
     labels adds at each of them; and lo[f], hi[f], the extremes of what
     the factors from f on can still add per vertex.  The charges and
-    columns are int16, the partial charges' type in sector_basis, unless
-    the base plus every factor's largest contribution does not fit it; then
-    they are int64."""
+    columns are in the narrowest signed integer that holds base + lo[0] and
+    base + hi[0]; every factor's column spans 0, so every partial charge
+    (sector_basis) and every charge row (charge_rows) lies between them."""
     def build():
         lat = space.lattice
         flux = np.rint(space.linkops.flux_values).astype(np.int64)
@@ -182,8 +180,8 @@ def _gauss_plan(space):
             lo[f], hi[f] = lo[f + 1], hi[f + 1]
             lo[f, vertices] += columns.min(axis=1)
             hi[f, vertices] += columns.max(axis=1)
-        bound = np.abs(base).max() + sum(np.abs(c).max() for _, c in effects)
-        dtype = np.int16 if bound <= np.iinfo(np.int16).max else np.int64
+        dtype = np.min_scalar_type(
+            -int(max(-(base + lo[0]).min(), (base + hi[0]).max(), 0)) - 1)
         factors = [(vertices, columns.astype(dtype))
                    for vertices, columns in effects]
         return base.astype(dtype), factors, lo, hi
@@ -231,7 +229,8 @@ def sector_basis(space, charges):
     def reachable(charge, f, vertices):
         keep = True
         for v in vertices:
-            need = shift[f, v] - charge[:, v]
+            # int64 whatever the plan's charge type: need can exceed it
+            need = np.subtract(shift[f, v], charge[:, v], dtype=np.int64)
             if modulus is not None:
                 need %= modulus
             keep = keep & (need >= 0) & (need <= span[f, v])

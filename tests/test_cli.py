@@ -51,6 +51,9 @@ def test_unknown_key_rejected(tmp_path):
     cfg = write_cfg(tmp_path, bad)
     rc = main(["spectrum", "--config", cfg, "--out", str(tmp_path / "out")])
     assert rc == 2
+    m = read_manifest(tmp_path / "out")
+    assert m["exit_status"] == 2 and "extra" in m["error"]
+    assert m["config"] == bad
 
 
 def test_unknown_hamiltonian_key_rejected(tmp_path):
@@ -121,6 +124,14 @@ MALFORMED = {
     "tolerance_string": dict(BASE, tolerance="x"),
     "lattice_sizes_string": dict(
         BASE, lattice={"spatial_dim": 1, "sizes": "4"}, params={"k": 2}),
+    # an empty list used to run: a header-only CSV, vacuous checks
+    "plaquette_convergence_n_list_empty": {
+        "scenario": "plaquette_convergence",
+        "params": {"family": "zn", "n_list": []}},
+    "plaquette_convergence_ell_list_empty": {
+        "scenario": "plaquette_convergence", "params": {"ell_list": []}},
+    "hamiltonian_terms_empty": dict(
+        BASE, hamiltonian=dict(BASE["hamiltonian"], terms=[])),
 }
 
 
@@ -160,6 +171,42 @@ def test_scenario_subcommand_mismatch(tmp_path):
     cfg = write_cfg(tmp_path, BASE)
     rc = main(["potential", "--config", cfg, "--out", str(tmp_path / "out")])
     assert rc == 2
+    m = read_manifest(tmp_path / "out")
+    assert m["exit_status"] == 2 and "subcommand" in m["error"]
+    assert m["config"] == BASE
+
+
+@pytest.mark.parametrize("text, config, message", [
+    ('{"scenario": "bogus"}', {"scenario": "bogus"}, "config.scenario"),
+    ('{"scenario": "spectrum",', None, "not valid JSON"),
+    ('[1, 2]', [1, 2], "config must be dict"),
+], ids=["unknown_scenario", "invalid_json", "not_an_object"])
+def test_bad_top_level_exits_2_with_a_manifest(tmp_path, text, config,
+                                               message):
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    out = tmp_path / "out"
+    rc = main(["spectrum", "--config", str(path), "--out", str(out)])
+    assert rc == 2
+    m = read_manifest(out)
+    assert m["exit_status"] == 2 and message in m["error"]
+    assert m["config"] == config and m["checks"] == []
+
+
+@pytest.mark.parametrize("scenario, section", [
+    ("effective_check", {"hamiltonian": {"model": "zn", "truncation": 3}}),
+    ("channels", {"hamiltonian": {"model": "bogus"}}),
+    ("plaquette_convergence", {"lattice": {"spatial_dim": 1, "sizes": [4]}}),
+], ids=["effective_check", "channels", "plaquette_convergence"])
+def test_stray_model_section_is_config_error(tmp_path, scenario, section):
+    # these scenarios build their own models: the section used to be ignored
+    path = write_cfg(tmp_path, dict(section, scenario=scenario))
+    out = tmp_path / "out"
+    rc = main([scenario, "--config", path, "--out", str(out)])
+    assert rc == 2
+    m = read_manifest(out)
+    assert m["exit_status"] == 2 and m["files"] == []
+    assert next(iter(section)) in m["error"]
 
 
 def test_potential_row_count(tmp_path):
@@ -234,19 +281,23 @@ def test_failed_invariant_exits_1(tmp_path):
     assert failed[0]["value"] == 0.5
 
 
-@pytest.mark.parametrize("via", ["flag", "key"])
+@pytest.mark.parametrize("via", ["flag", "key", "run"])
 @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")],
                          ids=str)
 def test_tolerance_not_finite_positive_is_config_error(tmp_path, tol, via):
     # at the parent 0, -1 and nan failed 6 of verify --all's 18 checks
-    # (exit 1) and inf passed every tolerance-gated check
-    if via == "flag":
-        argv = ["verify", "--all", "--tolerance", str(tol)]
-    else:
-        argv = ["spectrum", "--config",
-                write_cfg(tmp_path, dict(BASE, tolerance=tol))]
+    # (exit 1) and inf passed every tolerance-gated check; cli.run read no
+    # tolerance from the config at all
     out = tmp_path / "out"
-    rc = main(argv + ["--out", str(out)])
+    if via == "run":
+        rc, _ = run(dict(BASE, tolerance=tol), str(out))
+    elif via == "flag":
+        rc = main(["verify", "--all", "--tolerance", str(tol),
+                   "--out", str(out)])
+    else:
+        rc = main(["spectrum", "--config",
+                   write_cfg(tmp_path, dict(BASE, tolerance=tol)),
+                   "--out", str(out)])
     assert rc == 2
     m = read_manifest(out)
     assert m["exit_status"] == 2 and "tolerance" in m["error"]
@@ -755,3 +806,19 @@ def test_uncharged_su2_spectrum_checks_gauss_law_like_the_oracle(tmp_path):
         model.hamiltonian())
     assert [c["name"] for c in m["checks"]] == ["gauge_invariance"]
     assert m["checks"][0]["value"] == oracle
+
+
+def readme_block(language):
+    """The first fenced block of `language` in README.md."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    return text.split(f"```{language}\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_examples_run(tmp_path, capsys):
+    exec(readme_block("python"), {})
+    assert capsys.readouterr().out == "0.0\n"
+    cfg = json.loads(readme_block("json"))
+    status, _ = run(cfg, str(tmp_path / "out"))
+    assert status == 0, read_manifest(tmp_path / "out")["error"]
