@@ -12,16 +12,17 @@ or neither (the built-in suite); the other three take neither.
 
 Exit codes: 0 = success, 1 = invariant violation, 2 = config error
 (including any ValueError the library raises on the config), 3 =
-numerical failure.  Every config error writes a manifest with the error,
-except a missing `--config` or config file, which only prints to stderr.
-Result CSVs are byte-stable across repeated runs
-(fixed solver seeds, floats printed with 17 significant digits, LF line
-endings); the manifest additionally records, under `timing`, the wall
-time, the process's thread count, the largest full-space dimension whose
-Hamiltonian was assembled, the number of states of every Hamiltonian
-assembly, the dimension and path (dense or Lanczos) of
-every eigensolve, the worst relative eigenpair residual, the dimension of
-every evolution, and the peak resident set size.  The `lgtlab` command enters
+numerical or resource failure (a MemoryError included).  Every config
+error writes a manifest with the error, except a missing `--config` or
+config file, which only prints to stderr.  Result CSVs are byte-stable
+across repeated runs (fixed solver seeds, floats printed with 17
+significant digits, LF line endings); the manifest additionally records,
+under `timing`, the wall time, the process's thread count, the
+product-space dimension of the largest model whose Hamiltonian was
+assembled, the number of states of every Hamiltonian assembly, the
+dimension and path (dense or Lanczos) of every eigensolve, the worst
+relative eigenpair residual, the dimension of every evolution, and the
+peak resident set size.  The `lgtlab` command enters
 through `lgtlab.__main__`, which applies `--threads` before numpy loads.
 """
 
@@ -101,13 +102,12 @@ SCHEMA = {
         model=(str, REQUIRED), matter=(str, None), terms=([str], None),
         **dict.fromkeys(("truncation", "g2", "eps", "mass", "lam", "lam_zn",
                          "eta"), (float, None))),
-    "spectrum": {"k": (int, 4), "charges": ([int], None),
-                 "export_sector": (bool, False)},
+    "spectrum": {"k": (int, 4), "charges": ([int], None)},
     "potential": {"separations": ([int], REQUIRED), "origin": (int, 0)},
-    "plaquette_convergence": {"family": (("spin_gauge", "zn"), "spin_gauge"),
-                              "g2_list": ([float], None),
-                              "ell_list": ([int], (1, 2, 3)),
-                              "n_list": ([int], (3, 5, 7, 9)),
+    "plaquette_convergence": {"family": ((SPIN_GAUGE, ZN), SPIN_GAUGE),
+                              "g2_list": ([float], (0.5, 1.0, 2.0)),
+                              "ell_list": ([int], None),
+                              "n_list": ([int], None),
                               "cutoff_ref": (int, 8)},
     "effective_check": {"lam": (float, 40.0), "eta": (float, 0.1),
                         "ell": (int, 1), "g2": (float, 1.0), "k": (int, 3)},
@@ -220,8 +220,6 @@ def run_spectrum(lat, spec, params, writer, tol):
         if sec.is_empty:
             raise solver.SolverError(f"empty Gauss sector {tuple(charges)}")
         results["sector_dim"] = sec.dim
-        if params["export_sector"]:
-            results["sector_indices"] = [int(i) for i in sec.indices]
         try:
             h, leak = model.hamiltonian(sector=sec), 0.0
         except SectorLeak as exc:
@@ -251,34 +249,30 @@ def run_potential(lat, spec, params, writer, tol):
 
 
 def run_plaquette_convergence(lat, spec, params, writer, tol):
-    family, cutoff_ref = params["family"], params["cutoff_ref"]
-    g2_list = params["g2_list"]
+    """The single-plaquette gap to Kogut-Susskind U(1) over the family's
+    truncations (ell_list or n_list), checked to shrink at every g2."""
+    family, g2_list = params["family"], params["g2_list"]
+    # family -> its truncation key, default truncations and CSV header
+    key, default, header = {
+        SPIN_GAUGE: ("ell_list", (1, 2, 3), ["g2", "ell", "E", "gap_to_ref"]),
+        ZN: ("n_list", (3, 5, 7, 9),
+             ["g2", "N", "E_calibrated", "gap_to_ref"]),
+    }[family]
+    other = "n_list" if key == "ell_list" else "ell_list"
+    if params[other] is not None:
+        raise ConfigError(f"params.{other} does not apply to family "
+                          f"{family!r}; it takes {key}")
+    rows, refs = observables.convergence_study(
+        family, g2_list, default if params[key] is None else params[key],
+        params["cutoff_ref"])
+    writer.csv("convergence.csv", header, list(zip(*rows)))
     checks = []
-    if family == "spin_gauge":
-        if g2_list is None:
-            g2_list = [0.5, 1.0, 2.0]
-        rows, refs = observables.plaquette_convergence_study(
-            g2_list, params["ell_list"], cutoff_ref)
-        writer.csv("convergence.csv", ["g2", "ell", "E", "gap_to_ref"],
-                   list(zip(*rows)))
-        results = {"reference": {str(k): v for k, v in refs.items()}}
-        for g2 in g2_list:
-            gaps = [r[3] for r in rows if r[0] == g2]
-            mono = all(gaps[i] > gaps[i + 1] for i in range(len(gaps) - 1))
-            checks.append(_check(f"monotone_convergence_g2_{g2}",
-                                 0.0 if mono else 1.0, 0.5))
-    else:
-        g2 = 1.0 if not g2_list else g2_list[0]
-        rows, ref = observables.zn_convergence_study(params["n_list"], g2,
-                                                     cutoff_ref)
-        writer.csv("convergence.csv", ["N", "E_calibrated", "gap_to_ref"],
-                   list(zip(*rows)))
-        results = {"reference": ref}
-        gaps = [r[2] for r in rows]
+    for g2 in g2_list:
+        gaps = [r[3] for r in rows if r[0] == g2]
         mono = all(gaps[i] > gaps[i + 1] for i in range(len(gaps) - 1))
-        checks.append(_check("monotone_convergence_zn",
+        checks.append(_check(f"monotone_convergence_g2_{g2}",
                              0.0 if mono else 1.0, 0.5))
-    return results, checks
+    return {"reference": {str(k): v for k, v in refs.items()}}, checks
 
 
 def run_effective_check(lat, spec, params, writer, tol):
@@ -499,7 +493,7 @@ def _record(cfg, outdir, work):
     """Call work(writer) for a run's (results, checks) and write the
     manifest, `cfg` as its config; returns (exit_code, manifest_path).
     Every config error, and any ValueError the library raises on the
-    config, exits 2; a SolverError exits 3."""
+    config, exits 2; a SolverError or a MemoryError exits 3."""
     writer = Writer(outdir)
     t0 = time.perf_counter()
     with solver.run_log() as log:
@@ -512,9 +506,11 @@ def _record(cfg, outdir, work):
             # foresee (a term the lattice does not support, a mis-sized
             # charge list)
             results, checks, status, error = {}, [], 2, str(exc)
-        except solver.SolverError as exc:
-            # numerical failure, or a full space too large for memory
-            results, checks, status, error = {}, [], 3, str(exc)
+        except (solver.SolverError, MemoryError) as exc:
+            # numerical failure, a full space too large for memory, or an
+            # allocation the process could not get
+            results, checks, status, error = {}, [], 3, \
+                str(exc) or type(exc).__name__
     manifest = {
         "config": cfg,
         "versions": {"lgtlab": __version__, "numpy": np.__version__,

@@ -38,9 +38,9 @@ D (diagonal terms):
 
 T (off-diagonal terms; H carries each with its Hermitian conjugate):
 
-* magnetic:  -(1/2g^2) sum_plaq U1 U2 U3^dag U4^dag with the spin-gauge
-             normalization 1/(ell^2 (ell+1)^2), the Z_N form
-             -(1/2) sum Q1 Q2 Q3^dag Q4^dag and the SU(2) trace over the
+* magnetic:  -(1/2g^2) sum_plaq U1 U2 U3^dag U4^dag in every family:
+             with the spin-gauge normalization 1/(ell^2 (ell+1)^2), as
+             Q1 Q2 Q3^dag Q4^dag for Z_N and as the SU(2) trace over the
              2x2 representation indices.
 * gauge-matter: eps sum_links psi^dag_n U psi_{n+k} with the model's link
              operator; the naive-fermion variant carries the Dirac
@@ -324,7 +324,7 @@ def _magnetic(model):
     spec, space = model.spec, model.space
     # the spin-gauge U is already L_+/sqrt(ell(ell+1)), so the printed
     # 1/(2 g^2 ell^2 (ell+1)^2) normalization is carried by the product
-    coeff = -0.5 if spec.model == ZN else -1.0 / (2.0 * spec.g2)
+    coeff = -1.0 / (2.0 * spec.g2)
     if spec.model == SU2:
         U, Ud = model.rotation, model.rotation.dagger()
         loops = [(U.entry(a, b), U.entry(b, c), Ud.entry(c, d),

@@ -13,8 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import solver
-from .hamiltonian import KS_U1, SPIN_GAUGE, SU2, ZN, HamiltonianSpec, \
-    build_model
+from .hamiltonian import KS_U1, SU2, ZN, HamiltonianSpec, build_model
 from .gauge import charge_rows, generator_eigenvalues, matter_charge_row, \
     merge_sectors, sector_basis
 from .lattice import build_lattice
@@ -108,8 +107,6 @@ def string_state_index(model, origin, separation):
     the Dirac sea when present."""
     space = model.space
     links = string_link_path(model.lattice, origin, separation)
-    if model.spec.model == SPIN_GAUGE and model.spec.truncation < 1:
-        raise ValueError("spin-gauge string needs ell >= charge magnitude")
     top = space.linkops.flux_values.tolist()
     link_vals = [top.index(1.0 if l in links else 0.0)
                  for l in range(space.n_links)]
@@ -299,45 +296,28 @@ def single_plaquette_ground(spec):
     return float(solver.ground_energy(hr)), sec.dim
 
 
-def plaquette_convergence_study(g2_list, ell_list, cutoff_ref=8):
-    """Single-plaquette spin-gauge ground energies against the truncated
-    Kogut-Susskind reference at the given flux cutoff.
+def convergence_study(family, g2_list, truncations, cutoff_ref=8):
+    """Single-plaquette ground energies of a truncated link family
+    (SPIN_GAUGE over ell, ZN over N) against the Kogut-Susskind reference
+    at the given flux cutoff, at every coupling g2.
 
-    Returns rows (g2, ell, E_spin_gauge, |E - E_ref|) plus the reference
+    A Z_N energy is calibrated: the clock coupling is matched as
+    lambda_zn = g^2/delta^2 with delta = 2 pi / N, and the additive clock
+    offset lambda_zn per link is removed, so the calibrated energies
+    approach the Kogut-Susskind value from the N -> infinity expansion of
+    the cosine.
+
+    Returns rows (g2, truncation, E, |E - E_ref|) plus the reference
     energies {g2: E_ref}.
     """
-    refs = {}
-    for g2 in g2_list:
-        e_ref, _ = single_plaquette_ground(
-            HamiltonianSpec(model=KS_U1, truncation=cutoff_ref, g2=g2))
-        refs[g2] = e_ref
+    refs = {g2: single_plaquette_ground(HamiltonianSpec(
+        model=KS_U1, truncation=cutoff_ref, g2=g2))[0] for g2 in g2_list}
     rows = []
     for g2 in g2_list:
-        for ell in ell_list:
-            e, _ = single_plaquette_ground(
-                HamiltonianSpec(model=SPIN_GAUGE, truncation=ell, g2=g2))
-            rows.append((g2, ell, e, abs(e - refs[g2])))
+        for t in truncations:
+            lam_zn = g2 / (2.0 * np.pi / t) ** 2 if family == ZN else 0.0
+            e, _ = single_plaquette_ground(HamiltonianSpec(
+                model=family, truncation=t, g2=g2, lam_zn=lam_zn))
+            e += lam_zn * 4          # the clock offset of the 4 links
+            rows.append((g2, t, e, abs(e - refs[g2])))
     return rows, refs
-
-
-def zn_convergence_study(n_list, g2=1.0, cutoff_ref=8):
-    """Single-plaquette Z_N ground energies against truncated U(1).
-
-    The clock coupling is matched as lambda_zn = g^2/delta^2 with
-    delta = 2 pi / N, and the additive clock offset lambda_zn per link is
-    removed, so the calibrated energies approach the Kogut-Susskind value
-    from the N -> infinity expansion of the cosine.  The Z_N magnetic term
-    is the Horn form -(1/2) sum (QQQ^dag Q^dag + h.c.), which matches the
-    U(1) normalization at g^2 = 1.
-    """
-    e_ref, _ = single_plaquette_ground(
-        HamiltonianSpec(model=KS_U1, truncation=cutoff_ref, g2=g2))
-    rows = []
-    for n in n_list:
-        delta = 2.0 * np.pi / n
-        lam_zn = g2 / delta ** 2
-        e, _ = single_plaquette_ground(
-            HamiltonianSpec(model=ZN, truncation=n, lam_zn=lam_zn))
-        calibrated = e + lam_zn * 4          # 4 links on the single plaquette
-        rows.append((n, calibrated, abs(calibrated - e_ref)))
-    return rows, e_ref

@@ -43,9 +43,10 @@ class SolverError(RuntimeError):
 
 @dataclass
 class RunLog:
-    """Problem sizes of one run, for its manifest: the largest full-space
-    dimension whose Hamiltonian was assembled, the number of states of
-    every Hamiltonian assembly (Model.hamiltonian), the dimension and path
+    """Problem sizes of one run, for its manifest: the product-space
+    dimension of the largest model whose Hamiltonian was assembled (in its
+    full space or in a sector), the number of states of every Hamiltonian
+    assembly (Model.hamiltonian), the dimension and path
     ("dense" or "lanczos") of every eigensolve and the dimension and path
     ("dense" or "expm") of every evolution, in call order, and the worst
     relative eigenpair residual."""

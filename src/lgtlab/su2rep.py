@@ -234,37 +234,30 @@ def truncated_rotation_matrix(space, j):
 
 
 def _build_rotation_matrix(space, j):
+    """U^j block by block: for each allowed (J, K), block (K, J) of the
+    entry (m, m') is pref C_m (x) C_m', with C_m the Clebsch-Gordan matrix
+    <J M j m|K N> (rows N, columns M) and pref = sqrt((2J+1)/(2K+1))."""
     dim = space.local_dim
-    d = round(2 * j) + 1
     ms = list(reversed(_half_range(j)))   # m = j ... -j
 
-    entries = [[np.zeros((dim, dim)) for _ in range(d)]
-               for _ in range(d)]
-    for a, m in enumerate(ms):
-        for b, mp in enumerate(ms):
-            mat = entries[a][b]
-            for J in _j_values(space.j_max):
-                for K in _j_values(space.j_max):
-                    if not _check_triangle(J, j, K):
-                        continue
-                    pref = sqrt((2 * J + 1) / (2 * K + 1))
-                    for M in _half_range(J):
-                        N = M + m
-                        if abs(N) > K:
-                            continue
-                        cl = cg(J, M, j, m, K, N)
-                        if cl == 0.0:
-                            continue
-                        for Mp in _half_range(J):
-                            Np = Mp + mp
-                            if abs(Np) > K:
-                                continue
-                            cr = cg(J, Mp, j, mp, K, Np)
-                            if cr == 0.0:
-                                continue
-                            row = space.state_index(K, N, Np)
-                            col = space.state_index(J, M, Mp)
-                            mat[row, col] += pref * cl * cr
+    entries = [[np.zeros((dim, dim)) for _ in ms] for _ in ms]
+    for J in _j_values(space.j_max):
+        for K in _j_values(space.j_max):
+            if not _check_triangle(J, j, K):
+                continue
+            pref = sqrt((2 * J + 1) / (2 * K + 1))
+            C = [np.array([[cg(J, M, j, m, K, N) for M in _half_range(J)]
+                           for N in _half_range(K)]) for m in ms]
+            rows = slice(space.state_index(K, -K, -K),
+                         space.state_index(K, K, K) + 1)
+            cols = slice(space.state_index(J, -J, -J),
+                         space.state_index(J, J, J) + 1)
+            # + 0.0 turns the -0.0 of a zero CG times a negative one into
+            # the +0.0 of an entry no CG product reaches
+            for a, left in enumerate(C):
+                for b, right in enumerate(C):
+                    entries[a][b][rows, cols] = \
+                        np.kron(pref * left, right) + 0.0
     _read_only(e for row in entries for e in row)
     return TruncatedRotationMatrix(j, space, entries)
 

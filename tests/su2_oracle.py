@@ -6,8 +6,10 @@ Each of the three components G^a = sum_out L^a - sum_in R^a - Q^a of a
 vertex is summed from full-space embeddings, and the Gauss check forms
 h @ g - g @ h for every one of them.  Also the representation tables that
 ``lgtlab.su2rep`` is checked with: a precomputed Clebsch-Gordan table and
-the fixed-spin subspace of the two-mode Schwinger-boson Fock space, and
-the strong-coupling string state formed by the recursion over full-space
+the fixed-spin subspace of the two-mode Schwinger-boson Fock space, the
+rotation matrix summed entry by entry over its Clebsch-Gordan series
+(``lgtlab.su2rep`` builds it from Clebsch-Gordan blocks), and the
+strong-coupling string state formed by the recursion over full-space
 products that ``lgtlab.observables.strong_coupling_ground`` replaces by a
 contraction on the vacuum vector.
 """
@@ -110,6 +112,41 @@ def build_cg_table(j_cap):
                         if c != 0.0:
                             table[(j1, m1, j2, m2, J, M)] = c
     return CGTable(j_cap, table)
+
+
+def rotation_matrix_entries(space, j):
+    """entries[a][b] of U^j on `space` (m = j - a, m' = j - b), each
+    element sqrt((2J+1)/(2K+1)) <J M j m|K N> <J M' j m'|K N'> added to
+    zero in its own loop iteration."""
+    dim = space.local_dim
+    ms = list(reversed(_half_range(j)))
+    entries = [[np.zeros((dim, dim)) for _ in ms] for _ in ms]
+    for a, m in enumerate(ms):
+        for b, mp in enumerate(ms):
+            mat = entries[a][b]
+            for J in _j_values(space.j_max):
+                for K in _j_values(space.j_max):
+                    if not _check_triangle(J, j, K):
+                        continue
+                    pref = np.sqrt((2 * J + 1) / (2 * K + 1))
+                    for M in _half_range(J):
+                        N = M + m
+                        if abs(N) > K:
+                            continue
+                        cl = cg(J, M, j, m, K, N)
+                        if cl == 0.0:
+                            continue
+                        for Mp in _half_range(J):
+                            Np = Mp + mp
+                            if abs(Np) > K:
+                                continue
+                            cr = cg(J, Mp, j, mp, K, Np)
+                            if cr == 0.0:
+                                continue
+                            row = space.state_index(K, N, Np)
+                            col = space.state_index(J, M, Mp)
+                            mat[row, col] += pref * cl * cr
+    return entries
 
 
 def fixed_ell_subspace(n_max, ell):

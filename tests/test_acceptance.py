@@ -19,8 +19,8 @@ from lgtlab.gauge import sector_basis
 from lgtlab.hamiltonian import HamiltonianSpec, build_model, \
     max_gauss_violation
 from lgtlab.lattice import build_lattice
-from lgtlab.observables import flux_tube_breaking_scenario, \
-    plaquette_convergence_study, zn_convergence_study, static_potential
+from lgtlab.observables import convergence_study, \
+    flux_tube_breaking_scenario, static_potential
 from lgtlab.solver import effective_second_order, eigs
 
 CHAIN4 = build_lattice(1, [4])
@@ -87,8 +87,8 @@ def test_criterion_3_truncation_convergence():
     """|E0(spin-gauge ell) - E0(KS cutoff 8)| strictly decreasing over
     ell in {1,2,3} at g2 in {0.5, 1, 2}; the x2 shrink at g2=1 is a soft
     warning threshold."""
-    rows, _ = plaquette_convergence_study([0.5, 1.0, 2.0], [1, 2, 3],
-                                          cutoff_ref=8)
+    rows, _ = convergence_study("spin_gauge", [0.5, 1.0, 2.0], [1, 2, 3],
+                               cutoff_ref=8)
     monotone = True
     for g2 in (0.5, 1.0, 2.0):
         gaps = [r[3] for r in rows if r[0] == g2]
@@ -108,8 +108,8 @@ def test_criterion_3_truncation_convergence():
 def test_criterion_4_zn_to_u1_trend():
     """Calibrated Z_N ground energy approaches truncated U(1) monotonically
     over N in {3,5,7,9}."""
-    rows, ref = zn_convergence_study([3, 5, 7, 9], g2=1.0, cutoff_ref=8)
-    gaps = [r[2] for r in rows]
+    rows, _ = convergence_study("zn", [1.0], [3, 5, 7, 9], cutoff_ref=8)
+    gaps = [r[3] for r in rows]
     monotone = all(gaps[i] > gaps[i + 1] for i in range(len(gaps) - 1))
     report(4, monotone,
            "gaps to the U(1) reference " +

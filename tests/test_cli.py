@@ -394,8 +394,36 @@ def test_plaquette_convergence_zn_family(tmp_path):
                "--out", str(tmp_path / "out")])
     assert rc == 0
     lines = (tmp_path / "out" / "convergence.csv").read_text().splitlines()
-    assert lines[0] == "N,E_calibrated,gap_to_ref"
-    assert len(lines) == 4
+    assert lines[0] == "g2,N,E_calibrated,gap_to_ref"
+    assert len(lines) == 1 + 3 * 3          # default g2_list times n_list
+
+
+@pytest.mark.parametrize("family, key", [("spin_gauge", "n_list"),
+                                         ("zn", "ell_list")])
+def test_truncation_list_of_the_other_family_is_config_error(tmp_path,
+                                                             family, key):
+    # the other family's list used to be ignored
+    path = write_cfg(tmp_path, {"scenario": "plaquette_convergence",
+                                "params": {"family": family, key: [3]}})
+    out = tmp_path / "out"
+    rc = main(["plaquette_convergence", "--config", path, "--out", str(out)])
+    assert rc == 2
+    m = read_manifest(out)
+    assert m["exit_status"] == 2 and m["files"] == []
+    assert f"params.{key}" in m["error"]
+
+
+def test_memory_error_exits_3_with_a_manifest(tmp_path, monkeypatch):
+    def runner(*args):
+        raise MemoryError
+    monkeypatch.setitem(cli.RUNNERS, "spectrum", runner)
+    out = tmp_path / "out"
+    rc = main(["spectrum", "--config", write_cfg(tmp_path, BASE),
+               "--out", str(out)])
+    assert rc == 3
+    m = read_manifest(out)
+    assert m["exit_status"] == 3 and m["error"] == "MemoryError"
+    assert m["results"] == {} and m["checks"] == []
 
 
 def test_effective_check_scenario(tmp_path):

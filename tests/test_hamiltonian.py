@@ -80,6 +80,14 @@ def test_magnetic_element_between_loop_states():
     assert np.vdot(loop, hb @ zero) == pytest.approx(-1 / (2 * g2))
 
 
+def test_zn_magnetic_reads_g2():
+    # -1/(2 g2) in every family: at g2 = 2 the Z_N term is exactly half
+    hb = [build_model(HamiltonianSpec(model="zn", truncation=3, g2=g2),
+                      PLAQ).hamiltonian(("magnetic",)) for g2 in (1.0, 2.0)]
+    assert hb[0].nnz > 0
+    assert np.array_equal(hb[1].toarray(), 0.5 * hb[0].toarray())
+
+
 @pytest.mark.parametrize("spec", [
     HamiltonianSpec(model="ks_u1", truncation=1, g2=0.9),
     HamiltonianSpec(model="spin_gauge", truncation=2, g2=0.9),

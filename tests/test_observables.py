@@ -8,9 +8,9 @@ from lgtlab.gauge import sector_basis
 from lgtlab.hamiltonian import HamiltonianSpec, build_model
 from lgtlab.lattice import build_lattice
 from lgtlab.matter import STAGGERED
-from lgtlab.observables import flux_profile, flux_tube_breaking_scenario, \
-    plaquette_convergence_study, static_potential, strong_coupling_ground, \
-    string_link_path, zn_convergence_study
+from lgtlab.observables import convergence_study, flux_profile, \
+    flux_tube_breaking_scenario, static_potential, strong_coupling_ground, \
+    string_link_path
 from lgtlab.solver import SolverError
 
 CHAIN6 = build_lattice(1, [6])
@@ -234,20 +234,25 @@ def test_spin_gauge_ell1_plaquette_closed_form(g2):
 
 
 def test_plaquette_convergence_monotone():
-    rows, refs = plaquette_convergence_study([1.0], [1, 2, 3], cutoff_ref=8)
+    rows, refs = convergence_study("spin_gauge", [1.0], [1, 2, 3],
+                                   cutoff_ref=8)
     gaps = [r[3] for r in rows]
     assert gaps[0] > gaps[1] > gaps[2]
     # strong coupling limit: every model's ground energy approaches zero
-    rows_strong, refs_strong = plaquette_convergence_study([50.0], [1],
-                                                           cutoff_ref=2)
+    rows_strong, refs_strong = convergence_study("spin_gauge", [50.0], [1],
+                                                 cutoff_ref=2)
     assert abs(refs_strong[50.0]) < 1e-3
     assert abs(rows_strong[0][2]) < 1e-3
 
 
 def test_zn_convergence_monotone():
-    rows, ref = zn_convergence_study([3, 5, 7], g2=1.0, cutoff_ref=6)
-    gaps = [r[2] for r in rows]
-    assert gaps[0] > gaps[1] > gaps[2]
+    # the Z_N magnetic term reads g2, so the trend holds at every coupling
+    rows, refs = convergence_study("zn", [0.5, 1.0, 2.0], [3, 5, 7],
+                                   cutoff_ref=6)
+    assert sorted(refs) == [0.5, 1.0, 2.0]
+    for g2 in refs:
+        gaps = [r[3] for r in rows if r[0] == g2]
+        assert gaps[0] > gaps[1] > gaps[2]
 
 
 def test_flux_tube_embeddings_do_not_scale_with_steps(monkeypatch):

@@ -7,7 +7,8 @@ from lgtlab.lattice import build_lattice
 from lgtlab.linkalg import spin_gauge_ops
 from lgtlab.su2rep import boson_annihilators, cg, prepotential_decomposition, \
     schwinger_u1, spin_matrices, su2_link_space, truncated_rotation_matrix
-from su2_oracle import build_cg_table, fixed_ell_subspace
+from su2_oracle import build_cg_table, fixed_ell_subspace, \
+    rotation_matrix_entries
 
 EPS = {("x", "y"): "z", ("y", "z"): "x", ("z", "x"): "y"}
 
@@ -182,6 +183,19 @@ def test_rotation_matrix_on_singlet():
             assert np.allclose(out, expect)
 
 
+@pytest.mark.parametrize("j_max", [0.5, 1, 1.5, 2])
+def test_rotation_matrix_equals_the_entrywise_sum(j_max):
+    # the block construction keeps each element's (pref cl) cr product, so
+    # every entry is bitwise the loop's, signs of zeros included
+    sp = su2_link_space(j_max)
+    for q in range(round(2 * j_max) + 1):
+        got = truncated_rotation_matrix(sp, q / 2).entries
+        want = rotation_matrix_entries(sp, q / 2)
+        for got_row, want_row in zip(got, want):
+            for g, w in zip(got_row, want_row):
+                assert g.tobytes() == w.tobytes()
+
+
 def test_rotation_matrix_transformation_laws():
     # [L_a, U_mm'] = (T_a)_{mn} U_nm' and [R_a, U_mm'] = U_mn (T_a)_{n m'}
     sp = su2_link_space(1)
@@ -331,8 +345,9 @@ def test_prepotential_algebras_and_number_balance():
 # ---------------------------------------------------------------------------
 
 def test_verify_all_builds_one_rotation_matrix(monkeypatch):
-    # 16 cg calls build U^{1/2} at J_max = 1/2 once; the SU(2) model, the
-    # trace identity and both M-matrix checks share it
+    # 8 cg calls (one 2x1 or 1x2 CG matrix per m for each of the pairs
+    # (J, K) = (0, 1/2) and (1/2, 0)) build U^{1/2} at J_max = 1/2 once;
+    # the SU(2) model, the trace identity and both M-matrix checks share it
     monkeypatch.setattr(su2rep, "_LINK_SPACES", {})
     calls = {"cg": 0}
     cg_ = su2rep.cg
@@ -344,7 +359,7 @@ def test_verify_all_builds_one_rotation_matrix(monkeypatch):
     checks = []
     cli.run_verify_all(cli.DEFAULT_TOL, checks, {})
     assert all(c["pass"] for c in checks)
-    assert calls["cg"] == 16
+    assert calls["cg"] == 8
 
 
 def test_cached_arrays_refuse_writes():
