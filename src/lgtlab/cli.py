@@ -39,7 +39,7 @@ import scipy
 
 from . import __version__, atommap, gauge, observables, solver, su2rep
 from .hamiltonian import KS_U1, SPIN_GAUGE, SU2, ZN, HamiltonianSpec, \
-    SectorLeak, build_model, max_gauss_violation
+    SectorLeak, build_model, electric_tension, max_gauss_violation
 from .lattice import build_lattice
 from .matter import STAGGERED, NAIVE2D, SU2_FUNDAMENTAL
 
@@ -68,9 +68,10 @@ REQUIRED = object()     # default of a key the config must give
 
 
 def _cast(kind, x, where):
-    """x as `kind`: int, float, bool, str or dict, [kind] for a nonempty
-    list of them (returned as a tuple), or a tuple of the values x may
-    take; ConfigError naming `where` if it is not."""
+    """x as `kind`: int or float (finite, so never NaN or infinite), bool,
+    str or dict, [kind] for a nonempty list of them (returned as a tuple),
+    or a tuple of the values x may take; ConfigError naming `where` if it
+    is not."""
     if isinstance(kind, tuple):
         if x in kind:
             return x
@@ -81,12 +82,14 @@ def _cast(kind, x, where):
             raise ConfigError(f"{where} must not be empty")
         return tuple(_cast(kind[0], v, f"{where}[{i}]")
                      for i, v in enumerate(items))
-    number = isinstance(x, (int, float)) and not isinstance(x, bool)
+    number = isinstance(x, (int, float)) and not isinstance(x, bool) \
+        and abs(x) <= sys.float_info.max
     if number and (kind is float or (kind is int and float(x).is_integer())):
         return kind(x)
     if kind in (bool, str, list, dict) and isinstance(x, kind):
         return x
-    raise ConfigError(f"{where} must be {kind.__name__}, got {x!r}")
+    finite = "a finite " if kind in (int, float) else ""
+    raise ConfigError(f"{where} must be {finite}{kind.__name__}, got {x!r}")
 
 
 # section -> {key: (kind, default)}; an absent or null key takes its
@@ -242,9 +245,8 @@ def run_potential(lat, spec, params, writer, tol):
                "fit_residual": curve.residual}
     checks = []
     if spec.terms == ("electric",):
-        c2 = 0.75 if spec.model == SU2 else 1.0
         checks.append(_check("string_tension_electric_only",
-                             abs(curve.sigma - spec.g2 / 2.0 * c2), tol))
+                             abs(curve.sigma - electric_tension(spec)), tol))
     return results, checks
 
 
@@ -345,19 +347,25 @@ def run_dynamics(lat, spec, params, writer, tol):
         _check("gauss_expectation_conservation", report.gauss_drift,
                cons_tol),
     ]
+    # the string's flux reads -1 on Z_2 links: divide by it, sign and all
+    start = report.flux[0].sum()
     results = {"final_flux_profile": [float(x) for x in report.flux[-1]],
-               "string_survival":
-                   float(report.flux[-1].sum() / max(report.flux[0].sum(),
-                                                     1e-12))}
+               "string_survival": float(report.flux[-1].sum() / (
+                   start if abs(start) > 1e-12 else 1e-12))}
     return results, checks
 
 
 def run_channels(lat, spec, params, writer, tol):
+    channels = atommap.total_f_channels()
     couplings = params["couplings"]
     if couplings is None:
-        couplings = {f: 1.0 for f in atommap.total_f_channels()}
+        couplings = {f: 1.0 for f in channels}
     else:
-        couplings = {float(f): _cast(float, v, f"params.couplings.{f}")
+        # a key names a total-F channel (float raises on one that is no
+        # number); another channel's Clebsch-Gordan factors all vanish
+        couplings = {_cast(tuple(channels), float(f),
+                           f"params.couplings key {f!r}"):
+                     _cast(float, v, f"params.couplings.{f}")
                      for f, v in couplings.items()}
     scheme = atommap.HyperfineLevelScheme(params["omega1"], params["omega2"])
     rows = [(*key, amp.real, amp.imag, int(allowed)) for *key, amp, allowed
@@ -474,9 +482,8 @@ def _execute(cfg, tol, subcommand, writer):
             f"config names scenario {scenario!r} but the {subcommand!r} "
             f"subcommand was invoked")
     tol = top["tolerance"] if tol is None else _cast(float, tol, "tolerance")
-    if not 0.0 < tol < np.inf:
-        raise ConfigError(f"tolerance must be finite and positive, "
-                          f"got {tol!r}")
+    if tol <= 0.0:
+        raise ConfigError(f"tolerance must be positive, got {tol!r}")
     given = [key for key in ("lattice", "hamiltonian") if top[key] is not None]
     takes = MODEL_SECTIONS[scenario]
     if {0: "neither", 2: "both"}.get(len(given)) not in takes:

@@ -212,8 +212,7 @@ def sector_basis(space, charges):
     charges = tuple(int(q) for q in charges)
     if len(charges) != lat.vertex_count:
         raise ValueError("one charge per vertex required")
-    if space.linkops.model not in (linkalg.U1_TRUNCATED, linkalg.SPIN_GAUGE,
-                                   linkalg.ZN):
+    if space.linkops.model == linkalg.SU2:
         raise ValueError("sector enumeration needs Abelian links")
     if space.dim - 1 > np.iinfo(np.int64).max:
         raise SolverError(

@@ -28,23 +28,32 @@ Gauss sector is passed:
   is raised after all pieces are applied; it carries the largest such
   amplitude and the block.
 
+The four link families (linkalg: ks_u1, spin_gauge, zn, su2) differ only
+in their LinkOperatorSet, so every term below is one rule for all of them.
+Each family gives its link operator as an r x r matrix U of local
+matrices: [[U]] on U(1), spin-gauge and Z_N links (on Z_N U is Q^dag, the
+clock shift that raises the flux), the 2x2 entries of U^{1/2} on SU(2)
+links; U^dag is taken entrywise, (U^dag)_ij = U_ji^dag.
+
 D (diagonal terms):
 
-* electric:  (g^2/2) sum_links L^2 (U(1)), L_z^2 (spin-gauge), Casimir
-             (SU(2)); for Z_N the clock form -(lambda_zn/2) sum (P + P^dag).
+* electric:  (c/2) sum_links e(label), with e the family's electric
+             values at unit coupling (m^2 on U(1) and spin-gauge,
+             -2 cos(2 pi m / N) on Z_N, the Casimir j(j+1) on SU(2)) and
+             c = electric_coupling(spec): lambda_zn on Z_N, g^2 otherwise.
+             On Z_N this is the clock form -(lambda_zn/2) sum (P + P^dag).
 * mass:      staggered m sum (-1)^n psi^dag psi or naive M sum psi^dag
              sigma_z psi.
 * penalty:   lambda sum_n G_n^2 (Abelian generators).
 
 T (off-diagonal terms; H carries each with its Hermitian conjugate):
 
-* magnetic:  -(1/2g^2) sum_plaq U1 U2 U3^dag U4^dag in every family:
-             with the spin-gauge normalization 1/(ell^2 (ell+1)^2), as
-             Q1 Q2 Q3^dag Q4^dag for Z_N and as the SU(2) trace over the
-             2x2 representation indices.
-* gauge-matter: eps sum_links psi^dag_n U psi_{n+k} with the model's link
-             operator; the naive-fermion variant carries the Dirac
-             structure i psi^dag sigma_k psi.
+* magnetic:  -(1/2g^2) sum_plaq tr(U1 U2 U3^dag U4^dag), one piece per
+             choice of the r^4 matrix indices (with the spin-gauge
+             normalization 1/(ell^2 (ell+1)^2) carried by U).
+* gauge-matter: eps sum_links sum_ij psi^dag_{n,i} U_ij psi_{n+k,j} (i, j
+             the colors on SU(2) links); the naive-fermion variant carries
+             the Dirac structure i psi^dag sigma_k psi.
 * microscopic hopping: the gauge-variant single-atom move between
              perpendicular neighboring links, eta sum U_a U_b^dag, which
              seeds the second-order plaquette construction.
@@ -60,14 +69,8 @@ from scipy import sparse
 
 from . import gauge, linkalg, matter as matter_mod, solver, su2rep
 from .lattice import diagonal_link_pairs, staggered_sign
+from .linkalg import KS_U1, SPIN_GAUGE, SU2, ZN
 from .tensor import ProductSpace
-
-KS_U1 = "ks_u1"
-SPIN_GAUGE = "spin_gauge"
-ZN = "zn"
-SU2 = "su2"
-
-MODELS = (KS_U1, SPIN_GAUGE, ZN, SU2)
 
 DEFAULT_TERMS = ("electric", "magnetic", "gauge_matter", "mass")
 
@@ -89,7 +92,7 @@ class HamiltonianSpec:
         return replace(self, terms=tuple(terms))
 
     def validate(self):
-        if self.model not in MODELS:
+        if self.model not in linkalg.FAMILIES:
             raise ValueError(f"unknown model {self.model!r}")
         if self.g2 <= 0:
             raise ValueError("g2 must be positive")
@@ -123,7 +126,6 @@ class Model:
     lattice: object
     space: ProductSpace
     link_space: object = None      # SU2LinkSpace for the non-Abelian model
-    rotation: object = None        # TruncatedRotationMatrix (j = 1/2)
 
     def effective_terms(self, terms=None):
         terms = self.spec.terms if terms is None else terms
@@ -238,25 +240,32 @@ def _directions(piece):
     yield np.conj(coeff), [(f, m.conj().T) for f, m in reversed(factors)]
 
 
-ABELIAN_LINK_OPS = {KS_U1: linkalg.u1_ops, SPIN_GAUGE: linkalg.spin_gauge_ops,
-                    ZN: linkalg.zn_ops}
-
-
 def build_model(spec, lat):
     """Realize a HamiltonianSpec on a lattice: spaces, link ops, matter."""
     spec.validate()
     layout = None
     if spec.matter is not None:
         layout = matter_mod.fermion_ops(lat, spec.matter)
-    if spec.model != SU2:
-        linkops = ABELIAN_LINK_OPS[spec.model](int(spec.truncation))
-        return Model(spec, lat, ProductSpace(lat, linkops, layout))
-    lsp = su2rep.su2_link_space(spec.truncation)
-    rot = su2rep.truncated_rotation_matrix(lsp, 0.5)
-    linkops = linkalg.LinkOperatorSet("su2_truncated", lsp.local_dim,
-                                      spec.truncation, {"flux": lsp.casimir})
-    return Model(spec, lat, ProductSpace(lat, linkops, layout),
-                 link_space=lsp, rotation=rot)
+    space = ProductSpace(lat, linkalg.link_ops(spec.model, spec.truncation),
+                         layout)
+    link_space = su2rep.su2_link_space(spec.truncation) \
+        if spec.model == SU2 else None
+    return Model(spec, lat, space, link_space)
+
+
+def electric_coupling(spec):
+    """The coupling of the electric term: lambda_zn on Z_N links, g^2 on
+    the others."""
+    return spec.lam_zn if spec.model == ZN else spec.g2
+
+
+def electric_tension(spec):
+    """The slope of the electric-only static potential: a unit of string
+    flux costs (c/2) (e(unit) - e(vacuum)) per link, with c the electric
+    coupling and e the family's electric values at unit coupling."""
+    ops = linkalg.link_ops(spec.model, spec.truncation)
+    return electric_coupling(spec) / 2.0 * (ops.electric[ops.unit]
+                                            - ops.electric[ops.vacuum])
 
 
 # ---------------------------------------------------------------------------
@@ -264,20 +273,12 @@ def build_model(spec, lat):
 # ---------------------------------------------------------------------------
 
 def _electric(model, labels):
-    """The local electric term's diagonal read per link from the labels,
-    summed in link order (every family is diagonal in its flux basis)."""
-    spec, space = model.spec, model.space
-    if spec.model == ZN:
-        P = space.linkops["P"]
-        local = -(spec.lam_zn / 2.0) * (P + P.conj().T)
-    elif spec.model == SU2:
-        local = (spec.g2 / 2.0) * model.link_space.casimir
-    else:
-        flux = space.linkops["flux"]
-        local = (spec.g2 / 2.0) * (flux @ flux)
-    values = np.diag(local).real
+    """The electric term's diagonal, (c/2) e(label) read per link from the
+    labels and summed in link order."""
+    values = (electric_coupling(model.spec) / 2.0) \
+        * model.space.linkops.electric
     diag = np.zeros(labels.shape[1])
-    for row in labels[:space.n_links]:
+    for row in labels[:model.space.n_links]:
         diag += values[row]
     return diag
 
@@ -318,35 +319,30 @@ def _penalty(model, labels):
 # ---------------------------------------------------------------------------
 
 def _magnetic(model):
-    """coeff U1 U2 U3^dag U4^dag (or the model's analog) per plaquette; for
-    SU(2) one piece per choice of the four 2x2 representation indices,
+    """coeff tr(U1 U2 U3^dag U4^dag) per plaquette: one piece
+    coeff U_ab U_bc (U^dag)_cd (U^dag)_da per choice of the matrix indices,
     whose sum is the trace."""
-    spec, space = model.spec, model.space
+    U = model.space.linkops.U
+    r = range(len(U))
     # the spin-gauge U is already L_+/sqrt(ell(ell+1)), so the printed
     # 1/(2 g^2 ell^2 (ell+1)^2) normalization is carried by the product
-    coeff = -1.0 / (2.0 * spec.g2)
-    if spec.model == SU2:
-        U, Ud = model.rotation, model.rotation.dagger()
-        loops = [(U.entry(a, b), U.entry(b, c), Ud.entry(c, d),
-                  Ud.entry(d, a))
-                 for a, b, c, d in product((0.5, -0.5), repeat=4)]
-    else:
-        up, dn = ("Q", "Qdag") if spec.model == ZN else ("U", "Udag")
-        loops = [[space.linkops[k] for k in (up, up, dn, dn)]]
+    coeff = -1.0 / (2.0 * model.spec.g2)
+    loops = [(U[a][b], U[b][c], U[d][c].conj().T, U[a][d].conj().T)
+             for a, b, c, d in product(r, repeat=4)]
     for plaq in model.lattice.plaquettes:
         for mats in loops:
             yield coeff, list(zip(plaq.links, mats))
 
 
 def _gauge_matter(model):
-    """The gauge-matter hop eps psi^dag_a U_l psi_b on every link
-    l = (a, b): one piece per link for staggered matter, one per nonzero
-    entry of the Dirac structure i sigma_k for naive fermions, one per
-    color pair for SU(2)."""
+    """The gauge-matter hop eps psi^dag_{a,i} U_ij psi_{b,j} on every link
+    l = (a, b): one piece per entry of the link matrix (colors i, j), or,
+    for naive fermions, one per nonzero entry of the Dirac structure
+    i sigma_k."""
     spec, space, lat = model.spec, model.space, model.lattice
     if spec.eps == 0.0 or spec.matter is None:
         return
-    layout = space.layout
+    layout, U = space.layout, space.linkops.U
     naive = spec.matter == matter_mod.NAIVE2D
     if naive and spec.model not in (SPIN_GAUGE, KS_U1):
         raise ValueError("naive fermions pair with U(1)-type links")
@@ -356,20 +352,13 @@ def _gauge_matter(model):
             s = matter_mod._SIGMA["x" if lat.links[l][1] == 1 else "y"]
             for i, j in product(range(2), repeat=2):
                 if s[i, j] != 0:
-                    yield (spec.eps * s[i, j],
-                           [(l, 1j * space.linkops["U"])]
+                    yield (spec.eps * s[i, j], [(l, 1j * U[0][0])]
                            + matter_mod.hop(layout.factor(a, i),
                                             layout.factor(b, j)))
-        elif spec.model == SU2:
-            for (i, m), (j, mp) in product(enumerate((0.5, -0.5)),
-                                           repeat=2):
-                yield (spec.eps, [(l, model.rotation.entry(m, mp))]
-                       + matter_mod.hop(layout.factor(a, i),
-                                        layout.factor(b, j)))
         else:
-            up = space.linkops["Qdag" if spec.model == ZN else "U"]
-            yield spec.eps, [(l, up)] + matter_mod.hop(layout.factor(a),
-                                                       layout.factor(b))
+            for i, j in product(range(len(U)), repeat=2):
+                yield spec.eps, [(l, U[i][j])] + matter_mod.hop(
+                    layout.factor(a, i), layout.factor(b, j))
 
 
 def _hopping(model):

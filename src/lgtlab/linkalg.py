@@ -1,35 +1,55 @@
-"""Single-link operator algebras as small dense matrices.
+"""Single-link operator algebras as small dense matrices, one per family.
 
-Three families are provided, all in the electric-flux eigenbasis
-(eigenvalues increasing along the basis order):
+The four link families carry the names of ``HamiltonianSpec.model``, all in
+the electric-flux eigenbasis:
 
-* truncated U(1): integer flux m in [-cutoff, cutoff], hard-truncated
-  raising operator U (U on the top state gives zero),
-* spin-gauge: a spin-ell multiplet with L_z as the electric field and the
-  normalized ladder L_plus / sqrt(ell(ell+1)) standing in for U,
-* Z_N clock algebra: unitary P (phases) and Q (cyclic shift) with
-  P_dag Q P = exp(i 2 pi / N) Q.
+* ``ks_u1``, truncated U(1): integer flux m in [-cutoff, cutoff], hard-
+  truncated raising operator U (U on the top state gives zero),
+* ``spin_gauge``: a spin-ell multiplet with L_z as the electric field and
+  the normalized ladder L_plus / sqrt(ell(ell+1)) standing in for U,
+* ``zn``, Z_N clock algebra: unitary P (phases) and Q (cyclic shift) with
+  P_dag Q P = exp(i 2 pi / N) Q; U is Q_dag, the shift that raises m,
+* ``su2``, truncated SU(2): the |j m m'> space with j <= J_max of su2rep.
 
-Dimensions stay tiny (<= ~20); sparsity is handled only at the
-tensor-product level.  Every matrix is real and stored float64 except the
-Z_N phases P and P_dag (the dtype rule of tensor.py).
+Every family gives its link operator U as an r x r matrix of local
+matrices (``LinkOperatorSet.U``): [[U]] (r = 1) on the three Abelian
+families, the 2x2 entries U^{1/2}_{mm'} (m, m' = 1/2, -1/2) of the
+fundamental rotation matrix on SU(2) links.  The Hamiltonian's magnetic and
+gauge-matter terms are written once over these entries.  Each set also
+carries its electric values at unit coupling, one per label: m^2 (U(1),
+spin-gauge), -2 cos(2 pi m / N) (Z_N, the diagonal of -(P + P_dag)) and
+j(j+1) (SU(2)); and the labels of its vacuum and of one unit of string
+flux: flux readout 1 (modulo N on Z_N, so Z_2 reads -1) and, on SU(2), a
+state of the lowest Casimir above zero, j = 1/2.
+
+Dimensions stay tiny (<= ~20, SU(2) 14 at J_max = 1); sparsity is handled
+only at the tensor-product level.  Every matrix is real and stored float64
+except the Z_N phases P and P_dag (the dtype rule of tensor.py).
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-U1_TRUNCATED = "u1_truncated"
+from . import su2rep
+
+KS_U1 = "ks_u1"
 SPIN_GAUGE = "spin_gauge"
 ZN = "zn"
+SU2 = "su2"
+FAMILIES = (KS_U1, SPIN_GAUGE, ZN, SU2)
 
 
 @dataclass(frozen=True)
 class LinkOperatorSet:
     model: str
     local_dim: int
-    param: int                      # cutoff, ell or N
+    param: int                      # cutoff, ell, N or J_max
     ops: dict = field(repr=False)   # name -> ndarray, float64 when real
+    U: list = field(default=None, repr=False)   # r x r local matrices
+    electric: np.ndarray = field(default=None, repr=False)  # per label
+    vacuum: int = None              # label of zero flux
+    unit: int = None                # label of one unit of flux, or None
 
     def __getitem__(self, name):
         return self.ops[name]
@@ -40,12 +60,22 @@ class LinkOperatorSet:
         return np.diag(self.ops["flux"]).copy()
 
 
+def link_ops(model, truncation):
+    """The link operator set of a family at its truncation: the integer
+    cutoff, ell or N of an Abelian family, the half-integer J_max of
+    SU(2)."""
+    if model == SU2:
+        return su2_ops(truncation)
+    return {KS_U1: u1_ops, SPIN_GAUGE: spin_gauge_ops,
+            ZN: zn_ops}[model](int(truncation))
+
+
 def u1_ops(cutoff):
     """Truncated U(1) link algebra with flux cutoff >= 0.
 
     L = diag(-cutoff ... cutoff); U raises the flux by one unit and
     annihilates the top state, so [L, U] = U holds everywhere except on
-    the truncation edge.
+    the truncation edge.  Cutoff 0 holds no unit of flux.
     """
     if cutoff < 0:
         raise ValueError("cutoff must be >= 0")
@@ -56,7 +86,8 @@ def u1_ops(cutoff):
     for i in range(d - 1):
         U[i + 1, i] = 1.0
     ops = {"L": L, "U": U, "Udag": U.T, "flux": L}
-    return LinkOperatorSet(U1_TRUNCATED, d, cutoff, ops)
+    return LinkOperatorSet(KS_U1, d, cutoff, ops, [[U]], m * m, cutoff,
+                           cutoff + 1 if cutoff else None)
 
 
 def spin_gauge_ops(ell):
@@ -85,25 +116,24 @@ def spin_gauge_ops(ell):
         "Udag": norm * Lm,
         "flux": Lz,
     }
-    return LinkOperatorSet(SPIN_GAUGE, d, ell, ops)
+    return LinkOperatorSet(SPIN_GAUGE, d, ell, ops, [[ops["U"]]], m * m, ell,
+                           ell + 1)
 
 
 def zn_ops(n):
     """Z_N clock algebra on the P eigenbasis |m>, m in {-(N-1)/2 ... (N-1)/2}.
 
-    P|m> = exp(i m delta)|m> with delta = 2 pi / N; Q lowers m cyclically.
-    Even N is relabeled onto the integer window {-N/2 ... N/2 - 1} (the
-    symmetric half-integer labels would only close the algebra
-    projectively).
+    P|m> = exp(i m delta)|m> with delta = 2 pi / N; Q lowers m cyclically,
+    so the link operator U = Q_dag raises it.  Even N is relabeled onto the
+    integer window {-N/2 ... N/2 - 1} (the symmetric half-integer labels
+    would only close the algebra projectively).
     """
     if n < 2:
         raise ValueError("N must be >= 2")
     d = int(n)
     delta = 2.0 * np.pi / n
-    if d % 2 == 1:
-        m = np.arange(d, dtype=float) - (d - 1) / 2.0
-    else:
-        m = np.arange(d, dtype=float) - d / 2.0
+    vacuum = d // 2
+    m = np.arange(d, dtype=float) - vacuum
     P = np.diag(np.exp(1j * delta * m))
     Q = np.zeros((d, d))
     for i in range(d):
@@ -116,4 +146,18 @@ def zn_ops(n):
         "Qdag": Q.T,
         "flux": np.diag(m),
     }
-    return LinkOperatorSet(ZN, d, n, ops)
+    return LinkOperatorSet(ZN, d, n, ops, [[ops["Qdag"]]],
+                           -2.0 * P.diagonal().real, vacuum,
+                           (vacuum + 1) % d)
+
+
+def su2_ops(j_max):
+    """Truncated SU(2) link space |j m m'>, j <= J_max (su2rep): the
+    Casimir j(j+1) is the flux readout and the electric value, and U is
+    the 2x2 entries of the rotation matrix U^{1/2}, row m and column m'
+    running over 1/2, -1/2.  Both are shared with su2rep's caches."""
+    lsp = su2rep.su2_link_space(j_max)
+    U = su2rep.truncated_rotation_matrix(lsp, 0.5).entries
+    return LinkOperatorSet(SU2, lsp.local_dim, j_max, {"flux": lsp.casimir},
+                           U, np.diag(lsp.casimir), lsp.state_index(0, 0, 0),
+                           lsp.state_index(0.5, -0.5, -0.5))

@@ -1,18 +1,19 @@
 """Physics extraction: flux profiles, static potentials and string tensions,
 strong-coupling string states, flux-tube dynamics, truncation convergence.
 
-The strong-coupling relations used as oracles:  a straight flux string of
+The strong-coupling relation used as an oracle:  a straight flux string of
 length R between opposite static charges is an eigenstate of the electric
-Hamiltonian with energy (g^2/2) C2 R, where C2 is 1 for U(1)-type links
-(unit flux), 1 for the spin-gauge L_z^2 (unit m), and j(j+1) = 3/4 for the
-SU(2) fundamental string.
+Hamiltonian with energy R times hamiltonian.electric_tension: g^2/2 for
+U(1)-type links (unit flux) and the spin-gauge L_z^2 (unit m),
+lambda_zn (1 - cos 2 pi / N) on Z_N links and (g^2/2) j(j+1) = 3g^2/8 for
+the SU(2) fundamental string.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import solver
+from . import linkalg, solver
 from .hamiltonian import KS_U1, SU2, ZN, HamiltonianSpec, build_model
 from .gauge import charge_rows, generator_eigenvalues, matter_charge_row, \
     merge_sectors, sector_basis
@@ -83,16 +84,14 @@ def strong_coupling_ground(model, origin, separation):
     internal path indices, normalized; its electric energy is
     (g^2/2) (3/4) R exactly.
     """
-    lat = model.lattice
     space = model.space
-    links = string_link_path(lat, origin, separation)
+    links = string_link_path(model.lattice, origin, separation)
     if model.spec.model == SU2:
-        vacuum = [model.link_space.state_index(0, 0, 0)] * space.n_links \
-            + [0] * space.n_modes
+        vacuum = [space.linkops.vacuum] * space.n_links + [0] * space.n_modes
         psi = space.basis_vector(space.encode(vacuum))
         if separation == 0:
             return psi
-        out = _su2_string(space, model.rotation, links, psi)
+        out = _su2_string(space, links, psi)
         n = np.linalg.norm(out)
         if n == 0:
             raise ValueError("string state vanished (truncation too small)")
@@ -102,28 +101,31 @@ def strong_coupling_ground(model, origin, separation):
 
 
 def string_state_index(model, origin, separation):
-    """Product-state index of the Abelian string: flux 1 on the links of
-    the straight path origin -> origin + R x-hat, 0 elsewhere, matter in
-    the Dirac sea when present."""
-    space = model.space
+    """Product-state index of the Abelian string: one unit of flux (the
+    link set's unit label: flux 1, or -1 on Z_2) on the links of the
+    straight path origin -> origin + R x-hat, the vacuum elsewhere, matter
+    in the Dirac sea when present."""
+    space, ops = model.space, model.space.linkops
     links = string_link_path(model.lattice, origin, separation)
-    top = space.linkops.flux_values.tolist()
-    link_vals = [top.index(1.0 if l in links else 0.0)
+    if links and ops.unit is None:
+        raise ValueError(f"{ops.model} truncation {ops.param} holds no unit "
+                         f"of flux")
+    link_vals = [ops.unit if l in links else ops.vacuum
                  for l in range(space.n_links)]
     matter = dirac_sea_state(space.layout) if space.layout is not None \
         else []
     return space.encode(link_vals + matter)
 
 
-def _su2_string(space, U, links, psi):
+def _su2_string(space, links, psi):
     """sum over m, mp of (U_l1 U_l2 ... U_lR)_{m mp} psi, contracted right
     to left on vectors: one per open left index, four single-link
     applications per link."""
-    ms = (0.5, -0.5)
+    U = space.linkops.U
     vectors = [psi] * 2
     for l in reversed(links):
-        vectors = [sum(space.embed([(1.0, [(l, U.entry(m, mid))])]) @ v
-                       for mid, v in zip(ms, vectors)) for m in ms]
+        vectors = [sum(space.embed([(1.0, [(l, U[m][mid])])]) @ v
+                       for mid, v in enumerate(vectors)) for m in range(2)]
     return vectors[0] + vectors[1]
 
 
@@ -315,6 +317,7 @@ def convergence_study(family, g2_list, truncations, cutoff_ref=8):
     rows = []
     for g2 in g2_list:
         for t in truncations:
+            linkalg.link_ops(family, t)      # rejects N < 2 before 2 pi / N
             lam_zn = g2 / (2.0 * np.pi / t) ** 2 if family == ZN else 0.0
             e, _ = single_plaquette_ground(HamiltonianSpec(
                 model=family, truncation=t, g2=g2, lam_zn=lam_zn))

@@ -194,11 +194,6 @@ class TruncatedRotationMatrix:
         b = round(self.j - mp)
         return self.entries[a][b]
 
-    def dagger(self):
-        d = round(2 * self.j) + 1
-        ent = [[self.entries[b][a].conj().T for b in range(d)] for a in range(d)]
-        return TruncatedRotationMatrix(self.j, self.space, ent)
-
     def trace_udag_u(self):
         """Matrix of tr(U^dag U) = sum_{mm'} U_{mm'}^dag U_{mm'}."""
         return sum(e.conj().T @ e for row in self.entries for e in row)

@@ -21,7 +21,8 @@ from scipy import sparse
 
 from lgtlab import matter as matter_mod
 from lgtlab.gauge import su2_gauss_law
-from lgtlab.su2rep import _check_triangle, _half_range, _j_values, cg
+from lgtlab.su2rep import _check_triangle, _half_range, _j_values, cg, \
+    truncated_rotation_matrix
 
 
 def su2_charge(layout, vertex, axis):
@@ -190,7 +191,8 @@ def su2_string_state(model, links):
     if not links:
         return psi
     out = np.zeros_like(psi)
+    rotation = truncated_rotation_matrix(model.link_space, 0.5)
     for m in (0.5, -0.5):
         for mp in (0.5, -0.5):
-            out += su2_chain(space, model.rotation, links, m, mp) @ psi
+            out += su2_chain(space, rotation, links, m, mp) @ psi
     return out / np.linalg.norm(out)

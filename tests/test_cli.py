@@ -132,6 +132,28 @@ MALFORMED = {
         "scenario": "plaquette_convergence", "params": {"ell_list": []}},
     "hamiltonian_terms_empty": dict(
         BASE, hamiltonian=dict(BASE["hamiltonian"], terms=[])),
+    # 2 pi / N used to divide by zero before N was checked: a traceback
+    "plaquette_convergence_n_list_zero": {
+        "scenario": "plaquette_convergence",
+        "params": {"family": "zn", "n_list": [0]}},
+    # channels outside 0.5 .. 3.5 have vanishing Clebsch-Gordan factors:
+    # their couplings used to leave no trace
+    "channels_coupling_key_9": {
+        "scenario": "channels", "params": {"couplings": {"9": 1.0}}},
+    "channels_coupling_key_1": {
+        "scenario": "channels", "params": {"couplings": {"1": 1.0}}},
+    # a truncation that holds no unit of flux has no string state
+    "dynamics_cutoff_zero": {
+        "scenario": "dynamics", "lattice": CHAIN,
+        "hamiltonian": dict(CHAIN_MATTER, truncation=0),
+        "params": {"separation": 2, "t_final": 1.0, "steps": 2}},
+}
+# what the error of a malformed config names, where it names one
+MALFORMED_NAMES = {
+    "plaquette_convergence_n_list_zero": "N must be >= 2",
+    "channels_coupling_key_9": "'9'",
+    "channels_coupling_key_1": "'1'",
+    "dynamics_cutoff_zero": "no unit of flux",
 }
 
 
@@ -145,6 +167,40 @@ def test_param_of_wrong_type_is_config_error(tmp_path, name):
     m = read_manifest(out)
     assert m["exit_status"] == 2 and m["error"]
     assert m["config"] == json.loads(json.dumps(cfg))   # no defaults added
+    assert MALFORMED_NAMES.get(name, "") in m["error"]
+
+
+CHAIN_SPECTRUM = {"scenario": "spectrum", "lattice": CHAIN,
+                  "hamiltonian": CHAIN_MATTER, "params": {"k": 2}}
+CHAIN_DYNAMICS = {"scenario": "dynamics", "lattice": CHAIN,
+                  "hamiltonian": CHAIN_MATTER,
+                  "params": {"separation": 2, "t_final": 1.0, "steps": 2}}
+
+
+@pytest.mark.parametrize("cfg, key", [
+    (CHAIN_SPECTRUM, "hamiltonian.g2"),
+    (CHAIN_SPECTRUM, "hamiltonian.eps"),
+    (CHAIN_DYNAMICS, "params.t_final"),
+    ({"scenario": "channels", "params": {}}, "params.omega1"),
+    (BASE, "tolerance"),
+], ids=["g2", "eps", "t_final", "omega1", "tolerance"])
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity", "1e400"])
+def test_non_finite_number_is_config_error(tmp_path, cfg, key, value):
+    # JSON text as a hand-written config has it: NaN and Infinity are
+    # literals, 1e400 overflows to infinity when parsed; every one used to
+    # run, to a traceback in ARPACK (exit 1, no manifest), NaN fluxes or
+    # exit 0
+    section, _, name = key.rpartition(".")
+    cfg = json.loads(json.dumps(cfg))
+    (cfg.setdefault(section, {}) if section else cfg)[name] = "@"
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg).replace('"@"', value))
+    out = tmp_path / "out"
+    rc = main([cfg["scenario"], "--config", str(path), "--out", str(out)])
+    assert rc == 2
+    m = read_manifest(out)
+    assert m["exit_status"] == 2 and key in m["error"]
+    assert m["files"] == [] and m["checks"] == []
 
 
 def test_spectrum_k_zero_is_config_error(tmp_path):
@@ -227,6 +283,51 @@ def test_potential_row_count(tmp_path):
     assert m["results"]["sigma"] == pytest.approx(1.0)
     assert any(c["name"] == "string_tension_electric_only" and c["pass"]
                for c in m["checks"])
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_electric_only_zn_potential_has_the_clock_tension(tmp_path, n):
+    # the check used to expect g2/2 on every Abelian family: each of these
+    # exited 1 (at N = 3, sigma 1.5 * lam_zn against an expected 0.5)
+    lam = 1.3
+    cfg = {"scenario": "potential",
+           "lattice": {"spatial_dim": 1, "sizes": [5]},
+           "hamiltonian": {"model": "zn", "truncation": n, "lam_zn": lam,
+                           "terms": ["electric"]},
+           "params": {"separations": [0, 1, 2, 3]}}
+    out = tmp_path / "out"
+    rc = main(["potential", "--config", write_cfg(tmp_path, cfg),
+               "--out", str(out)])
+    assert rc == 0
+    m = read_manifest(out)
+    assert m["results"]["sigma"] == pytest.approx(
+        lam * (1 - np.cos(2 * np.pi / n)), abs=1e-12)
+    [check] = m["checks"]
+    assert check["name"] == "string_tension_electric_only"
+    assert check["value"] < 1e-12
+
+
+def test_z2_string_reads_flux_minus_one(tmp_path):
+    # Z_2's flux window is {-1, 0}: one unit of flux reads -1, and the
+    # string used to be looked up at readout 1.0 (exit 2)
+    cfg = {"scenario": "dynamics",
+           "lattice": {"spatial_dim": 1, "sizes": [4]},
+           "hamiltonian": {"model": "zn", "truncation": 2, "eps": 0.5,
+                           "mass": 0.3, "matter": "staggered"},
+           "params": {"separation": 2, "t_final": 1.0, "steps": 4}}
+    out = tmp_path / "out"
+    rc = main(["dynamics", "--config", write_cfg(tmp_path, cfg),
+               "--out", str(out)])
+    assert rc == 0
+    rows = [line.split(",") for line in
+            (out / "dynamics.csv").read_text().splitlines()[1:]]
+    start = {int(link): float(flux) for t, link, flux, _ in rows
+             if float(t) == 0.0}
+    assert start[0] == pytest.approx(-1.0, abs=1e-12)
+    assert start[1] == pytest.approx(-1.0, abs=1e-12)
+    assert start[2] == pytest.approx(0.0, abs=1e-12)
+    # the share of the string left at the end, read against its -1 start
+    assert 0.0 < read_manifest(out)["results"]["string_survival"] < 1.0
 
 
 def test_verify_all_passes(tmp_path):

@@ -120,7 +120,7 @@ def test_empty_sector_reported():
 def test_su2_zero_sector_and_vacuum():
     lat = build_lattice(1, [3])
     lsp = su2rep.su2_link_space(0.5)
-    linkops = linkalg.LinkOperatorSet("su2_truncated", lsp.local_dim, 0.5,
+    linkops = linkalg.LinkOperatorSet("su2", lsp.local_dim, 0.5,
                                       {"flux": lsp.casimir})
     sp = ProductSpace(lat, linkops)
     gens = derived_generators_su2(sp, lsp)

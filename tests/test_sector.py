@@ -95,7 +95,7 @@ def test_sector_basis_charges_beyond_int16():
     from lgtlab.linkalg import LinkOperatorSet
     from lgtlab.tensor import ProductSpace
     flux = np.diag([-40000.0, 0.0, 40000.0])
-    linkops = LinkOperatorSet("u1_truncated", 3, 1, {"flux": flux})
+    linkops = LinkOperatorSet("ks_u1", 3, 1, {"flux": flux})
     space = ProductSpace(chain(3), linkops)
     for charges in all_sector_dimensions(space):
         assert max(map(abs, charges)) <= 80000

@@ -377,7 +377,7 @@ def test_su2_models_share_one_rotation_matrix():
     b = build_model(HamiltonianSpec(model="su2", truncation=1.0, g2=2.0),
                     build_lattice(2, [2, 2]))
     assert a.link_space is b.link_space
-    assert a.rotation is b.rotation
-    assert a.rotation is not build_model(
+    assert a.space.linkops.U is b.space.linkops.U
+    assert a.space.linkops.U is not build_model(
         HamiltonianSpec(model="su2", truncation=0.5),
-        build_lattice(1, [3])).rotation
+        build_lattice(1, [3])).space.linkops.U
