@@ -264,6 +264,9 @@ def run_plaquette_convergence(lat, spec, params, writer, tol):
     if params[other] is not None:
         raise ConfigError(f"params.{other} does not apply to family "
                           f"{family!r}; it takes {key}")
+    if params["cutoff_ref"] < 1:    # a reference with no flux reads 0
+        raise ConfigError(f"params.cutoff_ref must be at least 1, got "
+                          f"{params['cutoff_ref']}")
     rows, refs = observables.convergence_study(
         family, g2_list, default if params[key] is None else params[key],
         params["cutoff_ref"])
@@ -347,11 +350,11 @@ def run_dynamics(lat, spec, params, writer, tol):
         _check("gauss_expectation_conservation", report.gauss_drift,
                cons_tol),
     ]
-    # the string's flux reads -1 on Z_2 links: divide by it, sign and all
-    start = report.flux[0].sum()
+    # the string's flux reads -1 on Z_2 links: divide by it, sign and all;
+    # a string of no links (separation 0) has no flux that could survive
     results = {"final_flux_profile": [float(x) for x in report.flux[-1]],
-               "string_survival": float(report.flux[-1].sum() / (
-                   start if abs(start) > 1e-12 else 1e-12))}
+               "string_survival": None if params["separation"] == 0
+               else float(report.flux[-1].sum() / report.flux[0].sum())}
     return results, checks
 
 

@@ -1,24 +1,24 @@
 """Gauss-law charges and gauge sectors, read from the label table.
 
-For the Abelian families the generators are diagonal in the product basis
-(flux eigenbasis x occupation basis), so a sector is a set of product
-states, enumerated exactly and directly from the charge each tensor factor
-adds (``sector_basis``, no full-space table); no linear algebra is
-involved.  For SU(2) the three generators per vertex do not commute; the
-Gauss law is checked as a commutator, from the G^z row of the label table
-and one raising operator per vertex (``su2_gauss_law``).
+Every link family has a diagonal Gauss generator per vertex, given by one
+integer plan per space (``_gauss_plan``, read by ``charge_rows``) from the
+link set's ``gauss`` values and the matter layout's columns and bases;
+``generator_eigenvalues`` maps its rows through the link set.  For the
+Abelian families it is the whole law, so a sector is a set of product
+states, enumerated directly from what each tensor factor adds
+(``sector_basis``, no full-space table).  SU(2) adds only its raising
+operator per vertex (``gauss_raising``): G^x and G^y are not diagonal.
 
-Conventions:
+Conventions (row -> generator eigenvalue):
 
-* U(1)/spin-gauge:  G_n = sum_out L - sum_in L - Q_n, integer spectrum.
+* U(1)/spin-gauge:  G_n = sum_out L - sum_in L - Q_n, the row itself.
 * Z_N:              G_n = prod_out P^dag prod_in P (x exp(i delta Q_n) with
                     matter), unitary with eigenvalues exp(-i delta m).
 * SU(2):            G^a_n = sum_out L^a - sum_in R^a - Q^a_n; the three
                     components close the left-type algebra
-                    [G^i, G^j] = -i eps_ijk G^k at each vertex.  G^z is
-                    diagonal and read from the label table; x and y come
-                    through the raising operator G^+ = G^x + i G^y and
-                    G^- = (G^+)^dag (``su2_gauss_law``).
+                    [G^i, G^j] = -i eps_ijk G^k at each vertex.  The row is
+                    G^z in half units, so G^z is half of it; x and y come
+                    through G^+ = G^x + i G^y and G^- = (G^+)^dag.
 """
 
 from dataclasses import dataclass, field
@@ -76,57 +76,35 @@ def matter_charge_row(space, vertex, labels):
     return q
 
 
-def zn_generator_phases(space):
-    """exp(-i delta q) for q = 0 .. N-1: the Z_N generator eigenvalue of a
-    state whose charge-table entry is q modulo N."""
-    n = space.linkops.param
-    return np.exp(-1j * (2.0 * np.pi / n) * np.arange(n))
-
-
 def generator_eigenvalues(space, table):
-    """The Gauss generator's eigenvalue per state, one row of a charge
-    table (charge_rows) at a time: the charge itself on U(1)-type links,
-    exp(-i delta q) of its residue q modulo N on Z_N links."""
-    modulus = _zn_modulus(space)
-    if modulus is None:
-        return iter(table)
-    phases = zn_generator_phases(space)
-    return (phases[row % modulus] for row in table)
+    """The diagonal Gauss generator's eigenvalue per state, one row of a
+    charge table (charge_rows) at a time: the row itself on U(1)-type
+    links, exp(-i delta q) of its residue q modulo N on Z_N links, half of
+    it (G^z) on SU(2) links."""
+    n = space.linkops.modulus
+    if n is not None:
+        phases = np.exp(-1j * (2.0 * np.pi / n) * np.arange(n))
+        return (phases[row % n] for row in table)
+    if space.linkops.model == linkalg.SU2:
+        return (row / 2 for row in table)
+    return iter(table)
 
 
-def _zn_modulus(space):
-    """N on Z_N links, where charges count modulo N; None otherwise."""
-    return space.linkops.param if space.linkops.model == linkalg.ZN \
-        else None
-
-
-def su2_gauss_law(space, link_space, vertex):
-    """The SU(2) Gauss law G^a = sum_out L^a - sum_in R^a - Q^a at a vertex
-    in two parts: the G^z eigenvalue of every state and the raising
-    operator G^+ = G^x + i G^y.
-
-    L^z, R^z and Q^z = (n_up - n_down)/2 are diagonal in the |j m m'> x
-    occupation basis, so the z row is read from the label table.  G^+ sums
-    one embedded term per out link (L^x + i L^y, the ladder L["m"]), per in
-    link (-(R^x + i R^y), the ladder -R["p"]) and, with matter,
-    -c^dag_up c_down in one COO pass; all of them are real, so G^+ is.
-    """
+def gauss_raising(space, vertex):
+    """G^+ = G^x + i G^y at a vertex as one full-space CSR, None on the
+    Abelian families: L^x + i L^y per out link, -(R^x + i R^y) per in link
+    (the link set's ladders) and, with matter, -c^dag_up c_down, embedded
+    in one COO pass; all are real, so G^+ is."""
+    if space.linkops.ladders is None:
+        return None
+    left, right = space.linkops.ladders
     out_links, in_links = space.lattice.links_at_vertex(vertex)
-    labels = space.labels
-    L, R = link_space.L, link_space.R
-    z = np.zeros(space.dim)
-    for l in out_links:
-        z += np.diag(L["z"])[labels[l]]
-    for l in in_links:
-        z -= np.diag(R["z"])[labels[l]]
-    pieces = [(1.0, [(l, L["m"])]) for l in out_links] \
-        + [(-1.0, [(l, R["p"])]) for l in in_links]
+    pieces = [(1.0, [(l, left)]) for l in out_links] \
+        + [(-1.0, [(l, right)]) for l in in_links]
     if space.layout is not None:
-        up, down = space.vertex_occupations(vertex, labels)
-        z -= (up.astype(float) - down) / 2
         pieces.append((-1.0, matter_mod.hop(space.layout.factor(vertex, 0),
                                             space.layout.factor(vertex, 1))))
-    return z, space.embed(pieces)
+    return space.embed(pieces)
 
 
 # ---------------------------------------------------------------------------
@@ -134,16 +112,16 @@ def su2_gauss_law(space, link_space, vertex):
 # ---------------------------------------------------------------------------
 
 def abelian_charge_table(space):
-    """Integer matrix (n_vertices x dim) of div(flux) - Q per basis state:
-    charge_rows of the full-space label table, cached on the space."""
+    """Integer matrix (n_vertices x dim) of div(flux) - Q (2 G^z on SU(2))
+    per basis state: charge_rows of the full space, cached on it."""
     return space.cached("abelian_charge_table",
                         lambda: charge_rows(space, space.labels))
 
 
 def charge_rows(space, labels):
-    """div(flux) - Q of every state of a label table, one row per vertex,
-    in the plan's integer type: the base charges plus what each tensor
-    factor's label adds (_gauss_plan)."""
+    """div(flux) - Q (2 G^z on SU(2)) of every state of a label table, one
+    row per vertex, in the plan's integer type: the base charges plus what
+    each tensor factor's label adds (_gauss_plan)."""
     base, factors, _, _ = _gauss_plan(space)
     table = np.repeat(base[:, None], labels.shape[1], axis=1)
     for (vertices, columns), row in zip(factors, labels):
@@ -153,26 +131,26 @@ def charge_rows(space, labels):
 
 
 def _gauss_plan(space):
-    """The Abelian Gauss law factor by factor, built once per space: the
-    charges div(flux) - Q of the state with every label 0 except the
-    fluxes (the matter charge shifts); per tensor factor in the mixed-radix
-    order its vertices and a (vertices, radix) array of what each of its
-    labels adds at each of them; and lo[f], hi[f], the extremes of what
-    the factors from f on can still add per vertex.  The charges and
-    columns are in the narrowest signed integer that holds base + lo[0] and
-    base + hi[0]; every factor's column spans 0, so every partial charge
-    (sector_basis) and every charge row (charge_rows) lies between them."""
+    """The diagonal Gauss generator of any family factor by factor, built
+    once per space: the charges of the state with every label 0 except the
+    fluxes (the matter bases); per tensor factor in the mixed-radix order
+    its vertices and a (vertices, radix) array of what each of its labels
+    adds at each (a link's `gauss` at its out end, minus it at its in end;
+    a mode's column); and lo[f], hi[f], the extremes of what the factors
+    from f on can still add per vertex.  The charges and columns are in
+    the narrowest signed integer that holds base + lo[0] and base + hi[0];
+    every factor's column spans 0, so every partial charge (sector_basis)
+    and every charge row (charge_rows) lies between them."""
     def build():
-        lat = space.lattice
-        flux = np.rint(space.linkops.flux_values).astype(np.int64)
+        lat, layout = space.lattice, space.layout
+        ends = space.linkops.gauss * [[1], [-1]]
         base = np.zeros(lat.vertex_count, dtype=np.int64)
-        effects = [(list(lat.link_endpoints(l)), np.stack([flux, -flux]))
+        effects = [(list(lat.link_endpoints(l)), ends)
                    for l in range(space.n_links)]
-        if space.layout is not None:
-            base[:] = [matter_mod.charge_shift(space.layout, v)
-                       for v in range(lat.vertex_count)]
-            effects += [([j // space.layout.species_per_vertex],
-                         np.array([[0, -1]])) for j in range(space.n_modes)]
+        if layout is not None:
+            for v in range(lat.vertex_count):
+                base[v], columns = layout.gauss_law(v)
+                effects += [([v], column[None]) for column in columns]
         lo = np.zeros((len(effects) + 1, len(base)), dtype=np.int64)
         hi = lo.copy()
         for f in range(len(effects) - 1, -1, -1):
@@ -212,7 +190,7 @@ def sector_basis(space, charges):
     charges = tuple(int(q) for q in charges)
     if len(charges) != lat.vertex_count:
         raise ValueError("one charge per vertex required")
-    if space.linkops.model == linkalg.SU2:
+    if space.linkops.ladders is not None:
         raise ValueError("sector enumeration needs Abelian links")
     if space.dim - 1 > np.iinfo(np.int64).max:
         raise SolverError(
@@ -223,7 +201,7 @@ def sector_basis(space, charges):
     # factors when 0 <= target - lo[f] - c <= hi[f] - lo[f] (modulo N on
     # Z_N links)
     shift, span = np.array(charges, dtype=np.int64) - lo, hi - lo
-    modulus = _zn_modulus(space)
+    modulus = space.linkops.modulus
 
     def reachable(charge, f, vertices):
         keep = True
@@ -278,7 +256,7 @@ def merge_sectors(sectors):
 def all_sector_dimensions(space):
     """Map {charge tuple -> dimension} over every occupied Abelian sector
     (charges modulo N on Z_N links)."""
-    table, modulus = abelian_charge_table(space), _zn_modulus(space)
+    table, modulus = abelian_charge_table(space), space.linkops.modulus
     if modulus is not None:
         table = table % modulus
     keys, counts = np.unique(table, axis=1, return_counts=True)

@@ -59,6 +59,8 @@ T (off-diagonal terms; H carries each with its Hermitian conjugate):
              seeds the second-order plaquette construction.
 
 Static charges never appear as operators; they only label Gauss sectors.
+The Gauss check ``max_gauss_violation`` is one rule for every family too,
+read from gauge's one integer plan of the diagonal generators.
 """
 
 from dataclasses import dataclass, replace
@@ -67,7 +69,7 @@ from itertools import product
 import numpy as np
 from scipy import sparse
 
-from . import gauge, linkalg, matter as matter_mod, solver, su2rep
+from . import gauge, linkalg, matter as matter_mod, solver
 from .lattice import diagonal_link_pairs, staggered_sign
 from .linkalg import KS_U1, SPIN_GAUGE, SU2, ZN
 from .tensor import ProductSpace
@@ -125,7 +127,6 @@ class Model:
     spec: HamiltonianSpec
     lattice: object
     space: ProductSpace
-    link_space: object = None      # SU2LinkSpace for the non-Abelian model
 
     def effective_terms(self, terms=None):
         terms = self.spec.terms if terms is None else terms
@@ -248,9 +249,7 @@ def build_model(spec, lat):
         layout = matter_mod.fermion_ops(lat, spec.matter)
     space = ProductSpace(lat, linkalg.link_ops(spec.model, spec.truncation),
                          layout)
-    link_space = su2rep.su2_link_space(spec.truncation) \
-        if spec.model == SU2 else None
-    return Model(spec, lat, space, link_space)
+    return Model(spec, lat, space)
 
 
 def electric_coupling(spec):
@@ -386,13 +385,13 @@ OFF_DIAGONAL_TERMS = {"magnetic": _magnetic, "gauge_matter": _gauge_matter,
 
 def max_gauss_violation(model, h):
     """max over vertices (and components) of ||[H, G_n]||_maxabs for a
-    full-space H `h` of the model.
+    full-space H `h` of the model, one rule for every link family.
 
-    A diagonal generator with eigenvalue g per state has
-    [H, G]_ij = H_ij (g_j - g_i), evaluated on H's stored entries
-    (_diagonal_violation): for the Abelian families g is read from the
-    charge table (gauge.generator_eigenvalues), for SU(2) it is the G^z row
-    of gauge.su2_gauss_law.  The SU(2) x and y components come from
+    A diagonal generator with eigenvalue g per state (the Abelian one, or
+    G^z on SU(2): gauge.generator_eigenvalues) has
+    [H, G]_ij = H_ij (g_j - g_i), evaluated on H's stored entries where g
+    differs.  Where the link set also has a raising operator G^+
+    (gauge.gauss_raising, SU(2) only), the x and y components come from
     K+- = [H, G^+-] with G^- = (G^+)^dag: [H, G^x] = (K+ + K-)/2 and
     [H, G^y] = (K+ - K-)/2i.
     Only K+ = HG^+ - G^+H is formed; K- = -(K+)^dag holds because H is
@@ -401,31 +400,20 @@ def max_gauss_violation(model, h):
     are used in the dtype they were assembled in (float64: both are real
     for SU(2)).
     """
-    if model.spec.model == SU2:
-        coo, worst = h.tocoo(), 0.0
-        for v in range(model.lattice.vertex_count):
-            z, raising = gauge.su2_gauss_law(model.space, model.link_space, v)
-            k_up = h @ raising - raising @ h
-            k_down = -k_up.conj().T
-            worst = max(worst, _diagonal_violation(coo, [z]),
-                        float(abs(k_up + k_down).max()) / 2,
-                        float(abs(k_up - k_down).max()) / 2)
-        return worst
-    table = gauge.abelian_charge_table(model.space)
-    return _diagonal_violation(
-        h.tocoo(), gauge.generator_eigenvalues(model.space, table))
-
-
-def _diagonal_violation(coo, rows):
-    """max over the rows g of |H_ij (g_j - g_i)| on H's stored COO entries,
-    only where the two states' g differ: [H, G] of the diagonal generators
-    with eigenvalue g per state."""
-    worst = 0.0
-    for g in rows:
+    space = model.space
+    coo, worst = h.tocoo(), 0.0
+    table = gauge.abelian_charge_table(space)
+    for v, g in enumerate(gauge.generator_eigenvalues(space, table)):
         differ = np.nonzero(g[coo.col] != g[coo.row])[0]
         if len(differ):
             step = np.subtract(g[coo.col[differ]], g[coo.row[differ]],
                                dtype=np.result_type(g, float))
             worst = max(worst, float(np.max(np.abs(coo.data[differ]
                                                    * step))))
+        raising = gauge.gauss_raising(space, v)
+        if raising is not None:
+            k_up = h @ raising - raising @ h
+            k_down = -k_up.conj().T
+            worst = max(worst, float(abs(k_up + k_down).max()) / 2,
+                        float(abs(k_up - k_down).max()) / 2)
     return worst

@@ -20,7 +20,11 @@ carries its electric values at unit coupling, one per label: m^2 (U(1),
 spin-gauge), -2 cos(2 pi m / N) (Z_N, the diagonal of -(P + P_dag)) and
 j(j+1) (SU(2)); and the labels of its vacuum and of one unit of string
 flux: flux readout 1 (modulo N on Z_N, so Z_2 reads -1) and, on SU(2), a
-state of the lowest Casimir above zero, j = 1/2.
+state of the lowest Casimir above zero, j = 1/2.  The Gauss law reads each
+set too: ``gauss`` is, per label, the diagonal generator's integer value
+at a link's out and in ends (the flux, or 2m and 2m' on SU(2), G^z = L^z,
+R^z in half units), ``modulus`` is N on Z_N links, and SU(2)'s
+``ladders`` are L^x + i L^y and R^x + i R^y.
 
 Dimensions stay tiny (<= ~20, SU(2) 14 at J_max = 1); sparsity is handled
 only at the tensor-product level.  Every matrix is real and stored float64
@@ -50,6 +54,14 @@ class LinkOperatorSet:
     electric: np.ndarray = field(default=None, repr=False)  # per label
     vacuum: int = None              # label of zero flux
     unit: int = None                # label of one unit of flux, or None
+    gauss: np.ndarray = field(default=None, repr=False)  # (2, labels) int
+    modulus: int = None             # N on Z_N links
+    ladders: tuple = field(default=None, repr=False)  # SU(2) L[m], R[p]
+
+    def __post_init__(self):
+        if self.gauss is None:      # Abelian: the flux at both ends
+            flux = np.rint(self.flux_values).astype(np.int64)
+            object.__setattr__(self, "gauss", np.stack([flux, flux]))
 
     def __getitem__(self, name):
         return self.ops[name]
@@ -148,7 +160,7 @@ def zn_ops(n):
     }
     return LinkOperatorSet(ZN, d, n, ops, [[ops["Qdag"]]],
                            -2.0 * P.diagonal().real, vacuum,
-                           (vacuum + 1) % d)
+                           (vacuum + 1) % d, modulus=d)
 
 
 def su2_ops(j_max):
@@ -158,6 +170,8 @@ def su2_ops(j_max):
     running over 1/2, -1/2.  Both are shared with su2rep's caches."""
     lsp = su2rep.su2_link_space(j_max)
     U = su2rep.truncated_rotation_matrix(lsp, 0.5).entries
+    gauss = np.array([(2 * m, 2 * mp) for _, m, mp in lsp.basis], int).T
     return LinkOperatorSet(SU2, lsp.local_dim, j_max, {"flux": lsp.casimir},
                            U, np.diag(lsp.casimir), lsp.state_index(0, 0, 0),
-                           lsp.state_index(0.5, -0.5, -0.5))
+                           lsp.state_index(0.5, -0.5, -0.5), gauss,
+                           ladders=(lsp.L["m"], lsp.R["p"]))

@@ -11,6 +11,9 @@ factors (``hop``), embedded by ``ProductSpace.embed`` as one
 Occupations and charges are read from the occupation-bit rows of a label
 table that the caller passes in (``ProductSpace.vertex_occupations``).
 
+Every layout gives its part of the diagonal Gauss generator one way
+(``FermionLayout.gauss_law``): a base per vertex and a column per mode.
+
 Layouts:
 
 * staggered:      one species per vertex, particles on even vertices and
@@ -52,6 +55,15 @@ class FermionLayout:
     def factor(self, vertex, species=0):
         """Tensor-factor position of a mode: after the lattice's links."""
         return self.lattice.link_count + self.mode_index(vertex, species)
+
+    def gauss_law(self, vertex):
+        """(base, columns): what a vertex's empty modes add to its diagonal
+        Gauss generator, and per species what its occupation bit n adds to
+        -Q_n = charge_shift - n, or to 2 G^z = ... - n_up + n_down."""
+        if self.scheme == SU2_FUNDAMENTAL:
+            return 0, [np.array([0, -1]), np.array([0, 1])]
+        return charge_shift(self, vertex), \
+            [np.array([0, -1])] * self.species_per_vertex
 
 
 def hop(a, b):

@@ -262,8 +262,6 @@ def flux_tube_breaking_scenario(spec, lat, separation, t_final, steps,
         raise ValueError("flux-tube scenario runs on 1d chains")
     if spec.matter is None:
         raise ValueError("flux-tube breaking needs dynamical matter")
-    if spec.model == SU2:
-        raise ValueError("flux-tube scenario runs on Abelian links")
     model = build_model(spec, lat)
     space = model.space
     start = string_state_index(model, origin, separation)

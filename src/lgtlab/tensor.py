@@ -22,9 +22,9 @@ and a Gauss sector carries the decode of its own states
 (``gauge.GaussSector.labels``).  Every diagonal quantity is a vectorized
 read of the label table it is given, never of a default one: the flux and
 charge readouts of ``observables.flux_profile`` and ``charge_profile``,
-``vertex_occupations``, the matter charges, Abelian Gauss eigenvalues and
-charge table in ``gauge``, and the diagonal part D (electric, mass,
-penalty) of ``Model.hamiltonian``.
+``vertex_occupations``, the matter charges, every family's diagonal
+Gauss generator rows and eigenvalues in ``gauge``, and the diagonal part
+D (electric, mass, penalty) of ``Model.hamiltonian``.
 
 Off-diagonal operators (the hopping and plaquette pieces of the
 Hamiltonian's T, SU(2) Gauss raising operators and string operators) are
@@ -48,6 +48,10 @@ see ``matter.hop``), with two realizations:
 
 Kronecker embeddings and label shifts stay separate paths: each is the
 faster one on its own inputs (the whole space, or a sector's states).
+A full-space T took 4.0 ms by ``embed`` against 46.3 ms by ``shift`` of
+every index on ``verify --all``'s ``su2_chain_matter`` (32,000 states),
+and 4.3 against 33.6 ms on ``spin_gauge_naive`` (20,736 states); medians
+of 15 in-process repeats, 2-core Intel Xeon, 1 BLAS thread.
 
 Dtype.  An operator's dtype is decided once, where its entries are
 written: every local matrix is stored float64 when it is real, and

@@ -13,7 +13,7 @@ from scipy import sparse
 from scipy.linalg import expm
 
 import su2_oracle
-from lgtlab.gauge import abelian_charge_table, zn_generator_phases
+from lgtlab.gauge import abelian_charge_table
 from lgtlab.hamiltonian import SU2, ZN
 from lgtlab.lattice import staggered_sign
 
@@ -33,8 +33,8 @@ def gauss_generators_zn(space):
     that the hopping psi^dag Q^dag psi stays invariant; eigenvalues are
     exp(-i delta (div m - Q_n)), read from abelian_charge_table.
     """
-    phases = zn_generator_phases(space)
     n = space.linkops.param
+    phases = np.exp(-1j * (2.0 * np.pi / n) * np.arange(n))
     return [space.diagonal_op(phases[row % n])
             for row in abelian_charge_table(space)]
 
@@ -45,8 +45,7 @@ def generators(model):
     if model.spec.model == ZN:
         return gauss_generators_zn(model.space)
     if model.spec.model == SU2:
-        return su2_oracle.derived_generators_su2(model.space,
-                                                 model.link_space)
+        return su2_oracle.derived_generators_su2(model.space)
     return gauss_generators_u1(model.space)
 
 

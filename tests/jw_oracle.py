@@ -101,7 +101,8 @@ def gauge_matter_pieces(model):
                        for i in range(2) for j in range(2) if s[i, j] != 0)
             yield spec.eps, [(l, 1j * space.linkops["U"])], ferm
         elif spec.model == "su2":
-            rotation = su2rep.truncated_rotation_matrix(model.link_space, 0.5)
+            rotation = su2rep.truncated_rotation_matrix(
+                su2rep.su2_link_space(spec.truncation), 0.5)
             for (i, m), (j, mp) in product(enumerate((0.5, -0.5)),
                                            repeat=2):
                 yield (spec.eps, [(l, rotation.entry(m, mp))],

@@ -1,6 +1,7 @@
-"""The SU(2) Gauss law built axis by axis: the oracle the label-row and
-raising-operator form of ``lgtlab.gauge.su2_gauss_law`` and the check
-``lgtlab.hamiltonian.max_gauss_violation`` are compared against.
+"""The SU(2) Gauss law built axis by axis: the oracle the charge rows and
+raising operator of ``lgtlab.gauge`` (``charge_rows``,
+``gauss_raising``) and the check ``lgtlab.hamiltonian.max_gauss_violation``
+are compared against.
 
 Each of the three components G^a = sum_out L^a - sum_in R^a - Q^a of a
 vertex is summed from full-space embeddings, and the Gauss check forms
@@ -20,9 +21,9 @@ import numpy as np
 from scipy import sparse
 
 from lgtlab import matter as matter_mod
-from lgtlab.gauge import su2_gauss_law
+from lgtlab.gauge import abelian_charge_table, gauss_raising
 from lgtlab.su2rep import _check_triangle, _half_range, _j_values, cg, \
-    truncated_rotation_matrix
+    su2_link_space, truncated_rotation_matrix
 
 
 def su2_charge(layout, vertex, axis):
@@ -71,17 +72,18 @@ def max_gauss_violation(generators, h):
                for triple in generators for g in triple)
 
 
-def derived_generators_su2(space, link_space):
-    """Three generators per vertex, G^x, G^y, G^z, derived from
-    su2_gauss_law: G^x = (G^+ + G^-)/2, G^y = (G^+ - G^-)/2i and G^z the
-    diagonal z row, with G^- = (G^+)^dag."""
+def derived_generators_su2(space):
+    """Three generators per vertex, G^x, G^y, G^z, derived from lgtlab's
+    Gauss law: G^x = (G^+ + G^-)/2, G^y = (G^+ - G^-)/2i with G^+ from
+    gauss_raising and G^- = (G^+)^dag, and G^z half the vertex's charge
+    row (2 G^z in half units)."""
     gens = []
-    for v in range(space.lattice.vertex_count):
-        z, raising = su2_gauss_law(space, link_space, v)
+    for v, row in enumerate(abelian_charge_table(space)):
+        raising = gauss_raising(space, v)
         lowering = raising.conj().T
         gens.append([((raising + lowering) / 2).tocsr(),
                      ((raising - lowering) / 2j).tocsr(),
-                     space.diagonal_op(z)])
+                     space.diagonal_op(row / 2)])
     return gens
 
 
@@ -185,13 +187,14 @@ def su2_string_state(model, links):
     the SU(2) string along `links`, the vacuum itself when there are
     none."""
     space = model.space
-    vacuum = [model.link_space.state_index(0, 0, 0)] * space.n_links \
+    link_space = su2_link_space(model.spec.truncation)
+    vacuum = [link_space.state_index(0, 0, 0)] * space.n_links \
         + [0] * space.n_modes
     psi = space.basis_vector(space.encode(vacuum))
     if not links:
         return psi
     out = np.zeros_like(psi)
-    rotation = truncated_rotation_matrix(model.link_space, 0.5)
+    rotation = truncated_rotation_matrix(link_space, 0.5)
     for m in (0.5, -0.5):
         for mp in (0.5, -0.5):
             out += su2_chain(space, rotation, links, m, mp) @ psi

@@ -9,7 +9,7 @@ import pytest
 import scipy.linalg
 
 import lgtlab
-from lgtlab import cli
+from lgtlab import cli, su2rep
 from lgtlab.cli import ConfigError, load_config, main, run
 from lgtlab.gauge import sector_basis
 from lgtlab.solver import restrict
@@ -142,6 +142,10 @@ MALFORMED = {
         "scenario": "channels", "params": {"couplings": {"9": 1.0}}},
     "channels_coupling_key_1": {
         "scenario": "channels", "params": {"couplings": {"1": 1.0}}},
+    # a U(1) reference of cutoff 0 used to give every reference energy
+    # as 0.0 and fail the monotone checks (exit 1)
+    "plaquette_convergence_cutoff_ref_zero": {
+        "scenario": "plaquette_convergence", "params": {"cutoff_ref": 0}},
     # a truncation that holds no unit of flux has no string state
     "dynamics_cutoff_zero": {
         "scenario": "dynamics", "lattice": CHAIN,
@@ -154,6 +158,7 @@ MALFORMED_NAMES = {
     "channels_coupling_key_9": "'9'",
     "channels_coupling_key_1": "'1'",
     "dynamics_cutoff_zero": "no unit of flux",
+    "plaquette_convergence_cutoff_ref_zero": "params.cutoff_ref",
 }
 
 
@@ -328,6 +333,23 @@ def test_z2_string_reads_flux_minus_one(tmp_path):
     assert start[2] == pytest.approx(0.0, abs=1e-12)
     # the share of the string left at the end, read against its -1 start
     assert 0.0 < read_manifest(out)["results"]["string_survival"] < 1.0
+
+
+def test_dynamics_at_separation_zero_reports_no_survival(tmp_path):
+    # a string of no links starts with flux 0: its survival used to be
+    # the final flux over 1e-12, about 1.1e12 here
+    cfg = {"scenario": "dynamics",
+           "lattice": {"spatial_dim": 1, "sizes": [4]},
+           "hamiltonian": {"model": "ks_u1", "truncation": 1, "eps": 0.8,
+                           "mass": 0.1, "matter": "staggered"},
+           "params": {"separation": 0, "t_final": 2.0, "steps": 8}}
+    out = tmp_path / "out"
+    rc = main(["dynamics", "--config", write_cfg(tmp_path, cfg),
+               "--out", str(out)])
+    assert rc == 0
+    results = read_manifest(out)["results"]
+    assert results["string_survival"] is None
+    assert len(results["final_flux_profile"]) == 3
 
 
 def test_verify_all_passes(tmp_path):
@@ -931,7 +953,8 @@ def test_uncharged_su2_spectrum_checks_gauss_law_like_the_oracle(tmp_path):
     model = cli.build_model(cli.parse_hamiltonian(hamiltonian),
                             cli.parse_lattice(lattice))
     oracle = su2_oracle.max_gauss_violation(
-        su2_oracle.gauss_generators_su2(model.space, model.link_space),
+        su2_oracle.gauss_generators_su2(
+            model.space, su2rep.su2_link_space(model.spec.truncation)),
         model.hamiltonian())
     assert [c["name"] for c in m["checks"]] == ["gauge_invariance"]
     assert m["checks"][0]["value"] == oracle

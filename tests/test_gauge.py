@@ -120,10 +120,8 @@ def test_empty_sector_reported():
 def test_su2_zero_sector_and_vacuum():
     lat = build_lattice(1, [3])
     lsp = su2rep.su2_link_space(0.5)
-    linkops = linkalg.LinkOperatorSet("su2", lsp.local_dim, 0.5,
-                                      {"flux": lsp.casimir})
-    sp = ProductSpace(lat, linkops)
-    gens = derived_generators_su2(sp, lsp)
+    sp = ProductSpace(lat, linkalg.su2_ops(0.5))
+    gens = derived_generators_su2(sp)
     # per-vertex left-type algebra [G_i, G_j] = -i eps G_k
     eps = {("x", "y"): "z", ("y", "z"): "x", ("z", "x"): "y"}
     ax = {"x": 0, "y": 1, "z": 2}

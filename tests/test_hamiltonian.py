@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from gauge_oracle import basis_matrix, generators
+from lgtlab import su2rep
 from lgtlab.gauge import sector_basis
 from lgtlab.hamiltonian import HamiltonianSpec, build_model, \
     max_gauss_violation
@@ -39,7 +40,7 @@ def test_electric_su2_fundamental_string_value():
     model = build_model(HamiltonianSpec(model="su2", truncation=0.5, g2=2.0),
                         build_lattice(1, [2]))
     he = model.hamiltonian(("electric",))
-    lsp = model.link_space
+    lsp = su2rep.su2_link_space(model.spec.truncation)
     v = model.space.basis_vector(
         model.space.encode([lsp.state_index(0.5, 0.5, -0.5)]))
     assert np.vdot(v, he @ v) == pytest.approx(0.75)      # (g2/2) j(j+1)

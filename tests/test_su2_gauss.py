@@ -3,14 +3,17 @@ against the per-axis generators and commutators of ``su2_oracle``."""
 
 from functools import lru_cache
 
+import numpy as np
 import pytest
 
 import gauge_oracle
 import su2_oracle
 from lgtlab import matter as matter_mod
+from lgtlab.gauge import abelian_charge_table
 from lgtlab.hamiltonian import HamiltonianSpec, build_model, \
     max_gauss_violation
 from lgtlab.lattice import build_lattice
+from lgtlab.su2rep import su2_link_space
 from lgtlab.tensor import ProductSpace
 
 MATTER = dict(model="su2", eps=0.4, mass=0.2,
@@ -47,7 +50,8 @@ def oracle_model(name):
     spec, (dim, sizes) = MODELS[name]
     model = build_model(spec, build_lattice(dim, sizes))
     return (model, model.hamiltonian(),
-            su2_oracle.gauss_generators_su2(model.space, model.link_space))
+            su2_oracle.gauss_generators_su2(
+                model.space, su2_link_space(spec.truncation)))
 
 
 def perturbation(model, name):
@@ -55,7 +59,8 @@ def perturbation(model, name):
     if name == "matter":
         return space.embed([(1.0, matter_mod.hop(
             space.layout.factor(0, 0), space.layout.factor(0, 1)))])
-    ops = model.link_space.L if name[0] == "L" else model.link_space.R
+    link_space = su2_link_space(model.spec.truncation)
+    ops = link_space.L if name[0] == "L" else link_space.R
     return space.embed([(1.0, [(0, sum(ops[axis] for axis in name[1:]))])])
 
 
@@ -72,11 +77,22 @@ def cases():
 @pytest.mark.parametrize("name", MODELS)
 def test_generators_match_per_axis_oracle(name):
     model, _, reference = oracle_model(name)
-    derived = su2_oracle.derived_generators_su2(model.space, model.link_space)
+    derived = su2_oracle.derived_generators_su2(model.space)
     assert len(derived) == len(reference) == model.lattice.vertex_count
     for triple, ref_triple in zip(derived, reference):
         for g, ref in zip(triple, ref_triple):
             assert abs(g - ref).max() <= 1e-15
+
+
+@pytest.mark.parametrize("name", MODELS)
+def test_plan_rows_are_twice_the_oracle_gz(name):
+    # the one Gauss plan gives SU(2) its G^z in half units: every row is
+    # an integer row exactly twice the diagonal of the oracle's G^z
+    model, _, reference = oracle_model(name)
+    table = abelian_charge_table(model.space)
+    assert table.dtype.kind == "i"
+    for row, (_, _, gz) in zip(table, reference, strict=True):
+        assert np.all(row == 2 * gz.diagonal())
 
 
 @pytest.mark.parametrize("name", MODELS)

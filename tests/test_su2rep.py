@@ -376,7 +376,8 @@ def test_su2_models_share_one_rotation_matrix():
                     build_lattice(1, [3]))
     b = build_model(HamiltonianSpec(model="su2", truncation=1.0, g2=2.0),
                     build_lattice(2, [2, 2]))
-    assert a.link_space is b.link_space
+    assert su2_link_space(a.spec.truncation) \
+        is su2_link_space(b.spec.truncation)
     assert a.space.linkops.U is b.space.linkops.U
     assert a.space.linkops.U is not build_model(
         HamiltonianSpec(model="su2", truncation=0.5),
