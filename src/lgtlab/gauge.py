@@ -2,8 +2,9 @@
 
 Every link family has a diagonal Gauss generator per vertex, given by one
 integer plan per space (``_gauss_plan``, read by ``charge_rows``) from the
-link set's ``gauss`` values and the matter layout's columns and bases;
-``generator_eigenvalues`` maps its rows through the link set.  For the
+link set's ``gauss`` values and the matter layout's ``gauss_base`` and
+``gauss_columns``; ``generator_eigenvalues`` maps its rows through the
+link set.  For the
 Abelian families it is the whole law, so a sector is a set of product
 states, enumerated directly from what each tensor factor adds
 (``sector_basis``, no full-space table).  SU(2) adds only its raising
@@ -66,15 +67,6 @@ class GaussSector:
 # ---------------------------------------------------------------------------
 # the Gauss law per state
 # ---------------------------------------------------------------------------
-
-def matter_charge_row(space, vertex, labels):
-    """Matter charge Q_n of every state of a label table, staggered or
-    naive, read from the occupation bits: occupied modes at the vertex
-    minus matter.charge_shift."""
-    q = space.vertex_occupations(vertex, labels).sum(axis=0, dtype=np.int8)
-    q -= matter_mod.charge_shift(space.layout, vertex)
-    return q
-
 
 def generator_eigenvalues(space, table):
     """The diagonal Gauss generator's eigenvalue per state, one row of a
@@ -148,9 +140,9 @@ def _gauss_plan(space):
         effects = [(list(lat.link_endpoints(l)), ends)
                    for l in range(space.n_links)]
         if layout is not None:
-            for v in range(lat.vertex_count):
-                base[v], columns = layout.gauss_law(v)
-                effects += [([v], column[None]) for column in columns]
+            base += layout.gauss_base
+            effects += [([m // layout.species_per_vertex], np.array([[0, c]]))
+                        for m, c in enumerate(layout.gauss_columns)]
         lo = np.zeros((len(effects) + 1, len(base)), dtype=np.int64)
         hi = lo.copy()
         for f in range(len(effects) - 1, -1, -1):

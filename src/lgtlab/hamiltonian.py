@@ -29,7 +29,9 @@ Gauss sector is passed:
   amplitude and the block.
 
 The four link families (linkalg: ks_u1, spin_gauge, zn, su2) differ only
-in their LinkOperatorSet, so every term below is one rule for all of them.
+in their LinkOperatorSet, and the three matter layouts only in their
+FermionLayout tables (matter), so every term below is one rule for all of
+them.
 Each family gives its link operator as an r x r matrix U of local
 matrices: [[U]] on U(1), spin-gauge and Z_N links (on Z_N U is Q^dag, the
 clock shift that raises the flux), the 2x2 entries of U^{1/2} on SU(2)
@@ -42,8 +44,8 @@ D (diagonal terms):
              -2 cos(2 pi m / N) on Z_N, the Casimir j(j+1) on SU(2)) and
              c = electric_coupling(spec): lambda_zn on Z_N, g^2 otherwise.
              On Z_N this is the clock form -(lambda_zn/2) sum (P + P^dag).
-* mass:      staggered m sum (-1)^n psi^dag psi or naive M sum psi^dag
-             sigma_z psi.
+* mass:      m sum_modes s n with the layout's mass signs s: staggered
+             m sum (-1)^n psi^dag psi or naive M sum psi^dag sigma_z psi.
 * penalty:   lambda sum_n G_n^2 (Abelian generators).
 
 T (off-diagonal terms; H carries each with its Hermitian conjugate):
@@ -51,9 +53,9 @@ T (off-diagonal terms; H carries each with its Hermitian conjugate):
 * magnetic:  -(1/2g^2) sum_plaq tr(U1 U2 U3^dag U4^dag), one piece per
              choice of the r^4 matrix indices (with the spin-gauge
              normalization 1/(ell^2 (ell+1)^2) carried by U).
-* gauge-matter: eps sum_links sum_ij psi^dag_{n,i} U_ij psi_{n+k,j} (i, j
-             the colors on SU(2) links); the naive-fermion variant carries
-             the Dirac structure i psi^dag sigma_k psi.
+* gauge-matter: eps sum_links g_st psi^dag_{n, s r + i} U_ij
+             psi_{n+k, t r + j}, g the layout's hop structure on the link's
+             axis ([[1]], or i sigma_k on naive fermions).
 * microscopic hopping: the gauge-variant single-atom move between
              perpendicular neighboring links, eta sum U_a U_b^dag, which
              seeds the second-order plaquette construction.
@@ -70,7 +72,7 @@ import numpy as np
 from scipy import sparse
 
 from . import gauge, linkalg, matter as matter_mod, solver
-from .lattice import diagonal_link_pairs, staggered_sign
+from .lattice import diagonal_link_pairs
 from .linkalg import KS_U1, SPIN_GAUGE, SU2, ZN
 from .tensor import ProductSpace
 
@@ -283,21 +285,13 @@ def _electric(model, labels):
 
 
 def _mass(model, labels):
-    """Staggered m sum (-1)^n n_n or naive M sum (n_up - n_down), read from
-    the occupation bits; 0 without matter or mass."""
+    """m sum over the modes of the layout's mass sign times the occupation
+    bit; 0 without matter or mass."""
     spec, space = model.spec, model.space
     if spec.matter is None or spec.mass == 0.0:
         return 0.0
-    lat = model.lattice
-    count = np.zeros(labels.shape[1], dtype=np.int8)
-    for v in range(lat.vertex_count):
-        occ = space.vertex_occupations(v, labels).astype(np.int8)
-        if spec.matter == matter_mod.NAIVE2D:
-            count += occ[0] - occ[1]
-        else:
-            count += staggered_sign(lat.vertices[v]) * occ.sum(axis=0,
-                                                               dtype=np.int8)
-    return spec.mass * count
+    return spec.mass * np.einsum("m,ms->s", space.layout.mass_signs,
+                                 labels[space.n_links:])
 
 
 def _penalty(model, labels):
@@ -334,30 +328,25 @@ def _magnetic(model):
 
 
 def _gauge_matter(model):
-    """The gauge-matter hop eps psi^dag_{a,i} U_ij psi_{b,j} on every link
-    l = (a, b): one piece per entry of the link matrix (colors i, j), or,
-    for naive fermions, one per nonzero entry of the Dirac structure
-    i sigma_k."""
+    """The gauge-matter hop eps g_st psi^dag_{a, s r + i} U_ij
+    psi_{b, t r + j} on every link l = (a, b): one piece per nonzero entry
+    g_st of the layout's hop structure on the link's axis and per entry
+    U_ij of the link set's r x r matrix."""
     spec, space, lat = model.spec, model.space, model.lattice
     if spec.eps == 0.0 or spec.matter is None:
         return
-    layout, U = space.layout, space.linkops.U
-    naive = spec.matter == matter_mod.NAIVE2D
-    if naive and spec.model not in (SPIN_GAUGE, KS_U1):
+    if spec.matter == matter_mod.NAIVE2D and spec.model not in (SPIN_GAUGE,
+                                                                 KS_U1):
         raise ValueError("naive fermions pair with U(1)-type links")
-    for l in range(lat.link_count):
+    layout, U = space.layout, space.linkops.U
+    r = len(U)
+    for l, (_, axis) in enumerate(lat.links):
         a, b = lat.link_endpoints(l)
-        if naive:
-            s = matter_mod._SIGMA["x" if lat.links[l][1] == 1 else "y"]
-            for i, j in product(range(2), repeat=2):
-                if s[i, j] != 0:
-                    yield (spec.eps * s[i, j], [(l, 1j * U[0][0])]
-                           + matter_mod.hop(layout.factor(a, i),
-                                            layout.factor(b, j)))
-        else:
-            for i, j in product(range(len(U)), repeat=2):
-                yield spec.eps, [(l, U[i][j])] + matter_mod.hop(
-                    layout.factor(a, i), layout.factor(b, j))
+        g = layout.hops[axis - 1]
+        for s, t in zip(*np.nonzero(g)):
+            for i, j in product(range(r), repeat=2):
+                yield spec.eps * g[s, t], [(l, U[i][j])] + matter_mod.hop(
+                    layout.factor(a, s * r + i), layout.factor(b, t * r + j))
 
 
 def _hopping(model):
@@ -373,9 +362,9 @@ def _hopping(model):
         raise ValueError("microscopic hopping defined for U(1)-type links")
     if model.lattice.spatial_dim != 2:
         raise ValueError("diagonal hopping needs a 2d lattice")
-    up, dn = space.linkops["U"], space.linkops["Udag"]
+    up = space.linkops.U[0][0]
     for (a, b, _v) in diagonal_link_pairs(model.lattice):
-        yield spec.eta, [(a, up), (b, dn)]
+        yield spec.eta, [(a, up), (b, up.conj().T)]
 
 
 DIAGONAL_TERMS = {"electric": _electric, "mass": _mass, "penalty": _penalty}

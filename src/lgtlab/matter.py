@@ -8,18 +8,24 @@ so a fermion bilinear c^dag_a c_b is a list of 2x2 local matrices on mode
 factors (``hop``), embedded by ``ProductSpace.embed`` as one
 (coefficient, factors) piece or applied to a sector's states by
 ``ProductSpace.shift`` like any link operator; no 2^modes matrix is built.
-Occupations and charges are read from the occupation-bit rows of a label
-table that the caller passes in (``ProductSpace.vertex_occupations``).
 
-Every layout gives its part of the diagonal Gauss generator one way
-(``FermionLayout.gauss_law``): a base per vertex and a column per mode.
+Each layout is described once, by tables that ``fermion_ops`` builds on
+its ``FermionLayout`` and every reader reads with no branch on the scheme:
+``gauss_base`` per vertex and ``gauss_columns`` per mode (what the empty
+modes and each occupation bit add to the vertex's diagonal Gauss
+generator, so Q_n = -(base + columns at the occupations)), ``mass_signs``
+per mode (the mass term m sum sign n; the Dirac sea fills the modes of
+negative sign) and ``hops`` per lattice axis (the species structure g of
+the gauge-matter hop eps g_st psi^dag_{a, s r + i} U_ij psi_{b, t r + j}).
 
 Layouts:
 
 * staggered:      one species per vertex, particles on even vertices and
-                  antiparticles (holes) on odd ones,
-* naive2d:        two species per vertex forming a two-component spinor,
-* su2fundamental: two color components per vertex coupled to SU(2) links.
+                  antiparticles (holes) on odd ones: base (1 - (-1)^n)/2,
+* naive2d:        two species per vertex forming a two-component spinor:
+                  Q_n = psi^dag psi - 1, mass sigma_z, hop i sigma_k,
+* su2fundamental: two color components per vertex coupled to SU(2) links:
+                  columns -1 (up) and +1 (down), 2 G^z in half units.
 """
 
 from dataclasses import dataclass
@@ -32,22 +38,27 @@ STAGGERED = "staggered"
 NAIVE2D = "naive2d"
 SU2_FUNDAMENTAL = "su2fundamental"
 
-_SPECIES = {STAGGERED: 1, NAIVE2D: 2, SU2_FUNDAMENTAL: 2}
-
 _PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
 _LOWER = np.array([[0.0, 1.0], [0.0, 0.0]])   # c|1> = |0>
 _RAISE = _LOWER.T
 
 
-@dataclass
+@dataclass(eq=False)
 class FermionLayout:
+    """A matter layout's tables (see the module docstring), modes in
+    (vertex, species) order."""
+
     scheme: str
     lattice: object
-    n_modes: int
+    species_per_vertex: int
+    gauss_base: np.ndarray      # per vertex, int8
+    gauss_columns: np.ndarray   # per mode, int8
+    mass_signs: np.ndarray      # per mode, int8
+    hops: tuple                 # per lattice axis
 
     @property
-    def species_per_vertex(self):
-        return _SPECIES[self.scheme]
+    def n_modes(self):
+        return len(self.mass_signs)
 
     def mode_index(self, vertex, species=0):
         return vertex * self.species_per_vertex + species
@@ -55,15 +66,6 @@ class FermionLayout:
     def factor(self, vertex, species=0):
         """Tensor-factor position of a mode: after the lattice's links."""
         return self.lattice.link_count + self.mode_index(vertex, species)
-
-    def gauss_law(self, vertex):
-        """(base, columns): what a vertex's empty modes add to its diagonal
-        Gauss generator, and per species what its occupation bit n adds to
-        -Q_n = charge_shift - n, or to 2 G^z = ... - n_up + n_down."""
-        if self.scheme == SU2_FUNDAMENTAL:
-            return 0, [np.array([0, -1]), np.array([0, 1])]
-        return charge_shift(self, vertex), \
-            [np.array([0, -1])] * self.species_per_vertex
 
 
 def hop(a, b):
@@ -77,44 +79,34 @@ def hop(a, b):
 
 
 def fermion_ops(lat, scheme):
-    """Fermion layout for a lattice and species scheme."""
-    if scheme not in _SPECIES:
+    """The fermion layout of a species scheme on a lattice, its tables
+    built once."""
+    count, axes = lat.vertex_count, lat.spatial_dim
+    stagger = np.array([staggered_sign(c) for c in lat.vertices], np.int8)
+    same = (np.ones((1, 1)),) * axes
+    if scheme == STAGGERED:
+        base, columns, signs, hops = (1 - stagger) // 2, [-1], stagger, same
+    elif scheme == NAIVE2D:
+        if axes != 2:
+            raise ValueError("naive2d matter requires a 2d lattice")
+        base, columns = np.ones(count, np.int8), [-1, -1]
+        signs = np.tile(np.int8([1, -1]), count)
+        hops = (np.array([[0, 1j], [1j, 0]]),          # i sigma_x
+                np.array([[0.0, 1.0], [-1.0, 0.0]]))   # i sigma_y
+    elif scheme == SU2_FUNDAMENTAL:
+        base, columns = np.zeros(count, np.int8), [-1, 1]
+        signs, hops = np.repeat(stagger, 2), same
+    else:
         raise ValueError(f"unknown matter scheme {scheme!r}")
-    if scheme == NAIVE2D and lat.spatial_dim != 2:
-        raise ValueError("naive2d matter requires a 2d lattice")
-    return FermionLayout(scheme, lat, lat.vertex_count * _SPECIES[scheme])
-
-
-def charge_shift(layout, vertex):
-    """The constant c in Q_n = (occupied modes at vertex n) - c.
-
-    Staggered: (1 - (-1)^n)/2, so Q_n has eigenvalues {0, +1} on even
-    vertices and {-1, 0} on odd ones (an occupied even vertex carries a
-    particle of charge +1, a vacant odd vertex an antiparticle of charge
-    -1).  Naive: 1, for Q_n = psi^dag psi - 1 of the two-component spinor.
-    """
-    if layout.scheme == STAGGERED:
-        return 0 if staggered_sign(layout.lattice.vertices[vertex]) == 1 \
-            else 1
-    if layout.scheme == NAIVE2D:
-        return 1
-    raise ValueError("the two-color charge is not diagonal in the "
-                     "occupation basis")
-
-
-_SIGMA = {
-    "x": np.array([[0.0, 1.0], [1.0, 0.0]]),
-    "y": np.array([[0, -1j], [1j, 0]]),
-    "z": np.array([[1.0, 0.0], [0.0, -1.0]]),
-}
+    return FermionLayout(scheme, lat, len(columns), base,
+                         np.tile(np.int8(columns), count), signs, hops)
 
 
 def dirac_sea_state(layout):
     """Occupation labels, in mode order, of the no-particle reference
-    state: odd vertices fully occupied, even vertices empty.  Every
-    staggered / SU(2) charge vanishes on it."""
+    state: exactly the modes of negative mass sign occupied, so odd
+    vertices are full and even ones empty.  Every staggered / SU(2) charge
+    vanishes on it."""
     if layout.scheme == NAIVE2D:
         raise ValueError("naive fermions have no staggered Dirac-sea state")
-    return [int(staggered_sign(coords) == -1)
-            for coords in layout.lattice.vertices
-            for _ in range(layout.species_per_vertex)]
+    return [int(sign < 0) for sign in layout.mass_signs]

@@ -15,8 +15,8 @@ import numpy as np
 
 from . import linkalg, solver
 from .hamiltonian import KS_U1, SU2, ZN, HamiltonianSpec, build_model
-from .gauge import charge_rows, generator_eigenvalues, matter_charge_row, \
-    merge_sectors, sector_basis
+from .gauge import charge_rows, generator_eigenvalues, merge_sectors, \
+    sector_basis
 from .lattice import build_lattice
 from .matter import dirac_sea_state
 
@@ -38,12 +38,23 @@ def flux_profile(model, state, labels):
 
 
 def charge_profile(model, state, labels):
-    """Per-vertex dynamical charge expectation (staggered/naive layouts),
-    for one state or a (times, dim) stack of states, whose amplitudes are
-    on the states of the label table `labels`."""
-    return _diagonal_expectations(
-        state, [matter_charge_row(model.space, v, labels)
-                for v in range(model.lattice.vertex_count)])
+    """Per-vertex dynamical charge expectation, for one state or a
+    (times, dim) stack of states, whose amplitudes are on the states of
+    the label table `labels` (on two-color matter the charge 2 Q^z)."""
+    return _diagonal_expectations(state, _matter_charges(model.space,
+                                                         labels))
+
+
+def _matter_charges(space, labels):
+    """Q_n = -(base + columns at the occupations) of every state of a label
+    table, one row per vertex, from the matter layout's Gauss tables."""
+    layout = space.layout
+    if layout is None:
+        raise ValueError("space carries no matter")
+    per_vertex = (len(layout.gauss_base), layout.species_per_vertex)
+    added = np.einsum("vm,vms->vs", layout.gauss_columns.reshape(per_vertex),
+                      labels[space.n_links:].reshape(*per_vertex, -1))
+    return -(layout.gauss_base[:, None] + added)
 
 
 def _diagonal_expectations(state, diagonals):
@@ -275,8 +286,7 @@ def flux_tube_breaking_scenario(spec, lat, separation, t_final, steps,
     flux = flux_profile(model, traj.states, labels)
     charge = charge_profile(model, traj.states, labels)
     energy = traj.expectation(h).real
-    qtot = sum(matter_charge_row(space, v, labels)
-               for v in range(lat.vertex_count))
+    qtot = _matter_charges(space, labels).sum(axis=0)
     total_charge = _diagonal_expectations(traj.states, [qtot])[:, 0]
 
     # <G_n>(t) of the diagonal generators G_n

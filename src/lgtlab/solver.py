@@ -210,11 +210,12 @@ def evolve(op, state, t, steps):
 
     For dense input and up to DENSE_LIMIT states (_fits_dense, the rule
     of `eigs`), H = V diag(w) V^dag is diagonalized once, in H's dtype, and
-    every sampled state is formed
-    in one product, (exp(-i outer(times, w)) * (V^dag psi)) @ V^T.  A
-    larger sparse H keeps the sparse action of the matrix exponential
-    (expm_multiply: scaled truncated-Taylor applications), which needs
-    about twenty matvecs per sample however small H is.
+    every sampled state is formed in one product,
+    (exp(-i outer(times, w)) * (V^dag psi)) @ V^T, except the t = 0 state,
+    which is psi itself as on the other path.  A larger sparse H keeps the
+    sparse action of the matrix exponential (expm_multiply: scaled
+    truncated-Taylor applications), which needs about twenty matvecs per
+    sample however small H is.
 
     Norm drift beyond 1e-9 raises SolverError (the step-convergence flag).
     """
@@ -232,6 +233,7 @@ def evolve(op, state, t, steps):
         w, v = eigh(_dense(op))
         states = (np.exp(-1j * np.outer(times, w)) * (v.conj().T @ state)) \
             @ v.T
+        states[0] = state
     else:
         states = expm_multiply((-1j) * op.tocsc(), state, start=0.0,
                                stop=float(t), num=steps + 1, endpoint=True)

@@ -22,9 +22,10 @@ and a Gauss sector carries the decode of its own states
 (``gauge.GaussSector.labels``).  Every diagonal quantity is a vectorized
 read of the label table it is given, never of a default one: the flux and
 charge readouts of ``observables.flux_profile`` and ``charge_profile``,
-``vertex_occupations``, the matter charges, every family's diagonal
-Gauss generator rows and eigenvalues in ``gauge``, and the diagonal part
-D (electric, mass, penalty) of ``Model.hamiltonian``.
+every family's diagonal Gauss generator rows and eigenvalues in
+``gauge``, and the diagonal part D (electric, mass, penalty) of
+``Model.hamiltonian``; the occupation-bit rows are read through the matter
+layout's per-mode tables (``matter.FermionLayout``).
 
 Off-diagonal operators (the hopping and plaquette pieces of the
 Hamiltonian's T, SU(2) Gauss raising operators and string operators) are
@@ -172,14 +173,6 @@ class ProductSpace:
         for label, radix in zip(labels, radices):
             index = index * radix + int(label)
         return index
-
-    def vertex_occupations(self, vertex, labels):
-        """Occupation-bit rows (species, states) of the modes at a vertex,
-        read from the label table `labels`."""
-        if self.layout is None:
-            raise ValueError("space carries no matter")
-        return labels[[self.layout.factor(vertex, s)
-                       for s in range(self.layout.species_per_vertex)]]
 
     def require_memory(self):
         """Raise SolverError when the full space does not fit in the memory

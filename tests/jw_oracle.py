@@ -19,6 +19,11 @@ from lgtlab.tensor import ProductSpace
 
 _PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
 _LOWER = np.array([[0.0, 1.0], [0.0, 0.0]])   # c|1> = |0>
+PAULI = {
+    "x": np.array([[0.0, 1.0], [1.0, 0.0]]),
+    "y": np.array([[0, -1j], [1j, 0]]),
+    "z": _PAULI_Z,
+}
 
 
 def _jordan_wigner(n_modes):
@@ -57,17 +62,24 @@ class JordanWigner:
 
 
 def charge_operator(jw, vertex):
-    """Occupied modes at the vertex minus matter.charge_shift (staggered,
-    naive)."""
+    """Occupied modes at the vertex minus a shift: (1 - (-1)^n)/2 for
+    staggered fermions (a vacant odd vertex holds an antiparticle of
+    charge -1), 1 for the naive two-component spinor."""
     n = sum(jw.number(vertex, s)
             for s in range(jw.layout.species_per_vertex))
-    shift = float(matter_mod.charge_shift(jw.layout, vertex))
+    if jw.layout.scheme == matter_mod.SU2_FUNDAMENTAL:
+        raise ValueError("the two-color charge is not diagonal in the "
+                         "occupation basis")
+    if jw.layout.scheme == matter_mod.NAIVE2D:
+        shift = 1.0
+    else:
+        shift = float(staggered_sign(jw.layout.lattice.vertices[vertex]) < 0)
     return (n - shift * sparse.identity(jw.dim, format="csr")).tocsr()
 
 
 def su2_charge(jw, vertex, axis):
     """Color charge Q^a = (1/2) psi^dag sigma^a psi at a vertex."""
-    s = matter_mod._SIGMA[axis]
+    s = PAULI[axis]
     return sum(0.5 * s[i, j] * (jw.cdag(vertex, i) @ jw.c(vertex, j))
                for i, j in product(range(2), repeat=2) if s[i, j] != 0)
 
@@ -96,7 +108,7 @@ def gauge_matter_pieces(model):
     for l in range(lat.link_count):
         a, b = lat.link_endpoints(l)
         if spec.matter == matter_mod.NAIVE2D:
-            s = matter_mod._SIGMA["x" if lat.links[l][1] == 1 else "y"]
+            s = PAULI["x" if lat.links[l][1] == 1 else "y"]
             ferm = sum(s[i, j] * (jw.cdag(a, i) @ jw.c(b, j))
                        for i in range(2) for j in range(2) if s[i, j] != 0)
             yield spec.eps, [(l, 1j * space.linkops["U"])], ferm

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import sparse
 
+from jw_oracle import PAULI
 from lgtlab import matter as matter_mod
 from lgtlab.gauge import abelian_charge_table, gauss_raising
 from lgtlab.su2rep import _check_triangle, _half_range, _j_values, cg, \
@@ -35,7 +36,7 @@ def su2_charge(layout, vertex, axis):
     """
     if layout.scheme != matter_mod.SU2_FUNDAMENTAL:
         raise ValueError("su2_charge needs the su2fundamental scheme")
-    s = matter_mod._SIGMA[axis]
+    s = PAULI[axis]
     return [(0.5 * s[i, j], matter_mod.hop(layout.factor(vertex, i),
                                            layout.factor(vertex, j)))
             for i in range(2) for j in range(2) if s[i, j] != 0]

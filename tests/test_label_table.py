@@ -16,7 +16,7 @@ from scipy import sparse
 from gauge_oracle import gauss_generators_u1, gauss_generators_zn
 from jw_oracle import JordanWigner, charge_operator, embed_matter, \
     mass_diagonal, occupation_bits
-from lgtlab import lattice, matter, su2rep
+from lgtlab import lattice, su2rep
 from lgtlab.gauge import abelian_charge_table, all_sector_dimensions, \
     charge_rows, sector_basis
 from lgtlab.hamiltonian import HamiltonianSpec, build_model, \
@@ -208,7 +208,7 @@ def test_charge_table_and_sectors_match_kron(case):
 @pytest.mark.parametrize("case", CASES, ids=case_id)
 def test_charge_rows_read_one_gauss_law_per_space(case, monkeypatch):
     # the Gauss law is built once per space: a second charge_rows call
-    # neither walks the links nor reads a matter charge shift again
+    # neither walks the links nor reads the matter layout's Gauss tables
     model = build_model(make_model(*case).spec, LATTICES[case[2]])
     space = model.space
     indices = np.arange(0, space.dim, 7)
@@ -218,7 +218,9 @@ def test_charge_rows_read_one_gauss_law_per_space(case, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("Gauss-law table rebuilt")
     monkeypatch.setattr(lattice.Lattice, "link_endpoints", refuse)
-    monkeypatch.setattr(matter, "charge_shift", refuse)
+    if space.layout is not None:
+        for table in ("gauss_base", "gauss_columns"):
+            monkeypatch.delattr(space.layout, table)
     again = charge_rows(space, space.decode(indices))
     assert np.array_equal(again, first) and again.dtype == first.dtype
 

@@ -348,6 +348,9 @@ def test_dense_evolve_matches_expm_multiply(name):
                         endpoint=True)
     assert np.max(np.abs(traj.states - ref)) <= 1e-12
     assert np.array_equal(traj.times, np.linspace(0.0, 2.0, 41))
+    # the t = 0 sample is psi itself, not psi rotated into the eigenbasis
+    # and back
+    assert np.array_equal(traj.states[0], psi)
 
 
 def test_evolve_path_switches_above_dense_limit():
