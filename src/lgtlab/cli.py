@@ -237,6 +237,16 @@ def run_spectrum(lat, spec, params, writer, tol):
 
 
 def run_potential(lat, spec, params, writer, tol):
+    """E(R) per separation and, when the fit window holds two points or
+    more, the linear fit (sigma, offset and fit_residual, else null).  The
+    electric-only tension check needs the fit."""
+    electric_only = spec.terms == ("electric",)
+    if electric_only and len(observables.fit_window(
+            params["separations"])) < 2:
+        raise ConfigError(
+            f"params.separations {list(params['separations'])} leave fewer "
+            f"than two points in the fit window (R > 0, less the largest of "
+            f"more than two); the electric-only tension check needs a fit")
     curve = observables.static_potential(
         spec, lat, params["separations"], origin=params["origin"])
     writer.csv("potential.csv", ["R", "E", "dim"],
@@ -244,7 +254,7 @@ def run_potential(lat, spec, params, writer, tol):
     results = {"sigma": curve.sigma, "offset": curve.offset,
                "fit_residual": curve.residual}
     checks = []
-    if spec.terms == ("electric",):
+    if electric_only:
         checks.append(_check("string_tension_electric_only",
                              abs(curve.sigma - electric_tension(spec)), tol))
     return results, checks

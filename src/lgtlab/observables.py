@@ -27,12 +27,12 @@ def flux_profile(model, state, labels):
     on the states of the label table `labels` (a sector's labels, or
     space.labels for the full space).
 
-    The readout is L (U(1)), L_z (spin-gauge), the clock label m (Z_N) or
-    the Casimir j(j+1) (SU(2)); it is diagonal in every family and read per
-    link from the label table.
+    The readout is the link set's `flux` table: the flux m (U(1)), L_z
+    (spin-gauge), the clock label m (Z_N) or the Casimir j(j+1) (SU(2)),
+    one value per label, read per link from the label table.
     """
     space = model.space
-    values = space.linkops.flux_values
+    values = space.linkops.flux
     return _diagonal_expectations(
         state, [values[row] for row in labels[:space.n_links]])
 
@@ -140,6 +140,15 @@ def _su2_string(space, links, psi):
     return vectors[0] + vectors[1]
 
 
+def fit_window(separations):
+    """The separations a tension fit reads, in whatever order they are
+    listed: each distinct R > 0, less the largest when more than two
+    remain (boundary contamination)."""
+    r = np.unique(separations)
+    r = r[r > 0]
+    return r[:-1] if len(r) > 2 else r
+
+
 @dataclass
 class StaticPotentialCurve:
     separations: list
@@ -149,25 +158,26 @@ class StaticPotentialCurve:
     offset: float = None
     residual: float = None
 
-    def fit(self, skip_first=0, skip_last=0):
-        """Least-squares linear fit E(R) = sigma R + offset on a window."""
-        r = np.asarray(self.separations, dtype=float)
-        e = np.asarray(self.energies, dtype=float)
-        lo = skip_first
-        hi = len(r) - skip_last
-        if hi - lo < 2:
-            raise ValueError("fit window needs at least two points")
-        A = np.vstack([r[lo:hi], np.ones(hi - lo)]).T
-        coef, *_ = np.linalg.lstsq(A, e[lo:hi], rcond=None)
+    def fit(self):
+        """Least-squares linear fit E(R) = sigma R + offset over the
+        fit_window of the separations; with fewer than two points in it,
+        sigma, offset and residual stay None."""
+        r = fit_window(self.separations)
+        if len(r) < 2:
+            return self
+        energy = dict(zip(self.separations, self.energies))
+        e = np.array([energy[R] for R in r], dtype=float)
+        A = np.vstack([r, np.ones(len(r))]).T
+        coef, *_ = np.linalg.lstsq(A, e, rcond=None)
         self.sigma, self.offset = float(coef[0]), float(coef[1])
-        self.residual = float(np.max(np.abs(A @ coef - e[lo:hi])))
+        self.residual = float(np.max(np.abs(A @ coef - e)))
         return self
 
 
 def static_potential(spec, lat, separations, origin=0):
-    """Ground energy per static-charge separation, with a linear fit that
-    drops R = 0 and, beyond two remaining points, the largest separation
-    (boundary contamination).
+    """Ground energy per static-charge separation, with a linear fit over
+    fit_window(separations): R = 0 and, beyond two remaining separations,
+    the largest one are dropped, whatever the order of the list.
 
     U(1)-family sectors are diagonalized exactly in the (+1 at origin,
     -1 at origin+R) charge sector, each enumerated once however often its
@@ -192,10 +202,7 @@ def static_potential(spec, lat, separations, origin=0):
         dims = [1] * len(separations)
     else:
         energies, dims = _sector_ground_energies(model, separations, origin)
-    skip_first = 1 if separations and separations[0] == 0 else 0
-    skip_last = 1 if len(separations) - skip_first > 2 else 0
-    return StaticPotentialCurve(list(separations), energies,
-                                dims).fit(skip_first, skip_last)
+    return StaticPotentialCurve(list(separations), energies, dims).fit()
 
 
 def _sector_ground_energies(model, separations, origin):

@@ -39,6 +39,13 @@ def gauss_generators_zn(space):
             for row in abelian_charge_table(space)]
 
 
+def clock_matrix(linkops):
+    """The Z_N clock P = diag(exp(i 2 pi m / N)) on a link set's flux
+    labels m."""
+    return np.diag(np.exp(1j * (2.0 * np.pi / linkops.modulus)
+                          * linkops.flux))
+
+
 def generators(model):
     """A model's Gauss generators: a flat list (Abelian) or G^x, G^y, G^z
     triples (SU(2))."""

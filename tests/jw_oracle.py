@@ -111,7 +111,7 @@ def gauge_matter_pieces(model):
             s = PAULI["x" if lat.links[l][1] == 1 else "y"]
             ferm = sum(s[i, j] * (jw.cdag(a, i) @ jw.c(b, j))
                        for i in range(2) for j in range(2) if s[i, j] != 0)
-            yield spec.eps, [(l, 1j * space.linkops["U"])], ferm
+            yield spec.eps, [(l, 1j * space.linkops.U[0][0])], ferm
         elif spec.model == "su2":
             rotation = su2rep.truncated_rotation_matrix(
                 su2rep.su2_link_space(spec.truncation), 0.5)
@@ -120,8 +120,8 @@ def gauge_matter_pieces(model):
                 yield (spec.eps, [(l, rotation.entry(m, mp))],
                        jw.cdag(a, i) @ jw.c(b, j))
         else:
-            up = space.linkops["Qdag" if spec.model == "zn" else "U"]
-            yield spec.eps, [(l, up)], jw.cdag(a) @ jw.c(b)
+            yield (spec.eps, [(l, space.linkops.U[0][0])],
+                   jw.cdag(a) @ jw.c(b))
 
 
 def mass_diagonal(model):

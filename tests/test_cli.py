@@ -146,6 +146,17 @@ MALFORMED = {
     # as 0.0 and fail the monotone checks (exit 1)
     "plaquette_convergence_cutoff_ref_zero": {
         "scenario": "plaquette_convergence", "params": {"cutoff_ref": 0}},
+    # SU(2) J_max 0 used to fail in su2rep ("representation label j
+    # exceeds J_max"), naming no config value
+    "spectrum_su2_truncation_zero": dict(
+        BASE, hamiltonian={"model": "su2", "truncation": 0},
+        params={"k": 2}),
+    # the electric-only tension check needs a fit, which one separation
+    # cannot give
+    "potential_electric_only_one_separation": {
+        "scenario": "potential", "lattice": CHAIN,
+        "hamiltonian": {"model": "ks_u1", "terms": ["electric"]},
+        "params": {"separations": [2]}},
     # a truncation that holds no unit of flux has no string state
     "dynamics_cutoff_zero": {
         "scenario": "dynamics", "lattice": CHAIN,
@@ -158,6 +169,8 @@ MALFORMED_NAMES = {
     "channels_coupling_key_9": "'9'",
     "channels_coupling_key_1": "'1'",
     "dynamics_cutoff_zero": "no unit of flux",
+    "spectrum_su2_truncation_zero": "J_max must be >= 1/2",
+    "potential_electric_only_one_separation": "params.separations",
     "plaquette_convergence_cutoff_ref_zero": "params.cutoff_ref",
 }
 
@@ -608,6 +621,27 @@ def test_potential_separation_wrapping_a_ring_is_config_error(tmp_path):
     m = read_manifest(tmp_path / "out")
     assert "winds around" in m["error"]
     assert m["files"] == []
+
+
+@pytest.mark.parametrize("separations", [[4], [0, 1]], ids=["R4", "R0_R1"])
+def test_potential_without_a_fit_window_reports_a_null_fit(tmp_path,
+                                                           separations):
+    # fewer than two separations R > 0 used to exit 2 ("fit window needs
+    # at least two points") and write no potential.csv
+    cfg = {"scenario": "potential",
+           "lattice": {"spatial_dim": 1, "sizes": [6]},
+           "hamiltonian": CHAIN_MATTER,
+           "params": {"separations": separations}}
+    out = tmp_path / "out"
+    rc = main(["potential", "--config", write_cfg(tmp_path, cfg),
+               "--out", str(out)])
+    assert rc == 0
+    m = read_manifest(out)
+    assert m["results"] == {"sigma": None, "offset": None,
+                            "fit_residual": None}
+    rows = (out / "potential.csv").read_text().splitlines()
+    assert rows[0] == "R,E,dim"
+    assert [int(row.split(",")[0]) for row in rows[1:]] == separations
 
 
 def test_potential_origin_beyond_the_chain_is_config_error(tmp_path):

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from gauge_oracle import basis_matrix, canonical_sign_transform, \
-    gauge_transformation_unitary, gauss_generators_u1, gauss_generators_zn, \
-    generators, su2_zero_charge_sector, zn_gauge_transformation
+    clock_matrix, gauge_transformation_unitary, gauss_generators_u1, \
+    gauss_generators_zn, generators, su2_zero_charge_sector, \
+    zn_gauge_transformation
 from lgtlab import linkalg, su2rep
 from lgtlab.gauge import all_sector_dimensions, sector_basis
 from lgtlab.hamiltonian import HamiltonianSpec, build_model
@@ -22,7 +23,7 @@ def u1_space(sizes, cutoff=1, dim=1, matter=False, boundary="open"):
 def test_single_link_generators():
     sp = u1_space([2])
     gens = gauss_generators_u1(sp)
-    L = sp.embed([(1.0, [(0, sp.linkops["L"])])]).toarray()
+    L = sp.embed([(1.0, [(0, np.diag(sp.linkops.flux))])]).toarray()
     assert np.allclose(gens[0].toarray(), L)      # G_left = L
     assert np.allclose(gens[1].toarray(), -L)     # G_right = -L
 
@@ -53,7 +54,7 @@ def test_zn_single_link_generators():
     lat = build_lattice(1, [2])
     sp = ProductSpace(lat, linkalg.zn_ops(3))
     gens = gauss_generators_zn(sp)
-    P = sp.embed([(1.0, [(0, sp.linkops["P"])])]).toarray()
+    P = sp.embed([(1.0, [(0, clock_matrix(sp.linkops))])]).toarray()
     assert np.allclose(gens[0].toarray(), P.conj().T)
     assert np.allclose(gens[1].toarray(), P)
 

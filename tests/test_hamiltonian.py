@@ -168,7 +168,7 @@ def test_gauge_matter_pair_creation_respects_gauss():
     for g in generators(model):
         assert np.linalg.norm((g @ out)) < 1e-12
     # flux on the link was raised by the hop
-    flux = space.embed([(1.0, [(0, space.linkops["flux"])])])
+    flux = space.embed([(1.0, [(0, np.diag(space.linkops.flux))])])
     amp = np.vdot(out, flux @ out) / np.vdot(out, out)
     assert amp == pytest.approx(1.0)
 

@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from gauge_oracle import gauss_generators_u1, gauss_generators_zn
+from gauge_oracle import clock_matrix, gauss_generators_u1, \
+    gauss_generators_zn
 from jw_oracle import JordanWigner, charge_operator, embed_matter, \
     mass_diagonal, occupation_bits
 from lgtlab import lattice, su2rep
@@ -80,7 +81,7 @@ def kron_charge_ops(space):
 
 def kron_charge_table(space):
     lat = space.lattice
-    fluxop = np.diag(space.linkops.flux_values)
+    fluxop = np.diag(space.linkops.flux)
     charges = kron_charge_ops(space) if space.layout is not None else None
     table = np.zeros((lat.vertex_count, space.dim))
     for v in range(lat.vertex_count):
@@ -102,14 +103,14 @@ def kron_generators(model):
         out_links, in_links = lat.links_at_vertex(v)
         if model.spec.model == "zn":
             delta = 2.0 * np.pi / space.linkops.param
-            g = space.embed([(1.0, [(l, space.linkops["Pdag"])
-                                    for l in out_links]
-                              + [(l, space.linkops["P"]) for l in in_links])])
+            P = clock_matrix(space.linkops)
+            g = space.embed([(1.0, [(l, P.conj().T) for l in out_links]
+                              + [(l, P) for l in in_links])])
             if charges is not None:
                 g = g @ sparse.diags(np.exp(1j * delta
                                             * charges[v].diagonal().real))
         else:
-            flux = space.linkops["flux"]
+            flux = np.diag(space.linkops.flux)
             g = sparse.csr_matrix((space.dim, space.dim), dtype=complex)
             for l in out_links:
                 g = g + space.embed([(1.0, [(l, flux)])])
@@ -124,10 +125,10 @@ def kron_generators(model):
 def kron_electric(model):
     spec, space = model.spec, model.space
     if spec.model == "zn":
-        P = space.linkops["P"]
+        P = clock_matrix(space.linkops)
         local = -(spec.lam_zn / 2.0) * (P + P.conj().T)
     else:
-        flux = space.linkops["flux"]
+        flux = np.diag(space.linkops.flux)
         local = (spec.g2 / 2.0) * (flux @ flux)
     h = sparse.csr_matrix((space.dim, space.dim), dtype=complex)
     for l in range(space.n_links):
@@ -243,7 +244,7 @@ def test_profiles_match_kron(case):
     model = make_model(*case)
     space = model.space
     psi = random_state(space.dim, 5)
-    flux = space.linkops["flux"]
+    flux = np.diag(space.linkops.flux)
     ref = [np.vdot(psi, space.embed([(1.0, [(l, flux)])]) @ psi).real
            for l in range(space.n_links)]
     assert np.max(np.abs(flux_profile(model, psi, space.labels) - ref)) < TOL
@@ -276,7 +277,9 @@ def test_gauss_check_matches_commutators(case):
     assert abs(max_gauss_violation(model, h)
                - kron_gauss_violation(h, gens)) < TOL
     # a gauge-variant hop on link 0 must be seen with the same size
-    up = space.linkops["Q" if model.spec.model == "zn" else "U"]
+    up = space.linkops.U[0][0]
+    if model.spec.model == "zn":
+        up = up.T                   # the clock shift Q that lowers m
     hop = space.embed([(1.0, [(0, up)])])
     bad = h + 0.7 * (hop + hop.conj().T)
     value = max_gauss_violation(model, bad)
@@ -299,7 +302,7 @@ def test_su2_diagonals_match_kron():
     assert max_abs_diff(model.hamiltonian(("electric",)), ref) < TOL
     assert max_abs_diff(model.hamiltonian(("mass",)), kron_mass(model)) < TOL
     psi = random_state(space.dim, 9)
-    flux = space.linkops["flux"]
+    flux = np.diag(space.linkops.flux)
     ref = [np.vdot(psi, space.embed([(1.0, [(l, flux)])]) @ psi).real
            for l in range(space.n_links)]
     assert np.max(np.abs(flux_profile(model, psi, space.labels) - ref)) < TOL

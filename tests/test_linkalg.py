@@ -1,13 +1,19 @@
+"""The link sets' per-label tables against the single-link algebras they
+encode.  The named matrices are derived here from a set's own tables: the
+flux L = diag(flux), the ladder L_+ = sqrt(ell(ell+1)) U, the clock phases
+P = diag(exp(i 2 pi flux / N)) and the clock shift Q = U^T."""
+
 import numpy as np
 import pytest
 
-from lgtlab.linkalg import spin_gauge_ops, u1_ops, zn_ops
+from gauge_oracle import clock_matrix
+from lgtlab.linkalg import spin_gauge_ops, su2_ops, u1_ops, zn_ops
 
 
 def test_u1_basics():
     ops = u1_ops(1)
     assert ops.local_dim == 3
-    L, U = ops["L"], ops["U"]
+    L, U = np.diag(ops.flux), ops.U[0][0]
     zero = np.zeros(3); zero[1] = 1.0            # |m=0>
     assert np.allclose(L @ zero, 0.0)
     top = np.zeros(3); top[2] = 1.0              # |m=1>
@@ -21,12 +27,13 @@ def test_u1_commutator_defect_localized(cutoff):
     # state); what the cutoff breaks is unitarity, with the defect of
     # norm 1 pinned to |m| = cutoff regardless of cutoff size
     ops = u1_ops(cutoff)
-    defect = ops["L"] @ ops["U"] - ops["U"] @ ops["L"] - ops["U"]
+    L, U = np.diag(ops.flux), ops.U[0][0]
+    defect = L @ U - U @ L - U
     for m in range(-cutoff, cutoff + 1):
         v = np.zeros(ops.local_dim)
         v[m + cutoff] = 1.0
         assert np.allclose(defect @ v, 0.0)
-    unit_defect = ops["Udag"] @ ops["U"] - np.eye(ops.local_dim)
+    unit_defect = U.T @ U - np.eye(ops.local_dim)
     assert np.linalg.norm(unit_defect, 2) == pytest.approx(1.0)
     top = np.zeros(ops.local_dim)
     top[-1] = 1.0
@@ -40,20 +47,21 @@ def test_u1_commutator_defect_localized(cutoff):
 def test_spin_gauge_ladder():
     ops = spin_gauge_ops(1)
     assert ops.local_dim == 3
-    unorm = ops["U"]
+    unorm = ops.U[0][0]
     low = np.zeros(3); low[0] = 1.0              # |1,-1>
     mid = np.zeros(3); mid[1] = 1.0              # |1,0>
     top = np.zeros(3); top[2] = 1.0
     # sqrt(1 - m(m+1)/(l(l+1))) at m=-1 equals 1
     assert np.allclose(unorm @ low, mid)
     assert np.allclose(unorm @ top, 0.0)
-    assert np.allclose(np.diag(ops["Lz"]), [-1, 0, 1])
+    assert np.allclose(ops.flux, [-1, 0, 1])
 
 
 @pytest.mark.parametrize("ell", [1, 2, 3])
 def test_spin_gauge_su2_algebra(ell):
     ops = spin_gauge_ops(ell)
-    Lp, Lm, Lz = ops["Lp"], ops["Lm"], ops["Lz"]
+    Lp = np.sqrt(ell * (ell + 1)) * ops.U[0][0]
+    Lm, Lz = Lp.T, np.diag(ops.flux)
     assert np.allclose(Lp.conj().T, Lm)
     assert np.allclose(Lz @ Lp - Lp @ Lz, Lp)            # [Lz, L+] = L+
     assert np.allclose(Lp @ Lm - Lm @ Lp, 2 * Lz)        # [L+, L-] = 2Lz
@@ -63,7 +71,7 @@ def test_spin_gauge_su2_algebra(ell):
 
 def test_zn_algebra_n3():
     ops = zn_ops(3)
-    P, Q = ops["P"], ops["Q"]
+    P, Q = clock_matrix(ops), ops.U[0][0].T
     delta = 2 * np.pi / 3
     plus = np.zeros(3, dtype=complex); plus[2] = 1.0       # |m=1>
     minus = np.zeros(3, dtype=complex); minus[0] = 1.0     # |m=-1>
@@ -75,7 +83,7 @@ def test_zn_algebra_n3():
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 7])
 def test_zn_unitarity_and_cyclicity(n):
     ops = zn_ops(n)
-    P, Q = ops["P"], ops["Q"]
+    P, Q = clock_matrix(ops), ops.U[0][0].T
     eye = np.eye(n)
     assert np.allclose(P @ P.conj().T, eye)
     assert np.allclose(Q @ Q.conj().T, eye)
@@ -94,7 +102,7 @@ def test_zn_phases_converge_to_u1():
         for n in (3, 5, 9, 101):
             ops = zn_ops(n)
             idx = m + (n - 1) // 2
-            val = ops["P"][idx, idx]
+            val = clock_matrix(ops)[idx, idx]
             assert val == pytest.approx(np.exp(1j * m * 2 * np.pi / n))
 
 
@@ -104,9 +112,11 @@ def test_zn_rejects_tiny():
 
 
 def test_real_link_operators_are_float64():
-    # every link operator is real in the flux basis except Z_N's clock
-    # phases P and P^dag
-    for ops in (u1_ops(2), spin_gauge_ops(2), zn_ops(3), zn_ops(4)):
-        for name, mat in ops.ops.items():
-            want = np.complex128 if name in ("P", "Pdag") else np.float64
-            assert mat.dtype == want, (ops.model, name)
+    # every link matrix and per-label table is real in the flux basis
+    for ops in (u1_ops(2), spin_gauge_ops(2), zn_ops(3), zn_ops(4),
+                su2_ops(0.5)):
+        tables = {"flux": ops.flux, "electric": ops.electric}
+        for a, row in enumerate(ops.U):
+            tables.update({f"U[{a}][{b}]": u for b, u in enumerate(row)})
+        for name, mat in tables.items():
+            assert mat.dtype == np.float64, (ops.model, name)

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -107,6 +109,22 @@ def test_static_potential_perturbative_regime():
                                "electric", "gauge_matter", "mass")
     curve = static_potential(spec, CHAIN6, [0, 1, 2, 3, 4])
     assert abs(curve.sigma - 5.0) / 5.0 < 0.05
+
+
+def test_static_potential_fit_window_ignores_list_order():
+    # the window is chosen by R, not by list position: R = 0 and the
+    # largest of more than two separations drop out wherever they are
+    # listed (the window used to be the list less its first point if that
+    # was R = 0 and its last: [3, 2, 1, 0] gave sigma 0.389, not 0.232)
+    spec = HamiltonianSpec(model="ks_u1", truncation=1, eps=0.5, mass=0.2,
+                           matter=STAGGERED)
+    chain8 = build_lattice(1, [8])
+    ref = static_potential(spec, chain8, [0, 1, 2, 3])
+    assert ref.sigma == pytest.approx(0.2324, abs=1e-4)
+    for order in itertools.permutations([0, 1, 2, 3]):
+        curve = static_potential(spec, chain8, list(order))
+        assert (curve.sigma, curve.offset, curve.residual) \
+            == (ref.sigma, ref.offset, ref.residual), order
 
 
 def test_static_potential_charge_conjugation():

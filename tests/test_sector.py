@@ -94,8 +94,7 @@ def test_sector_basis_charges_beyond_int16():
     # partial charges: the enumeration must not wrap them
     from lgtlab.linkalg import LinkOperatorSet
     from lgtlab.tensor import ProductSpace
-    flux = np.diag([-40000.0, 0.0, 40000.0])
-    linkops = LinkOperatorSet("ks_u1", 3, 1, {"flux": flux})
+    linkops = LinkOperatorSet("ks_u1", 1, np.array([-40000.0, 0.0, 40000.0]))
     space = ProductSpace(chain(3), linkops)
     for charges in all_sector_dimensions(space):
         assert max(map(abs, charges)) <= 80000

@@ -266,6 +266,8 @@ def test_schwinger_reproduces_spin_gauge(ell):
     sw = schwinger_u1(n_max)
     B = fixed_ell_subspace(n_max, ell)
     so = spin_gauge_ops(ell)
+    lp = np.sqrt(ell * (ell + 1)) * so.U[0][0]
+    so = {"Lz": np.diag(so.flux), "Lp": lp, "Lm": lp.T}
     for key in ("Lz", "Lp", "Lm"):
         assert np.allclose(B.conj().T @ sw[key] @ B, so[key], atol=1e-13)
     assert np.allclose(B.conj().T @ sw["ellhat"] @ B,

@@ -34,7 +34,7 @@ CASES = {
 HOPS = {
     "z_string": lambda s: hop(s.n_links, s.n_links + 2),
     "z_string_reversed": lambda s: hop(s.n_links + 2, s.n_links),
-    "link_and_z_string": lambda s: [(0, s.linkops["U"])]
+    "link_and_z_string": lambda s: [(0, s.linkops.U[0][0])]
     + hop(s.n_links, s.n_links + 2),
 }
 WITH_MATTER = ("matter_only", "link_and_matter", "mode_factor",
