@@ -23,7 +23,7 @@ from itertools import product
 
 import numpy as np
 
-from . import su2rep
+from . import linkalg, su2rep
 from .su2rep import cg, spin_matrices
 
 F_BOSON = 2.0
@@ -186,34 +186,30 @@ def _level_map(mapping):
     raise ValueError(f"mapping must be 'even' or 'odd', got {mapping!r}")
 
 
-def build_m_and_verify(mapping="even", space=None, rotation=None):
+def build_m_and_verify(mapping="even"):
     """Relabel the M matrix onto the |j m m'> basis and compare with the
-    truncated rotation matrix at J_max = 1/2.
+    truncated rotation matrix of linkalg.su2_ops at J_max = 1/2.
 
     Returns (M entries in the link basis, max deviation), where the
     deviation is ||M - U||_max for the even mapping and ||M^dag - U||_max
     for the odd one.
     """
-    if space is None:
-        space = su2rep.su2_link_space(0.5)
-    if rotation is None:
-        rotation = su2rep.truncated_rotation_matrix(space, 0.5)
+    U = linkalg.su2_ops(0.5).U
+    labels = su2rep.link_labels(0.5)
     levels = _level_map(mapping)
     S = np.zeros((5, 5), dtype=complex)   # link basis <- boson basis
     for m_b, (sign, state) in levels.items():
-        S[space.state_index(*state), m_b + 2] = sign
+        S[labels.index(state), m_b + 2] = sign
     M = m_matrix()
     mapped = [[S @ M[i][j] @ S.conj().T for j in range(2)] for i in range(2)]
 
-    ms = (0.5, -0.5)
     dev = 0.0
-    for i, m in enumerate(ms):
-        for j, mp in enumerate(ms):
+    for i in range(2):
+        for j in range(2):
             if mapping == "even":
-                d = np.max(np.abs(mapped[i][j] - rotation.entry(m, mp)))
+                d = np.max(np.abs(mapped[i][j] - U[i][j]))
             else:
-                d = np.max(np.abs(mapped[j][i].conj().T
-                                  - rotation.entry(m, mp)))
+                d = np.max(np.abs(mapped[j][i].conj().T - U[i][j]))
             dev = max(dev, float(d))
     return mapped, dev
 

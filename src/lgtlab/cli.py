@@ -37,7 +37,8 @@ import time
 import numpy as np
 import scipy
 
-from . import __version__, atommap, gauge, observables, solver, su2rep
+from . import __version__, atommap, gauge, linkalg, observables, solver, \
+    su2rep
 from .hamiltonian import KS_U1, SPIN_GAUGE, SU2, ZN, HamiltonianSpec, \
     SectorLeak, build_model, electric_tension, max_gauss_violation
 from .lattice import build_lattice
@@ -446,8 +447,7 @@ def run_verify_all(tol, checks, results):
             checks.append(_check("sector_dimensions_sum[u1_plaquette]",
                                  abs(total - model.space.dim), 0.5))
     # truncated-SU(2) trace identity with a measured defect scalar
-    rot = su2rep.truncated_rotation_matrix(su2rep.su2_link_space(0.5), 0.5)
-    f, residual = rot.measured_defect()
+    f, residual = su2rep.trace_defect(0.5, linkalg.su2_ops(0.5).U)
     results["trace_identity_defect_f"] = f
     checks.append(_check("trace_identity_residual", residual, 1e-12))
     _, dev_even = atommap.build_m_and_verify("even")

@@ -9,7 +9,9 @@ the electric-flux eigenbasis:
   the normalized ladder L_plus / sqrt(ell(ell+1)) standing in for U,
 * ``zn``, Z_N clock algebra: clock labels m, the eigenbasis of the phases
   P|m> = exp(i 2 pi m / N)|m>; U is the cyclic shift that raises m,
-* ``su2``, truncated SU(2): the |j m m'> space with j <= J_max of su2rep.
+* ``su2``, truncated SU(2): the |j m m'> space with j <= J_max of su2rep,
+  built from su2rep's tables once per J_max and shared, its arrays
+  read-only.
 
 Every family gives its link operator U as an r x r matrix of local
 matrices (``LinkOperatorSet.U``): [[U]] (r = 1) on the three Abelian
@@ -56,7 +58,7 @@ class LinkOperatorSet:
     unit: int = None                # label of one unit of flux, or None
     gauss: np.ndarray = field(default=None, repr=False)  # (2, labels) int
     modulus: int = None             # N on Z_N links
-    ladders: tuple = field(default=None, repr=False)  # SU(2) L[m], R[p]
+    ladders: tuple = field(default=None, repr=False)  # SU(2) G^+
 
     def __post_init__(self):
         if self.gauss is None:      # Abelian: the flux at both ends
@@ -137,18 +139,27 @@ def zn_ops(n):
                     modulus=d)
 
 
+_SU2_SETS = {}
+
+
 def su2_ops(j_max):
-    """Truncated SU(2) link space |j m m'>, 1/2 <= j_max (su2rep): the
-    Casimir j(j+1) is the flux readout and the electric value, and U is
-    the 2x2 entries of the rotation matrix U^{1/2}, row m and column m'
-    running over 1/2, -1/2.  Both are shared with su2rep's caches."""
+    """Truncated SU(2) link space |j m m'>, 1/2 <= j_max, from su2rep's
+    tables: the Casimir j(j+1) is the flux readout and the electric value,
+    U is the 2x2 entries of the rotation matrix U^{1/2}, row m and column
+    m' running over 1/2, -1/2.  Built on the first call for a J_max and
+    shared after, so its arrays are read-only."""
     if j_max < 0.5:
         raise ValueError("J_max must be >= 1/2")
-    lsp = su2rep.su2_link_space(j_max)
-    U = su2rep.truncated_rotation_matrix(lsp, 0.5).entries
-    gauss = np.array([(2 * m, 2 * mp) for _, m, mp in lsp.basis], int).T
-    casimir = np.diag(lsp.casimir)
-    return LinkOperatorSet(SU2, j_max, casimir, U, casimir,
-                           lsp.state_index(0, 0, 0),
-                           lsp.state_index(0.5, -0.5, -0.5), gauss,
-                           ladders=(lsp.L["m"], lsp.R["p"]))
+    if j_max not in _SU2_SETS:
+        labels = su2rep.link_labels(j_max)
+        j, m, mp = np.array(labels).T
+        casimir = j * (j + 1)
+        gauss = np.array([2 * m, 2 * mp], int)
+        ladders = su2rep.link_ladders(j_max)
+        U = su2rep.rotation_entries(j_max, 0.5)
+        for a in (casimir, gauss, *ladders, *U[0], *U[1]):
+            a.flags.writeable = False
+        _SU2_SETS[j_max] = LinkOperatorSet(
+            SU2, j_max, casimir, U, casimir, labels.index((0, 0, 0)),
+            labels.index((0.5, -0.5, -0.5)), gauss, ladders=ladders)
+    return _SU2_SETS[j_max]

@@ -87,21 +87,20 @@ def string_link_path(lat, origin, separation):
 
 def strong_coupling_ground(model, origin, separation):
     """The straight-line flux-string state for charges at origin and
-    origin + R x-hat.
+    origin + R x-hat, with matter in the Dirac sea when present.
 
     For the Abelian families this is a single product basis state (flux 1
-    on the connecting links, matter in the Dirac sea when present).  For
-    SU(2) it is the entangled state (prod U)_{mm'} |vacuum> summed over the
-    internal path indices, normalized; its electric energy is
-    (g^2/2) (3/4) R exactly.
+    on the connecting links).  For SU(2) it is the entangled state
+    (prod U)_{mm'} |vacuum> summed over the internal path indices,
+    normalized, with |vacuum> the R = 0 product state; its electric energy
+    is (g^2/2) (3/4) R exactly.
     """
     space = model.space
-    links = string_link_path(model.lattice, origin, separation)
     if model.spec.model == SU2:
-        vacuum = [space.linkops.vacuum] * space.n_links + [0] * space.n_modes
-        psi = space.basis_vector(space.encode(vacuum))
+        psi = space.basis_vector(string_state_index(model, origin, 0))
         if separation == 0:
             return psi
+        links = string_link_path(model.lattice, origin, separation)
         out = _su2_string(space, links, psi)
         n = np.linalg.norm(out)
         if n == 0:
@@ -115,7 +114,7 @@ def string_state_index(model, origin, separation):
     """Product-state index of the Abelian string: one unit of flux (the
     link set's unit label: flux 1, or -1 on Z_2) on the links of the
     straight path origin -> origin + R x-hat, the vacuum elsewhere, matter
-    in the Dirac sea when present."""
+    in the Dirac sea when present.  At R = 0 it is also the SU(2) vacuum."""
     space, ops = model.space, model.space.linkops
     links = string_link_path(model.lattice, origin, separation)
     if links and ops.unit is None:

@@ -5,23 +5,23 @@ Contents:
 * Clebsch-Gordan coefficients in the Condon-Shortley convention, computed
   from the Racah closed form with exact integer/fraction arithmetic and
   emitted as floats.
-* The truncated link space spanned by |j m m'> for j = 0, 1/2, ..., J_max,
-  carrying commuting left and right SU(2) algebras: the left generators act
-  on the m index, the right generators on the m' index.  The sign
-  conventions follow the left/right split of the link algebra,
-  [L_i, L_j] = -i eps_ijk L_k and [R_i, R_j] = +i eps_ijk R_k.
-* The gauge-covariant (but non-unitary) rotation-matrix operators built by
-  Clebsch-Gordan sums over representation pairs (J, K), truncated at J_max.
+* The truncated link space spanned by |j m m'> for j = 0, 1/2, ..., J_max
+  as tables, each a function of J_max: the (j, m, m') labels; the ladders
+  of the commuting left and right SU(2) algebras, the left generators
+  acting on the m index and the right ones on the m' index, with the sign
+  conventions of the left/right split of the link algebra,
+  [L_i, L_j] = -i eps_ijk L_k and [R_i, R_j] = +i eps_ijk R_k; the
+  entries of the gauge-covariant (but non-unitary) rotation matrix U^j,
+  built by Clebsch-Gordan sums over representation pairs (J, K) truncated
+  at J_max; and the measured defect of its trace identity.
 
-  The link space is built once per J_max and each rotation matrix once per
-  (J_max, j); callers share them, so every array they hold is read-only
-  and an attempt to write one raises ValueError.
+  Each call builds its arrays afresh; linkalg.su2_ops builds the link set
+  from them once per J_max and shares it.
 * Two-mode Schwinger-boson and four-mode prepotential realizations of the
   same algebras on Fock spaces, used as independent cross-checks and as the
   operator content of the atomic constructions.
 """
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial, sqrt
 
@@ -105,156 +105,75 @@ def spin_matrices(j):
     return Tz, Tp, Tm, Tx, Ty
 
 
-@dataclass
-class SU2LinkSpace:
-    """Single-link Hilbert space of the truncated SU(2) theory.
-
-    The basis states |j m m'> are ordered by (j, m, m').  Left generators
-    L act on m, right generators R on m'; both Casimirs are diagonal with
-    eigenvalue j(j+1).
-    """
-
-    j_max: float
-    basis: list = field(repr=False)      # (j, m, mp) tuples
-    index: dict = field(repr=False)
-    L: dict = field(repr=False)          # axis -> matrix, axes "x","y","z","p","m"
-    R: dict = field(repr=False)
-    projectors: dict = field(repr=False)  # j -> P_j
-    casimir: np.ndarray = field(repr=False)
-    rotations: dict = field(default_factory=dict, repr=False)  # j -> U^j
-
-    @property
-    def local_dim(self):
-        return len(self.basis)
-
-    def state_index(self, j, m, mp):
-        return self.index[(j, m, mp)]
-
-
-_LINK_SPACES = {}
-
-
-def su2_link_space(j_max):
-    """The |j m m'> space with its left/right generator matrices, built on
-    the first call for a J_max and shared after; its arrays are
-    read-only."""
+def link_labels(j_max):
+    """The (j, m, m') labels of the link states |j m m'>, j = 0 ... J_max,
+    ordered by (j, m, m')."""
     if j_max < 0 or not _is_half_integer(j_max):
         raise ValueError("j_max must be a non-negative half-integer")
-    if j_max not in _LINK_SPACES:
-        _LINK_SPACES[j_max] = _build_link_space(j_max)
-    return _LINK_SPACES[j_max]
+    return [(j, m, mp) for j in _j_values(j_max)
+            for m in _half_range(j) for mp in _half_range(j)]
 
 
-def _read_only(arrays):
-    for a in arrays:
-        a.flags.writeable = False
-
-
-def _build_link_space(j_max):
-    basis = []
-    for j in _j_values(j_max):
-        for m in _half_range(j):
-            for mp in _half_range(j):
-                basis.append((j, m, mp))
-    index = {b: i for i, b in enumerate(basis)}
-    js = np.array([j for j, _, _ in basis])
-
-    # one block per j, the spin-j matrices by axis: left generators act on
-    # m with transposed representation matrices, right generators on m'
-    # untransposed, so the left ladders L_+- = L_x -+ i L_y hold T_-+^T and
-    # the right ladders R_+- = R_x +- i R_y hold T_+-
-    blocks = [(dict(zip("zpmxy", spin_matrices(j))), np.eye(round(2 * j) + 1))
+def link_ladders(j_max):
+    """The ladders L^x + i L^y and R^x + i R^y of the link space, one block
+    per j.  Left generators act on m with transposed spin-j matrices and
+    right generators on m' untransposed, so the left ladder is T_- (x) 1
+    and the right one 1 (x) T_+."""
+    blocks = [(spin_matrices(j), np.eye(round(2 * j) + 1))
               for j in _j_values(j_max)]
-    flip = {"p": "m", "m": "p"}
-    L = {k: block_diag(*(np.kron(T[flip.get(k, k)].T, eye)
-                         for T, eye in blocks)) for k in "xyzpm"}
-    R = {k: block_diag(*(np.kron(eye, T[k]) for T, eye in blocks))
-         for k in "xyzpm"}
-    projectors = {j: np.diag((js == j).astype(float))
-                  for j in _j_values(j_max)}
-    casimir = np.diag(js * (js + 1))
-    _read_only([*L.values(), *R.values(), *projectors.values(), casimir])
-    return SU2LinkSpace(j_max, basis, index, L, R, projectors, casimir)
+    return (block_diag(*(np.kron(T[2], eye) for T, eye in blocks)),
+            block_diag(*(np.kron(eye, T[1]) for T, eye in blocks)))
 
 
-@dataclass
-class TruncatedRotationMatrix:
-    """Operator-valued rotation matrix U^j on a truncated link space.
-
-    entries[a][b] is the local_dim x local_dim matrix of U^j_{m m'} with
-    m = j - a and m' = j - b (row index a runs over decreasing m).
-    """
-
-    j: float
-    space: SU2LinkSpace
-    entries: list = field(repr=False)
-
-    def entry(self, m, mp):
-        a = round(self.j - m)
-        b = round(self.j - mp)
-        return self.entries[a][b]
-
-    def trace_udag_u(self):
-        """Matrix of tr(U^dag U) = sum_{mm'} U_{mm'}^dag U_{mm'}."""
-        return sum(e.conj().T @ e for row in self.entries for e in row)
-
-    def measured_defect(self):
-        """Scalar f and residual of tr(U^dag U) = (2j+1) - f P_{J_max}.
-
-        f is measured from the constructed matrices, never assumed.
-        """
-        dim = self.space.local_dim
-        D = (round(2 * self.j) + 1) * np.eye(dim) - self.trace_udag_u()
-        P = self.space.projectors[self.space.j_max]
-        f = (np.trace(P @ D) / np.trace(P)).real
-        residual = np.max(np.abs(D - f * P))
-        return f, residual
-
-
-def truncated_rotation_matrix(space, j):
-    """U^j on `space` from the Clebsch-Gordan series, built on the first
-    call for a (space, j) and kept on the space after; its entries are
-    read-only.
+def rotation_entries(j_max, j):
+    """The entries of the rotation matrix U^j on the link space of J_max,
+    from the Clebsch-Gordan series: entries[a][b] is the matrix of
+    U^j_{m m'} with m = j - a and m' = j - b (row index a runs over
+    decreasing m).
 
     U^j_{mm'} = sum_{J <= J_max} sum_{K=|J-j|..J+j, K <= J_max}
                 sqrt((2J+1)/(2K+1)) u^j_{mm'}(J,K)
     where u maps the J sector into the K sector with CG weights
     <J j M m|K M+m> on the left index and <J j M' m'|K M'+m'> on the right.
+    Block by block: for each allowed (J, K), block (K, J) of the entry
+    (m, m') is pref C_m (x) C_m', with C_m the Clebsch-Gordan matrix
+    <J M j m|K N> (rows N, columns M) and pref = sqrt((2J+1)/(2K+1)).
     """
-    if j > space.j_max + 1e-12:
+    if j > j_max + 1e-12:
         raise ValueError("representation label j exceeds J_max")
-    if j not in space.rotations:
-        space.rotations[j] = _build_rotation_matrix(space, j)
-    return space.rotations[j]
-
-
-def _build_rotation_matrix(space, j):
-    """U^j block by block: for each allowed (J, K), block (K, J) of the
-    entry (m, m') is pref C_m (x) C_m', with C_m the Clebsch-Gordan matrix
-    <J M j m|K N> (rows N, columns M) and pref = sqrt((2J+1)/(2K+1))."""
-    dim = space.local_dim
+    labels = link_labels(j_max)
+    dim = len(labels)
+    block = {J: slice(labels.index((J, -J, -J)), labels.index((J, J, J)) + 1)
+             for J in _j_values(j_max)}
     ms = list(reversed(_half_range(j)))   # m = j ... -j
 
     entries = [[np.zeros((dim, dim)) for _ in ms] for _ in ms]
-    for J in _j_values(space.j_max):
-        for K in _j_values(space.j_max):
+    for J in _j_values(j_max):
+        for K in _j_values(j_max):
             if not _check_triangle(J, j, K):
                 continue
             pref = sqrt((2 * J + 1) / (2 * K + 1))
             C = [np.array([[cg(J, M, j, m, K, N) for M in _half_range(J)]
                            for N in _half_range(K)]) for m in ms]
-            rows = slice(space.state_index(K, -K, -K),
-                         space.state_index(K, K, K) + 1)
-            cols = slice(space.state_index(J, -J, -J),
-                         space.state_index(J, J, J) + 1)
             # + 0.0 turns the -0.0 of a zero CG times a negative one into
             # the +0.0 of an entry no CG product reaches
             for a, left in enumerate(C):
                 for b, right in enumerate(C):
-                    entries[a][b][rows, cols] = \
+                    entries[a][b][block[K], block[J]] = \
                         np.kron(pref * left, right) + 0.0
-    _read_only(e for row in entries for e in row)
-    return TruncatedRotationMatrix(j, space, entries)
+    return entries
+
+
+def trace_defect(j_max, entries):
+    """Scalar f and residual of tr(U^dag U) = (2j+1) - f P_{J_max} for the
+    entries of U^j on the link space of J_max; f is measured from the
+    matrices, never assumed."""
+    top = np.array([j == j_max for j, _, _ in link_labels(j_max)])
+    D = len(entries) * np.eye(len(top)) \
+        - sum(e.conj().T @ e for row in entries for e in row)
+    f = np.sum(D.diagonal() * top) / np.sum(top)
+    np.fill_diagonal(D, D.diagonal() - f * top)
+    return f, np.max(np.abs(D))
 
 
 # ---------------------------------------------------------------------------

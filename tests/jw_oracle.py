@@ -12,7 +12,7 @@ from itertools import product
 import numpy as np
 from scipy import sparse
 
-from lgtlab import matter as matter_mod, su2rep
+from lgtlab import matter as matter_mod
 from lgtlab.hamiltonian import DIAGONAL_TERMS, OFF_DIAGONAL_TERMS
 from lgtlab.lattice import staggered_sign
 from lgtlab.tensor import ProductSpace
@@ -113,11 +113,8 @@ def gauge_matter_pieces(model):
                        for i in range(2) for j in range(2) if s[i, j] != 0)
             yield spec.eps, [(l, 1j * space.linkops.U[0][0])], ferm
         elif spec.model == "su2":
-            rotation = su2rep.truncated_rotation_matrix(
-                su2rep.su2_link_space(spec.truncation), 0.5)
-            for (i, m), (j, mp) in product(enumerate((0.5, -0.5)),
-                                           repeat=2):
-                yield (spec.eps, [(l, rotation.entry(m, mp))],
+            for i, j in product(range(2), repeat=2):
+                yield (spec.eps, [(l, space.linkops.U[i][j])],
                        jw.cdag(a, i) @ jw.c(b, j))
         else:
             yield (spec.eps, [(l, space.linkops.U[0][0])],

@@ -4,8 +4,10 @@ raising operator of ``lgtlab.gauge`` (``charge_rows``,
 are compared against.
 
 Each of the three components G^a = sum_out L^a - sum_in R^a - Q^a of a
-vertex is summed from full-space embeddings, and the Gauss check forms
-h @ g - g @ h for every one of them.  Also the representation tables that
+vertex is summed from full-space embeddings of link generators built here
+from the spin-j matrices, not read from the link set, and the Gauss check
+forms h @ g - g @ h for every one of them.  Also the generators read back
+from a link set's tables, and the representation tables that
 ``lgtlab.su2rep`` is checked with: a precomputed Clebsch-Gordan table and
 the fixed-spin subspace of the two-mode Schwinger-boson Fock space, the
 rotation matrix summed entry by entry over its Clebsch-Gordan series
@@ -19,12 +21,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
+from scipy.linalg import block_diag
 
 from jw_oracle import PAULI
 from lgtlab import matter as matter_mod
 from lgtlab.gauge import abelian_charge_table, gauss_raising
 from lgtlab.su2rep import _check_triangle, _half_range, _j_values, cg, \
-    su2_link_space, truncated_rotation_matrix
+    link_labels, spin_matrices
 
 
 def su2_charge(layout, vertex, axis):
@@ -42,9 +45,40 @@ def su2_charge(layout, vertex, axis):
             for i in range(2) for j in range(2) if s[i, j] != 0]
 
 
-def gauss_generators_su2(space, link_space):
-    """Three generators per vertex: sum_out L^a - sum_in R^a - Q^a."""
+def link_generators(j_max):
+    """The left and right generators of the |j m m'> link space by axis
+    x, y, z, built here from su2rep.spin_matrices and not from the link
+    set: L^a = (T^a)^T (x) 1 and R^a = 1 (x) T^a on each j block."""
+    blocks = [(spin_matrices(j), np.eye(round(2 * j) + 1))
+              for j in _j_values(j_max)]
+    L, R = {}, {}
+    for axis, k in (("z", 0), ("x", 3), ("y", 4)):
+        L[axis] = block_diag(*(np.kron(T[k].T, eye) for T, eye in blocks))
+        R[axis] = block_diag(*(np.kron(eye, T[k]) for T, eye in blocks))
+    return L, R
+
+
+def set_generators(ops):
+    """The left and right generators read from an SU(2) link set's tables,
+    by axis x, y, z, p, m: G^z is half the set's `gauss` row, G^+ =
+    G^x + i G^y its ladder and G^- = (G^+)^T.  The left algebra's G^+ is
+    L_m = L^x + i L^y (its sign convention is flipped), the right one's
+    R_p."""
+    gens = []
+    for side, (up_key, down_key) in enumerate(("mp", "pm")):
+        up = ops.ladders[side]
+        down = up.T
+        gens.append({"x": (up + down) / 2, "y": (up - down) / 2j,
+                     "z": np.diag(ops.gauss[side] / 2),
+                     up_key: up, down_key: down})
+    return tuple(gens)
+
+
+def gauss_generators_su2(space, j_max):
+    """Three generators per vertex: sum_out L^a - sum_in R^a - Q^a, with
+    the link generators of link_generators(j_max)."""
     lat = space.lattice
+    left, right = link_generators(j_max)
     gens = []
     for v in range(lat.vertex_count):
         out_links, in_links = lat.links_at_vertex(v)
@@ -52,10 +86,10 @@ def gauss_generators_su2(space, link_space):
         for axis in "xyz":
             g = None
             for l in out_links:
-                t = space.embed([(1.0, [(l, link_space.L[axis])])])
+                t = space.embed([(1.0, [(l, left[axis])])])
                 g = t if g is None else g + t
             for l in in_links:
-                t = space.embed([(1.0, [(l, link_space.R[axis])])])
+                t = space.embed([(1.0, [(l, right[axis])])])
                 g = -t if g is None else g - t
             if g is None:
                 g = sparse.csr_matrix((space.dim, space.dim), dtype=complex)
@@ -118,18 +152,19 @@ def build_cg_table(j_cap):
     return CGTable(j_cap, table)
 
 
-def rotation_matrix_entries(space, j):
-    """entries[a][b] of U^j on `space` (m = j - a, m' = j - b), each
-    element sqrt((2J+1)/(2K+1)) <J M j m|K N> <J M' j m'|K N'> added to
-    zero in its own loop iteration."""
-    dim = space.local_dim
+def rotation_matrix_entries(j_max, j):
+    """entries[a][b] of U^j on the link space of J_max (m = j - a,
+    m' = j - b), each element sqrt((2J+1)/(2K+1)) <J M j m|K N>
+    <J M' j m'|K N'> added to zero in its own loop iteration."""
+    index = {label: i for i, label in enumerate(link_labels(j_max))}
+    dim = len(index)
     ms = list(reversed(_half_range(j)))
     entries = [[np.zeros((dim, dim)) for _ in ms] for _ in ms]
     for a, m in enumerate(ms):
         for b, mp in enumerate(ms):
             mat = entries[a][b]
-            for J in _j_values(space.j_max):
-                for K in _j_values(space.j_max):
+            for J in _j_values(j_max):
+                for K in _j_values(j_max):
                     if not _check_triangle(J, j, K):
                         continue
                     pref = np.sqrt((2 * J + 1) / (2 * K + 1))
@@ -147,8 +182,8 @@ def rotation_matrix_entries(space, j):
                             cr = cg(J, Mp, j, mp, K, Np)
                             if cr == 0.0:
                                 continue
-                            row = space.state_index(K, N, Np)
-                            col = space.state_index(J, M, Mp)
+                            row = index[(K, N, Np)]
+                            col = index[(J, M, Mp)]
                             mat[row, col] += pref * cl * cr
     return entries
 
@@ -169,15 +204,15 @@ def fixed_ell_subspace(n_max, ell):
     return np.array(cols).T
 
 
-def su2_chain(space, U, links, m, mp):
-    """Matrix of (U_{l1} U_{l2} ... U_{lR})_{m mp} with index contraction."""
-    ms = (0.5, -0.5)
+def su2_chain(space, U, links, a, b):
+    """Matrix of (U_{l1} U_{l2} ... U_{lR})_{ab} with index contraction,
+    for the 2x2 entries U of U^{1/2} (index 0 is m = 1/2, 1 is -1/2)."""
     if len(links) == 1:
-        return space.embed([(1.0, [(links[0], U.entry(m, mp))])])
+        return space.embed([(1.0, [(links[0], U[a][b])])])
     total = None
-    for mid in ms:
-        head = space.embed([(1.0, [(links[0], U.entry(m, mid))])])
-        tail = su2_chain(space, U, links[1:], mid, mp)
+    for mid in range(2):
+        head = space.embed([(1.0, [(links[0], U[a][mid])])])
+        tail = su2_chain(space, U, links[1:], mid, b)
         term = head @ tail
         total = term if total is None else total + term
     return total
@@ -185,18 +220,18 @@ def su2_chain(space, U, links, m, mp):
 
 def su2_string_state(model, links):
     """(U_1 U_2 ... U_R)_{m m'} |vacuum> summed over m, m' and normalized:
-    the SU(2) string along `links`, the vacuum itself when there are
-    none."""
+    the SU(2) string along `links`, the vacuum itself (every link in the
+    singlet |0 0 0>, matter in the Dirac sea) when there are none."""
     space = model.space
-    link_space = su2_link_space(model.spec.truncation)
-    vacuum = [link_space.state_index(0, 0, 0)] * space.n_links \
-        + [0] * space.n_modes
-    psi = space.basis_vector(space.encode(vacuum))
+    singlet = link_labels(model.spec.truncation).index((0, 0, 0))
+    matter = [] if space.layout is None \
+        else matter_mod.dirac_sea_state(space.layout)
+    psi = space.basis_vector(space.encode([singlet] * space.n_links
+                                          + matter))
     if not links:
         return psi
     out = np.zeros_like(psi)
-    rotation = truncated_rotation_matrix(link_space, 0.5)
-    for m in (0.5, -0.5):
-        for mp in (0.5, -0.5):
-            out += su2_chain(space, rotation, links, m, mp) @ psi
+    for a in range(2):
+        for b in range(2):
+            out += su2_chain(space, space.linkops.U, links, a, b) @ psi
     return out / np.linalg.norm(out)

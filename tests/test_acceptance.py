@@ -13,7 +13,7 @@ import warnings
 import numpy as np
 import pytest
 
-from lgtlab import atommap, su2rep
+from lgtlab import atommap, linkalg, su2rep
 from lgtlab.cli import run as cli_run
 from lgtlab.gauge import sector_basis
 from lgtlab.hamiltonian import HamiltonianSpec, build_model, \
@@ -119,11 +119,9 @@ def test_criterion_4_zn_to_u1_trend():
 def test_criterion_5_truncated_su2_machinery():
     """Trace identity with one measured scalar f; M = U (even mapping) and
     M^dag = U (odd mapping) to 1e-12."""
-    space = su2rep.su2_link_space(0.5)
-    rot = su2rep.truncated_rotation_matrix(space, 0.5)
-    f, residual = rot.measured_defect()
-    _, dev_even = atommap.build_m_and_verify("even", space, rot)
-    _, dev_odd = atommap.build_m_and_verify("odd", space, rot)
+    f, residual = su2rep.trace_defect(0.5, linkalg.su2_ops(0.5).U)
+    _, dev_even = atommap.build_m_and_verify("even")
+    _, dev_odd = atommap.build_m_and_verify("odd")
     ok = residual < 1e-12 and dev_even < 1e-12 and dev_odd < 1e-12
     report(5, ok,
            f"tr(U^dag U) = 2 - f P with measured f = {f:.6f}, residual "

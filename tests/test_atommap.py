@@ -95,10 +95,13 @@ def test_m_equals_truncated_rotation(mapping):
 
 
 @pytest.mark.parametrize("mapping", ["even", "odd"])
-def test_m_equals_truncated_rotation_on_a_given_space(mapping):
-    # a link space without a rotation matrix: the rotation is built for it
-    from lgtlab.su2rep import su2_link_space
-    _, dev = build_m_and_verify(mapping, su2_link_space(0.5))
+def test_m_equals_truncated_rotation_on_a_given_space(mapping,
+                                                     monkeypatch):
+    # from an empty cache: the link set and its rotation matrix are built
+    # for the check
+    from lgtlab import linkalg
+    monkeypatch.setattr(linkalg, "_SU2_SETS", {})
+    _, dev = build_m_and_verify(mapping)
     assert dev < 1e-12
 
 

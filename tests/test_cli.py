@@ -9,7 +9,7 @@ import pytest
 import scipy.linalg
 
 import lgtlab
-from lgtlab import cli, su2rep
+from lgtlab import cli
 from lgtlab.cli import ConfigError, load_config, main, run
 from lgtlab.gauge import sector_basis
 from lgtlab.solver import restrict
@@ -987,8 +987,8 @@ def test_uncharged_su2_spectrum_checks_gauss_law_like_the_oracle(tmp_path):
     model = cli.build_model(cli.parse_hamiltonian(hamiltonian),
                             cli.parse_lattice(lattice))
     oracle = su2_oracle.max_gauss_violation(
-        su2_oracle.gauss_generators_su2(
-            model.space, su2rep.su2_link_space(model.spec.truncation)),
+        su2_oracle.gauss_generators_su2(model.space,
+                                        model.spec.truncation),
         model.hamiltonian())
     assert [c["name"] for c in m["checks"]] == ["gauge_invariance"]
     assert m["checks"][0]["value"] == oracle

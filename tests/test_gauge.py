@@ -120,7 +120,6 @@ def test_empty_sector_reported():
 
 def test_su2_zero_sector_and_vacuum():
     lat = build_lattice(1, [3])
-    lsp = su2rep.su2_link_space(0.5)
     sp = ProductSpace(lat, linkalg.su2_ops(0.5))
     gens = derived_generators_su2(sp)
     # per-vertex left-type algebra [G_i, G_j] = -i eps G_k
@@ -139,7 +138,7 @@ def test_su2_zero_sector_and_vacuum():
     assert B.shape[1] >= 1
     # the all-singlet product state is in the sector
     vac = np.zeros(sp.dim)
-    vac[sp.encode([lsp.state_index(0, 0, 0)] * 2)] = 1.0
+    vac[sp.encode([su2rep.link_labels(0.5).index((0, 0, 0))] * 2)] = 1.0
     overlap = np.linalg.norm(B.conj().T @ vac)
     assert overlap == pytest.approx(1.0)
 

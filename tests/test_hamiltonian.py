@@ -40,9 +40,9 @@ def test_electric_su2_fundamental_string_value():
     model = build_model(HamiltonianSpec(model="su2", truncation=0.5, g2=2.0),
                         build_lattice(1, [2]))
     he = model.hamiltonian(("electric",))
-    lsp = su2rep.su2_link_space(model.spec.truncation)
+    labels = su2rep.link_labels(model.spec.truncation)
     v = model.space.basis_vector(
-        model.space.encode([lsp.state_index(0.5, 0.5, -0.5)]))
+        model.space.encode([labels.index((0.5, 0.5, -0.5))]))
     assert np.vdot(v, he @ v) == pytest.approx(0.75)      # (g2/2) j(j+1)
 
 

@@ -17,7 +17,7 @@ from gauge_oracle import clock_matrix, gauss_generators_u1, \
     gauss_generators_zn
 from jw_oracle import JordanWigner, charge_operator, embed_matter, \
     mass_diagonal, occupation_bits
-from lgtlab import lattice, su2rep
+from lgtlab import lattice
 from lgtlab.gauge import abelian_charge_table, all_sector_dimensions, \
     charge_rows, sector_basis
 from lgtlab.hamiltonian import HamiltonianSpec, build_model, \
@@ -295,8 +295,7 @@ def test_su2_diagonals_match_kron():
                                         matter="su2fundamental"),
                         build_lattice(1, [3]))
     space = model.space
-    local = (model.spec.g2 / 2.0) \
-        * su2rep.su2_link_space(model.spec.truncation).casimir
+    local = (model.spec.g2 / 2.0) * np.diag(space.linkops.flux)
     ref = sum(space.embed([(1.0, [(l, local)])])
               for l in range(space.n_links))
     assert max_abs_diff(model.hamiltonian(("electric",)), ref) < TOL

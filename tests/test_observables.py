@@ -8,8 +8,8 @@ from gauge_oracle import basis_matrix, gauge_transformation_unitary, \
     generators
 from lgtlab.gauge import sector_basis
 from lgtlab.hamiltonian import HamiltonianSpec, build_model
-from lgtlab.lattice import build_lattice
-from lgtlab.matter import STAGGERED
+from lgtlab.lattice import build_lattice, staggered_sign
+from lgtlab.matter import STAGGERED, dirac_sea_state
 from lgtlab.observables import convergence_study, flux_profile, \
     flux_tube_breaking_scenario, static_potential, strong_coupling_ground, \
     string_link_path
@@ -312,6 +312,27 @@ def test_su2_string_matches_the_recursive_oracle(j_max):
             model, string_link_path(model.lattice, 0, R))
         psi = strong_coupling_ground(model, 0, R)
         assert np.max(np.abs(psi - expected)) <= 1e-14
+
+
+def test_su2_string_starts_from_the_dirac_sea():
+    # like every Abelian string, the SU(2) one puts two-color matter in the
+    # Dirac sea: each odd vertex is full, so E(0) is the sea's mass energy
+    # -2m per odd vertex, and each unit of separation adds 3 g^2 / 8
+    spec = HamiltonianSpec(model="su2", truncation=0.5, eps=0.4, mass=0.5,
+                           matter="su2fundamental")
+    lat = build_lattice(1, [3])
+    model = build_model(spec, lat)
+    space = model.space
+    psi = strong_coupling_ground(model, 0, 0)
+    (index,) = np.flatnonzero(psi)
+    assert psi[index] == 1.0
+    assert list(space.decode([index])[space.n_links:, 0]) \
+        == dirac_sea_state(space.layout)
+    odd = sum(staggered_sign(v) == -1 for v in lat.vertices)
+    curve = static_potential(spec, lat, [0, 1, 2])
+    assert curve.energies[0] == pytest.approx(-2 * spec.mass * odd)
+    assert np.diff(curve.energies) == pytest.approx([0.375, 0.375])
+    assert curve.sigma == pytest.approx(0.375)
 
 
 def test_su2_string_embeds_four_link_operators_per_link(monkeypatch):

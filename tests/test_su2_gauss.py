@@ -13,7 +13,6 @@ from lgtlab.gauge import abelian_charge_table
 from lgtlab.hamiltonian import HamiltonianSpec, build_model, \
     max_gauss_violation
 from lgtlab.lattice import build_lattice
-from lgtlab.su2rep import su2_link_space
 from lgtlab.tensor import ProductSpace
 
 MATTER = dict(model="su2", eps=0.4, mass=0.2,
@@ -50,8 +49,7 @@ def oracle_model(name):
     spec, (dim, sizes) = MODELS[name]
     model = build_model(spec, build_lattice(dim, sizes))
     return (model, model.hamiltonian(),
-            su2_oracle.gauss_generators_su2(
-                model.space, su2_link_space(spec.truncation)))
+            su2_oracle.gauss_generators_su2(model.space, spec.truncation))
 
 
 def perturbation(model, name):
@@ -59,8 +57,8 @@ def perturbation(model, name):
     if name == "matter":
         return space.embed([(1.0, matter_mod.hop(
             space.layout.factor(0, 0), space.layout.factor(0, 1)))])
-    link_space = su2_link_space(model.spec.truncation)
-    ops = link_space.L if name[0] == "L" else link_space.R
+    left, right = su2_oracle.link_generators(model.spec.truncation)
+    ops = left if name[0] == "L" else right
     return space.embed([(1.0, [(0, sum(ops[axis] for axis in name[1:]))])])
 
 

@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
 
-from lgtlab import cli, su2rep
+from lgtlab import cli, linkalg, su2rep
 from lgtlab.hamiltonian import HamiltonianSpec, build_model
 from lgtlab.lattice import build_lattice
-from lgtlab.linkalg import spin_gauge_ops
-from lgtlab.su2rep import boson_annihilators, cg, prepotential_decomposition, \
-    schwinger_u1, spin_matrices, su2_link_space, truncated_rotation_matrix
-from su2_oracle import build_cg_table, fixed_ell_subspace, \
-    rotation_matrix_entries
+from lgtlab.linkalg import spin_gauge_ops, su2_ops
+from lgtlab.su2rep import boson_annihilators, cg, link_labels, \
+    prepotential_decomposition, rotation_entries, schwinger_u1, \
+    spin_matrices, trace_defect
+from su2_oracle import build_cg_table, fixed_ell_subspace, link_generators, \
+    rotation_matrix_entries, set_generators
 
 EPS = {("x", "y"): "z", ("y", "z"): "x", ("z", "x"): "y"}
 
@@ -104,66 +105,74 @@ def test_cg_table_orthogonality():
 
 
 # ---------------------------------------------------------------------------
-# link space
+# link space: the generators read back from the link set's tables
 # ---------------------------------------------------------------------------
+
+def entry(ops, m, mp):
+    """The set's U^{1/2}_{m m'} (index 0 is 1/2, 1 is -1/2)."""
+    return ops.U[round(0.5 - m)][round(0.5 - mp)]
+
 
 @pytest.mark.parametrize("j_max,dim", [(0, 1), (0.5, 5), (1, 14), (1.5, 30)])
 def test_link_space_dimension(j_max, dim):
-    assert su2_link_space(j_max).local_dim == dim
+    assert len(link_labels(j_max)) == dim
 
 
 @pytest.mark.parametrize("j_max", [0.5, 1])
 def test_link_space_algebras(j_max):
-    sp = su2_link_space(j_max)
+    L, R = set_generators(su2_ops(j_max))
     for (a, b), c in EPS.items():
-        comm = sp.L[a] @ sp.L[b] - sp.L[b] @ sp.L[a]
-        assert np.allclose(comm, -1j * sp.L[c], atol=1e-13)
-        comm = sp.R[a] @ sp.R[b] - sp.R[b] @ sp.R[a]
-        assert np.allclose(comm, 1j * sp.R[c], atol=1e-13)
+        comm = L[a] @ L[b] - L[b] @ L[a]
+        assert np.allclose(comm, -1j * L[c], atol=1e-13)
+        comm = R[a] @ R[b] - R[b] @ R[a]
+        assert np.allclose(comm, 1j * R[c], atol=1e-13)
     for a in "xyz":
         for b in "xyz":
-            comm = sp.L[a] @ sp.R[b] - sp.R[b] @ sp.L[a]
+            comm = L[a] @ R[b] - R[b] @ L[a]
             assert np.allclose(comm, 0.0, atol=1e-13)
 
 
 @pytest.mark.parametrize("j_max", [0.5, 1, 1.5])
 def test_link_space_ladders_are_real_and_equal_their_x_y_sums(j_max):
-    # L_+- = L_x -+ i L_y and R_+- = R_x +- i R_y, built straight from
-    # T_-+^T and T_+- as float64; only the y generators are complex
-    sp = su2_link_space(j_max)
-    for ops, sign in ((sp.L, -1), (sp.R, 1)):
+    # L_+- = L_x -+ i L_y and R_+- = R_x +- i R_y: the set's ladders are
+    # L_- = T_- (x) 1 and R_+ = 1 (x) T_+, float64, equal to the oracle's
+    # x and y sums; only the y generators are complex
+    ops = su2_ops(j_max)
+    for ops_, sign, oracle in zip(set_generators(ops), (-1, 1),
+                                  link_generators(j_max)):
         for key, s in (("p", sign), ("m", -sign)):
-            assert ops[key].dtype == np.float64
-            assert np.array_equal(ops[key], ops["x"] + s * 1j * ops["y"])
-        assert ops["x"].dtype == ops["z"].dtype == np.float64
-        assert ops["y"].dtype == np.complex128
-    assert sp.casimir.dtype == np.float64
-    assert all(p.dtype == np.float64 for p in sp.projectors.values())
-    rot = truncated_rotation_matrix(sp, 0.5)
-    assert all(e.dtype == np.float64 for row in rot.entries for e in row)
+            assert ops_[key].dtype == np.float64
+            assert np.array_equal(ops_[key], ops_["x"] + s * 1j * ops_["y"])
+            assert np.array_equal(ops_[key], oracle["x"] + s * 1j
+                                  * oracle["y"])
+        assert ops_["x"].dtype == ops_["z"].dtype == np.float64
+        assert ops_["y"].dtype == np.complex128
+    assert ops.flux.dtype == np.float64
+    assert ops.gauss.dtype == np.int64
+    assert all(e.dtype == np.float64 for row in ops.U for e in row)
     Tz, Tp, Tm, Tx, Ty = spin_matrices(j_max)
     assert [T.dtype for T in (Tz, Tp, Tm, Tx, Ty)] == [np.float64] * 4 \
         + [np.complex128]
 
 
 def test_casimir_and_trace_equality():
-    sp = su2_link_space(1)
-    L2 = sum(sp.L[k] @ sp.L[k] for k in "xyz")
-    R2 = sum(sp.R[k] @ sp.R[k] for k in "xyz")
+    ops = su2_ops(1)
+    L, R = set_generators(ops)
+    L2 = sum(L[k] @ L[k] for k in "xyz")
+    R2 = sum(R[k] @ R[k] for k in "xyz")
     assert np.allclose(L2, R2, atol=1e-13)            # L^2 = R^2 as operators
     assert np.trace(L2) == pytest.approx(np.trace(R2).real)
-    assert np.allclose(L2, sp.casimir, atol=1e-13)
-    v = np.zeros(sp.local_dim)
-    v[sp.state_index(0.5, 0.5, -0.5)] = 1.0
+    assert np.allclose(L2, np.diag(ops.flux), atol=1e-13)
+    v = np.zeros(ops.local_dim)
+    v[link_labels(1).index((0.5, 0.5, -0.5))] = 1.0
     assert np.vdot(v, L2 @ v) == pytest.approx(0.75)
 
 
 def test_lz_rz_eigenvalues():
-    sp = su2_link_space(1)
-    for (j, m, mp) in sp.basis:
-        i = sp.state_index(j, m, mp)
-        assert sp.L["z"][i, i] == pytest.approx(m)
-        assert sp.R["z"][i, i] == pytest.approx(mp)
+    L, R = set_generators(su2_ops(1))
+    for i, (j, m, mp) in enumerate(link_labels(1)):
+        assert L["z"][i, i] == pytest.approx(m)
+        assert R["z"][i, i] == pytest.approx(mp)
 
 
 # ---------------------------------------------------------------------------
@@ -171,26 +180,26 @@ def test_lz_rz_eigenvalues():
 # ---------------------------------------------------------------------------
 
 def test_rotation_matrix_on_singlet():
-    sp = su2_link_space(0.5)
-    U = truncated_rotation_matrix(sp, 0.5)
+    ops = su2_ops(0.5)
+    labels = link_labels(0.5)
     vac = np.zeros(5)
-    vac[sp.state_index(0, 0, 0)] = 1.0
+    vac[labels.index((0, 0, 0))] = 1.0
     for m in (0.5, -0.5):
         for mp in (0.5, -0.5):
-            out = U.entry(m, mp) @ vac
+            out = entry(ops, m, mp) @ vac
             expect = np.zeros(5)
-            expect[sp.state_index(0.5, m, mp)] = 1 / np.sqrt(2)
+            expect[labels.index((0.5, m, mp))] = 1 / np.sqrt(2)
             assert np.allclose(out, expect)
 
 
 @pytest.mark.parametrize("j_max", [0.5, 1, 1.5, 2])
 def test_rotation_matrix_equals_the_entrywise_sum(j_max):
     # the block construction keeps each element's (pref cl) cr product, so
-    # every entry is bitwise the loop's, signs of zeros included
-    sp = su2_link_space(j_max)
+    # every entry is bitwise the loop's, signs of zeros included; the set
+    # holds U^{1/2}
     for q in range(round(2 * j_max) + 1):
-        got = truncated_rotation_matrix(sp, q / 2).entries
-        want = rotation_matrix_entries(sp, q / 2)
+        got = su2_ops(j_max).U if q == 1 else rotation_entries(j_max, q / 2)
+        want = rotation_matrix_entries(j_max, q / 2)
         for got_row, want_row in zip(got, want):
             for g, w in zip(got_row, want_row):
                 assert g.tobytes() == w.tobytes()
@@ -198,8 +207,8 @@ def test_rotation_matrix_equals_the_entrywise_sum(j_max):
 
 def test_rotation_matrix_transformation_laws():
     # [L_a, U_mm'] = (T_a)_{mn} U_nm' and [R_a, U_mm'] = U_mn (T_a)_{n m'}
-    sp = su2_link_space(1)
-    U = truncated_rotation_matrix(sp, 0.5)
+    ops = su2_ops(1)
+    L, R = set_generators(ops)
     Tz, Tp, Tm, Tx, Ty = spin_matrices(0.5)
     T = {"x": Tx, "y": Ty, "z": Tz}
     ms = (0.5, -0.5)
@@ -207,51 +216,56 @@ def test_rotation_matrix_transformation_laws():
     def ti(m):
         return round(0.5 + m)
 
+    def U(m, mp):
+        return entry(ops, m, mp)
+
     for a in "xyz":
         for m in ms:
             for mp in ms:
-                lhs = sp.L[a] @ U.entry(m, mp) - U.entry(m, mp) @ sp.L[a]
-                rhs = sum(T[a][ti(m), ti(n)] * U.entry(n, mp) for n in ms)
+                lhs = L[a] @ U(m, mp) - U(m, mp) @ L[a]
+                rhs = sum(T[a][ti(m), ti(n)] * U(n, mp) for n in ms)
                 assert np.allclose(lhs, rhs, atol=1e-11)
-                lhs = sp.R[a] @ U.entry(m, mp) - U.entry(m, mp) @ sp.R[a]
-                rhs = sum(U.entry(m, n) * T[a][ti(n), ti(mp)] for n in ms)
+                lhs = R[a] @ U(m, mp) - U(m, mp) @ R[a]
+                rhs = sum(U(m, n) * T[a][ti(n), ti(mp)] for n in ms)
                 assert np.allclose(lhs, rhs, atol=1e-11)
 
 
 def test_rotation_matrix_phase_covariance():
     from scipy.linalg import expm
-    sp = su2_link_space(0.5)
-    U = truncated_rotation_matrix(sp, 0.5)
+    ops = su2_ops(0.5)
+    Lz = set_generators(ops)[0]["z"]
     for phi in (0.0, 0.37, 1.9):
-        G = expm(1j * phi * sp.L["z"])
-        Gi = expm(-1j * phi * sp.L["z"])
+        G = expm(1j * phi * Lz)
+        Gi = expm(-1j * phi * Lz)
         for m in (0.5, -0.5):
             for mp in (0.5, -0.5):
-                conj = G @ U.entry(m, mp) @ Gi
+                conj = G @ entry(ops, m, mp) @ Gi
                 assert np.allclose(conj, np.exp(1j * phi * m)
-                                   * U.entry(m, mp), atol=1e-12)
+                                   * entry(ops, m, mp), atol=1e-12)
+
+
+def trace_udag_u(ops):
+    """Matrix of tr(U^dag U) = sum_{mm'} U_{mm'}^dag U_{mm'}."""
+    return sum(e.conj().T @ e for row in ops.U for e in row)
 
 
 def test_trace_identity_measured_defect():
     # tr(U^dag U) = (2j+1) - f P_{Jmax} with one measured scalar f
-    sp = su2_link_space(0.5)
-    U = truncated_rotation_matrix(sp, 0.5)
-    f, residual = U.measured_defect()
+    ops = su2_ops(0.5)
+    f, residual = trace_defect(0.5, ops.U)
     assert residual < 1e-12
     assert f > 0
-    tr = U.trace_udag_u()
-    i0 = sp.state_index(0, 0, 0)
+    tr = trace_udag_u(ops)
+    i0 = link_labels(0.5).index((0, 0, 0))
     assert tr[i0, i0] == pytest.approx(2.0)    # no defect on j=0
 
 
 def test_trace_identity_no_defect_below_jmax():
-    sp = su2_link_space(1)
-    U = truncated_rotation_matrix(sp, 0.5)
-    f, residual = U.measured_defect()
+    ops = su2_ops(1)
+    f, residual = trace_defect(1, ops.U)
     assert residual < 1e-12
-    tr = U.trace_udag_u()
-    for (j, m, mp) in sp.basis:
-        i = sp.state_index(j, m, mp)
+    tr = trace_udag_u(ops)
+    for i, (j, m, mp) in enumerate(link_labels(1)):
         expect = 2.0 if j < 1 else 2.0 - f
         assert tr[i, i] == pytest.approx(expect)
 
@@ -343,14 +357,14 @@ def test_prepotential_algebras_and_number_balance():
 
 
 # ---------------------------------------------------------------------------
-# one shared, read-only link space per J_max and rotation per (J_max, j)
+# one shared, read-only link set per J_max
 # ---------------------------------------------------------------------------
 
 def test_verify_all_builds_one_rotation_matrix(monkeypatch):
     # 8 cg calls (one 2x1 or 1x2 CG matrix per m for each of the pairs
     # (J, K) = (0, 1/2) and (1/2, 0)) build U^{1/2} at J_max = 1/2 once;
     # the SU(2) model, the trace identity and both M-matrix checks share it
-    monkeypatch.setattr(su2rep, "_LINK_SPACES", {})
+    monkeypatch.setattr(linkalg, "_SU2_SETS", {})
     calls = {"cg": 0}
     cg_ = su2rep.cg
 
@@ -365,12 +379,10 @@ def test_verify_all_builds_one_rotation_matrix(monkeypatch):
 
 
 def test_cached_arrays_refuse_writes():
-    sp = su2_link_space(0.5)
-    U = truncated_rotation_matrix(sp, 0.5)
-    for array in (U.entry(0.5, -0.5), sp.L["x"], sp.R["p"], sp.casimir,
-                  sp.projectors[0.5]):
+    ops = su2_ops(0.5)
+    for array in (entry(ops, 0.5, -0.5), *ops.ladders, ops.flux, ops.gauss):
         with pytest.raises(ValueError):
-            array[0, 0] = 1.0
+            array[(0,) * array.ndim] = 1.0
 
 
 def test_su2_models_share_one_rotation_matrix():
@@ -378,8 +390,7 @@ def test_su2_models_share_one_rotation_matrix():
                     build_lattice(1, [3]))
     b = build_model(HamiltonianSpec(model="su2", truncation=1.0, g2=2.0),
                     build_lattice(2, [2, 2]))
-    assert su2_link_space(a.spec.truncation) \
-        is su2_link_space(b.spec.truncation)
+    assert su2_ops(a.spec.truncation) is su2_ops(b.spec.truncation)
     assert a.space.linkops.U is b.space.linkops.U
     assert a.space.linkops.U is not build_model(
         HamiltonianSpec(model="su2", truncation=0.5),
