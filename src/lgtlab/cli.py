@@ -283,7 +283,7 @@ def run_plaquette_convergence(lat, spec, params, writer, tol):
         params["cutoff_ref"])
     writer.csv("convergence.csv", header, list(zip(*rows)))
     checks = []
-    for g2 in g2_list:
+    for g2 in refs:
         gaps = [r[3] for r in rows if r[0] == g2]
         mono = all(gaps[i] > gaps[i + 1] for i in range(len(gaps) - 1))
         checks.append(_check(f"monotone_convergence_g2_{g2}",

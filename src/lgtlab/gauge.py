@@ -90,7 +90,7 @@ def gauss_raising(space, vertex):
     if space.linkops.ladders is None:
         return None
     left, right = space.linkops.ladders
-    out_links, in_links = space.lattice.links_at_vertex(vertex)
+    out_links, in_links = space.lattice.incident[vertex]
     pieces = [(1.0, [(l, left)]) for l in out_links] \
         + [(-1.0, [(l, right)]) for l in in_links]
     if space.layout is not None:
@@ -137,8 +137,7 @@ def _gauss_plan(space):
         lat, layout = space.lattice, space.layout
         ends = space.linkops.gauss * [[1], [-1]]
         base = np.zeros(lat.vertex_count, dtype=np.int64)
-        effects = [(list(lat.link_endpoints(l)), ends)
-                   for l in range(space.n_links)]
+        effects = [(list(link), ends) for link in lat.ends]
         if layout is not None:
             base += layout.gauss_base
             effects += [([m // layout.species_per_vertex], np.array([[0, c]]))

@@ -324,7 +324,7 @@ def _magnetic(model):
              for a, b, c, d in product(r, repeat=4)]
     for plaq in model.lattice.plaquettes:
         for mats in loops:
-            yield coeff, list(zip(plaq.links, mats))
+            yield coeff, list(zip(plaq, mats))
 
 
 def _gauge_matter(model):
@@ -340,8 +340,7 @@ def _gauge_matter(model):
         raise ValueError("naive fermions pair with U(1)-type links")
     layout, U = space.layout, space.linkops.U
     r = len(U)
-    for l, (_, axis) in enumerate(lat.links):
-        a, b = lat.link_endpoints(l)
+    for l, ((_, axis), (a, b)) in enumerate(zip(lat.links, lat.ends)):
         g = layout.hops[axis - 1]
         for s, t in zip(*np.nonzero(g)):
             for i, j in product(range(r), repeat=2):

@@ -1,40 +1,53 @@
-"""Finite lattice geometry: vertices, directed links, plaquettes, index maps.
+"""Finite lattice geometry: vertices, directed links, plaquettes and their
+incidence, every fact a table built once.
 
 Gauge degrees of freedom live on directed links (vertex, direction); matter
 lives on vertices.  Everything downstream (operator ordering, fermion
 ordering, basis enumeration) refers to the deterministic orderings fixed
 here: vertices are enumerated lexicographically (row-major, last coordinate
 fastest) and links are enumerated per vertex, direction 1 before direction 2.
+
+``build_lattice`` is the one place that does coordinate arithmetic: it
+stores every geometric fact as a field of the frozen ``Lattice``, and every
+reader indexes those tables.
 """
 
 from dataclasses import dataclass, field
 from itertools import product
+from types import MappingProxyType
 
+import numpy as np
 
 OPEN = "open"
 PERIODIC = "periodic"
 
 
-@dataclass(frozen=True)
-class Plaquette:
-    """Unit square of four link indices, ordered by the traversal convention:
-    links 1 and 2 are traversed forward, links 3 and 4 in reverse."""
-
-    links: tuple          # (l1, l2, l3, l4) link indices
-    forward: tuple = (True, True, False, False)
-
-
-@dataclass
+@dataclass(frozen=True, eq=False)
 class Lattice:
+    """A lattice as its tables, built by build_lattice:
+
+    vertices    coordinate tuple per vertex, lexicographic;
+    links       (origin vertex, direction k in 1..d) per link;
+    ends        (origin, target) vertex per link;
+    link_from   {(vertex, k): the link leaving the vertex in direction k},
+                read-only, with no key on an open far edge;
+    incident    per vertex its (outgoing, incoming) links, in link order;
+    stagger     (-1)^(sum of coordinates) per vertex, int8, read-only;
+    plaquettes  (l1, l2, l3, l4) per unit square, traversed
+                n -> n+x -> n+x+y -> n+y -> n: l1 and l2 forward, l3 and
+                l4 in reverse.
+    """
+
     spatial_dim: int
     sizes: tuple
     boundary: str
-    vertices: tuple = field(repr=False)        # coordinate tuples, lexicographic
-    links: tuple = field(repr=False)           # (vertex_index, direction k in 1..d)
+    vertices: tuple = field(repr=False)
+    links: tuple = field(repr=False)
+    ends: tuple = field(repr=False)
+    link_from: MappingProxyType = field(repr=False)
+    incident: tuple = field(repr=False)
+    stagger: np.ndarray = field(repr=False)
     plaquettes: tuple = field(repr=False)
-    _link_lookup: dict = field(repr=False, default_factory=dict)
-    _outgoing: tuple = field(repr=False, default=())
-    _incoming: tuple = field(repr=False, default=())
 
     @property
     def vertex_count(self):
@@ -43,42 +56,6 @@ class Lattice:
     @property
     def link_count(self):
         return len(self.links)
-
-    @property
-    def plaquette_count(self):
-        return len(self.plaquettes)
-
-    def vertex_index(self, coords):
-        """Lexicographic index of a vertex coordinate tuple."""
-        coords = tuple(int(c) % s if self.boundary == PERIODIC else int(c)
-                       for c, s in zip(coords, self.sizes))
-        idx = 0
-        for c, s in zip(coords, self.sizes):
-            if not 0 <= c < s:
-                raise ValueError(f"coordinate {coords} outside lattice")
-            idx = idx * s + c
-        return idx
-
-    def link_index(self, coords, k):
-        """Index of the link emanating from `coords` in direction k (1-based)."""
-        key = (self.vertex_index(coords), k)
-        try:
-            return self._link_lookup[key]
-        except KeyError:
-            raise ValueError(f"no link at {coords} in direction {k}") from None
-
-    def link_endpoints(self, link_idx):
-        """(origin vertex index, target vertex index) of a link."""
-        v, k = self.links[link_idx]
-        coords = list(self.vertices[v])
-        coords[k - 1] += 1
-        if self.boundary == PERIODIC:
-            coords[k - 1] %= self.sizes[k - 1]
-        return v, self.vertex_index(tuple(coords))
-
-    def links_at_vertex(self, v):
-        """(outgoing, incoming) link indices at vertex index v."""
-        return self._outgoing[v], self._incoming[v]
 
 
 def build_lattice(spatial_dim, sizes, boundary=OPEN):
@@ -98,46 +75,38 @@ def build_lattice(spatial_dim, sizes, boundary=OPEN):
         raise ValueError(f"unknown boundary {boundary!r}")
 
     vertices = tuple(product(*[range(s) for s in sizes]))
-    vidx = {c: i for i, c in enumerate(vertices)}
+    index = {c: i for i, c in enumerate(vertices)}
 
-    links = []
-    for c in vertices:
-        for k in range(1, spatial_dim + 1):
-            if boundary == OPEN and c[k - 1] == sizes[k - 1] - 1:
-                continue
-            links.append((vidx[c], k))
-    links = tuple(links)
+    def step(v, k):
+        """The vertex one step from v in direction k; None past an open
+        edge."""
+        coords = list(vertices[v])
+        coords[k - 1] += 1
+        if boundary == PERIODIC:
+            coords[k - 1] %= sizes[k - 1]
+        return index.get(tuple(coords))
 
-    lat = Lattice(spatial_dim, sizes, boundary, vertices, links, ())
-    lat._link_lookup = {lk: i for i, lk in enumerate(links)}
-    outgoing = [[] for _ in vertices]
-    incoming = [[] for _ in vertices]
-    for i in range(len(links)):
-        a, b = lat.link_endpoints(i)
-        outgoing[a].append(i)
-        incoming[b].append(i)
-    lat._outgoing = tuple(tuple(o) for o in outgoing)
-    lat._incoming = tuple(tuple(o) for o in incoming)
+    links, ends = [], []
+    for v, k in product(range(len(vertices)), range(1, spatial_dim + 1)):
+        if (target := step(v, k)) is not None:
+            links.append((v, k))
+            ends.append((v, target))
+    link_from = MappingProxyType({lk: l for l, lk in enumerate(links)})
+    outgoing, incoming = [[] for _ in vertices], [[] for _ in vertices]
+    for l, (a, b) in enumerate(ends):
+        outgoing[a].append(l)
+        incoming[b].append(l)
+    stagger = np.array([1 - 2 * (sum(c) % 2) for c in vertices], np.int8)
+    stagger.flags.writeable = False
 
-    plaquettes = []
-    if spatial_dim == 2:
-        for c in vertices:
-            x, y = c
-            if boundary == OPEN and (x == sizes[0] - 1 or y == sizes[1] - 1):
-                continue
-            # traversal n -> n+x -> n+x+y -> n+y -> n
-            l1 = lat.link_index((x, y), 1)
-            l2 = lat.link_index((x + 1, y), 2)
-            l3 = lat.link_index((x, y + 1), 1)
-            l4 = lat.link_index((x, y), 2)
-            plaquettes.append(Plaquette((l1, l2, l3, l4)))
-    lat.plaquettes = tuple(plaquettes)
-    return lat
-
-
-def staggered_sign(coords):
-    """(-1)^(sum of coordinates): +1 on even vertices, -1 on odd ones."""
-    return 1 if sum(coords) % 2 == 0 else -1
+    # n -> n+x -> n+x+y -> n+y -> n, wherever all four links exist
+    squares = [(link_from.get((v, 1)), link_from.get((step(v, 1), 2)),
+                link_from.get((step(v, 2), 1)), link_from.get((v, 2)))
+               for v in range(len(vertices))] if spatial_dim == 2 else []
+    return Lattice(spatial_dim, sizes, boundary, vertices, tuple(links),
+                   tuple(ends), link_from,
+                   tuple(zip(map(tuple, outgoing), map(tuple, incoming))),
+                   stagger, tuple(s for s in squares if None not in s))
 
 
 def diagonal_link_pairs(lat):
@@ -148,8 +117,7 @@ def diagonal_link_pairs(lat):
     perpendicular neighbors between which single-atom hopping acts.
     """
     pairs = []
-    for v in range(lat.vertex_count):
-        out, inc = lat.links_at_vertex(v)
+    for v, (out, inc) in enumerate(lat.incident):
         touching = sorted(set(out) | set(inc))
         dir1 = [i for i in touching if lat.links[i][1] == 1]
         dir2 = [i for i in touching if lat.links[i][1] == 2]

@@ -32,8 +32,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import staggered_sign
-
 STAGGERED = "staggered"
 NAIVE2D = "naive2d"
 SU2_FUNDAMENTAL = "su2fundamental"
@@ -81,8 +79,7 @@ def hop(a, b):
 def fermion_ops(lat, scheme):
     """The fermion layout of a species scheme on a lattice, its tables
     built once."""
-    count, axes = lat.vertex_count, lat.spatial_dim
-    stagger = np.array([staggered_sign(c) for c in lat.vertices], np.int8)
+    count, axes, stagger = lat.vertex_count, lat.spatial_dim, lat.stagger
     same = (np.ones((1, 1)),) * axes
     if scheme == STAGGERED:
         base, columns, signs, hops = (1 - stagger) // 2, [-1], stagger, same

@@ -69,7 +69,8 @@ def string_link_path(lat, origin, separation):
     """Link indices of the straight axis-1 path origin -> origin + R, from
     a vertex index 0 .. n_vertices - 1.  On a periodic axis of L vertices R
     must stay below L: a longer path would wind around the ring and revisit
-    links, and at R = L its far end would be the origin."""
+    links, and at R = L its far end would be the origin.  On an open axis
+    a path that runs past the far edge raises, naming R and the origin."""
     if not 0 <= origin < lat.vertex_count:
         raise ValueError(f"origin {origin} is not a vertex index "
                          f"0 .. {lat.vertex_count - 1}")
@@ -80,8 +81,11 @@ def string_link_path(lat, origin, separation):
                          f"periodic axis of {lat.sizes[0]} vertices")
     links, vertex = [], origin
     for _ in range(separation):
-        links.append(lat.link_index(lat.vertices[vertex], 1))
-        vertex = lat.link_endpoints(links[-1])[1]
+        if (vertex, 1) not in lat.link_from:
+            raise ValueError(f"separation {separation} from origin {origin} "
+                             f"runs off the open edge of axis 1")
+        links.append(lat.link_from[vertex, 1])
+        vertex = lat.ends[links[-1]][1]
     return links
 
 
@@ -215,7 +219,7 @@ def _sector_ground_energies(model, separations, origin):
         links = string_link_path(lat, origin, R)
         if links:
             charges[origin] = 1
-            charges[lat.link_endpoints(links[-1])[1]] = -1
+            charges[lat.ends[links[-1]][1]] = -1
         keys.append(tuple(charges))
         if keys[-1] not in sectors:
             sec = sector_basis(model.space, keys[-1])
@@ -315,7 +319,9 @@ def single_plaquette_ground(spec):
 def convergence_study(family, g2_list, truncations, cutoff_ref=8):
     """Single-plaquette ground energies of a truncated link family
     (SPIN_GAUGE over ell, ZN over N) against the Kogut-Susskind reference
-    at the given flux cutoff, at every coupling g2.
+    at the given flux cutoff, at every coupling g2: each distinct g2 and
+    each distinct truncation once, in increasing order, whatever the order
+    and repetitions of the lists.
 
     A Z_N energy is calibrated: the clock coupling is matched as
     lambda_zn = g^2/delta^2 with delta = 2 pi / N, and the additive clock
@@ -326,6 +332,7 @@ def convergence_study(family, g2_list, truncations, cutoff_ref=8):
     Returns rows (g2, truncation, E, |E - E_ref|) plus the reference
     energies {g2: E_ref}.
     """
+    g2_list, truncations = sorted(set(g2_list)), sorted(set(truncations))
     refs = {g2: single_plaquette_ground(HamiltonianSpec(
         model=KS_U1, truncation=cutoff_ref, g2=g2))[0] for g2 in g2_list}
     rows = []

@@ -13,9 +13,9 @@ from scipy import sparse
 from scipy.linalg import expm
 
 import su2_oracle
+from lattice_oracle import parity
 from lgtlab.gauge import abelian_charge_table
 from lgtlab.hamiltonian import SU2, ZN
-from lgtlab.lattice import staggered_sign
 
 _DENSE_LIMIT = 6000
 
@@ -129,5 +129,5 @@ def canonical_sign_transform(lat, link_values):
     out = vals.copy()
     for l in range(lat.link_count):
         v, _k = lat.links[l]
-        out[l] *= staggered_sign(lat.vertices[v])
+        out[l] *= parity(lat.vertices[v])
     return out

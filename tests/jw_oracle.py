@@ -12,9 +12,9 @@ from itertools import product
 import numpy as np
 from scipy import sparse
 
+from lattice_oracle import ends, parity
 from lgtlab import matter as matter_mod
 from lgtlab.hamiltonian import DIAGONAL_TERMS, OFF_DIAGONAL_TERMS
-from lgtlab.lattice import staggered_sign
 from lgtlab.tensor import ProductSpace
 
 _PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
@@ -73,7 +73,7 @@ def charge_operator(jw, vertex):
     if jw.layout.scheme == matter_mod.NAIVE2D:
         shift = 1.0
     else:
-        shift = float(staggered_sign(jw.layout.lattice.vertices[vertex]) < 0)
+        shift = float(parity(jw.layout.lattice.vertices[vertex]) < 0)
     return (n - shift * sparse.identity(jw.dim, format="csr")).tocsr()
 
 
@@ -105,8 +105,7 @@ def gauge_matter_pieces(model):
     if spec.eps == 0.0:
         return
     jw = JordanWigner(space.layout)
-    for l in range(lat.link_count):
-        a, b = lat.link_endpoints(l)
+    for l, (a, b) in enumerate(ends(lat)):
         if spec.matter == matter_mod.NAIVE2D:
             s = PAULI["x" if lat.links[l][1] == 1 else "y"]
             ferm = sum(s[i, j] * (jw.cdag(a, i) @ jw.c(b, j))
@@ -131,7 +130,7 @@ def mass_diagonal(model):
         if spec.matter == matter_mod.NAIVE2D:
             ferm = ferm + jw.number(v, 0) - jw.number(v, 1)
         else:
-            sign = staggered_sign(lat.vertices[v])
+            sign = parity(lat.vertices[v])
             for species in range(jw.layout.species_per_vertex):
                 ferm = ferm + sign * jw.number(v, species)
     return spec.mass * embed_matter(model.space, ferm).diagonal().real

@@ -24,6 +24,7 @@ from scipy import sparse
 from scipy.linalg import block_diag
 
 from jw_oracle import PAULI
+from lattice_oracle import incidence
 from lgtlab import matter as matter_mod
 from lgtlab.gauge import abelian_charge_table, gauss_raising
 from lgtlab.su2rep import _check_triangle, _half_range, _j_values, cg, \
@@ -80,8 +81,7 @@ def gauss_generators_su2(space, j_max):
     lat = space.lattice
     left, right = link_generators(j_max)
     gens = []
-    for v in range(lat.vertex_count):
-        out_links, in_links = lat.links_at_vertex(v)
+    for v, (out_links, in_links) in enumerate(incidence(lat)):
         triple = []
         for axis in "xyz":
             g = None

@@ -534,6 +534,35 @@ def test_plaquette_convergence_zn_family(tmp_path):
     assert len(lines) == 1 + 3 * 3          # default g2_list times n_list
 
 
+CONVERGENCE = {"family": "spin_gauge", "g2_list": [1.0, 2.0],
+               "ell_list": [1, 2, 3], "cutoff_ref": 4}
+
+
+@pytest.mark.parametrize("edit", [{"ell_list": [3, 2, 1]},
+                                  {"g2_list": [1.0, 1.0, 2.0]},
+                                  {"g2_list": [2.0, 1.0],
+                                   "ell_list": [2, 1, 3, 1]}],
+                         ids=["ell_321", "g2_repeated", "both_unsorted"])
+def test_plaquette_convergence_runs_each_distinct_value_once_in_order(
+        tmp_path, edit):
+    # ell_list [3, 2, 1] used to exit 1 with every monotone check failing,
+    # and a repeated g2 gave two identical checks
+    def run_case(name, params):
+        path = write_cfg(tmp_path, {"scenario": "plaquette_convergence",
+                                    "params": params}, f"{name}.json")
+        rc = main(["plaquette_convergence", "--config", path,
+                   "--out", str(tmp_path / name)])
+        csv = (tmp_path / name / "convergence.csv").read_bytes()
+        return rc, csv, read_manifest(tmp_path / name)
+    rc, csv, m = run_case("edited", dict(CONVERGENCE, **edit))
+    rc_ref, csv_ref, m_ref = run_case("sorted", CONVERGENCE)
+    assert rc == rc_ref == 0
+    assert csv == csv_ref
+    assert m["results"] == m_ref["results"] and m["checks"] == m_ref["checks"]
+    assert [c["name"] for c in m["checks"]] == [
+        "monotone_convergence_g2_1.0", "monotone_convergence_g2_2.0"]
+
+
 @pytest.mark.parametrize("family, key", [("spin_gauge", "n_list"),
                                          ("zn", "ell_list")])
 def test_truncation_list_of_the_other_family_is_config_error(tmp_path,
@@ -620,6 +649,25 @@ def test_potential_separation_wrapping_a_ring_is_config_error(tmp_path):
     assert rc == 2
     m = read_manifest(tmp_path / "out")
     assert "winds around" in m["error"]
+    assert m["files"] == []
+
+
+@pytest.mark.parametrize("scenario,params,named", [
+    ("potential", {"separations": [0, 1, 5]}, "separation 5 from origin 0"),
+    ("dynamics", {"separation": 2, "origin": 2, "t_final": 1.0, "steps": 4},
+     "separation 2 from origin 2")], ids=["potential", "dynamics"])
+def test_string_past_the_open_edge_is_config_error(tmp_path, scenario,
+                                                   params, named):
+    # used to exit 2 with "no link at (3,) in direction 1", which names
+    # neither the separation nor the origin
+    cfg = {"scenario": scenario,
+           "lattice": {"spatial_dim": 1, "sizes": [4]},
+           "hamiltonian": dict(CHAIN_MATTER, mass=0.3), "params": params}
+    path = write_cfg(tmp_path, cfg)
+    rc = main([scenario, "--config", path, "--out", str(tmp_path / "out")])
+    assert rc == 2
+    m = read_manifest(tmp_path / "out")
+    assert m["exit_status"] == 2 and named in m["error"]
     assert m["files"] == []
 
 

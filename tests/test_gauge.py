@@ -11,6 +11,7 @@ from lgtlab.hamiltonian import HamiltonianSpec, build_model
 from lgtlab.lattice import build_lattice
 from lgtlab.matter import STAGGERED, fermion_ops
 from lgtlab.tensor import ProductSpace
+from lattice_oracle import link_index
 from su2_oracle import derived_generators_su2
 
 
@@ -234,10 +235,10 @@ def test_sign_transform_straightens_alternating_string():
     lat = build_lattice(2, [4, 2])
     readout = np.zeros(lat.link_count)
     for x in range(3):
-        l = lat.link_index((x, 0), 1)
+        l = link_index(lat, (x, 0), 1)
         readout[l] = (-1) ** x                # alternating raw values
     fixed = canonical_sign_transform(lat, readout)
-    vals = [fixed[lat.link_index((x, 0), 1)] for x in range(3)]
+    vals = [fixed[link_index(lat, (x, 0), 1)] for x in range(3)]
     assert np.allclose(vals, 1.0)
 
 

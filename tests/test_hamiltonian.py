@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from gauge_oracle import basis_matrix, generators
+from lattice_oracle import FORWARD
 from lgtlab import su2rep
 from lgtlab.gauge import sector_basis
 from lgtlab.hamiltonian import HamiltonianSpec, build_model, \
@@ -63,7 +64,7 @@ def loop_state_values(model, flux):
     plq = model.lattice.plaquettes[0]
     mid = (model.space.link_dim - 1) // 2
     vals = [mid] * model.space.n_links
-    for l, fwd in zip(plq.links, plq.forward):
+    for l, fwd in zip(plq, FORWARD):
         vals[l] = mid + flux if fwd else mid - flux
     return vals
 

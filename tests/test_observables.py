@@ -6,9 +6,10 @@ import pytest
 import su2_oracle
 from gauge_oracle import basis_matrix, gauge_transformation_unitary, \
     generators
+from lattice_oracle import parity
 from lgtlab.gauge import sector_basis
 from lgtlab.hamiltonian import HamiltonianSpec, build_model
-from lgtlab.lattice import build_lattice, staggered_sign
+from lgtlab.lattice import build_lattice
 from lgtlab.matter import STAGGERED, dirac_sea_state
 from lgtlab.observables import convergence_study, flux_profile, \
     flux_tube_breaking_scenario, static_potential, strong_coupling_ground, \
@@ -273,6 +274,21 @@ def test_zn_convergence_monotone():
         assert gaps[0] > gaps[1] > gaps[2]
 
 
+def test_plaquette_convergence_ignores_list_order_and_repeats():
+    # each distinct g2 and truncation runs once, in increasing order; an
+    # unsorted list used to come back unsorted and a repeat twice
+    rows, refs = convergence_study("spin_gauge", [0.5, 1.0], [1, 2, 3],
+                                   cutoff_ref=4)
+    assert [r[:2] for r in rows] == [(g2, ell) for g2 in (0.5, 1.0)
+                                     for ell in (1, 2, 3)]
+    for g2_list, ells in (([1.0, 0.5], [3, 2, 1]),
+                          ([0.5, 1.0, 0.5], [2, 3, 1, 2])):
+        again, again_refs = convergence_study("spin_gauge", g2_list, ells,
+                                              cutoff_ref=4)
+        assert again == rows
+        assert list(again_refs.items()) == list(refs.items())
+
+
 def test_flux_tube_embeddings_do_not_scale_with_steps(monkeypatch):
     # the string evolves in its Gauss sector: the Hamiltonian's pieces are
     # applied to the sector's states as label shifts, a number fixed by the
@@ -328,7 +344,7 @@ def test_su2_string_starts_from_the_dirac_sea():
     assert psi[index] == 1.0
     assert list(space.decode([index])[space.n_links:, 0]) \
         == dirac_sea_state(space.layout)
-    odd = sum(staggered_sign(v) == -1 for v in lat.vertices)
+    odd = sum(parity(v) == -1 for v in lat.vertices)
     curve = static_potential(spec, lat, [0, 1, 2])
     assert curve.energies[0] == pytest.approx(-2 * spec.mass * odd)
     assert np.diff(curve.energies) == pytest.approx([0.375, 0.375])
@@ -360,6 +376,20 @@ def test_su2_string_embeds_four_link_operators_per_link(monkeypatch):
     monkeypatch.setattr(ProductSpace, "embed", counted)
     strong_coupling_ground(model, 0, 4)
     assert calls["embed"] == 16
+
+
+@pytest.mark.parametrize("lat,origin,separation", [
+    (build_lattice(1, [4]), 0, 5), (build_lattice(1, [4]), 2, 2),
+    (build_lattice(1, [4]), 3, 1), (build_lattice(2, [2, 2]), 2, 1)],
+    ids=["chain4-from0-R5", "chain4-from2-R2", "chain4-from3-R1",
+         "plaq-from2-R1"])
+def test_string_path_off_an_open_edge_names_separation_and_origin(
+        lat, origin, separation):
+    # used to raise "no link at (3,) in direction 1", naming neither
+    assert string_link_path(lat, origin, 0) == []
+    with pytest.raises(ValueError, match=f"separation {separation} from "
+                                         f"origin {origin} runs off"):
+        string_link_path(lat, origin, separation)
 
 
 @pytest.mark.parametrize("separation", [6, 7, 12])
