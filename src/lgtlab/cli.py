@@ -20,7 +20,8 @@ significant digits, LF line endings); the manifest additionally records,
 under `timing`, the wall time, the process's thread count, the
 product-space dimension of the largest model whose Hamiltonian was
 assembled, the number of states of every Hamiltonian assembly, the
-dimension and path (dense or Lanczos) of every eigensolve, the worst
+dimension, path (dense or Lanczos), stored nonzeros and matvec counts
+(Lanczos solve and missed-level guard) of every eigensolve, the worst
 relative eigenpair residual, the dimension of every evolution, and the
 peak resident set size.  The `lgtlab` command enters
 through `lgtlab.__main__`, which applies `--threads` before numpy loads.

@@ -965,6 +965,50 @@ def test_charged_spectrum_never_builds_the_full_space(tmp_path, monkeypatch,
     assert np.max(np.abs(energies - oracle)) <= 1e-10
 
 
+def test_spectrum_torus_records_nnz_and_matvecs(tmp_path):
+    # the bench's spectrum_torus at seed 0: one Lanczos solve and its
+    # missed-level guard, whose counts are deterministic
+    lattice, hamiltonian, _ = CHARGED_SPECTRA["torus_cutoff2"]
+    cfg = {"scenario": "spectrum", "lattice": lattice,
+           "hamiltonian": hamiltonian,
+           "params": {"k": 4, "charges": [0, 0, 0, 0]}}
+    timings = []
+    for out in ("first", "second"):
+        status, _ = run(cfg, str(tmp_path / out))
+        assert status == 0
+        timings.append(read_manifest(tmp_path / out)["timing"])
+    first, second = timings
+    assert first["solve_paths"] == ["lanczos"]
+    assert first["solve_nnz"][0] > first["solve_dims"][0]
+    assert 0 < first["guard_matvecs"][0] < first["solve_matvecs"][0]
+    for key in ("solve_nnz", "solve_matvecs", "guard_matvecs"):
+        assert first[key] == second[key]
+
+
+OVERFLOWING_SPECTRA = {
+    # g2 = 1e-320 makes the magnetic coefficient -1/(2 g2) overflow to -inf
+    "torus_cutoff2_lanczos": (TORUS, 2),
+    "open_2x2_cutoff1_dense": (BASE["lattice"], 1),
+}
+
+
+@pytest.mark.parametrize("name", OVERFLOWING_SPECTRA)
+def test_spectrum_of_a_non_finite_h_exits_3_with_a_manifest(tmp_path, name):
+    lattice, cutoff = OVERFLOWING_SPECTRA[name]
+    cfg = {"scenario": "spectrum", "lattice": lattice,
+           "hamiltonian": {"model": "ks_u1", "truncation": cutoff,
+                           "g2": 1e-320},
+           "params": {"k": 4, "charges": [0, 0, 0, 0]}}
+    out = tmp_path / "out"
+    rc = main(["spectrum", "--config", write_cfg(tmp_path, cfg),
+               "--out", str(out)])
+    assert rc == 3
+    m = read_manifest(out)
+    assert m["exit_status"] == 3
+    assert "non-finite" in m["error"]
+    assert not (out / "spectrum.csv").exists()
+
+
 # in the one-state sector with horizontal links at +1 and vertical links at
 # 0, every hop U_a U_b^dag annihilates the state and only the adjoint hops
 # leave the sector

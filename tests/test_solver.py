@@ -200,6 +200,112 @@ def test_lanczos_missed_level_raises(monkeypatch):
         eigs(h, 4)
 
 
+def block_with_missed_level(k, gap, relative=False):
+    """Block-diagonal H and its missed level: the second block's lowest
+    level, `gap` (times max(1, |w[-1]|) if relative) below w[-1], the k-th
+    lowest level of the first block."""
+    first = tridiagonal(100, 3)
+    top = scipy.linalg.eigh(first.toarray(), eigvals_only=True)[k - 1]
+    missed = top - gap * (max(1.0, abs(top)) if relative else 1.0)
+    second = tridiagonal(100, 5)
+    low = scipy.linalg.eigh(second.toarray(), eigvals_only=True)[0]
+    second = second + (missed - low) * sparse.identity(100)
+    return sparse.block_diag([first, second], format="csr"), missed
+
+
+def blind_main_solve(monkeypatch):
+    """Give the main solve's start (seed 0) no weight on states 100 on."""
+    start = solver._start_vector
+
+    def blind(dim, seed):
+        v = start(dim, seed)
+        if seed == 0:
+            v[100:] = 0.0
+        return v
+    monkeypatch.setattr(solver, "_start_vector", blind)
+
+
+@pytest.mark.parametrize("gap, relative", [(5.0, False), (1e-7, True)])
+@pytest.mark.parametrize("k", [1, 4])
+def test_guard_catches_a_level_below_the_found_ones(monkeypatch, k, gap,
+                                                    relative):
+    # the main solve starts with no weight on the second block, which holds
+    # a level 5, or only 1e-7 max(1, |w[-1]|) (100 times the guard's
+    # margin), below the highest level found
+    monkeypatch.setattr(solver, "DENSE_LIMIT", 0)
+    h, missed = block_with_missed_level(k, gap, relative)
+    blind_main_solve(monkeypatch)
+    with pytest.raises(SolverError, match="missed a level") as info:
+        eigs(h, k)
+    assert f"{missed:.12g} lies below" in str(info.value)
+
+
+@pytest.mark.parametrize("name", LANCZOS_CASES)
+def test_guard_value_matches_full_precision(monkeypatch, name):
+    # the guard stops at ARPACK tol _GUARD_TOL; the deflated lowest value
+    # that decides it matches the tol = 0 value 100 times inside the
+    # guard's 1e-9 margin
+    h = LANCZOS_CASES[name]().tocsr()
+    w, v = solver._lanczos(solver._Counted(h), 4, 0, 0.0)
+    loose = solver._Counted(h)
+    low = solver._check_no_missed_level(loose, w, v)
+    monkeypatch.setattr(solver, "_GUARD_TOL", 0.0)
+    full = solver._Counted(h)
+    exact = solver._check_no_missed_level(full, w, v)
+    assert abs(low - exact) <= 1e-11 * max(1.0, abs(exact))
+    assert loose.matvecs <= full.matvecs
+
+
+def test_eigs_logs_nnz_and_matvecs(monkeypatch):
+    monkeypatch.setattr(solver, "DENSE_LIMIT", 4)
+    diag = sparse.diags(np.arange(8.0)).tocsr()
+    h = tridiagonal(500, 1).tocsr()
+    with run_log() as log:
+        eigs(diag[:4, :4], 1)           # dense path: no matvec
+        eigs(np.eye(3), 1)              # dense input: no nnz
+        eigs(h, 2)                      # Lanczos
+    assert log.solve_nnz == [3, 0, h.nnz]     # diag[:4, :4] stores no 0
+    assert log.solve_matvecs[:2] == [0, 0]
+    assert log.guard_matvecs[:2] == [0, 0]
+    assert 0 < log.guard_matvecs[2] < log.solve_matvecs[2]
+
+
+def test_eigs_logs_matvecs_of_a_failed_solve(monkeypatch):
+    # the counts stay aligned with solve_dims when the guard raises
+    monkeypatch.setattr(solver, "DENSE_LIMIT", 0)
+    h, _ = block_with_missed_level(1, 5.0)
+    blind_main_solve(monkeypatch)
+    with run_log() as log, pytest.raises(SolverError):
+        eigs(h, 1)
+    assert len(log.solve_matvecs) == len(log.guard_matvecs) == 1
+    assert log.solve_matvecs[0] > 0 and log.guard_matvecs[0] > 0
+
+
+def test_arpack_failure_raises_solver_error():
+    # finite entries whose products overflow: ARPACK cannot build its
+    # factorization (error -9999), which is a numerical failure
+    n = 500
+    off = sparse.diags(np.full(n - 1, 1e308), 1)
+    h = (sparse.diags(np.full(n, 1e308)) + off + off.T).tocsr()
+    with pytest.raises(SolverError, match="ARPACK error"):
+        eigs(h, 1)
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("dim", [50, 500])
+def test_non_finite_operator_raises_before_solving(bad, dim):
+    h = tridiagonal(dim, 2).tocsr()
+    h.data[3] = bad
+    with run_log() as log:
+        with pytest.raises(SolverError, match="non-finite"):
+            eigs(h, 2)
+        with pytest.raises(SolverError, match="non-finite"):
+            eigs(h.toarray(), 2)
+        with pytest.raises(SolverError, match="non-finite"):
+            evolve(h, random_state(dim, 1), 1.0, 2)
+    assert log.solve_dims == [] and log.evolve_dims == []
+
+
 def test_eigs_logs_path_and_worst_residual(monkeypatch):
     monkeypatch.setattr(solver, "DENSE_LIMIT", 4)
     diag = sparse.diags(np.arange(8.0)).tocsr()
