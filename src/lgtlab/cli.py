@@ -17,18 +17,14 @@ error writes a manifest with the error, except a missing `--config` or
 config file, which only prints to stderr.  Result CSVs are byte-stable
 across repeated runs (fixed solver seeds, floats printed with 17
 significant digits, LF line endings); the manifest additionally records,
-under `timing`, the wall time, the process's thread count, the
-product-space dimension of the largest model whose Hamiltonian was
-assembled, the number of states of every Hamiltonian assembly, the
-dimension, path (dense or Lanczos), stored nonzeros and matvec counts
-(Lanczos solve and missed-level guard) of every eigensolve, the worst
-relative eigenpair residual, the dimension of every evolution, and the
-peak resident set size.  The `lgtlab` command enters
+under `timing`, the run's stage records in the order they end (solver.stage:
+each sector enumeration, Hamiltonian assembly, eigensolve and evolution,
+with its seconds and sizes), the wall time, the process's thread count and
+the peak resident set size.  The `lgtlab` command enters
 through `lgtlab.__main__`, which applies `--threads` before numpy loads.
 """
 
 import argparse
-import dataclasses
 import json
 import os
 import resource
@@ -541,12 +537,12 @@ def _record(cfg, outdir, work):
         "files": writer.files,
         "error": error,
         "exit_status": status,
-        "timing": dict(dataclasses.asdict(log),
-                       wall_seconds=time.perf_counter() - t0,
-                       threads=len(os.listdir(TASKS))
-                       if os.path.isdir(TASKS) else None,
-                       peak_rss_mb=resource.getrusage(
-                           resource.RUSAGE_SELF).ru_maxrss / 1024),
+        "timing": {"stages": log,
+                   "wall_seconds": time.perf_counter() - t0,
+                   "threads": len(os.listdir(TASKS))
+                   if os.path.isdir(TASKS) else None,
+                   "peak_rss_mb": resource.getrusage(
+                       resource.RUSAGE_SELF).ru_maxrss / 1024},
     }
     return status, writer.manifest(manifest)
 

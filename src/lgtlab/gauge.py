@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linkalg, matter as matter_mod
-from .solver import SolverError
+from .solver import SolverError, stage
 
 
 @dataclass
@@ -172,10 +172,13 @@ def sector_basis(space, charges):
     charge within an integer interval, so what the unset factors can still
     add is the interval [lo, hi] of the sums of their extremes; on Z_N
     links only the residue modulo N has to be reachable.  The kept states
-    are decoded once, into the sector's label table.
+    are decoded once, into the sector's label table.  The enumeration is
+    timed as an `enumerate` stage (solver.stage) with the sector's states
+    (dim) and the product-space dimension (dim_full).
 
     The indices are int64: a space with more product states than that
-    holds raises SolverError before anything is enumerated.
+    holds raises SolverError before anything is enumerated, and leaves no
+    stage record.
     """
     lat = space.lattice
     charges = tuple(int(q) for q in charges)
@@ -187,40 +190,42 @@ def sector_basis(space, charges):
         raise SolverError(
             f"product space of {space.dim} states exceeds the int64 index "
             f"range of the sector enumeration")
-    base, factors, lo, hi = _gauss_plan(space)
-    # a vertex with charge c can still reach its target after the first f
-    # factors when 0 <= target - lo[f] - c <= hi[f] - lo[f] (modulo N on
-    # Z_N links)
-    shift, span = np.array(charges, dtype=np.int64) - lo, hi - lo
-    modulus = space.linkops.modulus
+    with stage("enumerate", dim_full=space.dim) as record:
+        base, factors, lo, hi = _gauss_plan(space)
+        # a vertex with charge c can still reach its target after the first f
+        # factors when 0 <= target - lo[f] - c <= hi[f] - lo[f] (modulo N on
+        # Z_N links)
+        shift, span = np.array(charges, dtype=np.int64) - lo, hi - lo
+        modulus = space.linkops.modulus
 
-    def reachable(charge, f, vertices):
-        keep = True
-        for v in vertices:
-            # int64 whatever the plan's charge type: need can exceed it
-            need = np.subtract(shift[f, v], charge[:, v], dtype=np.int64)
-            if modulus is not None:
-                need %= modulus
-            keep = keep & (need >= 0) & (need <= span[f, v])
-        return keep
+        def reachable(charge, f, vertices):
+            keep = True
+            for v in vertices:
+                # int64 whatever the plan's charge type: need can exceed it
+                need = np.subtract(shift[f, v], charge[:, v], dtype=np.int64)
+                if modulus is not None:
+                    need %= modulus
+                keep = keep & (need >= 0) & (need <= span[f, v])
+            return keep
 
-    charge = base[None, :]
-    keep = reachable(charge, 0, range(lat.vertex_count))
-    indices, charge = np.zeros(1, dtype=np.int64)[keep], charge[keep]
-    for f, (vertices, columns) in enumerate(factors):
-        radix = columns.shape[1]
-        indices = (indices[:, None] * radix + np.arange(radix)).ravel()
-        charge = charge.repeat(radix, axis=0)
-        # factor f moves the charge, and lo and hi, only at its own
-        # vertices: those columns are updated in place and re-checked,
-        # every other vertex stays reachable
-        per_label = charge.reshape(-1, radix, lat.vertex_count)
-        for v, column in zip(vertices, columns):
-            per_label[:, :, v] += column
-        keep = reachable(charge, f + 1, vertices)
-        indices, charge = indices[keep], charge[keep]
-    return GaussSector(charges, space.dim, indices=indices,
-                       labels=space.decode(indices))
+        charge = base[None, :]
+        keep = reachable(charge, 0, range(lat.vertex_count))
+        indices, charge = np.zeros(1, dtype=np.int64)[keep], charge[keep]
+        for f, (vertices, columns) in enumerate(factors):
+            radix = columns.shape[1]
+            indices = (indices[:, None] * radix + np.arange(radix)).ravel()
+            charge = charge.repeat(radix, axis=0)
+            # factor f moves the charge, and lo and hi, only at its own
+            # vertices: those columns are updated in place and re-checked,
+            # every other vertex stays reachable
+            per_label = charge.reshape(-1, radix, lat.vertex_count)
+            for v, column in zip(vertices, columns):
+                per_label[:, :, v] += column
+            keep = reachable(charge, f + 1, vertices)
+            indices, charge = indices[keep], charge[keep]
+        record["dim"] = len(indices)
+        return GaussSector(charges, space.dim, indices=indices,
+                           labels=space.decode(indices))
 
 
 def merge_sectors(sectors):

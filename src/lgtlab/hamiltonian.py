@@ -65,6 +65,7 @@ The Gauss check ``max_gauss_violation`` is one rule for every family too,
 read from gauge's one integer plan of the diagonal generators.
 """
 
+import math
 from dataclasses import dataclass, replace
 from itertools import product
 
@@ -100,6 +101,9 @@ class HamiltonianSpec:
             raise ValueError(f"unknown model {self.model!r}")
         if self.g2 <= 0:
             raise ValueError("g2 must be positive")
+        if not math.isfinite(-1.0 / (2.0 * self.g2)):
+            raise ValueError(f"g2 {self.g2!r} is too small: the magnetic "
+                             f"coefficient -1/(2 g2) overflows")
         if self.lam < 0:
             raise ValueError("penalty strength must be >= 0")
         if self.model != SU2 and not float(self.truncation).is_integer():
@@ -152,23 +156,25 @@ class Model:
         of the sector raises SectorLeak.  On a merge of several sectors
         (gauge.merge_sectors) H is block diagonal, each of its
         diagonal_blocks bitwise the H of that sector alone, and amplitude
-        from one merged sector into another is a leak too.  Every call
-        logs the number of states it assembles as a RunLog assembly_dims
-        entry.
+        from one merged sector into another is a leak too.  Every call is
+        timed as an `assemble` stage (solver.stage) with the number of
+        states it assembles (dim) and the product-space dimension
+        (dim_full).
         """
         space = self.space
-        solver.log_max("dim_full", space.dim)
-        labels = space.labels if sector is None else sector.labels
-        diag = np.zeros(labels.shape[1])
-        pieces = []
-        for t in self.effective_terms(terms):
-            if t in DIAGONAL_TERMS:
-                diag += DIAGONAL_TERMS[t](self, labels)
-            else:
-                pieces += [(t, piece) for piece in OFF_DIAGONAL_TERMS[t](self)]
-        solver.log_append("assembly_dims", len(diag))
-        off, (leak, term) = _sum_pieces(space, sector, pieces)
-        h = (off + off.conj().T + space.diagonal_op(diag)).tocsr()
+        with solver.stage("assemble", dim=space.dim if sector is None
+                          else sector.dim, dim_full=space.dim):
+            labels = space.labels if sector is None else sector.labels
+            diag = np.zeros(labels.shape[1])
+            pieces = []
+            for t in self.effective_terms(terms):
+                if t in DIAGONAL_TERMS:
+                    diag += DIAGONAL_TERMS[t](self, labels)
+                else:
+                    pieces += [(t, piece)
+                               for piece in OFF_DIAGONAL_TERMS[t](self)]
+            off, (leak, term) = _sum_pieces(space, sector, pieces)
+            h = (off + off.conj().T + space.diagonal_op(diag)).tocsr()
         if leak:
             raise SectorLeak(
                 f"{term} term leaves the Gauss sector {sector.charges} "

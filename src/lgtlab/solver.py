@@ -18,13 +18,18 @@ random rather than the all-ones vector because the all-ones vector is
 invariant under the lattice symmetries: Lanczos then never leaves the
 symmetric subspace and misses the levels outside it.  Each Lanczos solve
 is followed by a missed-level guard, a second, cheaper Lanczos run on the
-deflated operator (_check_no_missed_level); the active RunLog records the
-nnz and the matvec counts of both runs.
+deflated operator (_check_no_missed_level).
+
+A run's log (run_log) is one list of timed stage records (stage): `eigs`
+writes a `solve` record (dim, path, nnz, the matvecs of the Lanczos run
+and of its guard, the worst relative residual) and `evolve` an `evolve`
+record (dim, path, nnz).
 """
 
 import contextlib
 import contextvars
-from dataclasses import dataclass, field
+import time
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
@@ -49,38 +54,14 @@ class SolverError(RuntimeError):
     a full space too large for memory, ...)."""
 
 
-@dataclass
-class RunLog:
-    """Problem sizes of one run, for its manifest: the product-space
-    dimension of the largest model whose Hamiltonian was assembled (in its
-    full space or in a sector), the number of states of every Hamiltonian
-    assembly (Model.hamiltonian), the dimension and path
-    ("dense" or "lanczos") of every eigensolve and the dimension and path
-    ("dense" or "expm") of every evolution, in call order, and the worst
-    relative eigenpair residual.  Aligned with solve_dims: the stored
-    nonzeros of each eigensolve's operator (0 for dense input), and the
-    sparse matrix-vector products of its Lanczos solve and of its
-    missed-level guard (0 on the dense path)."""
-
-    dim_full: int = None
-    assembly_dims: list = field(default_factory=list)
-    solve_dims: list = field(default_factory=list)
-    solve_paths: list = field(default_factory=list)
-    solve_nnz: list = field(default_factory=list)
-    solve_matvecs: list = field(default_factory=list)
-    guard_matvecs: list = field(default_factory=list)
-    evolve_dims: list = field(default_factory=list)
-    evolve_paths: list = field(default_factory=list)
-    worst_relative_residual: float = None
-
-
 _RUN_LOG = contextvars.ContextVar("run_log", default=None)
 
 
 @contextlib.contextmanager
 def run_log():
-    """Collect a RunLog of the assemblies, solves and evolutions inside."""
-    log = RunLog()
+    """Collect the stage records of the run inside: a list, in the order
+    the stages end."""
+    log = []
     token = _RUN_LOG.set(log)
     try:
         yield log
@@ -88,18 +69,21 @@ def run_log():
         _RUN_LOG.reset(token)
 
 
-def log_append(name, value):
-    """Append `value` to a RunLog list of the active RunLog, if any."""
+@contextlib.contextmanager
+def stage(name, **facts):
+    """Time the block as stage `name`: when it ends, also by a raise,
+    {"stage": name, "seconds": ..., **facts} is appended to the active
+    run_log(), if any.  Yields that record, for the facts the block learns
+    on the way."""
     log = _RUN_LOG.get()
-    if log is not None:
-        getattr(log, name).append(value)
-
-
-def log_max(name, value):
-    """Raise a RunLog field of the active RunLog, if any, to `value`."""
-    log = _RUN_LOG.get()
-    if log is not None:
-        setattr(log, name, max(value, getattr(log, name) or 0))
+    record = {"stage": name, "seconds": None, **facts}
+    start = time.perf_counter()
+    try:
+        yield record
+    finally:
+        record["seconds"] = time.perf_counter() - start
+        if log is not None:
+            log.append(record)
 
 
 def restrict(op, sector):
@@ -126,9 +110,10 @@ def eigs(op, k=1):
     checked to 1e-9 relative to max(1, |w|), and a Lanczos result, solved
     to machine precision, is checked for a missed level
     (_check_no_missed_level).  Both ARPACK runs see the CSR through a
-    _Counted operator; the active RunLog gets op's nnz and their matvec
-    counts.  Any ARPACK failure, non-convergence included, raises
-    SolverError with ARPACK's report.
+    _Counted operator, which counts their matvecs into the `solve` stage
+    record (0 on the dense path), also when the solve raises.  Any ARPACK
+    failure, non-convergence included, raises SolverError with ARPACK's
+    report.
     """
     op = op.tocsr() if sparse.issparse(op) else np.asarray(op)
     dim = op.shape[0]
@@ -138,12 +123,11 @@ def eigs(op, k=1):
     if k > dim:
         raise ValueError(f"asked for {k} eigenpairs of a dim-{dim} operator")
     _check_finite(op)
-    log_append("solve_dims", dim)
-    log_append("solve_paths", "dense" if dense else "lanczos")
-    log_append("solve_nnz", op.nnz if sparse.issparse(op) else 0)
-
-    solve, guard = _Counted(op), _Counted(op)
-    try:
+    with stage("solve", dim=dim, path="dense" if dense else "lanczos",
+               nnz=op.nnz if sparse.issparse(op) else 0,
+               residual=None) as record:
+        solve = _Counted(op, record, "matvecs")
+        guard = _Counted(op, record, "guard_matvecs")
         if dense:
             w, v = eigh(_dense(op), subset_by_index=[0, k - 1])
         else:
@@ -151,7 +135,7 @@ def eigs(op, k=1):
 
         residuals = np.linalg.norm(op @ v - v * w, axis=0)
         relative = residuals / np.maximum(1.0, np.abs(w))
-        log_max("worst_relative_residual", float(relative.max()))
+        record["residual"] = float(relative.max())
         bad = np.flatnonzero(relative > 1e-9)
         if len(bad):
             raise SolverError(
@@ -159,9 +143,6 @@ def eigs(op, k=1):
                 f"large")
         if not dense:
             _check_no_missed_level(guard, w, v)
-    finally:
-        log_append("solve_matvecs", solve.matvecs)
-        log_append("guard_matvecs", guard.matvecs)
     return w, v
 
 
@@ -185,17 +166,18 @@ def _check_finite(op):
 
 class _Counted(LinearOperator):
     """A CSR matrix as a LinearOperator whose matvec is the CSR's own
-    product, counting the products in `matvecs`.  The product is the one
-    eigsh would form through its own wrapper (`aslinearoperator`), so the
-    eigenpairs are the same, bit for bit, with a shorter call path."""
+    product, counting the products in record[key] (from 0).  The product
+    is the one eigsh would form through its own wrapper
+    (`aslinearoperator`), so the eigenpairs are the same, bit for bit, with
+    a shorter call path."""
 
-    def __init__(self, op):
+    def __init__(self, op, record, key):
         super().__init__(op.dtype, op.shape)
-        self.op = op
-        self.matvecs = 0
+        self.op, self.record, self.key = op, record, key
+        record[key] = 0
 
     def _matvec(self, x):
-        self.matvecs += 1
+        self.record[self.key] += 1
         return self.op @ x
 
 
@@ -297,9 +279,9 @@ def evolve(op, state, t, steps):
     truncated-Taylor applications), which needs about twenty matvecs per
     sample however small H is.
 
-    An H with an inf or nan entry raises SolverError before either path
-    runs, and norm drift beyond 1e-9 raises SolverError (the
-    step-convergence flag).
+    Timed as an `evolve` stage.  An H with an inf or nan entry raises
+    SolverError before either path runs, and norm drift beyond 1e-9
+    raises SolverError (the step-convergence flag).
     """
     state = np.asarray(state, dtype=complex)
     n0 = np.linalg.norm(state)
@@ -309,17 +291,18 @@ def evolve(op, state, t, steps):
         raise ValueError("steps must be >= 1")
     _check_finite(op)
     dense = _fits_dense(op)
-    log_append("evolve_dims", op.shape[0])
-    log_append("evolve_paths", "dense" if dense else "expm")
     times = np.linspace(0.0, float(t), steps + 1)
-    if dense:
-        w, v = eigh(_dense(op))
-        states = (np.exp(-1j * np.outer(times, w)) * (v.conj().T @ state)) \
-            @ v.T
-        states[0] = state
-    else:
-        states = expm_multiply((-1j) * op.tocsc(), state, start=0.0,
-                               stop=float(t), num=steps + 1, endpoint=True)
+    with stage("evolve", dim=op.shape[0], path="dense" if dense else "expm",
+               nnz=op.nnz if sparse.issparse(op) else 0):
+        if dense:
+            w, v = eigh(_dense(op))
+            states = (np.exp(-1j * np.outer(times, w))
+                      * (v.conj().T @ state)) @ v.T
+            states[0] = state
+        else:
+            states = expm_multiply((-1j) * op.tocsc(), state, start=0.0,
+                                   stop=float(t), num=steps + 1,
+                                   endpoint=True)
     traj = Trajectory(times, np.asarray(states))
     drift = np.max(np.abs(traj.norms() - 1.0))
     if drift > 1e-9:

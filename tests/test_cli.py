@@ -33,6 +33,12 @@ def read_manifest(outdir):
         return json.load(fh)
 
 
+def stages(m, name):
+    """The manifest's `timing` records of stage `name`, in the order they
+    ended."""
+    return [r for r in m["timing"]["stages"] if r["stage"] == name]
+
+
 def test_spectrum_run(tmp_path):
     cfg = write_cfg(tmp_path, BASE)
     rc = main(["spectrum", "--config", cfg, "--out", str(tmp_path / "out")])
@@ -764,12 +770,14 @@ def potential_runs_in_sectors(tmp_path, monkeypatch, n, separations):
     assert m["error"] is None
     rows = (tmp_path / "out" / "potential.csv").read_text().splitlines()[1:]
     dims = [int(row.split(",")[2]) for row in rows]
-    assert m["timing"]["dim_full"] == 3 ** (n - 1) * 2 ** n
-    assert m["timing"]["solve_dims"] == dims
-    assert 0.0 <= m["timing"]["worst_relative_residual"] <= 1e-9
-    assert m["timing"]["evolve_dims"] == []
+    assert max(r["dim_full"] for r in stages(m, "assemble")) \
+        == 3 ** (n - 1) * 2 ** n
+    solves = stages(m, "solve")
+    assert [r["dim"] for r in solves] == dims
+    assert 0.0 <= max(r["residual"] for r in solves) <= 1e-9
+    assert stages(m, "evolve") == []
     assert m["timing"]["peak_rss_mb"] > 0
-    return dims, m["timing"]["solve_paths"]
+    return dims, [r["path"] for r in solves]
 
 
 def test_potential_chain_10_runs_in_sectors(tmp_path, monkeypatch):
@@ -813,10 +821,28 @@ def test_potential_chain_assembles_once(tmp_path, monkeypatch):
         calls.append(kw.get("sector")), assemble(self, *args, **kw))[1])
     rows, m = potential_rows(tmp_path, [0, 1, 2, 3, 4, 5], "out")
     assert len(calls) == 1
-    assert m["timing"]["assembly_dims"] == [195]
-    assert m["timing"]["solve_dims"] == [61, 33, 33, 24, 25, 19]
-    assert [int(row.split(",")[2]) for row in rows] == m["timing"][
-        "solve_dims"]
+    assert [r["dim"] for r in stages(m, "assemble")] == [195]
+    solve_dims = [r["dim"] for r in stages(m, "solve")]
+    assert solve_dims == [61, 33, 33, 24, 25, 19]
+    assert [int(row.split(",")[2]) for row in rows] == solve_dims
+
+
+def test_potential_chain_times_every_stage(tmp_path):
+    # the bench's potential_chain: six sectors enumerated, assembled as
+    # one, solved one by one; the stages do not overlap
+    _, m = potential_rows(tmp_path, [0, 1, 2, 3, 4, 5], "out")
+    assert [r["dim"] for r in stages(m, "enumerate")] \
+        == [61, 33, 33, 24, 25, 19]
+    assert {r["dim_full"] for r in stages(m, "enumerate")} \
+        == {3 ** 7 * 2 ** 8}
+    assert [r["dim"] for r in stages(m, "assemble")] == [195]
+    assert [r["dim"] for r in stages(m, "solve")] == [61, 33, 33, 24, 25, 19]
+    assert len(m["timing"]["stages"]) == 13
+    seconds = [r["seconds"] for r in m["timing"]["stages"]]
+    assert min(seconds) >= 0.0
+    assert sum(seconds) <= m["timing"]["wall_seconds"]
+    assert set(m["timing"]) == {"stages", "wall_seconds", "threads",
+                                "peak_rss_mb"}
 
 
 def test_potential_repeated_separations_match_single_ones(tmp_path,
@@ -828,7 +854,7 @@ def test_potential_repeated_separations_match_single_ones(tmp_path,
         enumerated.append(tuple(q)), enumerate_sector(space, q))[1])
     repeated, m = potential_rows(tmp_path, [1, 1, 2], "repeated")
     assert len(enumerated) == 2
-    assert m["timing"]["assembly_dims"] == [66]
+    assert [r["dim"] for r in stages(m, "assemble")] == [66]
     single, _ = potential_rows(tmp_path, [1, 2], "single")
     reversed_, _ = potential_rows(tmp_path, [2, 1], "reversed")
     assert repeated == [single[0], single[0], single[1]]
@@ -848,9 +874,10 @@ def test_potential_without_merging_gives_the_same_blocks(tmp_path,
     merged_blocks, blocks[:] = list(blocks), []
     monkeypatch.setattr(solver, "DENSE_LIMIT", 0)
     alone, m0 = potential_rows(tmp_path, [0, 1, 2, 3, 4, 5], "alone")
-    assert m["timing"]["assembly_dims"] == [195]
-    assert m0["timing"]["assembly_dims"] == [61, 33, 33, 24, 25, 19]
-    assert m0["timing"]["solve_paths"] == ["lanczos"] * 6
+    assert [r["dim"] for r in stages(m, "assemble")] == [195]
+    assert [r["dim"] for r in stages(m0, "assemble")] \
+        == [61, 33, 33, 24, 25, 19]
+    assert [r["path"] for r in stages(m0, "solve")] == ["lanczos"] * 6
     assert len(blocks) == len(merged_blocks) == 6
     for a, b in zip(blocks, merged_blocks):
         assert a.tobytes() == b.tobytes()
@@ -876,7 +903,8 @@ def test_oversized_full_space_exits_3_before_allocating(tmp_path):
         m = read_manifest(tmp_path / f"out{n}")
         assert m["exit_status"] == 3
         assert "MiB" in m["error"]
-        assert m["timing"]["dim_full"] == 3 ** (n - 1) * 2 ** n
+        assert max(r["dim_full"] for r in stages(m, "assemble")) \
+            == 3 ** (n - 1) * 2 ** n
 
 
 def test_dynamics_timing_records_the_sector_evolution(tmp_path):
@@ -889,11 +917,13 @@ def test_dynamics_timing_records_the_sector_evolution(tmp_path):
     }
     status, _ = run(cfg, str(tmp_path / "out"))
     assert status == 0
-    timing = read_manifest(tmp_path / "out")["timing"]
-    assert timing["dim_full"] == 3 ** 5 * 2 ** 6
-    assert timing["evolve_dims"] == [7]       # the string's Gauss sector
-    assert timing["evolve_paths"] == ["dense"]
-    assert timing["solve_dims"] == []
+    m = read_manifest(tmp_path / "out")
+    assert max(r["dim_full"] for r in stages(m, "assemble")) \
+        == 3 ** 5 * 2 ** 6
+    evolutions = stages(m, "evolve")
+    assert [r["dim"] for r in evolutions] == [7]  # the string's Gauss sector
+    assert [r["path"] for r in evolutions] == ["dense"]
+    assert stages(m, "solve") == []
 
 
 def test_dynamics_decodes_its_sector_once(tmp_path, monkeypatch):
@@ -953,8 +983,8 @@ def test_charged_spectrum_never_builds_the_full_space(tmp_path, monkeypatch,
     status, _ = run(cfg, str(tmp_path / "out"))
     m = read_manifest(tmp_path / "out")
     assert status == 0, m["error"]
-    assert m["timing"]["solve_dims"] == [sector_dim]
-    assert m["timing"]["solve_paths"] == [
+    assert [r["dim"] for r in stages(m, "solve")] == [sector_dim]
+    assert [r["path"] for r in stages(m, "solve")] == [
         "lanczos" if sector_dim > cli.solver.DENSE_LIMIT else "dense"]
     assert m["results"]["sector_dim"] == sector_dim
     assert m["checks"] == [{"name": "gauge_invariance", "value": 0.0,
@@ -972,21 +1002,22 @@ def test_spectrum_torus_records_nnz_and_matvecs(tmp_path):
     cfg = {"scenario": "spectrum", "lattice": lattice,
            "hamiltonian": hamiltonian,
            "params": {"k": 4, "charges": [0, 0, 0, 0]}}
-    timings = []
+    solves = []
     for out in ("first", "second"):
         status, _ = run(cfg, str(tmp_path / out))
         assert status == 0
-        timings.append(read_manifest(tmp_path / out)["timing"])
-    first, second = timings
-    assert first["solve_paths"] == ["lanczos"]
-    assert first["solve_nnz"][0] > first["solve_dims"][0]
-    assert 0 < first["guard_matvecs"][0] < first["solve_matvecs"][0]
-    for key in ("solve_nnz", "solve_matvecs", "guard_matvecs"):
-        assert first[key] == second[key]
+        solves.append(stages(read_manifest(tmp_path / out), "solve"))
+    first, second = solves
+    assert [r["path"] for r in first] == ["lanczos"]
+    assert first[0]["nnz"] > first[0]["dim"]
+    assert 0 < first[0]["guard_matvecs"] < first[0]["matvecs"]
+    for key in ("nnz", "matvecs", "guard_matvecs"):
+        assert [r[key] for r in first] == [r[key] for r in second]
 
 
 OVERFLOWING_SPECTRA = {
-    # g2 = 1e-320 makes the magnetic coefficient -1/(2 g2) overflow to -inf
+    # g2 = 1e308 makes the electric energy g2/2 sum E^2 of the states with
+    # flux 2 on one link, or flux 1 on all four, overflow to inf
     "torus_cutoff2_lanczos": (TORUS, 2),
     "open_2x2_cutoff1_dense": (BASE["lattice"], 1),
 }
@@ -997,7 +1028,7 @@ def test_spectrum_of_a_non_finite_h_exits_3_with_a_manifest(tmp_path, name):
     lattice, cutoff = OVERFLOWING_SPECTRA[name]
     cfg = {"scenario": "spectrum", "lattice": lattice,
            "hamiltonian": {"model": "ks_u1", "truncation": cutoff,
-                           "g2": 1e-320},
+                           "g2": 1e308},
            "params": {"k": 4, "charges": [0, 0, 0, 0]}}
     out = tmp_path / "out"
     rc = main(["spectrum", "--config", write_cfg(tmp_path, cfg),
@@ -1007,6 +1038,25 @@ def test_spectrum_of_a_non_finite_h_exits_3_with_a_manifest(tmp_path, name):
     assert m["exit_status"] == 3
     assert "non-finite" in m["error"]
     assert not (out / "spectrum.csv").exists()
+
+
+@pytest.mark.parametrize("lattice, hamiltonian", [
+    (TORUS, {"model": "ks_u1", "truncation": 1, "g2": 1e-320}),
+    (BASE["lattice"], {"model": "zn", "truncation": 3, "g2": 1e-310})])
+def test_overflowing_magnetic_coefficient_is_a_config_error(
+        tmp_path, lattice, hamiltonian):
+    # -1/(2 g2) overflows for any g2 below about 2.8e-309
+    cfg = {"scenario": "spectrum", "lattice": lattice,
+           "hamiltonian": hamiltonian,
+           "params": {"k": 4, "charges": [0, 0, 0, 0]}}
+    out = tmp_path / "out"
+    rc = main(["spectrum", "--config", write_cfg(tmp_path, cfg),
+               "--out", str(out)])
+    assert rc == 2
+    m = read_manifest(out)
+    assert m["exit_status"] == 2
+    assert "g2" in m["error"] and "overflows" in m["error"]
+    assert m["timing"]["stages"] == []
 
 
 # in the one-state sector with horizontal links at +1 and vertical links at
@@ -1044,7 +1094,7 @@ def test_charged_spectrum_beyond_int64_exits_3_before_enumerating(tmp_path):
     m = read_manifest(tmp_path / "out")
     assert m["exit_status"] == 3
     assert str(3 ** 40) in m["error"]
-    assert m["timing"]["dim_full"] is None     # no Hamiltonian assembled
+    assert m["timing"]["stages"] == []   # nothing enumerated or assembled
 
 
 def test_potential_beyond_int64_exits_3_before_enumerating(tmp_path):
@@ -1061,7 +1111,7 @@ def test_potential_beyond_int64_exits_3_before_enumerating(tmp_path):
     m = read_manifest(tmp_path / "out")
     assert m["exit_status"] == 3
     assert str(3 ** 24 * 2 ** 25) in m["error"]
-    assert m["timing"]["dim_full"] is None     # no Hamiltonian assembled
+    assert m["timing"]["stages"] == []   # nothing enumerated or assembled
 
 
 def test_uncharged_su2_spectrum_checks_gauss_law_like_the_oracle(tmp_path):

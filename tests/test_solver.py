@@ -157,7 +157,7 @@ def test_lanczos_matches_dense_on_sector_hamiltonians(monkeypatch, name):
     h = LANCZOS_CASES[name]()
     with run_log() as log:
         w, _ = eigs(h, 4)
-    assert log.solve_paths == ["lanczos"]
+    assert [r["path"] for r in log] == ["lanczos"]
     dense = scipy.linalg.eigh(h.toarray(), eigvals_only=True)[:4]
     assert np.max(np.abs(w - dense)) <= 1e-10
 
@@ -246,14 +246,15 @@ def test_guard_value_matches_full_precision(monkeypatch, name):
     # that decides it matches the tol = 0 value 100 times inside the
     # guard's 1e-9 margin
     h = LANCZOS_CASES[name]().tocsr()
-    w, v = solver._lanczos(solver._Counted(h), 4, 0, 0.0)
-    loose = solver._Counted(h)
-    low = solver._check_no_missed_level(loose, w, v)
+    counts = {}
+    w, v = solver._lanczos(solver._Counted(h, counts, "solve"), 4, 0, 0.0)
+    low = solver._check_no_missed_level(
+        solver._Counted(h, counts, "loose"), w, v)
     monkeypatch.setattr(solver, "_GUARD_TOL", 0.0)
-    full = solver._Counted(h)
-    exact = solver._check_no_missed_level(full, w, v)
+    exact = solver._check_no_missed_level(
+        solver._Counted(h, counts, "full"), w, v)
     assert abs(low - exact) <= 1e-11 * max(1.0, abs(exact))
-    assert loose.matvecs <= full.matvecs
+    assert counts["loose"] <= counts["full"]
 
 
 def test_eigs_logs_nnz_and_matvecs(monkeypatch):
@@ -264,21 +265,51 @@ def test_eigs_logs_nnz_and_matvecs(monkeypatch):
         eigs(diag[:4, :4], 1)           # dense path: no matvec
         eigs(np.eye(3), 1)              # dense input: no nnz
         eigs(h, 2)                      # Lanczos
-    assert log.solve_nnz == [3, 0, h.nnz]     # diag[:4, :4] stores no 0
-    assert log.solve_matvecs[:2] == [0, 0]
-    assert log.guard_matvecs[:2] == [0, 0]
-    assert 0 < log.guard_matvecs[2] < log.solve_matvecs[2]
+    assert [r["nnz"] for r in log] == [3, 0, h.nnz]  # diag[:4, :4]: no 0
+    assert [r["matvecs"] for r in log[:2]] == [0, 0]
+    assert [r["guard_matvecs"] for r in log[:2]] == [0, 0]
+    assert 0 < log[2]["guard_matvecs"] < log[2]["matvecs"]
 
 
 def test_eigs_logs_matvecs_of_a_failed_solve(monkeypatch):
-    # the counts stay aligned with solve_dims when the guard raises
+    # the solve's record keeps both counts when the guard raises
     monkeypatch.setattr(solver, "DENSE_LIMIT", 0)
     h, _ = block_with_missed_level(1, 5.0)
     blind_main_solve(monkeypatch)
     with run_log() as log, pytest.raises(SolverError):
         eigs(h, 1)
-    assert len(log.solve_matvecs) == len(log.guard_matvecs) == 1
-    assert log.solve_matvecs[0] > 0 and log.guard_matvecs[0] > 0
+    assert len(log) == 1
+    assert log[0]["matvecs"] > 0 and log[0]["guard_matvecs"] > 0
+
+
+@pytest.mark.parametrize("k", [1, 4])
+def test_a_raising_guard_leaves_a_whole_solve_record(monkeypatch, k):
+    # a level 1e-7 max(1, |w[-1]|) below the found ones: the main solve
+    # passes its residual check, then the guard raises
+    monkeypatch.setattr(solver, "DENSE_LIMIT", 0)
+    h, _ = block_with_missed_level(k, 1e-7, relative=True)
+    blind_main_solve(monkeypatch)
+    with run_log() as log, pytest.raises(SolverError, match="missed"):
+        eigs(h, k)
+    [record] = log
+    assert set(record) == {"stage", "seconds", "dim", "path", "nnz",
+                           "matvecs", "guard_matvecs", "residual"}
+    assert (record["stage"], record["dim"], record["path"], record["nnz"]) \
+        == ("solve", 200, "lanczos", h.nnz)
+    assert 0 < record["guard_matvecs"] and 0 < record["matvecs"]
+    assert record["seconds"] >= 0.0 and record["residual"] <= 1e-9
+
+
+def test_stage_outside_run_log_records_nothing():
+    # a stage opened outside any run_log is timed but kept by none, not
+    # even by a run_log entered and left inside it
+    with solver.stage("outer") as outer:
+        eigs(tridiagonal(500, 1).tocsr(), 1)
+        with run_log() as log:
+            with solver.stage("inner", dim=1):
+                pass
+    assert outer["seconds"] >= 0.0
+    assert [r["stage"] for r in log] == ["inner"]
 
 
 def test_arpack_failure_raises_solver_error():
@@ -303,7 +334,7 @@ def test_non_finite_operator_raises_before_solving(bad, dim):
             eigs(h.toarray(), 2)
         with pytest.raises(SolverError, match="non-finite"):
             evolve(h, random_state(dim, 1), 1.0, 2)
-    assert log.solve_dims == [] and log.evolve_dims == []
+    assert log == []
 
 
 def test_eigs_logs_path_and_worst_residual(monkeypatch):
@@ -313,9 +344,9 @@ def test_eigs_logs_path_and_worst_residual(monkeypatch):
         eigs(diag[:4, :4], 1)           # at the limit: dense
         eigs(diag, 7)                   # k >= dim - 1: dense all the same
         eigs(diag, 2)                   # Lanczos
-    assert log.solve_dims == [4, 8, 8]
-    assert log.solve_paths == ["dense", "dense", "lanczos"]
-    assert 0.0 <= log.worst_relative_residual <= 1e-9
+    assert [r["dim"] for r in log] == [4, 8, 8]
+    assert [r["path"] for r in log] == ["dense", "dense", "lanczos"]
+    assert 0.0 <= max(r["residual"] for r in log) <= 1e-9
 
 
 def test_eigs_k_too_large():
@@ -404,7 +435,7 @@ def test_evolve_semigroup_property_expm_path(monkeypatch):
         full = evolve(h, psi, 1.0, 2)
         half = evolve(h, psi, 0.5, 1)
         again = evolve(h, half.states[-1], 0.5, 1)
-    assert log.evolve_paths == ["expm"] * 3
+    assert [r["path"] for r in log] == ["expm"] * 3
     assert np.allclose(full.states[-1], again.states[-1], atol=1e-9)
 
 
@@ -449,7 +480,7 @@ def test_dense_evolve_matches_expm_multiply(name):
     psi = random_state(h.shape[0], 9)
     with run_log() as log:
         traj = evolve(h, psi, 2.0, 40)
-    assert log.evolve_paths == ["dense"]
+    assert [r["path"] for r in log] == ["dense"]
     ref = expm_multiply(-1j * h.tocsc(), psi, start=0.0, stop=2.0, num=41,
                         endpoint=True)
     assert np.max(np.abs(traj.states - ref)) <= 1e-12
@@ -463,8 +494,9 @@ def test_evolve_path_switches_above_dense_limit():
     with run_log() as log:
         for dim in (solver.DENSE_LIMIT, solver.DENSE_LIMIT + 1):
             evolve(tridiagonal(dim, 1).tocsr(), random_state(dim, 3), 0.5, 2)
-    assert log.evolve_dims == [solver.DENSE_LIMIT, solver.DENSE_LIMIT + 1]
-    assert log.evolve_paths == ["dense", "expm"]
+    assert [r["dim"] for r in log] == [solver.DENSE_LIMIT,
+                                       solver.DENSE_LIMIT + 1]
+    assert [r["path"] for r in log] == ["dense", "expm"]
 
 
 # ---------------------------------------------------------------------------
