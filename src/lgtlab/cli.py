@@ -18,8 +18,9 @@ config file, which only prints to stderr.  Result CSVs are byte-stable
 across repeated runs (fixed solver seeds, floats printed with 17
 significant digits, LF line endings); the manifest additionally records,
 under `timing`, the run's stage records in the order they end (solver.stage:
-each sector enumeration, Hamiltonian assembly, eigensolve and evolution,
-with its seconds and sizes), the wall time, the process's thread count and
+each model build, sector enumeration, Hamiltonian assembly, eigensolve,
+evolution, dynamics observables read and CSV write, with its seconds and
+sizes), the wall time, the process's thread count and
 the peak resident set size.  The `lgtlab` command enters
 through `lgtlab.__main__`, which applies `--threads` before numpy loads.
 """
@@ -66,10 +67,11 @@ REQUIRED = object()     # default of a key the config must give
 
 
 def _cast(kind, x, where):
-    """x as `kind`: int or float (finite, so never NaN or infinite), bool,
-    str or dict, [kind] for a nonempty list of them (returned as a tuple),
-    or a tuple of the values x may take; ConfigError naming `where` if it
-    is not."""
+    """x as `kind`: float (finite, so never NaN or infinite), int (in
+    int64, which the library's label and charge tables use), bool, str or
+    dict, [kind] for a nonempty list of them (returned as a tuple), or a
+    tuple of the values x may take; ConfigError naming `where` if it is
+    not."""
     if isinstance(kind, tuple):
         if x in kind:
             return x
@@ -82,12 +84,14 @@ def _cast(kind, x, where):
                      for i, v in enumerate(items))
     number = isinstance(x, (int, float)) and not isinstance(x, bool) \
         and abs(x) <= sys.float_info.max
-    if number and (kind is float or (kind is int and float(x).is_integer())):
+    if number and (kind is float or (kind is int and float(x).is_integer()
+                                      and -2 ** 63 <= x < 2 ** 63)):
         return kind(x)
     if kind in (bool, str, list, dict) and isinstance(x, kind):
         return x
-    finite = "a finite " if kind in (int, float) else ""
-    raise ConfigError(f"{where} must be {finite}{kind.__name__}, got {x!r}")
+    what = {float: "a finite float", int: "an int in [-2^63, 2^63)"}
+    raise ConfigError(f"{where} must be {what.get(kind, kind.__name__)}, "
+                      f"got {x!r}")
 
 
 # section -> {key: (kind, default)}; an absent or null key takes its
@@ -174,16 +178,19 @@ class Writer:
     def csv(self, name, header, columns):
         """Write a header line and one line per row of `columns`, one
         sequence of values per header field: integer columns as %d, every
-        other column with 17 significant digits, formatted in one pass."""
+        other column with 17 significant digits, formatted in one pass.
+        Timed as a `write` stage (solver.stage) with the file name and its
+        data rows."""
         columns = [np.asarray(c) for c in columns]
-        line = ",".join("%d" if c.dtype.kind in "biu" else "%.17g"
-                        for c in columns) + "\n"
-        values = tuple(v for row in zip(*(c.tolist() for c in columns))
-                       for v in row)
         n_rows = len(columns[0]) if columns else 0
-        path = os.path.join(self.outdir, name)
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(",".join(header) + "\n" + line * n_rows % values)
+        with solver.stage("write", file=name, rows=n_rows):
+            line = ",".join("%d" if c.dtype.kind in "biu" else "%.17g"
+                            for c in columns) + "\n"
+            values = tuple(v for row in zip(*(c.tolist() for c in columns))
+                           for v in row)
+            path = os.path.join(self.outdir, name)
+            with open(path, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(",".join(header) + "\n" + line * n_rows % values)
         self.files.append(name)
         return path
 
@@ -335,12 +342,12 @@ def run_effective_check(lat, spec, params, writer, tol):
 
 
 def run_dynamics(lat, spec, params, writer, tol):
-    report, model, traj = observables.flux_tube_breaking_scenario(
+    report, _ = observables.flux_tube_breaking_scenario(
         spec, lat, params["separation"], params["t_final"], params["steps"],
         origin=params["origin"])
 
     n_times, n_links = report.flux.shape
-    origins = [model.lattice.links[l][0] for l in range(n_links)]
+    origins = [origin for origin, _ in lat.links]
     writer.csv("dynamics.csv", ["t", "link", "flux", "charge_density"],
                [np.repeat(report.times, n_links),
                 np.tile(np.arange(n_links), n_times), report.flux.ravel(),

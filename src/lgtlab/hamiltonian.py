@@ -250,13 +250,17 @@ def _directions(piece):
 
 
 def build_model(spec, lat):
-    """Realize a HamiltonianSpec on a lattice: spaces, link ops, matter."""
+    """Realize a HamiltonianSpec on a lattice: spaces, link ops, matter;
+    timed as a `build` stage (solver.stage) with the product-space
+    dimension (dim_full)."""
     spec.validate()
-    layout = None
-    if spec.matter is not None:
-        layout = matter_mod.fermion_ops(lat, spec.matter)
-    space = ProductSpace(lat, linkalg.link_ops(spec.model, spec.truncation),
-                         layout)
+    with solver.stage("build") as record:
+        layout = None
+        if spec.matter is not None:
+            layout = matter_mod.fermion_ops(lat, spec.matter)
+        space = ProductSpace(lat, linkalg.link_ops(spec.model,
+                                                   spec.truncation), layout)
+        record["dim_full"] = space.dim
     return Model(spec, lat, space)
 
 

@@ -32,17 +32,14 @@ def flux_profile(model, state, labels):
     one value per label, read per link from the label table.
     """
     space = model.space
-    values = space.linkops.flux
-    return _diagonal_expectations(
-        state, [values[row] for row in labels[:space.n_links]])
+    return _expectations(state, space.linkops.flux[labels[:space.n_links]])[0]
 
 
 def charge_profile(model, state, labels):
     """Per-vertex dynamical charge expectation, for one state or a
     (times, dim) stack of states, whose amplitudes are on the states of
     the label table `labels` (on two-color matter the charge 2 Q^z)."""
-    return _diagonal_expectations(state, _matter_charges(model.space,
-                                                         labels))
+    return _expectations(state, _matter_charges(model.space, labels))[0]
 
 
 def _matter_charges(space, labels):
@@ -57,12 +54,12 @@ def _matter_charges(space, labels):
     return -(layout.gauss_base[:, None] + added)
 
 
-def _diagonal_expectations(state, diagonals):
-    """<psi| diag(d) |psi> for each diagonal d: the states' probabilities
-    times the stacked diagonals, in one product."""
-    states = np.asarray(state)
-    out = (np.abs(np.atleast_2d(states)) ** 2) @ np.array(diagonals).T
-    return out if states.ndim == 2 else out[0]
+def _expectations(state, *tables):
+    """<psi| diag(d) |psi> for every row d of each per-state table: one
+    value per row for a state, one row per state for a (times, dim) stack.
+    |psi|^2 is formed once, then read by one product per table."""
+    probabilities = np.abs(state) ** 2
+    return [probabilities @ table.T for table in tables]
 
 
 def string_link_path(lat, origin, separation):
@@ -245,39 +242,39 @@ def _sector_ground_energies(model, separations, origin):
 
 @dataclass
 class DynamicsReport:
+    """The string's observables at every sampled time and the largest drift
+    of each conserved quantity from its value at t = 0 (of the norm, from
+    1)."""
+
     times: np.ndarray
     flux: np.ndarray              # (times, links)
-    charge: np.ndarray            # (times, vertices) or None
-    norms: np.ndarray
-    energy: np.ndarray
-    total_charge: np.ndarray
+    charge: np.ndarray            # (times, vertices)
+    max_norm_drift: float
+    max_energy_drift: float
+    max_charge_drift: float
     gauss_drift: float            # max |<G_n>(t) - <G_n>(0)|
 
-    @property
-    def max_norm_drift(self):
-        return float(np.max(np.abs(self.norms - 1.0)))
 
-    @property
-    def max_energy_drift(self):
-        return float(np.max(np.abs(self.energy - self.energy[0])))
-
-    @property
-    def max_charge_drift(self):
-        return float(np.max(np.abs(self.total_charge - self.total_charge[0])))
+def _drift(series):
+    """max |x(t) - x(0)| over a series of values or rows of values."""
+    return float(np.max(np.abs(series - series[0])))
 
 
 def flux_tube_breaking_scenario(spec, lat, separation, t_final, steps,
                                 origin=0):
-    """Evolve the strong-coupling string and track its decay observables.
+    """Evolve the strong-coupling string and track its decay observables;
+    returns (DynamicsReport, states), the states a (times, dim) array of
+    amplitudes on the string's Gauss sector.
 
     Requires a 1d chain with Abelian links and dynamical staggered matter.
     The string is one product state, so it evolves in its own Gauss sector
-    (charges decoded from its labels) with the sector Hamiltonian; the
-    returned trajectory's states are amplitudes on that sector's states.
+    (charges decoded from its labels) with the sector Hamiltonian.
     Conservation of the norm, energy, total charge and every Gauss
     generator expectation is reported (they are exact up to solver
-    tolerance); the diagonal observables are all read from the sector's
-    one label table.
+    tolerance).  The observables are read as an `observables` stage: <H>
+    first, then |psi|^2 is formed once and every diagonal observable (flux,
+    charge, total charge, Gauss generators) is one product of it with that
+    quantity's table over the sector's labels.
     """
     if lat.spatial_dim != 1:
         raise ValueError("flux-tube scenario runs on 1d chains")
@@ -290,21 +287,22 @@ def flux_tube_breaking_scenario(spec, lat, separation, t_final, steps,
     h = model.hamiltonian(sector=sec)
     psi0 = np.zeros(sec.dim, dtype=complex)
     psi0[np.searchsorted(sec.indices, start)] = 1.0
-    traj = solver.evolve(h, psi0, t_final, steps)
+    times, states = solver.evolve(h, psi0, t_final, steps)
 
-    labels = sec.labels
-    flux = flux_profile(model, traj.states, labels)
-    charge = charge_profile(model, traj.states, labels)
-    energy = traj.expectation(h).real
-    qtot = _matter_charges(space, labels).sum(axis=0)
-    total_charge = _diagonal_expectations(traj.states, [qtot])[:, 0]
-
-    # <G_n>(t) of the diagonal generators G_n
-    vals = _diagonal_expectations(traj.states, list(generator_eigenvalues(
-        space, charge_rows(space, labels))))
-    gauss_drift = float(np.max(np.abs(vals - vals[0])))
-    return DynamicsReport(traj.times, flux, charge, traj.norms(),
-                          energy, total_charge, gauss_drift), model, traj
+    with solver.stage("observables", dim=sec.dim, samples=len(times)):
+        # <H> before |psi|^2: its three (times, dim) temporaries are freed
+        # before the probabilities exist, so they never add to the peak
+        energy = np.sum(states.conj() * (h @ states.T).T, axis=1).real
+        labels = sec.labels
+        charges = _matter_charges(space, labels)
+        generators = np.array(list(generator_eigenvalues(
+            space, charge_rows(space, labels))))
+        flux, charge, total, gauss = _expectations(
+            states, space.linkops.flux[labels[:space.n_links]], charges,
+            charges.sum(axis=0)[None], generators)
+    return DynamicsReport(times, flux, charge, solver.norm_drift(states),
+                          _drift(energy), _drift(total[:, 0]),
+                          _drift(gauss)), states
 
 
 def single_plaquette_ground(spec):

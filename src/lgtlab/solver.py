@@ -252,23 +252,10 @@ def ground_energy(op):
     return eigs(op, 1)[0][0]
 
 
-@dataclass
-class Trajectory:
-    times: np.ndarray
-    states: np.ndarray          # (len(times), dim)
-
-    def norms(self):
-        return np.linalg.norm(self.states, axis=1)
-
-    def expectation(self, op):
-        """<psi(t)| op |psi(t)> at every time: one product of op with all
-        the states, summed row by row against their conjugates."""
-        return np.sum(self.states.conj() * (op @ self.states.T).T, axis=1)
-
-
 def evolve(op, state, t, steps):
     """Unitary evolution exp(-i H s)|psi> sampled at `steps`+1 equally
-    spaced times in [0, t].
+    spaced times in [0, t]: (times, states), the states a (times, dim)
+    array.
 
     For dense input and up to DENSE_LIMIT states (_fits_dense, the rule
     of `eigs`), H = V diag(w) V^dag is diagonalized once, in H's dtype, and
@@ -303,11 +290,15 @@ def evolve(op, state, t, steps):
             states = expm_multiply((-1j) * op.tocsc(), state, start=0.0,
                                    stop=float(t), num=steps + 1,
                                    endpoint=True)
-    traj = Trajectory(times, np.asarray(states))
-    drift = np.max(np.abs(traj.norms() - 1.0))
+    drift = norm_drift(states)
     if drift > 1e-9:
         raise SolverError(f"evolution norm drift {drift:.3e} exceeds 1e-9")
-    return traj
+    return times, states
+
+
+def norm_drift(states):
+    """max | ||psi(t)|| - 1 | over the rows of a (times, dim) stack."""
+    return float(np.max(np.abs(np.linalg.norm(states, axis=1) - 1.0)))
 
 
 @dataclass

@@ -236,8 +236,10 @@ def prepotential_decomposition(n_max):
     NL = a1.conj().T @ a1 + a2.conj().T @ a2
     NR = b1.conj().T @ b1 + b2.conj().T @ b2
 
-    inv_sqrt_NL1 = _func_of_hermitian(NL, lambda x: 1.0 / sqrt(x + 1.0))
-    inv_sqrt_NR1 = _func_of_hermitian(NR, lambda x: 1.0 / sqrt(x + 1.0))
+    # N_L and N_R are diagonal by construction
+    inv_sqrt_NL1, inv_sqrt_NR1 = (
+        np.diag(1.0 / np.sqrt(np.diag(n).real + 1.0)).astype(complex)
+        for n in (NL, NR))
 
     UL = [[inv_sqrt_NL1 @ a1.conj().T, -inv_sqrt_NL1 @ a2],
           [inv_sqrt_NL1 @ a2.conj().T, inv_sqrt_NL1 @ a1]]
@@ -278,13 +280,3 @@ def prepotential_decomposition(n_max):
         "R": R,
         "dim": dim,
     }
-
-
-def _func_of_hermitian(mat, fn):
-    """Apply a scalar function to a Hermitian matrix (here: diagonal number
-    operators, so this is just a diagonal map)."""
-    d = np.diag(mat)
-    if np.max(np.abs(mat - np.diag(d))) < 1e-14:
-        return np.diag([fn(x.real) for x in d]).astype(complex)
-    w, v = np.linalg.eigh(mat)
-    return (v * np.array([fn(x) for x in w])) @ v.conj().T

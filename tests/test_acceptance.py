@@ -167,14 +167,14 @@ def test_criterion_7_dynamics_conservation():
     and every <G_n> to 1e-8; the eps = 0 trajectory is static."""
     live = HamiltonianSpec(model="ks_u1", truncation=1, g2=1.0, eps=0.8,
                            mass=0.1, matter="staggered")
-    rep, _, _ = flux_tube_breaking_scenario(live, CHAIN6, separation=3,
-                                            t_final=2.0, steps=10)
+    rep, _ = flux_tube_breaking_scenario(live, CHAIN6, separation=3,
+                                         t_final=2.0, steps=10)
     drifts = (rep.max_norm_drift, rep.max_energy_drift,
               rep.max_charge_drift, rep.gauss_drift)
     frozen = HamiltonianSpec(model="ks_u1", truncation=1, g2=1.0, eps=0.0,
                              mass=0.1, matter="staggered")
-    rep0, _, _ = flux_tube_breaking_scenario(frozen, CHAIN6, separation=3,
-                                             t_final=2.0, steps=10)
+    rep0, _ = flux_tube_breaking_scenario(frozen, CHAIN6, separation=3,
+                                          t_final=2.0, steps=10)
     static = float(np.max(np.abs(rep0.flux - rep0.flux[0])))
     ok = max(drifts) < 1e-8 and static < 1e-8
     report(7, ok,

@@ -163,6 +163,12 @@ MALFORMED = {
         "scenario": "potential", "lattice": CHAIN,
         "hamiltonian": {"model": "ks_u1", "terms": ["electric"]},
         "params": {"separations": [2]}},
+    # a charge beyond int64 used to pass the schema and overflow in the
+    # sector enumeration: a traceback, exit 1 and no manifest
+    "spectrum_charge_beyond_int64": {
+        "scenario": "spectrum", "lattice": CHAIN,
+        "hamiltonian": CHAIN_MATTER,
+        "params": {"charges": [99999999999999999999, 0, 0, 0]}},
     # a truncation that holds no unit of flux has no string state
     "dynamics_cutoff_zero": {
         "scenario": "dynamics", "lattice": CHAIN,
@@ -175,6 +181,7 @@ MALFORMED_NAMES = {
     "channels_coupling_key_9": "'9'",
     "channels_coupling_key_1": "'1'",
     "dynamics_cutoff_zero": "no unit of flux",
+    "spectrum_charge_beyond_int64": "params.charges[0]",
     "spectrum_su2_truncation_zero": "J_max must be >= 1/2",
     "potential_electric_only_one_separation": "params.separations",
     "plaquette_convergence_cutoff_ref_zero": "params.cutoff_ref",
@@ -192,6 +199,14 @@ def test_param_of_wrong_type_is_config_error(tmp_path, name):
     assert m["exit_status"] == 2 and m["error"]
     assert m["config"] == json.loads(json.dumps(cfg))   # no defaults added
     assert MALFORMED_NAMES.get(name, "") in m["error"]
+
+
+def test_config_int_holds_exactly_int64():
+    for x in (2 ** 63 - 1, -2 ** 63, 1e18):
+        assert cli._cast(int, x, "params.k") == int(x)
+    for x in (2 ** 63, -2 ** 63 - 1, 1e19):
+        with pytest.raises(ConfigError, match=r"^params\.k must be an int"):
+            cli._cast(int, x, "params.k")
 
 
 CHAIN_SPECTRUM = {"scenario": "spectrum", "lattice": CHAIN,
@@ -837,7 +852,9 @@ def test_potential_chain_times_every_stage(tmp_path):
         == {3 ** 7 * 2 ** 8}
     assert [r["dim"] for r in stages(m, "assemble")] == [195]
     assert [r["dim"] for r in stages(m, "solve")] == [61, 33, 33, 24, 25, 19]
-    assert len(m["timing"]["stages"]) == 13
+    assert [r["stage"] for r in m["timing"]["stages"]] \
+        == ["build"] + ["enumerate"] * 6 + ["assemble"] + ["solve"] * 6 \
+        + ["write"]
     seconds = [r["seconds"] for r in m["timing"]["stages"]]
     assert min(seconds) >= 0.0
     assert sum(seconds) <= m["timing"]["wall_seconds"]
@@ -924,6 +941,33 @@ def test_dynamics_timing_records_the_sector_evolution(tmp_path):
     assert [r["dim"] for r in evolutions] == [7]  # the string's Gauss sector
     assert [r["path"] for r in evolutions] == ["dense"]
     assert stages(m, "solve") == []
+
+
+def test_dynamics_chain_records_every_stage_in_order(tmp_path):
+    # the bench's dynamics_chain at seed 0: one record per stage, none
+    # opened inside another, in the order they end
+    cfg = {
+        "scenario": "dynamics",
+        "lattice": {"spatial_dim": 1, "sizes": [6], "boundary": "open"},
+        "hamiltonian": {"model": "ks_u1", "truncation": 1,
+                        "matter": "staggered", "g2": 1.09399,
+                        "eps": 0.465328, "mass": 0.300856},
+        "params": {"separation": 3, "t_final": 2.0, "steps": 80},
+    }
+    status, _ = run(cfg, str(tmp_path / "out"))
+    assert status == 0
+    m = read_manifest(tmp_path / "out")
+    assert [r["stage"] for r in m["timing"]["stages"]] == [
+        "build", "enumerate", "assemble", "evolve", "observables", "write",
+        "write"]
+    assert [r["dim_full"] for r in stages(m, "build")] == [3 ** 5 * 2 ** 6]
+    assert [(r["dim"], r["samples"]) for r in stages(m, "observables")] \
+        == [(7, 81)]
+    assert [(r["file"], r["rows"]) for r in stages(m, "write")] == [
+        ("dynamics.csv", 81 * 5), ("dynamics_charge.csv", 81 * 6)]
+    seconds = [r["seconds"] for r in m["timing"]["stages"]]
+    assert min(seconds) >= 0.0
+    assert sum(seconds) <= m["timing"]["wall_seconds"]
 
 
 def test_dynamics_decodes_its_sector_once(tmp_path, monkeypatch):
@@ -1094,7 +1138,8 @@ def test_charged_spectrum_beyond_int64_exits_3_before_enumerating(tmp_path):
     m = read_manifest(tmp_path / "out")
     assert m["exit_status"] == 3
     assert str(3 ** 40) in m["error"]
-    assert m["timing"]["stages"] == []   # nothing enumerated or assembled
+    # nothing enumerated or assembled
+    assert [r["stage"] for r in m["timing"]["stages"]] == ["build"]
 
 
 def test_potential_beyond_int64_exits_3_before_enumerating(tmp_path):
@@ -1111,7 +1156,8 @@ def test_potential_beyond_int64_exits_3_before_enumerating(tmp_path):
     m = read_manifest(tmp_path / "out")
     assert m["exit_status"] == 3
     assert str(3 ** 24 * 2 ** 25) in m["error"]
-    assert m["timing"]["stages"] == []   # nothing enumerated or assembled
+    # nothing enumerated or assembled
+    assert [r["stage"] for r in m["timing"]["stages"]] == ["build"]
 
 
 def test_uncharged_su2_spectrum_checks_gauss_law_like_the_oracle(tmp_path):

@@ -11,9 +11,9 @@ from lgtlab.gauge import sector_basis
 from lgtlab.hamiltonian import HamiltonianSpec, build_model
 from lgtlab.lattice import build_lattice
 from lgtlab.matter import STAGGERED, dirac_sea_state
-from lgtlab.observables import convergence_study, flux_profile, \
-    flux_tube_breaking_scenario, static_potential, strong_coupling_ground, \
-    string_link_path
+from lgtlab.observables import charge_profile, convergence_study, \
+    flux_profile, flux_tube_breaking_scenario, static_potential, \
+    strong_coupling_ground, string_link_path
 from lgtlab.solver import SolverError
 
 CHAIN6 = build_lattice(1, [6])
@@ -36,6 +36,21 @@ def test_flux_profile_of_string_and_vacuum():
 
     vac = strong_coupling_ground(model, 0, 0)
     assert np.allclose(flux_profile(model, vac, model.space.labels), 0.0)
+
+
+def test_profiles_of_a_one_state_stack_keep_its_row():
+    # a (1, dim) stack is a stack: one row of k values, not k values
+    spec = HamiltonianSpec(model="ks_u1", truncation=1, g2=1.0, eps=0.5,
+                           mass=0.2, matter=STAGGERED)
+    model = build_model(spec, build_lattice(1, [4]))
+    psi = strong_coupling_ground(model, 0, 2)
+    labels = model.space.labels
+    for profile, k in ((flux_profile, 3), (charge_profile, 4)):
+        one = profile(model, psi, labels)
+        stack = profile(model, psi[None], labels)
+        assert one.shape == (k,)
+        assert stack.shape == (1, k)
+        assert np.array_equal(stack[0], one)
 
 
 def test_flux_profile_gauge_invariant():
@@ -179,7 +194,7 @@ def test_static_potential_empty_sector_raises():
 def test_flux_tube_static_without_matter_coupling():
     spec = HamiltonianSpec(model="ks_u1", truncation=1, g2=1.0, eps=0.0,
                            mass=0.4, matter=STAGGERED)
-    report, model, traj = flux_tube_breaking_scenario(
+    report, _ = flux_tube_breaking_scenario(
         spec, CHAIN6, separation=3, t_final=1.0, steps=5)
     assert np.allclose(report.flux, report.flux[0], atol=1e-9)
     assert report.max_norm_drift < 1e-9
@@ -194,9 +209,9 @@ def test_flux_tube_breaking_two_regimes():
                             mass=4.0, matter=STAGGERED)
     light = HamiltonianSpec(model="ks_u1", truncation=1, g2=1.0, eps=1.0,
                             mass=0.05, matter=STAGGERED)
-    rep_h, model_h, _ = flux_tube_breaking_scenario(
+    rep_h, _ = flux_tube_breaking_scenario(
         heavy, CHAIN6, separation=3, t_final=3.0, steps=12)
-    rep_l, model_l, _ = flux_tube_breaking_scenario(
+    rep_l, _ = flux_tube_breaking_scenario(
         light, CHAIN6, separation=3, t_final=3.0, steps=12)
     for rep in (rep_h, rep_l):
         assert rep.max_norm_drift < 1e-8

@@ -14,8 +14,8 @@ from lgtlab.gauge import GaussSector, abelian_charge_table, \
     all_sector_dimensions, merge_sectors, sector_basis
 from lgtlab.hamiltonian import HamiltonianSpec, SectorLeak, build_model
 from lgtlab.lattice import build_lattice
-from lgtlab.observables import flux_profile, flux_tube_breaking_scenario, \
-    strong_coupling_ground
+from lgtlab.observables import charge_profile, flux_profile, \
+    flux_tube_breaking_scenario, strong_coupling_ground
 from lgtlab.solver import SolverError, restrict
 
 
@@ -306,7 +306,8 @@ def test_sector_dynamics_matches_full_space(n):
     spec = HamiltonianSpec(model="ks_u1", truncation=1, g2=1.1, eps=0.7,
                            mass=0.2, matter="staggered")
     lat = chain(n)
-    report, model, traj = flux_tube_breaking_scenario(spec, lat, 2, 1.5, 6)
+    report, in_sector = flux_tube_breaking_scenario(spec, lat, 2, 1.5, 6)
+    model = build_model(spec, lat)
     h = model.hamiltonian()
     psi0 = strong_coupling_ground(model, 0, 2)
     states = expm_multiply(-1j * h.tocsc(), psi0, start=0.0, stop=1.5,
@@ -314,9 +315,13 @@ def test_sector_dynamics_matches_full_space(n):
     charges = [0] * lat.vertex_count
     charges[0], charges[2] = 1, -1
     sec = sector_basis(model.space, charges)
-    assert traj.states.shape == (7, sec.dim)
+    assert in_sector.shape == (7, sec.dim)
     inside = states[:, sec.indices]
-    assert np.max(np.abs(inside - traj.states)) <= 1e-12
+    assert np.max(np.abs(inside - in_sector)) <= 1e-12
     assert np.max(np.abs(np.linalg.norm(inside, axis=1) - 1.0)) <= 1e-12
-    assert np.max(np.abs(flux_profile(model, states, model.space.labels)
+    labels = model.space.labels
+    assert np.max(np.abs(flux_profile(model, states, labels)
                           - report.flux)) <= 1e-12
+    assert report.charge.shape == (7, lat.vertex_count)
+    assert np.max(np.abs(charge_profile(model, states, labels)
+                          - report.charge)) <= 1e-12
