@@ -6,13 +6,17 @@ stand in for local gauge invariance:
 * S-wave scattering matrix elements between an F=2 boson and an F=3/2
   fermion, built from Clebsch-Gordan products over the total-F channels;
   total m_F conservation is structural.
-* Channel enumeration under the static level Hamiltonian: level energies
-  are arranged so that exactly the link-matrix processes conserve energy,
-  provided the two Rabi scales are nondegenerate (Omega1 != Omega2 and
+* The static level Hamiltonian as two tables (``HyperfineLevelScheme.levels``):
+  the energy of each boson level, and per vertex parity the energy of its
+  two fermion species.  ``channel_table`` enumerates every transition of
+  both hop directions once and reads its energy gap from those tables:
+  exactly the link-matrix processes conserve m_F and energy, provided the
+  two Rabi scales are nondegenerate (Omega1 != Omega2 and
   2 Omega1 != Omega2).
 * The 2x2 boson bilinear matrix on the five-level link space and its
   identification with the truncated rotation matrix under the even/odd
-  relabelings (M = U on even links, M^dag = U on odd ones).
+  relabelings (M = U on even links, M^dag = U on odd ones), each relabeling
+  one signed table of ``_LEVEL_MAPS``.
 * F=1 spinor-condensate projectors P0, P2 with couplings g0, g2.
 * The Schwinger-boson interaction identity c^dag L_+ d + d^dag L_- c =
   c^dag a^dag b d + d^dag b^dag a c.
@@ -54,18 +58,20 @@ class HyperfineLevelScheme:
             raise ValueError("degenerate level scheme: 2 Omega1 = Omega2")
         return self
 
-    def boson_energy(self, m):
-        if m == 0:
-            return 0.0
-        omega = self.omega1 if abs(m) == 1 else self.omega2
-        return -np.sign(m) * omega
-
-    def fermion_energy(self, m_f, parity):
-        if parity == "even":
-            scale = 0.5 * (self.omega1 + self.omega2)
-            return scale if m_f == -1.5 else -scale
-        scale = 0.5 * (self.omega1 - self.omega2)
-        return scale if m_f == 0.5 else -scale
+    def levels(self):
+        """The level tables of a valid scheme: {m_b: energy} over the five
+        boson levels, and (even, odd) with {m_F: energy} over each vertex
+        parity's two species in M_F_EVEN / M_F_ODD order."""
+        self.validate()
+        omega = {1: self.omega1, 2: self.omega2}
+        bosons = {0: 0.0, **{m: -np.sign(m) * omega[abs(m)]
+                             for m in (-2, -1, 1, 2)}}
+        fermions = tuple(
+            dict(zip(species.values(), (scale, -scale)))
+            for species, scale in (
+                (M_F_EVEN, 0.5 * (self.omega1 + self.omega2)),
+                (M_F_ODD, 0.5 * (self.omega1 - self.omega2))))
+        return bosons, fermions
 
 
 def scattering_matrix_element(m_b_out, m_f_out, m_b_in, m_f_in, couplings):
@@ -93,97 +99,58 @@ def total_f_channels():
     return [lo + i for i in range(round(F_BOSON + F_FERMION - lo) + 1)]
 
 
-def enumerate_channels(scheme, parity="even"):
-    """All (m_b, m_f) -> (m_b', m_f') transitions conserving total m_F and
-    the static level energy, for fermion hopping onto the given parity
-    vertex (incoming fermion lives on the opposite parity).
-
-    Returns a list of dicts with the channel data, its level-energy gap
-    and the `allowed` flag (True on every listed channel).
-    """
-    return [c for c in _transitions(scheme, parity) if c["allowed"]]
-
-
 def channel_table(scheme, couplings):
-    """Every (m_b, m_f) -> (m_b', m_f') transition, hops onto even vertices
-    first, as (m_b, m_f, m_b', m_f', amplitude, allowed): its S-wave
-    amplitude under `couplings` (scattering_matrix_element) and whether
-    enumerate_channels lists it."""
-    return [(c["m_b_in"], c["m_f_in"], c["m_b_out"], c["m_f_out"],
-             complex(scattering_matrix_element(
-                 c["m_b_out"], c["m_f_out"], c["m_b_in"], c["m_f_in"],
-                 couplings)), c["allowed"])
-            for parity in ("even", "odd")
-            for c in _transitions(scheme, parity)]
-
-
-def _transitions(scheme, parity):
-    """Every (m_b, m_f) -> (m_b', m_f') transition of a hop onto the given
-    parity vertex, in loop order, as a dict with its level-energy gap and
-    whether it is allowed: total m_F and the static level energy are both
-    conserved."""
-    scheme.validate()
-    src = M_F_ODD if parity == "even" else M_F_EVEN
-    dst = M_F_EVEN if parity == "even" else M_F_ODD
-    src_parity = "odd" if parity == "even" else "even"
-    for m_b_in, f_in, m_b_out, f_out in product(
-            range(-2, 3), src.values(), range(-2, 3), dst.values()):
-        e_in = scheme.boson_energy(m_b_in) + \
-            scheme.fermion_energy(f_in, src_parity)
-        e_out = scheme.boson_energy(m_b_out) + \
-            scheme.fermion_energy(f_out, parity)
-        yield {"m_b_in": m_b_in, "m_f_in": f_in,
-               "m_b_out": m_b_out, "m_f_out": f_out,
-               "energy_gap": e_out - e_in,
-               "allowed": abs((m_b_out + f_out) - (m_b_in + f_in)) <= 1e-12
-               and abs(e_out - e_in) < 1e-9}
+    """Every (m_b, m_f) -> (m_b', m_f') transition, hops from odd onto even
+    vertices first, as (m_b, m_f, m_b', m_f', amplitude, allowed): its
+    S-wave amplitude under `couplings` (scattering_matrix_element) and
+    whether it conserves both total m_F and the static level energy."""
+    bosons, (even, odd) = scheme.levels()
+    return [(m_b, m_f, m_bp, m_fp,
+             complex(scattering_matrix_element(m_bp, m_fp, m_b, m_f,
+                                               couplings)),
+             abs((m_bp + m_fp) - (m_b + m_f)) <= 1e-12
+             and abs((bosons[m_bp] + dst[m_fp])
+                     - (bosons[m_b] + src[m_f])) < 1e-9)
+            for src, dst in ((odd, even), (even, odd))
+            for m_b, m_f, m_bp, m_fp in product(range(-2, 3), src,
+                                                range(-2, 3), dst)]
 
 
 # ---------------------------------------------------------------------------
 # the M matrix and its identification with the truncated rotation matrix
 # ---------------------------------------------------------------------------
 
-def _single_atom_bilinears():
-    """b_m^dag b_m' restricted to the single-atom subspace: |m><m'| on the
-    five boson levels ordered m = -2 ... 2."""
-    def e(m, mp):
-        out = np.zeros((5, 5), dtype=complex)
-        out[m + 2, mp + 2] = 1.0
-        return out
-    return e
-
-
 def m_matrix():
     """The 2x2 link matrix of boson bilinears on the 5-level space,
     M = (1/sqrt 2) [[b2+ b0 + b0+ b-2, -b1+ b0 + b0+ b-1],
                     [-b-1+ b0 + b0+ b1, b0+ b2 + b-2+ b0]]."""
-    e = _single_atom_bilinears()
+    # b_m^dag b_m' on the single-atom subspace is |m><m'| = e[m + 2, m' + 2]
+    e = np.eye(25, dtype=complex).reshape(5, 5, 5, 5)
     s = 1.0 / np.sqrt(2.0)
     return [
-        [s * (e(2, 0) + e(0, -2)), s * (-e(1, 0) + e(0, -1))],
-        [s * (-e(-1, 0) + e(0, 1)), s * (e(0, 2) + e(-2, 0))],
+        [s * (e[4, 2] + e[2, 0]), s * (-e[3, 2] + e[2, 1])],
+        [s * (-e[1, 2] + e[2, 3]), s * (e[2, 4] + e[0, 2])],
     ]
 
 
-def _level_map(mapping):
-    """Signed basis map boson level -> (sign, link-space state (j, m, mp))."""
-    if mapping == "even":
-        return {
-            2: (1.0, (0.5, 0.5, 0.5)),
-            1: (-1.0, (0.5, 0.5, -0.5)),
-            0: (1.0, (0.0, 0.0, 0.0)),
-            -1: (-1.0, (0.5, -0.5, 0.5)),
-            -2: (1.0, (0.5, -0.5, -0.5)),
-        }
-    if mapping == "odd":
-        return {
-            2: (1.0, (0.5, -0.5, -0.5)),
-            1: (1.0, (0.5, 0.5, -0.5)),
-            0: (1.0, (0.0, 0.0, 0.0)),
-            -1: (1.0, (0.5, -0.5, 0.5)),
-            -2: (1.0, (0.5, 0.5, 0.5)),
-        }
-    raise ValueError(f"mapping must be 'even' or 'odd', got {mapping!r}")
+# signed basis map boson level -> (sign, link-space state (j, m, m')) of
+# each relabeling
+_LEVEL_MAPS = {
+    "even": {
+        2: (1.0, (0.5, 0.5, 0.5)),
+        1: (-1.0, (0.5, 0.5, -0.5)),
+        0: (1.0, (0.0, 0.0, 0.0)),
+        -1: (-1.0, (0.5, -0.5, 0.5)),
+        -2: (1.0, (0.5, -0.5, -0.5)),
+    },
+    "odd": {
+        2: (1.0, (0.5, -0.5, -0.5)),
+        1: (1.0, (0.5, 0.5, -0.5)),
+        0: (1.0, (0.0, 0.0, 0.0)),
+        -1: (1.0, (0.5, -0.5, 0.5)),
+        -2: (1.0, (0.5, 0.5, 0.5)),
+    },
+}
 
 
 def build_m_and_verify(mapping="even"):
@@ -194,23 +161,19 @@ def build_m_and_verify(mapping="even"):
     deviation is ||M - U||_max for the even mapping and ||M^dag - U||_max
     for the odd one.
     """
+    if mapping not in _LEVEL_MAPS:
+        raise ValueError(f"mapping must be 'even' or 'odd', got {mapping!r}")
     U = linkalg.su2_ops(0.5).U
     labels = su2rep.link_labels(0.5)
-    levels = _level_map(mapping)
     S = np.zeros((5, 5), dtype=complex)   # link basis <- boson basis
-    for m_b, (sign, state) in levels.items():
+    for m_b, (sign, state) in _LEVEL_MAPS[mapping].items():
         S[labels.index(state), m_b + 2] = sign
     M = m_matrix()
     mapped = [[S @ M[i][j] @ S.conj().T for j in range(2)] for i in range(2)]
-
-    dev = 0.0
-    for i in range(2):
-        for j in range(2):
-            if mapping == "even":
-                d = np.max(np.abs(mapped[i][j] - U[i][j]))
-            else:
-                d = np.max(np.abs(mapped[j][i].conj().T - U[i][j]))
-            dev = max(dev, float(d))
+    compared = mapped if mapping == "even" else \
+        [[mapped[j][i].conj().T for j in range(2)] for i in range(2)]
+    dev = max(float(np.max(np.abs(compared[i][j] - U[i][j])))
+              for i in range(2) for j in range(2))
     return mapped, dev
 
 
@@ -225,13 +188,9 @@ def f1_projectors(a0=1.0, a2=1.0, mass=1.0):
     """
     if mass <= 0 or a0 <= 0 or a2 <= 0:
         raise ValueError("scattering lengths and mass must be positive")
-    Tz, Tp, Tm, Tx, Ty = spin_matrices(1.0)
-    eye = np.eye(3)
+    Tz, _, _, Tx, Ty = spin_matrices(1.0)
     fdotf = sum(np.kron(T, T) for T in (Tx, Ty, Tz))
-    swap = np.zeros((9, 9))
-    for i in range(3):
-        for j in range(3):
-            swap[i * 3 + j, j * 3 + i] = 1.0
+    swap = np.eye(9)[[3 * (k % 3) + k // 3 for k in range(9)]]
     sym = (np.eye(9) + swap) / 2.0
     p0 = (np.eye(9) - fdotf) / 3.0 @ sym
     p2 = (fdotf + 2.0 * np.eye(9)) / 3.0 @ sym
@@ -254,24 +213,21 @@ def schwinger_interaction_check(n_max):
     quantities: total boson number and ellhat.
     """
     sw = su2rep.schwinger_u1(n_max)
-    bdim = sw["a"].shape[0]
     # two fermionic modes c, d via Jordan-Wigner on the matter factor
     z = np.diag([1.0, -1.0])
     low = np.array([[0.0, 1.0], [0.0, 0.0]])
     c = np.kron(low, np.eye(2)).astype(complex)
     d = np.kron(z, low).astype(complex)
 
-    def both(bop, fop):
-        return np.kron(bop, fop)
-
     eye_f = np.eye(4, dtype=complex)
-    lhs = both(sw["Lp"], c.conj().T @ d) + both(sw["Lm"], d.conj().T @ c)
-    rhs = both(sw["a"].conj().T @ sw["b"], c.conj().T @ d) + \
-        both(sw["b"].conj().T @ sw["a"], d.conj().T @ c)
+    lhs = np.kron(sw["Lp"], c.conj().T @ d) + \
+        np.kron(sw["Lm"], d.conj().T @ c)
+    rhs = np.kron(sw["a"].conj().T @ sw["b"], c.conj().T @ d) + \
+        np.kron(sw["b"].conj().T @ sw["a"], d.conj().T @ c)
     deviation = float(np.max(np.abs(lhs - rhs)))
 
-    ntot = both(sw["ntot"], eye_f)
-    ellhat = both(sw["ellhat"], eye_f)
+    ntot = np.kron(sw["ntot"], eye_f)
+    ellhat = np.kron(sw["ellhat"], eye_f)
     comm_n = float(np.max(np.abs(ntot @ lhs - lhs @ ntot)))
     comm_ell = float(np.max(np.abs(ellhat @ lhs - lhs @ ellhat)))
     return {"deviation": deviation, "comm_total_number": comm_n,

@@ -379,12 +379,20 @@ def run_channels(lat, spec, params, writer, tol):
     if couplings is None:
         couplings = {f: 1.0 for f in channels}
     else:
-        # a key names a total-F channel (float raises on one that is no
-        # number); another channel's Clebsch-Gordan factors all vanish
-        couplings = {_cast(tuple(channels), float(f),
-                           f"params.couplings key {f!r}"):
-                     _cast(float, v, f"params.couplings.{f}")
-                     for f, v in couplings.items()}
+        # a key names a total-F channel, and only one key names it; another
+        # channel's Clebsch-Gordan factors all vanish
+        named = {}
+        for key, v in couplings.items():
+            try:
+                f = float(key)
+            except ValueError:
+                f = key
+            f = _cast(tuple(channels), f, f"params.couplings key {key!r}")
+            if f in named:
+                raise ConfigError(f"params.couplings keys {named[f][0]!r} "
+                                  f"and {key!r} both name channel {f}")
+            named[f] = key, _cast(float, v, f"params.couplings.{key}")
+        couplings = {f: v for f, (_, v) in named.items()}
     scheme = atommap.HyperfineLevelScheme(params["omega1"], params["omega2"])
     rows = [(*key, amp.real, amp.imag, int(allowed)) for *key, amp, allowed
             in atommap.channel_table(scheme, couplings)]

@@ -184,19 +184,9 @@ def boson_annihilators(n_modes, n_max):
     """Annihilation matrices for n_modes bosonic modes, each truncated at
     occupation n_max.  Mode 0 is the leftmost tensor factor."""
     d = n_max + 1
-    a = np.zeros((d, d), dtype=complex)
-    for n in range(1, d):
-        a[n - 1, n] = sqrt(n)
-    eye = np.eye(d)
-    out = []
-    for i in range(n_modes):
-        factors = [eye] * n_modes
-        factors[i] = a
-        m = factors[0]
-        for f in factors[1:]:
-            m = np.kron(m, f)
-        out.append(m)
-    return out
+    a = np.diag(np.sqrt(np.arange(1, d)), 1).astype(complex)
+    return [np.kron(np.kron(np.eye(d ** i), a), np.eye(d ** (n_modes - 1 - i)))
+            for i in range(n_modes)]
 
 
 def schwinger_u1(n_max):

@@ -24,6 +24,26 @@ def diagonal_channels(scheme, parity="even"):
     return out
 
 
+def m_matrix_processes(parity="even"):
+    """The link-matrix processes of a hop onto the given parity vertex, as
+    (m_b, m_f, m_b', m_f', amplitude): the nonzero entries of M[i][j] on
+    even hops and of M[j][i]^dag on odd ones, species i out and the
+    opposite parity's species j in."""
+    M = m_matrix()
+    species = M_F_EVEN if parity == "even" else M_F_ODD
+    src = M_F_ODD if parity == "even" else M_F_EVEN
+    out = []
+    for i in range(2):
+        for j in range(2):
+            mat = M[i][j] if parity == "even" else M[j][i].conj().T
+            for mo in range(-2, 3):
+                for mi in range(-2, 3):
+                    amp = mat[mo + 2, mi + 2]
+                    if abs(amp) >= 1e-14:
+                        out.append((mi, src[j], mo, species[i], amp))
+    return out
+
+
 def fit_scattering_couplings(parity="even"):
     """Least-squares C_F fit of the scattering amplitudes to the M-matrix
     channel targets.
@@ -35,33 +55,16 @@ def fit_scattering_couplings(parity="even"):
     """
     fs = total_f_channels()
     # target amplitudes: entries of M on its eight processes
-    M = m_matrix()
-    species = M_F_EVEN if parity == "even" else M_F_ODD
-    src = M_F_ODD if parity == "even" else M_F_EVEN
-    rows = []
-    targets = []
-    for i in range(2):
-        for j in range(2):
-            mat = M[i][j] if parity == "even" else M[j][i].conj().T
-            for mo in range(-2, 3):
-                for mi in range(-2, 3):
-                    amp = mat[mo + 2, mi + 2]
-                    if abs(amp) < 1e-14:
-                        continue
-                    m_f_out = species[i]
-                    m_f_in = src[j]
-                    row = [cg(F_BOSON, mo, F_FERMION, m_f_out, F,
-                              mi + m_f_in)
-                           * cg(F_BOSON, mi, F_FERMION, m_f_in, F,
-                                mi + m_f_in)
-                           for F in fs]
-                    rows.append(row)
-                    targets.append(amp)
-    A = np.array(rows, dtype=complex)
-    b = np.array(targets, dtype=complex)
+    processes = m_matrix_processes(parity)
+    A = np.array([[cg(F_BOSON, mo, F_FERMION, m_f_out, F, mi + m_f_in)
+                   * cg(F_BOSON, mi, F_FERMION, m_f_in, F, mi + m_f_in)
+                   for F in fs]
+                  for mi, m_f_in, mo, m_f_out, _ in processes],
+                 dtype=complex)
+    b = np.array([amp for *_, amp in processes], dtype=complex)
     c, *_ = np.linalg.lstsq(A, b, rcond=None)
     residual = float(np.linalg.norm(A @ c - b))
-    return dict(zip(fs, c)), residual, len(targets)
+    return dict(zip(fs, c)), residual, len(processes)
 
 
 def selection_rule_satisfied(m_a, m_b, m_c, m_d):

@@ -2,14 +2,23 @@ import numpy as np
 import pytest
 
 from atommap_oracle import diagonal_channels, fit_scattering_couplings, \
-    selection_rule_satisfied
-from lgtlab.atommap import HyperfineLevelScheme, M_F_EVEN, M_F_ODD, \
-    build_m_and_verify, enumerate_channels, f1_projectors, m_matrix, \
+    m_matrix_processes, selection_rule_satisfied
+from lgtlab.atommap import HyperfineLevelScheme, M_F_EVEN, \
+    build_m_and_verify, channel_table, f1_projectors, m_matrix, \
     scattering_matrix_element, schwinger_interaction_check, total_f_channels
 
 
 def test_total_f_channels():
     assert total_f_channels() == [0.5, 1.5, 2.5, 3.5]
+
+
+def test_level_tables():
+    bosons, (even, odd) = HyperfineLevelScheme(1.0, 2.2).levels()
+    assert bosons == {-2: 2.2, -1: 1.0, 0: 0.0, 1: -1.0, 2: -2.2}
+    assert even == {-1.5: 1.6, 1.5: -1.6}
+    assert odd == pytest.approx({0.5: -0.6, -0.5: 0.6})
+    with pytest.raises(ValueError, match="2 Omega1 = Omega2"):
+        HyperfineLevelScheme(1.3, 2.6).levels()
 
 
 def test_scattering_conserves_total_mf_structurally():
@@ -45,33 +54,51 @@ def test_scattering_stretched_channel_single_coupling():
     assert v == pytest.approx(0.0, abs=1e-12)
 
 
+def allowed_channels(scheme):
+    """The allowed rows of channel_table as (m_b, m_f, m_b', m_f'), one
+    list per hop direction: onto even vertices, then onto odd ones."""
+    rows = channel_table(scheme, {f: 1.0 for f in total_f_channels()})
+    onto_even = [tuple(r[:4]) for r in rows
+                 if r[5] and r[3] in M_F_EVEN.values()]
+    onto_odd = [tuple(r[:4]) for r in rows
+                if r[5] and r[3] not in M_F_EVEN.values()]
+    return onto_even, onto_odd
+
+
 def test_channel_enumeration_matches_link_matrix():
     scheme = HyperfineLevelScheme(1.0, 2.2)
-    for parity in ("even", "odd"):
-        channels = enumerate_channels(scheme, parity)
-        assert len(channels) == 8            # exactly the M-matrix processes
+    onto_even, onto_odd = allowed_channels(scheme)
+    assert len(onto_even) == len(onto_odd) == 8   # the M-matrix processes
     # the even-hop channels correspond to the entries of M
-    chans = {(c["m_b_in"], c["m_f_in"], c["m_b_out"], c["m_f_out"])
-             for c in enumerate_channels(scheme, "even")}
     # psi_1 <- chi_1 with boson 0 -> 2 (entry M11, first term)
-    assert (0, 0.5, 2, -1.5) in chans
+    assert (0, 0.5, 2, -1.5) in onto_even
     # psi_1 <- chi_1 with boson -2 -> 0 (entry M11, second term)
-    assert (-2, 0.5, 0, -1.5) in chans
+    assert (-2, 0.5, 0, -1.5) in onto_even
     # psi_2 <- chi_2 with boson 2 -> 0 and 0 -> -2 (entry M22)
-    assert (2, -0.5, 0, 1.5) in chans
-    assert (0, -0.5, -2, 1.5) in chans
+    assert (2, -0.5, 0, 1.5) in onto_even
+    assert (0, -0.5, -2, 1.5) in onto_even
     # reverse hop (odd parity): a -3/2 fermion leaves the even vertex while
     # the boson drops from 0 to -2
-    chans_odd = {(c["m_b_in"], c["m_f_in"], c["m_b_out"], c["m_f_out"])
-                 for c in enumerate_channels(scheme, "odd")}
-    assert (0, -1.5, -2, 0.5) in chans_odd
+    assert (0, -1.5, -2, 0.5) in onto_odd
+
+
+@pytest.mark.parametrize("omegas", [(1.0, 2.2), (0.3, 1.7)])
+def test_allowed_channels_are_the_link_matrix_processes(omegas):
+    # level energies leave exactly the nonzero entries of M (even hops) and
+    # of M^dag (odd hops) resonant
+    allowed = allowed_channels(HyperfineLevelScheme(*omegas))
+    for parity, channels in zip(("even", "odd"), allowed):
+        processes = {p[:4] for p in m_matrix_processes(parity)}
+        assert len(processes) == 8
+        assert set(channels) == processes
 
 
 def test_degenerate_omegas_flagged():
-    with pytest.raises(ValueError):
-        enumerate_channels(HyperfineLevelScheme(1.0, 1.0))
-    with pytest.raises(ValueError):
-        enumerate_channels(HyperfineLevelScheme(1.3, 2.6))
+    couplings = {f: 1.0 for f in total_f_channels()}
+    with pytest.raises(ValueError, match="Omega1 = Omega2"):
+        channel_table(HyperfineLevelScheme(1.0, 1.0), couplings)
+    with pytest.raises(ValueError, match="2 Omega1 = Omega2"):
+        channel_table(HyperfineLevelScheme(1.3, 2.6), couplings)
 
 
 def test_diagonal_channels_always_allowed():

@@ -148,6 +148,14 @@ MALFORMED = {
         "scenario": "channels", "params": {"couplings": {"9": 1.0}}},
     "channels_coupling_key_1": {
         "scenario": "channels", "params": {"couplings": {"1": 1.0}}},
+    # a key that is no number used to fail in float(): "could not convert
+    # string to float", naming no key
+    "channels_coupling_key_abc": {
+        "scenario": "channels", "params": {"couplings": {"abc": 1.0}}},
+    # two keys of one channel used to run, the last value silently kept
+    "channels_coupling_keys_duplicate": {
+        "scenario": "channels",
+        "params": {"couplings": {"0.5": 1.0, "0.50": 2.0}}},
     # a U(1) reference of cutoff 0 used to give every reference energy
     # as 0.0 and fail the monotone checks (exit 1)
     "plaquette_convergence_cutoff_ref_zero": {
@@ -180,6 +188,8 @@ MALFORMED_NAMES = {
     "plaquette_convergence_n_list_zero": "N must be >= 2",
     "channels_coupling_key_9": "'9'",
     "channels_coupling_key_1": "'1'",
+    "channels_coupling_key_abc": "params.couplings key 'abc'",
+    "channels_coupling_keys_duplicate": "keys '0.5' and '0.50'",
     "dynamics_cutoff_zero": "no unit of flux",
     "spectrum_charge_beyond_int64": "params.charges[0]",
     "spectrum_su2_truncation_zero": "J_max must be >= 1/2",
