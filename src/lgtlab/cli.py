@@ -37,8 +37,9 @@ import scipy
 
 from . import __version__, atommap, gauge, linkalg, observables, solver, \
     su2rep
-from .hamiltonian import KS_U1, SPIN_GAUGE, SU2, ZN, HamiltonianSpec, \
-    SectorLeak, build_model, electric_tension, max_gauss_violation
+from .hamiltonian import KS_U1, OFF_DIAGONAL_TERMS, SPIN_GAUGE, SU2, ZN, \
+    HamiltonianSpec, SectorLeak, build_model, electric_tension, \
+    max_gauss_violation, penalty_second_order
 from .lattice import build_lattice
 from .matter import STAGGERED, NAIVE2D, SU2_FUNDAMENTAL
 
@@ -297,9 +298,16 @@ def run_plaquette_convergence(lat, spec, params, writer, tol):
 
 def run_effective_check(lat, spec, params, writer, tol):
     """The second-order plaquette of the penalty construction at lambda,
-    2 lambda and 4 lambda.  Only the penalty term depends on lambda, and
-    linearly, so the model and its four terms are assembled once and the
-    penalty is scaled: by powers of two, exactly."""
+    2 lambda and 4 lambda, against the exact low spectrum.
+
+    The second-order block P V Q (E0 - H0)^{-1} Q V P of the hopping V
+    under the penalty H0 is built once, at lambda, in the neutral sector
+    (hamiltonian.penalty_second_order); H0 is linear in lambda, so the
+    block at 2 lambda and 4 lambda is it over 2 and 4, exactly for powers
+    of two.  H_eff adds the sector's electric block, and the block's
+    plaquette coefficient is its Frobenius projection on the sector's
+    magnetic block.  The exact spectrum is that of He + penalty + V on the
+    full space, each term assembled once and the penalty scaled."""
     lam, eta, ell, g2, k = (params[key]
                             for key in ("lam", "eta", "ell", "g2", "k"))
     for key in ("lam", "eta"):
@@ -309,22 +317,26 @@ def run_effective_check(lat, spec, params, writer, tol):
     spec = HamiltonianSpec(model=SPIN_GAUGE, truncation=ell, g2=g2, lam=lam,
                            eta=eta)
     model = build_model(spec, build_lattice(2, [2, 2]))
+    sec = gauge.sector_basis(model.space, [0] * 4)
+    second = penalty_second_order(model, sec,
+                                  OFF_DIAGONAL_TERMS["hopping"](model))
+    rest = model.hamiltonian(("electric",), sector=sec).toarray()
+    pattern = (-(2.0 * g2) * model.hamiltonian(("magnetic",),
+                                               sector=sec)).toarray()
     penalty = model.hamiltonian(("penalty",))
     V = model.hamiltonian(("hopping",))
     He = model.hamiltonian(("electric",))
-    pattern = -(2.0 * g2) * model.hamiltonian(("magnetic",))
-    sec = gauge.sector_basis(model.space, [0] * 4)
     kk = min(k, sec.dim)
     rows = []
     for scale in (1.0, 2.0, 4.0):
-        pen = scale * penalty
-        rep = solver.effective_second_order(pen, V, sec, rest=He,
-                                            pattern=pattern)
-        w_eff, _ = solver.eigs(rep.h_eff, kk)
-        w_exact, _ = solver.eigs(He + pen + V, kk)
+        block = second / scale
+        coeff = complex(np.vdot(pattern, block) / np.vdot(pattern,
+                                                          pattern).real)
+        w_eff, _ = solver.eigs(block + rest, kk)
+        w_exact, _ = solver.eigs(He + scale * penalty + V, kk)
         mismatch = float(np.max(np.abs(w_eff - w_exact[:kk])))
-        rows.append((lam * scale, rep.pattern_coefficient.real, mismatch,
-                     rep.pattern_remainder))
+        rows.append((lam * scale, coeff.real, mismatch,
+                     float(np.linalg.norm(block - coeff * pattern))))
     writer.csv("effective.csv",
                ["lambda", "plaquette_coefficient", "low_spectrum_mismatch",
                 "non_plaquette_remainder"], list(zip(*rows)))

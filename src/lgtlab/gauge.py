@@ -34,14 +34,15 @@ from .solver import SolverError, stage
 class GaussSector:
     """A static-charge sector: the sorted product-basis `indices` of its
     states and their `labels` (ProductSpace.decode of the indices), which
-    every diagonal read and label shift on the sector uses.  A merge of
+    every diagonal read and label shift on the sector uses: every sector
+    operator (Model.hamiltonian, hamiltonian.penalty_second_order) is built
+    from them, so the sector carries no product-space size.  A merge of
     several sectors (merge_sectors) also sets `blocks`, the source sector
     of every state, and its `charges` are the source sectors' charges; H is
     block diagonal on it, one block per source.
     """
 
     charges: tuple
-    dim_full: int
     indices: np.ndarray
     labels: np.ndarray = field(default=None, repr=False)
     blocks: np.ndarray = field(default=None, repr=False)
@@ -224,7 +225,7 @@ def sector_basis(space, charges):
             keep = reachable(charge, f + 1, vertices)
             indices, charge = indices[keep], charge[keep]
         record["dim"] = len(indices)
-        return GaussSector(charges, space.dim, indices=indices,
+        return GaussSector(charges, indices=indices,
                            labels=space.decode(indices))
 
 
@@ -245,8 +246,8 @@ def merge_sectors(sectors):
     blocks = np.repeat(np.arange(len(sectors)), [s.dim for s in sectors])
     labels = np.concatenate([s.labels for s in sectors], axis=1)
     return GaussSector(tuple(s.charges for s in sectors),
-                       sectors[0].dim_full, indices=indices[order],
-                       labels=labels[:, order], blocks=blocks[order])
+                       indices=indices[order], labels=labels[:, order],
+                       blocks=blocks[order])
 
 
 def all_sector_dimensions(space):

@@ -21,12 +21,17 @@ Gauss sector is passed:
   (``ProductSpace.shift``, which reads the source labels from that same
   table), its targets located among the sector's sorted indices with
   ``np.searchsorted``.  The result is the sector-dimension block, equal to
-  ``solver.restrict`` of the full H, at a cost that scales with the sector
-  dimension.  A piece's adjoint is applied as well where the piece keeps
-  no sector state in the sector.  When T or T^dag sends nonzero amplitude
-  out of the sector (the gauge-variant hopping), SectorLeak, a ValueError,
-  is raised after all pieces are applied; it carries the largest such
-  amplitude and the block.
+  the full H's rows and columns at the sector's indices, at a cost that
+  scales with the sector dimension.  A piece's adjoint is applied as well
+  where the piece keeps no sector state in the sector.  When T or T^dag
+  sends nonzero amplitude out of the sector (the gauge-variant hopping),
+  SectorLeak, a ValueError, is raised after all pieces are applied; it
+  carries the largest such amplitude and the block.
+
+The second order of the penalty construction, P V Q (E0 - H0)^{-1} Q V P
+(``penalty_second_order``), is built the same way: V's pieces are shifted
+off the sector's states, and H0, the penalty, is read from the labels of
+the distinct targets.
 
 The four link families (linkalg: ks_u1, spin_gauge, zn, su2) differ only
 in their LinkOperatorSet, and the three matter layouts only in their
@@ -219,12 +224,7 @@ def _sum_pieces(space, sector, pieces):
         for adjoint, (c, f) in enumerate(_directions(piece)):
             source, target, value = space.shift(sector.indices,
                                                 sector.labels, f)
-            row = np.searchsorted(sector.indices, target)
-            inside = row < n
-            inside[inside] = sector.indices[row[inside]] == target[inside]
-            if sector.blocks is not None:
-                inside[inside] = (sector.blocks[row[inside]]
-                                  == sector.blocks[source[inside]])
+            row, inside = _locate(sector, source, target)
             if not adjoint:
                 rows.append(row[inside])
                 cols.append(source[inside])
@@ -239,6 +239,80 @@ def _sum_pieces(space, sector, pieces):
         (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
         shape=(n, n)).tocsr()
     return off, leak
+
+
+def _locate(sector, source, target):
+    """(row, inside) of label-shift targets on a sector: each target's
+    position among the sector's sorted indices, and whether it is one of
+    the sector's states and, on a merge of sectors, in the same source
+    sector as the state at position `source` it came from."""
+    row = np.searchsorted(sector.indices, target)
+    inside = row < sector.dim
+    inside[inside] = sector.indices[row[inside]] == target[inside]
+    if sector.blocks is not None:
+        inside[inside] = (sector.blocks[row[inside]]
+                          == sector.blocks[source[inside]])
+    return row, inside
+
+
+def penalty_second_order(model, sector, pieces):
+    """P V Q (E0 - H0)^{-1} Q V P on a Gauss sector, as a dense
+    sector-dimension block: the second order of the penalty construction,
+    where H0 = lam sum_n G_n^2 is the model's penalty term and V the
+    (coeff, factors) `pieces` plus their adjoints.
+
+    Each piece and its adjoint are applied to the sector's states as label
+    shifts (ProductSpace.shift), their targets located as in
+    Model.hamiltonian (_locate).  H0 is read from the labels of the
+    distinct off-sector targets, decoded once, and E0 from the sector's
+    own labels, so nothing of the full space is built.  The sum over the
+    targets is one sparse product W^dag (R W), with W the amplitudes
+    (target, sector state) and R = (E0 - H0)^{-1} on the targets, made
+    Hermitian bit for bit by averaging it with its adjoint.
+
+    Amplitude V keeps in the sector (P V P != 0) and a penalty that is not
+    one value on the sector raise ValueError; a target within 1e-9 of E0
+    makes the resolvent singular and raises SolverError.  Timed as a
+    `second_order` stage (solver.stage) with the sector's states (dim) and
+    the distinct off-sector targets (targets).
+    """
+    space = model.space
+    with solver.stage("second_order", dim=sector.dim,
+                      targets=None) as record:
+        sources, targets = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)]
+        amplitudes = [np.zeros(0)]
+        for piece in pieces:
+            for c, f in _directions(piece):
+                source, target, value = space.shift(sector.indices,
+                                                    sector.labels, f)
+                _, inside = _locate(sector, source, target)
+                if np.any(c * value[inside]):
+                    raise ValueError(f"V keeps amplitude in the Gauss sector "
+                                     f"{sector.charges}: P V P is not 0")
+                sources.append(source[~inside])
+                targets.append(target[~inside])
+                amplitudes.append(c * value[~inside])
+        distinct, row = np.unique(np.concatenate(targets),
+                                  return_inverse=True)
+        record["targets"] = len(distinct)
+        e0 = np.unique(_penalty(model, sector.labels))
+        if len(e0) > 1:
+            raise ValueError(f"the penalty is not one value on the sector "
+                             f"{sector.charges}")
+        gap = e0 - _penalty(model, space.decode(distinct))
+        singular = np.flatnonzero(np.abs(gap) < 1e-9)
+        if len(singular):
+            raise solver.SolverError(
+                f"singular resolvent: off-sector state "
+                f"{distinct[singular[0]]} is degenerate with the sector "
+                f"(gap {gap[singular[0]]:.3e})")
+        w = sparse.coo_matrix(
+            (np.concatenate(amplitudes), (row, np.concatenate(sources))),
+            shape=(len(distinct), sector.dim)).tocsc()
+        rw = w.copy()
+        rw.data = rw.data / gap[rw.indices]
+        second = (w.conj().T @ rw).toarray()
+        return (second + second.conj().T) / 2.0
 
 
 def _directions(piece):

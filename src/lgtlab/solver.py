@@ -1,6 +1,5 @@
-"""Sparse linear-algebra backend: sector restriction, low eigenpairs,
-real-time evolution, and second-order effective Hamiltonians from
-energy-penalty constraints.
+"""Sparse linear-algebra backend: low eigenpairs and real-time evolution
+of a given operator, and the run's stage records.
 
 One size rule serves the eigensolver and the evolution: an operator of at
 most DENSE_LIMIT states (or given as a dense array) is densified and
@@ -29,7 +28,6 @@ record (dim, path, nnz).
 import contextlib
 import contextvars
 import time
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
@@ -84,16 +82,6 @@ def stage(name, **facts):
         record["seconds"] = time.perf_counter() - start
         if log is not None:
             log.append(record)
-
-
-def restrict(op, sector):
-    """B^dag A B with B the sector isometry: the rows and columns of the
-    sector's indices, sparse for sparse input."""
-    if sector.dim_full != op.shape[0]:
-        raise ValueError("operator and sector dimensions differ")
-    if sparse.issparse(op):
-        return op.tocsr()[sector.indices, :][:, sector.indices]
-    return np.asarray(op)[np.ix_(sector.indices, sector.indices)]
 
 
 def eigs(op, k=1):
@@ -299,85 +287,3 @@ def evolve(op, state, t, steps):
 def norm_drift(states):
     """max | ||psi(t)|| - 1 | over the rows of a (times, dim) stack."""
     return float(np.max(np.abs(np.linalg.norm(states, axis=1) - 1.0)))
-
-
-@dataclass
-class EffectiveHamiltonianReport:
-    """Second-order effective Hamiltonian on a protected sector."""
-
-    h_eff: np.ndarray
-    pvp_norm: float = 0.0
-    pattern_coefficient: complex = None
-    pattern_remainder: float = None
-
-
-def effective_second_order(h0, v, sector, rest=None, pattern=None):
-    """Degenerate second-order perturbation theory on a penalty sector.
-
-    The sector is a set of product states (gauge.sector_basis), so P v is
-    the columns of v at the sector's indices.  h0 must be diagonal in the
-    product basis (true for the Abelian penalty lambda sum G^2) and
-    constant on the sector; v is the perturbation with P v P = 0 there.
-    Returns
-
-        H_eff = P rest P + P v Q (E0 - h0)^{-1} Q v P
-
-    restricted to the sector; `rest` and `pattern` are sparse operators on
-    the full space.  `pattern` requests the Frobenius projection of the
-    second-order block onto the restriction of that operator: the returned
-    coefficient is the weight of the pattern inside H_eff's second-order
-    part, and pattern_remainder is the norm of what is left after
-    subtracting it.  An off-sector state within 1e-9 of E0 makes the
-    resolvent singular and raises SolverError.
-    """
-    diag = np.asarray(h0.diagonal()).real
-    off = h0 - sparse.diags(h0.diagonal())
-    if off.nnz and np.max(np.abs(off.data)) > 1e-12:
-        raise ValueError("penalty part must be diagonal in the product basis")
-
-    idx = sector.indices
-    e0_vals = diag[idx]
-    e0 = float(e0_vals[0]) if len(e0_vals) else 0.0
-    if len(e0_vals) and np.max(np.abs(e0_vals - e0)) > 1e-10:
-        raise ValueError("sector is not degenerate under the penalty part")
-
-    W = v.tocsc()[:, idx]                   # columns: v|sector state>
-    pvp = W[idx, :]
-    pvp_norm = 0.0 if pvp.nnz == 0 else float(np.max(np.abs(pvp.data)))
-
-    gaps = e0 - diag                        # (E0 - H0) per full-space state
-    in_sector = np.zeros(len(diag), dtype=bool)
-    in_sector[idx] = True
-    W = W.tocoo()
-    off = ~in_sector[W.row]                 # P v P entries are not in Q
-    g = gaps[W.row]
-    singular = off & (np.abs(g) < 1e-9)
-    if singular.any():
-        n = np.argmax(singular)
-        raise SolverError(
-            f"singular resolvent: off-sector state {W.row[n]} is degenerate "
-            f"with the sector (gap {g[n]:.3e})")
-    data = np.zeros_like(W.data)
-    data[off] = W.data[off] / g[off]
-    RW = sparse.coo_matrix((data, (W.row, W.col)), shape=W.shape).tocsc()
-    second = np.asarray((W.tocsc().conj().T @ RW).todense())
-    second = (second + second.conj().T) / 2.0
-
-    h_eff = second
-    if rest is not None:
-        h_eff = second + restrict(rest, sector).toarray()
-
-    coeff = remainder = None
-    if pattern is not None:
-        pat = restrict(pattern, sector).toarray()
-        denom = np.vdot(pat, pat).real
-        if denom > 0:
-            coeff = complex(np.vdot(pat, second) / denom)
-            remainder = float(np.linalg.norm(second - coeff * pat))
-        else:
-            coeff = 0.0j
-            remainder = float(np.linalg.norm(second))
-
-    return EffectiveHamiltonianReport(
-        h_eff=h_eff, pvp_norm=pvp_norm, pattern_coefficient=coeff,
-        pattern_remainder=remainder)

@@ -1,11 +1,14 @@
 """Gauss generators as full-space matrices, the gauge transformations they
-generate, the SU(2) zero-charge sector as their joint numerical kernel and
-the checkerboard sign map: the oracle the label-row Gauss law of
-``lgtlab.gauge`` and the sector machinery are checked against.
+generate, the SU(2) zero-charge sector as their joint numerical kernel,
+the checkerboard sign map, the restriction of a full-space operator to a
+sector and the second order of the penalty construction from full-space
+columns: the oracle the label-row Gauss law of ``lgtlab.gauge`` and the
+sector machinery are checked against.
 
-lgtlab itself never builds a generator matrix: its sectors are enumerated
-from the charge rows of the label table and its Gauss check reads [H, G]
-from the same rows.
+lgtlab itself never builds a generator matrix or restricts a full-space
+operator: its sectors are enumerated from the charge rows of the label
+table, its Gauss check reads [H, G] from the same rows and its sector
+operators are built by label shifts.
 """
 
 import numpy as np
@@ -56,12 +59,41 @@ def generators(model):
     return gauss_generators_u1(model.space)
 
 
-def basis_matrix(sector):
-    """Isometry from a sector onto the full space (dense columns)."""
-    B = np.zeros((sector.dim_full, sector.dim), dtype=complex)
+def basis_matrix(sector, dim):
+    """Isometry from a sector onto a full space of `dim` states (dense
+    columns)."""
+    B = np.zeros((dim, sector.dim), dtype=complex)
     for col, idx in enumerate(sector.indices):
         B[idx, col] = 1.0
     return B
+
+
+def restrict(op, sector):
+    """B^dag A B with B the sector isometry: the rows and columns of the
+    sector's indices, sparse for sparse input."""
+    if sparse.issparse(op):
+        return op.tocsr()[sector.indices, :][:, sector.indices]
+    return np.asarray(op)[np.ix_(sector.indices, sector.indices)]
+
+
+def second_order_columns(h0, v, sector):
+    """P v Q (E0 - h0)^{-1} Q v P on a sector from full-space operators:
+    the columns of v at the sector's indices, divided by the gaps of a
+    diagonal h0 at their rows off the sector, in one sparse product made
+    Hermitian by averaging it with its adjoint.  E0 is h0 at the sector's
+    first state."""
+    diag = np.asarray(h0.diagonal()).real
+    idx = sector.indices
+    e0 = float(diag[idx[0]])
+    W = v.tocsc()[:, idx].tocoo()
+    in_sector = np.zeros(len(diag), dtype=bool)
+    in_sector[idx] = True
+    off = ~in_sector[W.row]
+    data = np.zeros_like(W.data)
+    data[off] = W.data[off] / (e0 - diag)[W.row[off]]
+    RW = sparse.coo_matrix((data, (W.row, W.col)), shape=W.shape).tocsc()
+    second = np.asarray((W.tocsc().conj().T @ RW).todense())
+    return (second + second.conj().T) / 2.0
 
 
 def su2_zero_charge_sector(space, generators, tol=1e-10):

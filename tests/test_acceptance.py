@@ -16,12 +16,12 @@ import pytest
 from lgtlab import atommap, linkalg, su2rep
 from lgtlab.cli import run as cli_run
 from lgtlab.gauge import sector_basis
-from lgtlab.hamiltonian import HamiltonianSpec, build_model, \
-    max_gauss_violation
+from lgtlab.hamiltonian import OFF_DIAGONAL_TERMS, HamiltonianSpec, \
+    build_model, max_gauss_violation, penalty_second_order
 from lgtlab.lattice import build_lattice
 from lgtlab.observables import convergence_study, \
     flux_tube_breaking_scenario, static_potential
-from lgtlab.solver import effective_second_order, eigs
+from lgtlab.solver import eigs
 
 CHAIN4 = build_lattice(1, [4])
 CHAIN6 = build_lattice(1, [6])
@@ -133,17 +133,19 @@ def _effective_run(lam, eta=0.1, ell=1, g2=1.0, k=3):
     spec = HamiltonianSpec(model="spin_gauge", truncation=ell, g2=g2,
                            lam=lam, eta=eta)
     model = build_model(spec, PLAQ)
-    pen = model.hamiltonian(("penalty",))
-    vop = model.hamiltonian(("hopping",))
-    he = model.hamiltonian(("electric",))
-    pattern = -(2.0 * g2) * model.hamiltonian(("magnetic",))
     sec = sector_basis(model.space, [0, 0, 0, 0])
-    rep = effective_second_order(pen, vop, sec, rest=he, pattern=pattern)
+    second = penalty_second_order(model, sec,
+                                  OFF_DIAGONAL_TERMS["hopping"](model))
+    pattern = (-(2.0 * g2) * model.hamiltonian(("magnetic",),
+                                               sector=sec)).toarray()
+    coeff = np.vdot(pattern, second) / np.vdot(pattern, pattern)
+    h_eff = second + model.hamiltonian(("electric",), sector=sec).toarray()
     kk = min(k, sec.dim)
-    w_eff, _ = eigs(rep.h_eff, kk)
-    w_ex, _ = eigs(he + pen + vop, kk)
+    w_eff, _ = eigs(h_eff, kk)
+    w_ex, _ = eigs(sum(model.hamiltonian((t,)) for t in
+                       ("electric", "penalty", "hopping")), kk)
     mismatch = float(np.max(np.abs(w_eff - w_ex[:kk])))
-    return rep, mismatch
+    return coeff, mismatch
 
 
 def test_criterion_6_effective_hamiltonian_scaling():
@@ -151,10 +153,10 @@ def test_criterion_6_effective_hamiltonian_scaling():
     the extracted plaquette coefficient halves when lambda doubles,
     to 0.1% relative."""
     lam = 40.0
-    rep1, mis1 = _effective_run(lam)
-    rep2, _ = _effective_run(2 * lam)
+    coeff1, mis1 = _effective_run(lam)
+    coeff2, _ = _effective_run(2 * lam)
     _, mis4 = _effective_run(4 * lam)
-    ratio = (rep1.pattern_coefficient / rep2.pattern_coefficient).real
+    ratio = coeff1 / coeff2
     shrink = mis1 / mis4
     ok = abs(ratio - 2.0) <= 2e-3 and shrink >= 8.0
     report(6, ok,

@@ -9,10 +9,10 @@ import pytest
 import scipy.linalg
 
 import lgtlab
+from gauge_oracle import restrict
 from lgtlab import cli
 from lgtlab.cli import ConfigError, load_config, main, run
 from lgtlab.gauge import sector_basis
-from lgtlab.solver import restrict
 
 BASE = {
     "scenario": "spectrum",
@@ -649,22 +649,30 @@ def test_effective_check_zero_lam_or_eta_is_config_error(tmp_path, key):
 
 
 def test_effective_check_assembles_each_term_once(tmp_path, monkeypatch):
-    # only the penalty depends on lambda: penalty, hopping, electric and
-    # magnetic are assembled once for all three lambdas
+    # only the penalty depends on lambda: the full space assembles penalty,
+    # hopping and electric for the exact spectrum, the sector electric and
+    # magnetic for H_eff and its plaquette pattern, once for all three
+    # lambdas, and the second-order block is built once
     from lgtlab.hamiltonian import Model
     calls = []
     hamiltonian = Model.hamiltonian
 
     def counted(self, terms=None, sector=None):
-        calls.append(terms)
+        calls.append((terms, sector is None))
         return hamiltonian(self, terms, sector)
     monkeypatch.setattr(Model, "hamiltonian", counted)
     path = write_cfg(tmp_path, {"scenario": "effective_check"})
     rc = main(["effective_check", "--config", path,
                "--out", str(tmp_path / "out")])
     assert rc == 0
-    assert sorted(calls) == [("electric",), ("hopping",), ("magnetic",),
-                             ("penalty",)]
+    assert sorted(calls) == [(("electric",), False), (("electric",), True),
+                             (("hopping",), True), (("magnetic",), False),
+                             (("penalty",), True)]
+    m = read_manifest(tmp_path / "out")
+    assert sorted(r["dim"] for r in stages(m, "assemble")) == [3, 3, 81, 81,
+                                                                81]
+    assert [(r["dim"], r["targets"]) for r in stages(m, "second_order")] \
+        == [(3, 8)]
     rows = (tmp_path / "out" / "effective.csv").read_text().splitlines()
     assert [r.split(",")[0] for r in rows[1:]] == ["40", "80", "160"]
 
@@ -1085,8 +1093,10 @@ def test_spectrum_of_a_non_finite_h_exits_3_with_a_manifest(tmp_path, name):
                            "g2": 1e308},
            "params": {"k": 4, "charges": [0, 0, 0, 0]}}
     out = tmp_path / "out"
-    rc = main(["spectrum", "--config", write_cfg(tmp_path, cfg),
-               "--out", str(out)])
+    # the electric energy overflows in numpy, which says so
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        rc = main(["spectrum", "--config", write_cfg(tmp_path, cfg),
+                   "--out", str(out)])
     assert rc == 3
     m = read_manifest(out)
     assert m["exit_status"] == 3

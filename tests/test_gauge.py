@@ -184,7 +184,7 @@ def test_gauge_transformation_preserves_sector():
     sec = sector_basis(model.space, [1, -1, 0])
     theta = gauge_transformation_unitary(model.space, generators(model),
                                          [0.3, -1.1, 2.2])
-    B = basis_matrix(sec)
+    B = basis_matrix(sec, model.space.dim)
     rotated = theta @ B
     # Theta is diagonal on Abelian sectors: support unchanged
     proj = B @ B.conj().T
@@ -253,7 +253,7 @@ def test_block_diagonality_between_sectors(lat):
     h = model.hamiltonian()
     s0 = sector_basis(model.space, [0, 0, 0, 0])
     s1 = sector_basis(model.space, [1, -1, 0, 0])
-    B0, B1 = basis_matrix(s0), basis_matrix(s1)
+    B0, B1 = (basis_matrix(s, model.space.dim) for s in (s0, s1))
     cross = B1.conj().T @ (h @ B0)
     assert np.max(np.abs(cross)) < 1e-10
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gauge_oracle import basis_matrix, generators
+from gauge_oracle import basis_matrix, generators, restrict
 from lattice_oracle import FORWARD
 from lgtlab import su2rep
 from lgtlab.gauge import sector_basis
@@ -244,7 +244,7 @@ def test_penalty_kernel_and_single_link_violation():
     hp = model.hamiltonian(("penalty",))
     space = model.space
     sec = sector_basis(space, [0, 0])
-    B = basis_matrix(sec)
+    B = basis_matrix(sec, space.dim)
     assert np.max(np.abs(hp @ B)) < 1e-14            # kernel = zero sector
     one = space.basis_vector(space.encode([2]))
     assert np.vdot(one, hp @ one) == pytest.approx(2 * lam)
@@ -266,7 +266,6 @@ def test_microscopic_hopping_properties():
     assert np.linalg.norm(v @ top) < 1e-14
     # P0 V P0 = 0 on the zero-charge sector
     sec = sector_basis(model.space, [0, 0, 0, 0])
-    from lgtlab.solver import restrict
     assert np.max(np.abs(restrict(v, sec).toarray())) < 1e-14
 
 

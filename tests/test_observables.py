@@ -5,7 +5,7 @@ import pytest
 
 import su2_oracle
 from gauge_oracle import basis_matrix, gauge_transformation_unitary, \
-    generators
+    generators, restrict
 from lattice_oracle import parity
 from lgtlab.gauge import sector_basis
 from lgtlab.hamiltonian import HamiltonianSpec, build_model
@@ -59,9 +59,9 @@ def test_flux_profile_gauge_invariant():
     h = model.hamiltonian()
     # a gauge-invariant superposition: ground state of the zero sector
     sec = sector_basis(model.space, [0, 0, 0])
-    from lgtlab.solver import eigs, restrict
+    from lgtlab.solver import eigs
     w, v = eigs(restrict(h, sec), 1)
-    psi = basis_matrix(sec) @ v[:, 0]
+    psi = basis_matrix(sec, model.space.dim) @ v[:, 0]
     rng = np.random.default_rng(2)
     theta = gauge_transformation_unitary(
         model.space, generators(model), rng.uniform(-2, 2, size=3))
@@ -148,7 +148,7 @@ def test_static_potential_charge_conjugation():
     spec = HamiltonianSpec(model="ks_u1", truncation=2, g2=1.0)
     model = build_model(spec, CHAIN6)
     h = model.hamiltonian()
-    from lgtlab.solver import eigs, restrict
+    from lgtlab.solver import eigs
     for r in (1, 3):
         charges = [0] * 6
         charges[0], charges[r] = 1, -1
@@ -167,7 +167,7 @@ def test_static_potential_conjugation_with_matter_needs_reflection():
                                "electric", "gauge_matter", "mass")
     model = build_model(spec, CHAIN6)
     h = model.hamiltonian()
-    from lgtlab.solver import eigs, restrict
+    from lgtlab.solver import eigs
     for r in (1, 3):
         charges = [0] * 6
         charges[0], charges[r] = 1, -1

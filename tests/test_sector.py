@@ -8,15 +8,17 @@ against full-space evolution of the same string state.
 
 import numpy as np
 import pytest
+from scipy import sparse
 from scipy.sparse.linalg import expm_multiply
 
+from gauge_oracle import basis_matrix, generators, restrict
 from lgtlab.gauge import GaussSector, abelian_charge_table, \
     all_sector_dimensions, merge_sectors, sector_basis
 from lgtlab.hamiltonian import HamiltonianSpec, SectorLeak, build_model
 from lgtlab.lattice import build_lattice
 from lgtlab.observables import charge_profile, flux_profile, \
     flux_tube_breaking_scenario, strong_coupling_ground
-from lgtlab.solver import SolverError, restrict
+from lgtlab.solver import SolverError, ground_energy
 
 
 def chain(n, boundary="open"):
@@ -108,6 +110,35 @@ def test_sector_basis_rejects_su2():
                         chain(3)).space
     with pytest.raises(ValueError):
         sector_basis(space, [0, 0, 0])
+
+
+# the oracle's restriction of a full-space operator, which the sector
+# Hamiltonians below are checked against
+
+def test_restrict_identity_and_generator():
+    model = build_model(HamiltonianSpec(model="ks_u1", truncation=1),
+                        lattice_2d(2, 2))
+    sec = sector_basis(model.space, [0, 0, 0, 0])
+    eye = sparse.identity(model.space.dim, format="csr", dtype=complex)
+    assert np.allclose(restrict(eye, sec).toarray(), np.eye(sec.dim))
+    for g in generators(model):
+        assert np.max(np.abs(restrict(g, sec).toarray())) < 1e-14
+
+
+def test_restricted_ground_matches_full_sector_minimum():
+    model = build_model(
+        HamiltonianSpec(model="ks_u1", truncation=1, g2=0.8),
+        lattice_2d(2, 2))
+    h = model.hamiltonian()
+    sec = sector_basis(model.space, [0, 0, 0, 0])
+    e_restricted = ground_energy(restrict(h, sec))
+    # project full eigenvectors onto the sector: the lowest full eigenpair
+    # living in this sector has the same energy
+    w, v = np.linalg.eigh(h.toarray())
+    B = basis_matrix(sec, model.space.dim)
+    weights = np.linalg.norm(B.conj().T @ v, axis=0)
+    in_sector = np.nonzero(weights > 0.99)[0]
+    assert w[in_sector[0]] == pytest.approx(e_restricted, abs=1e-10)
 
 
 # (spec, lattice, terms beyond the default ones)
@@ -248,7 +279,7 @@ def test_hopping_between_merged_sectors_is_a_leak():
     with pytest.raises(SectorLeak, match="hopping") as leak:
         model.hamiltonian(("hopping",), sector=merged)
     assert leak.value.amplitude == pytest.approx(0.1, abs=1e-15)
-    unmerged = GaussSector((), model.space.dim, indices=merged.indices,
+    unmerged = GaussSector((), indices=merged.indices,
                            labels=merged.labels)
     full = model.hamiltonian(("hopping",))
     assert csr_parts(model.hamiltonian(("hopping",), sector=unmerged)) \

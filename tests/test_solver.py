@@ -1,3 +1,4 @@
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -6,50 +7,16 @@ import scipy.linalg
 from scipy import sparse
 from scipy.sparse.linalg import expm_multiply
 
-from gauge_oracle import basis_matrix, generators
+from gauge_oracle import generators, restrict, second_order_columns
 from lgtlab import solver
-from lgtlab.gauge import GaussSector, sector_basis
-from lgtlab.hamiltonian import HamiltonianSpec, build_model
+from lgtlab.gauge import merge_sectors, sector_basis
+from lgtlab.hamiltonian import OFF_DIAGONAL_TERMS, HamiltonianSpec, \
+    build_model, penalty_second_order
 from lgtlab.lattice import build_lattice
 from lgtlab.matter import STAGGERED, hop
-from lgtlab.solver import SolverError, effective_second_order, eigs, evolve, \
-    ground_energy, restrict, run_log
+from lgtlab.solver import SolverError, eigs, evolve, run_log
 
 PLAQ = build_lattice(2, [2, 2])
-
-
-# ---------------------------------------------------------------------------
-# restrict
-# ---------------------------------------------------------------------------
-
-def test_restrict_identity_and_generator():
-    model = build_model(HamiltonianSpec(model="ks_u1", truncation=1), PLAQ)
-    sec = sector_basis(model.space, [0, 0, 0, 0])
-    eye = sparse.identity(model.space.dim, format="csr", dtype=complex)
-    assert np.allclose(restrict(eye, sec).toarray(), np.eye(sec.dim))
-    for g in generators(model):
-        assert np.max(np.abs(restrict(g, sec).toarray())) < 1e-14
-
-
-def test_restricted_ground_matches_full_sector_minimum():
-    model = build_model(
-        HamiltonianSpec(model="ks_u1", truncation=1, g2=0.8), PLAQ)
-    h = model.hamiltonian()
-    sec = sector_basis(model.space, [0, 0, 0, 0])
-    e_restricted = ground_energy(restrict(h, sec))
-    # project full eigenvectors onto the sector: the lowest full eigenpair
-    # living in this sector has the same energy
-    w, v = np.linalg.eigh(h.toarray())
-    B = basis_matrix(sec)
-    weights = np.linalg.norm(B.conj().T @ v, axis=0)
-    in_sector = np.nonzero(weights > 0.99)[0]
-    assert w[in_sector[0]] == pytest.approx(e_restricted, abs=1e-10)
-
-
-def test_restrict_dimension_mismatch():
-    sec = GaussSector((0,), 4, indices=np.array([0, 1]))
-    with pytest.raises(ValueError):
-        restrict(sparse.identity(5, format="csr"), sec)
 
 
 # ---------------------------------------------------------------------------
@@ -500,60 +467,71 @@ def test_evolve_path_switches_above_dense_limit():
 
 
 # ---------------------------------------------------------------------------
-# effective second order
+# the penalty construction's second order (hamiltonian.penalty_second_order)
 # ---------------------------------------------------------------------------
 
-def test_effective_toy_two_level():
-    h0 = sparse.diags([0.0, 5.0]).tocsr()
-    v = sparse.csr_matrix(np.array([[0.0, 0.3], [0.3, 0.0]], dtype=complex))
-    sec = GaussSector((0,), 2, indices=np.array([0]))
-    rep = effective_second_order(h0, v, sec)
-    assert rep.h_eff[0, 0] == pytest.approx(-(0.3 ** 2) / 5.0)
-    assert rep.pvp_norm == 0.0
-
-
 def test_effective_singular_resolvent_reported():
-    h0 = sparse.diags([0.0, 0.0]).tocsr()
-    v = sparse.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex))
-    sec = GaussSector((0,), 2, indices=np.array([0]))
-    with pytest.raises(SolverError):
-        effective_second_order(h0, v, sec)
+    # lam = 0: every off-sector target is degenerate with the sector
+    model = build_model(HamiltonianSpec(model="spin_gauge", truncation=1,
+                                        lam=0.0, eta=0.1), PLAQ)
+    sec = sector_basis(model.space, [0, 0, 0, 0])
+    with pytest.raises(SolverError, match="singular resolvent"):
+        penalty_second_order(model, sec, OFF_DIAGONAL_TERMS["hopping"](model))
+
+
+def test_effective_gauge_invariant_piece_is_refused():
+    # a gauge_matter hop keeps the neutral sector: P V P is not 0
+    model = build_model(HamiltonianSpec(model="ks_u1", truncation=1, lam=10.0,
+                                        eps=0.5, matter=STAGGERED),
+                        build_lattice(1, [2]))
+    sec = sector_basis(model.space, [0, 0])
+    with pytest.raises(ValueError, match="P V P is not 0"):
+        penalty_second_order(model, sec,
+                             OFF_DIAGONAL_TERMS["gauge_matter"](model))
+
+
+def test_effective_sector_of_two_penalty_values_is_refused():
+    # a merge of the neutral sector and a charged one has no single E0
+    model = build_model(HamiltonianSpec(model="spin_gauge", truncation=1,
+                                        lam=40.0, eta=0.1), PLAQ)
+    sec = merge_sectors([sector_basis(model.space, charges)
+                         for charges in ([0, 0, 0, 0], [1, -1, 0, 0])])
+    with pytest.raises(ValueError, match="not one value"):
+        penalty_second_order(model, sec, OFF_DIAGONAL_TERMS["hopping"](model))
 
 
 def _effective_setup(lam, eta=0.1, ell=1, g2=1.0):
     spec = HamiltonianSpec(model="spin_gauge", truncation=ell, g2=g2,
                            lam=lam, eta=eta)
     model = build_model(spec, PLAQ)
-    pen = model.hamiltonian(("penalty",))
-    vop = model.hamiltonian(("hopping",))
-    he = model.hamiltonian(("electric",))
-    pattern = -(2.0 * g2) * model.hamiltonian(("magnetic",))
     sec = sector_basis(model.space, [0, 0, 0, 0])
-    rep = effective_second_order(pen, vop, sec, rest=he, pattern=pattern)
-    return model, pen, vop, he, sec, rep
+    second = penalty_second_order(model, sec,
+                                  OFF_DIAGONAL_TERMS["hopping"](model))
+    pattern = (-(2.0 * g2) * model.hamiltonian(("magnetic",),
+                                               sector=sec)).toarray()
+    coeff = np.vdot(pattern, second) / np.vdot(pattern, pattern)
+    h_eff = second + model.hamiltonian(("electric",), sector=sec).toarray()
+    return model, sec, h_eff, coeff
 
 
 def test_effective_plaquette_coefficient_scales_inversely_with_lambda():
-    _, _, _, _, _, rep1 = _effective_setup(40.0)
-    _, _, _, _, _, rep2 = _effective_setup(80.0)
-    ratio = (rep1.pattern_coefficient / rep2.pattern_coefficient).real
-    assert ratio == pytest.approx(2.0, rel=1e-3)
+    _, _, _, coeff1 = _effective_setup(40.0)
+    _, _, _, coeff2 = _effective_setup(80.0)
+    assert coeff1 / coeff2 == pytest.approx(2.0, rel=1e-3)
     # the coefficient itself is -eta^2/lambda for the two paths per loop
-    assert rep1.pattern_coefficient.real == pytest.approx(-0.1 ** 2 / 40.0,
-                                                          rel=1e-12)
+    assert coeff1 == pytest.approx(-0.1 ** 2 / 40.0, rel=1e-12)
 
 
 def test_effective_spectrum_error_shrinks_quadratically():
-    model1, pen1, v1, he1, sec, rep1 = _effective_setup(40.0)
-    model4, pen4, v4, he4, _, rep4 = _effective_setup(160.0)
-    k = sec.dim
-    w1_eff, _ = eigs(rep1.h_eff, k)
-    w1_ex, _ = eigs(he1 + pen1 + v1, k)
-    w4_eff, _ = eigs(rep4.h_eff, k)
-    w4_ex, _ = eigs(he4 + pen4 + v4, k)
-    mis1 = np.max(np.abs(w1_eff - w1_ex[:k]))
-    mis4 = np.max(np.abs(w4_eff - w4_ex[:k]))
-    assert mis1 / mis4 >= 8.0
+    mismatch = []
+    for lam in (40.0, 160.0):
+        model, sec, h_eff, _ = _effective_setup(lam)
+        k = sec.dim
+        exact = sum(model.hamiltonian((t,))
+                    for t in ("electric", "penalty", "hopping"))
+        mismatch.append(np.max(np.abs(eigs(h_eff, k)[0]
+                                      - eigs(exact, k)[0][:k])))
+    assert mismatch[0] / mismatch[1] >= 8.0
 
 
 def test_effective_hermitian_and_respects_symmetry():
@@ -563,16 +541,56 @@ def test_effective_hermitian_and_respects_symmetry():
     spec = HamiltonianSpec(model="ks_u1", truncation=1, lam=10.0,
                            matter=STAGGERED)
     model = build_model(spec, lat)
-    pen = model.hamiltonian(("penalty",))
-    space, layout = model.space, model.space.layout
-    hop01 = space.embed([(1.0, hop(layout.factor(0), layout.factor(1)))])
-    vop = hop01 + hop01.conj().T
+    layout = model.space.layout
     sec = sector_basis(model.space, [0, 0])
-    rep = effective_second_order(pen, vop, sec)
-    assert np.max(np.abs(rep.h_eff - rep.h_eff.conj().T)) < 1e-12
-    ntot = sum(space.embed([(1.0, hop(layout.factor(v), layout.factor(v)))])
-               for v in range(2))
-    nr = restrict(ntot, sec).toarray()
-    comm = rep.h_eff @ nr - nr @ rep.h_eff
+    h_eff = penalty_second_order(
+        model, sec, [(1.0, hop(layout.factor(0), layout.factor(1)))])
+    assert np.array_equal(h_eff, h_eff.conj().T)
+    assert np.max(np.abs(h_eff)) > 0.0
+    n_total = np.diag(sec.labels[model.space.n_links:].sum(axis=0))
+    comm = h_eff @ n_total - n_total @ h_eff
     assert np.max(np.abs(comm)) < 1e-12
-    assert rep.pvp_norm < 1e-14
+
+
+@pytest.mark.parametrize("sizes", [[2, 2], [3, 2], [3, 3]],
+                         ids=lambda sizes: "x".join(map(str, sizes)))
+def test_effective_block_equals_full_space_columns(sizes):
+    # the label-shift block against the column construction from the
+    # full-space penalty and hopping, at lambda, 2 lambda and 4 lambda
+    lat = build_lattice(2, sizes)
+    targets = {(2, 2): 8, (3, 2): 44, (3, 3): 468}[tuple(sizes)]
+    spec = HamiltonianSpec(model="spin_gauge", truncation=1, lam=40.0,
+                           eta=0.1)
+    model = build_model(spec, lat)
+    sec = sector_basis(model.space, [0] * lat.vertex_count)
+    penalty = model.hamiltonian(("penalty",))
+    hopping = model.hamiltonian(("hopping",))
+    for scale in (1.0, 2.0, 4.0):
+        scaled = build_model(replace(spec, lam=scale * spec.lam), lat)
+        with run_log() as log:
+            block = penalty_second_order(
+                scaled, sec, OFF_DIAGONAL_TERMS["hopping"](scaled))
+        assert [(r["stage"], r["dim"], r["targets"]) for r in log] == [
+            ("second_order", sec.dim, targets)]
+        oracle = second_order_columns(scale * penalty, hopping, sec)
+        assert np.max(np.abs(block - oracle)) <= 1e-12
+
+
+def test_effective_block_on_the_open_4x4_scales_with_the_sector():
+    # 2.8e11 product states, never built: the 2,053-state neutral sector
+    # and its 61,392 one-hop targets
+    lam, eta = 40.0, 0.1
+    model = build_model(HamiltonianSpec(model="spin_gauge", truncation=1,
+                                        lam=lam, eta=eta),
+                        build_lattice(2, [4, 4]))
+    sec = sector_basis(model.space, [0] * 16)
+    with run_log() as log:
+        block = penalty_second_order(model, sec,
+                                     OFF_DIAGONAL_TERMS["hopping"](model))
+    (record,) = log
+    assert (record["dim"], record["targets"]) == (2053, 61392)
+    assert record["seconds"] < 1.0
+    assert np.array_equal(block, block.conj().T)
+    pattern = (-2.0 * model.hamiltonian(("magnetic",), sector=sec)).toarray()
+    coeff = np.vdot(pattern, block) / np.vdot(pattern, pattern)
+    assert coeff == pytest.approx(-eta ** 2 / lam, rel=1e-12)
