@@ -421,13 +421,16 @@ def run_channels(lat, spec, params, writer, tol):
 
 
 def _verify_one(name, spec, lat, tol, checks):
+    """Hermiticity and Gauss checks of one model's full-space H, timed as
+    one `check` stage with the model's name, H's dim and its nnz."""
     model = build_model(spec, lat)
     h = model.hamiltonian()
-    herm = abs(h - h.conj().T)
-    herm = 0.0 if herm.nnz == 0 else float(np.max(herm.data))
-    checks.append(_check(f"hermiticity[{name}]", herm, 1e-12))
-    checks.append(_check(f"gauge_invariance[{name}]",
-                         max_gauss_violation(model, h), tol))
+    with solver.stage("check", model=name, dim=h.shape[0], nnz=h.nnz):
+        herm = abs(h - h.conj().T)
+        herm = 0.0 if herm.nnz == 0 else float(np.max(herm.data))
+        checks.append(_check(f"hermiticity[{name}]", herm, 1e-12))
+        checks.append(_check(f"gauge_invariance[{name}]",
+                             max_gauss_violation(model, h), tol))
     return model, h
 
 

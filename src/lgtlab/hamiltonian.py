@@ -29,9 +29,10 @@ Gauss sector is passed:
   carries the largest such amplitude and the block.
 
 The second order of the penalty construction, P V Q (E0 - H0)^{-1} Q V P
-(``penalty_second_order``), is built the same way: V's pieces are shifted
-off the sector's states, and H0, the penalty, is read from the labels of
-the distinct targets.
+(``penalty_second_order``), is built from the same pass: V's pieces are
+shifted off the sector's states by the code that assembles H, which
+returns the amplitude it sends out of the sector, and H0, the penalty, is
+read from the labels of the distinct targets.
 
 The four link families (linkalg: ks_u1, spin_gauge, zn, su2) differ only
 in their LinkOperatorSet, and the three matter layouts only in their
@@ -178,12 +179,15 @@ class Model:
                 else:
                     pieces += [(t, piece)
                                for piece in OFF_DIAGONAL_TERMS[t](self)]
-            off, (leak, term) = _sum_pieces(space, sector, pieces)
+            off, (*_, amplitude, terms) = _sum_pieces(space, sector, pieces)
             h = (off + off.conj().T + space.diagonal_op(diag)).tocsr()
-        if leak:
+        leak = np.abs(amplitude)
+        if np.any(leak):
+            worst = int(np.argmax(leak))
             raise SectorLeak(
-                f"{term} term leaves the Gauss sector {sector.charges} "
-                f"(amplitude {leak:.3e})", leak, h)
+                f"{terms[worst]} term leaves the Gauss sector "
+                f"{sector.charges} (amplitude {leak[worst]:.3e})",
+                float(leak[worst]), h)
         return h
 
 
@@ -201,58 +205,49 @@ class SectorLeak(ValueError):
 def _sum_pieces(space, sector, pieces):
     """T = the sum of the (term, (coeff, factors)) pieces as one CSR, in
     one COO pass: embedded on the full space (sector None), applied as
-    label shifts on the sector's states otherwise.
+    label shifts on the sector's states otherwise.  Also returns what the
+    pieces of T and T^dag send out of the sector, as (source, target,
+    amplitude, term) in the order the pieces and their adjoints are
+    applied: the source's position in the sector, the target's product
+    index, the amplitude and the term of its piece, one entry each per
+    shifted state; all empty without a sector.
 
     On a sector, a target is inside only if it is one of the sector's
-    states and, on a merge of sectors (gauge.merge_sectors), in the same
-    source sector as the state it came from: amplitude between two merged
-    sectors is a leak like any other, so T stays block diagonal.  T^dag
-    can leave the sector where T does not, so a piece's adjoint is applied
-    too, unless the piece keeps some sector state in the sector: every
-    piece moves the Gauss charges by one fixed amount (flux shifts and at
-    most one fermion move), which is then 0 for the piece and its adjoint
-    alike.  Also returns (the largest amplitude a piece of T or T^dag
-    sends out of the sector, the term of that piece); (0.0, None) without
-    a leak."""
+    states (located among the sector's sorted indices by searchsorted)
+    and, on a merge of sectors (gauge.merge_sectors), in the same source
+    sector as the state it came from: amplitude between two merged
+    sectors leaves the sector like any other, so T stays block diagonal.
+    T^dag can leave the sector where T does not, so a piece's adjoint (the
+    matrices on each factor daggered in reverse order) is applied too,
+    unless the piece keeps some sector state in the sector: every piece
+    moves the Gauss charges by one fixed amount (flux shifts and at most
+    one fermion move), which is then 0 for the piece and its adjoint
+    alike.  An adjoint applied so keeps nothing in the sector either: its
+    entries between sector states are the piece's, conjugated."""
+    empty = (np.zeros(0, dtype=int), np.zeros(0, dtype=int), np.zeros(0))
     if sector is None:
-        return space.embed(piece for _, piece in pieces), (0.0, None)
-    n = sector.dim
-    rows, cols = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)]
-    data = [np.zeros(0)]
-    leak = (0.0, None)
-    for t, piece in pieces:
-        for adjoint, (c, f) in enumerate(_directions(piece)):
+        return space.embed(piece for _, piece in pieces), (*empty, [])
+    kept, out, terms = [], [], []
+    for t, (coeff, factors) in pieces:
+        adjoint = [(i, m.conj().T) for i, m in reversed(factors)]
+        for c, f in ((coeff, factors), (np.conj(coeff), adjoint)):
             source, target, value = space.shift(sector.indices,
                                                 sector.labels, f)
-            row, inside = _locate(sector, source, target)
-            if not adjoint:
-                rows.append(row[inside])
-                cols.append(source[inside])
-                data.append(c * value[inside])
-            amplitude = float(np.max(np.abs(c * value[~inside]),
-                                     initial=0.0))
-            if amplitude > leak[0]:
-                leak = (amplitude, t)
+            row = np.searchsorted(sector.indices, target)
+            inside = row < sector.dim
+            inside[inside] = sector.indices[row[inside]] == target[inside]
+            if sector.blocks is not None:
+                inside[inside] = (sector.blocks[row[inside]]
+                                  == sector.blocks[source[inside]])
+            out.append((source[~inside], target[~inside], c * value[~inside]))
+            terms += [t] * len(out[-1][0])
             if inside.any():
+                kept.append((row[inside], source[inside], c * value[inside]))
                 break
-    off = sparse.coo_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n)).tocsr()
-    return off, leak
-
-
-def _locate(sector, source, target):
-    """(row, inside) of label-shift targets on a sector: each target's
-    position among the sector's sorted indices, and whether it is one of
-    the sector's states and, on a merge of sectors, in the same source
-    sector as the state at position `source` it came from."""
-    row = np.searchsorted(sector.indices, target)
-    inside = row < sector.dim
-    inside[inside] = sector.indices[row[inside]] == target[inside]
-    if sector.blocks is not None:
-        inside[inside] = (sector.blocks[row[inside]]
-                          == sector.blocks[source[inside]])
-    return row, inside
+    row, col, value = map(np.concatenate, zip(empty, *kept))
+    off = sparse.coo_matrix((value, (row, col)),
+                            shape=(sector.dim, sector.dim)).tocsr()
+    return off, (*map(np.concatenate, zip(empty, *out)), terms)
 
 
 def penalty_second_order(model, sector, pieces):
@@ -261,14 +256,14 @@ def penalty_second_order(model, sector, pieces):
     where H0 = lam sum_n G_n^2 is the model's penalty term and V the
     (coeff, factors) `pieces` plus their adjoints.
 
-    Each piece and its adjoint are applied to the sector's states as label
-    shifts (ProductSpace.shift), their targets located as in
-    Model.hamiltonian (_locate).  H0 is read from the labels of the
-    distinct off-sector targets, decoded once, and E0 from the sector's
-    own labels, so nothing of the full space is built.  The sum over the
-    targets is one sparse product W^dag (R W), with W the amplitudes
-    (target, sector state) and R = (E0 - H0)^{-1} on the targets, made
-    Hermitian bit for bit by averaging it with its adjoint.
+    V is applied to the sector's states by the label-shift pass of
+    Model.hamiltonian (_sum_pieces), which returns the amplitude it sends
+    out of the sector.  H0 is read from the labels of the distinct
+    off-sector targets, decoded once, and E0 from the sector's own labels,
+    so nothing of the full space is built.  The sum over the targets is
+    one sparse product W^dag (R W), with W the amplitudes (target, sector
+    state) and R = (E0 - H0)^{-1} on the targets, made Hermitian bit for
+    bit by averaging it with its adjoint.
 
     Amplitude V keeps in the sector (P V P != 0) and a penalty that is not
     one value on the sector raise ValueError; a target within 1e-9 of E0
@@ -276,51 +271,32 @@ def penalty_second_order(model, sector, pieces):
     `second_order` stage (solver.stage) with the sector's states (dim) and
     the distinct off-sector targets (targets).
     """
-    space = model.space
     with solver.stage("second_order", dim=sector.dim,
                       targets=None) as record:
-        sources, targets = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)]
-        amplitudes = [np.zeros(0)]
-        for piece in pieces:
-            for c, f in _directions(piece):
-                source, target, value = space.shift(sector.indices,
-                                                    sector.labels, f)
-                _, inside = _locate(sector, source, target)
-                if np.any(c * value[inside]):
-                    raise ValueError(f"V keeps amplitude in the Gauss sector "
-                                     f"{sector.charges}: P V P is not 0")
-                sources.append(source[~inside])
-                targets.append(target[~inside])
-                amplitudes.append(c * value[~inside])
-        distinct, row = np.unique(np.concatenate(targets),
-                                  return_inverse=True)
+        kept, (sources, targets, amplitudes, _) = _sum_pieces(
+            model.space, sector, [(None, piece) for piece in pieces])
+        if kept.count_nonzero():
+            raise ValueError(f"V keeps amplitude in the Gauss sector "
+                             f"{sector.charges}: P V P is not 0")
+        distinct, row = np.unique(targets, return_inverse=True)
         record["targets"] = len(distinct)
         e0 = np.unique(_penalty(model, sector.labels))
         if len(e0) > 1:
             raise ValueError(f"the penalty is not one value on the sector "
                              f"{sector.charges}")
-        gap = e0 - _penalty(model, space.decode(distinct))
+        gap = e0 - _penalty(model, model.space.decode(distinct))
         singular = np.flatnonzero(np.abs(gap) < 1e-9)
         if len(singular):
             raise solver.SolverError(
                 f"singular resolvent: off-sector state "
                 f"{distinct[singular[0]]} is degenerate with the sector "
                 f"(gap {gap[singular[0]]:.3e})")
-        w = sparse.coo_matrix(
-            (np.concatenate(amplitudes), (row, np.concatenate(sources))),
-            shape=(len(distinct), sector.dim)).tocsc()
+        w = sparse.coo_matrix((amplitudes, (row, sources)),
+                              shape=(len(distinct), sector.dim)).tocsc()
         rw = w.copy()
         rw.data = rw.data / gap[rw.indices]
         second = (w.conj().T @ rw).toarray()
         return (second + second.conj().T) / 2.0
-
-
-def _directions(piece):
-    """The piece, then (coeff, factors) of its Hermitian conjugate: the
-    matrices on each factor daggered in reverse order."""
-    yield piece
-    coeff, factors = piece
-    yield np.conj(coeff), [(f, m.conj().T) for f, m in reversed(factors)]
 
 
 def build_model(spec, lat):

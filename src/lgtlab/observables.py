@@ -131,13 +131,25 @@ def string_state_index(model, origin, separation):
 def _su2_string(space, links, psi):
     """sum over m, mp of (U_l1 U_l2 ... U_lR)_{m mp} psi, contracted right
     to left on vectors: one per open left index, four single-link
-    applications per link."""
+    applications per link, each as label shifts (ProductSpace.shift) of
+    the vector's support, accumulated into a new vector."""
     U = space.linkops.U
     vectors = [psi] * 2
     for l in reversed(links):
-        vectors = [sum(space.embed([(1.0, [(l, U[m][mid])])]) @ v
+        vectors = [sum(_shifted(space, [(l, U[m][mid])], v)
                        for mid, v in enumerate(vectors)) for m in range(2)]
     return vectors[0] + vectors[1]
+
+
+def _shifted(space, factors, v):
+    """The product of local matrices `factors` applied to the full-space
+    vector v, from the labels of its nonzero entries only."""
+    support = np.flatnonzero(v)
+    source, target, value = space.shift(support, space.decode(support),
+                                        factors)
+    out = np.zeros_like(v)
+    np.add.at(out, target, value * v[support][source])
+    return out
 
 
 def fit_window(separations):

@@ -404,6 +404,26 @@ def test_verify_all_passes(tmp_path):
     assert m["results"]["trace_identity_defect_f"] == pytest.approx(1.5)
 
 
+def test_verify_all_times_each_models_checks_as_one_stage(tmp_path):
+    # the hermiticity and Gauss checks of each suite model are one `check`
+    # record, after that model's build and assembly
+    main(["verify", "--all", "--out", str(tmp_path / "out")])
+    m = read_manifest(tmp_path / "out")
+    expected = []
+    for name, spec, lat in cli.verify_suite():
+        h = cli.build_model(spec, lat).hamiltonian()
+        expected.append({"stage": "check", "model": name,
+                         "dim": h.shape[0], "nnz": h.nnz})
+    records = stages(m, "check")
+    assert [{k: r[k] for k in ("stage", "model", "dim", "nnz")}
+            for r in records] == expected
+    assert [r["stage"] for r in m["timing"]["stages"]] \
+        == ["build", "assemble", "check"] * len(expected)
+    seconds = [r["seconds"] for r in m["timing"]["stages"]]
+    assert min(seconds) >= 0.0
+    assert sum(seconds) <= m["timing"]["wall_seconds"]
+
+
 @pytest.mark.parametrize("spec, lat", [pytest.param(s, l, id=n)
                                        for n, s, l in cli.verify_suite()])
 def test_verify_models_are_hermitian_bit_for_bit(spec, lat):

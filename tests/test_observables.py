@@ -366,31 +366,27 @@ def test_su2_string_starts_from_the_dirac_sea():
     assert curve.sigma == pytest.approx(0.375)
 
 
-def test_su2_string_embeds_four_link_operators_per_link(monkeypatch):
+def test_su2_string_embeds_no_full_space_operator(monkeypatch):
     # (U_1 ... U_R)_{mm'} |vacuum> is contracted on vectors: 4 R single-link
-    # embeddings, each applied to a vector and never multiplied with
-    # another full-space matrix
+    # applications, each as label shifts of a vector's support, and no
+    # full-space operator is embedded
     from lgtlab.tensor import ProductSpace
     model = build_model(HamiltonianSpec(model="su2", truncation=0.5),
                         build_lattice(1, [5]))
-    calls = {"embed": 0}
-    embed = ProductSpace.embed
-
-    class VectorsOnly:
-        def __init__(self, op):
-            self.op = op
-
-        def __matmul__(self, other):
-            assert isinstance(other, np.ndarray) and other.ndim == 1, \
-                "full-space matrix product formed"
-            return self.op @ other
+    calls = {"shift": 0}
+    shift = ProductSpace.shift
 
     def counted(self, *args, **kwargs):
-        calls["embed"] += 1
-        return VectorsOnly(embed(self, *args, **kwargs))
-    monkeypatch.setattr(ProductSpace, "embed", counted)
-    strong_coupling_ground(model, 0, 4)
-    assert calls["embed"] == 16
+        calls["shift"] += 1
+        return shift(self, *args, **kwargs)
+
+    def refused(self, *args, **kwargs):
+        raise AssertionError("full-space operator embedded")
+    monkeypatch.setattr(ProductSpace, "shift", counted)
+    monkeypatch.setattr(ProductSpace, "embed", refused)
+    psi = strong_coupling_ground(model, 0, 4)
+    assert calls["shift"] == 16
+    assert np.linalg.norm(psi) == pytest.approx(1.0)
 
 
 @pytest.mark.parametrize("lat,origin,separation", [

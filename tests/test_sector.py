@@ -322,6 +322,35 @@ def test_sector_leak_carries_the_out_of_sector_amplitude_and_block(charges):
     assert np.max(np.abs(diff)) <= 1e-14
 
 
+def test_sector_leak_is_the_largest_amplitude_its_pass_sends_out(
+        monkeypatch):
+    # the amplitude SectorLeak carries is read from the out-of-sector
+    # (source, target, amplitude, term) entries of the same label-shift
+    # pass that assembles the block; on spin-gauge ell = 2 links the hops
+    # send out amplitudes of several sizes
+    from lgtlab import hamiltonian
+    spec = HamiltonianSpec(model="spin_gauge", truncation=2, eta=0.1,
+                           terms=("electric", "magnetic", "hopping"))
+    model = build_model(spec, lattice_2d(2, 2))
+    sec = sector_basis(model.space, [0] * 4)
+    passes = []
+    sum_pieces = hamiltonian._sum_pieces
+
+    def recorded(*args):
+        passes.append(sum_pieces(*args))
+        return passes[-1]
+    monkeypatch.setattr(hamiltonian, "_sum_pieces", recorded)
+    with pytest.raises(SectorLeak, match="hopping term") as leak:
+        model.hamiltonian(sector=sec)
+    [(_, (source, target, amplitude, terms))] = passes
+    assert len(np.unique(np.abs(amplitude))) > 1
+    assert leak.value.amplitude == np.max(np.abs(amplitude))
+    assert set(terms) == {"hopping"}
+    assert len(source) == len(target) == len(amplitude) == len(terms)
+    assert np.all(source < sec.dim)
+    assert not np.isin(target, sec.indices).any()
+
+
 def test_sector_basis_refuses_a_space_beyond_int64():
     # 3^40 product states on the open 5x5 at cutoff 1: int64 indices
     # would wrap, so the enumeration must not start

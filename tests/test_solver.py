@@ -470,6 +470,26 @@ def test_evolve_path_switches_above_dense_limit():
 # the penalty construction's second order (hamiltonian.penalty_second_order)
 # ---------------------------------------------------------------------------
 
+def test_effective_shifts_each_piece_and_its_adjoint_once(monkeypatch):
+    # V is applied by Model.hamiltonian's one label-shift pass: one shift
+    # for each hop and one for its adjoint, nothing shifted again
+    from lgtlab.tensor import ProductSpace
+    model = build_model(HamiltonianSpec(model="spin_gauge", truncation=1,
+                                        lam=40.0, eta=0.1), PLAQ)
+    sec = sector_basis(model.space, [0, 0, 0, 0])
+    pieces = list(OFF_DIAGONAL_TERMS["hopping"](model))
+    calls = []
+    shift = ProductSpace.shift
+
+    def counted(self, *args):
+        calls.append(args)
+        return shift(self, *args)
+    monkeypatch.setattr(ProductSpace, "shift", counted)
+    penalty_second_order(model, sec, pieces)
+    assert len(pieces) > 0
+    assert len(calls) == 2 * len(pieces)
+
+
 def test_effective_singular_resolvent_reported():
     # lam = 0: every off-sector target is degenerate with the sector
     model = build_model(HamiltonianSpec(model="spin_gauge", truncation=1,
