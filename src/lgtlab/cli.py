@@ -6,9 +6,12 @@ Usage:
     lgtlab verify --all [--out DIR]
 
 Scenarios: spectrum, potential, plaquette_convergence, effective_check,
-dynamics, verify, channels.  spectrum, potential and dynamics need the
-model sections `lattice` and `hamiltonian`; verify takes both (one model)
-or neither (the built-in suite); the other three take neither.
+dynamics, verify, channels, each one entry of the SCENARIOS table: its
+runner, the model sections (`lattice` and `hamiltonian`) it takes and its
+params schema.  spectrum, potential and dynamics need both model
+sections; verify takes both (one model) or neither (the built-in suite);
+the other three take neither.  SCHEMA holds the schemas of the top level
+and the model sections.
 
 Exit codes: 0 = success, 1 = invariant violation, 2 = config error
 (including any ValueError the library raises on the config), 3 =
@@ -52,17 +55,8 @@ class ConfigError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# declarative config schema
+# config parsing against a declarative schema
 # ---------------------------------------------------------------------------
-
-# scenario -> the model sections, lattice and hamiltonian, it takes: both,
-# neither, or (verify, whose built-in suite needs none) both or neither
-MODEL_SECTIONS = {
-    "spectrum": ("both",), "potential": ("both",),
-    "plaquette_convergence": ("neither",), "effective_check": ("neither",),
-    "dynamics": ("both",), "verify": ("both", "neither"),
-    "channels": ("neither",)}
-SCENARIOS = tuple(MODEL_SECTIONS)
 
 REQUIRED = object()     # default of a key the config must give
 
@@ -95,40 +89,10 @@ def _cast(kind, x, where):
                       f"got {x!r}")
 
 
-# section -> {key: (kind, default)}; an absent or null key takes its
-# default.  "config" is the top level, the scenarios' sections are the
-# params.  Hamiltonian defaults of None defer to HamiltonianSpec.
-SCHEMA = {
-    "config": {"scenario": (SCENARIOS, REQUIRED), "params": (dict, {}),
-               "tolerance": (float, DEFAULT_TOL), "lattice": (dict, None),
-               "hamiltonian": (dict, None)},
-    "lattice": {"spatial_dim": (int, REQUIRED), "sizes": ([int], REQUIRED),
-                "boundary": (str, "open")},
-    "hamiltonian": dict(
-        model=(str, REQUIRED), matter=(str, None), terms=([str], None),
-        **dict.fromkeys(("truncation", "g2", "eps", "mass", "lam", "lam_zn",
-                         "eta"), (float, None))),
-    "spectrum": {"k": (int, 4), "charges": ([int], None)},
-    "potential": {"separations": ([int], REQUIRED), "origin": (int, 0)},
-    "plaquette_convergence": {"family": ((SPIN_GAUGE, ZN), SPIN_GAUGE),
-                              "g2_list": ([float], (0.5, 1.0, 2.0)),
-                              "ell_list": ([int], None),
-                              "n_list": ([int], None),
-                              "cutoff_ref": (int, 8)},
-    "effective_check": {"lam": (float, 40.0), "eta": (float, 0.1),
-                        "ell": (int, 1), "g2": (float, 1.0), "k": (int, 3)},
-    "dynamics": {"separation": (int, REQUIRED), "t_final": (float, REQUIRED),
-                 "steps": (int, REQUIRED), "origin": (int, 0)},
-    "verify": {},
-    "channels": {"omega1": (float, 1.0), "omega2": (float, 2.2),
-                 "couplings": (dict, None)},
-}
-
-
-def parse_section(section, name, where):
-    """SCHEMA[name] applied to a config section: every key typed, absent or
-    null ones at their default; the section itself is left untouched."""
-    schema = SCHEMA[name]
+def parse_section(section, schema, where):
+    """A section schema, {key: (kind, default)}, applied to a config
+    section: every key typed, absent or null ones at their default; the
+    section itself is left untouched."""
     _cast(dict, section, where)
     unknown = set(section) - set(schema)
     if unknown:
@@ -144,11 +108,12 @@ def parse_section(section, name, where):
 
 
 def parse_lattice(cfg):
-    return build_lattice(**parse_section(cfg, "lattice", "lattice"))
+    return build_lattice(**parse_section(cfg, SCHEMA["lattice"],
+                                         "lattice"))
 
 
 def parse_hamiltonian(cfg):
-    p = parse_section(cfg, "hamiltonian", "hamiltonian")
+    p = parse_section(cfg, SCHEMA["hamiltonian"], "hamiltonian")
     return HamiltonianSpec(**{key: value for key, value in p.items()
                               if value is not None}).validate()
 
@@ -166,7 +131,7 @@ def _read_json(path):
 def load_config(path):
     """The config in file `path`, its top level checked against SCHEMA."""
     cfg = _read_json(path)
-    parse_section(cfg, "config", "config")
+    parse_section(cfg, SCHEMA["config"], "config")
     return cfg
 
 
@@ -266,16 +231,19 @@ def run_potential(lat, spec, params, writer, tol):
     return results, checks
 
 
+# plaquette_convergence family -> its truncation key, default truncations
+# and CSV header
+CONVERGENCE_FAMILIES = {
+    SPIN_GAUGE: ("ell_list", (1, 2, 3), ["g2", "ell", "E", "gap_to_ref"]),
+    ZN: ("n_list", (3, 5, 7, 9), ["g2", "N", "E_calibrated", "gap_to_ref"]),
+}
+
+
 def run_plaquette_convergence(lat, spec, params, writer, tol):
     """The single-plaquette gap to Kogut-Susskind U(1) over the family's
     truncations (ell_list or n_list), checked to shrink at every g2."""
     family, g2_list = params["family"], params["g2_list"]
-    # family -> its truncation key, default truncations and CSV header
-    key, default, header = {
-        SPIN_GAUGE: ("ell_list", (1, 2, 3), ["g2", "ell", "E", "gap_to_ref"]),
-        ZN: ("n_list", (3, 5, 7, 9),
-             ["g2", "N", "E_calibrated", "gap_to_ref"]),
-    }[family]
+    key, default, header = CONVERGENCE_FAMILIES[family]
     other = "n_list" if key == "ell_list" else "ell_list"
     if params[other] is not None:
         raise ConfigError(f"params.{other} does not apply to family "
@@ -420,28 +388,18 @@ def run_channels(lat, spec, params, writer, tol):
     return {"n_channels": len(rows)}, checks
 
 
-def _verify_one(name, spec, lat, tol, checks):
-    """Hermiticity and Gauss checks of one model's full-space H, timed as
-    one `check` stage with the model's name, H's dim and its nnz."""
+def _verify_one(name, spec, lat, tol):
+    """The model and its hermiticity and Gauss checks of the full-space H,
+    timed as one `check` stage with the model's name, H's dim and its
+    nnz."""
     model = build_model(spec, lat)
     h = model.hamiltonian()
     with solver.stage("check", model=name, dim=h.shape[0], nnz=h.nnz):
         herm = abs(h - h.conj().T)
         herm = 0.0 if herm.nnz == 0 else float(np.max(herm.data))
-        checks.append(_check(f"hermiticity[{name}]", herm, 1e-12))
-        checks.append(_check(f"gauge_invariance[{name}]",
-                             max_gauss_violation(model, h), tol))
-    return model, h
-
-
-def run_verify(lat, spec, params, writer, tol):
-    """Invariant suite for the configured model, or the built-in set when
-    the config has no model sections."""
-    checks = []
-    if spec is None:
-        return run_verify_all(tol, checks, {})
-    _verify_one(spec.model, spec, lat, tol, checks)
-    return {}, checks
+        return model, [_check(f"hermiticity[{name}]", herm, 1e-12),
+                       _check(f"gauge_invariance[{name}]",
+                              max_gauss_violation(model, h), tol)]
 
 
 def verify_suite():
@@ -465,17 +423,23 @@ def verify_suite():
     ]
 
 
-def run_verify_all(tol, checks, results):
-    for name, spec, lat in verify_suite():
-        model, h = _verify_one(name, spec, lat, tol, checks)
+def run_verify(lat, spec, params, writer, tol):
+    """Invariant checks of the configured model or, when the config has no
+    model sections, of the verify_suite models followed by the su2rep and
+    atommap identities."""
+    suite = verify_suite() if spec is None else [(spec.model, spec, lat)]
+    checks = []
+    for name, model_spec, model_lat in suite:
+        model, model_checks = _verify_one(name, model_spec, model_lat, tol)
+        checks += model_checks
         if name == "u1_plaquette":
-            dims = gauge.all_sector_dimensions(model.space)
-            total = sum(dims.values())
+            total = sum(gauge.all_sector_dimensions(model.space).values())
             checks.append(_check("sector_dimensions_sum[u1_plaquette]",
                                  abs(total - model.space.dim), 0.5))
+    if spec is not None:
+        return {}, checks
     # truncated-SU(2) trace identity with a measured defect scalar
     f, residual = su2rep.trace_defect(0.5, linkalg.su2_ops(0.5).U)
-    results["trace_identity_defect_f"] = f
     checks.append(_check("trace_identity_residual", residual, 1e-12))
     _, dev_even = atommap.build_m_and_verify("even")
     _, dev_odd = atommap.build_m_and_verify("odd")
@@ -488,17 +452,54 @@ def run_verify_all(tol, checks, results):
     checks.append(_check("f1_projector_traces",
                          abs(np.trace(p["P0"]).real - 1.0)
                          + abs(np.trace(p["P2"]).real - 5.0), 1e-10))
-    return results, checks
+    return {"trace_identity_defect_f": f}, checks
 
 
-RUNNERS = {
-    "spectrum": run_spectrum,
-    "potential": run_potential,
-    "plaquette_convergence": run_plaquette_convergence,
-    "effective_check": run_effective_check,
-    "dynamics": run_dynamics,
-    "verify": run_verify,
-    "channels": run_channels,
+# ---------------------------------------------------------------------------
+# the scenario table and the config schema
+# ---------------------------------------------------------------------------
+
+# scenario -> (runner, the model sections it takes, its params schema).  Of
+# the sections lattice and hamiltonian a scenario takes both, neither, or
+# (verify, whose built-in suite needs none) either.  A schema is {key:
+# (kind, default)}: an absent or null key takes its default.
+SCENARIOS = {
+    "spectrum": (run_spectrum, ("both",),
+                 {"k": (int, 4), "charges": ([int], None)}),
+    "potential": (run_potential, ("both",),
+                  {"separations": ([int], REQUIRED), "origin": (int, 0)}),
+    "plaquette_convergence": (
+        run_plaquette_convergence, ("neither",),
+        {"family": (tuple(CONVERGENCE_FAMILIES), SPIN_GAUGE),
+         "g2_list": ([float], (0.5, 1.0, 2.0)), "ell_list": ([int], None),
+         "n_list": ([int], None), "cutoff_ref": (int, 8)}),
+    "effective_check": (
+        run_effective_check, ("neither",),
+        {"lam": (float, 40.0), "eta": (float, 0.1), "ell": (int, 1),
+         "g2": (float, 1.0), "k": (int, 3)}),
+    "dynamics": (
+        run_dynamics, ("both",),
+        {"separation": (int, REQUIRED), "t_final": (float, REQUIRED),
+         "steps": (int, REQUIRED), "origin": (int, 0)}),
+    "verify": (run_verify, ("both", "neither"), {}),
+    "channels": (
+        run_channels, ("neither",),
+        {"omega1": (float, 1.0), "omega2": (float, 2.2),
+         "couplings": (dict, None)}),
+}
+
+# the schemas of the config's top level and its model sections; hamiltonian
+# defaults of None defer to HamiltonianSpec
+SCHEMA = {
+    "config": {"scenario": (tuple(SCENARIOS), REQUIRED),
+               "params": (dict, {}), "tolerance": (float, DEFAULT_TOL),
+               "lattice": (dict, None), "hamiltonian": (dict, None)},
+    "lattice": {"spatial_dim": (int, REQUIRED), "sizes": ([int], REQUIRED),
+                "boundary": (str, "open")},
+    "hamiltonian": dict(
+        model=(str, REQUIRED), matter=(str, None), terms=([str], None),
+        **dict.fromkeys(("truncation", "g2", "eps", "mass", "lam", "lam_zn",
+                         "eta"), (float, None))),
 }
 
 
@@ -511,11 +512,11 @@ def run(cfg, outdir, tol=None):
 
 
 def _execute(cfg, tol, subcommand, writer):
-    """Check the whole config against SCHEMA and MODEL_SECTIONS (and, from
-    the command line, against the subcommand), resolve the tolerance (tol,
-    else the config's, else DEFAULT_TOL) and run the scenario; returns
-    (results, checks)."""
-    top = parse_section(cfg, "config", "config")
+    """Check the whole config against SCHEMA and its scenario's SCENARIOS
+    entry (and, from the command line, against the subcommand), resolve the
+    tolerance (tol, else the config's, else DEFAULT_TOL) and run the
+    scenario; returns (results, checks)."""
+    top = parse_section(cfg, SCHEMA["config"], "config")
     scenario = top["scenario"]
     if subcommand not in (None, scenario):
         raise ConfigError(
@@ -525,15 +526,15 @@ def _execute(cfg, tol, subcommand, writer):
     if tol <= 0.0:
         raise ConfigError(f"tolerance must be positive, got {tol!r}")
     given = [key for key in ("lattice", "hamiltonian") if top[key] is not None]
-    takes = MODEL_SECTIONS[scenario]
+    runner, takes, schema = SCENARIOS[scenario]
     if {0: "neither", 2: "both"}.get(len(given)) not in takes:
         raise ConfigError(
             f"{scenario} takes {' or '.join(takes)} of the lattice and "
             f"hamiltonian sections, got {given}")
     lat = parse_lattice(top["lattice"]) if given else None
     spec = parse_hamiltonian(top["hamiltonian"]) if given else None
-    params = parse_section(top["params"], scenario, "params")
-    return RUNNERS[scenario](lat, spec, params, writer, tol)
+    params = parse_section(top["params"], schema, "params")
+    return runner(lat, spec, params, writer, tol)
 
 
 def _record(cfg, outdir, work):

@@ -44,7 +44,7 @@ class GaussSector:
 
     charges: tuple
     indices: np.ndarray
-    labels: np.ndarray = field(default=None, repr=False)
+    labels: np.ndarray = field(repr=False)
     blocks: np.ndarray = field(default=None, repr=False)
 
     @property

@@ -302,15 +302,25 @@ def test_bad_top_level_exits_2_with_a_manifest(tmp_path, text, config,
     ("effective_check", {"hamiltonian": {"model": "zn", "truncation": 3}}),
     ("channels", {"hamiltonian": {"model": "bogus"}}),
     ("plaquette_convergence", {"lattice": {"spatial_dim": 1, "sizes": [4]}}),
-], ids=["effective_check", "channels", "plaquette_convergence"])
+    ("spectrum", {"lattice": BASE["lattice"], "params": BASE["params"]}),
+    ("potential", {"hamiltonian": BASE["hamiltonian"],
+                   "params": {"separations": [0, 1]}}),
+    ("dynamics", {"lattice": {"spatial_dim": 1, "sizes": [4]},
+                  "params": {"separation": 1, "t_final": 1.0, "steps": 2}}),
+], ids=["effective_check", "channels", "plaquette_convergence",
+        "spectrum_without_hamiltonian", "potential_without_lattice",
+        "dynamics_without_hamiltonian"])
 def test_stray_model_section_is_config_error(tmp_path, scenario, section):
-    # these scenarios build their own models: the section used to be ignored
+    # effective_check, channels and plaquette_convergence build their own
+    # models: the section used to be ignored; spectrum, potential and
+    # dynamics need both sections, so one alone is refused the same way
     path = write_cfg(tmp_path, dict(section, scenario=scenario))
     out = tmp_path / "out"
     rc = main([scenario, "--config", path, "--out", str(out)])
     assert rc == 2
     m = read_manifest(out)
     assert m["exit_status"] == 2 and m["files"] == []
+    assert m["error"].startswith(f"{scenario} takes ")
     assert next(iter(section)) in m["error"]
 
 
@@ -632,7 +642,8 @@ def test_truncation_list_of_the_other_family_is_config_error(tmp_path,
 def test_memory_error_exits_3_with_a_manifest(tmp_path, monkeypatch):
     def runner(*args):
         raise MemoryError
-    monkeypatch.setitem(cli.RUNNERS, "spectrum", runner)
+    monkeypatch.setitem(cli.SCENARIOS, "spectrum",
+                        (runner, *cli.SCENARIOS["spectrum"][1:]))
     out = tmp_path / "out"
     rc = main(["spectrum", "--config", write_cfg(tmp_path, BASE),
                "--out", str(out)])

@@ -372,8 +372,7 @@ def test_verify_all_builds_one_rotation_matrix(monkeypatch):
         calls["cg"] += 1
         return cg_(*args)
     monkeypatch.setattr(su2rep, "cg", counted)
-    checks = []
-    cli.run_verify_all(cli.DEFAULT_TOL, checks, {})
+    _, checks = cli.run_verify(None, None, {}, None, cli.DEFAULT_TOL)
     assert all(c["pass"] for c in checks)
     assert calls["cg"] == 8
 
