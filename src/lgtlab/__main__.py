@@ -24,7 +24,9 @@ def main(argv=None):
         threads = os.environ.get("LGTLAB_THREADS") or None
         source = "LGTLAB_THREADS"
     if threads is not None:
-        if not str(threads).isdigit() or int(threads) < 1:
+        # isdigit() alone passes digits such as '²' that int() rejects
+        text = str(threads)
+        if not (text.isascii() and text.isdigit()) or int(text) < 1:
             print(f"error: {source} must be a positive integer, got "
                   f"{threads!r}", file=sys.stderr)
             return 2

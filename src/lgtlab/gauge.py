@@ -1,14 +1,16 @@
 """Gauss-law charges and gauge sectors, read from the label table.
 
 Every link family has a diagonal Gauss generator per vertex, given by one
-integer plan per space (``_gauss_plan``, read by ``charge_rows``) from the
-link set's ``gauss`` values and the matter layout's ``gauss_base`` and
-``gauss_columns``; ``generator_eigenvalues`` maps its rows through the
-link set.  For the
-Abelian families it is the whole law, so a sector is a set of product
-states, enumerated directly from what each tensor factor adds
-(``sector_basis``, no full-space table).  SU(2) adds only its raising
-operator per vertex (``gauss_raising``): G^x and G^y are not diagonal.
+integer plan per space (``_gauss_plan``) from the link set's ``gauss``
+values and the matter layout's ``gauss_base`` and ``gauss_columns``.
+``charge_rows`` is its one reader on a label table: the generator's rows,
+or from ``first = space.n_links`` on the mode factors' part alone, -Q_n
+(``observables.charge_profile``); ``generator_eigenvalues`` maps the rows
+through the link set.  For the Abelian families it is the whole law, so a
+sector is a set of product states, enumerated directly from what each
+tensor factor adds (``sector_basis``, no full-space table).  SU(2) adds
+only its raising operator per vertex (``gauss_raising``): G^x and G^y are
+not diagonal.
 
 Conventions (row -> generator eigenvalue):
 
@@ -69,12 +71,12 @@ class GaussSector:
 # the Gauss law per state
 # ---------------------------------------------------------------------------
 
-def generator_eigenvalues(space, table):
-    """The diagonal Gauss generator's eigenvalue per state, one row of a
-    charge table (charge_rows) at a time: the row itself on U(1)-type
-    links, exp(-i delta q) of its residue q modulo N on Z_N links, half of
-    it (G^z) on SU(2) links."""
-    n = space.linkops.modulus
+def generator_eigenvalues(space, labels):
+    """The diagonal Gauss generator's eigenvalue on every state of a label
+    table, one vertex at a time from its charge row (charge_rows): the row
+    itself on U(1)-type links, exp(-i delta q) of its residue q modulo N on
+    Z_N links, half of it (G^z) on SU(2) links."""
+    table, n = charge_rows(space, labels), space.linkops.modulus
     if n is not None:
         phases = np.exp(-1j * (2.0 * np.pi / n) * np.arange(n))
         return (phases[row % n] for row in table)
@@ -104,20 +106,16 @@ def gauss_raising(space, vertex):
 # sectors
 # ---------------------------------------------------------------------------
 
-def abelian_charge_table(space):
-    """Integer matrix (n_vertices x dim) of div(flux) - Q (2 G^z on SU(2))
-    per basis state: charge_rows of the full space, cached on it."""
-    return space.cached("abelian_charge_table",
-                        lambda: charge_rows(space, space.labels))
-
-
-def charge_rows(space, labels):
+def charge_rows(space, labels, first=0):
     """div(flux) - Q (2 G^z on SU(2)) of every state of a label table, one
     row per vertex, in the plan's integer type: the base charges plus what
-    each tensor factor's label adds (_gauss_plan)."""
+    each tensor factor's label adds (_gauss_plan), over the factors from
+    `first` on.  From first = space.n_links only the modes add, so the
+    rows are -Q_n (-2 Q^z on two-color matter): any partial sum lies
+    within the plan's type, whose range holds its negation too."""
     base, factors, _, _ = _gauss_plan(space)
     table = np.repeat(base[:, None], labels.shape[1], axis=1)
-    for (vertices, columns), row in zip(factors, labels):
+    for (vertices, columns), row in zip(factors[first:], labels[first:]):
         for v, column in zip(vertices, columns):
             table[v] += column[row]
     return table
@@ -253,7 +251,7 @@ def merge_sectors(sectors):
 def all_sector_dimensions(space):
     """Map {charge tuple -> dimension} over every occupied Abelian sector
     (charges modulo N on Z_N links)."""
-    table, modulus = abelian_charge_table(space), space.linkops.modulus
+    table, modulus = charge_rows(space, space.labels), space.linkops.modulus
     if modulus is not None:
         table = table % modulus
     keys, counts = np.unique(table, axis=1, return_counts=True)

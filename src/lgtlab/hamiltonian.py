@@ -450,8 +450,7 @@ def max_gauss_violation(model, h):
     """
     space = model.space
     coo, worst = h.tocoo(), 0.0
-    table = gauge.abelian_charge_table(space)
-    for v, g in enumerate(gauge.generator_eigenvalues(space, table)):
+    for v, g in enumerate(gauge.generator_eigenvalues(space, space.labels)):
         differ = np.nonzero(g[coo.col] != g[coo.row])[0]
         if len(differ):
             step = np.subtract(g[coo.col[differ]], g[coo.row[differ]],

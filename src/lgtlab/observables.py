@@ -38,20 +38,15 @@ def flux_profile(model, state, labels):
 def charge_profile(model, state, labels):
     """Per-vertex dynamical charge expectation, for one state or a
     (times, dim) stack of states, whose amplitudes are on the states of
-    the label table `labels` (on two-color matter the charge 2 Q^z)."""
-    return _expectations(state, _matter_charges(model.space, labels))[0]
-
-
-def _matter_charges(space, labels):
-    """Q_n = -(base + columns at the occupations) of every state of a label
-    table, one row per vertex, from the matter layout's Gauss tables."""
-    layout = space.layout
-    if layout is None:
+    the label table `labels` (on two-color matter the charge 2 Q^z).  The
+    charge Q_n is the matter's part of the Gauss law, negated: the
+    charge_rows of the mode factors alone.  A space without matter
+    raises ValueError."""
+    space = model.space
+    if space.layout is None:
         raise ValueError("space carries no matter")
-    per_vertex = (len(layout.gauss_base), layout.species_per_vertex)
-    added = np.einsum("vm,vms->vs", layout.gauss_columns.reshape(per_vertex),
-                      labels[space.n_links:].reshape(*per_vertex, -1))
-    return -(layout.gauss_base[:, None] + added)
+    charges = -charge_rows(space, labels, first=space.n_links)
+    return _expectations(state, charges)[0]
 
 
 def _expectations(state, *tables):
@@ -306,9 +301,8 @@ def flux_tube_breaking_scenario(spec, lat, separation, t_final, steps,
         # before the probabilities exist, so they never add to the peak
         energy = np.sum(states.conj() * (h @ states.T).T, axis=1).real
         labels = sec.labels
-        charges = _matter_charges(space, labels)
-        generators = np.array(list(generator_eigenvalues(
-            space, charge_rows(space, labels))))
+        charges = -charge_rows(space, labels, first=space.n_links)
+        generators = np.array(list(generator_eigenvalues(space, labels)))
         flux, charge, total, gauss = _expectations(
             states, space.linkops.flux[labels[:space.n_links]], charges,
             charges.sum(axis=0)[None], generators)

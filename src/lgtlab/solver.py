@@ -256,7 +256,8 @@ def evolve(op, state, t, steps):
 
     Timed as an `evolve` stage.  An H with an inf or nan entry raises
     SolverError before either path runs, and norm drift beyond 1e-9
-    raises SolverError (the step-convergence flag).
+    raises SolverError (the step-convergence flag), as does a norm that is
+    not finite (a t so large that the phases overflow).
     """
     state = np.asarray(state, dtype=complex)
     n0 = np.linalg.norm(state)
@@ -279,7 +280,7 @@ def evolve(op, state, t, steps):
                                    stop=float(t), num=steps + 1,
                                    endpoint=True)
     drift = norm_drift(states)
-    if drift > 1e-9:
+    if not drift <= 1e-9:                       # also when drift is nan
         raise SolverError(f"evolution norm drift {drift:.3e} exceeds 1e-9")
     return times, states
 

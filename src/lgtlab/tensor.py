@@ -20,12 +20,13 @@ string states are built through it).  The full-space table
 ``ProductSpace.labels`` is the decode of every index, cached on the space,
 and a Gauss sector carries the decode of its own states
 (``gauge.GaussSector.labels``).  Every diagonal quantity is a vectorized
-read of the label table it is given, never of a default one: the flux and
-charge readouts of ``observables.flux_profile`` and ``charge_profile``,
-every family's diagonal Gauss generator rows and eigenvalues in
-``gauge``, and the diagonal part D (electric, mass, penalty) of
-``Model.hamiltonian``; the occupation-bit rows are read through the matter
-layout's per-mode tables (``matter.FermionLayout``).
+read of the label table it is given, never of a default one: the flux
+readout of ``observables.flux_profile``, every charge from the one Gauss
+law reader ``gauge.charge_rows`` (each family's diagonal generator rows
+and eigenvalues, and the charge readout ``observables.charge_profile``,
+the rows of the mode factors alone), and the diagonal part D (electric,
+mass, penalty) of ``Model.hamiltonian``; the occupation-bit rows are read
+through the matter layout's per-mode tables (``matter.FermionLayout``).
 
 Off-diagonal operators (the hopping and plaquette pieces of the
 Hamiltonian's T, SU(2) Gauss raising operators and string operators) are

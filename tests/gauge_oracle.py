@@ -17,7 +17,7 @@ from scipy.linalg import expm
 
 import su2_oracle
 from lattice_oracle import parity
-from lgtlab.gauge import abelian_charge_table
+from lgtlab.gauge import charge_rows
 from lgtlab.hamiltonian import SU2, ZN
 
 _DENSE_LIMIT = 6000
@@ -25,8 +25,9 @@ _DENSE_LIMIT = 6000
 
 def gauss_generators_u1(space):
     """Hermitian generators div L - Q for U(1)-truncated or spin-gauge links,
-    diagonal with the rows of abelian_charge_table."""
-    return [space.diagonal_op(row) for row in abelian_charge_table(space)]
+    diagonal with the full space's charge_rows."""
+    return [space.diagonal_op(row)
+            for row in charge_rows(space, space.labels)]
 
 
 def gauss_generators_zn(space):
@@ -34,12 +35,12 @@ def gauss_generators_zn(space):
 
     With staggered matter the vertex factor exp(i delta Q_n) is included so
     that the hopping psi^dag Q^dag psi stays invariant; eigenvalues are
-    exp(-i delta (div m - Q_n)), read from abelian_charge_table.
+    exp(-i delta (div m - Q_n)), read from the full space's charge_rows.
     """
     n = space.linkops.param
     phases = np.exp(-1j * (2.0 * np.pi / n) * np.arange(n))
     return [space.diagonal_op(phases[row % n])
-            for row in abelian_charge_table(space)]
+            for row in charge_rows(space, space.labels)]
 
 
 def clock_matrix(linkops):

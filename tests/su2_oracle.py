@@ -26,7 +26,7 @@ from scipy.linalg import block_diag
 from jw_oracle import PAULI
 from lattice_oracle import incidence
 from lgtlab import matter as matter_mod
-from lgtlab.gauge import abelian_charge_table, gauss_raising
+from lgtlab.gauge import charge_rows, gauss_raising
 from lgtlab.su2rep import _check_triangle, _half_range, _j_values, cg, \
     link_labels, spin_matrices
 
@@ -113,7 +113,7 @@ def derived_generators_su2(space):
     gauss_raising and G^- = (G^+)^dag, and G^z half the vertex's charge
     row (2 G^z in half units)."""
     gens = []
-    for v, row in enumerate(abelian_charge_table(space)):
+    for v, row in enumerate(charge_rows(space, space.labels)):
         raising = gauss_raising(space, v)
         lowering = raising.conj().T
         gens.append([((raising + lowering) / 2).tocsr(),

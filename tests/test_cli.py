@@ -519,7 +519,9 @@ def lgtlab_env(**extra):
     ([], {"LGTLAB_THREADS": "abc"}),
     ([], {"LGTLAB_THREADS": "0"}),
     ([], {"LGTLAB_THREADS": "-2"}),
-], ids=["flag-0", "flag-minus-2", "env-abc", "env-0", "env-minus-2"])
+    ([], {"LGTLAB_THREADS": "²"}),
+], ids=["flag-0", "flag-minus-2", "env-abc", "env-0", "env-minus-2",
+        "env-superscript-2"])
 def test_thread_count_not_positive_integer_exits_2(tmp_path, flag, env):
     # refused before the runner (and numpy's BLAS pool) is loaded; at the
     # parent each of these ran with the default pool and exited 0
@@ -581,6 +583,26 @@ def test_dynamics_and_reproducibility(tmp_path):
     mb = read_manifest(tmp_path / "b")
     ma.pop("timing"), mb.pop("timing")
     assert ma == mb
+
+
+def test_dynamics_overflowing_evolution_exits_3(tmp_path):
+    # t_final 1e308 overflows the dense path's phases: a numerical
+    # failure with a manifest, and no dynamics table of nan rows
+    cfg = {
+        "scenario": "dynamics",
+        "lattice": {"spatial_dim": 1, "sizes": [6]},
+        "hamiltonian": {"model": "ks_u1", "truncation": 1, "eps": 0.8,
+                        "mass": 0.1, "matter": "staggered"},
+        "params": {"separation": 3, "t_final": 1e308, "steps": 10},
+    }
+    out = tmp_path / "out"
+    with np.errstate(all="ignore"):
+        rc = main(["dynamics", "--config", write_cfg(tmp_path, cfg),
+                   "--out", str(out)])
+    assert rc == 3
+    m = read_manifest(out)
+    assert m["exit_status"] == 3 and "norm drift nan" in m["error"]
+    assert m["files"] == [] and not (out / "dynamics.csv").exists()
 
 
 def test_plaquette_convergence_zn_family(tmp_path):

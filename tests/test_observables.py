@@ -53,6 +53,16 @@ def test_profiles_of_a_one_state_stack_keep_its_row():
         assert np.array_equal(stack[0], one)
 
 
+def test_charge_profile_needs_matter():
+    # without matter the mode factors add nothing, so the charge rows would
+    # read zero: the profile refuses instead
+    model = build_model(HamiltonianSpec(model="ks_u1", truncation=1, g2=2.0),
+                        CHAIN6)
+    psi = strong_coupling_ground(model, 0, 3)
+    with pytest.raises(ValueError, match="no matter"):
+        charge_profile(model, psi, model.space.labels)
+
+
 def test_flux_profile_gauge_invariant():
     model = build_model(HamiltonianSpec(model="ks_u1", truncation=1, g2=2.0),
                         build_lattice(1, [3]))

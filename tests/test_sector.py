@@ -12,8 +12,8 @@ from scipy import sparse
 from scipy.sparse.linalg import expm_multiply
 
 from gauge_oracle import basis_matrix, generators, restrict
-from lgtlab.gauge import GaussSector, abelian_charge_table, \
-    all_sector_dimensions, merge_sectors, sector_basis
+from lgtlab.gauge import GaussSector, all_sector_dimensions, charge_rows, \
+    merge_sectors, sector_basis
 from lgtlab.hamiltonian import HamiltonianSpec, SectorLeak, build_model
 from lgtlab.lattice import build_lattice
 from lgtlab.observables import charge_profile, flux_profile, \
@@ -32,7 +32,7 @@ def lattice_2d(*sizes):
 def scan_sector(space, charges):
     """The full-space scan sector_basis used to do: every product index
     whose charge-table column equals the charges (modulo N on Z_N)."""
-    table = abelian_charge_table(space)
+    table = charge_rows(space, space.labels)
     target = np.array(charges)[:, None]
     if space.linkops.model == "zn":
         n = space.linkops.param

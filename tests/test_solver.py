@@ -384,6 +384,16 @@ def test_evolve_conserves_gauss_expectations():
         assert np.max(np.abs(vals - vals[0])) < 1e-9
 
 
+def test_evolve_rejects_an_overflowing_time():
+    # at t = 1e308 the phase 2 t overflows, so every later state is nan:
+    # its norm drift is nan, which no "drift > bound" test catches
+    h = sparse.diags([0.0, 2.0]).tocsr().astype(complex)
+    psi = np.array([0.0, 1.0], dtype=complex)
+    with np.errstate(all="ignore"), \
+            pytest.raises(SolverError, match="norm drift nan"):
+        evolve(h, psi, 1e308, 2)
+
+
 def test_evolve_requires_normalized_state():
     h = sparse.identity(2, format="csr", dtype=complex)
     with pytest.raises(ValueError):

@@ -9,10 +9,11 @@ import pytest
 import gauge_oracle
 import su2_oracle
 from lgtlab import matter as matter_mod
-from lgtlab.gauge import abelian_charge_table
+from lgtlab.gauge import charge_rows
 from lgtlab.hamiltonian import HamiltonianSpec, build_model, \
     max_gauss_violation
 from lgtlab.lattice import build_lattice
+from lgtlab.observables import charge_profile
 from lgtlab.tensor import ProductSpace
 
 MATTER = dict(model="su2", eps=0.4, mass=0.2,
@@ -87,7 +88,7 @@ def test_plan_rows_are_twice_the_oracle_gz(name):
     # the one Gauss plan gives SU(2) its G^z in half units: every row is
     # an integer row exactly twice the diagonal of the oracle's G^z
     model, _, reference = oracle_model(name)
-    table = abelian_charge_table(model.space)
+    table = charge_rows(model.space, model.space.labels)
     assert table.dtype.kind == "i"
     for row, (_, _, gz) in zip(table, reference, strict=True):
         assert np.all(row == 2 * gz.diagonal())
@@ -98,6 +99,21 @@ def test_hamiltonian_is_hermitian_bit_for_bit(name):
     # the precondition of max_gauss_violation's K- = -(K+)^dag
     _, h, _ = oracle_model(name)
     assert (h != h.conj().T).nnz == 0
+
+
+def test_charge_profile_is_twice_the_oracle_qz():
+    # on two-color matter the profile reads 2 Q^z per vertex, Q^z the
+    # oracle's (1/2) psi^dag sigma^z psi embedded on the full space
+    model = oracle_model("chain3_jhalf_matter")[0]
+    space = model.space
+    rng = np.random.default_rng(3)
+    psi = rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim)
+    psi /= np.linalg.norm(psi)
+    ref = [2 * np.vdot(psi, space.embed(su2_oracle.su2_charge(
+        space.layout, v, "z")) @ psi).real
+        for v in range(model.lattice.vertex_count)]
+    profile = charge_profile(model, psi, space.labels)
+    assert np.max(np.abs(profile - ref)) < 1e-14
 
 
 @pytest.mark.parametrize("name, perturbed, eps", cases())
