@@ -38,16 +38,12 @@ class GaussSector:
     states and their `labels` (ProductSpace.decode of the indices), which
     every diagonal read and label shift on the sector uses: every sector
     operator (Model.hamiltonian, hamiltonian.penalty_second_order) is built
-    from them, so the sector carries no product-space size.  A merge of
-    several sectors (merge_sectors) also sets `blocks`, the source sector
-    of every state, and its `charges` are the source sectors' charges; H is
-    block diagonal on it, one block per source.
+    from them, so the sector carries no product-space size.
     """
 
     charges: tuple
     indices: np.ndarray
     labels: np.ndarray = field(repr=False)
-    blocks: np.ndarray = field(default=None, repr=False)
 
     @property
     def dim(self):
@@ -56,15 +52,6 @@ class GaussSector:
     @property
     def is_empty(self):
         return self.dim == 0
-
-    def diagonal_blocks(self, op):
-        """The diagonal blocks of an operator on the sector's states, one
-        per source sector in merge order: [op] itself when not merged."""
-        if self.blocks is None:
-            return [op]
-        positions = [np.flatnonzero(self.blocks == b)
-                     for b in range(len(self.charges))]
-        return [op[pos][:, pos] for pos in positions]
 
 
 # ---------------------------------------------------------------------------
@@ -228,24 +215,18 @@ def sector_basis(space, charges):
 
 
 def merge_sectors(sectors):
-    """One sector holding the states of several, in sorted
-    index order, their label columns taken along, with `blocks` giving each
-    state's source sector (the position in `sectors`); a single sector is
-    returned as it is.
-
-    The sectors must have distinct charges, so no state is in two; H
-    assembled on the merge is then block diagonal, and each of its
-    diagonal_blocks is bitwise the H of that sector alone.
+    """One state set holding the states of several sectors, in sorted
+    index order, their label columns taken along, its `charges` the tuple
+    of the sectors' charges; a single sector is returned as it is.  The
+    sectors must have distinct charges, so no state is in two.
     """
     if len(sectors) == 1:
         return sectors[0]
     indices = np.concatenate([s.indices for s in sectors])
     order = np.argsort(indices)
-    blocks = np.repeat(np.arange(len(sectors)), [s.dim for s in sectors])
     labels = np.concatenate([s.labels for s in sectors], axis=1)
     return GaussSector(tuple(s.charges for s in sectors),
-                       indices=indices[order], labels=labels[:, order],
-                       blocks=blocks[order])
+                       indices=indices[order], labels=labels[:, order])
 
 
 def all_sector_dimensions(space):

@@ -159,13 +159,11 @@ class Model:
         sector-dimension block: D is read from the sector's labels and each
         piece (and, where T^dag might leave the sector, its adjoint) is
         applied to the sector's states as label shifts; amplitude sent out
-        of the sector raises SectorLeak.  On a merge of several sectors
-        (gauge.merge_sectors) H is block diagonal, each of its
-        diagonal_blocks bitwise the H of that sector alone, and amplitude
-        from one merged sector into another is a leak too.  Every call is
-        timed as an `assemble` stage (solver.stage) with the number of
-        states it assembles (dim) and the product-space dimension
-        (dim_full).
+        of the sector raises SectorLeak.  The sector may be any sorted set
+        of product states, a union of several sectors among them: H is
+        then H restricted to that set.  Every call is timed as an
+        `assemble` stage (solver.stage) with the number of states it
+        assembles (dim) and the product-space dimension (dim_full).
         """
         space = self.space
         with solver.stage("assemble", dim=space.dim if sector is None
@@ -212,11 +210,8 @@ def _sum_pieces(space, sector, pieces):
     index, the amplitude and the term of its piece, one entry each per
     shifted state; all empty without a sector.
 
-    On a sector, a target is inside only if it is one of the sector's
-    states (located among the sector's sorted indices by searchsorted)
-    and, on a merge of sectors (gauge.merge_sectors), in the same source
-    sector as the state it came from: amplitude between two merged
-    sectors leaves the sector like any other, so T stays block diagonal.
+    On a sector, a target is inside when it is one of the sector's
+    states, located among the sector's sorted indices by searchsorted.
     T^dag can leave the sector where T does not, so a piece's adjoint (the
     matrices on each factor daggered in reverse order) is applied too,
     unless the piece keeps some sector state in the sector: every piece
@@ -236,9 +231,6 @@ def _sum_pieces(space, sector, pieces):
             row = np.searchsorted(sector.indices, target)
             inside = row < sector.dim
             inside[inside] = sector.indices[row[inside]] == target[inside]
-            if sector.blocks is not None:
-                inside[inside] = (sector.blocks[row[inside]]
-                                  == sector.blocks[source[inside]])
             out.append((source[~inside], target[~inside], c * value[~inside]))
             terms += [t] * len(out[-1][0])
             if inside.any():

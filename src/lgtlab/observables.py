@@ -191,13 +191,14 @@ def static_potential(spec, lat, separations, origin=0):
     separation is listed.  Sectors small enough to be solved densely are
     assembled together: consecutive ones are merged
     (gauge.merge_sectors) while their states number at most
-    solver.DENSE_LIMIT, H is assembled once on each merge and every
-    sector's ground energy is that of its diagonal block, bitwise the H
-    the sector alone gives.  A larger sector is merged with none, so it is
-    assembled alone, one at a time.  The SU(2) potential is evaluated on
-    the explicit strong-coupling string state with the full-space
-    Hamiltonian (zero-charge sector machinery does not label non-Abelian
-    external charges).  Empty sectors raise.
+    solver.DENSE_LIMIT, H is assembled once on each merge and split into
+    one block per sector (_sector_blocks), bitwise the H the sector alone
+    gives; an H that couples two merged sectors raises ValueError.  A
+    larger sector is merged with none, so it is assembled alone, one at a
+    time.  The SU(2) potential is evaluated on the explicit
+    strong-coupling string state with the full-space Hamiltonian
+    (zero-charge sector machinery does not label non-Abelian external
+    charges).  Empty sectors raise.
     """
     model = build_model(spec, lat)
     if spec.model == SU2:
@@ -238,13 +239,26 @@ def _sector_ground_energies(model, separations, origin):
             groups[-1].append(sec)
         else:
             groups.append([sec])
-    ground = {}
-    for group in groups:
-        merged = merge_sectors(group)
-        blocks = merged.diagonal_blocks(model.hamiltonian(sector=merged))
-        for sec, h in zip(group, blocks):
-            ground[sec.charges] = float(solver.ground_energy(h))
+    ground = {sec.charges: float(solver.ground_energy(h)) for group in groups
+              for sec, h in zip(group, _sector_blocks(model, group))}
     return [ground[key] for key in keys], [sectors[key].dim for key in keys]
+
+
+def _sector_blocks(model, group):
+    """The H of each sector of a group, assembled once on their merge and
+    sliced at each sector's positions among the merged states; a group of
+    one sector is assembled alone.  An assembled H stores no zeros (scipy's
+    sparse sums drop them), so blocks holding fewer entries than H mean
+    that H couples two merged sectors, which raises ValueError."""
+    merged = merge_sectors(group)
+    h = model.hamiltonian(sector=merged)
+    if len(group) == 1:
+        return [h]
+    positions = (np.searchsorted(merged.indices, s.indices) for s in group)
+    blocks = [h[pos][:, pos] for pos in positions]
+    if sum(block.nnz for block in blocks) < h.nnz:
+        raise ValueError(f"H couples merged Gauss sectors {merged.charges}")
+    return blocks
 
 
 @dataclass

@@ -257,7 +257,8 @@ def evolve(op, state, t, steps):
     Timed as an `evolve` stage.  An H with an inf or nan entry raises
     SolverError before either path runs, and norm drift beyond 1e-9
     raises SolverError (the step-convergence flag), as does a norm that is
-    not finite (a t so large that the phases overflow).
+    not finite (a t so large that the phases overflow) and, on the expm
+    path, a t so large that expm_multiply cannot count its steps.
     """
     state = np.asarray(state, dtype=complex)
     n0 = np.linalg.norm(state)
@@ -276,9 +277,13 @@ def evolve(op, state, t, steps):
                       * (v.conj().T @ state)) @ v.T
             states[0] = state
         else:
-            states = expm_multiply((-1j) * op.tocsc(), state, start=0.0,
-                                   stop=float(t), num=steps + 1,
-                                   endpoint=True)
+            try:
+                states = expm_multiply((-1j) * op.tocsc(), state, start=0.0,
+                                       stop=float(t), num=steps + 1,
+                                       endpoint=True)
+            except (ValueError, OverflowError) as exc:
+                # a t so large that expm_multiply's step count overflows
+                raise SolverError(f"evolution by expm failed: {exc}") from exc
     drift = norm_drift(states)
     if not drift <= 1e-9:                       # also when drift is nan
         raise SolverError(f"evolution norm drift {drift:.3e} exceeds 1e-9")

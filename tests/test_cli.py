@@ -10,7 +10,7 @@ import scipy.linalg
 
 import lgtlab
 from gauge_oracle import restrict
-from lgtlab import cli
+from lgtlab import cli, gauge
 from lgtlab.cli import ConfigError, load_config, main, run
 from lgtlab.gauge import sector_basis
 
@@ -414,21 +414,43 @@ def test_verify_all_passes(tmp_path):
     assert m["results"]["trace_identity_defect_f"] == pytest.approx(1.5)
 
 
+def test_verify_sector_counts_disagreeing_with_enumeration_exit_1(
+        tmp_path, monkeypatch):
+    # the u1_plaquette sector counts are checked against sector_basis: an
+    # enumeration one state short fails the check
+    enumerate_sector = gauge.sector_basis
+
+    def short(space, charges):
+        sec = enumerate_sector(space, charges)
+        return gauge.GaussSector(sec.charges, sec.indices[1:],
+                                 sec.labels[:, 1:])
+    monkeypatch.setattr(gauge, "sector_basis", short)
+    rc = main(["verify", "--all", "--out", str(tmp_path / "out")])
+    assert rc == 1
+    [check] = [c for c in read_manifest(tmp_path / "out")["checks"]
+               if not c["pass"]]
+    assert check["name"] == "sector_dimensions_sum[u1_plaquette]"
+    assert check["value"] == 3.0
+
+
 def test_verify_all_times_each_models_checks_as_one_stage(tmp_path):
     # the hermiticity and Gauss checks of each suite model are one `check`
-    # record, after that model's build and assembly
+    # record, after that model's build and assembly; the plaquette's
+    # sector-count check then enumerates three sectors
     main(["verify", "--all", "--out", str(tmp_path / "out")])
     m = read_manifest(tmp_path / "out")
-    expected = []
+    expected, order = [], []
     for name, spec, lat in cli.verify_suite():
         h = cli.build_model(spec, lat).hamiltonian()
         expected.append({"stage": "check", "model": name,
                          "dim": h.shape[0], "nnz": h.nnz})
+        order += ["build", "assemble", "check"] \
+            + ["enumerate"] * 3 * (name == "u1_plaquette")
     records = stages(m, "check")
     assert [{k: r[k] for k in ("stage", "model", "dim", "nnz")}
             for r in records] == expected
-    assert [r["stage"] for r in m["timing"]["stages"]] \
-        == ["build", "assemble", "check"] * len(expected)
+    assert [r["stage"] for r in m["timing"]["stages"]] == order
+    assert [r["dim"] for r in stages(m, "enumerate")] == [3, 2, 2]
     seconds = [r["seconds"] for r in m["timing"]["stages"]]
     assert min(seconds) >= 0.0
     assert sum(seconds) <= m["timing"]["wall_seconds"]
@@ -586,23 +608,31 @@ def test_dynamics_and_reproducibility(tmp_path):
 
 
 def test_dynamics_overflowing_evolution_exits_3(tmp_path):
-    # t_final 1e308 overflows the dense path's phases: a numerical
-    # failure with a manifest, and no dynamics table of nan rows
-    cfg = {
-        "scenario": "dynamics",
-        "lattice": {"spatial_dim": 1, "sizes": [6]},
-        "hamiltonian": {"model": "ks_u1", "truncation": 1, "eps": 0.8,
-                        "mass": 0.1, "matter": "staggered"},
-        "params": {"separation": 3, "t_final": 1e308, "steps": 10},
-    }
-    out = tmp_path / "out"
-    with np.errstate(all="ignore"):
-        rc = main(["dynamics", "--config", write_cfg(tmp_path, cfg),
-                   "--out", str(out)])
-    assert rc == 3
-    m = read_manifest(out)
-    assert m["exit_status"] == 3 and "norm drift nan" in m["error"]
-    assert m["files"] == [] and not (out / "dynamics.csv").exists()
+    # t_final 1e308 overflows the dense path's phases on the chain of 6,
+    # and the step count of the expm path on the 417-state string sector
+    # of the chain of 13: a numerical failure with a manifest, and no
+    # dynamics table of nan rows
+    for size, eps, mass, separation, path, dim, error in [
+            (6, 0.8, 0.1, 3, "dense", 7, "norm drift nan"),
+            (13, 0.5, 0.2, 5, "expm", 417, "by expm failed")]:
+        cfg = {
+            "scenario": "dynamics",
+            "lattice": {"spatial_dim": 1, "sizes": [size]},
+            "hamiltonian": {"model": "ks_u1", "truncation": 1, "eps": eps,
+                            "mass": mass, "matter": "staggered"},
+            "params": {"separation": separation, "t_final": 1e308,
+                       "steps": 10},
+        }
+        out = tmp_path / f"out{size}"
+        with np.errstate(all="ignore"):
+            rc = main(["dynamics", "--config", write_cfg(tmp_path, cfg),
+                       "--out", str(out)])
+        assert rc == 3
+        m = read_manifest(out)
+        assert m["exit_status"] == 3 and error in m["error"]
+        assert [(r["dim"], r["path"]) for r in stages(m, "evolve")] \
+            == [(dim, path)]
+        assert m["files"] == [] and not (out / "dynamics.csv").exists()
 
 
 def test_plaquette_convergence_zn_family(tmp_path):
@@ -883,10 +913,10 @@ def test_potential_chain_18_runs_beyond_16_modes(tmp_path, monkeypatch):
     assert paths == ["lanczos"] * 2
 
 
-def potential_rows(tmp_path, separations, name):
+def potential_rows(tmp_path, separations, name, size=8):
     cfg = {
         "scenario": "potential",
-        "lattice": {"spatial_dim": 1, "sizes": [8]},
+        "lattice": {"spatial_dim": 1, "sizes": [size]},
         "hamiltonian": {"model": "ks_u1", "truncation": 1, "g2": 1.1,
                         "eps": 0.5, "mass": 0.3, "matter": "staggered"},
         "params": {"separations": separations},
@@ -952,28 +982,37 @@ def test_potential_repeated_separations_match_single_ones(tmp_path,
 def test_potential_without_merging_gives_the_same_blocks(tmp_path,
                                                          monkeypatch):
     # with DENSE_LIMIT at 0 every sector is assembled alone (and solved by
-    # Lanczos): the same blocks reach the solver, bitwise
+    # Lanczos): the same blocks reach the solver, bitwise.  On the chain of
+    # 10 two merged groups sit beside a group of one
     from lgtlab import solver
     blocks = []
-    solve = solver.ground_energy
+    solve, limit = solver.ground_energy, solver.DENSE_LIMIT
     monkeypatch.setattr(solver, "ground_energy", lambda h: (
         blocks.append(h.toarray()), solve(h))[1])
-    merged, m = potential_rows(tmp_path, [0, 1, 2, 3, 4, 5], "merged")
-    merged_blocks, blocks[:] = list(blocks), []
-    monkeypatch.setattr(solver, "DENSE_LIMIT", 0)
-    alone, m0 = potential_rows(tmp_path, [0, 1, 2, 3, 4, 5], "alone")
-    assert [r["dim"] for r in stages(m, "assemble")] == [195]
-    assert [r["dim"] for r in stages(m0, "assemble")] \
-        == [61, 33, 33, 24, 25, 19]
-    assert [r["path"] for r in stages(m0, "solve")] == ["lanczos"] * 6
-    assert len(blocks) == len(merged_blocks) == 6
-    for a, b in zip(blocks, merged_blocks):
-        assert a.tobytes() == b.tobytes()
-    for a, b in zip(alone, merged):
-        r_a, e_a, dim_a = a.split(",")
-        r_b, e_b, dim_b = b.split(",")
-        assert (r_a, dim_a) == (r_b, dim_b)
-        assert float(e_a) == pytest.approx(float(e_b), abs=1e-10)
+    for size, separations, merged_dims, alone_dims in [
+            (8, [0, 1, 2, 3, 4, 5], [195], [61, 33, 33, 24, 25, 19]),
+            (10, [0, 1, 2, 3, 4, 5, 6], [305, 338, 71],
+             [197, 108, 108, 80, 84, 66, 71])]:
+        monkeypatch.setattr(solver, "DENSE_LIMIT", limit)
+        merged, m = potential_rows(tmp_path, separations, f"merged{size}",
+                                   size)
+        merged_blocks, blocks[:] = list(blocks), []
+        monkeypatch.setattr(solver, "DENSE_LIMIT", 0)
+        alone, m0 = potential_rows(tmp_path, separations, f"alone{size}",
+                                   size)
+        alone_blocks, blocks[:] = list(blocks), []
+        assert [r["dim"] for r in stages(m, "assemble")] == merged_dims
+        assert [r["dim"] for r in stages(m0, "assemble")] == alone_dims
+        assert [r["path"] for r in stages(m0, "solve")] \
+            == ["lanczos"] * len(separations)
+        assert len(alone_blocks) == len(merged_blocks) == len(separations)
+        for a, b in zip(alone_blocks, merged_blocks):
+            assert a.tobytes() == b.tobytes()
+        for a, b in zip(alone, merged):
+            r_a, e_a, dim_a = a.split(",")
+            r_b, e_b, dim_b = b.split(",")
+            assert (r_a, dim_a) == (r_b, dim_b)
+            assert float(e_a) == pytest.approx(float(e_b), abs=1e-10)
 
 
 def test_oversized_full_space_exits_3_before_allocating(tmp_path):

@@ -6,18 +6,20 @@ restriction of the full-space one, and the in-sector flux-tube evolution
 against full-space evolution of the same string state.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy import sparse
 from scipy.sparse.linalg import expm_multiply
 
 from gauge_oracle import basis_matrix, generators, restrict
-from lgtlab.gauge import GaussSector, all_sector_dimensions, charge_rows, \
-    merge_sectors, sector_basis
+from lgtlab.gauge import all_sector_dimensions, charge_rows, merge_sectors, \
+    sector_basis
 from lgtlab.hamiltonian import HamiltonianSpec, SectorLeak, build_model
 from lgtlab.lattice import build_lattice
-from lgtlab.observables import charge_profile, flux_profile, \
-    flux_tube_breaking_scenario, strong_coupling_ground
+from lgtlab.observables import _sector_blocks, charge_profile, \
+    flux_profile, flux_tube_breaking_scenario, strong_coupling_ground
 from lgtlab.solver import SolverError, ground_energy
 
 
@@ -206,8 +208,7 @@ DTYPE_CASES = [
                                        f"{'+'.join(c[2]) or 'default'}")
 def test_hamiltonian_dtype_is_the_model_s_own(case):
     # assembled in float64 or complex128 from the start, on the full space
-    # and on every sector: on their merge, whose diagonal blocks are the
-    # sector Hamiltonians bitwise
+    # and on the merge of every sector, the same states as a set
     spec, lat, extra = case
     model = build_model(spec, lat)
     terms = model.effective_terms() + extra
@@ -240,50 +241,58 @@ def csr_parts(m):
 def test_merged_sector_blocks_equal_each_sector_alone(case):
     spec, lat, extra = case
     model = build_model(spec, lat)
-    terms = model.effective_terms() + extra
+    if extra:
+        # the split assembles the model's own terms
+        model = build_model(
+            replace(spec, terms=model.effective_terms() + extra), lat)
     sectors = [sector_basis(model.space, charges)
                for charges in largest_sectors(model.space)]
     assert len(sectors) == 3
     merged = merge_sectors(sectors)
-    assert np.all(np.diff(merged.indices) > 0)
-    for b, sec in enumerate(sectors):
-        assert np.array_equal(merged.indices[merged.blocks == b],
-                              sec.indices)
-    h = model.hamiltonian(terms, sector=merged)
-    blocks = merged.diagonal_blocks(h)
-    # nothing off the diagonal blocks
-    assert h.nnz == sum(block.nnz for block in blocks)
+    assert np.array_equal(merged.indices,
+                          np.sort(np.concatenate([s.indices
+                                                  for s in sectors])))
+    assert merged.charges == tuple(s.charges for s in sectors)
+    blocks = _sector_blocks(model, sectors)
+    assert len(blocks) == 3
     for sec, block in zip(sectors, blocks):
-        assert csr_parts(block) == csr_parts(
-            model.hamiltonian(terms, sector=sec))
+        assert csr_parts(block) == csr_parts(model.hamiltonian(sector=sec))
 
 
-def test_merge_of_one_sector_is_the_sector():
+def test_merge_of_one_sector_is_the_sector(monkeypatch):
     model = build_model(HamiltonianSpec(model="ks_u1", truncation=1),
                         lattice_2d(2, 2))
     sec = sector_basis(model.space, [0] * 4)
     assert merge_sectors([sec]) is sec
-    h = model.hamiltonian(sector=sec)
-    assert sec.blocks is None and sec.diagonal_blocks(h)[0] is h
+    # a group of one is assembled on the sector itself, and its H is
+    # handed on as it is, not sliced
+    assembled = []
+    assemble = model.hamiltonian
+
+    def spy(sector):
+        assert sector is sec
+        assembled.append(assemble(sector=sector))
+        return assembled[-1]
+    monkeypatch.setattr(model, "hamiltonian", spy)
+    [h] = _sector_blocks(model, [sec])
+    assert len(assembled) == 1 and assembled[0] is h
 
 
 def test_hopping_between_merged_sectors_is_a_leak():
     # merging every sector gives back the full space, so no hop lands
-    # outside the merge: only the blocks show that it leaves its sector
-    spec = HamiltonianSpec(model="spin_gauge", truncation=1, eta=0.1)
+    # outside the merge and the hopping H is assembled on it in full; only
+    # the split into sectors shows that it leaves its sector
+    spec = HamiltonianSpec(model="spin_gauge", truncation=1, eta=0.1,
+                           terms=["hopping"])
     model = build_model(spec, lattice_2d(2, 2))
-    merged = merge_sectors([sector_basis(model.space, charges)
-                            for charges in all_sector_dimensions(
-                                model.space)])
+    sectors = [sector_basis(model.space, charges)
+               for charges in all_sector_dimensions(model.space)]
+    merged = merge_sectors(sectors)
     assert np.array_equal(merged.indices, np.arange(model.space.dim))
-    with pytest.raises(SectorLeak, match="hopping") as leak:
-        model.hamiltonian(("hopping",), sector=merged)
-    assert leak.value.amplitude == pytest.approx(0.1, abs=1e-15)
-    unmerged = GaussSector((), indices=merged.indices,
-                           labels=merged.labels)
-    full = model.hamiltonian(("hopping",))
-    assert csr_parts(model.hamiltonian(("hopping",), sector=unmerged)) \
-        == csr_parts(full)
+    assert csr_parts(model.hamiltonian(sector=merged)) \
+        == csr_parts(model.hamiltonian())
+    with pytest.raises(ValueError, match="couples merged Gauss sectors"):
+        _sector_blocks(model, sectors)
     # the gauge-invariant terms stay in their sectors
     invariant = ("electric", "magnetic")
     assert np.max(np.abs((model.hamiltonian(invariant, sector=merged)

@@ -385,13 +385,31 @@ def test_evolve_conserves_gauss_expectations():
 
 
 def test_evolve_rejects_an_overflowing_time():
-    # at t = 1e308 the phase 2 t overflows, so every later state is nan:
-    # its norm drift is nan, which no "drift > bound" test catches
-    h = sparse.diags([0.0, 2.0]).tocsr().astype(complex)
-    psi = np.array([0.0, 1.0], dtype=complex)
-    with np.errstate(all="ignore"), \
-            pytest.raises(SolverError, match="norm drift nan"):
-        evolve(h, psi, 1e308, 2)
+    # dense path: at t = 1e308 the phase 2 t overflows, so every later
+    # state is nan: its norm drift is nan, which no "drift > bound" test
+    # catches.  expm path: expm_multiply counts its steps from t ||H||,
+    # which on the 417-state string sector of the chain of 13 is nan
+    # (ValueError) and on a free hopping chain of 450 sites infinite
+    # (OverflowError)
+    charges = [0] * 13
+    charges[0], charges[5] = 1, -1
+    model = build_model(CHAIN_MATTER, build_lattice(1, [13]))
+    string = model.hamiltonian(sector=sector_basis(model.space, charges))
+    off = sparse.diags(np.ones(449), 1)
+    hopping = (off + off.T).tocsr()
+    two_level = sparse.diags([0.0, 2.0]).tocsr().astype(complex)
+    for h, psi, t, path, error in [
+            (two_level, np.array([0.0, 1.0], dtype=complex), 1e308, "dense",
+             "norm drift nan"),
+            (string, random_state(417, 3), 1e40, "expm", "by expm failed"),
+            (string, random_state(417, 3), 1e308, "expm", "by expm failed"),
+            (hopping, random_state(450, 3), 1e200, "expm", "by expm failed"),
+            (hopping, random_state(450, 3), 1e308, "expm",
+             "by expm failed")]:
+        with run_log() as log, np.errstate(all="ignore"), \
+                pytest.raises(SolverError, match=error):
+            evolve(h, psi, t, 2)
+        assert [(r["dim"], r["path"]) for r in log] == [(h.shape[0], path)]
 
 
 def test_evolve_requires_normalized_state():
