@@ -215,13 +215,11 @@ def sector_basis(space, charges):
 
 
 def merge_sectors(sectors):
-    """One state set holding the states of several sectors, in sorted
+    """One state set holding the states of one or more sectors, in sorted
     index order, their label columns taken along, its `charges` the tuple
-    of the sectors' charges; a single sector is returned as it is.  The
+    of the sectors' charges; a merge of one sector is a copy of it.  The
     sectors must have distinct charges, so no state is in two.
     """
-    if len(sectors) == 1:
-        return sectors[0]
     indices = np.concatenate([s.indices for s in sectors])
     order = np.argsort(indices)
     labels = np.concatenate([s.labels for s in sectors], axis=1)

@@ -188,17 +188,16 @@ def static_potential(spec, lat, separations, origin=0):
 
     U(1)-family sectors are diagonalized exactly in the (+1 at origin,
     -1 at origin+R) charge sector, each enumerated once however often its
-    separation is listed.  Sectors small enough to be solved densely are
-    assembled together: consecutive ones are merged
-    (gauge.merge_sectors) while their states number at most
-    solver.DENSE_LIMIT, H is assembled once on each merge and split into
-    one block per sector (_sector_blocks), bitwise the H the sector alone
-    gives; an H that couples two merged sectors raises ValueError.  A
-    larger sector is merged with none, so it is assembled alone, one at a
-    time.  The SU(2) potential is evaluated on the explicit
-    strong-coupling string state with the full-space Hamiltonian
-    (zero-charge sector machinery does not label non-Abelian external
-    charges).  Empty sectors raise.
+    separation is listed.  Every sector of at most solver.DENSE_LIMIT
+    states joins one merge (gauge.merge_sectors): H is assembled once on
+    it and split into one block per sector (_sector_blocks), bitwise the H
+    the sector alone gives; an H that couples two merged sectors raises
+    ValueError.  Each larger sector is assembled on itself and solved
+    before the next one is assembled, so at most one large H is held at a
+    time.  The SU(2) potential is evaluated on the explicit strong-coupling
+    string state with the full-space Hamiltonian (zero-charge sector
+    machinery does not label non-Abelian external charges).  Empty sectors
+    raise.
     """
     model = build_model(spec, lat)
     if spec.model == SU2:
@@ -215,8 +214,9 @@ def static_potential(spec, lat, separations, origin=0):
 
 def _sector_ground_energies(model, separations, origin):
     """(ground energies, sector dimensions) per separation, each sector
-    enumerated once and assembled in a merge of consecutive sectors of at
-    most solver.DENSE_LIMIT states in all."""
+    enumerated once; the sectors of at most solver.DENSE_LIMIT states are
+    assembled in one merge, and each larger one on itself, its H dropped
+    before the next is assembled."""
     lat = model.lattice
     sectors, keys = {}, []
     for R in separations:
@@ -232,28 +232,26 @@ def _sector_ground_energies(model, separations, origin):
                 raise solver.SolverError(
                     f"empty Gauss sector for separation {R}")
             sectors[keys[-1]] = sec
-    groups = []
-    for sec in sectors.values():
-        if groups and sum(s.dim for s in groups[-1]) + sec.dim \
-                <= solver.DENSE_LIMIT:
-            groups[-1].append(sec)
-        else:
-            groups.append([sec])
-    ground = {sec.charges: float(solver.ground_energy(h)) for group in groups
-              for sec, h in zip(group, _sector_blocks(model, group))}
-    return [ground[key] for key in keys], [sectors[key].dim for key in keys]
+    small = [sec for sec in sectors.values() if sec.dim <= solver.DENSE_LIMIT]
+    ground = dict(zip([sec.charges for sec in small],
+                      map(solver.ground_energy, _sector_blocks(model, small))))
+    # one large H at a time: each is dropped once its sector is solved
+    ground.update((key, solver.ground_energy(model.hamiltonian(sector=sec)))
+                  for key, sec in sectors.items()
+                  if sec.dim > solver.DENSE_LIMIT)
+    return [float(ground[k]) for k in keys], [sectors[k].dim for k in keys]
 
 
 def _sector_blocks(model, group):
     """The H of each sector of a group, assembled once on their merge and
-    sliced at each sector's positions among the merged states; a group of
-    one sector is assembled alone.  An assembled H stores no zeros (scipy's
-    sparse sums drop them), so blocks holding fewer entries than H mean
-    that H couples two merged sectors, which raises ValueError."""
+    sliced at each sector's positions among the merged states; an empty
+    group gives no blocks.  An assembled H stores no zeros (scipy's sparse
+    sums drop them), so blocks holding fewer entries than H mean that H
+    couples two merged sectors, which raises ValueError."""
+    if not group:
+        return []
     merged = merge_sectors(group)
     h = model.hamiltonian(sector=merged)
-    if len(group) == 1:
-        return [h]
     positions = (np.searchsorted(merged.indices, s.indices) for s in group)
     blocks = [h[pos][:, pos] for pos in positions]
     if sum(block.nnz for block in blocks) < h.nnz:

@@ -22,7 +22,7 @@ deflated operator (_check_no_missed_level).
 A run's log (run_log) is one list of timed stage records (stage): `eigs`
 writes a `solve` record (dim, path, nnz, the matvecs of the Lanczos run
 and of its guard, the worst relative residual) and `evolve` an `evolve`
-record (dim, path, nnz).
+record (dim, path, nnz and, on the expm path, predicted_matvecs).
 """
 
 import contextlib
@@ -252,13 +252,16 @@ def evolve(op, state, t, steps):
     which is psi itself as on the other path.  A larger sparse H keeps the
     sparse action of the matrix exponential (expm_multiply: scaled
     truncated-Taylor applications), which needs about twenty matvecs per
-    sample however small H is.
+    sample however small H is, and about six per unit of t ||H||_1 once
+    t is large (_expm_matvecs).  An expm evolution whose predicted
+    matvecs times H's stored entries exceed _EXPM_BUDGET raises
+    SolverError before it starts; one that runs records the prediction.
 
-    Timed as an `evolve` stage.  An H with an inf or nan entry raises
-    SolverError before either path runs, and norm drift beyond 1e-9
-    raises SolverError (the step-convergence flag), as does a norm that is
-    not finite (a t so large that the phases overflow) and, on the expm
-    path, a t so large that expm_multiply cannot count its steps.
+    Timed as an `evolve` stage.  A negative t or fewer than one step
+    raises ValueError.  An H with an inf or nan entry raises SolverError
+    before either path runs, and norm drift beyond 1e-9 raises
+    SolverError (the step-convergence flag), as does a norm that is not
+    finite (a t so large that the phases overflow).
     """
     state = np.asarray(state, dtype=complex)
     n0 = np.linalg.norm(state)
@@ -266,28 +269,59 @@ def evolve(op, state, t, steps):
         raise ValueError("initial state must be normalized")
     if steps < 1:
         raise ValueError("steps must be >= 1")
+    if t < 0:
+        raise ValueError(f"evolution time {t} is negative")
     _check_finite(op)
     dense = _fits_dense(op)
     times = np.linspace(0.0, float(t), steps + 1)
     with stage("evolve", dim=op.shape[0], path="dense" if dense else "expm",
-               nnz=op.nnz if sparse.issparse(op) else 0):
+               nnz=op.nnz if sparse.issparse(op) else 0) as record:
         if dense:
             w, v = eigh(_dense(op))
             states = (np.exp(-1j * np.outer(times, w))
                       * (v.conj().T @ state)) @ v.T
             states[0] = state
         else:
-            try:
-                states = expm_multiply((-1j) * op.tocsc(), state, start=0.0,
-                                       stop=float(t), num=steps + 1,
-                                       endpoint=True)
-            except (ValueError, OverflowError) as exc:
-                # a t so large that expm_multiply's step count overflows
-                raise SolverError(f"evolution by expm failed: {exc}") from exc
+            op = op.tocsc()
+            matvecs = _expm_matvecs(op, float(t), steps)
+            if matvecs * op.nnz > _EXPM_BUDGET:
+                raise SolverError(
+                    f"expm evolution to t = {float(t):g} needs about "
+                    f"{matvecs:.3g} matvecs of an H of {op.nnz} stored "
+                    f"entries, over the work budget of {_EXPM_BUDGET:.2g} "
+                    f"entry products")
+            record["predicted_matvecs"] = int(matvecs)
+            states = expm_multiply((-1j) * op, state, start=0.0,
+                                   stop=float(t), num=steps + 1,
+                                   endpoint=True)
     drift = norm_drift(states)
     if not drift <= 1e-9:                       # also when drift is nan
         raise SolverError(f"evolution norm drift {drift:.3e} exceeds 1e-9")
     return times, states
+
+
+# the most matvecs times stored entries an expm evolution may take: an
+# hour at the fastest rate of predicted entry products measured
+# (_expm_matvecs; Intel Xeon, 1 BLAS thread, 81 samples, best of 2) on
+# the string sectors of the staggered chain (eps 0.5, mass 0.2): 7.2e8
+# per second at 12,087 states (chain of 18, 121,443 entries, t ||H||_1
+# = 5.4e3: 34k predicted, 40k done in 5.7 s), 6.0e8 at 2,436 (chain of
+# 16, 2.3e4: 134k predicted, 154k done in 4.7 s), 2.3e8 at 417 (chain of
+# 13, 2.0e4: 118k predicted, 110k done in 1.5 s)
+_EXPM_BUDGET = 2.6e12
+
+
+def _expm_matvecs(op, t, steps):
+    """The matvecs predicted for expm_multiply to evolve to t in `steps`
+    intervals, from ||H||_1, read exactly as op's largest column sum:
+    Al-Mohy and Higham's scaling (SIAM J. Sci. Comput. 33, 488 (2011))
+    takes up to m = 55 Taylor terms per step of norm theta_55 = 9.9 and
+    per sample, so 55 (ceil(t ||H||_1 / 9.9) + steps), about six per unit
+    of t ||H||_1 once t is large (within 20% of the count done on the
+    sectors measured at _EXPM_BUDGET).  A float, inf when t ||H||_1
+    overflows."""
+    norm = float(abs(op).sum(axis=0).max())
+    return 55.0 * (np.ceil(t * norm / 9.9) + steps)
 
 
 def norm_drift(states):

@@ -607,32 +607,79 @@ def test_dynamics_and_reproducibility(tmp_path):
     assert ma == mb
 
 
+def chain_dynamics(size, separation, t_final):
+    """A dynamics config on a staggered chain: eps 0.8 and mass 0.1 on the
+    chain of 6, eps 0.5 and mass 0.2 on longer ones; 10 steps."""
+    eps, mass = (0.8, 0.1) if size == 6 else (0.5, 0.2)
+    return {
+        "scenario": "dynamics",
+        "lattice": {"spatial_dim": 1, "sizes": [size]},
+        "hamiltonian": {"model": "ks_u1", "truncation": 1, "eps": eps,
+                        "mass": mass, "matter": "staggered"},
+        "params": {"separation": separation, "t_final": t_final,
+                   "steps": 10},
+    }
+
+
 def test_dynamics_overflowing_evolution_exits_3(tmp_path):
     # t_final 1e308 overflows the dense path's phases on the chain of 6,
-    # and the step count of the expm path on the 417-state string sector
-    # of the chain of 13: a numerical failure with a manifest, and no
+    # and the expm path's work budget on the 417-state string sector of
+    # the chain of 13: a numerical failure with a manifest, and no
     # dynamics table of nan rows
-    for size, eps, mass, separation, path, dim, error in [
-            (6, 0.8, 0.1, 3, "dense", 7, "norm drift nan"),
-            (13, 0.5, 0.2, 5, "expm", 417, "by expm failed")]:
-        cfg = {
-            "scenario": "dynamics",
-            "lattice": {"spatial_dim": 1, "sizes": [size]},
-            "hamiltonian": {"model": "ks_u1", "truncation": 1, "eps": eps,
-                            "mass": mass, "matter": "staggered"},
-            "params": {"separation": separation, "t_final": 1e308,
-                       "steps": 10},
-        }
+    for size, separation, path, dim, error in [
+            (6, 3, "dense", 7, "norm drift nan"),
+            (13, 5, "expm", 417, "over the work budget")]:
         out = tmp_path / f"out{size}"
         with np.errstate(all="ignore"):
-            rc = main(["dynamics", "--config", write_cfg(tmp_path, cfg),
-                       "--out", str(out)])
+            rc = main(["dynamics", "--config", write_cfg(
+                tmp_path, chain_dynamics(size, separation, 1e308)),
+                "--out", str(out)])
         assert rc == 3
         m = read_manifest(out)
         assert m["exit_status"] == 3 and error in m["error"]
         assert [(r["dim"], r["path"]) for r in stages(m, "evolve")] \
             == [(dim, path)]
         assert m["files"] == [] and not (out / "dynamics.csv").exists()
+
+
+@pytest.mark.parametrize("size, path, dim",
+                         [(6, "dense", 7), (13, "expm", 483)])
+def test_dynamics_negative_time_is_a_config_error(tmp_path, size, path,
+                                                  dim):
+    # at separation 3 the string sector of the chain of 6 evolves densely
+    # and that of the chain of 13 by expm; expm_multiply over a negative
+    # interval does not keep the norm, so both paths refuse a negative
+    # time before evolving, and t_final 0 runs on both
+    status, _ = run(chain_dynamics(size, 3, -2.0), str(tmp_path / "neg"))
+    assert status == 2
+    m = read_manifest(tmp_path / "neg")
+    assert m["exit_status"] == 2 and "negative" in m["error"]
+    assert m["files"] == [] and stages(m, "evolve") == []
+    status, _ = run(chain_dynamics(size, 3, 0.0), str(tmp_path / "zero"))
+    assert status == 0
+    m = read_manifest(tmp_path / "zero")
+    assert [(r["dim"], r["path"]) for r in stages(m, "evolve")] \
+        == [(dim, path)]
+
+
+def test_dynamics_expm_over_its_work_budget_exits_3(tmp_path):
+    # t_final 1e12 on the 417-state expm sector of the chain of 13 would
+    # take about 6e13 matvecs; the run is a fresh process under a timeout,
+    # so an evolution that starts fails the test instead of hanging it
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, "-m", "lgtlab", "dynamics", "--config",
+         write_cfg(tmp_path, chain_dynamics(13, 5, 1e12)), "--out",
+         str(out)], env=lgtlab_env(), capture_output=True, text=True,
+        timeout=60)
+    assert proc.returncode == 3, proc.stderr
+    m = read_manifest(out)
+    assert m["exit_status"] == 3
+    assert "t = 1e+12" in m["error"] and "work budget" in m["error"]
+    [record] = stages(m, "evolve")
+    assert (record["dim"], record["path"]) == (417, "expm")
+    assert "predicted_matvecs" not in record
+    assert m["files"] == [] and not (out / "dynamics.csv").exists()
 
 
 def test_plaquette_convergence_zn_family(tmp_path):
@@ -982,17 +1029,21 @@ def test_potential_repeated_separations_match_single_ones(tmp_path,
 def test_potential_without_merging_gives_the_same_blocks(tmp_path,
                                                          monkeypatch):
     # with DENSE_LIMIT at 0 every sector is assembled alone (and solved by
-    # Lanczos): the same blocks reach the solver, bitwise.  On the chain of
-    # 10 two merged groups sit beside a group of one
+    # Lanczos): the same blocks reach the solver, bitwise.  Every sector of
+    # the chains of 8 and 10 is small, so each chain assembles one merge;
+    # the chain of 12 merges its four small sectors and assembles its
+    # 638-state one alone
     from lgtlab import solver
     blocks = []
     solve, limit = solver.ground_energy, solver.DENSE_LIMIT
     monkeypatch.setattr(solver, "ground_energy", lambda h: (
-        blocks.append(h.toarray()), solve(h))[1])
+        blocks.append(h.toarray().tobytes()), solve(h))[1])
     for size, separations, merged_dims, alone_dims in [
             (8, [0, 1, 2, 3, 4, 5], [195], [61, 33, 33, 24, 25, 19]),
-            (10, [0, 1, 2, 3, 4, 5, 6], [305, 338, 71],
-             [197, 108, 108, 80, 84, 66, 71])]:
+            (10, [0, 1, 2, 3, 4, 5, 6], [714],
+             [197, 108, 108, 80, 84, 66, 71]),
+            (12, [0, 1, 2, 3, 4, 2], [1244, 638],
+             [638, 352, 352, 263, 277])]:
         monkeypatch.setattr(solver, "DENSE_LIMIT", limit)
         merged, m = potential_rows(tmp_path, separations, f"merged{size}",
                                    size)
@@ -1004,10 +1055,11 @@ def test_potential_without_merging_gives_the_same_blocks(tmp_path,
         assert [r["dim"] for r in stages(m, "assemble")] == merged_dims
         assert [r["dim"] for r in stages(m0, "assemble")] == alone_dims
         assert [r["path"] for r in stages(m0, "solve")] \
-            == ["lanczos"] * len(separations)
-        assert len(alone_blocks) == len(merged_blocks) == len(separations)
-        for a, b in zip(alone_blocks, merged_blocks):
-            assert a.tobytes() == b.tobytes()
+            == ["lanczos"] * len(alone_dims)
+        # the merge's blocks are solved before the large sectors, so the
+        # two runs hand the same blocks on in different orders
+        assert len(merged_blocks) == len(alone_dims)
+        assert sorted(alone_blocks) == sorted(merged_blocks)
         for a, b in zip(alone, merged):
             r_a, e_a, dim_a = a.split(",")
             r_b, e_b, dim_b = b.split(",")
@@ -1032,6 +1084,46 @@ def test_oversized_full_space_exits_3_before_allocating(tmp_path):
         assert "MiB" in m["error"]
         assert max(r["dim_full"] for r in stages(m, "assemble")) \
             == 3 ** (n - 1) * 2 ** n
+
+
+OPEN_2X2 = {"lattice": {"spatial_dim": 2, "sizes": [2, 2]},
+            "hamiltonian": {"model": "ks_u1", "truncation": 1}}
+
+
+def test_full_space_guard_refuses_and_sector_runs_never_reach_it(
+        tmp_path, monkeypatch):
+    # with 1 KiB to spare, the 81 states of the open 2x2 do not fit: the
+    # runs that build the full space exit 3 and write no table, while the
+    # runs that stay in their Gauss sectors give what they give unpatched
+    from lgtlab import tensor
+    sector_runs = [
+        dict(OPEN_2X2, scenario="spectrum",
+             params={"k": 2, "charges": [0, 0, 0, 0]}),
+        {"scenario": "potential", "lattice": {"spatial_dim": 1, "sizes": [8]},
+         "hamiltonian": {"model": "ks_u1", "truncation": 1, "eps": 0.5,
+                         "mass": 0.2, "matter": "staggered"},
+         "params": {"separations": [0, 1, 2, 3]}},
+        chain_dynamics(8, 4, 2.0)]
+    for i, cfg in enumerate(sector_runs):
+        assert run(cfg, str(tmp_path / f"free{i}"))[0] == 0
+    monkeypatch.setattr(tensor, "usable_memory", lambda: 1024)
+    for scenario, params in [("spectrum", {"k": 2}), ("verify", {})]:
+        out = tmp_path / scenario
+        cfg = dict(OPEN_2X2, scenario=scenario, **(
+            {"params": params} if params else {}))
+        assert run(cfg, str(out))[0] == 3
+        m = read_manifest(out)
+        assert m["exit_status"] == 3
+        assert "full space of 81 states" in m["error"]
+        assert m["files"] == [] and not list(out.glob("*.csv"))
+    for i, cfg in enumerate(sector_runs):
+        free, tight = tmp_path / f"free{i}", tmp_path / f"tight{i}"
+        assert run(cfg, str(tight))[0] == 0
+        a, b = read_manifest(free), read_manifest(tight)
+        for key in ("results", "checks", "files"):
+            assert a[key] == b[key]
+        for name in a["files"]:
+            assert filecmp.cmp(free / name, tight / name, shallow=False)
 
 
 def test_dynamics_timing_records_the_sector_evolution(tmp_path):

@@ -6,6 +6,7 @@ restriction of the full-space one, and the in-sector flux-tube evolution
 against full-space evolution of the same string state.
 """
 
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -259,23 +260,60 @@ def test_merged_sector_blocks_equal_each_sector_alone(case):
         assert csr_parts(block) == csr_parts(model.hamiltonian(sector=sec))
 
 
-def test_merge_of_one_sector_is_the_sector(monkeypatch):
+def test_merge_of_one_sector_is_the_sector():
     model = build_model(HamiltonianSpec(model="ks_u1", truncation=1),
                         lattice_2d(2, 2))
     sec = sector_basis(model.space, [0] * 4)
-    assert merge_sectors([sec]) is sec
-    # a group of one is assembled on the sector itself, and its H is
-    # handed on as it is, not sliced
-    assembled = []
-    assemble = model.hamiltonian
-
-    def spy(sector):
-        assert sector is sec
-        assembled.append(assemble(sector=sector))
-        return assembled[-1]
-    monkeypatch.setattr(model, "hamiltonian", spy)
+    merged = merge_sectors([sec])
+    assert merged.charges == (sec.charges,)
+    assert np.array_equal(merged.indices, sec.indices)
+    assert np.array_equal(merged.labels, sec.labels)
+    assert not np.shares_memory(merged.indices, sec.indices)
     [h] = _sector_blocks(model, [sec])
-    assert len(assembled) == 1 and assembled[0] is h
+    assert csr_parts(h) == csr_parts(model.hamiltonian(sector=sec))
+    assert _sector_blocks(model, []) == []
+
+
+def test_large_sectors_are_assembled_alone_and_solved_unsliced(monkeypatch):
+    # with DENSE_LIMIT at 30 the 24-, 25- and 19-state sectors of the
+    # chain of 8 share one merge, and the 61-, 33- and 33-state ones are
+    # each assembled on the enumerated sector itself; its H reaches the
+    # solver as it is, and is dropped before the next one is assembled
+    from lgtlab import observables, solver
+    monkeypatch.setattr(solver, "DENSE_LIMIT", 30)
+    model = build_model(
+        HamiltonianSpec(model="ks_u1", truncation=1, g2=1.1, eps=0.5,
+                        mass=0.3, matter="staggered"), chain(8))
+    enumerated, events, large = [], [], []
+    enumerate_sector, assemble, solve = observables.sector_basis, \
+        model.hamiltonian, solver.ground_energy
+    monkeypatch.setattr(observables, "sector_basis", lambda space, q: (
+        enumerated.append(enumerate_sector(space, q)), enumerated[-1])[1])
+
+    def spy_assemble(sector):
+        assert all(ref() is None for ref in large)
+        h = assemble(sector=sector)
+        events.append(("assemble", sector.dim))
+        if any(sector is sec for sec in enumerated):
+            large.append(weakref.ref(h))
+        return h
+
+    def spy_solve(h):
+        events.append(("solve", h.shape[0]))
+        if h.shape[0] > 30:
+            assert large[-1]() is h
+        return solve(h)
+    monkeypatch.setattr(model, "hamiltonian", spy_assemble)
+    monkeypatch.setattr(solver, "ground_energy", spy_solve)
+    energies, dims = observables._sector_ground_energies(
+        model, [0, 1, 2, 3, 4, 5], 0)
+    assert dims == [61, 33, 33, 24, 25, 19]
+    assert events == [("assemble", 68), ("solve", 24), ("solve", 25),
+                      ("solve", 19)] + [(event, dim) for dim in (61, 33, 33)
+                                        for event in ("assemble", "solve")]
+    assert len(large) == 3 and all(ref() is None for ref in large)
+    assert energies == [float(solve(assemble(sector=sec)))
+                        for sec in enumerated]
 
 
 def test_hopping_between_merged_sectors_is_a_leak():

@@ -1,3 +1,4 @@
+import time
 from dataclasses import replace
 from functools import partial
 
@@ -384,32 +385,75 @@ def test_evolve_conserves_gauss_expectations():
         assert np.max(np.abs(vals - vals[0])) < 1e-9
 
 
-def test_evolve_rejects_an_overflowing_time():
-    # dense path: at t = 1e308 the phase 2 t overflows, so every later
-    # state is nan: its norm drift is nan, which no "drift > bound" test
-    # catches.  expm path: expm_multiply counts its steps from t ||H||,
-    # which on the 417-state string sector of the chain of 13 is nan
-    # (ValueError) and on a free hopping chain of 450 sites infinite
-    # (OverflowError)
+def chain13_string_h():
+    """The 417-state string sector H of the staggered chain of 13, charges
+    at vertices 0 and 5: evolved by expm."""
     charges = [0] * 13
     charges[0], charges[5] = 1, -1
     model = build_model(CHAIN_MATTER, build_lattice(1, [13]))
-    string = model.hamiltonian(sector=sector_basis(model.space, charges))
+    return model.hamiltonian(sector=sector_basis(model.space, charges))
+
+
+def test_evolve_rejects_an_overflowing_time():
+    # dense path: at t = 1e308 the phase 2 t overflows, so every later
+    # state is nan: its norm drift is nan, which no "drift > bound" test
+    # catches.  expm path: expm_multiply's step count grows with t ||H||,
+    # which on the 417-state string sector of the chain of 13 and on a
+    # free hopping chain of 450 sites is far over the work budget (there
+    # scipy could not even count the steps: nan, or an overflow)
+    string = chain13_string_h()
     off = sparse.diags(np.ones(449), 1)
     hopping = (off + off.T).tocsr()
     two_level = sparse.diags([0.0, 2.0]).tocsr().astype(complex)
     for h, psi, t, path, error in [
             (two_level, np.array([0.0, 1.0], dtype=complex), 1e308, "dense",
              "norm drift nan"),
-            (string, random_state(417, 3), 1e40, "expm", "by expm failed"),
-            (string, random_state(417, 3), 1e308, "expm", "by expm failed"),
-            (hopping, random_state(450, 3), 1e200, "expm", "by expm failed"),
-            (hopping, random_state(450, 3), 1e308, "expm",
-             "by expm failed")]:
+            (string, random_state(417, 3), 1e40, "expm", "work budget"),
+            (string, random_state(417, 3), 1e308, "expm", "work budget"),
+            (hopping, random_state(450, 3), 1e200, "expm", "work budget"),
+            (hopping, random_state(450, 3), 1e308, "expm", "work budget")]:
         with run_log() as log, np.errstate(all="ignore"), \
                 pytest.raises(SolverError, match=error):
             evolve(h, psi, t, 2)
         assert [(r["dim"], r["path"]) for r in log] == [(h.shape[0], path)]
+
+
+def test_evolve_refuses_an_expm_run_over_its_work_budget():
+    # at t = 1e12 the 417-state sector would take about 6e13 matvecs
+    # (hours); the prediction, from ||H||_1 read off the CSR, refuses it
+    # at once
+    h = chain13_string_h()
+    start = time.perf_counter()
+    with run_log() as log, pytest.raises(SolverError,
+                                         match=r"t = 1e\+12 .*work budget"):
+        evolve(h, random_state(417, 3), 1e12, 20)
+    assert time.perf_counter() - start < 1.0
+    assert [(r["dim"], r["path"]) for r in log] == [(417, "expm")]
+    assert "predicted_matvecs" not in log[0]
+
+
+def test_expm_evolution_records_its_predicted_matvecs():
+    # 55 (ceil(t ||H||_1 / 9.9) + steps), ||H||_1 the largest column sum
+    h = chain13_string_h()
+    norm = np.abs(h.toarray()).sum(axis=0).max()
+    with run_log() as log:
+        for t in (0, 2, 50):
+            evolve(h, random_state(417, 3), t, 20)
+    assert [r["predicted_matvecs"] for r in log] \
+        == [55 * (int(np.ceil(t * norm / 9.9)) + 20) for t in (0, 2, 50)]
+
+
+@pytest.mark.parametrize("dim, path", [(40, "dense"), (450, "expm")])
+def test_evolve_refuses_a_negative_time(dim, path):
+    h = tridiagonal(dim, 1).tocsr()
+    psi = random_state(dim, 3)
+    with run_log() as log:
+        with pytest.raises(ValueError, match="negative"):
+            evolve(h, psi, -2.0, 4)
+        times, states = evolve(h, psi, 0.0, 4)
+    assert [r["path"] for r in log] == [path]
+    assert np.array_equal(times, np.zeros(5))
+    assert np.allclose(states, psi, atol=1e-14)
 
 
 def test_evolve_requires_normalized_state():
