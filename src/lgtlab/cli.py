@@ -37,6 +37,7 @@ import time
 
 import numpy as np
 import scipy
+from scipy import sparse
 
 from . import __version__, atommap, gauge, linkalg, observables, solver, \
     su2rep
@@ -271,7 +272,8 @@ def run_effective_check(lat, spec, params, writer, tol):
     under the penalty H0 is built once, at lambda, in the neutral sector
     (hamiltonian.penalty_second_order); H0 is linear in lambda, so the
     block at 2 lambda and 4 lambda is it over 2 and 4, exactly for powers
-    of two.  H_eff adds the sector's electric block, and the block's
+    of two.  H_eff, the block as a CSR, adds the sector's electric block
+    (sparse, as the solver takes every operator), and the block's
     plaquette coefficient is its Frobenius projection on the sector's
     magnetic block.  The exact spectrum is that of He + penalty + V on the
     full space, each term assembled once and the penalty scaled."""
@@ -287,7 +289,7 @@ def run_effective_check(lat, spec, params, writer, tol):
     sec = gauge.sector_basis(model.space, [0] * 4)
     second = penalty_second_order(model, sec,
                                   OFF_DIAGONAL_TERMS["hopping"](model))
-    rest = model.hamiltonian(("electric",), sector=sec).toarray()
+    rest = model.hamiltonian(("electric",), sector=sec)
     pattern = (-(2.0 * g2) * model.hamiltonian(("magnetic",),
                                                sector=sec)).toarray()
     penalty = model.hamiltonian(("penalty",))
@@ -299,7 +301,7 @@ def run_effective_check(lat, spec, params, writer, tol):
         block = second / scale
         coeff = complex(np.vdot(pattern, block) / np.vdot(pattern,
                                                           pattern).real)
-        w_eff, _ = solver.eigs(block + rest, kk)
+        w_eff, _ = solver.eigs(sparse.csr_matrix(block) + rest, kk)
         w_exact, _ = solver.eigs(He + scale * penalty + V, kk)
         mismatch = float(np.max(np.abs(w_eff - w_exact[:kk])))
         rows.append((lam * scale, coeff.real, mismatch,

@@ -432,13 +432,16 @@ def max_gauss_violation(model, h):
     [H, G]_ij = H_ij (g_j - g_i), evaluated on H's stored entries where g
     differs.  Where the link set also has a raising operator G^+
     (gauge.gauss_raising, SU(2) only), the x and y components come from
-    K+- = [H, G^+-] with G^- = (G^+)^dag: [H, G^x] = (K+ + K-)/2 and
-    [H, G^y] = (K+ - K-)/2i.
-    Only K+ = HG^+ - G^+H is formed; K- = -(K+)^dag holds because H is
-    Hermitian, and it is exact only for an H that is Hermitian bit for bit,
-    as Model.hamiltonian() is by construction (T + T^dag + D).  H and G^+
-    are used in the dtype they were assembled in (float64: both are real
-    for SU(2)).
+    K = HG^+ - G^+H, formed once per vertex: with G^- = (G^+)^dag and H
+    Hermitian, [H, G^-] = -K^dag, so [H, G^x] = (K - K^dag)/2 and
+    [H, G^y] = (K + K^dag)/2i.  For a real K (every H assembled here is
+    real, as is G^+: tensor.py's dtype rule) the larger of the two at
+    entry (i, j) is (|K_ij| + |K_ji|)/2 bit for bit, since one of
+    K_ij -+ K_ji adds two magnitudes of one sign, so both maxima are the
+    one max(|K| + |K|^T)/2.  A complex K keeps the two components, which
+    that sum would overstate.  Both forms hold only for an H that is
+    Hermitian bit for bit, as Model.hamiltonian() is by construction
+    (T + T^dag + D), and use H and G^+ in the dtype they were assembled in.
     """
     space = model.space
     coo, worst = h.tocoo(), 0.0
@@ -451,8 +454,11 @@ def max_gauss_violation(model, h):
                                                    * step))))
         raising = gauge.gauss_raising(space, v)
         if raising is not None:
-            k_up = h @ raising - raising @ h
-            k_down = -k_up.conj().T
-            worst = max(worst, float(abs(k_up + k_down).max()) / 2,
-                        float(abs(k_up - k_down).max()) / 2)
+            k = h @ raising - raising @ h
+            if np.iscomplexobj(k):
+                k = abs(k + k.conj().T).maximum(abs(k - k.conj().T))
+            else:
+                k = abs(k)
+                k = k + k.T
+            worst = max(worst, float(k.max()) / 2)
     return worst

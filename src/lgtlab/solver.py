@@ -1,14 +1,16 @@
 """Sparse linear-algebra backend: low eigenpairs and real-time evolution
 of a given operator, and the run's stage records.
 
-One size rule serves the eigensolver and the evolution: an operator of at
-most DENSE_LIMIT states (or given as a dense array) is densified and
-diagonalized with LAPACK; a larger sparse one is left sparse, for Lanczos
-(`eigs`) or the action of the matrix exponential (`evolve`).  Both work in
-the operator's own dtype, which its assembly chose (tensor.py): a real H
-gives real eigenvectors, and nothing here converts it.  An operator with
-an inf or nan entry raises SolverError before either path runs, as does
-any ARPACK failure.
+Both take the operator as a scipy sparse matrix, its one form here, and
+one size rule serves them: an operator of at most DENSE_LIMIT states is
+densified and diagonalized with LAPACK; a larger one is left sparse, for
+Lanczos (`eigs`) or the action of the matrix exponential (`evolve`).
+Both work in the operator's own dtype, which its assembly chose
+(tensor.py): a real H gives real eigenvectors, and nothing here converts
+it.  An operator with an inf or nan entry raises SolverError before
+either path runs, as does any ARPACK failure, and so does an evolution
+whose sampled states would not fit in the memory the process may use
+(usable_memory), before they are allocated.
 
 Everything is deterministic: the iterative eigensolver starts from a
 fixed-seed random vector and small problems fall back to dense
@@ -22,15 +24,17 @@ deflated operator (_check_no_missed_level).
 A run's log (run_log) is one list of timed stage records (stage): `eigs`
 writes a `solve` record (dim, path, nnz, the matvecs of the Lanczos run
 and of its guard, the worst relative residual) and `evolve` an `evolve`
-record (dim, path, nnz and, on the expm path, predicted_matvecs).
+record (dim, path, nnz, predicted_mb and, on the expm path,
+predicted_matvecs).
 """
 
 import contextlib
 import contextvars
+import os
+import resource
 import time
 
 import numpy as np
-from scipy import sparse
 from scipy.linalg import eigh
 from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh, \
     expm_multiply
@@ -46,10 +50,35 @@ from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh, \
 # at 400 because evolve, which shares it, still gains from dense there
 DENSE_LIMIT = 400
 
+# peak bytes per sampled amplitude (one state's entry at one sample time)
+# of an evolution and the observables read from it: tracemalloc peaks of
+# `dynamics` on the string sectors of the staggered chain (eps 0.5, mass
+# 0.2) were 4.02-4.06 times the (steps + 1) x dim complex table at 1,001
+# samples on the chains of 8 (25 states, dense) and 13 (417, expm), and
+# 4.09-5.7 times at 201 samples or on the 7-state sector of the chain of
+# 6, where fixed costs still count; 66 bytes is 4.125 such tables
+EVOLVE_BYTES_PER_AMPLITUDE = 66
+MEMINFO = "/proc/meminfo"
+
 
 class SolverError(RuntimeError):
     """Numerical or resource failure (non-convergence, singular resolvent,
     a full space too large for memory, ...)."""
+
+
+def usable_memory():
+    """Bytes this process may still allocate: the lesser of the host's
+    MemAvailable and the address-space limit (either may be unknown)."""
+    limits = []
+    soft, _hard = resource.getrlimit(resource.RLIMIT_AS)
+    if soft != resource.RLIM_INFINITY:
+        limits.append(soft)
+    if os.path.exists(MEMINFO):
+        with open(MEMINFO, encoding="ascii") as fh:
+            for line in fh:
+                if line.startswith("MemAvailable:"):
+                    limits.append(int(line.split()[1]) * 1024)
+    return min(limits, default=float("inf"))
 
 
 _RUN_LOG = contextvars.ContextVar("run_log", default=None)
@@ -85,12 +114,12 @@ def stage(name, **facts):
 
 
 def eigs(op, k=1):
-    """k lowest eigenpairs of a Hermitian operator, ascending.
+    """k lowest eigenpairs of a Hermitian scipy sparse operator, ascending.
 
-    Dense diagonalization (of the k lowest pairs only) for dense input, up
-    to DENSE_LIMIT states (_fits_dense), and whenever k >= dim - 1, which
-    ARPACK cannot do; otherwise Lanczos from a fixed-seed random start
-    vector, which overlaps every eigenvector (the all-ones vector is
+    Dense diagonalization (of the k lowest pairs only) up to DENSE_LIMIT
+    states, and whenever k >= dim - 1, which ARPACK cannot do; otherwise
+    Lanczos from a fixed-seed random start vector, which overlaps every
+    eigenvector (the all-ones vector is
     symmetric under the lattice symmetries and misses the levels outside
     the symmetric subspace).  Either path works in op's dtype, so a real op
     gives real eigenvectors.  An op with an inf or nan entry raises
@@ -103,21 +132,20 @@ def eigs(op, k=1):
     failure, non-convergence included, raises SolverError with ARPACK's
     report.
     """
-    op = op.tocsr() if sparse.issparse(op) else np.asarray(op)
+    op = op.tocsr()
     dim = op.shape[0]
-    dense = _fits_dense(op) or k >= dim - 1
+    dense = dim <= DENSE_LIMIT or k >= dim - 1
     if k < 1:
         raise ValueError(f"asked for {k} eigenpairs; need at least 1")
     if k > dim:
         raise ValueError(f"asked for {k} eigenpairs of a dim-{dim} operator")
     _check_finite(op)
     with stage("solve", dim=dim, path="dense" if dense else "lanczos",
-               nnz=op.nnz if sparse.issparse(op) else 0,
-               residual=None) as record:
+               nnz=op.nnz, residual=None) as record:
         solve = _Counted(op, record, "matvecs")
         guard = _Counted(op, record, "guard_matvecs")
         if dense:
-            w, v = eigh(_dense(op), subset_by_index=[0, k - 1])
+            w, v = eigh(op.toarray(), subset_by_index=[0, k - 1])
         else:
             w, v = _lanczos(solve, k, 0, tol=0.0)
 
@@ -134,19 +162,9 @@ def eigs(op, k=1):
     return w, v
 
 
-def _fits_dense(op):
-    """The size rule: dense input, or at most DENSE_LIMIT states."""
-    return not sparse.issparse(op) or op.shape[0] <= DENSE_LIMIT
-
-
-def _dense(op):
-    return op.toarray() if sparse.issparse(op) else op
-
-
 def _check_finite(op):
-    """Raise SolverError if op has an inf or nan entry."""
-    bad = np.count_nonzero(~np.isfinite(op.data if sparse.issparse(op)
-                                        else op))
+    """Raise SolverError if op has an inf or nan stored entry."""
+    bad = np.count_nonzero(~np.isfinite(op.data))
     if bad:
         raise SolverError(f"operator has {bad} non-finite (inf or nan) "
                           f"entries")
@@ -245,8 +263,8 @@ def evolve(op, state, t, steps):
     spaced times in [0, t]: (times, states), the states a (times, dim)
     array.
 
-    For dense input and up to DENSE_LIMIT states (_fits_dense, the rule
-    of `eigs`), H = V diag(w) V^dag is diagonalized once, in H's dtype, and
+    H is a scipy sparse matrix.  Up to DENSE_LIMIT states (the rule of
+    `eigs`), H = V diag(w) V^dag is diagonalized once, in H's dtype, and
     every sampled state is formed in one product,
     (exp(-i outer(times, w)) * (V^dag psi)) @ V^T, except the t = 0 state,
     which is psi itself as on the other path.  A larger sparse H keeps the
@@ -256,6 +274,13 @@ def evolve(op, state, t, steps):
     t is large (_expm_matvecs).  An expm evolution whose predicted
     matvecs times H's stored entries exceed _EXPM_BUDGET raises
     SolverError before it starts; one that runs records the prediction.
+
+    Either path, and the caller's read of observables from the states,
+    peaks at about four (steps + 1) x dim complex tables: the record's
+    predicted_mb is EVOLVE_BYTES_PER_AMPLITUDE bytes per sampled
+    amplitude, and an evolution predicted to need more than
+    usable_memory() raises SolverError, naming `steps`, before the sample
+    times or states are allocated.
 
     Timed as an `evolve` stage.  A negative t or fewer than one step
     raises ValueError.  An H with an inf or nan entry raises SolverError
@@ -272,12 +297,20 @@ def evolve(op, state, t, steps):
     if t < 0:
         raise ValueError(f"evolution time {t} is negative")
     _check_finite(op)
-    dense = _fits_dense(op)
-    times = np.linspace(0.0, float(t), steps + 1)
-    with stage("evolve", dim=op.shape[0], path="dense" if dense else "expm",
-               nnz=op.nnz if sparse.issparse(op) else 0) as record:
+    dim = op.shape[0]
+    dense = dim <= DENSE_LIMIT
+    need = EVOLVE_BYTES_PER_AMPLITUDE * (steps + 1) * dim
+    with stage("evolve", dim=dim, path="dense" if dense else "expm",
+               nnz=op.nnz, predicted_mb=need / 2**20) as record:
+        have = usable_memory()
+        if need > have:
+            raise SolverError(
+                f"steps = {steps} needs about {need / 2**20:.0f} MiB for "
+                f"the sampled states of a dim-{dim} evolution, more than "
+                f"the {have / 2**20:.0f} MiB this process may use")
+        times = np.linspace(0.0, float(t), steps + 1)
         if dense:
-            w, v = eigh(_dense(op))
+            w, v = eigh(op.toarray())
             states = (np.exp(-1j * np.outer(times, w))
                       * (v.conj().T @ state)) @ v.T
             states[0] = state

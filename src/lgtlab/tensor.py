@@ -69,8 +69,9 @@ an imaginary part to pick a dtype or converts one.  Only state vectors
 
 Memory guard.  Before the first full-space table or embedding of a space,
 ``ProductSpace.require_memory`` compares FULL_SPACE_BYTES_PER_STATE times
-the dimension with the memory the process may use (the lesser of the
-host's MemAvailable and the address-space limit) and raises
+the dimension with the memory the process may use (usable_memory, from
+the solver: the lesser of the host's MemAvailable and the address-space
+limit) and raises
 ``SolverError`` when it does not fit, so an oversized run exits 3 instead
 of being killed mid-allocation.
 """
@@ -78,34 +79,16 @@ of being killed mid-allocation.
 from dataclasses import dataclass, field
 
 import math
-import os
-import resource
 
 import numpy as np
 from scipy import sparse
 
-from .solver import SolverError
+from .solver import SolverError, usable_memory
 
 # peak bytes per state of a full-space run: full-space `spectrum` runs
 # peaked at 540-560 bytes per state (chains of 6-8 with staggered matter,
 # the 2x2 torus and the open 3x3 lattice), most of it Lanczos vectors
 FULL_SPACE_BYTES_PER_STATE = 600
-MEMINFO = "/proc/meminfo"
-
-
-def usable_memory():
-    """Bytes this process may still allocate: the lesser of the host's
-    MemAvailable and the address-space limit (either may be unknown)."""
-    limits = []
-    soft, _hard = resource.getrlimit(resource.RLIMIT_AS)
-    if soft != resource.RLIM_INFINITY:
-        limits.append(soft)
-    if os.path.exists(MEMINFO):
-        with open(MEMINFO, encoding="ascii") as fh:
-            for line in fh:
-                if line.startswith("MemAvailable:"):
-                    limits.append(int(line.split()[1]) * 1024)
-    return min(limits, default=float("inf"))
 
 
 @dataclass

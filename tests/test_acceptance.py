@@ -12,6 +12,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from lgtlab import atommap, linkalg, su2rep
 from lgtlab.cli import run as cli_run
@@ -139,7 +140,8 @@ def _effective_run(lam, eta=0.1, ell=1, g2=1.0, k=3):
     pattern = (-(2.0 * g2) * model.hamiltonian(("magnetic",),
                                                sector=sec)).toarray()
     coeff = np.vdot(pattern, second) / np.vdot(pattern, pattern)
-    h_eff = second + model.hamiltonian(("electric",), sector=sec).toarray()
+    h_eff = sparse.csr_matrix(second) \
+        + model.hamiltonian(("electric",), sector=sec)
     kk = min(k, sec.dim)
     w_eff, _ = eigs(h_eff, kk)
     w_ex, _ = eigs(sum(model.hamiltonian((t,)) for t in

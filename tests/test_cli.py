@@ -1126,6 +1126,37 @@ def test_full_space_guard_refuses_and_sector_runs_never_reach_it(
             assert filecmp.cmp(free / name, tight / name, shallow=False)
 
 
+@pytest.mark.parametrize("size, separation", [(8, 4), (13, 5)])
+def test_dynamics_over_usable_memory_exits_3_before_sampling(
+        tmp_path, monkeypatch, size, separation):
+    # the evolution guard reads solver.usable_memory, a seam apart from the
+    # full-space guard's tensor.usable_memory: with 1 KiB to spare the run
+    # exits 3 naming steps and writes no table, with 2^60 bytes it writes
+    # what it writes unpatched
+    from lgtlab import solver
+    cfg = chain_dynamics(size, separation, 2.0)
+    free, tight, roomy = (tmp_path / name
+                          for name in ("free", "tight", "roomy"))
+    assert run(cfg, str(free))[0] == 0
+    [record] = stages(read_manifest(free), "evolve")
+    assert record["predicted_mb"] \
+        == solver.EVOLVE_BYTES_PER_AMPLITUDE * 11 * record["dim"] / 2**20
+    monkeypatch.setattr(solver, "usable_memory", lambda: 1024)
+    assert run(cfg, str(tight))[0] == 3
+    m = read_manifest(tight)
+    assert m["exit_status"] == 3 and m["error"].startswith("steps = 10 ")
+    assert m["files"] == [] and not list(tight.glob("*.csv"))
+    assert stages(m, "evolve")[0]["predicted_mb"] == record["predicted_mb"]
+    assert stages(m, "observables") == []
+    monkeypatch.setattr(solver, "usable_memory", lambda: 2 ** 60)
+    assert run(cfg, str(roomy))[0] == 0
+    a, b = read_manifest(free), read_manifest(roomy)
+    for key in ("results", "checks", "files"):
+        assert a[key] == b[key]
+    for name in a["files"]:
+        assert filecmp.cmp(free / name, roomy / name, shallow=False)
+
+
 def test_dynamics_timing_records_the_sector_evolution(tmp_path):
     cfg = {
         "scenario": "dynamics",

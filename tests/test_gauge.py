@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import sparse
 
 from gauge_oracle import basis_matrix, canonical_sign_transform, \
     clock_matrix, gauge_transformation_unitary, gauss_generators_u1, \
@@ -154,7 +155,7 @@ def test_su2_plaquette_sector_restriction_matches_full_space():
     B = su2_zero_charge_sector(model.space, generators(model))
     assert B.shape[1] == 2
     h = model.hamiltonian()
-    w, _ = eigs(B.conj().T @ (h @ B), 2)
+    w, _ = eigs(sparse.csr_matrix(B.conj().T @ (h @ B)), 2)
     wf, vf = np.linalg.eigh(h.toarray())
     weights = np.linalg.norm(B.conj().T @ vf, axis=0)
     in_sector = wf[weights > 0.99]

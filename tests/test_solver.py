@@ -231,12 +231,10 @@ def test_eigs_logs_nnz_and_matvecs(monkeypatch):
     h = tridiagonal(500, 1).tocsr()
     with run_log() as log:
         eigs(diag[:4, :4], 1)           # dense path: no matvec
-        eigs(np.eye(3), 1)              # dense input: no nnz
         eigs(h, 2)                      # Lanczos
-    assert [r["nnz"] for r in log] == [3, 0, h.nnz]  # diag[:4, :4]: no 0
-    assert [r["matvecs"] for r in log[:2]] == [0, 0]
-    assert [r["guard_matvecs"] for r in log[:2]] == [0, 0]
-    assert 0 < log[2]["guard_matvecs"] < log[2]["matvecs"]
+    assert [r["nnz"] for r in log] == [3, h.nnz]  # diag[:4, :4]: no 0
+    assert log[0]["matvecs"] == log[0]["guard_matvecs"] == 0
+    assert 0 < log[1]["guard_matvecs"] < log[1]["matvecs"]
 
 
 def test_eigs_logs_matvecs_of_a_failed_solve(monkeypatch):
@@ -299,7 +297,7 @@ def test_non_finite_operator_raises_before_solving(bad, dim):
         with pytest.raises(SolverError, match="non-finite"):
             eigs(h, 2)
         with pytest.raises(SolverError, match="non-finite"):
-            eigs(h.toarray(), 2)
+            eigs(sparse.csr_matrix(h.toarray()), 2)
         with pytest.raises(SolverError, match="non-finite"):
             evolve(h, random_state(dim, 1), 1.0, 2)
     assert log == []
@@ -327,7 +325,7 @@ def test_eigs_k_below_one(k):
     with pytest.raises(ValueError):
         eigs(sparse.identity(2, format="csr"), k)
     with pytest.raises(ValueError):
-        eigs(np.eye(2), k)
+        eigs(sparse.csr_matrix(np.eye(2)), k)
 
 
 def test_eigs_invariant_under_basis_permutation():
@@ -454,6 +452,33 @@ def test_evolve_refuses_a_negative_time(dim, path):
     assert [r["path"] for r in log] == [path]
     assert np.array_equal(times, np.zeros(5))
     assert np.allclose(states, psi, atol=1e-14)
+
+
+@pytest.mark.parametrize("dim, path", [(40, "dense"), (450, "expm")])
+def test_evolve_refuses_sampled_states_over_usable_memory(dim, path,
+                                                          monkeypatch):
+    # the guard reads solver.usable_memory: one byte short of the
+    # prediction it raises, naming steps, before the sample times exist;
+    # at the prediction itself the evolution runs
+    h = tridiagonal(dim, 1).tocsr()
+    psi = random_state(dim, 3)
+    need = solver.EVOLVE_BYTES_PER_AMPLITUDE * 11 * dim
+    linspace = np.linspace
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("sample times allocated")
+    with run_log() as log:
+        with monkeypatch.context() as patch:
+            patch.setattr(solver, "usable_memory", lambda: need - 1)
+            patch.setattr(np, "linspace", refuse)
+            with pytest.raises(SolverError, match=r"^steps = 10 needs"):
+                evolve(h, psi, 1.0, 10)
+        assert np.linspace is linspace
+        monkeypatch.setattr(solver, "usable_memory", lambda: need)
+        times, states = evolve(h, psi, 1.0, 10)
+    assert states.shape == (11, dim)
+    assert [(r["path"], r["predicted_mb"]) for r in log] \
+        == [(path, need / 2**20)] * 2
 
 
 def test_evolve_requires_normalized_state():
@@ -602,7 +627,8 @@ def _effective_setup(lam, eta=0.1, ell=1, g2=1.0):
     pattern = (-(2.0 * g2) * model.hamiltonian(("magnetic",),
                                                sector=sec)).toarray()
     coeff = np.vdot(pattern, second) / np.vdot(pattern, pattern)
-    h_eff = second + model.hamiltonian(("electric",), sector=sec).toarray()
+    h_eff = sparse.csr_matrix(second) \
+        + model.hamiltonian(("electric",), sector=sec)
     return model, sec, h_eff, coeff
 
 
