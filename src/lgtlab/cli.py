@@ -48,6 +48,7 @@ from .lattice import build_lattice
 from .matter import STAGGERED, NAIVE2D, SU2_FUNDAMENTAL
 
 DEFAULT_TOL = 1e-10
+WRITE_BLOCK = 2**14      # CSV rows formatted at once (Writer.csv)
 TASKS = "/proc/self/task"          # one entry per thread of this process
 
 
@@ -144,19 +145,24 @@ class Writer:
     def csv(self, name, header, columns):
         """Write a header line and one line per row of `columns`, one
         sequence of values per header field: integer columns as %d, every
-        other column with 17 significant digits, formatted in one pass.
-        Timed as a `write` stage (solver.stage) with the file name and its
-        data rows."""
+        other column with 17 significant digits, formatted in one pass per
+        block of WRITE_BLOCK rows, so the Python values and text held at
+        once stay one block's whatever the file's length.  Timed as a
+        `write` stage (solver.stage) with the file name and its data
+        rows."""
         columns = [np.asarray(c) for c in columns]
         n_rows = len(columns[0]) if columns else 0
         with solver.stage("write", file=name, rows=n_rows):
             line = ",".join("%d" if c.dtype.kind in "biu" else "%.17g"
                             for c in columns) + "\n"
-            values = tuple(v for row in zip(*(c.tolist() for c in columns))
-                           for v in row)
             path = os.path.join(self.outdir, name)
             with open(path, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(",".join(header) + "\n" + line * n_rows % values)
+                fh.write(",".join(header) + "\n")
+                for start in range(0, n_rows, WRITE_BLOCK):
+                    block = [c[start:start + WRITE_BLOCK].tolist()
+                             for c in columns]
+                    fh.write(line * len(block[0]) % tuple(
+                        v for row in zip(*block) for v in row))
         self.files.append(name)
         return path
 

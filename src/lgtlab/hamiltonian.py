@@ -434,14 +434,10 @@ def max_gauss_violation(model, h):
     (gauge.gauss_raising, SU(2) only), the x and y components come from
     K = HG^+ - G^+H, formed once per vertex: with G^- = (G^+)^dag and H
     Hermitian, [H, G^-] = -K^dag, so [H, G^x] = (K - K^dag)/2 and
-    [H, G^y] = (K + K^dag)/2i.  For a real K (every H assembled here is
-    real, as is G^+: tensor.py's dtype rule) the larger of the two at
-    entry (i, j) is (|K_ij| + |K_ji|)/2 bit for bit, since one of
-    K_ij -+ K_ji adds two magnitudes of one sign, so both maxima are the
-    one max(|K| + |K|^T)/2.  A complex K keeps the two components, which
-    that sum would overstate.  Both forms hold only for an H that is
+    [H, G^y] = (K + K^dag)/2i.  This holds only for an H that is
     Hermitian bit for bit, as Model.hamiltonian() is by construction
-    (T + T^dag + D), and use H and G^+ in the dtype they were assembled in.
+    (T + T^dag + D).  H and G^+ are used in the dtype they were assembled
+    in (float64: both are real for SU(2)).
     """
     space = model.space
     coo, worst = h.tocoo(), 0.0
@@ -455,10 +451,7 @@ def max_gauss_violation(model, h):
         raising = gauge.gauss_raising(space, v)
         if raising is not None:
             k = h @ raising - raising @ h
-            if np.iscomplexobj(k):
-                k = abs(k + k.conj().T).maximum(abs(k - k.conj().T))
-            else:
-                k = abs(k)
-                k = k + k.T
-            worst = max(worst, float(k.max()) / 2)
+            k_dag = k.conj().T
+            worst = max(worst, float(abs(k - k_dag).max()) / 2,
+                        float(abs(k + k_dag).max()) / 2)
     return worst

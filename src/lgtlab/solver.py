@@ -56,7 +56,10 @@ DENSE_LIMIT = 400
 # 0.2) were 4.02-4.06 times the (steps + 1) x dim complex table at 1,001
 # samples on the chains of 8 (25 states, dense) and 13 (417, expm), and
 # 4.09-5.7 times at 201 samples or on the 7-state sector of the chain of
-# 6, where fixed costs still count; 66 bytes is 4.125 such tables
+# 6, where fixed costs still count; 66 bytes is 4.125 such tables.  The
+# whole run, its CSVs written in row blocks (cli.Writer.csv), peaked at
+# 0.97-1.10 times the prediction on the chains of 6 and 8 at 20,001
+# samples and of 13 at 2,001
 EVOLVE_BYTES_PER_AMPLITUDE = 66
 MEMINFO = "/proc/meminfo"
 
@@ -275,12 +278,13 @@ def evolve(op, state, t, steps):
     matvecs times H's stored entries exceed _EXPM_BUDGET raises
     SolverError before it starts; one that runs records the prediction.
 
-    Either path, and the caller's read of observables from the states,
-    peaks at about four (steps + 1) x dim complex tables: the record's
-    predicted_mb is EVOLVE_BYTES_PER_AMPLITUDE bytes per sampled
-    amplitude, and an evolution predicted to need more than
-    usable_memory() raises SolverError, naming `steps`, before the sample
-    times or states are allocated.
+    Either path, and the caller's read of observables from the states
+    and write of them in row blocks, peaks at about four (steps + 1) x dim
+    complex tables: the record's predicted_mb is
+    EVOLVE_BYTES_PER_AMPLITUDE bytes per sampled amplitude, and an
+    evolution predicted to need more than usable_memory() raises
+    SolverError, naming `steps`, before the sample times or states are
+    allocated.
 
     Timed as an `evolve` stage.  A negative t or fewer than one step
     raises ValueError.  An H with an inf or nan entry raises SolverError

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -1155,6 +1156,28 @@ def test_dynamics_over_usable_memory_exits_3_before_sampling(
         assert a[key] == b[key]
     for name in a["files"]:
         assert filecmp.cmp(free / name, roomy / name, shallow=False)
+
+
+@pytest.mark.parametrize("size, separation, steps",
+                         [(6, 3, 20000), (8, 4, 20000), (13, 5, 500)])
+def test_evolution_memory_prediction_is_within_1_5x_of_the_run_peak(
+        tmp_path, size, separation, steps):
+    # the evolve record's predicted_mb against the tracemalloc peak of the
+    # whole run (sector, H, evolution, observables and both CSVs written):
+    # the dense sectors of 7 and 25 states, where 20,000 samples make the
+    # tables' (steps + 1) x links rows count, and the 417-state expm one
+    cfg = chain_dynamics(size, separation, 2.0)
+    cfg["params"]["steps"] = steps
+    assert run(cfg, str(tmp_path / "warm"))[0] == 0
+    tracemalloc.start()
+    try:
+        assert run(cfg, str(tmp_path / "traced"))[0] == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    [record] = stages(read_manifest(tmp_path / "traced"), "evolve")
+    predicted = record["predicted_mb"] * 2**20
+    assert peak / 1.5 <= predicted <= 1.5 * peak
 
 
 def test_dynamics_timing_records_the_sector_evolution(tmp_path):

@@ -1,5 +1,4 @@
 import itertools
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +14,7 @@ from lgtlab.matter import STAGGERED, dirac_sea_state
 from lgtlab.observables import charge_profile, convergence_study, \
     flux_profile, flux_tube_breaking_scenario, static_potential, \
     strong_coupling_ground, string_link_path
-from lgtlab.solver import SolverError, run_log
+from lgtlab.solver import SolverError
 
 CHAIN6 = build_lattice(1, [6])
 
@@ -421,25 +420,3 @@ def test_string_path_does_not_wind_around_a_ring(separation):
     with pytest.raises(ValueError, match="winds around"):
         string_link_path(ring, 2, separation)
 
-
-@pytest.mark.parametrize("size, separation", [(6, 3), (8, 4), (13, 5)])
-def test_evolution_memory_prediction_is_within_1_5x_of_the_peak(
-        size, separation):
-    # the evolve record's predicted_mb against the tracemalloc peak of the
-    # whole scenario (sector, H, evolution and observables read), at 200
-    # steps: the dense sectors of 7 and 25 states and the 417-state expm
-    # one
-    spec = HamiltonianSpec(model="ks_u1", truncation=1, eps=0.5, mass=0.2,
-                           matter=STAGGERED)
-    lat = build_lattice(1, [size])
-    flux_tube_breaking_scenario(spec, lat, separation, 2.0, 1)
-    tracemalloc.start()
-    try:
-        with run_log() as log:
-            flux_tube_breaking_scenario(spec, lat, separation, 2.0, 200)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    [record] = [r for r in log if r["stage"] == "evolve"]
-    predicted = record["predicted_mb"] * 2**20
-    assert peak / 1.5 <= predicted <= 1.5 * peak

@@ -5,12 +5,11 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
-from scipy import sparse
 
 import gauge_oracle
 import su2_oracle
-from lgtlab import gauge, matter as matter_mod
-from lgtlab.gauge import charge_rows, gauss_raising
+from lgtlab import matter as matter_mod
+from lgtlab.gauge import charge_rows
 from lgtlab.hamiltonian import HamiltonianSpec, build_model, \
     max_gauss_violation
 from lgtlab.lattice import build_lattice
@@ -154,96 +153,3 @@ def test_su2_check_builds_no_generators(monkeypatch):
         monkeypatch.setattr(oracle, name, refuse)
     assert max_gauss_violation(model, h) == 0.0
     assert 0 < calls["_kron"] <= 10
-
-
-# the x and y part of the check against its former two-component form:
-# full-space chains of 2 to 4 at J_max 1/2 and 1, pure gauge and with
-# two-color matter, except the chain of 4 at J_max 1 with matter (702,464
-# states)
-CHAINS = [(n, j, matter) for n in (2, 3, 4) for j in (0.5, 1)
-          for matter in (False, True) if (n, j, matter) != (4, 1, True)]
-
-
-def raising_violation_oracle(model, h):
-    """max over vertices of the x and y components as K+ = [H, G^+] and
-    K- = -(K+)^dag give them: max(|K+ + K-|, |K+ - K-|) / 2."""
-    worst = 0.0
-    for v in range(model.lattice.vertex_count):
-        raising = gauss_raising(model.space, v)
-        k_up = h @ raising - raising @ h
-        k_down = -k_up.conj().T
-        worst = max(worst, float(abs(k_up + k_down).max()) / 2,
-                    float(abs(k_up - k_down).max()) / 2)
-    return worst
-
-
-def raising_violation(model, h, monkeypatch):
-    """max_gauss_violation with every diagonal generator zeroed, so that
-    only its x and y part counts."""
-    monkeypatch.setattr(gauge, "generator_eigenvalues", lambda space, labels: (
-        np.zeros(labels.shape[1]) for _ in range(space.lattice.vertex_count)))
-    return max_gauss_violation(model, h)
-
-
-@lru_cache(maxsize=None)
-def chain_model(n, j, matter):
-    spec = HamiltonianSpec(truncation=j, **MATTER) if matter \
-        else HamiltonianSpec(model="su2", truncation=j, g2=1.0)
-    model = build_model(spec, build_lattice(1, [n]))
-    return model, model.hamiltonian()
-
-
-def random_symmetric(dim, seed, entries=20):
-    rng = np.random.default_rng(seed)
-    a = sparse.coo_matrix((rng.normal(size=entries),
-                           (rng.integers(dim, size=entries),
-                            rng.integers(dim, size=entries))),
-                          shape=(dim, dim)).tocsr()
-    return a + a.T
-
-
-def vertex_links(model, vertex):
-    """L^x on every out link and R^x on every in link of one vertex: real
-    and symmetric, it violates the Gauss law at that vertex and its
-    neighbours."""
-    left, right = su2_oracle.link_generators(model.spec.truncation)
-    out_links, in_links = model.lattice.incident[vertex]
-    return model.space.embed([(1.0, [(l, left["x"].real)])
-                              for l in out_links]
-                             + [(1.0, [(l, right["x"].real)])
-                                for l in in_links])
-
-
-@pytest.mark.parametrize("n, j, matter", CHAINS)
-@pytest.mark.parametrize("kind", ["vertex", "random"])
-def test_raising_check_equals_two_component_form_bit_for_bit(
-        n, j, matter, kind, monkeypatch):
-    model, h = chain_model(n, j, matter)
-    p = vertex_links(model, n // 2) if kind == "vertex" \
-        else random_symmetric(model.space.dim, n)
-    h = (h + 0.37 * p).tocsr()
-    assert h.dtype == np.float64 and (h != h.T).nnz == 0
-    expected = raising_violation_oracle(model, h)
-    assert expected > 1e-3                  # the perturbation is variant
-    assert raising_violation(model, h, monkeypatch) == expected
-
-
-@pytest.mark.parametrize("n, j, matter", [(2, 1, False), (3, 1, False),
-                                           (3, 1, True)])
-def test_raising_check_keeps_both_components_of_a_complex_h(
-        n, j, matter, monkeypatch):
-    # the complex Hermitian L^x + L^y on link 0: the two-component form is
-    # kept, where the real rule (|K| + |K|^T)/2 would lie between it and
-    # twice it
-    model, h = chain_model(n, j, matter)
-    p = perturbation(model, "Lxy")
-    h = (h + 0.37 * (p + p.conj().T)).tocsr()
-    assert h.dtype == np.complex128 and (h != h.conj().T).nnz == 0
-    expected = raising_violation_oracle(model, h)
-    real_rule = 0.0
-    for v in range(model.lattice.vertex_count):
-        raising = gauss_raising(model.space, v)
-        k = abs(h @ raising - raising @ h)
-        real_rule = max(real_rule, float((k + k.T).max()) / 2)
-    assert expected < real_rule <= 2 * expected
-    assert raising_violation(model, h, monkeypatch) == expected
